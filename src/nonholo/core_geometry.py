@@ -20,16 +20,25 @@ covectors), the lift maps ``h``/``k`` taking a control velocity to its block
 III representative, adapted frames, and small finite-difference helpers that
 the dynamics layer differentiates through.
 
+One singular-value decomposition of the constraint block ``Omega[:, :N]``
+per point carries the whole splitting: its singular values decide
+transversality, its right null space spans block I, and its pseudo-inverse
+gives an admissible particular solution with unit controls, whose block I
+component is then removed to leave the lift.  Solving through the SVD keeps
+the lift's error proportional to the condition number of the constraint
+block rather than its square.
+
 Conventions: configurations, vectors and covectors are 1-D ``numpy`` arrays of
 length ``N + M``; matrices act on the left.  Coprojections satisfy
 ``Pstar = g @ P @ g^-1`` and, because the splitting is ``g``-orthogonal, equal
-the plain transposes of the projections.  All rank decisions use a relative
-singular-value cutoff of ``1e-9``.
+the plain transposes of the projections; they are stored as those transposes.
+All rank decisions use a relative singular-value cutoff of ``1e-9``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,10 +72,6 @@ class SystemSpec:
     :param fd_step: relative step for the central differences used on
         ``metric``/projection data; the absolute step along coordinate ``i``
         is ``fd_step * max(1, |q_i|)``.
-    :param metric_inverse_jacobian: optional callback ``q -> (N+M, N+M, N+M)``
-        with ``J[i]`` the derivative of the inverse metric along coordinate
-        ``i``; when supplied, the dynamics layer uses it instead of finite
-        differences.
     """
 
     N: int
@@ -77,7 +82,6 @@ class SystemSpec:
     metric_inverse: Optional[MetricFn] = None
     force: Optional[ForceFn] = None
     fd_step: float = 5e-6
-    metric_inverse_jacobian: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self) -> None:
         if min(self.N, self.M, self.nu) < 0:
@@ -97,26 +101,45 @@ class SystemSpec:
 class ProjectionSet:
     """The three-way orthogonal splitting at a single configuration.
 
-    ``P_I``, ``P_II``, ``P_III`` act on tangent vectors; ``Pstar_I``,
-    ``Pstar_II``, ``Pstar_III`` act on covectors (as matrices applied on the
-    left to the 1-D component array).  ``h`` maps a control velocity
-    ``v in R^M`` to the unique admissible full velocity in block III whose
-    controlled components equal ``v``; ``k = g @ h`` is its covector version.
-    ``I_basis`` spans block I (columns), and ``g``/``ginv`` are the metric and
-    its inverse at the evaluation point.
+    ``P_*`` act on tangent vectors; ``Pstar_*`` act on covectors (as matrices
+    applied on the left to the 1-D component array) and are the transposes of
+    the matching ``P_*``.  ``h`` maps a control velocity ``v in R^M`` to the
+    unique admissible full velocity in block III whose controlled components
+    equal ``v``; ``k = g @ h`` is its covector version.  ``I_basis`` spans
+    block I (columns), ``g``/``ginv`` are the metric and its inverse and
+    ``Om`` the constraint forms at the evaluation point.
+
+    The fields are computed when the set is built: everything the reduced
+    dynamics reads.  ``P_II``, ``P_III``, ``Pstar_II`` and ``Pstar_III`` are
+    computed on first access and cached, so the perturbed splittings inside
+    finite-difference loops never pay for them.
     """
 
     P_I: Array
-    P_II: Array
-    P_III: Array
     Pstar_I: Array
-    Pstar_II: Array
-    Pstar_III: Array
     h: Array
     k: Array
     I_basis: Array
     g: Array
     ginv: Array
+    Om: Array
+
+    @cached_property
+    def P_II(self) -> Array:
+        W = self.ginv @ self.Om.T
+        return W @ np.linalg.solve(self.Om @ W, self.Om)
+
+    @cached_property
+    def P_III(self) -> Array:
+        return np.eye(self.g.shape[0]) - self.P_I - self.P_II
+
+    @property
+    def Pstar_II(self) -> Array:
+        return self.P_II.T
+
+    @property
+    def Pstar_III(self) -> Array:
+        return self.P_III.T
 
 
 @dataclass(frozen=True)
@@ -225,6 +248,30 @@ def _canonical_sign(cols: Array) -> Array:
     return out
 
 
+def _constraint_svd(spec: SystemSpec, q: Array, Om: Array) -> tuple[Array, Array, Array]:
+    """SVD ``U @ diag(s) @ Vh`` of the constraint block ``Om[:, :N]``.
+
+    Raises ``RankDeficiency`` when fewer than ``nu`` singular values clear
+    the relative cutoff ``RANK_RTOL`` (transversality failure).
+    """
+    if spec.nu == 0:
+        return np.zeros((0, 0)), np.zeros(0), np.eye(spec.N)
+    U, s, Vh = np.linalg.svd(Om[:, : spec.N])
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
+    if rank != spec.nu:
+        raise RankDeficiency(
+            f"constraint block rank {rank} != nu = {spec.nu}: transversality fails at q={np.asarray(q)}"
+        )
+    return U, s, Vh
+
+
+def _block_I_basis(spec: SystemSpec, Vh: Array) -> Array:
+    """Right null space of the constraint block, padded with ``M`` zero rows."""
+    B = np.zeros((spec.dim, spec.N - spec.nu))
+    B[: spec.N, :] = Vh[spec.nu :].T
+    return _canonical_sign(B)
+
+
 def delta_cap_gamma_basis(spec: SystemSpec, q: Array, omega_matrix: Optional[Array] = None) -> Array:
     """Basis (columns) of block I, the admissible directions with frozen controls.
 
@@ -234,101 +281,45 @@ def delta_cap_gamma_basis(spec: SystemSpec, q: Array, omega_matrix: Optional[Arr
     Raises ``RankDeficiency`` when that block loses rank (transversality
     failure).
     """
-    n = spec.dim
     Om = omega_matrix if omega_matrix is not None else omega_at(spec, q)
-    if spec.nu == 0:
-        null = np.eye(spec.N)
-    else:
-        _, s, Vh = np.linalg.svd(Om[:, : spec.N])
-        rank = int(np.sum(s > RANK_RTOL * (s[0] if s.size else 0.0)))
-        if rank != spec.nu:
-            raise RankDeficiency(
-                f"constraint block rank {rank} != nu = {spec.nu}: transversality fails at q={np.asarray(q)}"
-            )
-        null = Vh[spec.nu :].T
-    B = np.zeros((n, spec.N - spec.nu))
-    B[: spec.N, :] = null
-    return _canonical_sign(B)
-
-
-def _lift_maps(g: Array, Om: Array, N: int, M: int) -> Array:
-    """Solve for the block III lift ``h``: columns minimize kinetic energy.
-
-    For each control direction ``e_alpha``, ``h[:, alpha]`` is the admissible
-    vector with controlled components ``e_alpha`` of least ``g``-norm; the
-    stationarity system below encodes exactly that constrained minimization,
-    and its solution automatically lands in block III.
-    """
-    n = N + M
-    nu = Om.shape[0]
-    E = np.zeros((M, n))
-    E[:, N:] = np.eye(M)
-    S = np.zeros((n + nu + M, n + nu + M))
-    S[:n, :n] = g
-    S[:n, n : n + nu] = Om.T
-    S[:n, n + nu :] = E.T
-    S[n : n + nu, :n] = Om
-    S[n + nu :, :n] = E
-    rhs = np.zeros((n + nu + M, M))
-    rhs[n + nu :, :] = np.eye(M)
-    try:
-        sol = np.linalg.solve(S, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiency("lift system singular: constraints not transversal to controls") from exc
-    return sol[:n, :]
+    _, _, Vh = _constraint_svd(spec, q, Om)
+    return _block_I_basis(spec, Vh)
 
 
 def projection_set(spec: SystemSpec, q: Array, check: bool = True) -> ProjectionSet:
     """Projections, coprojections and lift maps of the splitting at ``q``.
 
     With ``check=True`` (the default) the block ranks are verified against
-    ``(N - nu, nu, M)``; passing ``check=False`` skips those singular-value
-    sweeps, which matters inside finite-difference loops where the same point
-    is revisited under tiny perturbations.
+    ``(N - nu, nu, M)``, which also builds the lazy blocks II and III;
+    passing ``check=False`` skips those singular-value sweeps, which matters
+    inside finite-difference loops where the same point is revisited under
+    tiny perturbations.
     """
     q = np.asarray(q, dtype=float)
-    n = spec.dim
+    N, nu = spec.N, spec.nu
     g = metric_at(spec, q)
     ginv = metric_inverse_at(spec, q, metric=g)
     Om = omega_at(spec, q)
 
-    B = delta_cap_gamma_basis(spec, q, omega_matrix=Om)
-    if B.shape[1]:
-        gram = B.T @ g @ B
-        P_I = B @ np.linalg.solve(gram, B.T @ g)
-    else:
-        P_I = np.zeros((n, n))
+    U, s, Vh = _constraint_svd(spec, q, Om)
+    B = _block_I_basis(spec, Vh)
+    gB = g @ B
+    P_I = B @ np.linalg.solve(B.T @ gB, gB.T)
 
-    if spec.nu:
-        W = ginv @ Om.T
-        P_II = W @ np.linalg.solve(Om @ W, Om)
-    else:
-        P_II = np.zeros((n, n))
+    # admissible velocities with unit controls: pseudo-inverse particular
+    # solution, then the g-orthogonal removal of its block I component
+    x0 = np.zeros((spec.dim, spec.M))
+    x0[:N] = -Vh[:nu].T @ ((U.T @ Om[:, N:]) / s[:, None])
+    x0[N:] = np.eye(spec.M)
+    h = x0 - P_I @ x0
 
-    P_III = np.eye(n) - P_I - P_II
-
-    h = _lift_maps(g, Om, spec.N, spec.M)
-    k = g @ h
-
+    P = ProjectionSet(P_I=P_I, Pstar_I=P_I.T, h=h, k=g @ h, I_basis=B, g=g, ginv=ginv, Om=Om)
     if check:
-        ranks = tuple(np.linalg.matrix_rank(P, tol=1e-8) for P in (P_I, P_II, P_III))
+        ranks = tuple(np.linalg.matrix_rank(A, tol=1e-8) for A in (P.P_I, P.P_II, P.P_III))
         expected = (spec.N - spec.nu, spec.nu, spec.M)
         if ranks != expected:
             raise RankDeficiency(f"projection ranks {ranks} != {expected} at q={q}")
-
-    return ProjectionSet(
-        P_I=P_I,
-        P_II=P_II,
-        P_III=P_III,
-        Pstar_I=g @ P_I @ ginv,
-        Pstar_II=g @ P_II @ ginv,
-        Pstar_III=g @ P_III @ ginv,
-        h=h,
-        k=k,
-        I_basis=B,
-        g=g,
-        ginv=ginv,
-    )
+    return P
 
 
 def _metric_gram_schmidt(cols: Array, g: Array, label: str) -> Array:
@@ -363,8 +354,7 @@ def build_frame(spec: SystemSpec, q: Array) -> Frame:
     if P.I_basis.shape[1]:
         parts.append(_metric_gram_schmidt(P.I_basis, g, "block I"))
     if spec.nu:
-        Om = omega_at(spec, q)
-        parts.append(_metric_gram_schmidt(P.ginv @ Om.T, g, "block II"))
+        parts.append(_metric_gram_schmidt(P.ginv @ P.Om.T, g, "block II"))
     if spec.M:
         parts.append(_metric_gram_schmidt(P.h, g, "block III"))
     V = np.hstack(parts) if parts else np.zeros((spec.dim, 0))

@@ -43,7 +43,7 @@ from .errors import (
     RankDeficiency,
     SingularDenominator,
 )
-from .reduced_dynamics import centrifugal_psi, coefficient_tensors, theta_I_apply
+from .reduced_dynamics import CoefficientTensors, centrifugal_psi, coefficient_tensors, theta_I_apply
 
 # verdict thresholds: fit at <= tol, not-fit at > 10 tol, gray band between
 GRAY_FACTOR = 10.0
@@ -215,16 +215,18 @@ def _scan(
     n_samples: int,
     tol: float,
     quantity: str,
-    evaluate: Callable[[Array, Array], tuple[float, Array]],
+    evaluate: Callable[[Array, CoefficientTensors, Array], tuple[float, Array]],
     seed_dim: int,
 ) -> FitnessReport:
     """Shared scan driver: sample points, try directions, aggregate the max.
 
-    Per point the seeds are the ``spec.M`` canonical control-rate directions
-    plus ``2 * spec.M`` random unit draws of dimension ``seed_dim``;
-    ``evaluate(q, e)`` returns ``(value, direction_used)`` and may raise a
-    skippable error, voiding the whole point.  All random draws happen up
-    front on one thread, so the worker count cannot change the outcome.
+    Per point the coefficient tensors ``T`` are built once and shared by the
+    seeds: the ``spec.M`` canonical control-rate directions plus
+    ``2 * spec.M`` random unit draws of dimension ``seed_dim``.
+    ``evaluate(q, T, e)`` returns ``(value, direction_used)``; it or the
+    tensor build may raise a skippable error, voiding the whole point.  All
+    random draws happen up front on one thread, so the worker count cannot
+    change the outcome.
     """
     M = spec.M
     pts = sampler.points(n_samples)
@@ -236,9 +238,10 @@ def _scan(
         best = -1.0
         best_dir = None
         try:
+            T = coefficient_tensors(spec, q)
             seeds = list(canonical) + list(rand_dirs[2 * M * i : 2 * M * (i + 1)])
             for e in seeds:
-                val, used = evaluate(q, e)
+                val, used = evaluate(q, T, e)
                 if val > best:
                     best, best_dir = val, used
         except _SKIPPABLE:
@@ -290,8 +293,7 @@ def psi_scan(
     models.
     """
 
-    def evaluate(q: Array, e: Array) -> tuple[float, Array]:
-        T = coefficient_tensors(spec, q)
+    def evaluate(q: Array, T: CoefficientTensors, e: Array) -> tuple[float, Array]:
         return float(np.abs(centrifugal_psi(spec, q, e, tensors=T)).max()), e
 
     return _scan(spec, sampler, n_samples, tol, "Psi", evaluate, spec.M)
@@ -314,8 +316,7 @@ def theta_on_III_scan(
     """
     M = spec.M
 
-    def evaluate(q: Array, e: Array) -> tuple[float, Array]:
-        T = coefficient_tensors(spec, q)
+    def evaluate(q: Array, T: CoefficientTensors, e: Array) -> tuple[float, Array]:
         P = T.projections
         w = P.Pstar_III @ (P.k @ e if e.shape[0] == M else e)
         norm = float(np.linalg.norm(w))

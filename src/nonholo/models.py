@@ -545,8 +545,8 @@ def _perturbed(spec: SystemSpec, eps: float) -> SystemSpec:
     """Deliberately corrupt the metric with a smooth rank-one bump.
 
     Used as a negative control: downstream consistency checks must detect the
-    corruption.  The analytic inverse callbacks are dropped because they no
-    longer match.
+    corruption.  The analytic inverse-metric callback is dropped because it no
+    longer matches.
     """
     n = spec.dim
     ray = np.linspace(1.0, 2.0, n)
@@ -556,7 +556,7 @@ def _perturbed(spec: SystemSpec, eps: float) -> SystemSpec:
     def metric(q: Array) -> Array:
         return base(q) + eps * math.sin(float(q[0]) + 0.3) * bump
 
-    return replace(spec, metric=metric, metric_inverse=None, metric_inverse_jacobian=None)
+    return replace(spec, metric=metric, metric_inverse=None)
 
 
 _BUILDERS: dict[str, Callable[..., ModelBundle]] = {

@@ -16,8 +16,7 @@ systems that can absorb instantaneous control jumps from those that cannot.
 The same dynamics can be propagated in frame coordinates: ``xi_m`` are the
 velocity components of the free motion along a smooth adapted frame, with
 ``qdot = sum_m xi_m V_m + h @ udot``.  Everything metric-derivative shaped is
-obtained by central differences (step ``SystemSpec.fd_step``) unless the
-system carries analytic derivative callbacks.
+obtained by central differences (step ``SystemSpec.fd_step``).
 """
 
 from __future__ import annotations
@@ -163,8 +162,7 @@ def coefficient_tensors(spec: SystemSpec, q: Array, projections: Optional[Projec
     """Assemble :class:`CoefficientTensors` at ``q`` by central differences.
 
     A single sweep of perturbed-point evaluations feeds all three derivative
-    stacks; the analytic inverse-metric jacobian replaces the ``dginv`` stack
-    when the system supplies one.
+    stacks.
     """
     q = np.asarray(q, dtype=float)
     n = spec.dim
@@ -172,7 +170,6 @@ def coefficient_tensors(spec: SystemSpec, q: Array, projections: Optional[Projec
     dPstar = np.zeros((n, n, n))
     dginv = np.zeros((n, n, n))
     dk = np.zeros((n, n, spec.M))
-    analytic_ginv = spec.metric_inverse_jacobian
     for j in range(n):
         h = spec.fd_step * max(1.0, abs(float(q[j])))
         qp = np.array(q)
@@ -183,10 +180,7 @@ def coefficient_tensors(spec: SystemSpec, q: Array, projections: Optional[Projec
         Pm = projection_set(spec, qm, check=False)
         dPstar[j] = (Pp.Pstar_I - Pm.Pstar_I) / (2.0 * h)
         dk[j] = (Pp.k - Pm.k) / (2.0 * h)
-        if analytic_ginv is None:
-            dginv[j] = (Pp.ginv - Pm.ginv) / (2.0 * h)
-    if analytic_ginv is not None:
-        dginv = np.asarray(analytic_ginv(q), dtype=float)
+        dginv[j] = (Pp.ginv - Pm.ginv) / (2.0 * h)
     return CoefficientTensors(projections=base, dPstar_I=dPstar, dginv=dginv, dk=dk)
 
 

@@ -19,6 +19,11 @@ from nonholo.errors import ChartDomain, RankDeficiency, SingularMetric
 
 from conftest import check_projection_algebra, sample_points
 
+# 4x4 Hadamard matrix over two: orthogonal, with entries exact in binary
+HADAMARD4 = 0.5 * np.array(
+    [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
+)
+
 
 def random_system(seed, N=3, M=2, nu=1, curved=True):
     """A smooth random system: SPD metric and full-rank constraint forms.
@@ -54,6 +59,70 @@ def random_system(seed, N=3, M=2, nu=1, curved=True):
         return Om
 
     return SystemSpec(N=N, M=M, nu=nu, metric=metric, omega=omega)
+
+
+def near_singular_system(eps, nu):
+    """A system whose constraint block has smallest singular value ``eps``.
+
+    In passive coordinates ``y`` with ``x = HADAMARD4 @ y`` the metric is
+    ``diag(1, 2, 3, 4, 5)`` and the forms are ``dy1 + du`` (``nu = 2`` only)
+    and ``eps dy2 + du``, so every input is exact in floating point and the
+    answer is known: block I is spanned by the ``y`` axes the forms leave
+    free, and the lift of a unit control rate is ``-e_y2 / eps + e_u`` (minus
+    ``e_y1`` when ``nu = 2``).  Returns ``(spec, h, P_I)`` in ``x``
+    coordinates.
+    """
+    T = np.eye(5)
+    T[:4, :4] = HADAMARD4
+    g = T @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) @ T.T
+    Om_y = np.zeros((nu, 5))
+    Om_y[-1, 1] = eps
+    Om_y[:, 4] = 1.0
+    h_y = np.zeros((5, 1))
+    h_y[1, 0] = -1.0 / eps
+    h_y[4, 0] = 1.0
+    free_y = np.diag([1.0, 0.0, 1.0, 1.0, 0.0])
+    if nu == 2:
+        Om_y[0, 0] = 1.0
+        h_y[0, 0] = -1.0
+        free_y[0, 0] = 0.0
+    Om = Om_y @ T.T
+    spec = SystemSpec(N=4, M=1, nu=nu, metric=lambda q: g.copy(), omega=lambda q: Om.copy())
+    return spec, T @ h_y, T @ free_y @ T.T
+
+
+def reference_projection_set(spec, q):
+    """The splitting as first implemented: SVD null space, KKT lift, ``g P ginv``.
+
+    Returns a dict with the same names as :class:`ProjectionSet`.
+    """
+    N, M, nu, n = spec.N, spec.M, spec.nu, spec.dim
+    g = metric_at(spec, q)
+    ginv = metric_inverse_at(spec, q, metric=g)
+    Om = np.asarray(spec.omega(q), dtype=float)
+    B = np.zeros((n, N - nu))
+    B[:N] = np.linalg.svd(Om[:, :N])[2][nu:].T if nu else np.eye(N)
+    P_I = B @ np.linalg.solve(B.T @ g @ B, B.T @ g)
+    W = ginv @ Om.T
+    P_II = W @ np.linalg.solve(Om @ W, Om) if nu else np.zeros((n, n))
+    P_III = np.eye(n) - P_I - P_II
+    # stationarity of g-energy under Om z = 0 and controlled components = I
+    E = np.zeros((M, n))
+    E[:, N:] = np.eye(M)
+    kkt = np.block(
+        [
+            [g, Om.T, E.T],
+            [Om, np.zeros((nu, nu + M))],
+            [E, np.zeros((M, nu + M))],
+        ]
+    )
+    rhs = np.zeros((n + nu + M, M))
+    rhs[n + nu :] = np.eye(M)
+    h = np.linalg.solve(kkt, rhs)[:n]
+    out = {"P_I": P_I, "P_II": P_II, "P_III": P_III, "h": h, "k": g @ h}
+    for name in ("I", "II", "III"):
+        out[f"Pstar_{name}"] = g @ out[f"P_{name}"] @ ginv
+    return out
 
 
 class TestProjectionAlgebra:
@@ -100,6 +169,51 @@ class TestProjectionAlgebra:
                 assert np.allclose(P.h[spec.N :], np.eye(spec.M), atol=1e-10)
                 assert np.abs(P.P_III @ P.h - P.h).max() < 1e-10
                 assert np.abs(P.k - P.g @ P.h).max() < 1e-12
+
+
+class TestAgainstReferenceConstruction:
+    @given(
+        model=st.sampled_from(["racer", "ball", "toy", "toy_constrained"]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_reference_on_models(self, model, seed, racer, ball, toy, toy_constrained):
+        bundle = {"racer": racer, "ball": ball, "toy": toy, "toy_constrained": toy_constrained}[model]
+        q = sample_points(bundle, 1, seed=seed)[0]
+        P = projection_set(bundle.spec, q)
+        for name, ref in reference_projection_set(bundle.spec, q).items():
+            got = getattr(P, name)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max()), name
+
+    def test_off_path_blocks_are_lazy(self, ball):
+        spec = ball.spec
+        q = sample_points(ball, 1, seed=4)[0]
+        P = projection_set(spec, q, check=False)
+        assert "P_II" not in vars(P) and "P_III" not in vars(P)
+        check_projection_algebra(spec, P)
+        assert "P_II" in vars(P) and "P_III" in vars(P)
+
+
+class TestNearSingularConstraints:
+    """Lift and block I stay accurate as the constraint block nears rank loss."""
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_closed_form_splitting(self, eps, nu):
+        spec, h, P_I = near_singular_system(eps, nu)
+        q = np.zeros(spec.dim)
+        ok, cond = check_transversality(spec, q)
+        assert ok and cond == pytest.approx(1.0 / eps if nu == 2 else 1.0)
+        P = projection_set(spec, q)
+        k = P.g @ h
+
+        def rel_err(got, want):
+            return np.abs(got - want).max() / np.abs(want).max()
+
+        assert rel_err(P.h, h) <= 1e-12
+        assert rel_err(P.k, k) <= 1e-12
+        assert rel_err(P.P_I, P_I) <= 1e-12
+        assert rel_err(P.Pstar_I, P_I.T) <= 1e-12
 
 
 class TestTransversality:
