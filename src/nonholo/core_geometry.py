@@ -17,16 +17,21 @@ kinetic-energy metric ``g``, into three blocks:
 
 This module computes the splitting (projections on vectors, coprojections on
 covectors), the lift maps ``h``/``k`` taking a control velocity to its block
-III representative, adapted frames, and small finite-difference helpers that
-the dynamics layer differentiates through.
+III representative, adapted frames, and the validated evaluation of the model
+callbacks.  The callbacks are all that the dynamics layer differentiates
+numerically: the derivatives of the splitting follow in closed form from
+those of ``metric`` and ``omega`` (see
+:func:`nonholo.reduced_dynamics.coefficient_tensors`).
 
 One singular-value decomposition of the constraint block ``Omega[:, :N]``
 per point carries the whole splitting: its singular values decide
 transversality, its right null space spans block I, and its pseudo-inverse
-gives an admissible particular solution with unit controls, whose block I
-component is then removed to leave the lift.  Solving through the SVD keeps
-the lift's error proportional to the condition number of the constraint
-block rather than its square.
+gives particular solutions of the constraint and control rows, whose block I
+components are then removed.  With unit controls this leaves the lift; with
+unit constraint values it leaves ``R_II``, the right inverse of the
+constraint rows that the closed-form derivatives need.  Solving through the
+SVD keeps the error of both proportional to the condition number of the
+constraint block rather than its square.
 
 Conventions: configurations, vectors and covectors are 1-D ``numpy`` arrays of
 length ``N + M``; matrices act on the left.  Coprojections satisfy
@@ -69,9 +74,10 @@ class SystemSpec:
     :param metric_inverse: optional analytic inverse of ``metric``; when
         absent the inverse is obtained by factorization.
     :param force: optional applied covector ``(t, q, p) -> (N+M,)``.
-    :param fd_step: relative step for the central differences used on
-        ``metric``/projection data; the absolute step along coordinate ``i``
-        is ``fd_step * max(1, |q_i|)``.
+    :param fd_step: relative step for the central differences of the
+        ``metric`` and ``omega`` callbacks (derivatives of the splitting are
+        then closed-form); the absolute step along coordinate ``i`` is
+        ``fd_step * max(1, |q_i|)``.
     """
 
     N: int
@@ -105,20 +111,23 @@ class ProjectionSet:
     applied on the left to the 1-D component array) and are the transposes of
     the matching ``P_*``.  ``h`` maps a control velocity ``v in R^M`` to the
     unique admissible full velocity in block III whose controlled components
-    equal ``v``; ``k = g @ h`` is its covector version.  ``I_basis`` spans
-    block I (columns), ``g``/``ginv`` are the metric and its inverse and
-    ``Om`` the constraint forms at the evaluation point.
+    equal ``v``; ``k = g @ h`` is its covector version.  ``R_II`` (shape
+    ``(N+M, nu)``) is its counterpart for the constraint rows: the
+    least-``g``-norm vectors with ``Om @ R_II = I`` and no controlled
+    components.  ``I_basis`` spans block I (columns), ``g``/``ginv`` are the
+    metric and its inverse and ``Om`` the constraint forms at the evaluation
+    point.
 
     The fields are computed when the set is built: everything the reduced
     dynamics reads.  ``P_II``, ``P_III``, ``Pstar_II`` and ``Pstar_III`` are
-    computed on first access and cached, so the perturbed splittings inside
-    finite-difference loops never pay for them.
+    computed on first access and cached, so the dynamics never pays for them.
     """
 
     P_I: Array
     Pstar_I: Array
     h: Array
     k: Array
+    R_II: Array
     I_basis: Array
     g: Array
     ginv: Array
@@ -291,9 +300,9 @@ def projection_set(spec: SystemSpec, q: Array, check: bool = True) -> Projection
 
     With ``check=True`` (the default) the block ranks are verified against
     ``(N - nu, nu, M)``, which also builds the lazy blocks II and III;
-    passing ``check=False`` skips those singular-value sweeps, which matters
-    inside finite-difference loops where the same point is revisited under
-    tiny perturbations.
+    passing ``check=False`` skips those singular-value sweeps (the
+    transversality test still runs), which matters on the hot path of the
+    dynamics.
     """
     q = np.asarray(q, dtype=float)
     N, nu = spec.N, spec.nu
@@ -306,14 +315,18 @@ def projection_set(spec: SystemSpec, q: Array, check: bool = True) -> Projection
     gB = g @ B
     P_I = B @ np.linalg.solve(B.T @ gB, gB.T)
 
-    # admissible velocities with unit controls: pseudo-inverse particular
-    # solution, then the g-orthogonal removal of its block I component
-    x0 = np.zeros((spec.dim, spec.M))
-    x0[:N] = -Vh[:nu].T @ ((U.T @ Om[:, N:]) / s[:, None])
-    x0[N:] = np.eye(spec.M)
-    h = x0 - P_I @ x0
+    # g-minimal right inverse [R_II, h] of the rows [Om; du]: pseudo-inverse
+    # particular solutions for unit constraint values and unit controls, then
+    # the g-orthogonal removal of their block I components
+    pinv = Vh[:nu].T @ (U.T / s[:, None])
+    x0 = np.zeros((spec.dim, nu + spec.M))
+    x0[:N, :nu] = pinv
+    x0[:N, nu:] = -pinv @ Om[:, N:]
+    x0[N:, nu:] = np.eye(spec.M)
+    right = x0 - P_I @ x0
+    h = right[:, nu:]
 
-    P = ProjectionSet(P_I=P_I, Pstar_I=P_I.T, h=h, k=g @ h, I_basis=B, g=g, ginv=ginv, Om=Om)
+    P = ProjectionSet(P_I=P_I, Pstar_I=P_I.T, h=h, k=g @ h, R_II=right[:, :nu], I_basis=B, g=g, ginv=ginv, Om=Om)
     if check:
         ranks = tuple(np.linalg.matrix_rank(A, tol=1e-8) for A in (P.P_I, P.P_II, P.P_III))
         expected = (spec.N - spec.nu, spec.nu, spec.M)

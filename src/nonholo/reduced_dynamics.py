@@ -15,8 +15,13 @@ systems that can absorb instantaneous control jumps from those that cannot.
 
 The same dynamics can be propagated in frame coordinates: ``xi_m`` are the
 velocity components of the free motion along a smooth adapted frame, with
-``qdot = sum_m xi_m V_m + h @ udot``.  Everything metric-derivative shaped is
-obtained by central differences (step ``SystemSpec.fd_step``).
+``qdot = sum_m xi_m V_m + h @ udot``.
+
+Derivatives come in two kinds.  Only the model callbacks ``metric`` and
+``omega`` are differenced numerically (central differences, step
+``SystemSpec.fd_step``); the derivatives of the splitting built from them —
+free coprojection, inverse metric and lift — follow from closed-form
+perturbation identities at a single splitting (:func:`coefficient_tensors`).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .core_geometry import (
     SystemSpec,
     metric_at,
     metric_inverse_at,
+    omega_at,
     projection_set,
 )
 from .errors import FrameNotSmooth, NonAdaptedState, NotInDeltaCapGamma
@@ -148,8 +154,10 @@ class CoefficientTensors:
 
     ``dPstar_I[j]`` and ``dginv[j]`` are the coordinate-``j`` derivatives of
     the free coprojection and the inverse metric; ``dk[j]`` that of the
-    covector lift.  Build once per evaluation point and share across the
-    several quadratic-form contractions needed there.
+    covector lift.  They are exact functions of the splitting at the point
+    and of the callback derivatives, so the only numerical-differencing error
+    is that of ``metric`` and ``omega``.  Build once per evaluation point and
+    share across the several quadratic-form contractions needed there.
     """
 
     projections: ProjectionSet
@@ -158,30 +166,52 @@ class CoefficientTensors:
     dk: Array
 
 
-def coefficient_tensors(spec: SystemSpec, q: Array, projections: Optional[ProjectionSet] = None) -> CoefficientTensors:
-    """Assemble :class:`CoefficientTensors` at ``q`` by central differences.
-
-    A single sweep of perturbed-point evaluations feeds all three derivative
-    stacks.
-    """
-    q = np.asarray(q, dtype=float)
+def _callback_derivatives(spec: SystemSpec, q: Array) -> tuple[Array, Array]:
+    """Central-difference stacks ``dg[j]`` and ``dOm[j]`` of the callbacks."""
     n = spec.dim
-    base = projections if projections is not None else projection_set(spec, q, check=False)
-    dPstar = np.zeros((n, n, n))
-    dginv = np.zeros((n, n, n))
-    dk = np.zeros((n, n, spec.M))
+    dg = np.empty((n, n, n))
+    dOm = np.empty((n, spec.nu, n))
     for j in range(n):
         h = spec.fd_step * max(1.0, abs(float(q[j])))
-        qp = np.array(q)
-        qm = np.array(q)
+        qp = q.copy()
+        qm = q.copy()
         qp[j] += h
         qm[j] -= h
-        Pp = projection_set(spec, qp, check=False)
-        Pm = projection_set(spec, qm, check=False)
-        dPstar[j] = (Pp.Pstar_I - Pm.Pstar_I) / (2.0 * h)
-        dk[j] = (Pp.k - Pm.k) / (2.0 * h)
-        dginv[j] = (Pp.ginv - Pm.ginv) / (2.0 * h)
-    return CoefficientTensors(projections=base, dPstar_I=dPstar, dginv=dginv, dk=dk)
+        dg[j] = (metric_at(spec, qp) - metric_at(spec, qm)) / (2.0 * h)
+        dOm[j] = (omega_at(spec, qp) - omega_at(spec, qm)) / (2.0 * h)
+    return dg, dOm
+
+
+def coefficient_tensors(spec: SystemSpec, q: Array, projections: Optional[ProjectionSet] = None) -> CoefficientTensors:
+    """Assemble :class:`CoefficientTensors` at ``q`` from one splitting.
+
+    Only ``metric`` and ``omega`` are differenced (at ``q ± h e_j``); the
+    splitting's derivatives are closed-form.  With ``P = P_I``, ``Q = I - P``
+    and ``R = R_II``, differentiating ``P`` (the ``g``-orthogonal projector
+    onto the kernel of the rows ``[Om; du]``) and ``h`` (the matching columns
+    of their ``g``-minimal right inverse ``[R, h]``) gives, per coordinate::
+
+        dP    = P ginv (dg - dOm^T R^T g) Q - R dOm P,      dPstar_I = dP^T
+        dginv = -ginv dg ginv
+        dh    = P ginv (dOm^T R^T g h - dg h) - R dOm h,    dk = dg h + g dh
+
+    evaluated as stacked matrix products over the coordinate axis.
+    """
+    q = np.asarray(q, dtype=float)
+    P = projections if projections is not None else projection_set(spec, q, check=False)
+    dg, dOm = _callback_derivatives(spec, q)
+    g, ginv, P_I, R, h = P.g, P.ginv, P.P_I, P.R_II, P.h
+    Pginv = P_I @ ginv
+    dOmT = dOm.transpose(0, 2, 1)
+    RTg = R.T @ g
+    dP = Pginv @ (dg - dOmT @ RTg) @ (np.eye(spec.dim) - P_I) - R @ dOm @ P_I
+    dh = Pginv @ (dOmT @ (RTg @ h) - dg @ h) - R @ (dOm @ h)
+    return CoefficientTensors(
+        projections=P,
+        dPstar_I=dP.transpose(0, 2, 1),
+        dginv=-(ginv @ dg @ ginv),
+        dk=dg @ h + g @ dh,
+    )
 
 
 def theta_I_apply(

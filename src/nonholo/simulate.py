@@ -221,8 +221,7 @@ def integrate(
         p_full = p_I + P.k @ udot
         qdot_full = P.ginv @ p_full
         H = 0.5 * float(p_full @ P.ginv @ p_full)
-        Om = spec.omega(q)
-        cres = _relative(float(np.linalg.norm(Om @ qdot_full)), float(np.linalg.norm(qdot_full)))
+        cres = _relative(float(np.linalg.norm(P.Om @ qdot_full)), float(np.linalg.norm(qdot_full)))
         R = reaction_force(spec, q, p_I, t, control, tensors=T)
         # at instants where no reaction is needed |R| ~ 0 and the plain ratio
         # is noise over noise; the floor ties it to the dynamic scale instead

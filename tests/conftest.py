@@ -1,9 +1,10 @@
-"""Shared fixtures: model bundles, samplers, and a relaxed hypothesis profile."""
+"""Shared fixtures: model bundles, samplers, test systems and a relaxed hypothesis profile."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from nonholo.core_geometry import SystemSpec
 from nonholo.models import build_model
 
 settings.register_profile(
@@ -66,3 +67,75 @@ def check_projection_algebra(spec, P, atol=1e-10):
         assert np.abs(As - A.T).max() < atol * (1.0 + np.abs(A).max())
     ranks = tuple(int(round(np.trace(A))) for A in (P.P_I, P.P_II, P.P_III))
     assert ranks == (spec.N - spec.nu, spec.nu, spec.M)
+
+
+# 4x4 Hadamard matrix over two: orthogonal, with entries exact in binary
+HADAMARD4 = 0.5 * np.array(
+    [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
+)
+
+
+def random_system(seed, N=3, M=2, nu=1, curved=True):
+    """A smooth random system: SPD metric and full-rank constraint forms.
+
+    The metric and forms are built from fixed random tensors contracted with
+    bounded trig functions of q, so they are smooth, uniformly SPD, and
+    generically q-dependent (set ``curved=False`` for constant data).
+    """
+    gen = np.random.default_rng(seed)
+    n = N + M
+    A = gen.standard_normal((n, n))
+    base = A @ A.T + n * np.eye(n)
+    bump = gen.standard_normal((n, n))
+    bump = 0.1 * (bump + bump.T)
+    # orthonormal constraint rows keep the conditioning seed-independent
+    rows = np.linalg.qr(gen.standard_normal((N, nu)))[0].T
+    wiggle = gen.standard_normal((nu, n))
+    tail = gen.standard_normal((nu, M))
+
+    def metric(q):
+        if not curved:
+            return base.copy()
+        return base + np.sin(float(q[0]) + 0.7) * bump
+
+    def omega(q):
+        Om = np.zeros((nu, n))
+        Om[:, :N] = rows
+        if curved:
+            Om[:, :N] = rows * (1.0 + 0.3 * np.cos(float(q[-1])))
+            Om[:, N:] = 0.2 * tail * np.sin(float(q[0]))
+        phase = 0.1 * np.sin(q[:N].sum()) if curved else 0.0
+        Om[:, 0] += phase * wiggle[:, 0]
+        return Om
+
+    return SystemSpec(N=N, M=M, nu=nu, metric=metric, omega=omega)
+
+
+def near_singular_system(eps, nu):
+    """A system whose constraint block has smallest singular value ``eps``.
+
+    In passive coordinates ``y`` with ``x = HADAMARD4 @ y`` the metric is
+    ``diag(1, 2, 3, 4, 5)`` and the forms are ``dy1 + du`` (``nu = 2`` only)
+    and ``eps dy2 + du``, so every input is exact in floating point and the
+    answer is known: block I is spanned by the ``y`` axes the forms leave
+    free, and the lift of a unit control rate is ``-e_y2 / eps + e_u`` (minus
+    ``e_y1`` when ``nu = 2``).  Returns ``(spec, h, P_I)`` in ``x``
+    coordinates.
+    """
+    T = np.eye(5)
+    T[:4, :4] = HADAMARD4
+    g = T @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) @ T.T
+    Om_y = np.zeros((nu, 5))
+    Om_y[-1, 1] = eps
+    Om_y[:, 4] = 1.0
+    h_y = np.zeros((5, 1))
+    h_y[1, 0] = -1.0 / eps
+    h_y[4, 0] = 1.0
+    free_y = np.diag([1.0, 0.0, 1.0, 1.0, 0.0])
+    if nu == 2:
+        Om_y[0, 0] = 1.0
+        h_y[0, 0] = -1.0
+        free_y[0, 0] = 0.0
+    Om = Om_y @ T.T
+    spec = SystemSpec(N=4, M=1, nu=nu, metric=lambda q: g.copy(), omega=lambda q: Om.copy())
+    return spec, T @ h_y, T @ free_y @ T.T

@@ -155,7 +155,7 @@ class TestSimulateCommand:
         cfg = write_cfg(
             tmp_path,
             RACER_SIM.replace("control.value = 0.3", "control.value = 0.3")
-            + "integrator.hard_residual = 1e-15\ninitial.p = 0.19106729782512122, 0.17731212399680374, 0.0, 0.05910404133226791\n",
+            + "integrator.hard_residual = 1e-17\ninitial.p = 0.19106729782512122, 0.17731212399680374, 0.0, 0.05910404133226791\n",
         )
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 

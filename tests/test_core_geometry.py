@@ -17,79 +17,7 @@ from nonholo.core_geometry import (
 )
 from nonholo.errors import ChartDomain, RankDeficiency, SingularMetric
 
-from conftest import check_projection_algebra, sample_points
-
-# 4x4 Hadamard matrix over two: orthogonal, with entries exact in binary
-HADAMARD4 = 0.5 * np.array(
-    [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
-)
-
-
-def random_system(seed, N=3, M=2, nu=1, curved=True):
-    """A smooth random system: SPD metric and full-rank constraint forms.
-
-    The metric and forms are built from fixed random tensors contracted with
-    bounded trig functions of q, so they are smooth, uniformly SPD, and
-    generically q-dependent (set ``curved=False`` for constant data).
-    """
-    gen = np.random.default_rng(seed)
-    n = N + M
-    A = gen.standard_normal((n, n))
-    base = A @ A.T + n * np.eye(n)
-    bump = gen.standard_normal((n, n))
-    bump = 0.1 * (bump + bump.T)
-    # orthonormal constraint rows keep the conditioning seed-independent
-    rows = np.linalg.qr(gen.standard_normal((N, nu)))[0].T
-    wiggle = gen.standard_normal((nu, n))
-    tail = gen.standard_normal((nu, M))
-
-    def metric(q):
-        if not curved:
-            return base.copy()
-        return base + np.sin(float(q[0]) + 0.7) * bump
-
-    def omega(q):
-        Om = np.zeros((nu, n))
-        Om[:, :N] = rows
-        if curved:
-            Om[:, :N] = rows * (1.0 + 0.3 * np.cos(float(q[-1])))
-            Om[:, N:] = 0.2 * tail * np.sin(float(q[0]))
-        phase = 0.1 * np.sin(q[:N].sum()) if curved else 0.0
-        Om[:, 0] += phase * wiggle[:, 0]
-        return Om
-
-    return SystemSpec(N=N, M=M, nu=nu, metric=metric, omega=omega)
-
-
-def near_singular_system(eps, nu):
-    """A system whose constraint block has smallest singular value ``eps``.
-
-    In passive coordinates ``y`` with ``x = HADAMARD4 @ y`` the metric is
-    ``diag(1, 2, 3, 4, 5)`` and the forms are ``dy1 + du`` (``nu = 2`` only)
-    and ``eps dy2 + du``, so every input is exact in floating point and the
-    answer is known: block I is spanned by the ``y`` axes the forms leave
-    free, and the lift of a unit control rate is ``-e_y2 / eps + e_u`` (minus
-    ``e_y1`` when ``nu = 2``).  Returns ``(spec, h, P_I)`` in ``x``
-    coordinates.
-    """
-    T = np.eye(5)
-    T[:4, :4] = HADAMARD4
-    g = T @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) @ T.T
-    Om_y = np.zeros((nu, 5))
-    Om_y[-1, 1] = eps
-    Om_y[:, 4] = 1.0
-    h_y = np.zeros((5, 1))
-    h_y[1, 0] = -1.0 / eps
-    h_y[4, 0] = 1.0
-    free_y = np.diag([1.0, 0.0, 1.0, 1.0, 0.0])
-    if nu == 2:
-        Om_y[0, 0] = 1.0
-        h_y[0, 0] = -1.0
-        free_y[0, 0] = 0.0
-    Om = Om_y @ T.T
-    spec = SystemSpec(N=4, M=1, nu=nu, metric=lambda q: g.copy(), omega=lambda q: Om.copy())
-    return spec, T @ h_y, T @ free_y @ T.T
-
+from conftest import check_projection_algebra, near_singular_system, random_system, sample_points
 
 def reference_projection_set(spec, q):
     """The splitting as first implemented: SVD null space, KKT lift, ``g P ginv``.
@@ -169,6 +97,10 @@ class TestProjectionAlgebra:
                 assert np.allclose(P.h[spec.N :], np.eye(spec.M), atol=1e-10)
                 assert np.abs(P.P_III @ P.h - P.h).max() < 1e-10
                 assert np.abs(P.k - P.g @ P.h).max() < 1e-12
+                # R_II: right inverse of the constraint rows, g-orthogonal to block I
+                assert np.abs(Om @ P.R_II - np.eye(spec.nu)).max() < 1e-10
+                assert np.all(P.R_II[spec.N :] == 0.0)
+                assert np.abs(P.I_basis.T @ P.g @ P.R_II).max() < 1e-10
 
 
 class TestAgainstReferenceConstruction:

@@ -5,10 +5,14 @@ against the Roller Racer's closed-form system, whose coefficients are in turn
 pinned to a direct multiplier-based integration in ``test_models.py``.
 """
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nonholo import reduced_dynamics
 from nonholo.core_geometry import metric_at, projection_set
 from nonholo.errors import FrameNotSmooth, NonAdaptedState, NotInDeltaCapGamma
 from nonholo.models import racer_denominators, racer_frame_vectors
@@ -25,7 +29,7 @@ from nonholo.reduced_dynamics import (
     theta_I_apply,
 )
 
-from conftest import sample_points
+from conftest import near_singular_system, random_system, sample_points
 
 
 def racer_state(bundle, q, xi):
@@ -179,6 +183,103 @@ class TestCoefficientTensors:
         q = sample_points(racer, 1, seed=45)[0]
         T = coefficient_tensors(racer.spec, q)
         assert np.abs(T.dginv).max() == 0.0
+
+
+def richardson_stacks(spec, q, step=1e-3):
+    """``dPstar_I``, ``dginv`` and ``dk`` by differencing whole splittings.
+
+    Central differences at steps ``h`` and ``h / 2`` (``h = step *
+    max(1, |q_j|)``) combined by one Richardson extrapolation, so the
+    truncation error is fourth order: an independent reference for the
+    closed-form stacks.
+    """
+    fields = {"dPstar_I": "Pstar_I", "dginv": "ginv", "dk": "k"}
+
+    def central(j, h):
+        qp, qm = q.copy(), q.copy()
+        qp[j] += h
+        qm[j] -= h
+        Pp, Pm = projection_set(spec, qp, check=False), projection_set(spec, qm, check=False)
+        return [(getattr(Pp, f) - getattr(Pm, f)) / (2.0 * h) for f in fields.values()]
+
+    stacks = {name: [] for name in fields}
+    for j in range(spec.dim):
+        h = step * max(1.0, abs(float(q[j])))
+        for name, coarse, fine in zip(fields, central(j, h), central(j, 0.5 * h)):
+            stacks[name].append((4.0 * fine - coarse) / 3.0)
+    return {name: np.array(rows) for name, rows in stacks.items()}
+
+
+class TestClosedFormDerivatives:
+    """The closed-form stacks against differences of whole splittings."""
+
+    @staticmethod
+    def assert_matches_reference(spec, q):
+        T = coefficient_tensors(spec, q)
+        for name, ref in richardson_stacks(spec, q).items():
+            got = getattr(T, name)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max()), name
+
+    @given(
+        model=st.sampled_from(["racer", "ball", "toy", "toy_constrained"]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_richardson_on_models(self, model, seed, racer, ball, toy, toy_constrained):
+        bundle = {"racer": racer, "ball": ball, "toy": toy, "toy_constrained": toy_constrained}[model]
+        self.assert_matches_reference(bundle.spec, sample_points(bundle, 1, seed=seed)[0])
+
+    @given(seed=st.integers(0, 10**6), N=st.integers(2, 4), M=st.integers(1, 2))
+    def test_matches_richardson_on_random_systems(self, seed, N, M):
+        spec = random_system(seed, N=N, M=M, nu=1 if N == 2 else 2, curved=True)
+        q = np.random.default_rng(seed + 3).uniform(-1.0, 1.0, size=spec.dim)
+        self.assert_matches_reference(spec, q)
+
+    def test_constant_data_gives_exact_zeros(self, toy_constrained):
+        q = np.array([0.3, -1.2, 0.5, 0.9])
+        T = coefficient_tensors(toy_constrained.spec, q)
+        for name in ("dPstar_I", "dginv", "dk"):
+            assert np.all(getattr(T, name) == 0.0), name
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_near_singular_constant_data_gives_exact_zeros(self, eps, nu):
+        spec, _, _ = near_singular_system(eps, nu)
+        T = coefficient_tensors(spec, np.zeros(spec.dim))
+        for name in ("dPstar_I", "dginv", "dk"):
+            assert np.all(getattr(T, name) == 0.0), name
+
+    @pytest.mark.parametrize("model", ["racer", "ball"])
+    def test_one_splitting_and_2n_callback_pairs(self, model, racer, ball, monkeypatch):
+        """One splitting per tensor; only ``metric`` and ``omega`` are differenced."""
+        bundle = {"racer": racer, "ball": ball}[model]
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        spec = bundle.spec
+        spec = dataclasses.replace(
+            spec,
+            metric=counted("metric", spec.metric),
+            omega=counted("omega", spec.omega),
+            metric_inverse=None if spec.metric_inverse is None else counted("metric_inverse", spec.metric_inverse),
+        )
+        monkeypatch.setattr(reduced_dynamics, "projection_set", counted("projection_set", projection_set))
+        q = sample_points(bundle, 1, seed=71)[0]
+        n = spec.dim
+
+        coefficient_tensors(spec, q)
+        assert calls["projection_set"] == 1
+
+        P = projection_set(spec, q, check=False)
+        calls.clear()
+        coefficient_tensors(spec, q, projections=P)
+        assert dict(calls) == {"metric": 2 * n, "omega": 2 * n}
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ class TestIntegrate:
                 p0,
                 control,
                 (0.0, 1.0),
-                IntegratorConfig(dt=1e-3, hard_residual=1e-14),
+                IntegratorConfig(dt=1e-3, hard_residual=1e-16),
             )
 
 
