@@ -18,9 +18,9 @@ kinetic-energy metric ``g``, into three blocks:
 This module computes the splitting (projections on vectors, coprojections on
 covectors), the lift maps ``h``/``k`` taking a control velocity to its block
 III representative, adapted frames, and the validated evaluation of the model
-callbacks.  The callbacks are all that the dynamics layer differentiates
-numerically: the derivatives of the splitting follow in closed form from
-those of ``metric`` and ``omega`` (see
+callbacks.  The callbacks are all that the dynamics layer differentiates,
+by complex step where they accept complex input: the derivatives of the
+splitting follow in closed form from those of ``metric`` and ``omega`` (see
 :func:`nonholo.reduced_dynamics.coefficient_tensors`).
 
 One singular-value decomposition of the constraint block ``Omega[:, :N]``
@@ -74,10 +74,22 @@ class SystemSpec:
     :param metric_inverse: optional analytic inverse of ``metric``; when
         absent the inverse is obtained by factorization.
     :param force: optional applied covector ``(t, q, p) -> (N+M,)``.
-    :param fd_step: relative step for the central differences of the
-        ``metric`` and ``omega`` callbacks (derivatives of the splitting are
-        then closed-form); the absolute step along coordinate ``i`` is
-        ``fd_step * max(1, |q_i|)``.
+    :param fd_step: relative step of the central differences that remain:
+        the fallback derivatives of callbacks that reject complex input (see
+        below), the frame transport of :func:`~nonholo.reduced_dynamics.frame_rhs`,
+        :func:`~nonholo.jump_analysis.sufficiency_check` and
+        :func:`~nonholo.jump_analysis.leaf_metric_derivative`; the absolute
+        step along coordinate ``i`` is ``fd_step * max(1, |q_i|)``.
+
+    ``metric`` and ``omega`` should accept complex ``q`` and be analytic in
+    it: built from arithmetic and ``numpy`` functions such as ``np.sin``,
+    with results whose dtype follows ``q`` (no ``abs``, ``.real``,
+    ``float()`` or ``math.*`` applied to ``q``).  Their derivatives are then
+    complex-step derivatives, exact to rounding, at ``N + M`` complex
+    evaluations per point.  A callback that raises ``TypeError`` on complex
+    input, or writes complex values into a real array, gets central
+    differences instead: ``2 (N + M)`` real evaluations per point, with
+    truncation error of order ``fd_step**2``.
     """
 
     N: int
@@ -177,11 +189,23 @@ class Frame:
         return self.V[:, start:stop]
 
 
+def _check_symmetric(g: Array, label: str) -> None:
+    """Raise ``SingularMetric`` unless ``g`` (a matrix or a stack of them) is symmetric."""
+    scale = float(np.abs(g).max()) if g.size else 0.0
+    if g.size and float(np.abs(g - np.swapaxes(g, -1, -2)).max()) > 1e-9 * (1.0 + scale):
+        raise SingularMetric(f"{label} is not symmetric")
+
+
+def _check_shape(A: Array, shape: tuple[int, ...], label: str) -> Array:
+    """Return ``A`` after checking that callback ``label`` returned ``shape``."""
+    if A.shape != shape:
+        raise ValueError(f"{label} returned shape {A.shape}, expected {shape}")
+    return A
+
+
 def _cholesky_spd(g: Array, label: str = "metric") -> Array:
     """Cholesky factor of ``g``, raising ``SingularMetric`` when not SPD."""
-    scale = float(np.abs(g).max()) if g.size else 0.0
-    if g.size and float(np.abs(g - g.T).max()) > 1e-9 * (1.0 + scale):
-        raise SingularMetric(f"{label} is not symmetric")
+    _check_symmetric(g, label)
     try:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
@@ -196,9 +220,7 @@ def _cholesky_spd(g: Array, label: str = "metric") -> Array:
 def metric_at(spec: SystemSpec, q: Array) -> Array:
     """Evaluate and validate the kinetic-energy matrix at ``q``."""
     g = np.asarray(spec.metric(np.asarray(q, dtype=float)), dtype=float)
-    n = spec.dim
-    if g.shape != (n, n):
-        raise ValueError(f"metric returned shape {g.shape}, expected {(n, n)}")
+    _check_shape(g, (spec.dim, spec.dim), "metric")
     _cholesky_spd(g)
     return g
 
@@ -209,8 +231,7 @@ def metric_inverse_at(spec: SystemSpec, q: Array, metric: Optional[Array] = None
     n = spec.dim
     if spec.metric_inverse is not None:
         ginv = np.asarray(spec.metric_inverse(np.asarray(q, dtype=float)), dtype=float)
-        if ginv.shape != (n, n):
-            raise ValueError(f"metric_inverse returned shape {ginv.shape}, expected {(n, n)}")
+        _check_shape(ginv, (n, n), "metric_inverse")
         resid = np.abs(g @ ginv - np.eye(n)).max()
         if resid > 1e-6 * n:
             raise SingularMetric(f"supplied metric_inverse disagrees with metric (residual {resid:.2e})")
@@ -221,9 +242,7 @@ def metric_inverse_at(spec: SystemSpec, q: Array, metric: Optional[Array] = None
 def omega_at(spec: SystemSpec, q: Array) -> Array:
     """Constraint one-form rows at ``q`` (shape ``(nu, N+M)``)."""
     Om = np.asarray(spec.omega(np.asarray(q, dtype=float)), dtype=float)
-    if Om.shape != (spec.nu, spec.dim):
-        raise ValueError(f"omega returned shape {Om.shape}, expected {(spec.nu, spec.dim)}")
-    return Om
+    return _check_shape(Om, (spec.nu, spec.dim), "omega")
 
 
 def check_transversality(spec: SystemSpec, q: Array) -> tuple[bool, float]:
@@ -415,16 +434,3 @@ def argmin_certificate(
     ok = margin >= -1e-10 * (1.0 + abs(base))
     return ok, margin
 
-
-def coordinate_derivative(func: Callable[[Array], Array], q: Array, i: int, step: float) -> Array:
-    """Central difference of array-valued ``func`` along coordinate ``i``.
-
-    The absolute step is ``step * max(1, |q_i|)`` so the stencil stays
-    well-scaled for both small and large coordinate values.
-    """
-    h = step * max(1.0, abs(float(q[i])))
-    qp = np.array(q, dtype=float)
-    qm = np.array(q, dtype=float)
-    qp[i] += h
-    qm[i] -= h
-    return (np.asarray(func(qp), dtype=float) - np.asarray(func(qm), dtype=float)) / (2.0 * h)

@@ -130,6 +130,10 @@ def _racer_metric_matrices(p: RollerRacerParams) -> tuple[Array, Array]:
     return g, ginv
 
 
+# entries of q giving the angles (q2, q2 + u, u) once u is added to the middle one
+_RACER_ANGLES = np.array([1, 1, 3])
+
+
 def roller_racer_spec(params: Optional[RollerRacerParams] = None) -> SystemSpec:
     """System description of the Roller Racer: N=3 passive coordinates, one control.
 
@@ -148,13 +152,11 @@ def roller_racer_spec(params: Optional[RollerRacerParams] = None) -> SystemSpec:
         return ginv.copy()
 
     def omega(q: Array) -> Array:
-        q2, u = q[1], q[3]
-        return np.array(
-            [
-                [math.cos(q2), 0.0, -math.sin(q2), 0.0],
-                [math.cos(q2 + u), p.rho * math.cos(u), -math.sin(q2 + u), 0.0],
-            ]
-        )
+        angles = q[_RACER_ANGLES]
+        angles[1] += q[3]
+        c2, c2u, cu = np.cos(angles).tolist()
+        s2, s2u, _ = np.sin(angles).tolist()
+        return np.array([[c2, 0.0, -s2, 0.0], [c2u, p.rho * cu, -s2u, 0.0]])
 
     return SystemSpec(N=3, M=1, nu=2, metric=metric, omega=omega, metric_inverse=metric_inverse)
 
@@ -338,9 +340,9 @@ def _build_roller_racer(
 
 
 def _euler_rate_matrix(q: Array) -> Array:
-    """Map Z-X-Z Euler-angle rates to the spatial angular velocity."""
-    sphi, cphi = math.sin(q[0]), math.cos(q[0])
-    sth, cth = math.sin(q[1]), math.cos(q[1])
+    """Map Z-X-Z Euler-angle rates to the spatial angular velocity (complex-safe)."""
+    sphi, sth = np.sin(q[:2]).tolist()
+    cphi, cth = np.cos(q[:2]).tolist()
     return np.array(
         [
             [0.0, cphi, sth * sphi],
@@ -381,9 +383,10 @@ def rolling_ball_spec(params: Optional[RollingBallParams] = None) -> SystemSpec:
 
     def metric(q: Array) -> Array:
         E = _euler_rate_matrix(q)
-        if abs(math.sin(q[1])) < 1e-8:
-            raise ChartDomain(f"Euler chart degenerate: sin(q2) = {math.sin(q[1]):.1e}")
-        g = np.zeros((6, 6))
+        sth = np.sin(q[1])
+        if abs(sth) < 1e-8:
+            raise ChartDomain(f"Euler chart degenerate: sin(q2) = {sth:.1e}")
+        g = np.zeros((6, 6), dtype=E.dtype)
         g[:3, :3] = k2 * E.T @ E
         g[3, 3] = g[4, 4] = g[5, 5] = 1.0
         return g
@@ -397,10 +400,13 @@ def rolling_ball_spec(params: Optional[RollingBallParams] = None) -> SystemSpec:
 
     def omega(q: Array) -> Array:
         E = _euler_rate_matrix(q)
-        x, y = q[3], q[4]
-        row1 = np.concatenate([r * E[1, :], [1.0, 0.0, y]])
-        row2 = np.concatenate([-r * E[0, :], [0.0, 1.0, -x]])
-        return np.vstack([row1, row2])
+        Om = np.zeros((2, 6), dtype=E.dtype)
+        Om[0, :3] = r * E[1]
+        Om[1, :3] = -r * E[0]
+        Om[0, 3] = Om[1, 4] = 1.0
+        Om[0, 5] = q[4]
+        Om[1, 5] = -q[3]
+        return Om
 
     return SystemSpec(N=5, M=1, nu=2, metric=metric, omega=omega, metric_inverse=metric_inverse)
 
@@ -554,7 +560,7 @@ def _perturbed(spec: SystemSpec, eps: float) -> SystemSpec:
     base = spec.metric
 
     def metric(q: Array) -> Array:
-        return base(q) + eps * math.sin(float(q[0]) + 0.3) * bump
+        return base(q) + eps * np.sin(q[0] + 0.3) * bump
 
     return replace(spec, metric=metric, metric_inverse=None)
 

@@ -17,15 +17,20 @@ The same dynamics can be propagated in frame coordinates: ``xi_m`` are the
 velocity components of the free motion along a smooth adapted frame, with
 ``qdot = sum_m xi_m V_m + h @ udot``.
 
-Derivatives come in two kinds.  Only the model callbacks ``metric`` and
-``omega`` are differenced numerically (central differences, step
-``SystemSpec.fd_step``); the derivatives of the splitting built from them —
-free coprojection, inverse metric and lift — follow from closed-form
-perturbation identities at a single splitting (:func:`coefficient_tensors`).
+Derivatives come in two kinds.  Those of the model callbacks ``metric`` and
+``omega`` are complex-step derivatives: each callback is evaluated once at
+every ``q + i H e_j`` (``H = COMPLEX_STEP``) and the derivative is read from
+the imaginary part, exact to rounding.  Callbacks that reject complex input
+get central differences with step ``SystemSpec.fd_step`` instead.  The
+derivatives of the splitting built from them — free coprojection, inverse
+metric and lift — follow from closed-form perturbation identities at a
+single splitting (:func:`coefficient_tensors`).
 """
 
 from __future__ import annotations
 
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,6 +41,8 @@ from .core_geometry import (
     Frame,
     ProjectionSet,
     SystemSpec,
+    _check_shape,
+    _check_symmetric,
     metric_at,
     metric_inverse_at,
     omega_at,
@@ -44,6 +51,12 @@ from .core_geometry import (
 from .errors import FrameNotSmooth, NonAdaptedState, NotInDeltaCapGamma
 
 TimeFn = Callable[[float], Array]
+
+#: Imaginary step ``H`` of the complex-step callback derivatives.  Far below
+#: the rounding of any real part, so ``Im f(q + iH e_j) / H`` is ``df/dq_j``
+#: with no truncation or cancellation error.
+COMPLEX_STEP = 1e-30
+_WARNINGS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -155,9 +168,11 @@ class CoefficientTensors:
     ``dPstar_I[j]`` and ``dginv[j]`` are the coordinate-``j`` derivatives of
     the free coprojection and the inverse metric; ``dk[j]`` that of the
     covector lift.  They are exact functions of the splitting at the point
-    and of the callback derivatives, so the only numerical-differencing error
-    is that of ``metric`` and ``omega``.  Build once per evaluation point and
-    share across the several quadratic-form contractions needed there.
+    and of the callback derivatives, which are exact to rounding for
+    complex-safe callbacks (central differences otherwise; see
+    :class:`~nonholo.core_geometry.SystemSpec`).  Build once per evaluation
+    point and share across the several quadratic-form contractions needed
+    there.
     """
 
     projections: ProjectionSet
@@ -166,8 +181,8 @@ class CoefficientTensors:
     dk: Array
 
 
-def _callback_derivatives(spec: SystemSpec, q: Array) -> tuple[Array, Array]:
-    """Central-difference stacks ``dg[j]`` and ``dOm[j]`` of the callbacks."""
+def _central_differences(spec: SystemSpec, q: Array) -> tuple[Array, Array]:
+    """Central-difference stacks ``dg[j]`` and ``dOm[j]`` of real-only callbacks."""
     n = spec.dim
     dg = np.empty((n, n, n))
     dOm = np.empty((n, spec.nu, n))
@@ -182,11 +197,38 @@ def _callback_derivatives(spec: SystemSpec, q: Array) -> tuple[Array, Array]:
     return dg, dOm
 
 
+def _callback_derivatives(spec: SystemSpec, q: Array) -> tuple[Array, Array]:
+    """Stacks ``dg[j]`` and ``dOm[j]`` of the callbacks' coordinate derivatives.
+
+    Complex step: ``metric`` and ``omega`` are evaluated once each at every
+    ``q + i H e_j`` and the derivative is the imaginary part over ``H``.  A
+    callback that raises ``TypeError`` on complex input, or drops the
+    imaginary part into a real array (``ComplexWarning``, made an error
+    here), gets central differences instead.
+    """
+    n = spec.dim
+    points = q + (1j * COMPLEX_STEP) * np.eye(n)
+    try:
+        # catch_warnings swaps process-wide state: the lock keeps scan worker
+        # threads from restoring each other's filters
+        with _WARNINGS_LOCK, warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            G = np.array([_check_shape(np.asarray(spec.metric(z)), (n, n), "metric") for z in points])
+            O = np.array([_check_shape(np.asarray(spec.omega(z)), (spec.nu, n), "omega") for z in points])
+    except (TypeError, np.exceptions.ComplexWarning):
+        return _central_differences(spec, q)
+    dg = G.imag / COMPLEX_STEP
+    _check_symmetric(dg, "metric derivative")
+    return dg, O.imag / COMPLEX_STEP
+
+
 def coefficient_tensors(spec: SystemSpec, q: Array, projections: Optional[ProjectionSet] = None) -> CoefficientTensors:
     """Assemble :class:`CoefficientTensors` at ``q`` from one splitting.
 
-    Only ``metric`` and ``omega`` are differenced (at ``q ± h e_j``); the
-    splitting's derivatives are closed-form.  With ``P = P_I``, ``Q = I - P``
+    Only ``metric`` and ``omega`` are differentiated numerically, by complex
+    step at ``q + i H e_j`` (``N + M`` evaluations of each; central
+    differences at ``q ± h e_j`` for callbacks that reject complex input);
+    the splitting's derivatives are closed-form.  With ``P = P_I``, ``Q = I - P``
     and ``R = R_II``, differentiating ``P`` (the ``g``-orthogonal projector
     onto the kernel of the rows ``[Om; du]``) and ``h`` (the matching columns
     of their ``g``-minimal right inverse ``[R, h]``) gives, per coordinate::
@@ -328,11 +370,24 @@ def reaction_force(
     """
     q = np.asarray(q, dtype=float)
     T = tensors if tensors is not None else coefficient_tensors(spec, q)
+    return _reaction_from_rhs(spec, q, p_I, t, control, T, reduced_rhs(spec, q, p_I, t, control, tensors=T))
+
+
+def _reaction_from_rhs(
+    spec: SystemSpec,
+    q: Array,
+    p_I: Array,
+    t: float,
+    control: ControlSignal,
+    T: CoefficientTensors,
+    rhs: tuple[Array, Array],
+) -> Array:
+    """:func:`reaction_force` given ``rhs = reduced_rhs(spec, q, p_I, t, control, tensors=T)``."""
     P = T.projections
     udot = np.atleast_1d(np.asarray(control.rate(t), dtype=float))
     uddot = np.atleast_1d(np.asarray(control.accel(t), dtype=float))
     p = np.asarray(p_I, dtype=float) + P.k @ udot
-    qdot, pIdot = reduced_rhs(spec, q, p_I, t, control, tensors=T)
+    qdot, pIdot = rhs
     kdot = np.einsum("j,jia->ia", qdot, T.dk)
     pdot = pIdot + kdot @ udot + P.k @ uddot
     grad = 0.5 * np.einsum("i,jik,k->j", p, T.dginv, p)

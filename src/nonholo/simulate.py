@@ -31,10 +31,10 @@ from .models import ModelBundle
 from .reduced_dynamics import (
     ControlSignal,
     ReducedState,
+    _reaction_from_rhs,
     check_frame_continuity,
     coefficient_tensors,
     frame_rhs,
-    reaction_force,
     reduced_rhs,
 )
 
@@ -188,10 +188,9 @@ def integrate(
     out_dres = np.empty(nsteps + 1)
     out_u = np.empty((nsteps + 1, M))
 
-    def stage_ambient(t: float, q_free: Array, p: Array, tensors=None):
+    def stage_ambient(t: float, q_free: Array, p: Array):
         qq = assemble(t, q_free)
-        TT = tensors if tensors is not None else coefficient_tensors(spec, qq)
-        qdot, pIdot = reduced_rhs(spec, qq, p, t, control, tensors=TT)
+        qdot, pIdot = reduced_rhs(spec, qq, p, t, control, tensors=coefficient_tensors(spec, qq))
         return qdot[:N], pIdot
 
     def stage_frame(t: float, q_free: Array, x: Array, tensors=None):
@@ -222,7 +221,8 @@ def integrate(
         qdot_full = P.ginv @ p_full
         H = 0.5 * float(p_full @ P.ginv @ p_full)
         cres = _relative(float(np.linalg.norm(P.Om @ qdot_full)), float(np.linalg.norm(qdot_full)))
-        R = reaction_force(spec, q, p_I, t, control, tensors=T)
+        rhs = reduced_rhs(spec, q, p_I, t, control, tensors=T)
+        R = _reaction_from_rhs(spec, q, p_I, t, control, T, rhs)
         # at instants where no reaction is needed |R| ~ 0 and the plain ratio
         # is noise over noise; the floor ties it to the dynamic scale instead
         floor = 1e-3 * (1.0 + float(np.linalg.norm(p_full)) + float(np.linalg.norm(qdot_full)))
@@ -246,7 +246,8 @@ def integrate(
         if step == nsteps:
             break
 
-        # RK4 advance; the first stage reuses this sample's tensors
+        # RK4 advance; stage k1 reuses this sample's tensors (frame form) or
+        # its right-hand side (ambient form)
         if use_frame:
             k1q, k1x = stage_frame(t, qf, xi, tensors=T)
             k2q, k2x = stage_frame(t + 0.5 * dt, qf + 0.5 * dt * k1q, xi + 0.5 * dt * k1x)
@@ -255,7 +256,7 @@ def integrate(
             qf = qf + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
             xi = xi + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         else:
-            k1q, k1p = stage_ambient(t, qf, p_I, tensors=T)
+            k1q, k1p = rhs[0][:N], rhs[1]
             k2q, k2p = stage_ambient(t + 0.5 * dt, qf + 0.5 * dt * k1q, p_I + 0.5 * dt * k1p)
             k3q, k3p = stage_ambient(t + 0.5 * dt, qf + 0.5 * dt * k2q, p_I + 0.5 * dt * k2p)
             k4q, k4p = stage_ambient(t + dt, qf + dt * k3q, p_I + dt * k3p)

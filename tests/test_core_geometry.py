@@ -9,7 +9,6 @@ from nonholo.core_geometry import (
     argmin_certificate,
     build_frame,
     check_transversality,
-    coordinate_derivative,
     delta_cap_gamma_basis,
     metric_at,
     metric_inverse_at,
@@ -293,14 +292,3 @@ class TestArgminCertificate:
         ok, margin = argmin_certificate(spec, q, np.array([1.0]), trials=8, rng=gen)
         assert ok and margin >= -1e-12
 
-
-class TestCoordinateDerivative:
-    def test_matches_analytic_jacobian(self):
-        def f(q):
-            return np.array([q[0] ** 2 + q[1], np.sin(q[1])])
-
-        q = np.array([1.3, -0.4])
-        d0 = coordinate_derivative(f, q, 0, 1e-6)
-        d1 = coordinate_derivative(f, q, 1, 1e-6)
-        assert np.allclose(d0, [2.0 * q[0], 0.0], atol=1e-8)
-        assert np.allclose(d1, [1.0, np.cos(q[1])], atol=1e-8)

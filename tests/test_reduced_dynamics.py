@@ -6,16 +6,19 @@ pinned to a direct multiplier-based integration in ``test_models.py``.
 """
 
 import dataclasses
+import sys
+import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from nonholo import reduced_dynamics
-from nonholo.core_geometry import metric_at, projection_set
-from nonholo.errors import FrameNotSmooth, NonAdaptedState, NotInDeltaCapGamma
-from nonholo.models import racer_denominators, racer_frame_vectors
+from nonholo.core_geometry import SystemSpec, metric_at, projection_set
+from nonholo.errors import FrameNotSmooth, NonAdaptedState, NotInDeltaCapGamma, SingularMetric
+from nonholo.models import build_model, racer_denominators, racer_frame_vectors
 from nonholo.reduced_dynamics import (
     ControlSignal,
     centrifugal_psi,
@@ -149,6 +152,14 @@ class TestQuadraticForm:
             worst = max(worst, float(np.abs(psi).max()))
         assert worst < 1e-8
 
+    def test_psi_floor_on_ball_is_rounding(self, ball):
+        """Exact callback derivatives leave the fit model's ``Psi`` at rounding level."""
+        worst = 0.0
+        for q in sample_points(ball, 40, seed=39):
+            psi = centrifugal_psi(ball.spec, q, np.array([1.0]))
+            worst = max(worst, float(np.abs(psi).max()))
+        assert worst <= 1e-13
+
     def test_psi_vanishes_identically_on_flat_toy(self, toy):
         for q in sample_points(toy, 5, seed=37):
             psi = centrifugal_psi(toy.spec, q, np.ones(toy.spec.M))
@@ -250,26 +261,12 @@ class TestClosedFormDerivatives:
             assert np.all(getattr(T, name) == 0.0), name
 
     @pytest.mark.parametrize("model", ["racer", "ball"])
-    def test_one_splitting_and_2n_callback_pairs(self, model, racer, ball, monkeypatch):
-        """One splitting per tensor; only ``metric`` and ``omega`` are differenced."""
+    def test_one_splitting_and_n_complex_callbacks(self, model, racer, ball, monkeypatch):
+        """One splitting per tensor; ``metric`` and ``omega`` once per coordinate, at complex points."""
         bundle = {"racer": racer, "ball": ball}[model]
         calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        spec = bundle.spec
-        spec = dataclasses.replace(
-            spec,
-            metric=counted("metric", spec.metric),
-            omega=counted("omega", spec.omega),
-            metric_inverse=None if spec.metric_inverse is None else counted("metric_inverse", spec.metric_inverse),
-        )
-        monkeypatch.setattr(reduced_dynamics, "projection_set", counted("projection_set", projection_set))
+        spec = counting_spec(bundle.spec, calls)
+        monkeypatch.setattr(reduced_dynamics, "projection_set", counted(calls, "projection_set", projection_set))
         q = sample_points(bundle, 1, seed=71)[0]
         n = spec.dim
 
@@ -279,7 +276,158 @@ class TestClosedFormDerivatives:
         P = projection_set(spec, q, check=False)
         calls.clear()
         coefficient_tensors(spec, q, projections=P)
-        assert dict(calls) == {"metric": 2 * n, "omega": 2 * n}
+        assert dict(calls) == {("metric", "complex"): n, ("omega", "complex"): n}
+
+    def test_real_only_callbacks_take_2n_central_differences(self):
+        """A callback that rejects complex input is differenced at ``q ± h e_j``."""
+        calls = Counter()
+        spec = counting_spec(random_system(5, N=3, M=1, nu=2), calls)
+        q = np.random.default_rng(8).uniform(-1.0, 1.0, size=spec.dim)
+        n = spec.dim
+        P = projection_set(spec, q, check=False)
+        calls.clear()
+        coefficient_tensors(spec, q, projections=P)
+        # the first complex evaluation raises, then the central differences run
+        assert dict(calls) == {("metric", "complex"): 1, ("metric", "real"): 2 * n, ("omega", "real"): 2 * n}
+
+
+def counted(calls, name, fn):
+    """``fn`` counting its calls in ``calls[name]``."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def counting_spec(spec, calls):
+    """``spec`` whose callbacks count calls in ``calls[(name, "real" | "complex")]``."""
+
+    def wrap(name, fn):
+        def wrapper(q):
+            calls[name, "complex" if np.iscomplexobj(q) else "real"] += 1
+            return fn(q)
+
+        return wrapper
+
+    return dataclasses.replace(
+        spec,
+        metric=wrap("metric", spec.metric),
+        omega=wrap("omega", spec.omega),
+        metric_inverse=None if spec.metric_inverse is None else wrap("metric_inverse", spec.metric_inverse),
+    )
+
+
+def real_only(spec):
+    """``spec`` whose ``metric`` and ``omega`` raise ``TypeError`` on complex input."""
+
+    def wrap(fn):
+        def wrapper(q):
+            if np.iscomplexobj(q):
+                raise TypeError("real input only")
+            return fn(q)
+
+        return wrapper
+
+    return dataclasses.replace(spec, metric=wrap(spec.metric), omega=wrap(spec.omega))
+
+
+class TestComplexStep:
+    """Complex-step callback derivatives and their central-difference fallback."""
+
+    @pytest.mark.parametrize(
+        "name, options",
+        [
+            ("roller-racer", {}),
+            ("rolling-ball", {}),
+            ("roller-racer", {"metric_perturb": 0.05}),
+            ("rolling-ball", {"metric_perturb": 0.05}),
+        ],
+    )
+    def test_matches_central_differences(self, name, options, monkeypatch):
+        bundle = build_model(name, **options)
+        fallbacks = Counter()
+        monkeypatch.setattr(
+            reduced_dynamics,
+            "_central_differences",
+            counted(fallbacks, "calls", reduced_dynamics._central_differences),
+        )
+        for q in sample_points(bundle, 5, seed=73):
+            got = reduced_dynamics._callback_derivatives(bundle.spec, q)
+            assert fallbacks["calls"] == 0
+            ref = reduced_dynamics._callback_derivatives(real_only(bundle.spec), q)
+            assert fallbacks["calls"] == 1
+            fallbacks.clear()
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape
+                assert np.abs(a - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
+
+    def test_complex_values_in_a_real_buffer_take_the_fallback(self):
+        """Writing complex values into ``np.zeros((n, n))`` must not give zero derivatives."""
+        gen = np.random.default_rng(11)
+        A = gen.standard_normal((4, 4))
+        base = A @ A.T + 4.0 * np.eye(4)
+        bump = 0.1 * (A + A.T)
+        Om = np.array([[1.0, 0.5, -0.2, 0.3]])
+
+        def metric(q):
+            g = np.zeros((4, 4))
+            g[:] = base + np.sin(q[0]) * bump
+            return g
+
+        spec = SystemSpec(N=3, M=1, nu=1, metric=metric, omega=lambda q: Om.copy())
+        q = np.array([0.4, -0.3, 0.8, 0.1])
+        # the fallback is chosen whatever the caller's warning filters are
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            T = coefficient_tensors(spec, q)
+        ginv = np.linalg.inv(metric(q))
+        expected = -np.cos(q[0]) * (ginv @ bump @ ginv)
+        assert np.abs(T.dginv[0]).max() > 1e-3
+        assert np.abs(T.dginv[0] - expected).max() <= 1e-8 * np.abs(expected).max()
+        assert np.all(T.dginv[1:] == 0.0)
+
+    def test_asymmetric_metric_derivative_is_rejected(self):
+        """The symmetry check of the metric also covers its complex-step derivative."""
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+        def metric(q):
+            return 2.0 * np.eye(2) + q[0] * skew
+
+        spec = SystemSpec(N=1, M=1, nu=0, metric=metric, omega=lambda q: np.zeros((0, 2)))
+        with pytest.raises(SingularMetric, match="metric derivative is not symmetric"):
+            coefficient_tensors(spec, np.zeros(2))
+
+    def test_threads_leave_the_warning_filters_as_they_were(self, racer):
+        """Concurrent complex steps must not restore each other's warning filters."""
+
+        def work():
+            for _ in range(50):
+                coefficient_tensors(racer.spec, racer.default_q0)
+
+        interval = sys.getswitchinterval()
+        with warnings.catch_warnings():
+            # a filter list that a leaked "error" entry would change
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            before = list(warnings.filters)
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    for future in [pool.submit(work) for _ in range(8)]:
+                        future.result(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert warnings.filters == before
+
+    def test_wrong_shape_from_complex_evaluation_is_rejected(self, racer):
+        spec = racer.spec
+
+        def metric(q):
+            return spec.metric(q) if not np.iscomplexobj(q) else spec.metric(q)[:3, :3]
+
+        with pytest.raises(ValueError, match=r"metric returned shape \(3, 3\), expected \(4, 4\)"):
+            coefficient_tensors(dataclasses.replace(spec, metric=metric), racer.default_q0)
 
 
 # ---------------------------------------------------------------------------
