@@ -4,8 +4,8 @@ Configuration is a flat ``key = value`` text file with dotted sections
 (``model.*``, ``control.*``, ``integrator.*``, ...); see the example configs
 shipped with the package.  Every randomized command takes an explicit seed
 (default 0) and is bit-for-bit reproducible: rerunning with the same config
-and seed yields byte-identical output files.  ``NONHOLO_THREADS`` caps the
-scan worker pool without affecting results.
+and seed yields byte-identical output files.  Fitness scans batch their
+sample points through one stacked splitting-and-tensor kernel.
 
 Exit codes are a stable contract::
 

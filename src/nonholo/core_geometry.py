@@ -33,6 +33,10 @@ constraint rows that the closed-form derivatives need.  Solving through the
 SVD keeps the error of both proportional to the condition number of the
 constraint block rather than its square.
 
+The splitting is computed by one kernel over a stack of points, the form the
+fitness scans use to batch their samples; :func:`projection_set` is its
+one-point case.
+
 Conventions: configurations, vectors and covectors are 1-D ``numpy`` arrays of
 length ``N + M``; matrices act on the left.  Coprojections satisfy
 ``Pstar = g @ P @ g^-1`` and, because the splitting is ``g``-orthogonal, equal
@@ -43,7 +47,7 @@ All rank decisions use a relative singular-value cutoff of ``1e-9``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,6 +58,7 @@ Array = np.ndarray
 MetricFn = Callable[[Array], Array]
 OmegaFn = Callable[[Array], Array]
 ForceFn = Callable[[float, Array, Array], Array]
+SkipTypes = tuple[type[Exception], ...]
 
 #: Relative singular-value cutoff shared by every rank decision in the package.
 RANK_RTOL = 1e-9
@@ -133,6 +138,10 @@ class ProjectionSet:
     The fields are computed when the set is built: everything the reduced
     dynamics reads.  ``P_II``, ``P_III``, ``Pstar_II`` and ``Pstar_III`` are
     computed on first access and cached, so the dynamics never pays for them.
+
+    A set built for many points at once (as the fitness scans do) carries one
+    leading axis over the points on every field, lazy blocks included;
+    :meth:`point` extracts the set at one of them.
     """
 
     P_I: Array
@@ -147,20 +156,26 @@ class ProjectionSet:
 
     @cached_property
     def P_II(self) -> Array:
-        W = self.ginv @ self.Om.T
+        W = self.ginv @ self.Om.swapaxes(-1, -2)
         return W @ np.linalg.solve(self.Om @ W, self.Om)
 
     @cached_property
     def P_III(self) -> Array:
-        return np.eye(self.g.shape[0]) - self.P_I - self.P_II
+        return _eye(self.g.shape[-1]) - self.P_I - self.P_II
 
     @property
     def Pstar_II(self) -> Array:
-        return self.P_II.T
+        return self.P_II.swapaxes(-1, -2)
 
     @property
     def Pstar_III(self) -> Array:
-        return self.P_III.T
+        return self.P_III.swapaxes(-1, -2)
+
+    def point(self, i: object) -> "ProjectionSet":
+        """The set at point ``i`` (an index, or an index array for a sub-stack) of a stacked set."""
+        return ProjectionSet(
+            self.P_I[i], self.Pstar_I[i], self.h[i], self.k[i], self.R_II[i], self.I_basis[i], self.g[i], self.ginv[i], self.Om[i]
+        )
 
 
 @dataclass(frozen=True)
@@ -189,10 +204,18 @@ class Frame:
         return self.V[:, start:stop]
 
 
-def _check_symmetric(g: Array, label: str) -> None:
-    """Raise ``SingularMetric`` unless ``g`` (a matrix or a stack of them) is symmetric."""
-    scale = float(np.abs(g).max()) if g.size else 0.0
-    if g.size and float(np.abs(g - np.swapaxes(g, -1, -2)).max()) > 1e-9 * (1.0 + scale):
+def _check_symmetric(G: Array, label: str) -> None:
+    """Raise ``SingularMetric`` unless every entry of the stack ``G`` is symmetric.
+
+    ``G`` stacks one array per point along axis 0 (a matrix, or a stack of
+    matrices such as a metric derivative); each point's tolerance scales with
+    its own largest entry, so no point passes on another's scale.
+    """
+    GT = G.swapaxes(-1, -2)
+    if (G == GT).all():
+        return
+    asym = np.abs(G - GT).reshape(len(G), -1).max(axis=1)
+    if (asym > 1e-9 * (1.0 + np.abs(G).reshape(len(G), -1).max(axis=1))).any():
         raise SingularMetric(f"{label} is not symmetric")
 
 
@@ -203,46 +226,72 @@ def _check_shape(A: Array, shape: tuple[int, ...], label: str) -> Array:
     return A
 
 
-def _cholesky_spd(g: Array, label: str = "metric") -> Array:
-    """Cholesky factor of ``g``, raising ``SingularMetric`` when not SPD."""
-    _check_symmetric(g, label)
+@lru_cache(maxsize=None)
+def _eye(n: int) -> Array:
+    """Read-only identity matrix of size ``n``."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _cholesky_spd(G: Array, label: str = "metric") -> Array:
+    """Cholesky factors of the stack ``G``, raising ``SingularMetric`` unless each is SPD."""
+    _check_symmetric(G, label)
     try:
-        L = np.linalg.cholesky(g)
+        L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"{label} is not positive definite") from exc
-    d = np.diag(L)
-    # pivot ratio ~ sqrt(condition number); reject past ~1e12 conditioning
-    if d.size and (d.min() / d.max()) ** 2 < 1e-12:
-        raise SingularMetric(f"{label} is numerically singular (pivot ratio {d.min() / d.max():.2e})")
+    d = L.diagonal(0, -2, -1)
+    if d.size:
+        # pivot ratio ~ sqrt(condition number); reject past ~1e12 conditioning
+        ratio = d.min(axis=-1) / d.max(axis=-1)
+        bad = ratio**2 < 1e-12
+        if bad.any():
+            raise SingularMetric(f"{label} is numerically singular (pivot ratio {ratio[bad][0]:.2e})")
     return L
+
+
+def _validated_inverse(G: Array, Ginv: Optional[Array]) -> Array:
+    """Inverse metrics of the stack ``G``: the supplied ``Ginv`` after a residual test, else by factorization."""
+    if Ginv is None:
+        return np.linalg.inv(G)
+    n = G.shape[-1]
+    resid = np.abs(G @ Ginv - _eye(n))
+    if resid.max() > 1e-6 * n:
+        resid = resid.max(axis=(-2, -1))
+        raise SingularMetric(f"supplied metric_inverse disagrees with metric (residual {resid[resid > 1e-6 * n][0]:.2e})")
+    return Ginv
+
+
+def _metric_callback(spec: SystemSpec, q: Array) -> Array:
+    return _check_shape(np.asarray(spec.metric(q), dtype=float), (spec.dim, spec.dim), "metric")
+
+
+def _metric_inverse_callback(spec: SystemSpec, q: Array) -> Array:
+    return _check_shape(np.asarray(spec.metric_inverse(q), dtype=float), (spec.dim, spec.dim), "metric_inverse")
+
+
+def _omega_callback(spec: SystemSpec, q: Array) -> Array:
+    return _check_shape(np.asarray(spec.omega(q), dtype=float), (spec.nu, spec.dim), "omega")
 
 
 def metric_at(spec: SystemSpec, q: Array) -> Array:
     """Evaluate and validate the kinetic-energy matrix at ``q``."""
-    g = np.asarray(spec.metric(np.asarray(q, dtype=float)), dtype=float)
-    _check_shape(g, (spec.dim, spec.dim), "metric")
-    _cholesky_spd(g)
+    g = _metric_callback(spec, np.asarray(q, dtype=float))
+    _cholesky_spd(g[None])
     return g
 
 
 def metric_inverse_at(spec: SystemSpec, q: Array, metric: Optional[Array] = None) -> Array:
     """Inverse metric at ``q``, from the analytic callback when available."""
+    q = np.asarray(q, dtype=float)
     g = metric if metric is not None else metric_at(spec, q)
-    n = spec.dim
-    if spec.metric_inverse is not None:
-        ginv = np.asarray(spec.metric_inverse(np.asarray(q, dtype=float)), dtype=float)
-        _check_shape(ginv, (n, n), "metric_inverse")
-        resid = np.abs(g @ ginv - np.eye(n)).max()
-        if resid > 1e-6 * n:
-            raise SingularMetric(f"supplied metric_inverse disagrees with metric (residual {resid:.2e})")
-        return ginv
-    return np.linalg.inv(g)
+    return _validated_inverse(g, None if spec.metric_inverse is None else _metric_inverse_callback(spec, q))
 
 
 def omega_at(spec: SystemSpec, q: Array) -> Array:
     """Constraint one-form rows at ``q`` (shape ``(nu, N+M)``)."""
-    Om = np.asarray(spec.omega(np.asarray(q, dtype=float)), dtype=float)
-    return _check_shape(Om, (spec.nu, spec.dim), "omega")
+    return _omega_callback(spec, np.asarray(q, dtype=float))
 
 
 def check_transversality(spec: SystemSpec, q: Array) -> tuple[bool, float]:
@@ -267,36 +316,65 @@ def check_transversality(spec: SystemSpec, q: Array) -> tuple[bool, float]:
 
 
 def _canonical_sign(cols: Array) -> Array:
-    """Flip column signs so the largest-magnitude entry of each is positive."""
-    out = np.array(cols, dtype=float)
-    if out.size:
-        lead = np.abs(out).argmax(axis=0)
-        flip = out[lead, np.arange(out.shape[1])] < 0.0
-        out[:, flip] = -out[:, flip]
-    return out
+    """Flip column signs so the largest-magnitude entry of each is positive (stack ``(S, n, k)``)."""
+    S, _, k = cols.shape
+    lead = np.abs(cols).argmax(axis=1)
+    flip = cols[np.arange(S)[:, None], lead, np.arange(k)] < 0.0
+    return np.where(flip[:, None, :], -cols, cols)
 
 
-def _constraint_svd(spec: SystemSpec, q: Array, Om: Array) -> tuple[Array, Array, Array]:
-    """SVD ``U @ diag(s) @ Vh`` of the constraint block ``Om[:, :N]``.
+def _stack(arrays: tuple) -> Optional[Array]:
+    """Arrays of one shape stacked along a new leading axis; ``None`` for ``None`` entries."""
+    if arrays[0] is None:
+        return None
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
-    Raises ``RankDeficiency`` when fewer than ``nu`` singular values clear
-    the relative cutoff ``RANK_RTOL`` (transversality failure).
+
+def _each_point(fn: Callable[[Array], tuple], Q: Array, skip: SkipTypes) -> tuple[Array, list]:
+    """``fn(q)`` at each point ``q`` of ``Q``, in order; a point whose call raises one of ``skip`` leaves.
+
+    ``fn`` returns a tuple of arrays (or ``None`` entries).  Returns
+    ``(keep, parts)``: the mask of the points that stayed and, per tuple
+    entry, the results stacked over them (empty when no point stayed).
     """
-    if spec.nu == 0:
-        return np.zeros((0, 0)), np.zeros(0), np.eye(spec.N)
-    U, s, Vh = np.linalg.svd(Om[:, : spec.N])
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
-    if rank != spec.nu:
-        raise RankDeficiency(
-            f"constraint block rank {rank} != nu = {spec.nu}: transversality fails at q={np.asarray(q)}"
-        )
-    return U, s, Vh
+    keep = np.ones(len(Q), dtype=bool)
+    out = []
+    for i, q in enumerate(Q):
+        try:
+            out.append(fn(q))
+        except skip:
+            keep[i] = False
+    return keep, [_stack(part) for part in zip(*out)]
+
+
+def _constraint_svd(spec: SystemSpec, Q: Array, Om: Array, skip: SkipTypes = ()) -> tuple[Array, Array, Array, Array]:
+    """SVDs ``U @ diag(s) @ Vh`` of the constraint blocks ``Om[i, :, :N]``.
+
+    Returns ``(keep, U, s, Vh)``: the mask of points where ``nu`` singular
+    values clear the relative cutoff ``RANK_RTOL`` and the factors at those
+    points.  Elsewhere transversality fails: ``RankDeficiency`` is raised,
+    or, when it is in ``skip``, the point is dropped.
+    """
+    S, N, nu = len(Om), spec.N, spec.nu
+    if nu == 0:
+        return np.ones(S, dtype=bool), np.zeros((S, 0, 0)), np.zeros((S, 0)), np.broadcast_to(np.eye(N), (S, N, N))
+    U, s, Vh = np.linalg.svd(Om[:, :, :N])
+    # singular values come sorted, so the rank is nu exactly when the last clears the cutoff
+    keep = s[:, nu - 1] > RANK_RTOL * s[:, 0]
+    if not keep.all():
+        rank = (s > RANK_RTOL * s[:, :1]).sum(axis=1)
+        for i in np.flatnonzero(~keep):
+            exc = RankDeficiency(f"constraint block rank {rank[i]} != nu = {nu}: transversality fails at q={Q[i]}")
+            if not isinstance(exc, skip):
+                raise exc
+        U, s, Vh = U[keep], s[keep], Vh[keep]
+    return keep, U, s, Vh
 
 
 def _block_I_basis(spec: SystemSpec, Vh: Array) -> Array:
-    """Right null space of the constraint block, padded with ``M`` zero rows."""
-    B = np.zeros((spec.dim, spec.N - spec.nu))
-    B[: spec.N, :] = Vh[spec.nu :].T
+    """Right null spaces of the constraint blocks, padded with ``M`` zero rows."""
+    B = np.zeros((len(Vh), spec.dim, spec.N - spec.nu))
+    B[:, : spec.N, :] = Vh[:, spec.nu :].transpose(0, 2, 1)
     return _canonical_sign(B)
 
 
@@ -309,9 +387,70 @@ def delta_cap_gamma_basis(spec: SystemSpec, q: Array, omega_matrix: Optional[Arr
     Raises ``RankDeficiency`` when that block loses rank (transversality
     failure).
     """
+    q = np.asarray(q, dtype=float)
     Om = omega_matrix if omega_matrix is not None else omega_at(spec, q)
-    _, _, Vh = _constraint_svd(spec, q, Om)
-    return _block_I_basis(spec, Vh)
+    _, _, _, Vh = _constraint_svd(spec, q[None], Om[None])
+    return _block_I_basis(spec, Vh)[0]
+
+
+def _projection_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[ProjectionSet]]:
+    """The splitting at every point of ``Q`` (shape ``(S, N+M)``) at once.
+
+    The callbacks run point by point, in point order (``metric``, then
+    ``metric_inverse`` when supplied, then ``omega``); everything after them
+    is one stacked ``numpy`` call per step.  A point whose callback raises
+    one of ``skip``, or whose constraint block fails the rank test while
+    ``RankDeficiency`` is in ``skip``, leaves the stack; any other error
+    propagates.  Returns ``(keep, P)``: the mask of the points of ``Q`` that
+    stayed and a :class:`ProjectionSet` whose fields carry one leading axis
+    over them (``None`` when no point stayed).
+    """
+    N, nu, M, n = spec.N, spec.nu, spec.M, spec.dim
+
+    def callbacks(q: Array) -> tuple:
+        g = _metric_callback(spec, q)
+        ginv = None if spec.metric_inverse is None else _metric_inverse_callback(spec, q)
+        return g, ginv, _omega_callback(spec, q)
+
+    keep, parts = _each_point(callbacks, Q, skip)
+    if not parts:
+        return keep, None
+    G, Ginv, Om = parts
+    _cholesky_spd(G)
+    Ginv = _validated_inverse(G, Ginv)
+
+    ranked, U, s, Vh = _constraint_svd(spec, Q[keep] if len(G) < len(Q) else Q, Om, skip)
+    if not ranked.all():
+        keep[keep] = ranked
+        if not ranked.any():
+            return keep, None
+        G, Ginv, Om = G[ranked], Ginv[ranked], Om[ranked]
+    B = _block_I_basis(spec, Vh)
+    gB = G @ B
+    P_I = B @ np.linalg.solve(B.transpose(0, 2, 1) @ gB, gB.transpose(0, 2, 1))
+
+    # g-minimal right inverse [R_II, h] of the rows [Om; du]: pseudo-inverse
+    # particular solutions for unit constraint values and unit controls, then
+    # the g-orthogonal removal of their block I components
+    pinv = Vh[:, :nu].transpose(0, 2, 1) @ (U.transpose(0, 2, 1) / s[:, :, None])
+    x0 = np.zeros((len(G), n, nu + M))
+    x0[:, :N, :nu] = pinv
+    x0[:, :N, nu:] = -pinv @ Om[:, :, N:]
+    x0[:, N:, nu:] = _eye(M)
+    right = x0 - P_I @ x0
+    h = right[:, :, nu:]
+    P = ProjectionSet(
+        P_I=P_I,
+        Pstar_I=P_I.transpose(0, 2, 1),
+        h=h,
+        k=G @ h,
+        R_II=right[:, :, :nu],
+        I_basis=B,
+        g=G,
+        ginv=Ginv,
+        Om=Om,
+    )
+    return keep, P
 
 
 def projection_set(spec: SystemSpec, q: Array, check: bool = True) -> ProjectionSet:
@@ -324,28 +463,8 @@ def projection_set(spec: SystemSpec, q: Array, check: bool = True) -> Projection
     dynamics.
     """
     q = np.asarray(q, dtype=float)
-    N, nu = spec.N, spec.nu
-    g = metric_at(spec, q)
-    ginv = metric_inverse_at(spec, q, metric=g)
-    Om = omega_at(spec, q)
-
-    U, s, Vh = _constraint_svd(spec, q, Om)
-    B = _block_I_basis(spec, Vh)
-    gB = g @ B
-    P_I = B @ np.linalg.solve(B.T @ gB, gB.T)
-
-    # g-minimal right inverse [R_II, h] of the rows [Om; du]: pseudo-inverse
-    # particular solutions for unit constraint values and unit controls, then
-    # the g-orthogonal removal of their block I components
-    pinv = Vh[:nu].T @ (U.T / s[:, None])
-    x0 = np.zeros((spec.dim, nu + spec.M))
-    x0[:N, :nu] = pinv
-    x0[:N, nu:] = -pinv @ Om[:, N:]
-    x0[N:, nu:] = np.eye(spec.M)
-    right = x0 - P_I @ x0
-    h = right[:, nu:]
-
-    P = ProjectionSet(P_I=P_I, Pstar_I=P_I.T, h=h, k=g @ h, R_II=right[:, :nu], I_basis=B, g=g, ginv=ginv, Om=Om)
+    _, stacked = _projection_stack(spec, q[None])
+    P = stacked.point(0)
     if check:
         ranks = tuple(np.linalg.matrix_rank(A, tol=1e-8) for A in (P.P_I, P.P_II, P.P_III))
         expected = (spec.N - spec.nu, spec.nu, spec.M)

@@ -16,15 +16,14 @@ structural conditions that imply fitness without scanning ``Psi`` itself,
 and :func:`leaf_metric_derivative` measures the equivalent leaf-distance
 signature one direction at a time.
 
-Scans are embarrassingly parallel over sample points; set ``NONHOLO_THREADS``
-to cap the worker pool.  Aggregation is order-independent, so results do not
-depend on the worker count.
+Scans batch their sample points: the splitting and the coefficient tensors
+of every point are built by one stacked kernel (the model callbacks still run
+point by point), and every seed direction at every point is evaluated by one
+broadcast contraction.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -44,22 +43,15 @@ from .errors import (
     RankDeficiency,
     SingularDenominator,
 )
-from .reduced_dynamics import CoefficientTensors, centrifugal_psi, coefficient_tensors, theta_I_apply
+from .reduced_dynamics import CoefficientTensors, _tensor_stack, centrifugal_psi, theta_I_apply
 
 # verdict thresholds: fit at <= tol, not-fit at > 10 tol, gray band between
 GRAY_FACTOR = 10.0
 
 
 def worker_count() -> int:
-    """Worker-pool size for scans: ``NONHOLO_THREADS`` if set, else 1."""
-    raw = os.environ.get("NONHOLO_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+    """Always 1: scans run on one thread.  Kept only for the benchmark harness, which checks it."""
+    return 1
 
 
 @dataclass
@@ -216,66 +208,47 @@ def _scan(
     n_samples: int,
     tol: float,
     quantity: str,
-    evaluate: Callable[[Array, CoefficientTensors, Array], tuple[float, Array]],
+    evaluate: Callable[[Array, CoefficientTensors, Array, Array], tuple[Array, Array]],
     seed_dim: int,
 ) -> FitnessReport:
     """Shared scan driver: sample points, try directions, aggregate the max.
 
-    Per point the coefficient tensors ``T`` are built once and shared by the
-    seeds: the ``spec.M`` canonical control-rate directions plus
-    ``2 * spec.M`` random unit draws of dimension ``seed_dim``.
-    ``evaluate(q, T, e)`` returns ``(value, direction_used)``; it or the
-    tensor build may raise a skippable error, voiding the whole point.  All
-    random draws happen up front on one thread, so the worker count cannot
-    change the outcome.
+    The coefficient tensors of all points are built at once; a point whose
+    callbacks raise a skippable error or whose constraint block loses rank
+    is dropped and counted in ``failures``.  Each remaining point gets the
+    ``spec.M`` canonical control-rate seeds plus ``2 * spec.M`` random unit
+    draws of dimension ``seed_dim``.  ``evaluate(Q, T, canonical, random)``
+    takes the points, their stacked tensors and the two seed stacks (shapes
+    ``(M, S, M)`` and ``(2M, S, seed_dim)``) and returns the values and the
+    directions used, with shapes ``(3M, S)`` and ``(3M, S, d)``.  Per point
+    and then across points, the first seed and point reaching the maximum
+    win.
     """
     M = spec.M
     pts = sampler.points(n_samples)
-    canonical = np.eye(M)
     rand_dirs = sampler.unit_directions(seed_dim, 2 * M * n_samples)
-
-    def one_point(i: int):
-        q = pts[i]
-        best = -1.0
-        best_dir = None
-        try:
-            T = coefficient_tensors(spec, q)
-            seeds = list(canonical) + list(rand_dirs[2 * M * i : 2 * M * (i + 1)])
-            for e in seeds:
-                val, used = evaluate(q, T, e)
-                if val > best:
-                    best, best_dir = val, used
-        except _SKIPPABLE:
-            return None
-        return best, q, best_dir
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_point, range(n_samples)))
-    else:
-        results = [one_point(i) for i in range(n_samples)]
+    keep, T = _tensor_stack(spec, pts, skip=_SKIPPABLE)
+    evaluated = int(keep.sum())
 
     max_value = 0.0
     worst_point = None
     worst_dir = None
-    failures = 0
-    evaluated = 0
-    for res in results:
-        if res is None:
-            failures += 1
-            continue
-        evaluated += 1
-        val, q, e = res
-        if val > max_value or worst_point is None:
-            max_value, worst_point, worst_dir = val, q, e
+    # without controls (M = 0) there are no seeds: nothing can be nonzero
+    if evaluated and M:
+        canonical = np.broadcast_to(np.eye(M)[:, None, :], (M, evaluated, M))
+        random = rand_dirs.reshape(n_samples, 2 * M, seed_dim)[keep].swapaxes(0, 1)
+        values, used = evaluate(pts[keep], T, canonical, random)
+        best = values.argmax(axis=0)
+        point_max = values[best, np.arange(evaluated)]
+        i = int(point_max.argmax())
+        max_value, worst_point, worst_dir = float(point_max[i]), pts[keep][i], used[best[i], i]
     return FitnessReport(
         quantity=quantity,
         verdict=_verdict(max_value, tol, evaluated),
         max_value=max_value,
         tol=tol,
         sample_count=evaluated,
-        failures=failures,
+        failures=n_samples - evaluated,
         worst_point=worst_point,
         worst_direction=worst_dir,
     )
@@ -294,8 +267,9 @@ def psi_scan(
     models.
     """
 
-    def evaluate(q: Array, T: CoefficientTensors, e: Array) -> tuple[float, Array]:
-        return float(np.abs(centrifugal_psi(spec, q, e, tensors=T)).max()), e
+    def evaluate(Q: Array, T: CoefficientTensors, canonical: Array, random: Array) -> tuple[Array, Array]:
+        e = np.concatenate([canonical, random])
+        return np.abs(centrifugal_psi(spec, Q, e, tensors=T)).max(axis=-1), e
 
     return _scan(spec, sampler, n_samples, tol, "Psi", evaluate, spec.M)
 
@@ -313,18 +287,24 @@ def theta_on_III_scan(
     Each ``w`` is normalized to unit length before evaluating
     ``theta_I[w, w]``, so tolerances are comparable with :func:`psi_scan` —
     the two predicates test the same subspace through different
-    parametrizations and their verdicts must agree on every model.
+    parametrizations and their verdicts must agree on every model.  A ``w``
+    shorter than ``1e-12`` scores 0 and is reported unnormalized.
     """
     M = spec.M
 
-    def evaluate(q: Array, T: CoefficientTensors, e: Array) -> tuple[float, Array]:
+    def evaluate(Q: Array, T: CoefficientTensors, canonical: Array, random: Array) -> tuple[Array, Array]:
         P = T.projections
-        w = P.Pstar_III @ (P.k @ e if e.shape[0] == M else e)
-        norm = float(np.linalg.norm(w))
-        if norm < 1e-12:
-            return 0.0, w
-        w = w / norm
-        return float(np.abs(theta_I_apply(spec, q, w, w, tensors=T)).max()), w
+
+        def apply(A: Array, v: Array) -> Array:
+            return (A @ v[..., None])[..., 0]
+
+        w = np.concatenate([apply(P.k, e) if e.shape[-1] == M else e for e in (canonical, random)])
+        w = apply(P.Pstar_III, w)
+        norm = np.linalg.norm(w, axis=-1)
+        short = norm < 1e-12
+        w = w / np.where(short, 1.0, norm)[..., None]
+        values = np.abs(theta_I_apply(spec, Q, w, w, tensors=T)).max(axis=-1)
+        return np.where(short, 0.0, values), w
 
     return _scan(spec, sampler, n_samples, tol, "theta_on_III", evaluate, spec.dim)
 

@@ -376,26 +376,33 @@ def rolling_ball_spec(params: Optional[RollingBallParams] = None) -> SystemSpec:
     with ``w`` the spatial angular velocity.  Kinetic energy is
     ``(|xdot|^2 + kappa^2 |w|^2 + u'^2) / 2`` per unit mass, so the metric is
     block diagonal: ``kappa^2 E^T E`` on the angles (``E`` the rate-to-spin
-    matrix) and the identity on ``(x, y, u)``.
+    matrix) and the identity on ``(x, y, u)``.  For Z-X-Z angles
+    ``E^T E = [[1, 0, c], [0, 1, 0], [c, 0, 1]]`` with ``c = cos(q2)``, so both
+    the metric and its inverse are written in closed form.
     """
     p = params or RollingBallParams()
     k2, r = p.gyration2, p.radius
 
-    def metric(q: Array) -> Array:
-        E = _euler_rate_matrix(q)
+    def chart_cos(q: Array):
         sth = np.sin(q[1])
         if abs(sth) < 1e-8:
             raise ChartDomain(f"Euler chart degenerate: sin(q2) = {sth:.1e}")
-        g = np.zeros((6, 6), dtype=E.dtype)
-        g[:3, :3] = k2 * E.T @ E
-        g[3, 3] = g[4, 4] = g[5, 5] = 1.0
+        return sth, np.cos(q[1])
+
+    def metric(q: Array) -> Array:
+        _, cth = chart_cos(q)
+        g = np.eye(6, dtype=np.result_type(cth))
+        g[:3, :3] *= k2
+        g[0, 2] = g[2, 0] = k2 * cth
         return g
 
     def metric_inverse(q: Array) -> Array:
-        Einv = _euler_rate_matrix_inv(q)
-        ginv = np.zeros((6, 6))
-        ginv[:3, :3] = (Einv @ Einv.T) / k2
-        ginv[3, 3] = ginv[4, 4] = ginv[5, 5] = 1.0
+        sth, cth = chart_cos(q)
+        s2 = sth * sth
+        ginv = np.eye(6, dtype=np.result_type(cth))
+        ginv[0, 0] = ginv[2, 2] = 1.0 / (k2 * s2)
+        ginv[1, 1] = 1.0 / k2
+        ginv[0, 2] = ginv[2, 0] = -cth / (k2 * s2)
         return ginv
 
     def omega(q: Array) -> Array:

@@ -40,9 +40,13 @@ from .core_geometry import (
     Array,
     Frame,
     ProjectionSet,
+    SkipTypes,
     SystemSpec,
     _check_shape,
     _check_symmetric,
+    _each_point,
+    _eye,
+    _projection_stack,
     metric_at,
     metric_inverse_at,
     omega_at,
@@ -165,61 +169,142 @@ class ReducedState:
 class CoefficientTensors:
     """Point data for the quadratic momentum equation at one configuration.
 
-    ``dPstar_I[j]`` and ``dginv[j]`` are the coordinate-``j`` derivatives of
-    the free coprojection and the inverse metric; ``dk[j]`` that of the
-    covector lift.  They are exact functions of the splitting at the point
-    and of the callback derivatives, which are exact to rounding for
-    complex-safe callbacks (central differences otherwise; see
-    :class:`~nonholo.core_geometry.SystemSpec`).  Build once per evaluation
-    point and share across the several quadratic-form contractions needed
-    there.
+    ``dPstar_I[j]``, ``dginv[j]`` and ``dg[j]`` are the coordinate-``j``
+    derivatives of the free coprojection, the inverse metric and the metric;
+    ``dk[j]`` that of the covector lift.  They are exact functions of the
+    splitting at the point and of the callback derivatives, which are exact
+    to rounding for complex-safe callbacks (central differences otherwise;
+    see :class:`~nonholo.core_geometry.SystemSpec`).  Build once per
+    evaluation point and share across the several quadratic-form
+    contractions needed there.  Tensors built for many points at once carry
+    one leading axis over the points on every field, like their
+    ``projections``.
     """
 
     projections: ProjectionSet
     dPstar_I: Array
     dginv: Array
     dk: Array
+    dg: Array
 
 
-def _central_differences(spec: SystemSpec, q: Array) -> tuple[Array, Array]:
-    """Central-difference stacks ``dg[j]`` and ``dOm[j]`` of real-only callbacks."""
+def _central_differences(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[Array], Optional[Array]]:
+    """Central-difference stacks ``dg[i, j]`` and ``dOm[i, j]`` of real-only callbacks.
+
+    Returns ``(keep, dg, dOm)`` as :func:`_callback_derivative_stack` does.
+    """
     n = spec.dim
-    dg = np.empty((n, n, n))
-    dOm = np.empty((n, spec.nu, n))
-    for j in range(n):
-        h = spec.fd_step * max(1.0, abs(float(q[j])))
-        qp = q.copy()
-        qm = q.copy()
-        qp[j] += h
-        qm[j] -= h
-        dg[j] = (metric_at(spec, qp) - metric_at(spec, qm)) / (2.0 * h)
-        dOm[j] = (omega_at(spec, qp) - omega_at(spec, qm)) / (2.0 * h)
-    return dg, dOm
+
+    def differences(q: Array) -> tuple[Array, Array]:
+        dg = np.empty((n, n, n))
+        dOm = np.empty((n, spec.nu, n))
+        for j in range(n):
+            h = spec.fd_step * max(1.0, abs(float(q[j])))
+            qp = q.copy()
+            qm = q.copy()
+            qp[j] += h
+            qm[j] -= h
+            dg[j] = (metric_at(spec, qp) - metric_at(spec, qm)) / (2.0 * h)
+            dOm[j] = (omega_at(spec, qp) - omega_at(spec, qm)) / (2.0 * h)
+        return dg, dOm
+
+    keep, parts = _each_point(differences, Q, skip)
+    return (keep, *parts) if parts else (keep, None, None)
+
+
+def _callback_derivative_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[Array], Optional[Array]]:
+    """Stacks ``dg[i, j]`` and ``dOm[i, j]`` of the callbacks' derivatives at every point ``Q[i]``.
+
+    Complex step: at each point ``metric`` and ``omega`` are evaluated once
+    each at every ``q + i H e_j``, and the derivative is the imaginary part
+    over ``H``.  If a callback raises ``TypeError`` on complex input, or drops
+    the imaginary part into a real array (``ComplexWarning``, made an error
+    here), the whole stack gets central differences instead.  A point whose
+    callback raises one of ``skip`` leaves the stack.  Returns
+    ``(keep, dg, dOm)``: the mask of the points that stayed and the stacks
+    over them (``None`` when no point stayed).
+    """
+    n = spec.dim
+    steps = (1j * COMPLEX_STEP) * _eye(n)
+
+    def complex_step(q: Array) -> tuple[Array, Array]:
+        points = q + steps
+        G = np.array([_check_shape(np.asarray(spec.metric(z)), (n, n), "metric") for z in points])
+        O = np.array([_check_shape(np.asarray(spec.omega(z)), (spec.nu, n), "omega") for z in points])
+        return G.imag, O.imag
+
+    try:
+        # catch_warnings swaps process-wide state: the lock keeps threads of a
+        # concurrent caller from restoring each other's filters
+        with _WARNINGS_LOCK, warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            keep, parts = _each_point(complex_step, Q, skip)
+    except (TypeError, np.exceptions.ComplexWarning):
+        return _central_differences(spec, Q, skip)
+    if not parts:
+        return keep, None, None
+    dg = parts[0] / COMPLEX_STEP
+    _check_symmetric(dg, "metric derivative")
+    return keep, dg, parts[1] / COMPLEX_STEP
 
 
 def _callback_derivatives(spec: SystemSpec, q: Array) -> tuple[Array, Array]:
-    """Stacks ``dg[j]`` and ``dOm[j]`` of the callbacks' coordinate derivatives.
+    """Stacks ``dg[j]`` and ``dOm[j]`` of the callbacks' coordinate derivatives at ``q``."""
+    _, dg, dOm = _callback_derivative_stack(spec, np.asarray(q, dtype=float)[None])
+    return dg[0], dOm[0]
 
-    Complex step: ``metric`` and ``omega`` are evaluated once each at every
-    ``q + i H e_j`` and the derivative is the imaginary part over ``H``.  A
-    callback that raises ``TypeError`` on complex input, or drops the
-    imaginary part into a real array (``ComplexWarning``, made an error
-    here), gets central differences instead.
+
+def _tensors_from(P: ProjectionSet, dg: Array, dOm: Array) -> CoefficientTensors:
+    """:class:`CoefficientTensors` from a splitting and its callback derivatives.
+
+    With ``P = P_I``, ``Q = I - P`` and ``R = R_II``, differentiating ``P``
+    (the ``g``-orthogonal projector onto the kernel of the rows ``[Om; du]``)
+    and ``h`` (the matching columns of their ``g``-minimal right inverse
+    ``[R, h]``) gives, per coordinate::
+
+        dP    = P ginv (dg - dOm^T R^T g) Q - R dOm P,      dPstar_I = dP^T
+        dginv = -ginv dg ginv
+        dh    = P ginv (dOm^T R^T g h - dg h) - R dOm h,    dk = dg h + g dh
+
+    With ``Y = P ginv (dg - dOm^T R^T g)`` and ``W = Y + R dOm`` these are
+    ``dP = Y - W P`` and ``dh = -W h``, evaluated as stacked matrix products
+    over the coordinate axis and over any leading point axis the splitting
+    carries.
     """
-    n = spec.dim
-    points = q + (1j * COMPLEX_STEP) * np.eye(n)
-    try:
-        # catch_warnings swaps process-wide state: the lock keeps scan worker
-        # threads from restoring each other's filters
-        with _WARNINGS_LOCK, warnings.catch_warnings():
-            warnings.simplefilter("error", np.exceptions.ComplexWarning)
-            G = np.array([_check_shape(np.asarray(spec.metric(z)), (n, n), "metric") for z in points])
-            O = np.array([_check_shape(np.asarray(spec.omega(z)), (spec.nu, n), "omega") for z in points])
-    except (TypeError, np.exceptions.ComplexWarning):
-        return _central_differences(spec, q)
-    dg = G.imag / COMPLEX_STEP
-    _check_symmetric(dg, "metric derivative")
-    return dg, O.imag / COMPLEX_STEP
+    # point matrices gain an axis that broadcasts over the coordinate axis of dg, dOm
+    g, ginv, P_I, R, h = (A[..., None, :, :] for A in (P.g, P.ginv, P.P_I, P.R_II, P.h))
+    Y = (P_I @ ginv) @ (dg - dOm.swapaxes(-1, -2) @ (R.swapaxes(-1, -2) @ g))
+    W = Y + R @ dOm
+    dP = Y - W @ P_I
+    return CoefficientTensors(
+        projections=P,
+        dPstar_I=dP.swapaxes(-1, -2),
+        dginv=-(ginv @ dg @ ginv),
+        dk=dg @ h - g @ (W @ h),
+        dg=dg,
+    )
+
+
+def _tensor_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[CoefficientTensors]]:
+    """:func:`coefficient_tensors` at every point of ``Q`` (shape ``(S, N+M)``) at once.
+
+    Points leave the stack as in
+    :func:`~nonholo.core_geometry._projection_stack` (callback errors in
+    ``skip``, failed rank tests), before any callback derivative is taken at
+    them, or when a derivative callback raises one of ``skip``.  Returns
+    ``(keep, T)``: the mask of the points of ``Q`` that stayed and the
+    tensors with one leading axis over them (``None`` when none stayed).
+    """
+    keep, P = _projection_stack(spec, Q, skip)
+    if P is None:
+        return keep, None
+    derived, dg, dOm = _callback_derivative_stack(spec, Q[keep], skip)
+    if not derived.all():
+        keep[keep] = derived
+        if not derived.any():
+            return keep, None
+        P = P.point(derived)
+    return keep, _tensors_from(P, dg, dOm)
 
 
 def coefficient_tensors(spec: SystemSpec, q: Array, projections: Optional[ProjectionSet] = None) -> CoefficientTensors:
@@ -228,32 +313,11 @@ def coefficient_tensors(spec: SystemSpec, q: Array, projections: Optional[Projec
     Only ``metric`` and ``omega`` are differentiated numerically, by complex
     step at ``q + i H e_j`` (``N + M`` evaluations of each; central
     differences at ``q ± h e_j`` for callbacks that reject complex input);
-    the splitting's derivatives are closed-form.  With ``P = P_I``, ``Q = I - P``
-    and ``R = R_II``, differentiating ``P`` (the ``g``-orthogonal projector
-    onto the kernel of the rows ``[Om; du]``) and ``h`` (the matching columns
-    of their ``g``-minimal right inverse ``[R, h]``) gives, per coordinate::
-
-        dP    = P ginv (dg - dOm^T R^T g) Q - R dOm P,      dPstar_I = dP^T
-        dginv = -ginv dg ginv
-        dh    = P ginv (dOm^T R^T g h - dg h) - R dOm h,    dk = dg h + g dh
-
-    evaluated as stacked matrix products over the coordinate axis.
+    the splitting's derivatives are closed-form (see :func:`_tensors_from`).
     """
     q = np.asarray(q, dtype=float)
     P = projections if projections is not None else projection_set(spec, q, check=False)
-    dg, dOm = _callback_derivatives(spec, q)
-    g, ginv, P_I, R, h = P.g, P.ginv, P.P_I, P.R_II, P.h
-    Pginv = P_I @ ginv
-    dOmT = dOm.transpose(0, 2, 1)
-    RTg = R.T @ g
-    dP = Pginv @ (dg - dOmT @ RTg) @ (np.eye(spec.dim) - P_I) - R @ dOm @ P_I
-    dh = Pginv @ (dOmT @ (RTg @ h) - dg @ h) - R @ (dOm @ h)
-    return CoefficientTensors(
-        projections=P,
-        dPstar_I=dP.transpose(0, 2, 1),
-        dginv=-(ginv @ dg @ ginv),
-        dk=dg @ h + g @ dh,
-    )
+    return _tensors_from(P, *_callback_derivatives(spec, q))
 
 
 def theta_I_apply(
@@ -267,16 +331,18 @@ def theta_I_apply(
 
     First slot feeds the transport direction ``ginv @ p``; the second is
     carried by the coprojection derivative.  On the diagonal this is exactly
-    the force-free ``pIdot``.
+    the force-free ``pIdot``.  ``p`` and ``ptilde`` may carry leading axes
+    that broadcast against those of stacked ``tensors``; so does the result.
     """
     T = tensors if tensors is not None else coefficient_tensors(spec, q)
     P = T.projections
-    vel = P.ginv @ p
+    p = np.asarray(p)
+    vel = (P.ginv @ p[..., None])[..., 0]
     # transport of the coprojection along the flow, applied to ptilde
-    out = np.einsum("j,jik,k->i", vel, T.dPstar_I, ptilde)
+    out = np.einsum("...j,...jik,...k->...i", vel, T.dPstar_I, ptilde)
     # configuration dependence of the kinetic energy, coprojected
-    grad = np.einsum("i,jik,k->j", p, T.dginv, ptilde)
-    return out - 0.5 * (P.Pstar_I @ grad)
+    grad = np.einsum("...i,...jik,...k->...j", p, T.dginv, ptilde)
+    return out - 0.5 * (P.Pstar_I @ grad[..., None])[..., 0]
 
 
 def centrifugal_psi(
@@ -288,10 +354,12 @@ def centrifugal_psi(
     """Pure control-rate momentum source ``theta_I[k udot, k udot]``.
 
     This covector vanishing identically (for all ``q`` and ``udot``) is the
-    computable signature of a system that tolerates control jumps.
+    computable signature of a system that tolerates control jumps.  Like
+    :func:`theta_I_apply` it broadcasts over leading axes of ``udot`` and of
+    stacked ``tensors``.
     """
     T = tensors if tensors is not None else coefficient_tensors(spec, q)
-    drive = T.projections.k @ np.atleast_1d(np.asarray(udot, dtype=float))
+    drive = (T.projections.k @ np.atleast_1d(np.asarray(udot, dtype=float))[..., None])[..., 0]
     return theta_I_apply(spec, q, drive, drive, tensors=T)
 
 
@@ -426,8 +494,10 @@ def frame_rhs(
 
         xidot_m = ( <pIdot, V_m> + <p_I, d V_m/dt> - xi_m d n_m/dt ) / n_m
 
-    with ``n_m = g[V_m, V_m]`` and the frame transported along ``qdot`` by a
-    central difference.  The supplier is probed for smoothness on the way.
+    with ``n_m = g[V_m, V_m]``.  The frame is transported along ``qdot`` by a
+    central difference, and the norms exactly, with ``dV = d V/dt``, by
+    ``d n_m/dt = 2 g[V_m, dV_m] + (sum_j qdot_j dg[j])[V_m, V_m]``.  The
+    supplier is probed for smoothness on the way.
     """
     q = np.asarray(q, dtype=float)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -453,7 +523,8 @@ def frame_rhs(
     if spec.force is not None:
         pIdot = pIdot + P.Pstar_I @ np.asarray(spec.force(t, q, p), dtype=float)
 
-    # transport the free block and its norms along qdot by central difference
+    # transport the free block along qdot by central difference, its norms
+    # through the exact metric derivative
     speed = float(np.linalg.norm(qdot))
     if speed == 0.0:
         dV = np.zeros_like(V_I)
@@ -464,14 +535,11 @@ def frame_rhs(
         fm = frame_field(q - h * qdot)
         check_frame_continuity(frame, fp)
         check_frame_continuity(frame, fm)
-        Vp = fp.V[:, i0:i1]
-        Vm = fm.V[:, i0:i1]
-        gp = metric_at(spec, q + h * qdot)
-        gm = metric_at(spec, q - h * qdot)
         # phi(s) = V(q + s qdot), so the plain central difference in s is
         # already the transport along the flow, d/dt V = DV[qdot]
-        dV = (Vp - Vm) / (2.0 * h)
-        dnorm = (np.einsum("im,ij,jm->m", Vp, gp, Vp) - np.einsum("im,ij,jm->m", Vm, gm, Vm)) / (2.0 * h)
+        dV = (fp.V[:, i0:i1] - fm.V[:, i0:i1]) / (2.0 * h)
+        dg_flow = np.tensordot(qdot, T.dg, axes=1)
+        dnorm = 2.0 * np.einsum("im,ij,jm->m", V_I, g, dV) + np.einsum("im,ij,jm->m", V_I, dg_flow, V_I)
 
     xidot = (pIdot @ V_I + p_I @ dV - xi * dnorm) / norms
     return qdot, xidot

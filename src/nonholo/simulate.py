@@ -202,13 +202,16 @@ def integrate(
     for step in range(nsteps + 1):
         t = t0 + step * dt
         q = assemble(t, qf)
-        T = coefficient_tensors(spec, q)
+        # sample 0 sits at the initial point, whose tensors and frame are built
+        if step:
+            T = coefficient_tensors(spec, q)
         P = T.projections
 
         if use_frame:
-            new_frame = frame_field(q)
-            check_frame_continuity(frame, new_frame)
-            frame = new_frame
+            if step:
+                new_frame = frame_field(q)
+                check_frame_continuity(frame, new_frame)
+                frame = new_frame
             i0, i1 = frame.block_ranges[0]
             V_I = frame.V[:, i0:i1]
             norms = np.einsum("im,ij,jm->m", V_I, P.g, V_I)

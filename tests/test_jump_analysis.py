@@ -1,10 +1,13 @@
 """Jump-fitness diagnostics: scans, structural sufficiency, leaf derivative."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from nonholo import reduced_dynamics
 from nonholo.core_geometry import SystemSpec, delta_cap_gamma_basis, projection_set
-from nonholo.errors import NotInDeltaCapGamma
+from nonholo.errors import ChartDomain, NotInDeltaCapGamma, RankDeficiency, SingularDenominator
 from nonholo.jump_analysis import (
     GRAY_FACTOR,
     BoxSampler,
@@ -15,10 +18,10 @@ from nonholo.jump_analysis import (
     theta_on_III_scan,
     worker_count,
 )
-from nonholo.models import racer_frame_vectors
-from nonholo.reduced_dynamics import centrifugal_psi
+from nonholo.models import build_model, racer_frame_vectors, roller_racer_spec
+from nonholo.reduced_dynamics import centrifugal_psi, coefficient_tensors, theta_I_apply
 
-from conftest import sample_points
+from conftest import random_system, sample_points
 
 
 def euclidean_racer_forms() -> SystemSpec:
@@ -98,6 +101,15 @@ class TestScans:
             assert rep.verdict == "fit"
             assert rep.max_value == 0.0
 
+    @pytest.mark.parametrize("scan", [psi_scan, theta_on_III_scan])
+    def test_system_without_controls_scans_to_zero(self, scan):
+        bundle = build_model("euclidean-toy", n_controls=0)
+        rep = scan(bundle.spec, BoxSampler(bundle.sample_box, seed=2), n_samples=5)
+        assert rep.verdict == "fit"
+        assert rep.max_value == 0.0
+        assert rep.sample_count == 5
+        assert rep.worst_point is None
+
     def test_gray_band_is_inconclusive(self, racer):
         """A tolerance placed just under the witness maximum refuses a verdict."""
         sampler = BoxSampler(racer.sample_box, seed=0)
@@ -129,31 +141,171 @@ class TestScans:
         assert "worst point:" in text
         assert "worst direction:" in text
 
-    def test_scan_results_do_not_depend_on_worker_count(self, racer, monkeypatch):
-        def run():
-            return psi_scan(racer.spec, BoxSampler(racer.sample_box, seed=9), n_samples=25)
 
-        monkeypatch.delenv("NONHOLO_THREADS", raising=False)
-        serial = run()
-        monkeypatch.setenv("NONHOLO_THREADS", "4")
-        threaded = run()
-        assert serial.max_value == threaded.max_value
-        assert serial.verdict == threaded.verdict
-        assert np.array_equal(serial.worst_point, threaded.worst_point)
-        assert np.array_equal(serial.worst_direction, threaded.worst_direction)
+def chart_limited_racer() -> SystemSpec:
+    """The Roller Racer with its chart cut at ``q1 = 0.3``: ``omega`` raises :class:`ChartDomain` beyond."""
+    spec = roller_racer_spec()
+
+    def omega(q):
+        if q[0].real > 0.3:
+            raise ChartDomain(f"outside the chart at q1 = {q[0].real:.3f}")
+        return spec.omega(q)
+
+    return dataclasses.replace(spec, omega=omega)
 
 
-class TestWorkerCount:
+def rank_losing_racer() -> SystemSpec:
+    """The Roller Racer, but with dependent forms wherever ``q1 > 0.2`` (constraint block of rank 1)."""
+    spec = roller_racer_spec()
+
+    def omega(q):
+        Om = spec.omega(q)
+        if q[0].real > 0.2:
+            Om[1] = (1.0 + 0.5 * q[2]) * Om[0]
+        return Om
+
+    return dataclasses.replace(spec, omega=omega)
+
+
+def reference_scan(spec, box, seed, n_samples, quantity):
+    """A scan one point and one seed at a time, through the single-point API.
+
+    Reproduces the scans' draws and tie-break: the first point and seed that
+    reach the maximum win.  Returns ``(failures, max_value, point, direction)``.
+    """
+    M = spec.M
+    sampler = BoxSampler(box, seed=seed)
+    pts = sampler.points(n_samples)
+    rand = sampler.unit_directions(M if quantity == "Psi" else spec.dim, 2 * M * n_samples)
+    failures, best = 0, None
+    for i, q in enumerate(pts):
+        try:
+            T = coefficient_tensors(spec, q)
+        except (RankDeficiency, ChartDomain, SingularDenominator):
+            failures += 1
+            continue
+        for e in list(np.eye(M)) + list(rand[2 * M * i : 2 * M * (i + 1)]):
+            if quantity == "Psi":
+                val, used = float(np.abs(centrifugal_psi(spec, q, e, tensors=T)).max()), e
+            else:
+                P = T.projections
+                w = P.Pstar_III @ (P.k @ e if e.shape[0] == M else e)
+                norm = float(np.linalg.norm(w))
+                if norm < 1e-12:
+                    val, used = 0.0, w
+                else:
+                    w = w / norm
+                    val, used = float(np.abs(theta_I_apply(spec, q, w, w, tensors=T)).max()), w
+            if best is None or val > best[0]:
+                best = (val, q, used)
+    return (failures, *best) if best is not None else (failures, 0.0, None, None)
+
+
+def assert_matches_reference(spec, box, seed, n_samples, scan, quantity):
+    rep = scan(spec, BoxSampler(box, seed=seed), n_samples=n_samples)
+    failures, value, point, direction = reference_scan(spec, box, seed, n_samples, quantity)
+    assert rep.failures == failures
+    assert rep.sample_count == n_samples - failures
+    assert rep.max_value == pytest.approx(value, rel=1e-13, abs=1e-300)
+    assert np.array_equal(rep.worst_point, point)
+    assert np.abs(rep.worst_direction - direction).max() <= 1e-13
+    return rep
+
+
+class TestBatchedScans:
+    """Scans push all their points through one stacked kernel."""
+
     @pytest.mark.parametrize(
-        "raw,expected",
-        [("", 1), ("3", 3), ("1", 1), ("0", 1), ("-2", 1), ("many", 1)],
+        "name, options",
+        [
+            ("roller-racer", {}),
+            ("rolling-ball", {}),
+            ("roller-racer", {"metric_perturb": 0.05}),
+            ("rolling-ball", {"metric_perturb": 0.05}),
+            ("euclidean-toy", {}),
+            ("euclidean-toy", {"constrained": True}),
+        ],
     )
-    def test_env_parsing(self, monkeypatch, raw, expected):
-        if raw == "":
-            monkeypatch.delenv("NONHOLO_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("NONHOLO_THREADS", raw)
-        assert worker_count() == expected
+    def test_stacked_kernel_matches_single_points(self, name, options):
+        bundle = build_model(name, **options)
+        Q = sample_points(bundle, 25, seed=81)
+        keep, stacked = reduced_dynamics._tensor_stack(bundle.spec, Q)
+        assert keep.all()
+        for i, q in enumerate(Q):
+            single = coefficient_tensors(bundle.spec, q)
+            pairs = [(getattr(stacked, f)[i], getattr(single, f)) for f in ("dPstar_I", "dginv", "dk", "dg")]
+            pairs += [
+                (getattr(stacked.projections, f)[i], getattr(single.projections, f))
+                for f in ("P_I", "Pstar_I", "h", "k", "R_II", "I_basis", "g", "ginv", "Om", "P_II", "P_III")
+            ]
+            for got, ref in pairs:
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(ref).max(initial=0.0))
+
+    @pytest.mark.parametrize("quantity", ["Psi", "theta_on_III"])
+    def test_scans_match_per_point_reference(self, racer, ball, quantity):
+        scan = psi_scan if quantity == "Psi" else theta_on_III_scan
+        for bundle in (racer, ball):
+            assert_matches_reference(bundle.spec, bundle.sample_box, 9, 25, scan, quantity)
+
+    @pytest.mark.parametrize("quantity", ["Psi", "theta_on_III"])
+    def test_chart_failures_are_skipped_point_by_point(self, quantity):
+        scan = psi_scan if quantity == "Psi" else theta_on_III_scan
+        box = np.array([[-1.0, 1.0], [0.3, 2.8], [-1.0, 1.0], [-1.2, 1.2]])
+        rep = assert_matches_reference(chart_limited_racer(), box, 3, 40, scan, quantity)
+        assert 0 < rep.failures < 40
+        assert rep.verdict == "not-fit"
+
+    @pytest.mark.parametrize("quantity", ["Psi", "theta_on_III"])
+    def test_rank_failures_are_skipped_point_by_point(self, quantity):
+        scan = psi_scan if quantity == "Psi" else theta_on_III_scan
+        box = np.array([[-1.0, 1.0], [0.3, 2.8], [-0.8, 0.8], [-1.2, 1.2]])
+        rep = assert_matches_reference(rank_losing_racer(), box, 4, 40, scan, quantity)
+        assert 0 < rep.failures < 40
+        assert rep.verdict == "not-fit"
+
+    def test_points_failing_in_the_derivative_stage_leave_the_stack(self):
+        """A chart error at the complex points drops the point after its splitting was built."""
+        base = chart_limited_racer()
+
+        def omega(q):
+            if np.iscomplexobj(q) and q[0].real < -0.5:
+                raise ChartDomain("complex evaluation off the chart")
+            return base.omega(q)
+
+        spec = dataclasses.replace(base, omega=omega)
+        Q = np.random.default_rng(5).uniform([-1.0, 0.3, -1.0, -1.2], [0.3, 2.8, 1.0, 1.2], size=(30, 4))
+        keep, T = reduced_dynamics._tensor_stack(spec, Q, skip=(ChartDomain,))
+        assert 0 < keep.sum() < 30
+        assert np.array_equal(keep, Q[:, 0] >= -0.5)
+        for i, j in enumerate(np.flatnonzero(keep)):
+            single = coefficient_tensors(base, Q[j])
+            assert np.abs(T.projections.P_I[i] - single.projections.P_I).max() <= 1e-14
+            assert np.abs(T.dPstar_I[i] - single.dPstar_I).max() <= 1e-14
+
+    def test_real_only_callbacks_take_the_fallback_once_per_scan(self, monkeypatch):
+        spec = random_system(3, N=3, M=1, nu=2)
+        box = np.tile([-1.0, 1.0], (4, 1))
+        fallbacks = []
+        fallback = reduced_dynamics._central_differences
+
+        def counted(spec, Q, skip=()):
+            fallbacks.append(len(Q))
+            return fallback(spec, Q, skip)
+
+        monkeypatch.setattr(reduced_dynamics, "_central_differences", counted)
+        rep = psi_scan(spec, BoxSampler(box, seed=6), n_samples=12)
+        assert fallbacks == [12]
+        fallbacks.clear()
+        failures, value, point, direction = reference_scan(spec, box, 6, 12, "Psi")
+        assert fallbacks == [1] * 12  # once per point on the single-point path
+        assert rep.failures == failures == 0
+        assert rep.max_value == pytest.approx(value, rel=1e-13)
+        assert np.array_equal(rep.worst_point, point)
+        assert np.array_equal(rep.worst_direction, direction)
+
+    def test_worker_count_is_one(self):
+        assert worker_count() == 1
 
 
 class TestSufficiency:

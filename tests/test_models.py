@@ -18,6 +18,8 @@ from nonholo.core_geometry import projection_set
 from nonholo.errors import ModelError, SingularDenominator
 from nonholo.models import (
     RollerRacerParams,
+    _euler_rate_matrix,
+    _euler_rate_matrix_inv,
     build_model,
     model_names,
     racer_denominators,
@@ -287,6 +289,35 @@ class TestRollingBall:
             )
             P = projection_set(ball.spec, q)
             assert np.abs(P.P_I @ span - span).max() < 1e-9
+
+    @pytest.mark.parametrize("options", [{}, {"radius": 0.7, "gyration2": 0.25}])
+    def test_closed_form_metric_matches_rate_matrix(self, options):
+        """``metric`` and ``metric_inverse`` agree with ``kappa^2 E^T E`` and its inverse from ``E^-1``."""
+        bundle = build_model("rolling-ball", **options)
+        k2 = bundle.params.gyration2
+        for q in sample_points(bundle, 200, seed=29):
+            E = _euler_rate_matrix(q)
+            Einv = _euler_rate_matrix_inv(q)
+            g = np.eye(6)
+            g[:3, :3] = k2 * E.T @ E
+            ginv = np.eye(6)
+            ginv[:3, :3] = Einv @ Einv.T / k2
+            assert np.abs(bundle.spec.metric(q) - g).max() <= 1e-15
+            assert np.abs(bundle.spec.metric_inverse(q) - ginv).max() <= 2e-15 * np.abs(ginv).max()
+
+    def test_closed_form_metric_is_complex_safe(self, ball):
+        """Both forms follow a complex input, so their complex-step derivatives are exact."""
+        q = sample_points(ball, 1, seed=31)[0]
+        z = q + 1j * 1e-30 * np.eye(6)[1]
+        k2 = ball.params.gyration2
+        s, c = math.sin(q[1]), math.cos(q[1])
+        dg = ball.spec.metric(z).imag / 1e-30
+        assert dg[0, 2] == dg[2, 0] == pytest.approx(-k2 * s, rel=1e-15)
+        assert np.count_nonzero(dg) == 2
+        dginv = ball.spec.metric_inverse(z).imag / 1e-30
+        # d/dtheta of -cos/sin^2 and of 1/sin^2, over kappa^2
+        assert dginv[0, 2] == pytest.approx((1.0 + c * c) / (k2 * s**3), rel=1e-13)
+        assert dginv[0, 0] == pytest.approx(-2.0 * c / (k2 * s**3), rel=1e-13)
 
     def test_inverse_metric_has_no_control_dependence(self, ball):
         q = sample_points(ball, 1, seed=27)[0]

@@ -508,6 +508,16 @@ class TestFrameRhs:
             worst = max(worst, dev / (1.0 + float(np.abs(ref).max())))
         assert worst < 1e-8
 
+    def test_norm_transport_evaluates_no_metric(self, ball):
+        """The frame norms move with the tensors' exact ``dg``: no metric evaluation off ``q``."""
+        calls = Counter()
+        spec = counting_spec(ball.spec, calls)
+        q = sample_points(ball, 1, seed=55)[0]
+        T = coefficient_tensors(spec, q)
+        calls.clear()
+        frame_rhs(spec, q, np.array([0.3, -0.2, 0.5]), 0.0, ControlSignal.linear(q[5], 0.7), ball.frame_field, tensors=T)
+        assert calls[("metric", "real")] == 0
+
     def test_zero_state_is_stationary(self, racer):
         q = np.array([0.1, 1.4, -0.2, 0.2])
         qdot, xidot = frame_rhs(

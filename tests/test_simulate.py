@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from nonholo import simulate
 from nonholo.core_geometry import metric_at
 from nonholo.errors import ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
 from nonholo.models import racer_frame_vectors, roller_racer_closed_rhs
@@ -120,6 +121,36 @@ class TestIntegrate:
         assert np.abs(frm.q[-1] - amb.q[-1]).max() < 1e-8
         xi_amb = racer.extract_closed(amb.q[-1], amb.p_I[-1])[3]
         assert abs(frm.xi[-1, 0] - xi_amb) < 1e-8
+
+    @pytest.mark.parametrize("representation", ["ambient", "frame"])
+    def test_one_tensor_build_per_sample_and_later_stage(self, racer, representation, monkeypatch):
+        """Sample 0 reuses the initial point's tensors and frame: 4 n + 1 builds for n steps."""
+        builds = {"tensors": 0, "frames": 0}
+        tensors = simulate.coefficient_tensors
+
+        def counted_tensors(*args, **kwargs):
+            builds["tensors"] += 1
+            return tensors(*args, **kwargs)
+
+        def counted_frame(q):
+            builds["frames"] += 1
+            return racer.frame_field(q)
+
+        monkeypatch.setattr(simulate, "coefficient_tensors", counted_tensors)
+        p0 = racer_momentum(racer, racer.default_q0, 0.1)
+        integrate(
+            racer.spec,
+            racer.default_q0,
+            p0,
+            ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi),
+            (0.0, 0.01),
+            IntegratorConfig(dt=1e-3, representation=representation),
+            frame_field=counted_frame,
+        )
+        assert builds["tensors"] == 4 * 10 + 1
+        if representation == "frame":
+            # one per sample, plus the frame and its two transport probes in each of the 40 stages
+            assert builds["frames"] == 11 + 3 * 40
 
     def test_without_reprojection_short_runs_agree(self, racer):
         control = ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
