@@ -17,9 +17,6 @@ from .core_geometry import (
     ProjectionSet,
     SystemSpec,
     argmin_certificate,
-    build_frame,
-    check_transversality,
-    delta_cap_gamma_basis,
     metric_at,
     metric_inverse_at,
     omega_at,
@@ -63,7 +60,6 @@ from .models import (
 from .reduced_dynamics import (
     CoefficientTensors,
     ControlSignal,
-    ReducedState,
     centrifugal_psi,
     coefficient_tensors,
     frame_coefficients,
@@ -106,7 +102,6 @@ __all__ = [
     "OscillationSweep",
     "ProjectionSet",
     "RankDeficiency",
-    "ReducedState",
     "RollerRacerParams",
     "RollingBallParams",
     "SingularDenominator",
@@ -117,12 +112,9 @@ __all__ = [
     "Trajectory",
     "TwoTimescale",
     "argmin_certificate",
-    "build_frame",
     "build_model",
     "centrifugal_psi",
-    "check_transversality",
     "coefficient_tensors",
-    "delta_cap_gamma_basis",
     "frame_coefficients",
     "frame_rhs",
     "integrate",

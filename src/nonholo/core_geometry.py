@@ -17,10 +17,11 @@ kinetic-energy metric ``g``, into three blocks:
 
 This module computes the splitting (projections on vectors, coprojections on
 covectors), the lift maps ``h``/``k`` taking a control velocity to its block
-III representative, adapted frames, and the validated evaluation of the model
-callbacks.  The callbacks are all that the dynamics layer differentiates,
-by complex step where they accept complex input: the derivatives of the
-splitting follow in closed form from those of ``metric`` and ``omega`` (see
+III representative, and the validated evaluation of the model callbacks, and
+defines the type of the models' adapted frames.  The callbacks are all that
+the dynamics layer differentiates, by complex step where they accept complex
+input: the derivatives of the splitting follow in closed form from those of
+``metric`` and ``omega`` (see
 :func:`nonholo.reduced_dynamics.coefficient_tensors`).
 
 One singular-value decomposition of the constraint block ``Omega[:, :N]``
@@ -79,12 +80,11 @@ class SystemSpec:
     :param metric_inverse: optional analytic inverse of ``metric``; when
         absent the inverse is obtained by factorization.
     :param force: optional applied covector ``(t, q, p) -> (N+M,)``.
-    :param fd_step: relative step of the central differences that remain:
+    :param fd_step: relative step of the two central differences that remain:
         the fallback derivatives of callbacks that reject complex input (see
-        below), the frame transport of :func:`~nonholo.reduced_dynamics.frame_rhs`,
-        :func:`~nonholo.jump_analysis.sufficiency_check` and
-        :func:`~nonholo.jump_analysis.leaf_metric_derivative`; the absolute
-        step along coordinate ``i`` is ``fd_step * max(1, |q_i|)``.
+        below), with absolute step ``fd_step * max(1, |q_i|)`` along
+        coordinate ``i``, and the frame transport of
+        :func:`~nonholo.reduced_dynamics.frame_rhs`.
 
     ``metric`` and ``omega`` should accept complex ``q`` and be analytic in
     it: built from arithmetic and ``numpy`` functions such as ``np.sin``,
@@ -187,11 +187,8 @@ class Frame:
     ``g``-orthogonal.  ``Omega_frame`` holds the dual rows
     ``g(V_i) / g[V_i, V_i]``, so ``Omega_frame @ V`` is the identity.
     ``block_ranges`` are the ``(start, stop)`` column ranges of the blocks.
-
-    Frames returned by :func:`build_frame` are constructed pointwise from a
-    singular-value decomposition and carry no smoothness guarantee between
-    neighbouring configurations; models provide smooth frame fields where one
-    is needed.
+    Models supply smooth frame fields ``q -> Frame`` for the frame form of
+    the dynamics.
     """
 
     V: Array
@@ -294,27 +291,6 @@ def omega_at(spec: SystemSpec, q: Array) -> Array:
     return _omega_callback(spec, np.asarray(q, dtype=float))
 
 
-def check_transversality(spec: SystemSpec, q: Array) -> tuple[bool, float]:
-    """Decide whether the constraints are transversal to the control foliation.
-
-    Transversality holds exactly when the first ``N`` columns of the
-    constraint matrix have full row rank ``nu``, i.e. no nonzero combination
-    of the constraint forms lies in the span of the controlled-coordinate
-    differentials.  Returns ``(ok, cond)`` where ``cond`` is the ratio of the
-    largest to the ``nu``-th singular value of that block (``inf`` when rank
-    is lost, ``1.0`` for an unconstrained system).
-    """
-    if spec.nu == 0:
-        return True, 1.0
-    Om = omega_at(spec, q)
-    s = np.linalg.svd(Om[:, : spec.N], compute_uv=False)
-    smax = float(s[0])
-    snu = float(s[spec.nu - 1])
-    if snu <= RANK_RTOL * smax or smax == 0.0:
-        return False, float("inf")
-    return True, smax / snu
-
-
 def _canonical_sign(cols: Array) -> Array:
     """Flip column signs so the largest-magnitude entry of each is positive (stack ``(S, n, k)``)."""
     S, _, k = cols.shape
@@ -376,21 +352,6 @@ def _block_I_basis(spec: SystemSpec, Vh: Array) -> Array:
     B = np.zeros((len(Vh), spec.dim, spec.N - spec.nu))
     B[:, : spec.N, :] = Vh[:, spec.nu :].transpose(0, 2, 1)
     return _canonical_sign(B)
-
-
-def delta_cap_gamma_basis(spec: SystemSpec, q: Array, omega_matrix: Optional[Array] = None) -> Array:
-    """Basis (columns) of block I, the admissible directions with frozen controls.
-
-    Block I consists of vectors annihilated by every constraint form whose
-    controlled components vanish, so it is the null space of the first-``N``
-    column block of the constraint matrix, padded with ``M`` zero rows.
-    Raises ``RankDeficiency`` when that block loses rank (transversality
-    failure).
-    """
-    q = np.asarray(q, dtype=float)
-    Om = omega_matrix if omega_matrix is not None else omega_at(spec, q)
-    _, _, _, Vh = _constraint_svd(spec, q[None], Om[None])
-    return _block_I_basis(spec, Vh)[0]
 
 
 def _projection_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[ProjectionSet]]:
@@ -471,49 +432,6 @@ def projection_set(spec: SystemSpec, q: Array, check: bool = True) -> Projection
         if ranks != expected:
             raise RankDeficiency(f"projection ranks {ranks} != {expected} at q={q}")
     return P
-
-
-def _metric_gram_schmidt(cols: Array, g: Array, label: str) -> Array:
-    """Orthonormalize ``cols`` in the ``g`` inner product (modified GS, two passes)."""
-    out = np.array(cols, dtype=float)
-    scale = max(float(np.abs(out).max()), 1.0)
-    for j in range(out.shape[1]):
-        v = out[:, j]
-        for _ in range(2):  # re-orthogonalize once for numerical hygiene
-            for i in range(j):
-                v = v - (out[:, i] @ g @ v) * out[:, i]
-        norm = float(np.sqrt(v @ g @ v))
-        if norm < 1e-10 * scale:
-            raise RankDeficiency(f"{label} columns are dependent (norm {norm:.2e})")
-        out[:, j] = v / norm
-    return out
-
-
-def build_frame(spec: SystemSpec, q: Array) -> Frame:
-    """Assemble a ``g``-orthonormal frame adapted to the splitting at ``q``.
-
-    Block I comes from the null-space basis of the constraint block, block II
-    from the metric duals of the constraint forms, block III from the lift
-    columns; each block is orthonormalized in the metric.  Cross-block
-    orthogonality holds by construction.  The result is deterministic at a
-    given point but only pointwise: see :class:`Frame`.
-    """
-    q = np.asarray(q, dtype=float)
-    P = projection_set(spec, q)
-    g = P.g
-    parts = []
-    if P.I_basis.shape[1]:
-        parts.append(_metric_gram_schmidt(P.I_basis, g, "block I"))
-    if spec.nu:
-        parts.append(_metric_gram_schmidt(P.ginv @ P.Om.T, g, "block II"))
-    if spec.M:
-        parts.append(_metric_gram_schmidt(P.h, g, "block III"))
-    V = np.hstack(parts) if parts else np.zeros((spec.dim, 0))
-    norms2 = np.einsum("ij,jk,ki->i", V.T, g, V)
-    Omega_frame = (g @ V).T / norms2[:, None]
-    k1 = spec.N - spec.nu
-    ranges = ((0, k1), (k1, spec.N), (spec.N, spec.dim))
-    return Frame(V=V, Omega_frame=Omega_frame, block_ranges=ranges)
 
 
 def argmin_certificate(

@@ -16,10 +16,12 @@ structural conditions that imply fitness without scanning ``Psi`` itself,
 and :func:`leaf_metric_derivative` measures the equivalent leaf-distance
 signature one direction at a time.
 
-Scans batch their sample points: the splitting and the coefficient tensors
-of every point are built by one stacked kernel (the model callbacks still run
-point by point), and every seed direction at every point is evaluated by one
-broadcast contraction.
+Every diagnostic reads its derivatives from the coefficient tensors of
+:mod:`nonholo.reduced_dynamics`; none differences the splitting itself.  The
+scans and :func:`sufficiency_check` batch their sample points: the splitting
+and the coefficient tensors of every point are built by one stacked kernel
+(the model callbacks still run point by point), and every seed direction at
+every point is evaluated by one broadcast contraction.
 """
 
 from __future__ import annotations
@@ -29,21 +31,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_geometry import (
-    Array,
-    Frame,
-    SystemSpec,
-    metric_at,
-    metric_inverse_at,
-    projection_set,
-)
+from .core_geometry import Array, SystemSpec, _each_point, projection_set
 from .errors import (
     ChartDomain,
     NotInDeltaCapGamma,
     RankDeficiency,
     SingularDenominator,
 )
-from .reduced_dynamics import CoefficientTensors, _tensor_stack, centrifugal_psi, theta_I_apply
+from .reduced_dynamics import (
+    CoefficientTensors,
+    _tensor_stack,
+    centrifugal_psi,
+    coefficient_tensors,
+    theta_I_apply,
+)
 
 # verdict thresholds: fit at <= tol, not-fit at > 10 tol, gray band between
 GRAY_FACTOR = 10.0
@@ -320,44 +321,37 @@ def sufficiency_check(
 ) -> SufficiencyReport:
     """Evaluate the structural conditions that imply jump fitness.
 
-    Measured over sampled points:
+    Measured over sampled points, from one stack of coefficient tensors:
 
-    * control independence of the inverse metric — the max absolute central
-      difference of ``g^{-1}`` along each controlled coordinate;
+    * control independence of the inverse metric — the max absolute entry
+      of its derivatives ``dginv`` along the controlled coordinates;
     * constancy of the free coprojection in the supplied basis — the matrix
       ``B(q)^T Pstar_I(q) B(q)^{-T}`` compared across samples (max deviation
       from the first sample; pairwise deviations are at most twice that).
 
     The flatness of the complement of the controlled directions is accepted
     as ``declared_flat`` — it is a model-level declaration, not computed.
-    Sample failures (rank/chart errors) are skipped as in the scans.
+    Samples are skipped as in the scans, and also where a block of the
+    splitting has the wrong rank or ``basis_field`` raises a skippable error.
     """
     pts = sampler.points(n_samples)
-    n = spec.dim
+    keep, T = _tensor_stack(spec, pts, skip=_SKIPPABLE)
     max_dg = 0.0
     max_rep = 0.0
-    rep_ref = None
-    evaluated = 0
-    for q in pts:
-        try:
-            P = projection_set(spec, q)
-            B = np.asarray(basis_field(q), dtype=float)
-            rep = B.T @ P.Pstar_I @ np.linalg.inv(B).T
-            for alpha in range(spec.M):
-                i = spec.N + alpha
-                h = spec.fd_step * max(1.0, abs(float(q[i])))
-                qp, qm = q.copy(), q.copy()
-                qp[i] += h
-                qm[i] -= h
-                dg = (metric_inverse_at(spec, qp) - metric_inverse_at(spec, qm)) / (2.0 * h)
-                max_dg = max(max_dg, float(np.abs(dg).max()))
-        except _SKIPPABLE:
-            continue
-        evaluated += 1
-        if rep_ref is None:
-            rep_ref = rep
-        else:
-            max_rep = max(max_rep, float(np.abs(rep - rep_ref).max()))
+    if T is not None:
+        P = T.projections
+        # the block ranks that projection_set(check=True) verifies, at all points in one call
+        ranks = np.linalg.matrix_rank(np.stack([P.P_I, P.P_II, P.P_III], axis=1), tol=1e-8)
+        ok = (ranks == (spec.N - spec.nu, spec.nu, spec.M)).all(axis=1)
+        based, bases = _each_point(lambda q: (np.asarray(basis_field(q), dtype=float),), pts[keep][ok], _SKIPPABLE)
+        ok[ok] = based
+        keep[keep] = ok
+        if bases:
+            B = bases[0]
+            rep = B.swapaxes(-1, -2) @ P.Pstar_I[ok] @ np.linalg.inv(B).swapaxes(-1, -2)
+            max_rep = float(np.abs(rep - rep[0]).max())
+            max_dg = float(np.abs(T.dginv[ok][:, spec.N :]).max(initial=0.0))
+    evaluated = int(keep.sum())
     return SufficiencyReport(
         declared_flat=declared_flat,
         metric_control_dependence=ConditionResult(
@@ -385,11 +379,12 @@ def leaf_metric_derivative(
 ) -> float:
     """Directional derivative along ``w`` of the lifted-velocity energy.
 
-    Differentiates ``q -> g_q[h_q v, h_q v]`` by central differences along the
-    free-block vector ``w``; for Euclidean charts its vanishing for all
-    ``(v, w)`` everywhere is the leaf-distance restatement of the Psi scan.
-    ``w`` must lie in the free block (``P_I w = w``) or
-    :class:`NotInDeltaCapGamma` is raised.
+    Differentiates ``E(q) = g_q[h_q v, h_q v]`` along the free-block vector
+    ``w`` in closed form from the coefficient tensors: with ``z = h v`` and
+    ``g dh = dk - dg h``, ``dE[w] = sum_j w_j (2 z^T dk[j] v - z^T dg[j] z)``.
+    For Euclidean charts its vanishing for all ``(v, w)`` everywhere is the
+    leaf-distance restatement of the Psi scan.  ``w`` must lie in the free
+    block (``P_I w = w``) or :class:`NotInDeltaCapGamma` is raised.
     """
     q = np.asarray(q, dtype=float)
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -400,12 +395,8 @@ def leaf_metric_derivative(
         return 0.0
     if float(np.abs(P.P_I @ w - w).max()) > tol * (1.0 + wnorm):
         raise NotInDeltaCapGamma("direction w is not a free-block tangent vector")
-
-    def energy(point: Array) -> float:
-        Pp = projection_set(spec, point, check=False)
-        z = Pp.h @ v
-        return float(z @ metric_at(spec, point) @ z)
-
-    speed = float(np.linalg.norm(w))
-    h = spec.fd_step * max(1.0, float(np.abs(q).max())) / speed
-    return (energy(q + h * w) - energy(q - h * w)) / (2.0 * h)
+    T = coefficient_tensors(spec, q, projections=P)
+    z = P.h @ v
+    dk = np.tensordot(w, T.dk, axes=1)
+    dg = np.tensordot(w, T.dg, axes=1)
+    return float(2.0 * z @ dk @ v - z @ dg @ z)

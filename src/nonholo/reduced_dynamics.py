@@ -48,7 +48,6 @@ from .core_geometry import (
     _eye,
     _projection_stack,
     metric_at,
-    metric_inverse_at,
     omega_at,
     projection_set,
 )
@@ -154,15 +153,6 @@ class ControlSignal:
             lambda t: (b - a) * (ds(clamp(t)) / duration if 0.0 < clamp(t) < 1.0 else 0.0),
             lambda t: (b - a) * (dds(clamp(t)) / duration**2 if 0.0 < clamp(t) < 1.0 else 0.0),
         )
-
-
-@dataclass(frozen=True)
-class ReducedState:
-    """A point of the reduced phase space at a given time."""
-
-    t: float
-    q: Array
-    p_I: Array
 
 
 @dataclass(frozen=True)
@@ -414,13 +404,6 @@ def reduced_rhs(
     return qdot, pIdot
 
 
-def hamiltonian(spec: SystemSpec, q: Array, p: Array) -> float:
-    """Kinetic energy ``p @ ginv @ p / 2`` of a full momentum covector."""
-    ginv = metric_inverse_at(spec, np.asarray(q, dtype=float))
-    p = np.asarray(p, dtype=float)
-    return 0.5 * float(p @ ginv @ p)
-
-
 def reaction_force(
     spec: SystemSpec,
     q: Array,
@@ -484,7 +467,7 @@ def frame_rhs(
     control: ControlSignal,
     frame_field: Callable[[Array], Frame],
     tensors: Optional[CoefficientTensors] = None,
-    prev_frame: Optional[Frame] = None,
+    frame: Optional[Frame] = None,
 ) -> tuple[Array, Array]:
     """Right-hand side ``(qdot, xidot)`` in smooth-frame velocity coordinates.
 
@@ -497,16 +480,16 @@ def frame_rhs(
     with ``n_m = g[V_m, V_m]``.  The frame is transported along ``qdot`` by a
     central difference, and the norms exactly, with ``dV = d V/dt``, by
     ``d n_m/dt = 2 g[V_m, dV_m] + (sum_j qdot_j dg[j])[V_m, V_m]``.  The
-    supplier is probed for smoothness on the way.
+    supplier is probed for smoothness on the way.  A caller that already
+    holds ``frame_field(q)`` passes it as ``frame``; like ``tensors``, it
+    must belong to ``q``.
     """
     q = np.asarray(q, dtype=float)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     _check_adapted(spec, q, t, control)
     T = tensors if tensors is not None else coefficient_tensors(spec, q)
     P = T.projections
-    frame = frame_field(q)
-    if prev_frame is not None:
-        check_frame_continuity(prev_frame, frame)
+    frame = frame if frame is not None else frame_field(q)
     i0, i1 = frame.block_ranges[0]
     V_I = frame.V[:, i0:i1]
     if xi.shape != (i1 - i0,):
@@ -571,7 +554,7 @@ def frame_coefficients(
 
     def f(xi: Array, udot: Array) -> Array:
         ctrl = ControlSignal.linear(u0, udot, t0=0.0)
-        _, xidot = frame_rhs(spec, q, xi, 0.0, ctrl, frame_field, tensors=T)
+        _, xidot = frame_rhs(spec, q, xi, 0.0, ctrl, frame_field, tensors=T, frame=frame)
         return xidot
 
     zero_xi = np.zeros(m)

@@ -30,7 +30,6 @@ from .errors import ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejecte
 from .models import ModelBundle
 from .reduced_dynamics import (
     ControlSignal,
-    ReducedState,
     _reaction_from_rhs,
     check_frame_continuity,
     coefficient_tensors,
@@ -84,9 +83,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.t.shape[0]
-
-    def state(self, i: int) -> ReducedState:
-        return ReducedState(t=float(self.t[i]), q=self.q[i].copy(), p_I=self.p_I[i].copy())
 
     def column_names(self) -> list[str]:
         n = self.q.shape[1]
@@ -193,10 +189,10 @@ def integrate(
         qdot, pIdot = reduced_rhs(spec, qq, p, t, control, tensors=coefficient_tensors(spec, qq))
         return qdot[:N], pIdot
 
-    def stage_frame(t: float, q_free: Array, x: Array, tensors=None):
+    def stage_frame(t: float, q_free: Array, x: Array, tensors=None, frame=None):
         qq = assemble(t, q_free)
         TT = tensors if tensors is not None else coefficient_tensors(spec, qq)
-        qdot, xidot = frame_rhs(spec, qq, x, t, control, frame_field, tensors=TT)
+        qdot, xidot = frame_rhs(spec, qq, x, t, control, frame_field, tensors=TT, frame=frame)
         return qdot[:N], xidot
 
     for step in range(nsteps + 1):
@@ -249,10 +245,10 @@ def integrate(
         if step == nsteps:
             break
 
-        # RK4 advance; stage k1 reuses this sample's tensors (frame form) or
-        # its right-hand side (ambient form)
+        # RK4 advance; stage k1 reuses this sample's tensors and frame (frame
+        # form) or its right-hand side (ambient form)
         if use_frame:
-            k1q, k1x = stage_frame(t, qf, xi, tensors=T)
+            k1q, k1x = stage_frame(t, qf, xi, tensors=T, frame=frame)
             k2q, k2x = stage_frame(t + 0.5 * dt, qf + 0.5 * dt * k1q, xi + 0.5 * dt * k1x)
             k3q, k3x = stage_frame(t + 0.5 * dt, qf + 0.5 * dt * k2q, xi + 0.5 * dt * k2x)
             k4q, k4x = stage_frame(t + dt, qf + dt * k3q, xi + dt * k3x)

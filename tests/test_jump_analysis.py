@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from nonholo import reduced_dynamics
-from nonholo.core_geometry import SystemSpec, delta_cap_gamma_basis, projection_set
+from nonholo.core_geometry import SystemSpec, metric_at, metric_inverse_at, projection_set
 from nonholo.errors import ChartDomain, NotInDeltaCapGamma, RankDeficiency, SingularDenominator
 from nonholo.jump_analysis import (
     GRAY_FACTOR,
     BoxSampler,
+    ConditionResult,
     FitnessReport,
+    SufficiencyReport,
     leaf_metric_derivative,
     psi_scan,
     sufficiency_check,
@@ -46,6 +48,84 @@ def euclidean_racer_forms() -> SystemSpec:
         )
 
     return SystemSpec(N=3, M=1, nu=2, metric=metric, omega=omega, metric_inverse=metric)
+
+
+def control_dependent_metric() -> SystemSpec:
+    """A complex-safe system whose metric, and so its inverse, depends on the control ``q4``."""
+
+    def metric(q):
+        s, c = np.sin(q[3]), np.cos(q[0])
+        return np.array(
+            [
+                [2.0 + 0.5 * s, 0.0, 0.0, 0.3 * s],
+                [0.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, 1.5 + 0.5 * c, 0.0],
+                [0.3 * s, 0.0, 0.0, 1.0],
+            ]
+        )
+
+    def omega(q):
+        return np.array([[1.0, np.cos(q[1]), 0.0, 0.2 * np.sin(q[3])]])
+
+    return SystemSpec(N=3, M=1, nu=1, metric=metric, omega=omega)
+
+
+def reference_sufficiency(spec, basis_field, sampler, n_samples, metric_tol=1e-10, representation_tol=1e-9):
+    """The structural check as first implemented: one point at a time, differencing the inverse metric.
+
+    Each sample gets a checked splitting (block ranks included) and central
+    differences of ``metric_inverse_at`` at ``q ± h e_u`` along every control.
+    """
+    pts = sampler.points(n_samples)
+    max_dg = 0.0
+    max_rep = 0.0
+    rep_ref = None
+    evaluated = 0
+    for q in pts:
+        try:
+            P = projection_set(spec, q)
+            B = np.asarray(basis_field(q), dtype=float)
+            rep = B.T @ P.Pstar_I @ np.linalg.inv(B).T
+            for alpha in range(spec.M):
+                i = spec.N + alpha
+                h = spec.fd_step * max(1.0, abs(float(q[i])))
+                qp, qm = q.copy(), q.copy()
+                qp[i] += h
+                qm[i] -= h
+                dg = (metric_inverse_at(spec, qp) - metric_inverse_at(spec, qm)) / (2.0 * h)
+                max_dg = max(max_dg, float(np.abs(dg).max()))
+        except (RankDeficiency, ChartDomain, SingularDenominator):
+            continue
+        evaluated += 1
+        if rep_ref is None:
+            rep_ref = rep
+        else:
+            max_rep = max(max_rep, float(np.abs(rep - rep_ref).max()))
+    return SufficiencyReport(
+        declared_flat=False,
+        metric_control_dependence=ConditionResult("", evaluated > 0 and max_dg <= metric_tol, max_dg, metric_tol),
+        representation_constancy=ConditionResult("", evaluated > 0 and max_rep <= representation_tol, max_rep, representation_tol),
+        sample_count=evaluated,
+    )
+
+
+def richardson_leaf_derivative(spec, q, v, w, step=1e-3):
+    """``leaf_metric_derivative`` by differencing whole splittings along ``w``.
+
+    Central differences of the lifted energy at steps ``h`` and ``h / 2``
+    (``h = step * max(1, max |q|) / |w|``) combined by one Richardson
+    extrapolation, so the truncation error is fourth order.
+    """
+
+    def energy(point):
+        z = projection_set(spec, point, check=False).h @ v
+        return float(z @ metric_at(spec, point) @ z)
+
+    def central(h):
+        return (energy(q + h * w) - energy(q - h * w)) / (2.0 * h)
+
+    h = step * max(1.0, float(np.abs(q).max())) / float(np.linalg.norm(w))
+    return (4.0 * central(0.5 * h) - central(h)) / 3.0
 
 
 class TestBoxSampler:
@@ -345,6 +425,60 @@ class TestSufficiency:
         )
         assert rep.sufficient
 
+    @pytest.mark.parametrize(
+        "name",
+        ["roller-racer", "rolling-ball", "euclidean-toy", "constrained-toy", "random", "control-dependent"],
+    )
+    def test_matches_per_point_reference(self, name):
+        """The stacked check reproduces the per-point loop that differenced the inverse metric.
+
+        ``random`` has real-only callbacks (central-difference fallback);
+        ``control-dependent`` makes the inverse-metric condition fail.
+        """
+        if name == "random":
+            spec, box, basis = random_system(8, N=3, M=2, nu=1), np.tile([-1.0, 1.0], (5, 1)), lambda q: np.eye(5)
+        elif name == "control-dependent":
+            spec, box, basis = control_dependent_metric(), np.tile([-1.0, 1.0], (4, 1)), lambda q: np.eye(4)
+        else:
+            options = {"constrained": True} if name == "constrained-toy" else {}
+            bundle = build_model("euclidean-toy" if name.endswith("toy") else name, **options)
+            spec, box, basis = bundle.spec, bundle.sample_box, bundle.constancy_basis
+        rep = sufficiency_check(spec, basis, BoxSampler(box, seed=12), n_samples=30)
+        ref = reference_sufficiency(spec, basis, BoxSampler(box, seed=12), n_samples=30)
+        assert rep.sample_count == ref.sample_count == 30
+        assert rep.metric_control_dependence.passed == ref.metric_control_dependence.passed
+        assert rep.representation_constancy.passed == ref.representation_constancy.passed
+        assert rep.representation_constancy.observed == ref.representation_constancy.observed
+        dep, ref_dep = rep.metric_control_dependence.observed, ref.metric_control_dependence.observed
+        assert abs(dep - ref_dep) <= 1e-9 * (1.0 + ref_dep)
+        if name == "control-dependent":
+            assert not rep.metric_control_dependence.passed and dep > 0.1
+            assert "inverse metric independent of controls: FAILS" in rep.to_text()
+
+    @pytest.mark.parametrize("failure", ["basis", "chart", "rank"])
+    def test_skips_match_per_point_reference(self, failure, ball):
+        """Samples dropped by ``basis_field``, by the callbacks or by the constraint rank, as in the loop."""
+        if failure == "basis":
+            spec, box = ball.spec, ball.sample_box
+
+            def basis(q):
+                if q[0] > 0.0:
+                    raise ChartDomain("basis undefined for q1 > 0")
+                return ball.constancy_basis(q)
+
+        else:
+            spec = chart_limited_racer() if failure == "chart" else rank_losing_racer()
+            box = np.array([[-1.0, 1.0], [0.3, 2.8], [-0.8, 0.8], [-1.2, 1.2]])
+
+            def basis(q):
+                return np.eye(4)
+
+        rep = sufficiency_check(spec, basis, BoxSampler(box, seed=13), n_samples=30)
+        ref = reference_sufficiency(spec, basis, BoxSampler(box, seed=13), n_samples=30)
+        assert 0 < rep.sample_count == ref.sample_count < 30
+        assert rep.representation_constancy.observed == ref.representation_constancy.observed
+        assert rep.metric_control_dependence.observed == ref.metric_control_dependence.observed == 0.0
+
     def test_sufficiency_implies_scan_fitness(self, ball, toy, toy_constrained, racer):
         """One-way implication: wherever the structural check passes, Psi scans fit."""
         for bundle in (ball, toy, toy_constrained, racer):
@@ -373,6 +507,20 @@ class TestLeafMetricDerivative:
         with pytest.raises(NotInDeltaCapGamma):
             leaf_metric_derivative(racer.spec, q, np.ones(1), v2)
 
+    @pytest.mark.parametrize("name", ["roller-racer", "rolling-ball"])
+    @pytest.mark.parametrize("perturb", [0.0, 0.05])
+    def test_closed_form_matches_richardson(self, name, perturb):
+        """The tensor formula against a fourth-order difference of whole splittings."""
+        bundle = build_model(name, metric_perturb=perturb)
+        gen = np.random.default_rng(19)
+        for q in sample_points(bundle, 8, seed=77):
+            B = projection_set(bundle.spec, q).I_basis
+            v = gen.uniform(-1.0, 1.0, size=bundle.spec.M)
+            w = B @ gen.uniform(-1.0, 1.0, size=B.shape[1])
+            got = leaf_metric_derivative(bundle.spec, q, v, w)
+            ref = richardson_leaf_derivative(bundle.spec, q, v, w)
+            assert abs(got - ref) <= 1e-8 * (1.0 + abs(ref))
+
     def test_euclidean_identity_with_centrifugal_form(self):
         """Flat chart: <Psi[v,v], w> = (1/2) d/dw of the lifted-velocity energy.
 
@@ -384,7 +532,7 @@ class TestLeafMetricDerivative:
         for _ in range(10):
             q = gen.uniform([-1.0, 0.4, -1.0, -1.0], [1.0, 2.7, 1.0, 1.0])
             v = gen.uniform(-1.0, 1.0, size=1)
-            W = delta_cap_gamma_basis(spec, q)
+            W = projection_set(spec, q).I_basis
             w = W @ gen.uniform(-1.0, 1.0, size=W.shape[1])
             lhs = float(centrifugal_psi(spec, q, v) @ w)
             rhs = 0.5 * leaf_metric_derivative(spec, q, v, w)

@@ -26,7 +26,6 @@ from nonholo.reduced_dynamics import (
     coefficient_tensors,
     frame_coefficients,
     frame_rhs,
-    hamiltonian,
     reaction_force,
     reduced_rhs,
     theta_I_apply,
@@ -473,13 +472,6 @@ class TestReducedRhs:
         qdot, _ = reduced_rhs(racer.spec, q, p_I + noise, 0.0, ControlSignal.constant(0.3))
         ref, _ = reduced_rhs(racer.spec, q, p_I, 0.0, ControlSignal.constant(0.3))
         assert np.abs(qdot - ref).max() < 1e-4
-
-    def test_hamiltonian_quadratic(self, ball):
-        q = sample_points(ball, 1, seed=49)[0]
-        gen = np.random.default_rng(7)
-        p = gen.standard_normal(6)
-        assert hamiltonian(ball.spec, q, 2.0 * p) == pytest.approx(4.0 * hamiltonian(ball.spec, q, p))
-        assert hamiltonian(ball.spec, q, p) > 0.0
 
 
 # ---------------------------------------------------------------------------
