@@ -42,21 +42,15 @@ class RunConfig:
     path: str
     values: dict[str, str]
 
-    def has(self, key: str) -> bool:
-        return key in self.values
-
-    def _raw(self, key: str, default: Optional[str], required: bool) -> Optional[str]:
+    def get_str(self, key: str, default: Optional[str] = None, required: bool = False) -> Optional[str]:
         if key in self.values:
             return self.values[key]
         if required:
             raise ConfigError(f"{self.path}: missing required key '{key}'")
         return default
 
-    def get_str(self, key: str, default: Optional[str] = None, required: bool = False) -> Optional[str]:
-        return self._raw(key, default, required)
-
     def get_float(self, key: str, default: Optional[float] = None, required: bool = False) -> Optional[float]:
-        raw = self._raw(key, None, required)
+        raw = self.get_str(key, required=required)
         if raw is None:
             return default
         try:
@@ -65,7 +59,7 @@ class RunConfig:
             raise ConfigError(f"{self.path}: key '{key}' has non-numeric value {raw!r}") from None
 
     def get_int(self, key: str, default: Optional[int] = None, required: bool = False) -> Optional[int]:
-        raw = self._raw(key, None, required)
+        raw = self.get_str(key, required=required)
         if raw is None:
             return default
         try:
@@ -74,7 +68,7 @@ class RunConfig:
             raise ConfigError(f"{self.path}: key '{key}' has non-integer value {raw!r}") from None
 
     def get_bool(self, key: str, default: Optional[bool] = None, required: bool = False) -> Optional[bool]:
-        raw = self._raw(key, None, required)
+        raw = self.get_str(key, required=required)
         if raw is None:
             return default
         lowered = raw.lower()
@@ -85,7 +79,7 @@ class RunConfig:
         raise ConfigError(f"{self.path}: key '{key}' has non-boolean value {raw!r}")
 
     def get_floats(self, key: str, default: Optional[list] = None, required: bool = False) -> Optional[np.ndarray]:
-        raw = self._raw(key, None, required)
+        raw = self.get_str(key, required=required)
         if raw is None:
             return None if default is None else np.asarray(default, dtype=float)
         try:
@@ -189,15 +183,30 @@ def control_from_config(cfg: RunConfig) -> ControlSignal:
 
 
 def integrator_from_config(cfg: RunConfig) -> tuple[IntegratorConfig, tuple[float, float]]:
-    config = IntegratorConfig(
-        dt=cfg.get_float("integrator.dt", required=True),
-        representation=cfg.get_str("integrator.representation", "ambient"),
-        reproject=cfg.get_bool("integrator.reproject", True),
-        hard_residual=cfg.get_float("integrator.hard_residual", 1e-3),
-    )
+    try:
+        config = IntegratorConfig(
+            dt=cfg.get_float("integrator.dt", required=True),
+            representation=cfg.get_str("integrator.representation", "ambient"),
+            reproject=cfg.get_bool("integrator.reproject", True),
+            hard_residual=cfg.get_float("integrator.hard_residual", 1e-3),
+        )
+    except ValueError as exc:
+        # IntegratorConfig's messages lead with the offending field's name
+        raise ConfigError(f"{cfg.path}: integrator.{exc}") from None
     t0 = cfg.get_float("integrator.t0", 0.0)
     t1 = cfg.get_float("integrator.t1", required=True)
+    if not t1 > t0:
+        raise ConfigError(f"{cfg.path}: key 'integrator.t1' must exceed integrator.t0 = {t0!r}, got {t1!r}")
     return config, (t0, t1)
+
+
+def _sample_count(cfg: RunConfig, override: Optional[int], key: str, default: int) -> int:
+    """``--samples`` when given, else ``key``; a negative count is a config error."""
+    n = override if override is not None else cfg.get_int(key, default)
+    if n < 0:
+        source = "--samples" if override is not None else f"{cfg.path}: key '{key}'"
+        raise ConfigError(f"{source} must be non-negative, got {n}")
+    return n
 
 
 def cmd_simulate(cfg: RunConfig, out: str, seed: int) -> int:
@@ -221,7 +230,7 @@ def cmd_simulate(cfg: RunConfig, out: str, seed: int) -> int:
 
 def cmd_check_fit(cfg: RunConfig, out: str, seed: int, samples: Optional[int], tol: Optional[float]) -> int:
     model = model_from_config(cfg)
-    n_samples = samples if samples is not None else cfg.get_int("scan.samples", 500)
+    n_samples = _sample_count(cfg, samples, "scan.samples", 500)
     scan_tol = tol if tol is not None else cfg.get_float("scan.tol", 1e-7)
     box = model.sample_box
     psi = psi_scan(model.spec, BoxSampler(box, seed=seed), n_samples=n_samples, tol=scan_tol)
@@ -255,7 +264,7 @@ def cmd_oracle_compare(cfg: RunConfig, out: str, seed: int, samples: Optional[in
     model = model_from_config(cfg)
     if model.closed_field is None or model.frame_field is None or model.extract_closed is None:
         raise NonholoError(f"model {model.name!r} has no closed-form oracle to compare against")
-    n_samples = samples if samples is not None else cfg.get_int("oracle.samples", 100)
+    n_samples = _sample_count(cfg, samples, "oracle.samples", 100)
     dev_tol = tol if tol is not None else cfg.get_float("oracle.tol", 1e-5)
     rng = np.random.default_rng(seed)
     box = model.sample_box
@@ -309,6 +318,8 @@ def cmd_vibrate(cfg: RunConfig, out: str, seed: int) -> int:
     u_bar = cfg.get_float("vibrate.u_bar", 0.0)
     K = cfg.get_float("vibrate.K", 1.0)
     eps_list = cfg.get_floats("vibrate.eps_list", default=[0.1, 0.05, 0.025])
+    if not np.all(eps_list > 0.0):
+        raise ConfigError(f"{cfg.path}: key 'vibrate.eps_list' needs positive entries, got {eps_list.tolist()}")
     horizon = cfg.get_float("vibrate.horizon", float(np.pi))
     steps = cfg.get_int("vibrate.steps_per_period", 50)
     if steps < 20:

@@ -76,9 +76,6 @@ class BoxSampler:
             raise ValueError("box upper bounds must dominate lower bounds")
         self.rng = np.random.default_rng(self.seed)
 
-    def point(self) -> Array:
-        return self.rng.uniform(self.box[:, 0], self.box[:, 1])
-
     def points(self, n: int) -> Array:
         return self.rng.uniform(self.box[:, 0], self.box[:, 1], size=(n, self.box.shape[0]))
 

@@ -4,13 +4,16 @@ The integrator state never includes the controlled coordinates: they are
 assembled from the control signal at every Runge-Kutta stage, so the scheme is
 plain RK4 on the reduced nonautonomous ODE and keeps its classical fourth
 order.  (Integrating the controlled channels and overwriting them between
-stages would silently degrade the order to two.)
+stages would silently degrade the order to two.)  One stepper, ``_rk4_step``,
+advances both representations of :func:`integrate` — the stacked state
+``[q_free, p_I]`` or ``[q_free, xi]`` — and every :func:`rk4_path` run.
 
 Every recorded sample carries the energy and two relative residuals — the
 constraint violation ``|Omega qdot| / |qdot|`` and the ideal-reaction defect
-``|Pstar_I R| / |R|`` — and a step whose residuals blow past a hard threshold
-raises :class:`~nonholo.errors.StepRejected` instead of producing quietly
-wrong output.
+``|Pstar_I R| / |R|``, both computed by ``_diagnostics`` — and a step whose
+residuals blow past a hard threshold raises
+:class:`~nonholo.errors.StepRejected` instead of producing quietly wrong
+output.
 
 The module also hosts the vibrational-control experiments: sweeping the
 dither scale ``eps`` against a model's averaged dynamics, and an independent
@@ -29,6 +32,7 @@ from .core_geometry import Array, Frame, SystemSpec
 from .errors import ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
 from .models import ModelBundle
 from .reduced_dynamics import (
+    CoefficientTensors,
     ControlSignal,
     _reaction_from_rhs,
     check_frame_continuity,
@@ -56,10 +60,10 @@ class IntegratorConfig:
     hard_residual: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt!r}")
         if self.representation not in ("ambient", "frame"):
-            raise ValueError(f"unknown representation {self.representation!r}")
+            raise ValueError(f"representation must be 'ambient' or 'frame', got {self.representation!r}")
 
 
 @dataclass
@@ -109,10 +113,32 @@ class Trajectory:
                 writer.writerow([repr(float(x)) for x in row])
 
 
-def _relative(numer: float, denom: float) -> float:
-    if denom < 1e-14:
-        return 0.0
-    return numer / denom
+def _rk4_step(f: Callable[[float, Array], Array], t: float, y: Array, dt: float, k1: Array) -> Array:
+    """One classical RK4 step of ``y' = f(t, y)``; the caller supplies ``k1 = f(t, y)``."""
+    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _diagnostics(
+    spec: SystemSpec, q: Array, p_I: Array, t: float, control: ControlSignal, T: CoefficientTensors
+) -> tuple[float, float, float, tuple[Array, Array]]:
+    """Energy and the two relative residuals at one sample, plus its ``reduced_rhs``."""
+    P = T.projections
+    udot = np.atleast_1d(np.asarray(control.rate(t), dtype=float))
+    p_full = p_I + P.k @ udot
+    qdot_full = P.ginv @ p_full
+    H = 0.5 * float(p_full @ P.ginv @ p_full)
+    speed = float(np.linalg.norm(qdot_full))
+    cres = float(np.linalg.norm(P.Om @ qdot_full)) / speed if speed >= 1e-14 else 0.0
+    rhs = reduced_rhs(spec, q, p_I, t, control, tensors=T)
+    R = _reaction_from_rhs(spec, q, p_I, t, control, T, rhs)
+    # at instants where no reaction is needed |R| ~ 0 and the plain ratio
+    # is noise over noise; the floor ties it to the dynamic scale instead
+    floor = 1e-3 * (1.0 + float(np.linalg.norm(p_full)) + speed)
+    dres = float(np.linalg.norm(P.Pstar_I @ R)) / max(float(np.linalg.norm(R)), floor)
+    return H, cres, dres, rhs
 
 
 def integrate(
@@ -157,51 +183,42 @@ def integrate(
     if float(np.abs(p_I - p0).max()) > 1e-6 * (1.0 + float(np.abs(p0).max())):
         raise NotInDeltaCapGamma("p0 is not a free-block momentum covector")
 
+    # the state is y = [q_free, p_I] (ambient) or [q_free, xi] (frame)
     frame = frame_field(q) if use_frame else None
-    xi = None
-    n_xi = 0
     if use_frame:
         i0, i1 = frame.block_ranges[0]
         V_I = frame.V[:, i0:i1]
         norms = np.einsum("im,ij,jm->m", V_I, T.projections.g, V_I)
-        xi = (p_I @ V_I) / norms
-        n_xi = i1 - i0
-
-    qf = q[:N].copy()
+        y = np.concatenate([q[:N], (p_I @ V_I) / norms])
+    else:
+        y = np.concatenate([q[:N], p_I])
 
     def assemble(t: float, q_free: Array) -> Array:
-        out = np.empty(n)
-        out[:N] = q_free
-        out[N:] = np.atleast_1d(np.asarray(control.value(t), dtype=float))
-        return out
+        return np.concatenate([q_free, np.atleast_1d(np.asarray(control.value(t), dtype=float))])
 
     out_t = np.empty(nsteps + 1)
     out_q = np.empty((nsteps + 1, n))
     out_p = np.empty((nsteps + 1, n))
-    out_xi = np.empty((nsteps + 1, n_xi)) if use_frame else None
+    out_xi = np.empty((nsteps + 1, y.shape[0] - N)) if use_frame else None
     out_H = np.empty(nsteps + 1)
     out_cres = np.empty(nsteps + 1)
     out_dres = np.empty(nsteps + 1)
-    out_u = np.empty((nsteps + 1, M))
 
-    def stage_ambient(t: float, q_free: Array, p: Array):
-        qq = assemble(t, q_free)
-        qdot, pIdot = reduced_rhs(spec, qq, p, t, control, tensors=coefficient_tensors(spec, qq))
-        return qdot[:N], pIdot
-
-    def stage_frame(t: float, q_free: Array, x: Array, tensors=None, frame=None):
-        qq = assemble(t, q_free)
+    def stage(t: float, y: Array, tensors=None, frame=None) -> Array:
+        qq = assemble(t, y[:N])
         TT = tensors if tensors is not None else coefficient_tensors(spec, qq)
-        qdot, xidot = frame_rhs(spec, qq, x, t, control, frame_field, tensors=TT, frame=frame)
-        return qdot[:N], xidot
+        if use_frame:
+            qdot, mdot = frame_rhs(spec, qq, y[N:], t, control, frame_field, tensors=TT, frame=frame)
+        else:
+            qdot, mdot = reduced_rhs(spec, qq, y[N:], t, control, tensors=TT)
+        return np.concatenate([qdot[:N], mdot])
 
     for step in range(nsteps + 1):
         t = t0 + step * dt
-        q = assemble(t, qf)
+        q = assemble(t, y[:N])
         # sample 0 sits at the initial point, whose tensors and frame are built
         if step:
             T = coefficient_tensors(spec, q)
-        P = T.projections
 
         if use_frame:
             if step:
@@ -209,33 +226,21 @@ def integrate(
                 check_frame_continuity(frame, new_frame)
                 frame = new_frame
             i0, i1 = frame.block_ranges[0]
-            V_I = frame.V[:, i0:i1]
-            norms = np.einsum("im,ij,jm->m", V_I, P.g, V_I)
-            p_I = P.g @ (V_I @ xi)
-        elif cfg.reproject:
-            p_I = P.Pstar_I @ p_I
-
-        udot = np.atleast_1d(np.asarray(control.rate(t), dtype=float))
-        p_full = p_I + P.k @ udot
-        qdot_full = P.ginv @ p_full
-        H = 0.5 * float(p_full @ P.ginv @ p_full)
-        cres = _relative(float(np.linalg.norm(P.Om @ qdot_full)), float(np.linalg.norm(qdot_full)))
-        rhs = reduced_rhs(spec, q, p_I, t, control, tensors=T)
-        R = _reaction_from_rhs(spec, q, p_I, t, control, T, rhs)
-        # at instants where no reaction is needed |R| ~ 0 and the plain ratio
-        # is noise over noise; the floor ties it to the dynamic scale instead
-        floor = 1e-3 * (1.0 + float(np.linalg.norm(p_full)) + float(np.linalg.norm(qdot_full)))
-        dres = float(np.linalg.norm(P.Pstar_I @ R)) / max(float(np.linalg.norm(R)), floor)
+            p_I = T.projections.g @ (frame.V[:, i0:i1] @ y[N:])
+        else:
+            if cfg.reproject:
+                y[N:] = T.projections.Pstar_I @ y[N:]
+            p_I = y[N:]
+        H, cres, dres, rhs = _diagnostics(spec, q, p_I, t, control, T)
 
         out_t[step] = t
         out_q[step] = q
         out_p[step] = p_I
         if use_frame:
-            out_xi[step] = xi
+            out_xi[step] = y[N:]
         out_H[step] = H
         out_cres[step] = cres
         out_dres[step] = dres
-        out_u[step] = q[N:]
 
         if cres > cfg.hard_residual or dres > cfg.hard_residual:
             raise StepRejected(
@@ -245,22 +250,10 @@ def integrate(
         if step == nsteps:
             break
 
-        # RK4 advance; stage k1 reuses this sample's tensors and frame (frame
-        # form) or its right-hand side (ambient form)
-        if use_frame:
-            k1q, k1x = stage_frame(t, qf, xi, tensors=T, frame=frame)
-            k2q, k2x = stage_frame(t + 0.5 * dt, qf + 0.5 * dt * k1q, xi + 0.5 * dt * k1x)
-            k3q, k3x = stage_frame(t + 0.5 * dt, qf + 0.5 * dt * k2q, xi + 0.5 * dt * k2x)
-            k4q, k4x = stage_frame(t + dt, qf + dt * k3q, xi + dt * k3x)
-            qf = qf + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            xi = xi + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        else:
-            k1q, k1p = rhs[0][:N], rhs[1]
-            k2q, k2p = stage_ambient(t + 0.5 * dt, qf + 0.5 * dt * k1q, p_I + 0.5 * dt * k1p)
-            k3q, k3p = stage_ambient(t + 0.5 * dt, qf + 0.5 * dt * k2q, p_I + 0.5 * dt * k2p)
-            k4q, k4p = stage_ambient(t + dt, qf + dt * k3q, p_I + dt * k3p)
-            qf = qf + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            p_I = p_I + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        # stage k1 reuses this sample's tensors and frame (frame form) or its
+        # right-hand side (ambient form)
+        k1 = stage(t, y, tensors=T, frame=frame) if use_frame else np.concatenate([rhs[0][:N], rhs[1]])
+        y = _rk4_step(stage, t, y, dt, k1)
 
     return Trajectory(
         t=out_t,
@@ -269,7 +262,7 @@ def integrate(
         H=out_H,
         constraint_residual=out_cres,
         dalembert_residual=out_dres,
-        u=out_u,
+        u=out_q[:, N:].copy(),
         xi=out_xi,
         meta={"dt": dt, "representation": cfg.representation, "t_span": (t0, t1)},
     )
@@ -287,11 +280,7 @@ def rk4_path(
     y = np.array(y0, dtype=float)
     t = t0
     for _ in range(nsteps):
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = f(t + dt, y + dt * k3)
-        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = _rk4_step(f, t, y, dt, f(t, y))
         t += dt
     return y
 

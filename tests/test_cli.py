@@ -121,14 +121,26 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert "initial.q" in capsys.readouterr().err
 
-    def test_missing_dt_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ("", "integrator.dt"),
+            ("integrator.dt = 0.0\n", "integrator.dt"),
+            ("integrator.dt = -1e-2\n", "integrator.dt"),
+            ("integrator.dt = nan\n", "integrator.dt"),
+            ("integrator.dt = 1e-2\nintegrator.representation = quaternion\n", "integrator.representation"),
+            ("integrator.dt = 1e-2\nintegrator.t0 = 0.03\n", "integrator.t1"),
+        ],
+        ids=["dt-missing", "dt-zero", "dt-negative", "dt-nan", "representation", "empty-span"],
+    )
+    def test_bad_integrator_value_is_config_error(self, tmp_path, capsys, extra, key):
         cfg = write_cfg(
             tmp_path,
             "model.name = roller-racer\ncontrol.family = constant\ncontrol.value = 0.0\n"
-            "integrator.t1 = 0.03\n",
+            "integrator.t1 = 0.03\n" + extra,
         )
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
-        assert "integrator.dt" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_unknown_model_is_model_error(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -199,6 +211,21 @@ class TestCheckFitCommand:
         )
         assert code == 5
 
+    @pytest.mark.parametrize(
+        "text, args, key",
+        [
+            ("", ["--samples", "-3"], "--samples"),
+            ("scan.samples = -3\n", [], "scan.samples"),
+        ],
+        ids=["option", "key"],
+    )
+    def test_negative_samples_is_config_error(self, tmp_path, capsys, text, args, key):
+        cfg = write_cfg(tmp_path, CHECKFIT.format(name="roller-racer") + text)
+        code = main(["check-fit", "--config", cfg, "--out", str(tmp_path / "n.txt"), *args])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "n.txt").exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, CHECKFIT.format(name="roller-racer"))
         outs = []
@@ -242,6 +269,21 @@ class TestOracleCompareCommand:
         assert code == 0
         assert "WARNING" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "text, args, key",
+        [
+            ("", ["--samples", "-3"], "--samples"),
+            ("oracle.samples = -3\n", [], "oracle.samples"),
+        ],
+        ids=["option", "key"],
+    )
+    def test_negative_samples_is_config_error(self, tmp_path, capsys, text, args, key):
+        cfg = write_cfg(tmp_path, "model.name = roller-racer\n" + text)
+        code = main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "n.txt"), *args])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "n.txt").exists()
+
     def test_model_without_oracle_errors(self, tmp_path):
         cfg = write_cfg(tmp_path, "model.name = rolling-ball\n")
         code = main(
@@ -267,6 +309,12 @@ class TestVibrateCommand:
             "model.name = roller-racer\nvibrate.steps_per_period = 10\n",
         )
         assert main(["vibrate", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 2
+
+    @pytest.mark.parametrize("eps_list", ["0.1, 0.0", "0.1, -0.05"])
+    def test_nonpositive_eps_is_config_error(self, tmp_path, capsys, eps_list):
+        cfg = write_cfg(tmp_path, f"model.name = roller-racer\nvibrate.eps_list = {eps_list}\n")
+        assert main(["vibrate", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 1
+        assert "vibrate.eps_list" in capsys.readouterr().err
 
     def test_model_without_closed_state_errors(self, tmp_path):
         cfg = write_cfg(tmp_path, "model.name = rolling-ball\n")

@@ -277,14 +277,21 @@ class TestRk4Order:
         e2 = np.linalg.norm(rk4_path(f, y0, (0.0, 1.0), 100) - ref)
         assert 12.0 < e1 / e2 < 20.0
 
-    def test_integrator_keeps_order_four_with_moving_controls(self, racer):
+    @pytest.mark.parametrize("representation", ["ambient", "frame"])
+    def test_integrator_keeps_order_four_with_moving_controls(self, racer, representation):
         """Assembling controlled channels at every stage preserves RK4's order."""
         control = ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
         p0 = racer_momentum(racer, racer.default_q0, 0.1)
 
         def endpoint(dt):
             traj = integrate(
-                racer.spec, racer.default_q0, p0, control, (0.0, 0.5), IntegratorConfig(dt=dt)
+                racer.spec,
+                racer.default_q0,
+                p0,
+                control,
+                (0.0, 0.5),
+                IntegratorConfig(dt=dt, representation=representation),
+                frame_field=racer.frame_field,
             )
             return np.concatenate([traj.q[-1], traj.p_I[-1]])
 
@@ -292,6 +299,36 @@ class TestRk4Order:
         e1 = np.linalg.norm(endpoint(1e-2) - ref)
         e2 = np.linalg.norm(endpoint(5e-3) - ref)
         assert 10.0 < e1 / e2 < 22.0
+
+
+class TestOneStepper:
+    """Every integrator path advances through the single ``_rk4_step``."""
+
+    @pytest.fixture
+    def step_calls(self, monkeypatch):
+        calls = []
+        stepper = simulate._rk4_step
+
+        def counting(*args):
+            calls.append(args[1])
+            return stepper(*args)
+
+        monkeypatch.setattr(simulate, "_rk4_step", counting)
+        return calls
+
+    @pytest.mark.parametrize("representation", ["ambient", "frame"])
+    def test_integrate_calls_it_once_per_step(self, racer, step_calls, representation):
+        p0 = racer_momentum(racer, racer.default_q0, 0.1)
+        cfg = IntegratorConfig(dt=0.01, representation=representation)
+        control = ControlSignal.sinusoid(0.0, 0.2, 3.0)
+        traj = integrate(racer.spec, racer.default_q0, p0, control, (0.0, 0.05), cfg, racer.frame_field)
+        assert len(traj) == 6
+        assert step_calls == list(traj.t[:-1])
+
+    def test_rk4_path_calls_it_once_per_step(self, step_calls):
+        y = rk4_path(lambda t, y: -y, np.ones(2), (0.0, 1.0), 7)
+        assert len(step_calls) == 7
+        assert np.abs(y - np.exp(-1.0)).max() < 1e-4
 
 
 class TestDitherExperiments:
