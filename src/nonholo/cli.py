@@ -140,6 +140,13 @@ def model_from_config(cfg: RunConfig) -> ModelBundle:
     return build_model(name, **options)
 
 
+#: per control family, the ``control.*`` keys whose entries give the channel count
+_CHANNEL_KEYS = {
+    "constant": "value", "polynomial": "coeffs", "linear": "value/rate",
+    "sinusoid": "mean/amp", "dither": "center/gain", "ramp": "start/end",
+}
+
+
 def control_from_config(cfg: RunConfig) -> ControlSignal:
     """Build the control trajectory from the ``control.*`` section."""
     family = cfg.get_str("control.family", required=True)
@@ -170,11 +177,14 @@ def control_from_config(cfg: RunConfig) -> ControlSignal:
             eps=cfg.get_float("control.eps", required=True),
         )
     if family == "ramp":
+        duration = cfg.get_float("control.duration", required=True)
+        if not duration > 0.0:
+            raise ConfigError(f"{cfg.path}: key 'control.duration' must be positive, got {duration!r}")
         return ControlSignal.ramp(
             cfg.get_floats("control.start", required=True),
             cfg.get_floats("control.end", required=True),
             t0=cfg.get_float("control.t0", 0.0),
-            duration=cfg.get_float("control.duration", required=True),
+            duration=duration,
         )
     raise ConfigError(
         f"{cfg.path}: key 'control.family' has unknown value {family!r} "
@@ -213,6 +223,10 @@ def cmd_simulate(cfg: RunConfig, out: str, seed: int) -> int:
     model = model_from_config(cfg)
     control = control_from_config(cfg)
     config, t_span = integrator_from_config(cfg)
+    channels = np.atleast_1d(control.value(t_span[0])).shape[0]
+    if channels != model.spec.M:
+        key = "control." + _CHANNEL_KEYS[cfg.get_str("control.family")]
+        raise ConfigError(f"{cfg.path}: key '{key}' gives {channels} control channels, model has M = {model.spec.M}")
     n = model.spec.dim
     q0 = cfg.get_floats("initial.q")
     q0 = np.array(model.default_q0, dtype=float) if q0 is None else q0
@@ -321,6 +335,8 @@ def cmd_vibrate(cfg: RunConfig, out: str, seed: int) -> int:
     if not np.all(eps_list > 0.0):
         raise ConfigError(f"{cfg.path}: key 'vibrate.eps_list' needs positive entries, got {eps_list.tolist()}")
     horizon = cfg.get_float("vibrate.horizon", float(np.pi))
+    if not 0.0 < horizon < np.inf:
+        raise ConfigError(f"{cfg.path}: key 'vibrate.horizon' must be positive and finite, got {horizon!r}")
     steps = cfg.get_int("vibrate.steps_per_period", 50)
     if steps < 20:
         raise StepRejected(f"vibrate.steps_per_period = {steps} resolves the fast phase too coarsely (need >= 20)")

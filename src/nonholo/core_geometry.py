@@ -18,9 +18,10 @@ kinetic-energy metric ``g``, into three blocks:
 This module computes the splitting (projections on vectors, coprojections on
 covectors), the lift maps ``h``/``k`` taking a control velocity to its block
 III representative, and the validated evaluation of the model callbacks, and
-defines the type of the models' adapted frames.  The callbacks are all that
-the dynamics layer differentiates, by complex step where they accept complex
-input: the derivatives of the splitting follow in closed form from those of
+defines the type of the models' adapted frames.  The callbacks and the frame
+fields are all that the dynamics layer differentiates, by complex step (the
+callbacks fall back to central differences when they reject complex input):
+the derivatives of the splitting follow in closed form from those of
 ``metric`` and ``omega`` (see
 :func:`nonholo.reduced_dynamics.coefficient_tensors`).
 
@@ -80,11 +81,6 @@ class SystemSpec:
     :param metric_inverse: optional analytic inverse of ``metric``; when
         absent the inverse is obtained by factorization.
     :param force: optional applied covector ``(t, q, p) -> (N+M,)``.
-    :param fd_step: relative step of the two central differences that remain:
-        the fallback derivatives of callbacks that reject complex input (see
-        below), with absolute step ``fd_step * max(1, |q_i|)`` along
-        coordinate ``i``, and the frame transport of
-        :func:`~nonholo.reduced_dynamics.frame_rhs`.
 
     ``metric`` and ``omega`` should accept complex ``q`` and be analytic in
     it: built from arithmetic and ``numpy`` functions such as ``np.sin``,
@@ -94,7 +90,8 @@ class SystemSpec:
     evaluations per point.  A callback that raises ``TypeError`` on complex
     input, or writes complex values into a real array, gets central
     differences instead: ``2 (N + M)`` real evaluations per point, with
-    truncation error of order ``fd_step**2``.
+    truncation error of order ``FD_STEP**2`` (see
+    :mod:`nonholo.reduced_dynamics`).
     """
 
     N: int
@@ -104,15 +101,12 @@ class SystemSpec:
     omega: OmegaFn
     metric_inverse: Optional[MetricFn] = None
     force: Optional[ForceFn] = None
-    fd_step: float = 5e-6
 
     def __post_init__(self) -> None:
         if min(self.N, self.M, self.nu) < 0:
             raise ValueError("N, M and nu must be nonnegative")
         if self.nu > self.N:
             raise ValueError("transversality needs nu <= N")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
 
     @property
     def dim(self) -> int:
@@ -188,17 +182,15 @@ class Frame:
     ``g(V_i) / g[V_i, V_i]``, so ``Omega_frame @ V`` is the identity.
     ``block_ranges`` are the ``(start, stop)`` column ranges of the blocks.
     Models supply smooth frame fields ``q -> Frame`` for the frame form of
-    the dynamics.
+    the dynamics.  Like the metric and constraint callbacks of
+    :class:`SystemSpec`, a frame field must be complex-safe and analytic in
+    ``q``: :func:`~nonholo.reduced_dynamics.frame_rhs` transports the frame
+    by complex step, with no real-only fallback.
     """
 
     V: Array
     Omega_frame: Array
     block_ranges: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-
-    def block(self, name: str) -> Array:
-        """Columns of ``V`` spanning block ``name`` (``"I"``, ``"II"`` or ``"III"``)."""
-        start, stop = self.block_ranges[("I", "II", "III").index(name)]
-        return self.V[:, start:stop]
 
 
 def _check_symmetric(G: Array, label: str) -> None:

@@ -79,14 +79,17 @@ class ModelBundle:
     """Everything the rest of the package needs to know about one model.
 
     ``frame_field`` returns a smooth splitting-adapted frame (blocks span the
-    free/reaction/drive subspaces); ``constancy_basis`` is the basis in which
-    the structural fitness test checks constancy of the free coprojection;
-    ``declared_flat`` records the model-level flatness declaration that the
-    structural test cannot decide numerically.  ``closed_field`` /
-    ``averaged_field`` build right-hand sides of the model's closed-form and
-    averaged reduced systems when it has them (state ``(q1, q2, q3, xi)`` for
-    the Roller Racer).  ``embed_closed`` / ``extract_closed`` convert between
-    that closed state and ambient ``(q, p_I)`` pairs.
+    free/reaction/drive subspaces); like the spec's callbacks it must accept
+    complex ``q`` and be analytic in it, since the frame form transports it by
+    complex step (see :class:`~nonholo.core_geometry.Frame`).
+    ``constancy_basis`` is the basis in which the structural fitness test
+    checks constancy of the free coprojection; ``declared_flat`` records the
+    model-level flatness declaration that the structural test cannot decide
+    numerically.  ``closed_field`` / ``averaged_field`` build right-hand sides
+    of the model's closed-form and averaged reduced systems when it has them
+    (state ``(q1, q2, q3, xi)`` for the Roller Racer).  ``embed_closed`` /
+    ``extract_closed`` convert between that closed state and ambient
+    ``(q, p_I)`` pairs.
     """
 
     name: str
@@ -167,18 +170,19 @@ def racer_frame_vectors(params: RollerRacerParams, q: Array) -> dict[str, Array]
     ``w1`` spans the free block, ``v2``/``v3`` the reaction block, ``v4`` the
     drive block (its controlled component is 1, so it is also the lift of the
     unit control rate).  ``v2`` and ``v3`` blow up on ``sin(q2) = 0`` or
-    ``cos(u) = 0``; that locus raises :class:`ChartDomain`.
+    ``cos(u) = 0``; that locus raises :class:`ChartDomain`.  Complex-safe:
+    a complex ``q`` gives complex vectors.
     """
     rho, I, J = params.rho, params.inertia, params.tail_inertia
-    q2, u = float(q[1]), float(q[3])
-    s2, c2 = math.sin(q2), math.cos(q2)
-    su, cu = math.sin(u), math.cos(u)
+    q2, u = q[1], q[3]
+    s2, c2 = np.sin(q2), np.cos(q2)
+    su, cu = np.sin(u), np.cos(u)
     if abs(s2) < 1e-8 or abs(cu) < 1e-8:
-        raise ChartDomain(f"published Roller Racer frame undefined at sin(q2)={s2:.1e}, cos(u)={cu:.1e}")
+        raise ChartDomain(f"published Roller Racer frame undefined at sin(q2)={s2.real:.1e}, cos(u)={cu.real:.1e}")
     d0 = rho**2 * cu**2 + (I + J) * su**2
-    s2u = math.sin(2.0 * u)
+    s2u = np.sin(2.0 * u)
     w1 = np.array([2.0 * rho * cu * s2, 2.0 * su, 2.0 * rho * cu * c2, 0.0])
-    v2 = np.array([I / (rho * s2) * math.tan(u), -1.0, 0.0, 1.0])
+    v2 = np.array([I / (rho * s2) * np.tan(u), -1.0, 0.0, 1.0])
     v3 = np.array([-c2 / s2, 0.0, 1.0, 0.0])
     v4 = np.array(
         [
@@ -353,10 +357,11 @@ def _euler_rate_matrix(q: Array) -> Array:
 
 
 def _euler_rate_matrix_inv(q: Array) -> Array:
-    sphi, cphi = math.sin(q[0]), math.cos(q[0])
-    sth, cth = math.sin(q[1]), math.cos(q[1])
+    """Inverse of :func:`_euler_rate_matrix` (complex-safe)."""
+    sphi, cphi = np.sin(q[0]), np.cos(q[0])
+    sth, cth = np.sin(q[1]), np.cos(q[1])
     if abs(sth) < 1e-8:
-        raise ChartDomain(f"Euler chart degenerate: sin(q2) = {sth:.1e}")
+        raise ChartDomain(f"Euler chart degenerate: sin(q2) = {sth.real:.1e}")
     return np.array(
         [
             [-sphi * cth / sth, cphi * cth / sth, 1.0],
@@ -444,9 +449,9 @@ def _ball_frame_field(params: RollingBallParams) -> Callable[[Array], Frame]:
         g = spec.metric(q)
         ginv = spec.metric_inverse(q)
         Om = spec.omega(q)
-        x, y = float(q[3]), float(q[4])
+        x, y = q[3], q[4]
         # free block: rolling-compatible spin/translation combinations
-        W = np.zeros((6, 3))
+        W = np.zeros((6, 3), dtype=A.dtype)
         W[:3, 0] = A[:, 0]
         W[4, 0] = r / kappa
         W[:3, 1] = A[:, 1]
@@ -457,7 +462,7 @@ def _ball_frame_field(params: RollingBallParams) -> Callable[[Array], Frame]:
         # drive block: admissible turntable response, orthogonal to the free block
         a = -x * kappa * r / (kappa**2 + r**2)
         b = -y * kappa * r / (kappa**2 + r**2)
-        Z = np.zeros(6)
+        Z = np.zeros(6, dtype=A.dtype)
         Z[:3] = a * A[:, 0] + b * A[:, 1]
         Z[3] = b * kappa / r
         Z[4] = -a * kappa / r

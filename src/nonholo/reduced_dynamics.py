@@ -21,10 +21,12 @@ Derivatives come in two kinds.  Those of the model callbacks ``metric`` and
 ``omega`` are complex-step derivatives: each callback is evaluated once at
 every ``q + i H e_j`` (``H = COMPLEX_STEP``) and the derivative is read from
 the imaginary part, exact to rounding.  Callbacks that reject complex input
-get central differences with step ``SystemSpec.fd_step`` instead.  The
+get central differences with relative step ``FD_STEP`` instead.  The
 derivatives of the splitting built from them — free coprojection, inverse
 metric and lift — follow from closed-form perturbation identities at a
-single splitting (:func:`coefficient_tensors`).
+single splitting (:func:`coefficient_tensors`).  The frame form transports
+its frame by the same complex step, with no fallback: frame fields must be
+complex-safe.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .core_geometry import (
     omega_at,
     projection_set,
 )
-from .errors import FrameNotSmooth, NonAdaptedState, NotInDeltaCapGamma
+from .errors import FrameNotSmooth, ModelError, NonAdaptedState, NotInDeltaCapGamma
 
 TimeFn = Callable[[float], Array]
 
@@ -59,7 +61,12 @@ TimeFn = Callable[[float], Array]
 #: the rounding of any real part, so ``Im f(q + iH e_j) / H`` is ``df/dq_j``
 #: with no truncation or cancellation error.
 COMPLEX_STEP = 1e-30
-_WARNINGS_LOCK = threading.Lock()
+#: Relative step of the central differences taken for real-only callbacks:
+#: absolute step ``FD_STEP * max(1, |q_j|)`` along coordinate ``j``.
+FD_STEP = 5e-6
+#: What a function that is not complex-safe raises under ``_complex_call``.
+_NOT_COMPLEX_SAFE = (TypeError, np.exceptions.ComplexWarning)
+_WARNINGS_LOCK = threading.RLock()
 
 
 @dataclass(frozen=True)
@@ -178,6 +185,16 @@ class CoefficientTensors:
     dg: Array
 
 
+def _complex_call(fn: Callable, *args: object) -> object:
+    """``fn(*args)``, raising ``ComplexWarning`` when ``fn`` drops an imaginary part into a real array."""
+    # catch_warnings swaps process-wide state: the lock keeps threads of a
+    # concurrent caller from restoring each other's filters (reentrant: a frame
+    # field may take complex-step tensors inside the frame transport's call)
+    with _WARNINGS_LOCK, warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        return fn(*args)
+
+
 def _central_differences(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[Array], Optional[Array]]:
     """Central-difference stacks ``dg[i, j]`` and ``dOm[i, j]`` of real-only callbacks.
 
@@ -189,7 +206,7 @@ def _central_differences(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tu
         dg = np.empty((n, n, n))
         dOm = np.empty((n, spec.nu, n))
         for j in range(n):
-            h = spec.fd_step * max(1.0, abs(float(q[j])))
+            h = FD_STEP * max(1.0, abs(float(q[j])))
             qp = q.copy()
             qm = q.copy()
             qp[j] += h
@@ -224,12 +241,8 @@ def _callback_derivative_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ())
         return G.imag, O.imag
 
     try:
-        # catch_warnings swaps process-wide state: the lock keeps threads of a
-        # concurrent caller from restoring each other's filters
-        with _WARNINGS_LOCK, warnings.catch_warnings():
-            warnings.simplefilter("error", np.exceptions.ComplexWarning)
-            keep, parts = _each_point(complex_step, Q, skip)
-    except (TypeError, np.exceptions.ComplexWarning):
+        keep, parts = _complex_call(_each_point, complex_step, Q, skip)
+    except _NOT_COMPLEX_SAFE:
         return _central_differences(spec, Q, skip)
     if not parts:
         return keep, None, None
@@ -477,12 +490,14 @@ def frame_rhs(
 
         xidot_m = ( <pIdot, V_m> + <p_I, d V_m/dt> - xi_m d n_m/dt ) / n_m
 
-    with ``n_m = g[V_m, V_m]``.  The frame is transported along ``qdot`` by a
-    central difference, and the norms exactly, with ``dV = d V/dt``, by
-    ``d n_m/dt = 2 g[V_m, dV_m] + (sum_j qdot_j dg[j])[V_m, V_m]``.  The
-    supplier is probed for smoothness on the way.  A caller that already
-    holds ``frame_field(q)`` passes it as ``frame``; like ``tensors``, it
-    must belong to ``q``.
+    with ``n_m = g[V_m, V_m]``.  The frame is transported by complex step:
+    ``dV = d V/dt`` is ``Im V(q + i H qdot) / H``, exact to rounding, and the
+    norms by ``d n_m/dt = 2 g[V_m, dV_m] + (sum_j qdot_j dg[j])[V_m, V_m]``.
+    The real part of the shifted frame must pass :func:`check_frame_continuity`
+    against the frame at ``q``.  A frame field that is not complex-safe
+    raises :class:`~nonholo.errors.ModelError`.  A caller that already holds
+    ``frame_field(q)`` passes it as ``frame``; like ``tensors``, it must
+    belong to ``q``.
     """
     q = np.asarray(q, dtype=float)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -506,23 +521,17 @@ def frame_rhs(
     if spec.force is not None:
         pIdot = pIdot + P.Pstar_I @ np.asarray(spec.force(t, q, p), dtype=float)
 
-    # transport the free block along qdot by central difference, its norms
-    # through the exact metric derivative
-    speed = float(np.linalg.norm(qdot))
-    if speed == 0.0:
-        dV = np.zeros_like(V_I)
-        dnorm = np.zeros_like(norms)
-    else:
-        h = spec.fd_step * max(1.0, float(np.abs(q).max())) / speed
-        fp = frame_field(q + h * qdot)
-        fm = frame_field(q - h * qdot)
-        check_frame_continuity(frame, fp)
-        check_frame_continuity(frame, fm)
-        # phi(s) = V(q + s qdot), so the plain central difference in s is
-        # already the transport along the flow, d/dt V = DV[qdot]
-        dV = (fp.V[:, i0:i1] - fm.V[:, i0:i1]) / (2.0 * h)
-        dg_flow = np.tensordot(qdot, T.dg, axes=1)
-        dnorm = 2.0 * np.einsum("im,ij,jm->m", V_I, g, dV) + np.einsum("im,ij,jm->m", V_I, dg_flow, V_I)
+    # transport the free block along qdot by complex step, its norms through
+    # the exact metric derivative
+    try:
+        shifted = _complex_call(frame_field, q + (1j * COMPLEX_STEP) * qdot)
+    except _NOT_COMPLEX_SAFE as exc:
+        msg = f"frame field is not complex-safe ({exc!r}): it must accept complex q and be analytic in it"
+        raise ModelError(msg) from None
+    check_frame_continuity(frame, Frame(shifted.V.real, shifted.Omega_frame.real, shifted.block_ranges))
+    dV = shifted.V[:, i0:i1].imag / COMPLEX_STEP
+    dg_flow = np.tensordot(qdot, T.dg, axes=1)
+    dnorm = 2.0 * np.einsum("im,ij,jm->m", V_I, g, dV) + np.einsum("im,ij,jm->m", V_I, dg_flow, V_I)
 
     xidot = (pIdot @ V_I + p_I @ dV - xi * dnorm) / norms
     return qdot, xidot
@@ -535,8 +544,9 @@ def frame_coefficients(
 ) -> dict[str, Array]:
     """Quadratic structure of the frame momentum equation at ``q``.
 
-    The force-free ``xidot`` is exactly quadratic in ``(xi, udot)``; this
-    extracts its three blocks by polarization of :func:`frame_rhs`:
+    The force-free ``xidot`` is exactly quadratic in ``z = (xi, udot)``; one
+    polarization of :func:`frame_rhs` over the unit vectors of ``z`` gives its
+    symmetric form ``B``, whose blocks are:
 
     * ``"xi_xi"``     -- shape ``(m, m, m)``, pure free-velocity terms;
     * ``"xi_udot"``   -- shape ``(m, m, M)``, momentum/control-rate coupling;
@@ -550,40 +560,16 @@ def frame_coefficients(
     frame = frame_field(q)
     i0, i1 = frame.block_ranges[0]
     m = i1 - i0
-    M = spec.M
+    E = np.eye(m + spec.M)
 
-    def f(xi: Array, udot: Array) -> Array:
-        ctrl = ControlSignal.linear(u0, udot, t0=0.0)
-        _, xidot = frame_rhs(spec, q, xi, 0.0, ctrl, frame_field, tensors=T, frame=frame)
-        return xidot
+    def f(z: Array) -> Array:
+        ctrl = ControlSignal.linear(u0, z[m:], t0=0.0)
+        return frame_rhs(spec, q, z[:m], 0.0, ctrl, frame_field, tensors=T, frame=frame)[1]
 
-    zero_xi = np.zeros(m)
-    zero_u = np.zeros(M)
-    base = {}
-    for r in range(m):
-        base[("xi", r)] = f(np.eye(m)[r], zero_u)
-    for a in range(M):
-        base[("u", a)] = f(zero_xi, np.eye(M)[a])
-
-    xi_xi = np.zeros((m, m, m))
-    for r in range(m):
-        xi_xi[:, r, r] = base[("xi", r)]
-    for r in range(m):
-        for s in range(r + 1, m):
-            cross = f(np.eye(m)[r] + np.eye(m)[s], zero_u) - base[("xi", r)] - base[("xi", s)]
-            xi_xi[:, r, s] = xi_xi[:, s, r] = 0.5 * cross
-
-    udot_udot = np.zeros((m, M, M))
-    for a in range(M):
-        udot_udot[:, a, a] = base[("u", a)]
-    for a in range(M):
-        for b in range(a + 1, M):
-            cross = f(zero_xi, np.eye(M)[a] + np.eye(M)[b]) - base[("u", a)] - base[("u", b)]
-            udot_udot[:, a, b] = udot_udot[:, b, a] = 0.5 * cross
-
-    xi_udot = np.zeros((m, m, M))
-    for r in range(m):
-        for a in range(M):
-            xi_udot[:, r, a] = f(np.eye(m)[r], np.eye(M)[a]) - base[("xi", r)] - base[("u", a)]
-
-    return {"xi_xi": xi_xi, "xi_udot": xi_udot, "udot_udot": udot_udot}
+    diag = [f(e) for e in E]
+    B = np.zeros((m, len(E), len(E)))
+    for r in range(len(E)):
+        B[:, r, r] = diag[r]
+        for c in range(r + 1, len(E)):
+            B[:, r, c] = B[:, c, r] = 0.5 * (f(E[r] + E[c]) - diag[r] - diag[c])
+    return {"xi_xi": B[:, :m, :m], "xi_udot": 2.0 * B[:, :m, m:], "udot_udot": B[:, m:, m:]}

@@ -36,6 +36,12 @@ def _report(num: int, ok: bool, label: str, detail: str = "") -> None:
     assert ok, line
 
 
+def free_block(frame):
+    """Columns of ``frame.V`` spanning block I."""
+    start, stop = frame.block_ranges[0]
+    return frame.V[:, start:stop]
+
+
 @pytest.fixture(scope="module")
 def dynamic_runs(racer, ball):
     """Every trajectory integrated by the dynamic gates, keyed by purpose."""
@@ -49,7 +55,7 @@ def dynamic_runs(racer, ball):
     )
 
     g_r = metric_at(racer.spec, racer.default_q0)
-    w1 = racer.frame_field(racer.default_q0).block("I")[:, 0]
+    w1 = free_block(racer.frame_field(racer.default_q0))[:, 0]
     runs["racer coasting"] = integrate(
         racer.spec,
         racer.default_q0,
@@ -59,7 +65,7 @@ def dynamic_runs(racer, ball):
         IntegratorConfig(dt=1e-3),
     )
     g_b = metric_at(ball.spec, ball.default_q0)
-    z = ball.frame_field(ball.default_q0).block("I") @ np.array([0.3, -0.2, 0.4])
+    z = free_block(ball.frame_field(ball.default_q0)) @ np.array([0.3, -0.2, 0.4])
     runs["ball coasting"] = integrate(
         ball.spec,
         ball.default_q0,

@@ -142,6 +142,19 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "control, key",
+        [
+            ("control.family = ramp\ncontrol.start = 0.0\ncontrol.end = 0.4\ncontrol.duration = 0\n", "control.duration"),
+            ("control.family = constant\ncontrol.value = 0, 0\n", "control.value"),
+        ],
+        ids=["ramp-duration-zero", "too-many-channels"],
+    )
+    def test_bad_control_value_is_config_error(self, tmp_path, capsys, control, key):
+        cfg = write_cfg(tmp_path, "model.name = roller-racer\nintegrator.dt = 1e-2\nintegrator.t1 = 0.03\n" + control)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        assert key in capsys.readouterr().err
+
     def test_unknown_model_is_model_error(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
@@ -315,6 +328,14 @@ class TestVibrateCommand:
         cfg = write_cfg(tmp_path, f"model.name = roller-racer\nvibrate.eps_list = {eps_list}\n")
         assert main(["vibrate", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 1
         assert "vibrate.eps_list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["-1", "0", "nan"])
+    def test_nonpositive_horizon_is_config_error(self, tmp_path, capsys, horizon):
+        cfg = write_cfg(tmp_path, f"model.name = roller-racer\nvibrate.horizon = {horizon}\n")
+        out = tmp_path / "x.txt"
+        assert main(["vibrate", "--config", cfg, "--out", str(out)]) == 1
+        assert "vibrate.horizon" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_model_without_closed_state_errors(self, tmp_path):
         cfg = write_cfg(tmp_path, "model.name = rolling-ball\n")

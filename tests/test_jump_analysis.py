@@ -21,7 +21,7 @@ from nonholo.jump_analysis import (
     worker_count,
 )
 from nonholo.models import build_model, racer_frame_vectors, roller_racer_spec
-from nonholo.reduced_dynamics import centrifugal_psi, coefficient_tensors, theta_I_apply
+from nonholo.reduced_dynamics import FD_STEP, centrifugal_psi, coefficient_tensors, theta_I_apply
 
 from conftest import random_system, sample_points
 
@@ -88,7 +88,7 @@ def reference_sufficiency(spec, basis_field, sampler, n_samples, metric_tol=1e-1
             rep = B.T @ P.Pstar_I @ np.linalg.inv(B).T
             for alpha in range(spec.M):
                 i = spec.N + alpha
-                h = spec.fd_step * max(1.0, abs(float(q[i])))
+                h = FD_STEP * max(1.0, abs(float(q[i])))
                 qp, qm = q.copy(), q.copy()
                 qp[i] += h
                 qm[i] -= h

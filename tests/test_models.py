@@ -9,6 +9,7 @@ reproduce those measurements.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,36 @@ class TestRollingBall:
             q2[5] += delta
             d = np.abs(ball.spec.metric_inverse(q) - ball.spec.metric_inverse(q2)).max()
             assert d < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# frame fields
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["roller-racer", "rolling-ball"])
+def test_frame_field_is_complex_safe(name):
+    """At ``q + i H v`` the real part is the frame at ``q`` and ``Im / H`` its derivative along ``v``."""
+    bundle = build_model(name)
+    H = 1e-30
+    gen = np.random.default_rng(37)
+    for q in sample_points(bundle, 10, seed=39):
+        v = gen.standard_normal(q.shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            F = bundle.frame_field(q + 1j * H * v)
+        real = bundle.frame_field(q)
+        # central differences along v at steps h and h / 2, one Richardson extrapolation
+        h = 1e-3 * max(1.0, float(np.abs(q).max())) / float(np.linalg.norm(v))
+
+        def central(step, field):
+            return (getattr(bundle.frame_field(q + step * v), field) - getattr(bundle.frame_field(q - step * v), field)) / (2.0 * step)
+
+        for field in ("V", "Omega_frame"):
+            got, ref = getattr(F, field), getattr(real, field)
+            assert np.abs(got.real - ref).max() <= 1e-15 * np.abs(ref).max(), field
+            deriv = (4.0 * central(0.5 * h, field) - central(h, field)) / 3.0
+            assert np.abs(got.imag / H - deriv).max() <= 1e-8 * (1.0 + np.abs(deriv).max()), field
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from nonholo import reduced_dynamics
 from nonholo.core_geometry import SystemSpec, metric_at, projection_set
-from nonholo.errors import FrameNotSmooth, NonAdaptedState, NotInDeltaCapGamma, SingularMetric
+from nonholo.errors import FrameNotSmooth, ModelError, NonAdaptedState, NotInDeltaCapGamma, SingularMetric
 from nonholo.models import build_model, racer_denominators, racer_frame_vectors
 from nonholo.reduced_dynamics import (
     ControlSignal,
@@ -479,26 +479,72 @@ class TestReducedRhs:
 # ---------------------------------------------------------------------------
 
 
+def worst_closed_form_deviation(racer):
+    """Largest relative gap of ``frame_rhs`` to the racer's closed system over 25 points."""
+    gen = np.random.default_rng(51)
+    worst = 0.0
+    for q in sample_points(racer, 25, seed=53):
+        xi = gen.uniform(-1.0, 1.0)
+        udot = gen.uniform(-1.0, 1.0)
+        control = ControlSignal.linear(q[3], udot)
+        qdot, xidot = frame_rhs(
+            racer.spec, q, np.array([xi]), 0.0, control, racer.frame_field
+        )
+        y = np.array([q[0], q[1], q[2], xi])
+        ref = racer.closed_field(control)(0.0, y)
+        dev = max(
+            float(np.abs(qdot[:3] - ref[:3]).max()),
+            abs(float(xidot[0]) - ref[3]),
+        )
+        worst = max(worst, dev / (1.0 + float(np.abs(ref).max())))
+    return worst
+
+
 class TestFrameRhs:
     def test_matches_closed_form_pointwise(self, racer):
         """(qdot, xidot) against the multiplier-validated closed system, 25 points."""
-        gen = np.random.default_rng(51)
-        worst = 0.0
-        for q in sample_points(racer, 25, seed=53):
-            xi = gen.uniform(-1.0, 1.0)
-            udot = gen.uniform(-1.0, 1.0)
-            control = ControlSignal.linear(q[3], udot)
-            qdot, xidot = frame_rhs(
-                racer.spec, q, np.array([xi]), 0.0, control, racer.frame_field
-            )
-            y = np.array([q[0], q[1], q[2], xi])
-            ref = racer.closed_field(control)(0.0, y)
-            dev = max(
-                float(np.abs(qdot[:3] - ref[:3]).max()),
-                abs(float(xidot[0]) - ref[3]),
-            )
-            worst = max(worst, dev / (1.0 + float(np.abs(ref).max())))
-        assert worst < 1e-8
+        assert worst_closed_form_deviation(racer) < 1e-8
+
+    def test_matches_closed_form_to_rounding(self, racer):
+        """The complex-step frame transport leaves only rounding against the closed system."""
+        assert worst_closed_form_deviation(racer) <= 1e-13
+
+    @pytest.mark.parametrize("given_frame, calls", [(True, 1), (False, 2)])
+    def test_one_frame_evaluation_for_the_transport(self, racer, given_frame, calls):
+        """The transport takes one complex evaluation of ``frame_field``; the frame at ``q`` is the other."""
+        q = np.array([0.1, 1.4, -0.2, 0.2])
+        points = []
+
+        def frame_field(qq):
+            points.append(qq)
+            return racer.frame_field(qq)
+
+        frame = racer.frame_field(q) if given_frame else None
+        frame_rhs(racer.spec, q, np.array([0.5]), 0.0, ControlSignal.linear(0.2, 0.7), frame_field, frame=frame)
+        assert len(points) == calls
+        assert np.iscomplexobj(points[-1]) and np.all(points[-1].real == q)
+
+    @pytest.mark.parametrize("flaw", ["float", "type-error", "real-buffer"])
+    def test_real_only_frame_field_is_a_model_error(self, racer, flaw):
+        """A frame field that is not complex-safe is refused, whatever the caller's warning filters."""
+        q = np.array([0.1, 1.4, -0.2, 0.2])
+
+        def frame_field(qq):
+            F = racer.frame_field(qq)
+            if flaw == "float":
+                float(qq[0])
+            elif flaw == "type-error" and np.iscomplexobj(qq):
+                raise TypeError("real input only")
+            elif flaw == "real-buffer":
+                V = np.zeros(F.V.shape)
+                V[:] = F.V
+                F = type(F)(V=V, Omega_frame=F.Omega_frame, block_ranges=F.block_ranges)
+            return F
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            with pytest.raises(ModelError, match="complex-safe"):
+                frame_rhs(racer.spec, q, np.array([0.5]), 0.0, ControlSignal.linear(0.2, 0.7), frame_field)
 
     def test_norm_transport_evaluates_no_metric(self, ball):
         """The frame norms move with the tensors' exact ``dg``: no metric evaluation off ``q``."""
@@ -570,6 +616,56 @@ class TestFrameCoefficients:
         q = ball.default_q0
         C = frame_coefficients(ball.spec, q, ball.frame_field)
         assert np.abs(C["udot_udot"]).max() < 1e-7
+
+    @pytest.mark.parametrize("model", ["racer", "ball"])
+    def test_one_polarization_equals_three_block_loops(self, model, racer, ball):
+        """The single symmetric polarization gives the blocks of separate per-block loops bitwise."""
+        bundle = {"racer": racer, "ball": ball}[model]
+        for q in sample_points(bundle, 6, seed=57):
+            got = frame_coefficients(bundle.spec, q, bundle.frame_field)
+            ref = block_loop_coefficients(bundle.spec, q, bundle.frame_field)
+            for name, block in ref.items():
+                assert got[name].shape == block.shape
+                assert np.array_equal(got[name], block), name
+
+
+def block_loop_coefficients(spec, q, frame_field):
+    """The three blocks of ``frame_coefficients``, each polarized by its own loop nest."""
+    u0 = q[spec.N :]
+    T = coefficient_tensors(spec, q)
+    frame = frame_field(q)
+    i0, i1 = frame.block_ranges[0]
+    m = i1 - i0
+    M = spec.M
+
+    def f(xi, udot):
+        ctrl = ControlSignal.linear(u0, udot, t0=0.0)
+        return frame_rhs(spec, q, xi, 0.0, ctrl, frame_field, tensors=T, frame=frame)[1]
+
+    zero_xi, zero_u = np.zeros(m), np.zeros(M)
+    base_xi = [f(np.eye(m)[r], zero_u) for r in range(m)]
+    base_u = [f(zero_xi, np.eye(M)[a]) for a in range(M)]
+
+    xi_xi = np.zeros((m, m, m))
+    for r in range(m):
+        xi_xi[:, r, r] = base_xi[r]
+        for s in range(r + 1, m):
+            cross = f(np.eye(m)[r] + np.eye(m)[s], zero_u) - base_xi[r] - base_xi[s]
+            xi_xi[:, r, s] = xi_xi[:, s, r] = 0.5 * cross
+
+    udot_udot = np.zeros((m, M, M))
+    for a in range(M):
+        udot_udot[:, a, a] = base_u[a]
+        for b in range(a + 1, M):
+            cross = f(zero_xi, np.eye(M)[a] + np.eye(M)[b]) - base_u[a] - base_u[b]
+            udot_udot[:, a, b] = udot_udot[:, b, a] = 0.5 * cross
+
+    xi_udot = np.zeros((m, m, M))
+    for r in range(m):
+        for a in range(M):
+            xi_udot[:, r, a] = f(np.eye(m)[r], np.eye(M)[a]) - base_xi[r] - base_u[a]
+
+    return {"xi_xi": xi_xi, "xi_udot": xi_udot, "udot_udot": udot_udot}
 
 
 # ---------------------------------------------------------------------------

@@ -149,9 +149,9 @@ class TestIntegrate:
         )
         assert builds["tensors"] == 4 * 10 + 1
         if representation == "frame":
-            # one per sample; stage k1 reuses it and builds only its two transport
-            # probes, the other 30 stages the frame and both probes
-            assert builds["frames"] == 11 + 2 * 10 + 3 * 30
+            # one per sample; stage k1 reuses it and builds only its complex
+            # transport point, the other 30 stages the frame and that point
+            assert builds["frames"] == 11 + 10 + 2 * 30
 
     def test_without_reprojection_short_runs_agree(self, racer):
         control = ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
