@@ -19,7 +19,6 @@ from .core_geometry import (
     argmin_certificate,
     metric_at,
     metric_inverse_at,
-    omega_at,
     projection_set,
 )
 from .errors import (
@@ -122,7 +121,6 @@ __all__ = [
     "metric_at",
     "metric_inverse_at",
     "model_names",
-    "omega_at",
     "oscillation_sweep",
     "projection_set",
     "psi_scan",

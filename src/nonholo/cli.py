@@ -140,11 +140,22 @@ def model_from_config(cfg: RunConfig) -> ModelBundle:
     return build_model(name, **options)
 
 
-#: per control family, the ``control.*`` keys whose entries give the channel count
+#: per control family, the ``control.*`` keys whose entries give the channel count;
+#: a paired family's two keys are split at ``/``
 _CHANNEL_KEYS = {
     "constant": "value", "polynomial": "coeffs", "linear": "value/rate",
     "sinusoid": "mean/amp", "dither": "center/gain", "ramp": "start/end",
 }
+
+
+def _control_pair(cfg: RunConfig, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two per-channel arrays of a paired control family; their lengths must match, or one be 1."""
+    keys = ["control." + name for name in _CHANNEL_KEYS[family].split("/")]
+    a, b = (cfg.get_floats(key, required=True) for key in keys)
+    if len(a) != len(b) and 1 not in (len(a), len(b)):
+        msg = f"keys '{keys[0]}' and '{keys[1]}' have {len(a)} and {len(b)} entries; they must match, or one have one"
+        raise ConfigError(f"{cfg.path}: {msg}")
+    return a, b
 
 
 def control_from_config(cfg: RunConfig) -> ControlSignal:
@@ -158,34 +169,24 @@ def control_from_config(cfg: RunConfig) -> ControlSignal:
             t0=cfg.get_float("control.t0", 0.0),
         )
     if family == "linear":
-        return ControlSignal.linear(
-            cfg.get_floats("control.value", required=True),
-            cfg.get_floats("control.rate", required=True),
-            t0=cfg.get_float("control.t0", 0.0),
-        )
+        return ControlSignal.linear(*_control_pair(cfg, family), t0=cfg.get_float("control.t0", 0.0))
     if family == "sinusoid":
         return ControlSignal.sinusoid(
-            cfg.get_floats("control.mean", required=True),
-            cfg.get_floats("control.amp", required=True),
+            *_control_pair(cfg, family),
             omega=cfg.get_float("control.omega", required=True),
             phase=cfg.get_float("control.phase", 0.0),
         )
     if family == "dither":
-        return ControlSignal.dither(
-            cfg.get_floats("control.center", required=True),
-            cfg.get_floats("control.gain", required=True),
-            eps=cfg.get_float("control.eps", required=True),
-        )
+        center, gain = _control_pair(cfg, family)
+        eps = cfg.get_float("control.eps", required=True)
+        if not 0.0 < eps < np.inf:
+            raise ConfigError(f"{cfg.path}: key 'control.eps' must be positive and finite, got {eps!r}")
+        return ControlSignal.dither(center, gain, eps=eps)
     if family == "ramp":
         duration = cfg.get_float("control.duration", required=True)
         if not duration > 0.0:
             raise ConfigError(f"{cfg.path}: key 'control.duration' must be positive, got {duration!r}")
-        return ControlSignal.ramp(
-            cfg.get_floats("control.start", required=True),
-            cfg.get_floats("control.end", required=True),
-            t0=cfg.get_float("control.t0", 0.0),
-            duration=duration,
-        )
+        return ControlSignal.ramp(*_control_pair(cfg, family), t0=cfg.get_float("control.t0", 0.0), duration=duration)
     raise ConfigError(
         f"{cfg.path}: key 'control.family' has unknown value {family!r} "
         "(expected constant|polynomial|linear|sinusoid|dither|ramp)"

@@ -19,10 +19,9 @@ This module computes the splitting (projections on vectors, coprojections on
 covectors), the lift maps ``h``/``k`` taking a control velocity to its block
 III representative, and the validated evaluation of the model callbacks, and
 defines the type of the models' adapted frames.  The callbacks and the frame
-fields are all that the dynamics layer differentiates, by complex step (the
-callbacks fall back to central differences when they reject complex input):
-the derivatives of the splitting follow in closed form from those of
-``metric`` and ``omega`` (see
+fields are all that the dynamics layer differentiates, by complex step, so
+all of them must be complex-safe: the derivatives of the splitting follow in
+closed form from those of ``metric`` and ``omega`` (see
 :func:`nonholo.reduced_dynamics.coefficient_tensors`).
 
 One singular-value decomposition of the constraint block ``Omega[:, :N]``
@@ -43,7 +42,10 @@ Conventions: configurations, vectors and covectors are 1-D ``numpy`` arrays of
 length ``N + M``; matrices act on the left.  Coprojections satisfy
 ``Pstar = g @ P @ g^-1`` and, because the splitting is ``g``-orthogonal, equal
 the plain transposes of the projections; they are stored as those transposes.
-All rank decisions use a relative singular-value cutoff of ``1e-9``.
+Transversality is decided by a relative singular-value cutoff of ``1e-9``
+(``RANK_RTOL``); the block-rank check of a built splitting counts singular
+values above the absolute cutoff ``1e-8``, which is scale-free because the
+nonzero singular values of a projection are at least one.
 """
 
 from __future__ import annotations
@@ -59,10 +61,9 @@ from .errors import RankDeficiency, SingularMetric
 Array = np.ndarray
 MetricFn = Callable[[Array], Array]
 OmegaFn = Callable[[Array], Array]
-ForceFn = Callable[[float, Array, Array], Array]
 SkipTypes = tuple[type[Exception], ...]
 
-#: Relative singular-value cutoff shared by every rank decision in the package.
+#: Relative singular-value cutoff of the transversality test on the constraint block.
 RANK_RTOL = 1e-9
 
 
@@ -80,18 +81,15 @@ class SystemSpec:
         one-forms in coordinate components.
     :param metric_inverse: optional analytic inverse of ``metric``; when
         absent the inverse is obtained by factorization.
-    :param force: optional applied covector ``(t, q, p) -> (N+M,)``.
 
-    ``metric`` and ``omega`` should accept complex ``q`` and be analytic in
+    ``metric`` and ``omega`` must accept complex ``q`` and be analytic in
     it: built from arithmetic and ``numpy`` functions such as ``np.sin``,
     with results whose dtype follows ``q`` (no ``abs``, ``.real``,
-    ``float()`` or ``math.*`` applied to ``q``).  Their derivatives are then
+    ``float()`` or ``math.*`` applied to ``q``).  Their derivatives are
     complex-step derivatives, exact to rounding, at ``N + M`` complex
-    evaluations per point.  A callback that raises ``TypeError`` on complex
-    input, or writes complex values into a real array, gets central
-    differences instead: ``2 (N + M)`` real evaluations per point, with
-    truncation error of order ``FD_STEP**2`` (see
-    :mod:`nonholo.reduced_dynamics`).
+    evaluations per point (see :mod:`nonholo.reduced_dynamics`).  A callback
+    that raises ``TypeError`` on complex input, or writes complex values into
+    a real array, raises :class:`~nonholo.errors.ModelError` there.
     """
 
     N: int
@@ -100,7 +98,6 @@ class SystemSpec:
     metric: MetricFn
     omega: OmegaFn
     metric_inverse: Optional[MetricFn] = None
-    force: Optional[ForceFn] = None
 
     def __post_init__(self) -> None:
         if min(self.N, self.M, self.nu) < 0:
@@ -185,7 +182,7 @@ class Frame:
     the dynamics.  Like the metric and constraint callbacks of
     :class:`SystemSpec`, a frame field must be complex-safe and analytic in
     ``q``: :func:`~nonholo.reduced_dynamics.frame_rhs` transports the frame
-    by complex step, with no real-only fallback.
+    by complex step.
     """
 
     V: Array
@@ -276,11 +273,6 @@ def metric_inverse_at(spec: SystemSpec, q: Array, metric: Optional[Array] = None
     q = np.asarray(q, dtype=float)
     g = metric if metric is not None else metric_at(spec, q)
     return _validated_inverse(g, None if spec.metric_inverse is None else _metric_inverse_callback(spec, q))
-
-
-def omega_at(spec: SystemSpec, q: Array) -> Array:
-    """Constraint one-form rows at ``q`` (shape ``(nu, N+M)``)."""
-    return _omega_callback(spec, np.asarray(q, dtype=float))
 
 
 def _canonical_sign(cols: Array) -> Array:
@@ -406,24 +398,36 @@ def _projection_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple
     return keep, P
 
 
+def _block_ranks(spec: SystemSpec, Q: Array, P: ProjectionSet, skip: SkipTypes = ()) -> Array:
+    """Mask of the points ``Q`` of the stacked set ``P`` whose blocks have ranks ``(N - nu, nu, M)``.
+
+    Ranks count singular values above the absolute cutoff ``1e-8``.  Where a
+    rank is wrong ``RankDeficiency`` is raised, or, when it is in ``skip``,
+    the point's mask entry is ``False``.  Builds the lazy blocks II and III.
+    """
+    ranks = np.linalg.matrix_rank(np.stack([P.P_I, P.P_II, P.P_III], axis=1), tol=1e-8)
+    expected = (spec.N - spec.nu, spec.nu, spec.M)
+    ok = (ranks == expected).all(axis=1)
+    for i in np.flatnonzero(~ok):
+        exc = RankDeficiency(f"projection ranks {tuple(ranks[i].tolist())} != {expected} at q={Q[i]}")
+        if not isinstance(exc, skip):
+            raise exc
+    return ok
+
+
 def projection_set(spec: SystemSpec, q: Array, check: bool = True) -> ProjectionSet:
     """Projections, coprojections and lift maps of the splitting at ``q``.
 
     With ``check=True`` (the default) the block ranks are verified against
-    ``(N - nu, nu, M)``, which also builds the lazy blocks II and III;
-    passing ``check=False`` skips those singular-value sweeps (the
-    transversality test still runs), which matters on the hot path of the
-    dynamics.
+    ``(N - nu, nu, M)``; passing ``check=False`` skips those singular-value
+    sweeps and the lazy blocks II and III they need (the transversality test
+    still runs), which matters on the hot path of the dynamics.
     """
     q = np.asarray(q, dtype=float)
-    _, stacked = _projection_stack(spec, q[None])
-    P = stacked.point(0)
+    _, P = _projection_stack(spec, q[None])
     if check:
-        ranks = tuple(np.linalg.matrix_rank(A, tol=1e-8) for A in (P.P_I, P.P_II, P.P_III))
-        expected = (spec.N - spec.nu, spec.nu, spec.M)
-        if ranks != expected:
-            raise RankDeficiency(f"projection ranks {ranks} != {expected} at q={q}")
-    return P
+        _block_ranks(spec, q[None], P)
+    return P.point(0)
 
 
 def argmin_certificate(

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_geometry import Array, SystemSpec, _each_point, projection_set
+from .core_geometry import Array, SystemSpec, _block_ranks, _each_point, projection_set
 from .errors import (
     ChartDomain,
     NotInDeltaCapGamma,
@@ -337,9 +337,7 @@ def sufficiency_check(
     max_rep = 0.0
     if T is not None:
         P = T.projections
-        # the block ranks that projection_set(check=True) verifies, at all points in one call
-        ranks = np.linalg.matrix_rank(np.stack([P.P_I, P.P_II, P.P_III], axis=1), tol=1e-8)
-        ok = (ranks == (spec.N - spec.nu, spec.nu, spec.M)).all(axis=1)
+        ok = _block_ranks(spec, pts[keep], P, skip=_SKIPPABLE)
         based, bases = _each_point(lambda q: (np.asarray(basis_field(q), dtype=float),), pts[keep][ok], _SKIPPABLE)
         ok[ok] = based
         keep[keep] = ok

@@ -5,7 +5,7 @@ passive part of the system closes on the pair ``(q, p_I)``: the configuration
 and the free-block momentum covector.  For control trajectory ``u(t)``::
 
     qdot  = ginv @ (p_I + k @ udot)          (= free velocity + lifted drive)
-    pIdot = theta_I[p, p] + Pstar_I @ F,     p = p_I + k @ udot
+    pIdot = theta_I[p, p],                   p = p_I + k @ udot
 
 where ``theta_I`` is the quadratic form collecting the transport of the free
 coprojection and the configuration dependence of the kinetic energy.  The
@@ -20,13 +20,13 @@ velocity components of the free motion along a smooth adapted frame, with
 Derivatives come in two kinds.  Those of the model callbacks ``metric`` and
 ``omega`` are complex-step derivatives: each callback is evaluated once at
 every ``q + i H e_j`` (``H = COMPLEX_STEP``) and the derivative is read from
-the imaginary part, exact to rounding.  Callbacks that reject complex input
-get central differences with relative step ``FD_STEP`` instead.  The
-derivatives of the splitting built from them — free coprojection, inverse
-metric and lift — follow from closed-form perturbation identities at a
-single splitting (:func:`coefficient_tensors`).  The frame form transports
-its frame by the same complex step, with no fallback: frame fields must be
-complex-safe.
+the imaginary part, exact to rounding.  The derivatives of the splitting
+built from them — free coprojection, inverse metric and lift — follow from
+closed-form perturbation identities at a single splitting
+(:func:`coefficient_tensors`).  The frame form transports its frame by the
+same complex step.  Callbacks and frame fields therefore share one contract:
+they must be complex-safe, and one that is not raises
+:class:`~nonholo.errors.ModelError`.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ from .core_geometry import (
     _each_point,
     _eye,
     _projection_stack,
-    metric_at,
-    omega_at,
     projection_set,
 )
 from .errors import FrameNotSmooth, ModelError, NonAdaptedState, NotInDeltaCapGamma
@@ -61,11 +59,6 @@ TimeFn = Callable[[float], Array]
 #: the rounding of any real part, so ``Im f(q + iH e_j) / H`` is ``df/dq_j``
 #: with no truncation or cancellation error.
 COMPLEX_STEP = 1e-30
-#: Relative step of the central differences taken for real-only callbacks:
-#: absolute step ``FD_STEP * max(1, |q_j|)`` along coordinate ``j``.
-FD_STEP = 5e-6
-#: What a function that is not complex-safe raises under ``_complex_call``.
-_NOT_COMPLEX_SAFE = (TypeError, np.exceptions.ComplexWarning)
 _WARNINGS_LOCK = threading.RLock()
 
 
@@ -169,13 +162,12 @@ class CoefficientTensors:
     ``dPstar_I[j]``, ``dginv[j]`` and ``dg[j]`` are the coordinate-``j``
     derivatives of the free coprojection, the inverse metric and the metric;
     ``dk[j]`` that of the covector lift.  They are exact functions of the
-    splitting at the point and of the callback derivatives, which are exact
-    to rounding for complex-safe callbacks (central differences otherwise;
-    see :class:`~nonholo.core_geometry.SystemSpec`).  Build once per
-    evaluation point and share across the several quadratic-form
-    contractions needed there.  Tensors built for many points at once carry
-    one leading axis over the points on every field, like their
-    ``projections``.
+    splitting at the point and of the callbacks' complex-step derivatives,
+    so exact to rounding (see :class:`~nonholo.core_geometry.SystemSpec`).
+    Build once per evaluation point and share across the several
+    quadratic-form contractions needed there.  Tensors built for many points
+    at once carry one leading axis over the points on every field, like
+    their ``projections``.
     """
 
     projections: ProjectionSet
@@ -185,38 +177,25 @@ class CoefficientTensors:
     dg: Array
 
 
-def _complex_call(fn: Callable, *args: object) -> object:
-    """``fn(*args)``, raising ``ComplexWarning`` when ``fn`` drops an imaginary part into a real array."""
+def _complex_call(fn: Callable, label: str, *args: object) -> object:
+    """``fn(*args)`` at complex arguments, raising ``ModelError`` unless ``fn`` is complex-safe.
+
+    ``fn`` is not complex-safe when it raises ``TypeError`` on complex input
+    or drops an imaginary part into a real array (``ComplexWarning``, made an
+    error here whatever the caller's filters): its derivatives would be
+    wrong, zero in the second case.  ``label`` names the callback in the
+    message.
+    """
     # catch_warnings swaps process-wide state: the lock keeps threads of a
     # concurrent caller from restoring each other's filters (reentrant: a frame
     # field may take complex-step tensors inside the frame transport's call)
     with _WARNINGS_LOCK, warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        return fn(*args)
-
-
-def _central_differences(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[Array], Optional[Array]]:
-    """Central-difference stacks ``dg[i, j]`` and ``dOm[i, j]`` of real-only callbacks.
-
-    Returns ``(keep, dg, dOm)`` as :func:`_callback_derivative_stack` does.
-    """
-    n = spec.dim
-
-    def differences(q: Array) -> tuple[Array, Array]:
-        dg = np.empty((n, n, n))
-        dOm = np.empty((n, spec.nu, n))
-        for j in range(n):
-            h = FD_STEP * max(1.0, abs(float(q[j])))
-            qp = q.copy()
-            qm = q.copy()
-            qp[j] += h
-            qm[j] -= h
-            dg[j] = (metric_at(spec, qp) - metric_at(spec, qm)) / (2.0 * h)
-            dOm[j] = (omega_at(spec, qp) - omega_at(spec, qm)) / (2.0 * h)
-        return dg, dOm
-
-    keep, parts = _each_point(differences, Q, skip)
-    return (keep, *parts) if parts else (keep, None, None)
+        try:
+            return fn(*args)
+        except (TypeError, np.exceptions.ComplexWarning) as exc:
+            msg = f"{label} is not complex-safe ({exc!r}): it must accept complex q and be analytic in it"
+            raise ModelError(msg) from None
 
 
 def _callback_derivative_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[Array], Optional[Array]]:
@@ -224,12 +203,11 @@ def _callback_derivative_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ())
 
     Complex step: at each point ``metric`` and ``omega`` are evaluated once
     each at every ``q + i H e_j``, and the derivative is the imaginary part
-    over ``H``.  If a callback raises ``TypeError`` on complex input, or drops
-    the imaginary part into a real array (``ComplexWarning``, made an error
-    here), the whole stack gets central differences instead.  A point whose
-    callback raises one of ``skip`` leaves the stack.  Returns
-    ``(keep, dg, dOm)``: the mask of the points that stayed and the stacks
-    over them (``None`` when no point stayed).
+    over ``H``.  A callback that is not complex-safe raises ``ModelError``
+    (see :func:`_complex_call`).  A point whose callback raises one of
+    ``skip`` leaves the stack.  Returns ``(keep, dg, dOm)``: the mask of the
+    points that stayed and the stacks over them (``None`` when no point
+    stayed).
     """
     n = spec.dim
     steps = (1j * COMPLEX_STEP) * _eye(n)
@@ -240,10 +218,7 @@ def _callback_derivative_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ())
         O = np.array([_check_shape(np.asarray(spec.omega(z)), (spec.nu, n), "omega") for z in points])
         return G.imag, O.imag
 
-    try:
-        keep, parts = _complex_call(_each_point, complex_step, Q, skip)
-    except _NOT_COMPLEX_SAFE:
-        return _central_differences(spec, Q, skip)
+    keep, parts = _complex_call(_each_point, "metric or omega", complex_step, Q, skip)
     if not parts:
         return keep, None, None
     dg = parts[0] / COMPLEX_STEP
@@ -314,9 +289,9 @@ def coefficient_tensors(spec: SystemSpec, q: Array, projections: Optional[Projec
     """Assemble :class:`CoefficientTensors` at ``q`` from one splitting.
 
     Only ``metric`` and ``omega`` are differentiated numerically, by complex
-    step at ``q + i H e_j`` (``N + M`` evaluations of each; central
-    differences at ``q ± h e_j`` for callbacks that reject complex input);
-    the splitting's derivatives are closed-form (see :func:`_tensors_from`).
+    step at ``q + i H e_j`` (``N + M`` evaluations of each); the splitting's
+    derivatives are closed-form (see :func:`_tensors_from`).  A callback that
+    is not complex-safe raises :class:`~nonholo.errors.ModelError`.
     """
     q = np.asarray(q, dtype=float)
     P = projections if projections is not None else projection_set(spec, q, check=False)
@@ -334,8 +309,8 @@ def theta_I_apply(
 
     First slot feeds the transport direction ``ginv @ p``; the second is
     carried by the coprojection derivative.  On the diagonal this is exactly
-    the force-free ``pIdot``.  ``p`` and ``ptilde`` may carry leading axes
-    that broadcast against those of stacked ``tensors``; so does the result.
+    ``pIdot``.  ``p`` and ``ptilde`` may carry leading axes that broadcast
+    against those of stacked ``tensors``; so does the result.
     """
     T = tensors if tensors is not None else coefficient_tensors(spec, q)
     P = T.projections
@@ -412,8 +387,6 @@ def reduced_rhs(
     p = p_I + drive
     qdot = P.ginv @ p
     pIdot = theta_I_apply(spec, q, p, p, tensors=T)
-    if spec.force is not None:
-        pIdot = pIdot + P.Pstar_I @ np.asarray(spec.force(t, q, p), dtype=float)
     return qdot, pIdot
 
 
@@ -427,25 +400,17 @@ def reaction_force(
 ) -> Array:
     """Total constraint reaction covector along the reduced motion.
 
-    Reconstructed as ``R = pdot + dH/dq - F`` with ``p = p_I + k @ udot`` and
+    Reconstructed as ``R = pdot + dH/dq`` with ``p = p_I + k @ udot`` and
     ``pdot`` assembled from the reduced equation plus the transport of the
     lift.  A correct implementation leaves ``R`` (which includes the
     control-enforcing forces) with no free-block component.
     """
     q = np.asarray(q, dtype=float)
     T = tensors if tensors is not None else coefficient_tensors(spec, q)
-    return _reaction_from_rhs(spec, q, p_I, t, control, T, reduced_rhs(spec, q, p_I, t, control, tensors=T))
+    return _reaction_from_rhs(p_I, t, control, T, reduced_rhs(spec, q, p_I, t, control, tensors=T))
 
 
-def _reaction_from_rhs(
-    spec: SystemSpec,
-    q: Array,
-    p_I: Array,
-    t: float,
-    control: ControlSignal,
-    T: CoefficientTensors,
-    rhs: tuple[Array, Array],
-) -> Array:
+def _reaction_from_rhs(p_I: Array, t: float, control: ControlSignal, T: CoefficientTensors, rhs: tuple[Array, Array]) -> Array:
     """:func:`reaction_force` given ``rhs = reduced_rhs(spec, q, p_I, t, control, tensors=T)``."""
     P = T.projections
     udot = np.atleast_1d(np.asarray(control.rate(t), dtype=float))
@@ -455,10 +420,7 @@ def _reaction_from_rhs(
     kdot = np.einsum("j,jia->ia", qdot, T.dk)
     pdot = pIdot + kdot @ udot + P.k @ uddot
     grad = 0.5 * np.einsum("i,jik,k->j", p, T.dginv, p)
-    R = pdot + grad
-    if spec.force is not None:
-        R = R - np.asarray(spec.force(t, q, p), dtype=float)
-    return R
+    return pdot + grad
 
 
 def check_frame_continuity(prev: Frame, new: Frame) -> None:
@@ -518,16 +480,10 @@ def frame_rhs(
     p_I = g @ free_vel
     p = p_I + P.k @ udot
     pIdot = theta_I_apply(spec, q, p, p, tensors=T)
-    if spec.force is not None:
-        pIdot = pIdot + P.Pstar_I @ np.asarray(spec.force(t, q, p), dtype=float)
 
     # transport the free block along qdot by complex step, its norms through
     # the exact metric derivative
-    try:
-        shifted = _complex_call(frame_field, q + (1j * COMPLEX_STEP) * qdot)
-    except _NOT_COMPLEX_SAFE as exc:
-        msg = f"frame field is not complex-safe ({exc!r}): it must accept complex q and be analytic in it"
-        raise ModelError(msg) from None
+    shifted = _complex_call(frame_field, "frame field", q + (1j * COMPLEX_STEP) * qdot)
     check_frame_continuity(frame, Frame(shifted.V.real, shifted.Omega_frame.real, shifted.block_ranges))
     dV = shifted.V[:, i0:i1].imag / COMPLEX_STEP
     dg_flow = np.tensordot(qdot, T.dg, axes=1)
@@ -544,7 +500,7 @@ def frame_coefficients(
 ) -> dict[str, Array]:
     """Quadratic structure of the frame momentum equation at ``q``.
 
-    The force-free ``xidot`` is exactly quadratic in ``z = (xi, udot)``; one
+    ``xidot`` is exactly quadratic in ``z = (xi, udot)``; one
     polarization of :func:`frame_rhs` over the unit vectors of ``z`` gives its
     symmetric form ``B``, whose blocks are:
 

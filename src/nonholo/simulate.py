@@ -133,7 +133,7 @@ def _diagnostics(
     speed = float(np.linalg.norm(qdot_full))
     cres = float(np.linalg.norm(P.Om @ qdot_full)) / speed if speed >= 1e-14 else 0.0
     rhs = reduced_rhs(spec, q, p_I, t, control, tensors=T)
-    R = _reaction_from_rhs(spec, q, p_I, t, control, T, rhs)
+    R = _reaction_from_rhs(p_I, t, control, T, rhs)
     # at instants where no reaction is needed |R| ~ 0 and the plain ratio
     # is noise over noise; the floor ties it to the dynamic scale instead
     floor = 1e-3 * (1.0 + float(np.linalg.norm(p_full)) + speed)

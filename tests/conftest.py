@@ -80,7 +80,8 @@ def random_system(seed, N=3, M=2, nu=1, curved=True):
 
     The metric and forms are built from fixed random tensors contracted with
     bounded trig functions of q, so they are smooth, uniformly SPD, and
-    generically q-dependent (set ``curved=False`` for constant data).
+    generically q-dependent (set ``curved=False`` for constant data).  Both
+    are complex-safe: analytic in q, with dtypes that follow it.
     """
     gen = np.random.default_rng(seed)
     n = N + M
@@ -96,14 +97,14 @@ def random_system(seed, N=3, M=2, nu=1, curved=True):
     def metric(q):
         if not curved:
             return base.copy()
-        return base + np.sin(float(q[0]) + 0.7) * bump
+        return base + np.sin(q[0] + 0.7) * bump
 
     def omega(q):
-        Om = np.zeros((nu, n))
+        Om = np.zeros((nu, n), dtype=np.result_type(q, float))
         Om[:, :N] = rows
         if curved:
-            Om[:, :N] = rows * (1.0 + 0.3 * np.cos(float(q[-1])))
-            Om[:, N:] = 0.2 * tail * np.sin(float(q[0]))
+            Om[:, :N] = rows * (1.0 + 0.3 * np.cos(q[-1]))
+            Om[:, N:] = 0.2 * tail * np.sin(q[0])
         phase = 0.1 * np.sin(q[:N].sum()) if curved else 0.0
         Om[:, 0] += phase * wiggle[:, 0]
         return Om

@@ -147,8 +147,32 @@ class TestSimulateCommand:
         [
             ("control.family = ramp\ncontrol.start = 0.0\ncontrol.end = 0.4\ncontrol.duration = 0\n", "control.duration"),
             ("control.family = constant\ncontrol.value = 0, 0\n", "control.value"),
+            ("control.family = dither\ncontrol.center = 0\ncontrol.gain = 1\ncontrol.eps = 0\n", "control.eps"),
+            ("control.family = dither\ncontrol.center = 0\ncontrol.gain = 1\ncontrol.eps = nan\n", "control.eps"),
+            ("control.family = linear\ncontrol.value = 0, 0\ncontrol.rate = 1, 2, 3\n", "'control.value' and 'control.rate'"),
+            (
+                "control.family = sinusoid\ncontrol.mean = 0, 0\ncontrol.amp = 1, 2, 3\ncontrol.omega = 1\n",
+                "'control.mean' and 'control.amp'",
+            ),
+            (
+                "control.family = dither\ncontrol.center = 0, 0\ncontrol.gain = 1, 2, 3\ncontrol.eps = 0.1\n",
+                "'control.center' and 'control.gain'",
+            ),
+            (
+                "control.family = ramp\ncontrol.start = 0, 0\ncontrol.end = 1, 2, 3\ncontrol.duration = 1\n",
+                "'control.start' and 'control.end'",
+            ),
         ],
-        ids=["ramp-duration-zero", "too-many-channels"],
+        ids=[
+            "ramp-duration-zero",
+            "too-many-channels",
+            "dither-eps-zero",
+            "dither-eps-nan",
+            "linear-pair-lengths",
+            "sinusoid-pair-lengths",
+            "dither-pair-lengths",
+            "ramp-pair-lengths",
+        ],
     )
     def test_bad_control_value_is_config_error(self, tmp_path, capsys, control, key):
         cfg = write_cfg(tmp_path, "model.name = roller-racer\nintegrator.dt = 1e-2\nintegrator.t1 = 0.03\n" + control)

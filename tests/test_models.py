@@ -359,6 +359,42 @@ def test_frame_field_is_complex_safe(name):
             assert np.abs(got.imag / H - deriv).max() <= 1e-8 * (1.0 + np.abs(deriv).max()), field
 
 
+@pytest.mark.parametrize(
+    "name, options",
+    [
+        ("roller-racer", {}),
+        ("rolling-ball", {}),
+        ("euclidean-toy", {}),
+        ("euclidean-toy", {"constrained": True}),
+        ("roller-racer", {"metric_perturb": 0.05}),
+        ("rolling-ball", {"metric_perturb": 0.05}),
+    ],
+)
+def test_callbacks_are_complex_safe(name, options):
+    """At ``q + i H v`` the real parts are the callbacks at ``q`` and ``Im / H`` their derivatives along ``v``."""
+    bundle = build_model(name, **options)
+    spec = bundle.spec
+    H = 1e-30
+    gen = np.random.default_rng(41)
+    for q in sample_points(bundle, 5, seed=43):
+        v = gen.standard_normal(q.shape[0])
+        # central differences along v at steps h and h / 2, one Richardson extrapolation
+        h = 1e-3 * max(1.0, float(np.abs(q).max())) / float(np.linalg.norm(v))
+        for callback in (spec.metric, spec.omega):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", np.exceptions.ComplexWarning)
+                got = np.asarray(callback(q + 1j * H * v))
+            ref = np.asarray(callback(q))
+
+            def central(step):
+                return (np.asarray(callback(q + step * v)) - np.asarray(callback(q - step * v))) / (2.0 * step)
+
+            assert got.shape == ref.shape
+            assert np.abs(got.real - ref).max(initial=0.0) <= 1e-15 * np.abs(ref).max(initial=0.0)
+            deriv = (4.0 * central(0.5 * h) - central(h)) / 3.0
+            assert np.abs(got.imag / H - deriv).max(initial=0.0) <= 1e-8 * (1.0 + np.abs(deriv).max(initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 from nonholo import reduced_dynamics
 from nonholo.core_geometry import SystemSpec, metric_at, projection_set
 from nonholo.errors import FrameNotSmooth, ModelError, NonAdaptedState, NotInDeltaCapGamma, SingularMetric
+from nonholo.jump_analysis import BoxSampler, psi_scan
 from nonholo.models import build_model, racer_denominators, racer_frame_vectors
 from nonholo.reduced_dynamics import (
     ControlSignal,
@@ -277,18 +278,6 @@ class TestClosedFormDerivatives:
         coefficient_tensors(spec, q, projections=P)
         assert dict(calls) == {("metric", "complex"): n, ("omega", "complex"): n}
 
-    def test_real_only_callbacks_take_2n_central_differences(self):
-        """A callback that rejects complex input is differenced at ``q ± h e_j``."""
-        calls = Counter()
-        spec = counting_spec(random_system(5, N=3, M=1, nu=2), calls)
-        q = np.random.default_rng(8).uniform(-1.0, 1.0, size=spec.dim)
-        n = spec.dim
-        P = projection_set(spec, q, check=False)
-        calls.clear()
-        coefficient_tensors(spec, q, projections=P)
-        # the first complex evaluation raises, then the central differences run
-        assert dict(calls) == {("metric", "complex"): 1, ("metric", "real"): 2 * n, ("omega", "real"): 2 * n}
-
 
 def counted(calls, name, fn):
     """``fn`` counting its calls in ``calls[name]``."""
@@ -318,51 +307,33 @@ def counting_spec(spec, calls):
     )
 
 
-def real_only(spec):
-    """``spec`` whose ``metric`` and ``omega`` raise ``TypeError`` on complex input."""
+def real_only(spec, name):
+    """``spec`` whose callback ``name`` raises ``TypeError`` on complex input."""
+    fn = getattr(spec, name)
 
-    def wrap(fn):
-        def wrapper(q):
-            if np.iscomplexobj(q):
-                raise TypeError("real input only")
-            return fn(q)
+    def wrapper(q):
+        if np.iscomplexobj(q):
+            raise TypeError("real input only")
+        return fn(q)
 
-        return wrapper
-
-    return dataclasses.replace(spec, metric=wrap(spec.metric), omega=wrap(spec.omega))
+    return dataclasses.replace(spec, **{name: wrapper})
 
 
 class TestComplexStep:
-    """Complex-step callback derivatives and their central-difference fallback."""
+    """Complex-step callback derivatives and the complex-safety contract."""
 
-    @pytest.mark.parametrize(
-        "name, options",
-        [
-            ("roller-racer", {}),
-            ("rolling-ball", {}),
-            ("roller-racer", {"metric_perturb": 0.05}),
-            ("rolling-ball", {"metric_perturb": 0.05}),
-        ],
-    )
-    def test_matches_central_differences(self, name, options, monkeypatch):
-        bundle = build_model(name, **options)
-        fallbacks = Counter()
-        monkeypatch.setattr(
-            reduced_dynamics,
-            "_central_differences",
-            counted(fallbacks, "calls", reduced_dynamics._central_differences),
-        )
-        for q in sample_points(bundle, 5, seed=73):
-            got = reduced_dynamics._callback_derivatives(bundle.spec, q)
-            assert fallbacks["calls"] == 0
-            ref = reduced_dynamics._callback_derivatives(real_only(bundle.spec), q)
-            assert fallbacks["calls"] == 1
-            fallbacks.clear()
-            for a, b in zip(got, ref):
-                assert a.shape == b.shape
-                assert np.abs(a - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
+    @pytest.mark.parametrize("name", ["metric", "omega"])
+    def test_real_only_callback_is_a_model_error(self, name):
+        """A callback that rejects complex input is refused by the tensors and by the scans."""
+        spec = real_only(random_system(5, N=3, M=1, nu=2), name)
+        q = np.random.default_rng(8).uniform(-1.0, 1.0, size=spec.dim)
+        projection_set(spec, q)  # real evaluations pass
+        with pytest.raises(ModelError, match="metric or omega is not complex-safe"):
+            coefficient_tensors(spec, q)
+        with pytest.raises(ModelError, match="metric or omega is not complex-safe"):
+            psi_scan(spec, BoxSampler(np.tile([-1.0, 1.0], (spec.dim, 1)), seed=6), n_samples=12)
 
-    def test_complex_values_in_a_real_buffer_take_the_fallback(self):
+    def test_complex_values_in_a_real_buffer_is_a_model_error(self):
         """Writing complex values into ``np.zeros((n, n))`` must not give zero derivatives."""
         gen = np.random.default_rng(11)
         A = gen.standard_normal((4, 4))
@@ -377,15 +348,11 @@ class TestComplexStep:
 
         spec = SystemSpec(N=3, M=1, nu=1, metric=metric, omega=lambda q: Om.copy())
         q = np.array([0.4, -0.3, 0.8, 0.1])
-        # the fallback is chosen whatever the caller's warning filters are
+        # refused whatever the caller's warning filters are
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-            T = coefficient_tensors(spec, q)
-        ginv = np.linalg.inv(metric(q))
-        expected = -np.cos(q[0]) * (ginv @ bump @ ginv)
-        assert np.abs(T.dginv[0]).max() > 1e-3
-        assert np.abs(T.dginv[0] - expected).max() <= 1e-8 * np.abs(expected).max()
-        assert np.all(T.dginv[1:] == 0.0)
+            with pytest.raises(ModelError, match="ComplexWarning"):
+                coefficient_tensors(spec, q)
 
     def test_asymmetric_metric_derivative_is_rejected(self):
         """The symmetry check of the metric also covers its complex-step derivative."""
