@@ -49,14 +49,19 @@ class RunConfig:
             raise ConfigError(f"{self.path}: missing required key '{key}'")
         return default
 
-    def get_float(self, key: str, default: Optional[float] = None, required: bool = False) -> Optional[float]:
-        raw = self.get_str(key, required=required)
-        if raw is None:
-            return default
+    def _number(self, key: str, text: str, raw: str) -> float:
+        """``text`` (``raw`` or one entry of it) as a finite float."""
         try:
-            return float(raw)
+            value = float(text)
         except ValueError:
             raise ConfigError(f"{self.path}: key '{key}' has non-numeric value {raw!r}") from None
+        if not np.isfinite(value):
+            raise ConfigError(f"{self.path}: key '{key}' has non-finite value {raw!r}")
+        return value
+
+    def get_float(self, key: str, default: Optional[float] = None, required: bool = False) -> Optional[float]:
+        raw = self.get_str(key, required=required)
+        return default if raw is None else self._number(key, raw, raw)
 
     def get_int(self, key: str, default: Optional[int] = None, required: bool = False) -> Optional[int]:
         raw = self.get_str(key, required=required)
@@ -82,10 +87,7 @@ class RunConfig:
         raw = self.get_str(key, required=required)
         if raw is None:
             return None if default is None else np.asarray(default, dtype=float)
-        try:
-            return np.array([float(part) for part in raw.split(",") if part.strip() != ""])
-        except ValueError:
-            raise ConfigError(f"{self.path}: key '{key}' has a non-numeric entry in {raw!r}") from None
+        return np.array([self._number(key, part, raw) for part in raw.split(",") if part.strip() != ""])
 
 
 def parse_config(path: str) -> RunConfig:
@@ -179,8 +181,8 @@ def control_from_config(cfg: RunConfig) -> ControlSignal:
     if family == "dither":
         center, gain = _control_pair(cfg, family)
         eps = cfg.get_float("control.eps", required=True)
-        if not 0.0 < eps < np.inf:
-            raise ConfigError(f"{cfg.path}: key 'control.eps' must be positive and finite, got {eps!r}")
+        if not eps > 0.0:
+            raise ConfigError(f"{cfg.path}: key 'control.eps' must be positive, got {eps!r}")
         return ControlSignal.dither(center, gain, eps=eps)
     if family == "ramp":
         duration = cfg.get_float("control.duration", required=True)
@@ -336,8 +338,8 @@ def cmd_vibrate(cfg: RunConfig, out: str, seed: int) -> int:
     if not np.all(eps_list > 0.0):
         raise ConfigError(f"{cfg.path}: key 'vibrate.eps_list' needs positive entries, got {eps_list.tolist()}")
     horizon = cfg.get_float("vibrate.horizon", float(np.pi))
-    if not 0.0 < horizon < np.inf:
-        raise ConfigError(f"{cfg.path}: key 'vibrate.horizon' must be positive and finite, got {horizon!r}")
+    if not horizon > 0.0:
+        raise ConfigError(f"{cfg.path}: key 'vibrate.horizon' must be positive, got {horizon!r}")
     steps = cfg.get_int("vibrate.steps_per_period", 50)
     if steps < 20:
         raise StepRejected(f"vibrate.steps_per_period = {steps} resolves the fast phase too coarsely (need >= 20)")

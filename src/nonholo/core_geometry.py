@@ -36,7 +36,7 @@ constraint block rather than its square.
 
 The splitting is computed by one kernel over a stack of points, the form the
 fitness scans use to batch their samples; :func:`projection_set` is its
-one-point case.
+one-point case; it calls each model callback once per stack.
 
 Conventions: configurations, vectors and covectors are 1-D ``numpy`` arrays of
 length ``N + M``; matrices act on the left.  Coprojections satisfy
@@ -75,21 +75,27 @@ class SystemSpec:
     :param M: number of directly controlled coordinates; these are stored as
         the last ``M`` entries of every configuration vector.
     :param nu: number of constraint one-forms.
-    :param metric: callback ``q -> (N+M, N+M)`` kinetic-energy matrix; must be
-        symmetric positive definite wherever it is evaluated.
-    :param omega: callback ``q -> (nu, N+M)`` whose rows are the constraint
-        one-forms in coordinate components.
+    :param metric: callback ``q -> (..., N+M, N+M)`` kinetic-energy matrices;
+        each must be symmetric positive definite wherever it is evaluated.
+    :param omega: callback ``q -> (..., nu, N+M)`` whose rows are the
+        constraint one-forms in coordinate components.
     :param metric_inverse: optional analytic inverse of ``metric``; when
         absent the inverse is obtained by factorization.
+
+    The callbacks are stacked: ``q`` is ``(..., N+M)``, points along any
+    leading axes, written ``q[..., j]``, and ``cb(Q)[i]`` equals
+    ``cb(Q[i])``.  A callback that cannot evaluate some point of a stack
+    raises for the whole stack; callers that skip such points then rerun it
+    one point at a time.
 
     ``metric`` and ``omega`` must accept complex ``q`` and be analytic in
     it: built from arithmetic and ``numpy`` functions such as ``np.sin``,
     with results whose dtype follows ``q`` (no ``abs``, ``.real``,
     ``float()`` or ``math.*`` applied to ``q``).  Their derivatives are
-    complex-step derivatives, exact to rounding, at ``N + M`` complex
-    evaluations per point (see :mod:`nonholo.reduced_dynamics`).  A callback
-    that raises ``TypeError`` on complex input, or writes complex values into
-    a real array, raises :class:`~nonholo.errors.ModelError` there.
+    complex-step derivatives, exact to rounding, from one complex call per
+    stack (see :mod:`nonholo.reduced_dynamics`).  A callback that raises
+    ``TypeError`` on complex input, or writes complex values into a real
+    array, raises :class:`~nonholo.errors.ModelError` there.
     """
 
     N: int
@@ -205,13 +211,6 @@ def _check_symmetric(G: Array, label: str) -> None:
         raise SingularMetric(f"{label} is not symmetric")
 
 
-def _check_shape(A: Array, shape: tuple[int, ...], label: str) -> Array:
-    """Return ``A`` after checking that callback ``label`` returned ``shape``."""
-    if A.shape != shape:
-        raise ValueError(f"{label} returned shape {A.shape}, expected {shape}")
-    return A
-
-
 @lru_cache(maxsize=None)
 def _eye(n: int) -> Array:
     """Read-only identity matrix of size ``n``."""
@@ -249,21 +248,18 @@ def _validated_inverse(G: Array, Ginv: Optional[Array]) -> Array:
     return Ginv
 
 
-def _metric_callback(spec: SystemSpec, q: Array) -> Array:
-    return _check_shape(np.asarray(spec.metric(q), dtype=float), (spec.dim, spec.dim), "metric")
-
-
-def _metric_inverse_callback(spec: SystemSpec, q: Array) -> Array:
-    return _check_shape(np.asarray(spec.metric_inverse(q), dtype=float), (spec.dim, spec.dim), "metric_inverse")
-
-
-def _omega_callback(spec: SystemSpec, q: Array) -> Array:
-    return _check_shape(np.asarray(spec.omega(q), dtype=float), (spec.nu, spec.dim), "omega")
+def _callback(spec: SystemSpec, label: str, Q: Array, dtype: object = float) -> Array:
+    """Callback ``label`` of ``spec`` on the stack ``Q`` as a ``dtype`` array (``None``: as returned), shape-checked."""
+    A = np.asarray(getattr(spec, label)(Q), dtype=dtype)
+    shape = Q.shape[:-1] + (spec.nu if label == "omega" else spec.dim, spec.dim)
+    if A.shape != shape:
+        raise ValueError(f"{label} returned shape {A.shape}, expected {shape}")
+    return A
 
 
 def metric_at(spec: SystemSpec, q: Array) -> Array:
     """Evaluate and validate the kinetic-energy matrix at ``q``."""
-    g = _metric_callback(spec, np.asarray(q, dtype=float))
+    g = _callback(spec, "metric", np.asarray(q, dtype=float))
     _cholesky_spd(g[None])
     return g
 
@@ -272,7 +268,7 @@ def metric_inverse_at(spec: SystemSpec, q: Array, metric: Optional[Array] = None
     """Inverse metric at ``q``, from the analytic callback when available."""
     q = np.asarray(q, dtype=float)
     g = metric if metric is not None else metric_at(spec, q)
-    return _validated_inverse(g, None if spec.metric_inverse is None else _metric_inverse_callback(spec, q))
+    return _validated_inverse(g, None if spec.metric_inverse is None else _callback(spec, "metric_inverse", q))
 
 
 def _canonical_sign(cols: Array) -> Array:
@@ -283,28 +279,36 @@ def _canonical_sign(cols: Array) -> Array:
     return np.where(flip[:, None, :], -cols, cols)
 
 
-def _stack(arrays: tuple) -> Optional[Array]:
-    """Arrays of one shape stacked along a new leading axis; ``None`` for ``None`` entries."""
-    if arrays[0] is None:
-        return None
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+def _each_point(fn: Callable[[Array], tuple], Q: Array, skip: SkipTypes) -> tuple[Array, tuple]:
+    """``fn`` on the one-point stacks ``Q[i:i+1]``, in order; a point whose call raises one of ``skip`` leaves.
 
-
-def _each_point(fn: Callable[[Array], tuple], Q: Array, skip: SkipTypes) -> tuple[Array, list]:
-    """``fn(q)`` at each point ``q`` of ``Q``, in order; a point whose call raises one of ``skip`` leaves.
-
-    ``fn`` returns a tuple of arrays (or ``None`` entries).  Returns
-    ``(keep, parts)``: the mask of the points that stayed and, per tuple
-    entry, the results stacked over them (empty when no point stayed).
+    ``fn`` maps a stack to a tuple of stacks over its points (or ``None``
+    entries).  Returns ``(keep, parts)``: the mask of the points that stayed
+    and, per tuple entry, the results over them (empty when none stayed).
     """
     keep = np.ones(len(Q), dtype=bool)
     out = []
-    for i, q in enumerate(Q):
+    for i in range(len(Q)):
         try:
-            out.append(fn(q))
+            out.append(fn(Q[i : i + 1]))
         except skip:
             keep[i] = False
-    return keep, [_stack(part) for part in zip(*out)]
+    return keep, tuple(None if part[0] is None else np.concatenate(part) for part in zip(*out))
+
+
+def _stacked_call(fn: Callable[[Array], tuple], Q: Array, skip: SkipTypes) -> tuple[Array, tuple]:
+    """``fn(Q)`` on the whole stack, or :func:`_each_point` when that raises one of ``skip``.
+
+    Any other error propagates.  Returns ``(keep, parts)`` as
+    :func:`_each_point` does; an empty stack, which the metric checks cannot
+    take, gives no parts.
+    """
+    if len(Q):
+        try:
+            return np.ones(len(Q), dtype=bool), fn(Q)
+        except skip:
+            pass
+    return _each_point(fn, Q, skip)
 
 
 def _constraint_svd(spec: SystemSpec, Q: Array, Om: Array, skip: SkipTypes = ()) -> tuple[Array, Array, Array, Array]:
@@ -341,23 +345,23 @@ def _block_I_basis(spec: SystemSpec, Vh: Array) -> Array:
 def _projection_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[ProjectionSet]]:
     """The splitting at every point of ``Q`` (shape ``(S, N+M)``) at once.
 
-    The callbacks run point by point, in point order (``metric``, then
-    ``metric_inverse`` when supplied, then ``omega``); everything after them
-    is one stacked ``numpy`` call per step.  A point whose callback raises
-    one of ``skip``, or whose constraint block fails the rank test while
-    ``RankDeficiency`` is in ``skip``, leaves the stack; any other error
-    propagates.  Returns ``(keep, P)``: the mask of the points of ``Q`` that
+    Each callback runs once on the whole stack (``metric``, then
+    ``metric_inverse`` when supplied, then ``omega``), as does every step
+    after them.  A point whose callbacks raise one of ``skip`` (see
+    :func:`_stacked_call`), or whose constraint block fails the rank test
+    while ``RankDeficiency`` is in ``skip``, leaves the stack; any other
+    error propagates.  Returns ``(keep, P)``: the mask of the points of ``Q`` that
     stayed and a :class:`ProjectionSet` whose fields carry one leading axis
     over them (``None`` when no point stayed).
     """
     N, nu, M, n = spec.N, spec.nu, spec.M, spec.dim
 
-    def callbacks(q: Array) -> tuple:
-        g = _metric_callback(spec, q)
-        ginv = None if spec.metric_inverse is None else _metric_inverse_callback(spec, q)
-        return g, ginv, _omega_callback(spec, q)
+    def callbacks(Q: Array) -> tuple:
+        G = _callback(spec, "metric", Q)
+        Ginv = None if spec.metric_inverse is None else _callback(spec, "metric_inverse", Q)
+        return G, Ginv, _callback(spec, "omega", Q)
 
-    keep, parts = _each_point(callbacks, Q, skip)
+    keep, parts = _stacked_call(callbacks, Q, skip)
     if not parts:
         return keep, None
     G, Ginv, Om = parts

@@ -19,8 +19,8 @@ signature one direction at a time.
 Every diagnostic reads its derivatives from the coefficient tensors of
 :mod:`nonholo.reduced_dynamics`; none differences the splitting itself.  The
 scans and :func:`sufficiency_check` batch their sample points: the splitting
-and the coefficient tensors of every point are built by one stacked kernel
-(the model callbacks still run point by point), and every seed direction at
+and the coefficient tensors of every point are built by one stacked kernel,
+which calls each model callback once per stack, and every seed direction at
 every point is evaluated by one broadcast contraction.
 """
 
@@ -338,7 +338,7 @@ def sufficiency_check(
     if T is not None:
         P = T.projections
         ok = _block_ranks(spec, pts[keep], P, skip=_SKIPPABLE)
-        based, bases = _each_point(lambda q: (np.asarray(basis_field(q), dtype=float),), pts[keep][ok], _SKIPPABLE)
+        based, bases = _each_point(lambda Q: (np.asarray(basis_field(Q[0]), dtype=float)[None],), pts[keep][ok], _SKIPPABLE)
         ok[ok] = based
         keep[keep] = ok
         if bases:

@@ -137,6 +137,13 @@ def _racer_metric_matrices(p: RollerRacerParams) -> tuple[Array, Array]:
 _RACER_ANGLES = np.array([1, 1, 3])
 
 
+def _filled(A: Array, lead: tuple, dtype: object = float) -> Array:
+    """A fresh stack of copies of ``A`` over the leading shape ``lead``."""
+    out = np.empty(lead + A.shape, dtype=dtype)
+    out[...] = A
+    return out
+
+
 def roller_racer_spec(params: Optional[RollerRacerParams] = None) -> SystemSpec:
     """System description of the Roller Racer: N=3 passive coordinates, one control.
 
@@ -149,17 +156,21 @@ def roller_racer_spec(params: Optional[RollerRacerParams] = None) -> SystemSpec:
     g, ginv = _racer_metric_matrices(p)
 
     def metric(q: Array) -> Array:
-        return g.copy()
+        return _filled(g, q.shape[:-1])
 
     def metric_inverse(q: Array) -> Array:
-        return ginv.copy()
+        return _filled(ginv, q.shape[:-1])
 
     def omega(q: Array) -> Array:
-        angles = q[_RACER_ANGLES]
-        angles[1] += q[3]
-        c2, c2u, cu = np.cos(angles).tolist()
-        s2, s2u, _ = np.sin(angles).tolist()
-        return np.array([[c2, 0.0, -s2, 0.0], [c2u, p.rho * cu, -s2u, 0.0]])
+        angles = q.take(_RACER_ANGLES, axis=-1)
+        angles[..., 1] += q[..., 3]
+        c, s = np.cos(angles), np.sin(angles)
+        # rows (c2, 0, -s2, 0) and (c2u, rho cu, -s2u, 0), filled column by column
+        Om = np.zeros(angles.shape[:-1] + (2, 4), dtype=c.dtype)
+        Om[..., 0] = c[..., :2]
+        np.negative(s[..., :2], out=Om[..., 2])
+        np.multiply(p.rho, c[..., 2], out=Om[..., 1, 1])
+        return Om
 
     return SystemSpec(N=3, M=1, nu=2, metric=metric, omega=omega, metric_inverse=metric_inverse)
 
@@ -344,16 +355,13 @@ def _build_roller_racer(
 
 
 def _euler_rate_matrix(q: Array) -> Array:
-    """Map Z-X-Z Euler-angle rates to the spatial angular velocity (complex-safe)."""
-    sphi, sth = np.sin(q[:2]).tolist()
-    cphi, cth = np.cos(q[:2]).tolist()
-    return np.array(
-        [
-            [0.0, cphi, sth * sphi],
-            [0.0, sphi, -sth * cphi],
-            [1.0, 0.0, cth],
-        ]
-    )
+    """Map Z-X-Z Euler-angle rates to the spatial angular velocity (complex-safe, stacked)."""
+    s, c = np.sin(q[..., :2]), np.cos(q[..., :2])
+    E = np.zeros(s.shape[:-1] + (3, 3), dtype=s.dtype)
+    E[..., 0, 1], E[..., 0, 2] = c[..., 0], s[..., 1] * s[..., 0]
+    E[..., 1, 1], E[..., 1, 2] = s[..., 0], -s[..., 1] * c[..., 0]
+    E[..., 2, 0], E[..., 2, 2] = 1.0, c[..., 1]
+    return E
 
 
 def _euler_rate_matrix_inv(q: Array) -> Array:
@@ -388,36 +396,38 @@ def rolling_ball_spec(params: Optional[RollingBallParams] = None) -> SystemSpec:
     p = params or RollingBallParams()
     k2, r = p.gyration2, p.radius
 
+    diag = np.diag([k2, k2, k2, 1.0, 1.0, 1.0])
+    diag_inv = np.diag([1.0, 1.0 / k2, 1.0, 1.0, 1.0, 1.0])
+
     def chart_cos(q: Array):
-        sth = np.sin(q[1])
-        if abs(sth) < 1e-8:
-            raise ChartDomain(f"Euler chart degenerate: sin(q2) = {sth:.1e}")
-        return sth, np.cos(q[1])
+        sth = np.sin(q[..., 1])
+        edge = np.abs(sth) < 1e-8
+        if edge.any():
+            raise ChartDomain(f"Euler chart degenerate: sin(q2) = {np.extract(edge, sth)[0].real:.1e}")
+        return sth, np.cos(q[..., 1])
 
     def metric(q: Array) -> Array:
         _, cth = chart_cos(q)
-        g = np.eye(6, dtype=np.result_type(cth))
-        g[:3, :3] *= k2
-        g[0, 2] = g[2, 0] = k2 * cth
+        g = _filled(diag, np.shape(cth), cth.dtype)
+        g[..., 0, 2] = g[..., 2, 0] = k2 * cth
         return g
 
     def metric_inverse(q: Array) -> Array:
         sth, cth = chart_cos(q)
         s2 = sth * sth
-        ginv = np.eye(6, dtype=np.result_type(cth))
-        ginv[0, 0] = ginv[2, 2] = 1.0 / (k2 * s2)
-        ginv[1, 1] = 1.0 / k2
-        ginv[0, 2] = ginv[2, 0] = -cth / (k2 * s2)
+        ginv = _filled(diag_inv, np.shape(cth), cth.dtype)
+        ginv[..., 0, 0] = ginv[..., 2, 2] = 1.0 / (k2 * s2)
+        ginv[..., 0, 2] = ginv[..., 2, 0] = -cth / (k2 * s2)
         return ginv
 
     def omega(q: Array) -> Array:
         E = _euler_rate_matrix(q)
-        Om = np.zeros((2, 6), dtype=E.dtype)
-        Om[0, :3] = r * E[1]
-        Om[1, :3] = -r * E[0]
-        Om[0, 3] = Om[1, 4] = 1.0
-        Om[0, 5] = q[4]
-        Om[1, 5] = -q[3]
+        Om = np.zeros(E.shape[:-2] + (2, 6), dtype=E.dtype)
+        Om[..., 0, :3] = r * E[..., 1, :]
+        Om[..., 1, :3] = -r * E[..., 0, :]
+        Om[..., 0, 3] = Om[..., 1, 4] = 1.0
+        Om[..., 0, 5] = q[..., 4]
+        Om[..., 1, 5] = -q[..., 3]
         return Om
 
     return SystemSpec(N=5, M=1, nu=2, metric=metric, omega=omega, metric_inverse=metric_inverse)
@@ -519,14 +529,12 @@ def euclidean_toy_spec(params: Optional[EuclideanToyParams] = None) -> SystemSpe
     eye = np.eye(n)
 
     def metric(q: Array) -> Array:
-        return eye.copy()
+        return _filled(eye, q.shape[:-1])
 
     def omega(q: Array) -> Array:
-        if not nu:
-            return np.zeros((0, n))
-        row = np.zeros((1, n))
-        row[0, 0] = 1.0
-        return row
+        Om = np.zeros(q.shape[:-1] + (nu, n))
+        Om[..., 0] = 1.0
+        return Om
 
     return SystemSpec(N=p.n_passive, M=p.n_controls, nu=nu, metric=metric, omega=omega, metric_inverse=metric)
 
@@ -572,7 +580,7 @@ def _perturbed(spec: SystemSpec, eps: float) -> SystemSpec:
     base = spec.metric
 
     def metric(q: Array) -> Array:
-        return base(q) + eps * np.sin(q[0] + 0.3) * bump
+        return base(q) + (eps * np.sin(q[..., 0] + 0.3))[..., None, None] * bump
 
     return replace(spec, metric=metric, metric_inverse=None)
 

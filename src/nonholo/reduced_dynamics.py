@@ -18,9 +18,9 @@ velocity components of the free motion along a smooth adapted frame, with
 ``qdot = sum_m xi_m V_m + h @ udot``.
 
 Derivatives come in two kinds.  Those of the model callbacks ``metric`` and
-``omega`` are complex-step derivatives: each callback is evaluated once at
-every ``q + i H e_j`` (``H = COMPLEX_STEP``) and the derivative is read from
-the imaginary part, exact to rounding.  The derivatives of the splitting
+``omega`` are complex-step derivatives: each callback is called once on the
+stack of all ``q + i H e_j`` (``H = COMPLEX_STEP``) and the derivative is
+read from the imaginary part, exact to rounding.  The derivatives of the splitting
 built from them — free coprojection, inverse metric and lift — follow from
 closed-form perturbation identities at a single splitting
 (:func:`coefficient_tensors`).  The frame form transports its frame by the
@@ -44,11 +44,11 @@ from .core_geometry import (
     ProjectionSet,
     SkipTypes,
     SystemSpec,
-    _check_shape,
+    _callback,
     _check_symmetric,
-    _each_point,
     _eye,
     _projection_stack,
+    _stacked_call,
     projection_set,
 )
 from .errors import FrameNotSmooth, ModelError, NonAdaptedState, NotInDeltaCapGamma
@@ -201,24 +201,20 @@ def _complex_call(fn: Callable, label: str, *args: object) -> object:
 def _callback_derivative_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[Array], Optional[Array]]:
     """Stacks ``dg[i, j]`` and ``dOm[i, j]`` of the callbacks' derivatives at every point ``Q[i]``.
 
-    Complex step: at each point ``metric`` and ``omega`` are evaluated once
-    each at every ``q + i H e_j``, and the derivative is the imaginary part
+    Complex step: ``metric`` and ``omega`` are called once each on the stack
+    ``Z[i, j] = Q[i] + i H e_j``, and the derivative is the imaginary part
     over ``H``.  A callback that is not complex-safe raises ``ModelError``
-    (see :func:`_complex_call`).  A point whose callback raises one of
+    (see :func:`_complex_call`).  A point whose callbacks raise one of
     ``skip`` leaves the stack.  Returns ``(keep, dg, dOm)``: the mask of the
     points that stayed and the stacks over them (``None`` when no point
     stayed).
     """
-    n = spec.dim
-    steps = (1j * COMPLEX_STEP) * _eye(n)
 
-    def complex_step(q: Array) -> tuple[Array, Array]:
-        points = q + steps
-        G = np.array([_check_shape(np.asarray(spec.metric(z)), (n, n), "metric") for z in points])
-        O = np.array([_check_shape(np.asarray(spec.omega(z)), (spec.nu, n), "omega") for z in points])
-        return G.imag, O.imag
+    def complex_step(Z: Array) -> tuple[Array, Array]:
+        return _callback(spec, "metric", Z, None).imag, _callback(spec, "omega", Z, None).imag
 
-    keep, parts = _complex_call(_each_point, "metric or omega", complex_step, Q, skip)
+    Z = Q[:, None, :] + (1j * COMPLEX_STEP) * _eye(spec.dim)
+    keep, parts = _complex_call(_stacked_call, "metric or omega", complex_step, Z, skip)
     if not parts:
         return keep, None, None
     dg = parts[0] / COMPLEX_STEP
@@ -289,7 +285,7 @@ def coefficient_tensors(spec: SystemSpec, q: Array, projections: Optional[Projec
     """Assemble :class:`CoefficientTensors` at ``q`` from one splitting.
 
     Only ``metric`` and ``omega`` are differentiated numerically, by complex
-    step at ``q + i H e_j`` (``N + M`` evaluations of each); the splitting's
+    step at ``q + i H e_j`` (one stacked call of each); the splitting's
     derivatives are closed-form (see :func:`_tensors_from`).  A callback that
     is not complex-safe raises :class:`~nonholo.errors.ModelError`.
     """
@@ -347,7 +343,7 @@ def _check_adapted(spec: SystemSpec, q: Array, t: float, control: ControlSignal)
         raise NonAdaptedState(f"control has {u.shape[0]} channels, system has M = {spec.M}")
     gap = float(np.abs(q[spec.N :] - u).max()) if spec.M else 0.0
     scale = 1.0 + (float(np.abs(u).max()) if spec.M else 0.0)
-    if gap > 1e-6 * scale:
+    if not gap <= 1e-6 * scale:  # a NaN gap fails too
         raise NonAdaptedState(f"controlled coordinates differ from command by {gap:.2e} at t = {t}")
     return u
 

@@ -154,8 +154,9 @@ def integrate(
 
     ``q0``'s controlled block must agree with ``control`` at the initial time
     (it is then snapped exactly); ``p0`` is coprojected onto the free block
-    and must already be close to it.  In the frame representation a
-    ``frame_field`` is required and the initial ``xi`` is read off ``p0``.
+    and must already be close to it; both must be finite.  In the frame
+    representation a ``frame_field`` is required and the initial ``xi`` is
+    read off ``p0``.
     """
     cfg = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -171,14 +172,17 @@ def integrate(
 
     u_init = np.atleast_1d(np.asarray(control.value(t0), dtype=float))
     q = np.array(q0, dtype=float)
+    p0 = np.asarray(p0, dtype=float)
     if q.shape != (n,):
         raise ValueError(f"q0 has shape {q.shape}, expected {(n,)}")
-    if M and float(np.abs(q[N:] - u_init).max()) > 1e-6 * (1.0 + float(np.abs(u_init).max())):
+    if not (np.isfinite(q).all() and np.isfinite(p0).all()):
+        raise ValueError("q0 and p0 must be finite")
+    # written so that a NaN control value fails too
+    if M and not float(np.abs(q[N:] - u_init).max()) <= 1e-6 * (1.0 + float(np.abs(u_init).max())):
         raise NonAdaptedState("q0 controlled block disagrees with control at t0")
     q[N:] = u_init
 
     T = coefficient_tensors(spec, q)
-    p0 = np.asarray(p0, dtype=float)
     p_I = T.projections.Pstar_I @ p0
     if float(np.abs(p_I - p0).max()) > 1e-6 * (1.0 + float(np.abs(p0).max())):
         raise NotInDeltaCapGamma("p0 is not a free-block momentum covector")

@@ -1,5 +1,7 @@
 """Shared fixtures: model bundles, samplers, test systems and a relaxed hypothesis profile."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -39,6 +41,24 @@ def toy_constrained():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+def stacked(fn):
+    """The stacked callback of the per-point callback ``fn``: ``fn`` looped over the leading axes of ``q``.
+
+    ``fn`` maps one point ``(n,)`` to one array; the result maps ``(..., n)``
+    to those arrays stacked over the same leading axes, each one unchanged.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(q):
+        q = np.asarray(q)
+        if q.ndim == 1:
+            return fn(q)
+        out = np.array([fn(x) for x in q.reshape(-1, q.shape[-1])])
+        return out.reshape(q.shape[:-1] + out.shape[1:])
+
+    return wrapper
 
 
 def sample_points(bundle, n, seed=0):
@@ -94,11 +114,13 @@ def random_system(seed, N=3, M=2, nu=1, curved=True):
     wiggle = gen.standard_normal((nu, n))
     tail = gen.standard_normal((nu, M))
 
+    @stacked
     def metric(q):
         if not curved:
             return base.copy()
         return base + np.sin(q[0] + 0.7) * bump
 
+    @stacked
     def omega(q):
         Om = np.zeros((nu, n), dtype=np.result_type(q, float))
         Om[:, :N] = rows
@@ -138,5 +160,5 @@ def near_singular_system(eps, nu):
         h_y[0, 0] = -1.0
         free_y[0, 0] = 0.0
     Om = Om_y @ T.T
-    spec = SystemSpec(N=4, M=1, nu=nu, metric=lambda q: g.copy(), omega=lambda q: Om.copy())
+    spec = SystemSpec(N=4, M=1, nu=nu, metric=stacked(lambda q: g.copy()), omega=stacked(lambda q: Om.copy()))
     return spec, T @ h_y, T @ free_y @ T.T

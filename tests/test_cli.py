@@ -179,6 +179,25 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("control.value", "control.family = constant\ncontrol.value = {v}\n"),
+            ("control.omega", "control.family = sinusoid\ncontrol.mean = 0\ncontrol.amp = 0.2\ncontrol.omega = {v}\n"),
+            ("initial.q", "control.family = constant\ncontrol.value = 0.3\ninitial.q = {v}, 1.5707963267948966, 0.0, 0.3\n"),
+            ("initial.p", "control.family = constant\ncontrol.value = 0.3\ninitial.p = {v}, 0.0, 0.0, 0.0\n"),
+        ],
+        ids=["control.value", "control.omega", "initial.q", "initial.p"],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, key, text, value):
+        cfg = write_cfg(tmp_path, "model.name = roller-racer\nintegrator.dt = 1e-2\nintegrator.t1 = 0.03\n" + text.format(v=value))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"key '{key}'" in err and "non-finite" in err
+        assert not out.exists()
+
     def test_unknown_model_is_model_error(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,

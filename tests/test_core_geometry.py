@@ -1,11 +1,15 @@
 """Projection algebra, lifts, frames, and transversality diagnostics."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from nonholo.core_geometry import (
     SystemSpec,
+    _projection_stack,
     argmin_certificate,
     metric_at,
     metric_inverse_at,
@@ -13,7 +17,8 @@ from nonholo.core_geometry import (
 )
 from nonholo.errors import ChartDomain, RankDeficiency, SingularMetric
 
-from conftest import check_projection_algebra, near_singular_system, random_system, sample_points
+from conftest import check_projection_algebra, near_singular_system, random_system, sample_points, stacked
+
 
 def reference_projection_set(spec, q):
     """The splitting as first implemented: SVD null space, KKT lift, ``g P ginv``.
@@ -154,9 +159,11 @@ class TestTransversality:
     def test_form_in_control_span_fails(self):
         """A constraint proportional to a controlled differential breaks the setup."""
 
+        @stacked
         def metric(q):
             return np.eye(4)
 
+        @stacked
         def omega(q):
             row = np.zeros((1, 4))
             row[0, 3] = 1.0
@@ -167,9 +174,11 @@ class TestTransversality:
             projection_set(spec, np.zeros(4))
 
     def test_projection_set_raises_on_rank_loss(self):
+        @stacked
         def metric(q):
             return np.eye(3)
 
+        @stacked
         def omega(q):
             return np.zeros((1, 3))
 
@@ -180,11 +189,13 @@ class TestTransversality:
 
 class TestMetricValidation:
     def test_asymmetric_metric_rejected(self):
+        @stacked
         def metric(q):
             out = np.eye(2)
             out[0, 1] = 0.5
             return out
 
+        @stacked
         def omega(q):
             return np.zeros((0, 2))
 
@@ -193,9 +204,11 @@ class TestMetricValidation:
             metric_at(spec, np.zeros(2))
 
     def test_indefinite_metric_rejected(self):
+        @stacked
         def metric(q):
             return np.diag([1.0, -1.0])
 
+        @stacked
         def omega(q):
             return np.zeros((0, 2))
 
@@ -204,15 +217,34 @@ class TestMetricValidation:
             metric_at(spec, np.zeros(2))
 
     def test_wrong_inverse_rejected(self):
+        @stacked
         def metric(q):
             return np.diag([2.0, 1.0])
 
+        @stacked
         def omega(q):
             return np.zeros((0, 2))
 
         spec = SystemSpec(N=1, M=1, nu=0, metric=metric, omega=omega, metric_inverse=metric)
         with pytest.raises(SingularMetric):
             metric_inverse_at(spec, np.zeros(2))
+
+
+class TestStackedCallbacks:
+    @pytest.mark.parametrize(
+        "label, shape", [("metric", (4, 4)), ("metric_inverse", (4, 4)), ("omega", (2, 4))]
+    )
+    def test_per_point_only_callback_is_rejected(self, racer, label, shape):
+        """A callback that returns one point's shape for a stack is refused, naming the expected shape."""
+        fn = getattr(racer.spec, label)
+        spec = dataclasses.replace(racer.spec, **{label: lambda q: fn(np.reshape(q, (-1, 4))[0])})
+        Q = sample_points(racer, 25, seed=9)
+        expected = re.escape(f"{label} returned shape {shape}, expected {(1,) + shape}")
+        with pytest.raises(ValueError, match=expected):
+            projection_set(spec, Q[0])
+        expected = re.escape(f"{label} returned shape {shape}, expected {(25,) + shape}")
+        with pytest.raises(ValueError, match=expected):
+            _projection_stack(spec, Q)
 
 
 class TestFrames:

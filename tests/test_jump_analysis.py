@@ -23,7 +23,7 @@ from nonholo.jump_analysis import (
 from nonholo.models import build_model, racer_frame_vectors, roller_racer_spec
 from nonholo.reduced_dynamics import centrifugal_psi, coefficient_tensors, theta_I_apply
 
-from conftest import random_system, sample_points
+from conftest import random_system, sample_points, stacked
 
 
 def euclidean_racer_forms() -> SystemSpec:
@@ -33,9 +33,11 @@ def euclidean_racer_forms() -> SystemSpec:
     chart.  Complex-safe, like every model callback.
     """
 
+    @stacked
     def metric(q):
         return np.eye(4)
 
+    @stacked
     def omega(q):
         q2, u = q[1], q[3]
         return np.array(
@@ -51,6 +53,7 @@ def euclidean_racer_forms() -> SystemSpec:
 def control_dependent_metric() -> SystemSpec:
     """A complex-safe system whose metric, and so its inverse, depends on the control ``q4``."""
 
+    @stacked
     def metric(q):
         s, c = np.sin(q[3]), np.cos(q[0])
         return np.array(
@@ -62,6 +65,7 @@ def control_dependent_metric() -> SystemSpec:
             ]
         )
 
+    @stacked
     def omega(q):
         return np.array([[1.0, np.cos(q[1]), 0.0, 0.2 * np.sin(q[3])]])
 
@@ -200,9 +204,11 @@ class TestScans:
     def test_all_failed_scan_is_inconclusive(self):
         """Rank-deficient constraints void every sample."""
 
+        @stacked
         def metric(q):
             return np.eye(4)
 
+        @stacked
         def omega(q):
             row = np.array([[1.0, 0.0, 0.0, 0.0]])
             return np.vstack([row, row])  # repeated form: rank 1 < nu = 2
@@ -225,6 +231,7 @@ def chart_limited_racer() -> SystemSpec:
     """The Roller Racer with its chart cut at ``q1 = 0.3``: ``omega`` raises :class:`ChartDomain` beyond."""
     spec = roller_racer_spec()
 
+    @stacked
     def omega(q):
         if q[0].real > 0.3:
             raise ChartDomain(f"outside the chart at q1 = {q[0].real:.3f}")
@@ -237,6 +244,7 @@ def rank_losing_racer() -> SystemSpec:
     """The Roller Racer, but with dependent forms wherever ``q1 > 0.2`` (constraint block of rank 1)."""
     spec = roller_racer_spec()
 
+    @stacked
     def omega(q):
         Om = spec.omega(q)
         if q[0].real > 0.2:
@@ -347,6 +355,7 @@ class TestBatchedScans:
         """A chart error at the complex points drops the point after its splitting was built."""
         base = chart_limited_racer()
 
+        @stacked
         def omega(q):
             if np.iscomplexobj(q) and q[0].real < -0.5:
                 raise ChartDomain("complex evaluation off the chart")

@@ -359,17 +359,17 @@ def test_frame_field_is_complex_safe(name):
             assert np.abs(got.imag / H - deriv).max() <= 1e-8 * (1.0 + np.abs(deriv).max()), field
 
 
-@pytest.mark.parametrize(
-    "name, options",
-    [
-        ("roller-racer", {}),
-        ("rolling-ball", {}),
-        ("euclidean-toy", {}),
-        ("euclidean-toy", {"constrained": True}),
-        ("roller-racer", {"metric_perturb": 0.05}),
-        ("rolling-ball", {"metric_perturb": 0.05}),
-    ],
-)
+CALLBACK_MODELS = [
+    ("roller-racer", {}),
+    ("rolling-ball", {}),
+    ("euclidean-toy", {}),
+    ("euclidean-toy", {"constrained": True}),
+    ("roller-racer", {"metric_perturb": 0.05}),
+    ("rolling-ball", {"metric_perturb": 0.05}),
+]
+
+
+@pytest.mark.parametrize("name, options", CALLBACK_MODELS)
 def test_callbacks_are_complex_safe(name, options):
     """At ``q + i H v`` the real parts are the callbacks at ``q`` and ``Im / H`` their derivatives along ``v``."""
     bundle = build_model(name, **options)
@@ -393,6 +393,26 @@ def test_callbacks_are_complex_safe(name, options):
             assert np.abs(got.real - ref).max(initial=0.0) <= 1e-15 * np.abs(ref).max(initial=0.0)
             deriv = (4.0 * central(0.5 * h) - central(h)) / 3.0
             assert np.abs(got.imag / H - deriv).max(initial=0.0) <= 1e-8 * (1.0 + np.abs(deriv).max(initial=0.0))
+
+
+@pytest.mark.parametrize("name, options", CALLBACK_MODELS)
+def test_callbacks_are_batch_invariant(name, options):
+    """``cb(Q)[i]`` is ``cb(Q[i])`` bitwise, on real stacks ``(S, n)`` and complex stacks ``(S, n, n)``."""
+    bundle = build_model(name, **options)
+    spec, n = bundle.spec, bundle.spec.dim
+    Q = sample_points(bundle, 7, seed=45)
+    Z = Q[:, None, :] + 1j * 1e-30 * np.eye(n)
+    callbacks = {"metric": (n, n), "omega": (spec.nu, n)}
+    if spec.metric_inverse is not None:
+        callbacks["metric_inverse"] = (n, n)
+    for label, shape in callbacks.items():
+        cb = getattr(spec, label)
+        for stack in (Q, Z):
+            got = cb(stack)
+            assert got.shape == stack.shape[:-1] + shape, label
+            for i in np.ndindex(stack.shape[:-1]):
+                one = cb(stack[i])
+                assert one.dtype == got.dtype and one.tobytes() == got[i].tobytes(), (label, i)
 
 
 # ---------------------------------------------------------------------------

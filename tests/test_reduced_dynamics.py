@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from nonholo import reduced_dynamics
 from nonholo.core_geometry import SystemSpec, metric_at, projection_set
-from nonholo.errors import FrameNotSmooth, ModelError, NonAdaptedState, NotInDeltaCapGamma, SingularMetric
+from nonholo.errors import ChartDomain, FrameNotSmooth, ModelError, NonAdaptedState, NotInDeltaCapGamma, SingularMetric
 from nonholo.jump_analysis import BoxSampler, psi_scan
 from nonholo.models import build_model, racer_denominators, racer_frame_vectors
 from nonholo.reduced_dynamics import (
@@ -32,7 +32,7 @@ from nonholo.reduced_dynamics import (
     theta_I_apply,
 )
 
-from conftest import near_singular_system, random_system, sample_points
+from conftest import near_singular_system, random_system, sample_points, stacked
 
 
 def racer_state(bundle, q, xi):
@@ -261,8 +261,8 @@ class TestClosedFormDerivatives:
             assert np.all(getattr(T, name) == 0.0), name
 
     @pytest.mark.parametrize("model", ["racer", "ball"])
-    def test_one_splitting_and_n_complex_callbacks(self, model, racer, ball, monkeypatch):
-        """One splitting per tensor; ``metric`` and ``omega`` once per coordinate, at complex points."""
+    def test_one_splitting_per_tensor(self, model, racer, ball, monkeypatch):
+        """One splitting per tensor, and no real callback call beyond it."""
         bundle = {"racer": racer, "ball": ball}[model]
         calls = Counter()
         spec = counting_spec(bundle.spec, calls)
@@ -276,7 +276,48 @@ class TestClosedFormDerivatives:
         P = projection_set(spec, q, check=False)
         calls.clear()
         coefficient_tensors(spec, q, projections=P)
-        assert dict(calls) == {("metric", "complex"): n, ("omega", "complex"): n}
+        assert dict(calls) == {("metric", "complex", (1, n, n)): 1, ("omega", "complex", (1, n, n)): 1}
+
+    @pytest.mark.parametrize("S", [1, 25])
+    @pytest.mark.parametrize("model", ["racer", "ball"])
+    def test_one_stacked_call_per_callback(self, model, S, racer, ball):
+        """Per stack: one real call of each callback, one complex call of ``metric`` and of ``omega``."""
+        bundle = {"racer": racer, "ball": ball}[model]
+        calls = Counter()
+        spec = counting_spec(bundle.spec, calls)
+        Q = sample_points(bundle, S, seed=72)
+        n = spec.dim
+        keep, T = reduced_dynamics._tensor_stack(spec, Q)
+        assert keep.all() and T.dg.shape == (S, n, n, n)
+        real = {(name, "real", (S, n)): 1 for name in ("metric", "metric_inverse", "omega")}
+        assert dict(calls) == {**real, ("metric", "complex", (S, n, n)): 1, ("omega", "complex", (S, n, n)): 1}
+
+    def test_chart_edge_point_leaves_after_a_per_point_rerun(self, ball):
+        """A stack with one point on the chart edge is rerun point by point; only that point leaves."""
+        calls = Counter()
+        spec = counting_spec(ball.spec, calls)
+        Q = sample_points(ball, 25, seed=73)
+        n = spec.dim
+        keep, T = reduced_dynamics._tensor_stack(spec, Q, skip=(ChartDomain,))
+        # without an edge point the stack needs no rerun
+        assert keep.all() and sum(calls.values()) == 5
+        Q[7, 1] = 0.0  # sin(q2) = 0: the Euler chart's edge
+        calls.clear()
+        keep, T = reduced_dynamics._tensor_stack(spec, Q, skip=(ChartDomain,))
+        assert np.flatnonzero(~keep).tolist() == [7]
+        assert dict(calls) == {
+            # the stacked metric call raises, then every point is rerun alone;
+            # the edge point raises in metric, before its other callbacks
+            ("metric", "real", (25, n)): 1,
+            ("metric", "real", (1, n)): 25,
+            ("metric_inverse", "real", (1, n)): 24,
+            ("omega", "real", (1, n)): 24,
+            ("metric", "complex", (24, n, n)): 1,
+            ("omega", "complex", (24, n, n)): 1,
+        }
+        _, clean = reduced_dynamics._tensor_stack(ball.spec, Q[keep])
+        for name in ("dPstar_I", "dginv", "dk", "dg"):
+            assert np.array_equal(getattr(T, name), getattr(clean, name)), name
 
 
 def counted(calls, name, fn):
@@ -290,11 +331,11 @@ def counted(calls, name, fn):
 
 
 def counting_spec(spec, calls):
-    """``spec`` whose callbacks count calls in ``calls[(name, "real" | "complex")]``."""
+    """``spec`` whose callbacks count calls in ``calls[(name, "real" | "complex", q.shape)]``."""
 
     def wrap(name, fn):
         def wrapper(q):
-            calls[name, "complex" if np.iscomplexobj(q) else "real"] += 1
+            calls[name, "complex" if np.iscomplexobj(q) else "real", np.shape(q)] += 1
             return fn(q)
 
         return wrapper
@@ -341,12 +382,13 @@ class TestComplexStep:
         bump = 0.1 * (A + A.T)
         Om = np.array([[1.0, 0.5, -0.2, 0.3]])
 
+        @stacked
         def metric(q):
             g = np.zeros((4, 4))
             g[:] = base + np.sin(q[0]) * bump
             return g
 
-        spec = SystemSpec(N=3, M=1, nu=1, metric=metric, omega=lambda q: Om.copy())
+        spec = SystemSpec(N=3, M=1, nu=1, metric=metric, omega=stacked(lambda q: Om.copy()))
         q = np.array([0.4, -0.3, 0.8, 0.1])
         # refused whatever the caller's warning filters are
         with warnings.catch_warnings():
@@ -358,10 +400,11 @@ class TestComplexStep:
         """The symmetry check of the metric also covers its complex-step derivative."""
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
+        @stacked
         def metric(q):
             return 2.0 * np.eye(2) + q[0] * skew
 
-        spec = SystemSpec(N=1, M=1, nu=0, metric=metric, omega=lambda q: np.zeros((0, 2)))
+        spec = SystemSpec(N=1, M=1, nu=0, metric=metric, omega=stacked(lambda q: np.zeros((0, 2))))
         with pytest.raises(SingularMetric, match="metric derivative is not symmetric"):
             coefficient_tensors(spec, np.zeros(2))
 
@@ -390,9 +433,9 @@ class TestComplexStep:
         spec = racer.spec
 
         def metric(q):
-            return spec.metric(q) if not np.iscomplexobj(q) else spec.metric(q)[:3, :3]
+            return spec.metric(q) if not np.iscomplexobj(q) else spec.metric(q)[..., :3, :3]
 
-        with pytest.raises(ValueError, match=r"metric returned shape \(3, 3\), expected \(4, 4\)"):
+        with pytest.raises(ValueError, match=r"metric returned shape \(1, 4, 3, 3\), expected \(1, 4, 4, 4\)"):
             coefficient_tensors(dataclasses.replace(spec, metric=metric), racer.default_q0)
 
 
@@ -423,6 +466,12 @@ class TestReducedRhs:
         q = np.array([0.0, 1.5, 0.0, 0.3])
         with pytest.raises(NonAdaptedState):
             reduced_rhs(racer.spec, q, np.zeros(4), 0.0, ControlSignal.constant(0.8))
+
+    def test_rejects_nan_control_value(self, racer):
+        """A NaN gap between the controlled block and the command is not adapted."""
+        q = np.array([0.0, 1.5, 0.0, 0.3])
+        with pytest.raises(NonAdaptedState):
+            reduced_rhs(racer.spec, q, np.zeros(4), 0.0, ControlSignal.constant(np.nan))
 
     def test_rejects_momentum_off_the_free_block(self, racer):
         q = np.array([0.0, 1.5, 0.0, 0.3])
@@ -521,7 +570,7 @@ class TestFrameRhs:
         T = coefficient_tensors(spec, q)
         calls.clear()
         frame_rhs(spec, q, np.array([0.3, -0.2, 0.5]), 0.0, ControlSignal.linear(q[5], 0.7), ball.frame_field, tensors=T)
-        assert calls[("metric", "real")] == 0
+        assert ("metric", "real") not in {key[:2] for key in calls}
 
     def test_zero_state_is_stationary(self, racer):
         q = np.array([0.1, 1.4, -0.2, 0.2])

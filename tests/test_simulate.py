@@ -176,6 +176,19 @@ class TestIntegrate:
         with pytest.raises(NonAdaptedState):
             integrate(racer.spec, q0, np.zeros(4), ControlSignal.constant(0.0), (0.0, 1.0))
 
+    def test_rejects_nan_initial_control(self, racer):
+        q0 = np.array([0.0, 1.5, 0.0, 0.4])
+        with pytest.raises(NonAdaptedState):
+            integrate(racer.spec, q0, np.zeros(4), ControlSignal.constant(np.nan), (0.0, 1.0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["q0", "p0"])
+    def test_rejects_non_finite_initial_state(self, racer, which, value):
+        q0, p0 = np.array([0.0, 1.5, 0.0, 0.4]), np.zeros(4)
+        (q0 if which == "q0" else p0)[0] = value
+        with pytest.raises(ValueError, match="q0 and p0 must be finite"):
+            integrate(racer.spec, q0, p0, ControlSignal.constant(0.4), (0.0, 0.01), IntegratorConfig(dt=1e-2))
+
     def test_rejects_reaction_covector_as_p0(self, racer):
         q0 = racer.default_q0
         g = metric_at(racer.spec, q0)
