@@ -17,8 +17,6 @@ from .core_geometry import (
     ProjectionSet,
     SystemSpec,
     argmin_certificate,
-    metric_at,
-    metric_inverse_at,
     projection_set,
 )
 from .errors import (
@@ -118,8 +116,6 @@ __all__ = [
     "frame_rhs",
     "integrate",
     "leaf_metric_derivative",
-    "metric_at",
-    "metric_inverse_at",
     "model_names",
     "oscillation_sweep",
     "projection_set",

@@ -222,6 +222,15 @@ def _sample_count(cfg: RunConfig, override: Optional[int], key: str, default: in
     return n
 
 
+def _tolerance(cfg: RunConfig, override: Optional[float], key: str, default: float) -> float:
+    """``--tol`` when given, else ``key``; a tolerance that is not positive and finite is a config error."""
+    tol = override if override is not None else cfg.get_float(key, default)
+    if not 0.0 < tol < np.inf:
+        source = "--tol" if override is not None else f"{cfg.path}: key '{key}'"
+        raise ConfigError(f"{source} must be positive and finite, got {tol!r}")
+    return tol
+
+
 def cmd_simulate(cfg: RunConfig, out: str, seed: int) -> int:
     model = model_from_config(cfg)
     control = control_from_config(cfg)
@@ -248,7 +257,7 @@ def cmd_simulate(cfg: RunConfig, out: str, seed: int) -> int:
 def cmd_check_fit(cfg: RunConfig, out: str, seed: int, samples: Optional[int], tol: Optional[float]) -> int:
     model = model_from_config(cfg)
     n_samples = _sample_count(cfg, samples, "scan.samples", 500)
-    scan_tol = tol if tol is not None else cfg.get_float("scan.tol", 1e-7)
+    scan_tol = _tolerance(cfg, tol, "scan.tol", 1e-7)
     box = model.sample_box
     psi = psi_scan(model.spec, BoxSampler(box, seed=seed), n_samples=n_samples, tol=scan_tol)
     theta = theta_on_III_scan(model.spec, BoxSampler(box, seed=seed + 1), n_samples=n_samples, tol=scan_tol)
@@ -282,7 +291,7 @@ def cmd_oracle_compare(cfg: RunConfig, out: str, seed: int, samples: Optional[in
     if model.closed_field is None or model.frame_field is None or model.extract_closed is None:
         raise NonholoError(f"model {model.name!r} has no closed-form oracle to compare against")
     n_samples = _sample_count(cfg, samples, "oracle.samples", 100)
-    dev_tol = tol if tol is not None else cfg.get_float("oracle.tol", 1e-5)
+    dev_tol = _tolerance(cfg, tol, "oracle.tol", 1e-5)
     rng = np.random.default_rng(seed)
     box = model.sample_box
     spec = model.spec

@@ -79,8 +79,9 @@ class SystemSpec:
         each must be symmetric positive definite wherever it is evaluated.
     :param omega: callback ``q -> (..., nu, N+M)`` whose rows are the
         constraint one-forms in coordinate components.
-    :param metric_inverse: optional analytic inverse of ``metric``; when
-        absent the inverse is obtained by factorization.
+
+    These two callbacks are the whole model: the inverse metric, the
+    splitting and every derivative the library uses are computed from them.
 
     The callbacks are stacked: ``q`` is ``(..., N+M)``, points along any
     leading axes, written ``q[..., j]``, and ``cb(Q)[i]`` equals
@@ -103,7 +104,8 @@ class SystemSpec:
     nu: int
     metric: MetricFn
     omega: OmegaFn
-    metric_inverse: Optional[MetricFn] = None
+    # not a field: the benchmark's trace mode (perfbench/spans.py) still looks it up
+    metric_inverse = None
 
     def __post_init__(self) -> None:
         if min(self.N, self.M, self.nu) < 0:
@@ -236,18 +238,6 @@ def _cholesky_spd(G: Array, label: str = "metric") -> Array:
     return L
 
 
-def _validated_inverse(G: Array, Ginv: Optional[Array]) -> Array:
-    """Inverse metrics of the stack ``G``: the supplied ``Ginv`` after a residual test, else by factorization."""
-    if Ginv is None:
-        return np.linalg.inv(G)
-    n = G.shape[-1]
-    resid = np.abs(G @ Ginv - _eye(n))
-    if resid.max() > 1e-6 * n:
-        resid = resid.max(axis=(-2, -1))
-        raise SingularMetric(f"supplied metric_inverse disagrees with metric (residual {resid[resid > 1e-6 * n][0]:.2e})")
-    return Ginv
-
-
 def _callback(spec: SystemSpec, label: str, Q: Array, dtype: object = float) -> Array:
     """Callback ``label`` of ``spec`` on the stack ``Q`` as a ``dtype`` array (``None``: as returned), shape-checked."""
     A = np.asarray(getattr(spec, label)(Q), dtype=dtype)
@@ -255,20 +245,6 @@ def _callback(spec: SystemSpec, label: str, Q: Array, dtype: object = float) -> 
     if A.shape != shape:
         raise ValueError(f"{label} returned shape {A.shape}, expected {shape}")
     return A
-
-
-def metric_at(spec: SystemSpec, q: Array) -> Array:
-    """Evaluate and validate the kinetic-energy matrix at ``q``."""
-    g = _callback(spec, "metric", np.asarray(q, dtype=float))
-    _cholesky_spd(g[None])
-    return g
-
-
-def metric_inverse_at(spec: SystemSpec, q: Array, metric: Optional[Array] = None) -> Array:
-    """Inverse metric at ``q``, from the analytic callback when available."""
-    q = np.asarray(q, dtype=float)
-    g = metric if metric is not None else metric_at(spec, q)
-    return _validated_inverse(g, None if spec.metric_inverse is None else _callback(spec, "metric_inverse", q))
 
 
 def _canonical_sign(cols: Array) -> Array:
@@ -345,35 +321,33 @@ def _block_I_basis(spec: SystemSpec, Vh: Array) -> Array:
 def _projection_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[ProjectionSet]]:
     """The splitting at every point of ``Q`` (shape ``(S, N+M)``) at once.
 
-    Each callback runs once on the whole stack (``metric``, then
-    ``metric_inverse`` when supplied, then ``omega``), as does every step
-    after them.  A point whose callbacks raise one of ``skip`` (see
-    :func:`_stacked_call`), or whose constraint block fails the rank test
-    while ``RankDeficiency`` is in ``skip``, leaves the stack; any other
-    error propagates.  Returns ``(keep, P)``: the mask of the points of ``Q`` that
-    stayed and a :class:`ProjectionSet` whose fields carry one leading axis
-    over them (``None`` when no point stayed).
+    Each callback runs once on the whole stack (``metric``, then ``omega``),
+    as does every step after them; the inverse metrics come from
+    ``np.linalg.inv`` once the Cholesky test has passed.  A point whose
+    callbacks raise one of ``skip`` (see :func:`_stacked_call`), or whose
+    constraint block fails the rank test while ``RankDeficiency`` is in
+    ``skip``, leaves the stack; any other error propagates.  Returns
+    ``(keep, P)``: the mask of the points of ``Q`` that stayed and a
+    :class:`ProjectionSet` whose fields carry one leading axis over them
+    (``None`` when no point stayed).
     """
     N, nu, M, n = spec.N, spec.nu, spec.M, spec.dim
 
     def callbacks(Q: Array) -> tuple:
-        G = _callback(spec, "metric", Q)
-        Ginv = None if spec.metric_inverse is None else _callback(spec, "metric_inverse", Q)
-        return G, Ginv, _callback(spec, "omega", Q)
+        return _callback(spec, "metric", Q), _callback(spec, "omega", Q)
 
     keep, parts = _stacked_call(callbacks, Q, skip)
     if not parts:
         return keep, None
-    G, Ginv, Om = parts
+    G, Om = parts
     _cholesky_spd(G)
-    Ginv = _validated_inverse(G, Ginv)
 
     ranked, U, s, Vh = _constraint_svd(spec, Q[keep] if len(G) < len(Q) else Q, Om, skip)
     if not ranked.all():
         keep[keep] = ranked
         if not ranked.any():
             return keep, None
-        G, Ginv, Om = G[ranked], Ginv[ranked], Om[ranked]
+        G, Om = G[ranked], Om[ranked]
     B = _block_I_basis(spec, Vh)
     gB = G @ B
     P_I = B @ np.linalg.solve(B.transpose(0, 2, 1) @ gB, gB.transpose(0, 2, 1))
@@ -396,7 +370,7 @@ def _projection_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple
         R_II=right[:, :, :nu],
         I_basis=B,
         g=G,
-        ginv=Ginv,
+        ginv=np.linalg.inv(G),
         Om=Om,
     )
     return keep, P

@@ -220,7 +220,7 @@ def _scan(
     ``(M, S, M)`` and ``(2M, S, seed_dim)``) and returns the values and the
     directions used, with shapes ``(3M, S)`` and ``(3M, S, d)``.  Per point
     and then across points, the first seed and point reaching the maximum
-    win.
+    win; the reported direction's largest-magnitude entry is made positive.
     """
     M = spec.M
     pts = sampler.points(n_samples)
@@ -240,6 +240,10 @@ def _scan(
         point_max = values[best, np.arange(evaluated)]
         i = int(point_max.argmax())
         max_value, worst_point, worst_dir = float(point_max[i]), pts[keep][i], used[best[i], i]
+        # a direction and its negative give the same quadratic value: report the
+        # one whose largest-magnitude entry (the first, on a tie) is positive
+        if worst_dir[np.abs(worst_dir).argmax()] < 0.0:
+            worst_dir = 0.0 - worst_dir  # not -worst_dir, which turns zeros into -0.0
     return FitnessReport(
         quantity=quantity,
         verdict=_verdict(max_value, tol, evaluated),

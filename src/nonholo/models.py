@@ -1,10 +1,10 @@
 """Built-in example systems: the Roller Racer, the rolling ball and a toy.
 
-Each model is packaged as a :class:`ModelBundle`: the
-:class:`~nonholo.core_geometry.SystemSpec` callbacks (metric, constraint
-forms, analytic inverse metric where available), a smooth adapted frame field,
-sampling boxes that stay clear of chart singularities, and any closed-form
-reference dynamics the model admits.
+Each model is packaged as a :class:`ModelBundle`: the two
+:class:`~nonholo.core_geometry.SystemSpec` callbacks (metric and constraint
+forms; the inverse metric is computed from the metric), a smooth adapted
+frame field, sampling boxes that stay clear of chart singularities, and any
+closed-form reference dynamics the model admits.
 
 Roller Racer
     A planar two-platform vehicle: a main body with a knife-edge axle and a
@@ -112,9 +112,9 @@ class ModelBundle:
 # ---------------------------------------------------------------------------
 
 
-def _racer_metric_matrices(p: RollerRacerParams) -> tuple[Array, Array]:
+def _racer_metric_matrix(p: RollerRacerParams) -> Array:
     I, J = p.inertia, p.tail_inertia
-    g = np.array(
+    return np.array(
         [
             [1.0, 0.0, 0.0, 0.0],
             [0.0, I + J, 0.0, J],
@@ -122,15 +122,6 @@ def _racer_metric_matrices(p: RollerRacerParams) -> tuple[Array, Array]:
             [0.0, J, 0.0, J],
         ]
     )
-    ginv = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0 / I, 0.0, -1.0 / I],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, -1.0 / I, 0.0, (I + J) / (I * J)],
-        ]
-    )
-    return g, ginv
 
 
 # entries of q giving the angles (q2, q2 + u, u) once u is added to the middle one
@@ -153,13 +144,10 @@ def roller_racer_spec(params: Optional[RollerRacerParams] = None) -> SystemSpec:
         omega^2 = cos(q2+u) dq1 + rho cos(u) dq2 - sin(q2+u) dq3
     """
     p = params or RollerRacerParams()
-    g, ginv = _racer_metric_matrices(p)
+    g = _racer_metric_matrix(p)
 
     def metric(q: Array) -> Array:
         return _filled(g, q.shape[:-1])
-
-    def metric_inverse(q: Array) -> Array:
-        return _filled(ginv, q.shape[:-1])
 
     def omega(q: Array) -> Array:
         angles = q.take(_RACER_ANGLES, axis=-1)
@@ -172,7 +160,7 @@ def roller_racer_spec(params: Optional[RollerRacerParams] = None) -> SystemSpec:
         np.multiply(p.rho, c[..., 2], out=Om[..., 1, 1])
         return Om
 
-    return SystemSpec(N=3, M=1, nu=2, metric=metric, omega=omega, metric_inverse=metric_inverse)
+    return SystemSpec(N=3, M=1, nu=2, metric=metric, omega=omega)
 
 
 def racer_frame_vectors(params: RollerRacerParams, q: Array) -> dict[str, Array]:
@@ -330,7 +318,7 @@ def _build_roller_racer(
     spec = roller_racer_spec(params)
     if metric_perturb:
         spec = _perturbed(spec, metric_perturb)
-    g, _ = _racer_metric_matrices(params)
+    g = _racer_metric_matrix(params)
     box = np.array([[-1.0, 1.0], [0.3, 2.8], [-1.0, 1.0], [-1.2, 1.2]])
     return ModelBundle(
         name="roller-racer",
@@ -390,35 +378,23 @@ def rolling_ball_spec(params: Optional[RollingBallParams] = None) -> SystemSpec:
     ``(|xdot|^2 + kappa^2 |w|^2 + u'^2) / 2`` per unit mass, so the metric is
     block diagonal: ``kappa^2 E^T E`` on the angles (``E`` the rate-to-spin
     matrix) and the identity on ``(x, y, u)``.  For Z-X-Z angles
-    ``E^T E = [[1, 0, c], [0, 1, 0], [c, 0, 1]]`` with ``c = cos(q2)``, so both
-    the metric and its inverse are written in closed form.
+    ``E^T E = [[1, 0, c], [0, 1, 0], [c, 0, 1]]`` with ``c = cos(q2)``, so the
+    metric is written in closed form.
     """
     p = params or RollingBallParams()
     k2, r = p.gyration2, p.radius
 
     diag = np.diag([k2, k2, k2, 1.0, 1.0, 1.0])
-    diag_inv = np.diag([1.0, 1.0 / k2, 1.0, 1.0, 1.0, 1.0])
 
-    def chart_cos(q: Array):
+    def metric(q: Array) -> Array:
         sth = np.sin(q[..., 1])
         edge = np.abs(sth) < 1e-8
         if edge.any():
             raise ChartDomain(f"Euler chart degenerate: sin(q2) = {np.extract(edge, sth)[0].real:.1e}")
-        return sth, np.cos(q[..., 1])
-
-    def metric(q: Array) -> Array:
-        _, cth = chart_cos(q)
+        cth = np.cos(q[..., 1])
         g = _filled(diag, np.shape(cth), cth.dtype)
         g[..., 0, 2] = g[..., 2, 0] = k2 * cth
         return g
-
-    def metric_inverse(q: Array) -> Array:
-        sth, cth = chart_cos(q)
-        s2 = sth * sth
-        ginv = _filled(diag_inv, np.shape(cth), cth.dtype)
-        ginv[..., 0, 0] = ginv[..., 2, 2] = 1.0 / (k2 * s2)
-        ginv[..., 0, 2] = ginv[..., 2, 0] = -cth / (k2 * s2)
-        return ginv
 
     def omega(q: Array) -> Array:
         E = _euler_rate_matrix(q)
@@ -430,7 +406,7 @@ def rolling_ball_spec(params: Optional[RollingBallParams] = None) -> SystemSpec:
         Om[..., 1, 5] = -q[..., 3]
         return Om
 
-    return SystemSpec(N=5, M=1, nu=2, metric=metric, omega=omega, metric_inverse=metric_inverse)
+    return SystemSpec(N=5, M=1, nu=2, metric=metric, omega=omega)
 
 
 def ball_orthonormal_basis(params: RollingBallParams, q: Array) -> Array:
@@ -457,7 +433,6 @@ def _ball_frame_field(params: RollingBallParams) -> Callable[[Array], Frame]:
     def frame(q: Array) -> Frame:
         A = _euler_rate_matrix_inv(q) / kappa  # raises ChartDomain on the gimbal locus
         g = spec.metric(q)
-        ginv = spec.metric_inverse(q)
         Om = spec.omega(q)
         x, y = q[3], q[4]
         # free block: rolling-compatible spin/translation combinations
@@ -468,7 +443,7 @@ def _ball_frame_field(params: RollingBallParams) -> Callable[[Array], Frame]:
         W[3, 1] = -r / kappa
         W[:3, 2] = A[:, 2]
         # reaction block: metric duals of the constraint forms
-        U = ginv @ Om.T
+        U = np.linalg.solve(g, Om.T)
         # drive block: admissible turntable response, orthogonal to the free block
         a = -x * kappa * r / (kappa**2 + r**2)
         b = -y * kappa * r / (kappa**2 + r**2)
@@ -536,7 +511,7 @@ def euclidean_toy_spec(params: Optional[EuclideanToyParams] = None) -> SystemSpe
         Om[..., 0] = 1.0
         return Om
 
-    return SystemSpec(N=p.n_passive, M=p.n_controls, nu=nu, metric=metric, omega=omega, metric_inverse=metric)
+    return SystemSpec(N=p.n_passive, M=p.n_controls, nu=nu, metric=metric, omega=omega)
 
 
 def _build_euclidean_toy(
@@ -571,8 +546,8 @@ def _perturbed(spec: SystemSpec, eps: float) -> SystemSpec:
     """Deliberately corrupt the metric with a smooth rank-one bump.
 
     Used as a negative control: downstream consistency checks must detect the
-    corruption.  The analytic inverse-metric callback is dropped because it no
-    longer matches.
+    corruption.  Only ``metric`` changes; the splitting computes the inverse
+    from it, as for every model.
     """
     n = spec.dim
     ray = np.linspace(1.0, 2.0, n)
@@ -582,7 +557,7 @@ def _perturbed(spec: SystemSpec, eps: float) -> SystemSpec:
     def metric(q: Array) -> Array:
         return base(q) + (eps * np.sin(q[..., 0] + 0.3))[..., None, None] * bump
 
-    return replace(spec, metric=metric, metric_inverse=None)
+    return replace(spec, metric=metric)
 
 
 _BUILDERS: dict[str, Callable[..., ModelBundle]] = {

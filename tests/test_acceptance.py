@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from nonholo.core_geometry import argmin_certificate, metric_at, projection_set
+from nonholo.core_geometry import argmin_certificate, projection_set
 from nonholo.errors import NonholoError
 from nonholo.jump_analysis import BoxSampler, psi_scan, theta_on_III_scan
 from nonholo.models import build_model, racer_denominators
@@ -54,7 +54,7 @@ def dynamic_runs(racer, ball):
         racer.spec, racer.default_q0, np.zeros(4), wobble, (0.0, 1.0), IntegratorConfig(dt=1e-3)
     )
 
-    g_r = metric_at(racer.spec, racer.default_q0)
+    g_r = racer.spec.metric(racer.default_q0)
     w1 = free_block(racer.frame_field(racer.default_q0))[:, 0]
     runs["racer coasting"] = integrate(
         racer.spec,
@@ -64,7 +64,7 @@ def dynamic_runs(racer, ball):
         (0.0, 1.0),
         IntegratorConfig(dt=1e-3),
     )
-    g_b = metric_at(ball.spec, ball.default_q0)
+    g_b = ball.spec.metric(ball.default_q0)
     z = free_block(ball.frame_field(ball.default_q0)) @ np.array([0.3, -0.2, 0.4])
     runs["ball coasting"] = integrate(
         ball.spec,

@@ -282,6 +282,19 @@ class TestCheckFitCommand:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "n.txt").exists()
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"], ids=["negative", "zero", "nan"])
+    @pytest.mark.parametrize("source", ["option", "key"])
+    def test_bad_tolerance_is_config_error(self, tmp_path, capsys, source, value):
+        """A tolerance must be positive and finite; a negative one made the fit ball "not fit"."""
+        text, args, name = (
+            ("", ["--tol", value], "--tol") if source == "option" else (f"scan.tol = {value}\n", [], "scan.tol")
+        )
+        cfg = write_cfg(tmp_path, CHECKFIT.format(name="rolling-ball") + text)
+        code = main(["check-fit", "--config", cfg, "--out", str(tmp_path / "t.txt"), "--samples", "5", *args])
+        assert code == 1
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, CHECKFIT.format(name="roller-racer"))
         outs = []
@@ -339,6 +352,18 @@ class TestOracleCompareCommand:
         assert code == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "n.txt").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"], ids=["negative", "zero", "nan"])
+    @pytest.mark.parametrize("source", ["option", "key"])
+    def test_bad_tolerance_is_config_error(self, tmp_path, capsys, source, value):
+        text, args, name = (
+            ("", ["--tol", value], "--tol") if source == "option" else (f"oracle.tol = {value}\n", [], "oracle.tol")
+        )
+        cfg = write_cfg(tmp_path, "model.name = roller-racer\n" + text)
+        code = main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "t.txt"), "--samples", "5", *args])
+        assert code == 1
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
 
     def test_model_without_oracle_errors(self, tmp_path):
         cfg = write_cfg(tmp_path, "model.name = rolling-ball\n")

@@ -11,8 +11,6 @@ from nonholo.core_geometry import (
     SystemSpec,
     _projection_stack,
     argmin_certificate,
-    metric_at,
-    metric_inverse_at,
     projection_set,
 )
 from nonholo.errors import ChartDomain, RankDeficiency, SingularMetric
@@ -26,8 +24,8 @@ def reference_projection_set(spec, q):
     Returns a dict with the same names as :class:`ProjectionSet`.
     """
     N, M, nu, n = spec.N, spec.M, spec.nu, spec.dim
-    g = metric_at(spec, q)
-    ginv = metric_inverse_at(spec, q, metric=g)
+    g = np.asarray(spec.metric(q), dtype=float)
+    ginv = np.linalg.inv(g)
     Om = np.asarray(spec.omega(q), dtype=float)
     B = np.zeros((n, N - nu))
     B[:N] = np.linalg.svd(Om[:, :N])[2][nu:].T if nu else np.eye(N)
@@ -201,7 +199,7 @@ class TestMetricValidation:
 
         spec = SystemSpec(N=1, M=1, nu=0, metric=metric, omega=omega)
         with pytest.raises(SingularMetric):
-            metric_at(spec, np.zeros(2))
+            projection_set(spec, np.zeros(2))
 
     def test_indefinite_metric_rejected(self):
         @stacked
@@ -214,26 +212,11 @@ class TestMetricValidation:
 
         spec = SystemSpec(N=1, M=1, nu=0, metric=metric, omega=omega)
         with pytest.raises(SingularMetric):
-            metric_at(spec, np.zeros(2))
-
-    def test_wrong_inverse_rejected(self):
-        @stacked
-        def metric(q):
-            return np.diag([2.0, 1.0])
-
-        @stacked
-        def omega(q):
-            return np.zeros((0, 2))
-
-        spec = SystemSpec(N=1, M=1, nu=0, metric=metric, omega=omega, metric_inverse=metric)
-        with pytest.raises(SingularMetric):
-            metric_inverse_at(spec, np.zeros(2))
+            projection_set(spec, np.zeros(2))
 
 
 class TestStackedCallbacks:
-    @pytest.mark.parametrize(
-        "label, shape", [("metric", (4, 4)), ("metric_inverse", (4, 4)), ("omega", (2, 4))]
-    )
+    @pytest.mark.parametrize("label, shape", [("metric", (4, 4)), ("omega", (2, 4))])
     def test_per_point_only_callback_is_rejected(self, racer, label, shape):
         """A callback that returns one point's shape for a stack is refused, naming the expected shape."""
         fn = getattr(racer.spec, label)
@@ -258,7 +241,7 @@ class TestFrames:
         spec = racer.spec
         q = np.array([0.4, 1.1, -0.2, 0.5])
         vecs = racer_frame_vectors(racer.params, q)
-        g = metric_at(spec, q)
+        g = spec.metric(q)
         V = np.column_stack([vecs["w1"], vecs["v2"], vecs["v3"], vecs["v4"]])
         gram = V.T @ g @ V
         cross = np.abs(

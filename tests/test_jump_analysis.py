@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nonholo import reduced_dynamics
-from nonholo.core_geometry import SystemSpec, metric_at, metric_inverse_at, projection_set
+from nonholo import jump_analysis, reduced_dynamics
+from nonholo.core_geometry import SystemSpec, projection_set
 from nonholo.errors import ChartDomain, NotInDeltaCapGamma, RankDeficiency, SingularDenominator
 from nonholo.jump_analysis import (
     GRAY_FACTOR,
@@ -18,7 +18,6 @@ from nonholo.jump_analysis import (
     psi_scan,
     sufficiency_check,
     theta_on_III_scan,
-    worker_count,
 )
 from nonholo.models import build_model, racer_frame_vectors, roller_racer_spec
 from nonholo.reduced_dynamics import centrifugal_psi, coefficient_tensors, theta_I_apply
@@ -47,7 +46,7 @@ def euclidean_racer_forms() -> SystemSpec:
             ]
         )
 
-    return SystemSpec(N=3, M=1, nu=2, metric=metric, omega=omega, metric_inverse=metric)
+    return SystemSpec(N=3, M=1, nu=2, metric=metric, omega=omega)
 
 
 def control_dependent_metric() -> SystemSpec:
@@ -76,7 +75,7 @@ def reference_sufficiency(spec, basis_field, sampler, n_samples, metric_tol=1e-1
     """The structural check as first implemented: one point at a time, differencing the inverse metric.
 
     Each sample gets a checked splitting (block ranks included) and central
-    differences of ``metric_inverse_at`` at ``q ± h e_u`` along every control
+    differences of the inverse metric at ``q ± h e_u`` along every control
     (``h = step * max(1, |q_u|)``).
     """
     pts = sampler.points(n_samples)
@@ -95,7 +94,7 @@ def reference_sufficiency(spec, basis_field, sampler, n_samples, metric_tol=1e-1
                 qp, qm = q.copy(), q.copy()
                 qp[i] += h
                 qm[i] -= h
-                dg = (metric_inverse_at(spec, qp) - metric_inverse_at(spec, qm)) / (2.0 * h)
+                dg = (np.linalg.inv(spec.metric(qp)) - np.linalg.inv(spec.metric(qm))) / (2.0 * h)
                 max_dg = max(max_dg, float(np.abs(dg).max()))
         except (RankDeficiency, ChartDomain, SingularDenominator):
             continue
@@ -122,7 +121,7 @@ def richardson_leaf_derivative(spec, q, v, w, step=1e-3):
 
     def energy(point):
         z = projection_set(spec, point, check=False).h @ v
-        return float(z @ metric_at(spec, point) @ z)
+        return float(z @ spec.metric(point) @ z)
 
     def central(h):
         return (energy(q + h * w) - energy(q - h * w)) / (2.0 * h)
@@ -219,6 +218,33 @@ class TestScans:
         assert rep.sample_count == 0
         assert rep.failures == 10
 
+    @pytest.mark.parametrize("scan", [psi_scan, theta_on_III_scan])
+    @pytest.mark.parametrize("model", ["racer", "ball"])
+    def test_worst_direction_sign_is_canonical(self, scan, model, racer, ball, monkeypatch):
+        """Negating every direction an evaluation returns leaves the report unchanged.
+
+        A direction and its negative give the same quadratic value, so the
+        report signs the worst one: its largest-magnitude entry is positive.
+        """
+        bundle = {"racer": racer, "ball": ball}[model]
+        ref = scan(bundle.spec, BoxSampler(bundle.sample_box, seed=6), n_samples=20)
+        d = ref.worst_direction
+        assert d[np.abs(d).argmax()] > 0.0
+        shared = jump_analysis._scan
+
+        def negating_scan(*args):
+            *head, evaluate, seed_dim = args
+
+            def negated(*inputs):
+                values, used = evaluate(*inputs)
+                return values, -used
+
+            return shared(*head, negated, seed_dim)
+
+        monkeypatch.setattr(jump_analysis, "_scan", negating_scan)
+        got = scan(bundle.spec, BoxSampler(bundle.sample_box, seed=6), n_samples=20)
+        assert got.to_text() == ref.to_text()
+
     def test_report_text_mentions_witness(self, racer):
         rep = psi_scan(racer.spec, BoxSampler(racer.sample_box, seed=0), n_samples=10)
         text = rep.to_text()
@@ -258,7 +284,9 @@ def reference_scan(spec, box, seed, n_samples, quantity):
     """A scan one point and one seed at a time, through the single-point API.
 
     Reproduces the scans' draws and tie-break: the first point and seed that
-    reach the maximum win.  Returns ``(failures, max_value, point, direction)``.
+    reach the maximum win.  The winning direction is signed so that its
+    largest-magnitude entry is positive.  Returns ``(failures, max_value,
+    point, direction)``.
     """
     M = spec.M
     sampler = BoxSampler(box, seed=seed)
@@ -285,7 +313,10 @@ def reference_scan(spec, box, seed, n_samples, quantity):
                     val, used = float(np.abs(theta_I_apply(spec, q, w, w, tensors=T)).max()), w
             if best is None or val > best[0]:
                 best = (val, q, used)
-    return (failures, *best) if best is not None else (failures, 0.0, None, None)
+    if best is None:
+        return failures, 0.0, None, None
+    val, q, used = best
+    return failures, val, q, used if used[np.abs(used).argmax()] > 0.0 else -used
 
 
 def assert_matches_reference(spec, box, seed, n_samples, scan, quantity):
@@ -370,9 +401,6 @@ class TestBatchedScans:
             single = coefficient_tensors(base, Q[j])
             assert np.abs(T.projections.P_I[i] - single.projections.P_I).max() <= 1e-14
             assert np.abs(T.dPstar_I[i] - single.dPstar_I).max() <= 1e-14
-
-    def test_worker_count_is_one(self):
-        assert worker_count() == 1
 
 
 class TestSufficiency:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nonholo.core_geometry import projection_set
-from nonholo.errors import ModelError, SingularDenominator
+from nonholo.errors import ModelError, SingularDenominator, SingularMetric
 from nonholo.models import (
     RollerRacerParams,
     _euler_rate_matrix,
@@ -29,6 +29,7 @@ from nonholo.models import (
     roller_racer_closed_rhs,
     roller_racer_spec,
 )
+from nonholo.reduced_dynamics import coefficient_tensors
 
 from conftest import sample_points
 
@@ -165,14 +166,19 @@ def test_closed_rhs_against_full_flow_endpoint():
 
 class TestRollerRacer:
     def test_metric_inverse_is_exact(self, racer):
-        q = np.zeros(4)
-        g = racer.spec.metric(q)
-        ginv = racer.spec.metric_inverse(q)
-        assert np.abs(g @ ginv - np.eye(4)).max() < 1e-14
+        """The splitting's inverse metric is the closed-form inverse of the constant metric."""
         I, J = racer.params.inertia, racer.params.tail_inertia
-        assert ginv[1, 1] == pytest.approx(1.0 / I)
-        assert ginv[3, 3] == pytest.approx((I + J) / (I * J))
-        assert ginv[1, 3] == pytest.approx(-1.0 / I)
+        closed = np.array(
+            [
+                [1.0, 0.0, 0.0, 0.0],
+                [0.0, 1.0 / I, 0.0, -1.0 / I],
+                [0.0, 0.0, 1.0, 0.0],
+                [0.0, -1.0 / I, 0.0, (I + J) / (I * J)],
+            ]
+        )
+        P = projection_set(racer.spec, np.zeros(4))
+        assert np.abs(P.g @ P.ginv - np.eye(4)).max() < 1e-14
+        assert np.abs(P.ginv - closed).max() < 1e-14
 
     def test_block_dimensions(self, racer):
         P = projection_set(racer.spec, np.array([0.0, 1.0, 0.0, 0.4]))
@@ -293,7 +299,7 @@ class TestRollingBall:
 
     @pytest.mark.parametrize("options", [{}, {"radius": 0.7, "gyration2": 0.25}])
     def test_closed_form_metric_matches_rate_matrix(self, options):
-        """``metric`` and ``metric_inverse`` agree with ``kappa^2 E^T E`` and its inverse from ``E^-1``."""
+        """``metric`` and the splitting's inverse agree with ``kappa^2 E^T E`` and its inverse from ``E^-1``."""
         bundle = build_model("rolling-ball", **options)
         k2 = bundle.params.gyration2
         for q in sample_points(bundle, 200, seed=29):
@@ -304,10 +310,10 @@ class TestRollingBall:
             ginv = np.eye(6)
             ginv[:3, :3] = Einv @ Einv.T / k2
             assert np.abs(bundle.spec.metric(q) - g).max() <= 1e-15
-            assert np.abs(bundle.spec.metric_inverse(q) - ginv).max() <= 2e-15 * np.abs(ginv).max()
+            assert np.abs(projection_set(bundle.spec, q).ginv - ginv).max() <= 2e-15 * np.abs(ginv).max()
 
     def test_closed_form_metric_is_complex_safe(self, ball):
-        """Both forms follow a complex input, so their complex-step derivatives are exact."""
+        """The metric follows a complex input, so its complex-step derivative, and the inverse's, are exact."""
         q = sample_points(ball, 1, seed=31)[0]
         z = q + 1j * 1e-30 * np.eye(6)[1]
         k2 = ball.params.gyration2
@@ -315,7 +321,7 @@ class TestRollingBall:
         dg = ball.spec.metric(z).imag / 1e-30
         assert dg[0, 2] == dg[2, 0] == pytest.approx(-k2 * s, rel=1e-15)
         assert np.count_nonzero(dg) == 2
-        dginv = ball.spec.metric_inverse(z).imag / 1e-30
+        dginv = coefficient_tensors(ball.spec, q).dginv[1]
         # d/dtheta of -cos/sin^2 and of 1/sin^2, over kappa^2
         assert dginv[0, 2] == pytest.approx((1.0 + c * c) / (k2 * s**3), rel=1e-13)
         assert dginv[0, 0] == pytest.approx(-2.0 * c / (k2 * s**3), rel=1e-13)
@@ -325,8 +331,34 @@ class TestRollingBall:
         for delta in (0.3, -0.9):
             q2 = q.copy()
             q2[5] += delta
-            d = np.abs(ball.spec.metric_inverse(q) - ball.spec.metric_inverse(q2)).max()
+            d = np.abs(projection_set(ball.spec, q).ginv - projection_set(ball.spec, q2).ginv).max()
             assert d < 1e-12
+
+    @pytest.mark.parametrize("sin_q2", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+    @pytest.mark.parametrize("side", ["near 0", "near pi"])
+    def test_computed_inverse_holds_up_at_the_chart_edge(self, ball, sin_q2, side):
+        """Toward ``sin q2 = 0`` the computed inverse's residual stays within 10x of the closed form's.
+
+        The closed form is the Z-X-Z inverse ``1/(k2 s^2)`` on the two outer
+        angles, ``-c/(k2 s^2)`` between them and ``1/k2`` on the middle one.
+        """
+        k2 = ball.params.gyration2
+        q = ball.default_q0.copy()
+        q[1] = math.asin(sin_q2) if side == "near 0" else math.pi - math.asin(sin_q2)
+        s, c = math.sin(q[1]), math.cos(q[1])
+        closed = np.eye(6)
+        closed[0, 0] = closed[2, 2] = 1.0 / (k2 * s * s)
+        closed[0, 2] = closed[2, 0] = -c / (k2 * s * s)
+        closed[1, 1] = 1.0 / k2
+        P = projection_set(ball.spec, q, check=False)
+        assert np.abs(P.g @ P.ginv - np.eye(6)).max() <= 10.0 * np.abs(P.g @ closed - np.eye(6)).max()
+
+    def test_splitting_refuses_the_metric_past_the_chart_edge(self, ball):
+        """At ``sin q2 = 1e-6`` the metric's pivot ratio fails, before any inverse is formed."""
+        q = ball.default_q0.copy()
+        q[1] = math.asin(1e-6)
+        with pytest.raises(SingularMetric, match="pivot ratio"):
+            projection_set(ball.spec, q, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +435,6 @@ def test_callbacks_are_batch_invariant(name, options):
     Q = sample_points(bundle, 7, seed=45)
     Z = Q[:, None, :] + 1j * 1e-30 * np.eye(n)
     callbacks = {"metric": (n, n), "omega": (spec.nu, n)}
-    if spec.metric_inverse is not None:
-        callbacks["metric_inverse"] = (n, n)
     for label, shape in callbacks.items():
         cb = getattr(spec, label)
         for stack in (Q, Z):
@@ -442,4 +472,3 @@ class TestRegistry:
         bent = build_model("roller-racer", metric_perturb=0.05)
         q = np.array([0.2, 1.0, 0.0, 0.3])
         assert np.abs(clean.spec.metric(q) - bent.spec.metric(q)).max() > 1e-3
-        assert bent.spec.metric_inverse is None

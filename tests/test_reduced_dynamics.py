@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nonholo import reduced_dynamics
-from nonholo.core_geometry import SystemSpec, metric_at, projection_set
+from nonholo.core_geometry import SystemSpec, projection_set
 from nonholo.errors import ChartDomain, FrameNotSmooth, ModelError, NonAdaptedState, NotInDeltaCapGamma, SingularMetric
 from nonholo.jump_analysis import BoxSampler, psi_scan
 from nonholo.models import build_model, racer_denominators, racer_frame_vectors
@@ -37,7 +37,7 @@ from conftest import near_singular_system, random_system, sample_points, stacked
 
 def racer_state(bundle, q, xi):
     """Ambient free momentum for closed state ``(q, xi)``."""
-    g = metric_at(bundle.spec, q)
+    g = bundle.spec.metric(q)
     w1 = racer_frame_vectors(bundle.params, q)["w1"]
     return xi * (g @ w1)
 
@@ -289,7 +289,7 @@ class TestClosedFormDerivatives:
         n = spec.dim
         keep, T = reduced_dynamics._tensor_stack(spec, Q)
         assert keep.all() and T.dg.shape == (S, n, n, n)
-        real = {(name, "real", (S, n)): 1 for name in ("metric", "metric_inverse", "omega")}
+        real = {(name, "real", (S, n)): 1 for name in ("metric", "omega")}
         assert dict(calls) == {**real, ("metric", "complex", (S, n, n)): 1, ("omega", "complex", (S, n, n)): 1}
 
     def test_chart_edge_point_leaves_after_a_per_point_rerun(self, ball):
@@ -300,7 +300,7 @@ class TestClosedFormDerivatives:
         n = spec.dim
         keep, T = reduced_dynamics._tensor_stack(spec, Q, skip=(ChartDomain,))
         # without an edge point the stack needs no rerun
-        assert keep.all() and sum(calls.values()) == 5
+        assert keep.all() and sum(calls.values()) == 4
         Q[7, 1] = 0.0  # sin(q2) = 0: the Euler chart's edge
         calls.clear()
         keep, T = reduced_dynamics._tensor_stack(spec, Q, skip=(ChartDomain,))
@@ -310,7 +310,6 @@ class TestClosedFormDerivatives:
             # the edge point raises in metric, before its other callbacks
             ("metric", "real", (25, n)): 1,
             ("metric", "real", (1, n)): 25,
-            ("metric_inverse", "real", (1, n)): 24,
             ("omega", "real", (1, n)): 24,
             ("metric", "complex", (24, n, n)): 1,
             ("omega", "complex", (24, n, n)): 1,
@@ -340,12 +339,7 @@ def counting_spec(spec, calls):
 
         return wrapper
 
-    return dataclasses.replace(
-        spec,
-        metric=wrap("metric", spec.metric),
-        omega=wrap("omega", spec.omega),
-        metric_inverse=None if spec.metric_inverse is None else wrap("metric_inverse", spec.metric_inverse),
-    )
+    return dataclasses.replace(spec, metric=wrap("metric", spec.metric), omega=wrap("omega", spec.omega))
 
 
 def real_only(spec, name):
@@ -475,7 +469,7 @@ class TestReducedRhs:
 
     def test_rejects_momentum_off_the_free_block(self, racer):
         q = np.array([0.0, 1.5, 0.0, 0.3])
-        g = metric_at(racer.spec, q)
+        g = racer.spec.metric(q)
         bad = g @ racer_frame_vectors(racer.params, q)["v2"]  # pure reaction covector
         with pytest.raises(NotInDeltaCapGamma):
             reduced_rhs(racer.spec, q, bad, 0.0, ControlSignal.constant(0.3))

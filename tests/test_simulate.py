@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nonholo import simulate
-from nonholo.core_geometry import metric_at
 from nonholo.errors import ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
 from nonholo.models import racer_frame_vectors, roller_racer_closed_rhs
 from nonholo.reduced_dynamics import ControlSignal
@@ -21,7 +20,7 @@ from nonholo.simulate import (
 
 
 def racer_momentum(bundle, q, xi):
-    g = metric_at(bundle.spec, q)
+    g = bundle.spec.metric(q)
     return xi * (g @ racer_frame_vectors(bundle.params, q)["w1"])
 
 
@@ -191,7 +190,7 @@ class TestIntegrate:
 
     def test_rejects_reaction_covector_as_p0(self, racer):
         q0 = racer.default_q0
-        g = metric_at(racer.spec, q0)
+        g = racer.spec.metric(q0)
         bad = g @ racer_frame_vectors(racer.params, q0)["v2"]
         with pytest.raises(NotInDeltaCapGamma):
             integrate(racer.spec, q0, bad, ControlSignal.constant(0.0), (0.0, 1.0))
