@@ -195,6 +195,32 @@ def control_from_config(cfg: RunConfig) -> ControlSignal:
     )
 
 
+#: fewest integrator steps over a control's own timescale (``simulate``) or a fast period (``vibrate``)
+MIN_STEPS_PER_PERIOD = 20
+
+#: per control family with a timescale of its own, the key that sets it and the timescale from its value
+_TIMESCALES = {
+    "sinusoid": ("omega", lambda omega: 2.0 * np.pi / abs(omega) if omega else np.inf),
+    "dither": ("eps", lambda eps: 2.0 * np.pi * eps),
+    "ramp": ("duration", lambda duration: duration),
+}
+
+
+def _check_control_resolved(cfg: RunConfig, dt: float) -> None:
+    """Reject a control whose period (sinusoid, dither) or duration (ramp) spans fewer than 20 steps of ``dt``."""
+    family = cfg.get_str("control.family")
+    if family not in _TIMESCALES:
+        return
+    name, timescale = _TIMESCALES[family]
+    key = "control." + name
+    value = cfg.get_float(key, required=True)
+    if timescale(value) < MIN_STEPS_PER_PERIOD * dt:
+        raise ConfigError(
+            f"{cfg.path}: key '{key}' = {value!r} gives a control timescale of {timescale(value):.3g}, "
+            f"under {MIN_STEPS_PER_PERIOD} steps of integrator.dt = {dt!r}"
+        )
+
+
 def integrator_from_config(cfg: RunConfig) -> tuple[IntegratorConfig, tuple[float, float]]:
     try:
         config = IntegratorConfig(
@@ -239,6 +265,7 @@ def cmd_simulate(cfg: RunConfig, out: str, seed: int) -> int:
     if channels != model.spec.M:
         key = "control." + _CHANNEL_KEYS[cfg.get_str("control.family")]
         raise ConfigError(f"{cfg.path}: key '{key}' gives {channels} control channels, model has M = {model.spec.M}")
+    _check_control_resolved(cfg, config.dt)
     n = model.spec.dim
     q0 = cfg.get_floats("initial.q")
     q0 = np.array(model.default_q0, dtype=float) if q0 is None else q0
@@ -350,8 +377,10 @@ def cmd_vibrate(cfg: RunConfig, out: str, seed: int) -> int:
     if not horizon > 0.0:
         raise ConfigError(f"{cfg.path}: key 'vibrate.horizon' must be positive, got {horizon!r}")
     steps = cfg.get_int("vibrate.steps_per_period", 50)
-    if steps < 20:
-        raise StepRejected(f"vibrate.steps_per_period = {steps} resolves the fast phase too coarsely (need >= 20)")
+    if steps < MIN_STEPS_PER_PERIOD:
+        raise StepRejected(
+            f"vibrate.steps_per_period = {steps} resolves the fast phase too coarsely (need >= {MIN_STEPS_PER_PERIOD})"
+        )
     y0 = cfg.get_floats("initial.y")
     if y0 is None:
         q0 = np.array(model.default_q0, dtype=float)

@@ -318,20 +318,18 @@ def _block_I_basis(spec: SystemSpec, Vh: Array) -> Array:
     return _canonical_sign(B)
 
 
-def _projection_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[ProjectionSet]]:
-    """The splitting at every point of ``Q`` (shape ``(S, N+M)``) at once.
+def _splitting_front(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[tuple]]:
+    """The validated front of the splitting at every point of ``Q``: callbacks, metric test, constraint SVD.
 
     Each callback runs once on the whole stack (``metric``, then ``omega``),
-    as does every step after them; the inverse metrics come from
-    ``np.linalg.inv`` once the Cholesky test has passed.  A point whose
-    callbacks raise one of ``skip`` (see :func:`_stacked_call`), or whose
-    constraint block fails the rank test while ``RankDeficiency`` is in
-    ``skip``, leaves the stack; any other error propagates.  Returns
-    ``(keep, P)``: the mask of the points of ``Q`` that stayed and a
-    :class:`ProjectionSet` whose fields carry one leading axis over them
-    (``None`` when no point stayed).
+    then the symmetry, Cholesky and pivot tests of the metrics and the
+    transversality test of :func:`_constraint_svd`.  A point whose callbacks
+    raise one of ``skip`` (see :func:`_stacked_call`), or whose constraint
+    block fails the rank test while ``RankDeficiency`` is in ``skip``, leaves
+    the stack; any other error propagates.  Returns ``(keep, front)``: the
+    mask of the points of ``Q`` that stayed and the stacks ``(G, Om, U, s,
+    Vh)`` over them (``None`` when no point stayed).
     """
-    N, nu, M, n = spec.N, spec.nu, spec.M, spec.dim
 
     def callbacks(Q: Array) -> tuple:
         return _callback(spec, "metric", Q), _callback(spec, "omega", Q)
@@ -348,26 +346,59 @@ def _projection_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple
         if not ranked.any():
             return keep, None
         G, Om = G[ranked], Om[ranked]
-    B = _block_I_basis(spec, Vh)
-    gB = G @ B
-    P_I = B @ np.linalg.solve(B.transpose(0, 2, 1) @ gB, gB.transpose(0, 2, 1))
+    return keep, (G, Om, U, s, Vh)
 
-    # g-minimal right inverse [R_II, h] of the rows [Om; du]: pseudo-inverse
-    # particular solutions for unit constraint values and unit controls, then
-    # the g-orthogonal removal of their block I components
+
+def _particular_solutions(spec: SystemSpec, Om: Array, U: Array, s: Array, Vh: Array) -> Array:
+    """Pseudo-inverse particular solutions ``x0`` (shape ``(S, N+M, nu+M)``) of the rows ``[Om; du]``.
+
+    Column ``a < nu`` solves ``Om x = e_a`` with no controlled components;
+    column ``nu + b`` solves ``Om x = 0`` with unit control ``b``.  Removing
+    their block I components ``g``-orthogonally leaves ``[R_II, h]``.
+    """
+    N, nu, M = spec.N, spec.nu, spec.M
     pinv = Vh[:, :nu].transpose(0, 2, 1) @ (U.transpose(0, 2, 1) / s[:, :, None])
-    x0 = np.zeros((len(G), n, nu + M))
+    x0 = np.zeros((len(Om), spec.dim, nu + M))
     x0[:, :N, :nu] = pinv
     x0[:, :N, nu:] = -pinv @ Om[:, :, N:]
     x0[:, N:, nu:] = _eye(M)
+    return x0
+
+
+def _g_projector(B: Array, G: Array) -> Array:
+    """``B (B^T g B)^-1 B^T g``: the ``g``-orthogonal projectors onto the column spans of the stack ``B``."""
+    gB = G @ B
+    return B @ np.linalg.solve(B.swapaxes(-1, -2) @ gB, gB.swapaxes(-1, -2))
+
+
+def _projection_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[ProjectionSet]]:
+    """The splitting at every point of ``Q`` (shape ``(S, N+M)``) at once.
+
+    Points leave the stack as in :func:`_splitting_front`; every step after it
+    runs once on the whole stack, and the inverse metrics come from
+    ``np.linalg.inv`` once the Cholesky test has passed.  Returns ``(keep,
+    P)``: the mask of the points of ``Q`` that stayed and a
+    :class:`ProjectionSet` whose fields carry one leading axis over them
+    (``None`` when no point stayed).
+    """
+    keep, front = _splitting_front(spec, Q, skip)
+    if front is None:
+        return keep, None
+    G, Om, U, s, Vh = front
+    B = _block_I_basis(spec, Vh)
+    P_I = _g_projector(B, G)
+
+    # g-minimal right inverse [R_II, h] of the rows [Om; du]: the particular
+    # solutions less their g-orthogonal block I components
+    x0 = _particular_solutions(spec, Om, U, s, Vh)
     right = x0 - P_I @ x0
-    h = right[:, :, nu:]
+    h = right[:, :, spec.nu :]
     P = ProjectionSet(
         P_I=P_I,
         Pstar_I=P_I.transpose(0, 2, 1),
         h=h,
         k=G @ h,
-        R_II=right[:, :, :nu],
+        R_II=right[:, :, : spec.nu],
         I_basis=B,
         g=G,
         ginv=np.linalg.inv(G),

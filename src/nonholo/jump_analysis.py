@@ -16,12 +16,15 @@ structural conditions that imply fitness without scanning ``Psi`` itself,
 and :func:`leaf_metric_derivative` measures the equivalent leaf-distance
 signature one direction at a time.
 
-Every diagnostic reads its derivatives from the coefficient tensors of
-:mod:`nonholo.reduced_dynamics`; none differences the splitting itself.  The
-scans and :func:`sufficiency_check` batch their sample points: the splitting
-and the coefficient tensors of every point are built by one stacked kernel,
-which calls each model callback once per stack, and every seed direction at
-every point is evaluated by one broadcast contraction.
+The scans and :func:`leaf_metric_derivative` read their derivatives from
+the coefficient tensors of :mod:`nonholo.reduced_dynamics`;
+:func:`sufficiency_check` needs only the splitting and the metric's
+complex-step derivatives along the controls.  None differences the
+splitting itself.  The scans and :func:`sufficiency_check` batch their
+sample points: the splitting (and, for the scans, the coefficient tensors)
+of every point is built by one stacked kernel, which calls each model
+callback once per stack, and every seed direction at every point is
+evaluated by one broadcast contraction.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_geometry import Array, SystemSpec, _block_ranks, _each_point, projection_set
+from .core_geometry import Array, SystemSpec, _block_ranks, _each_point, _eye, _projection_stack, projection_set
 from .errors import (
     ChartDomain,
     NotInDeltaCapGamma,
@@ -40,6 +43,7 @@ from .errors import (
 )
 from .reduced_dynamics import (
     CoefficientTensors,
+    _complex_step_stack,
     _tensor_stack,
     centrifugal_psi,
     coefficient_tensors,
@@ -322,10 +326,13 @@ def sufficiency_check(
 ) -> SufficiencyReport:
     """Evaluate the structural conditions that imply jump fitness.
 
-    Measured over sampled points, from one stack of coefficient tensors:
+    Measured over sampled points, from one stacked splitting and the
+    complex-step derivatives ``dg_u`` of the metric along the controlled
+    coordinates (one stacked ``metric`` call; no coefficient tensors):
 
     * control independence of the inverse metric — the max absolute entry
-      of its derivatives ``dginv`` along the controlled coordinates;
+      of its derivatives ``dginv[u] = -ginv dg_u ginv`` along the
+      controlled coordinates;
     * constancy of the free coprojection in the supplied basis — the matrix
       ``B(q)^T Pstar_I(q) B(q)^{-T}`` compared across samples (max deviation
       from the first sample; pairwise deviations are at most twice that).
@@ -336,11 +343,15 @@ def sufficiency_check(
     splitting has the wrong rank or ``basis_field`` raises a skippable error.
     """
     pts = sampler.points(n_samples)
-    keep, T = _tensor_stack(spec, pts, skip=_SKIPPABLE)
+    keep, P = _projection_stack(spec, pts, skip=_SKIPPABLE)
     max_dg = 0.0
     max_rep = 0.0
-    if T is not None:
-        P = T.projections
+    if P is not None:
+        # the metric's derivatives along the controlled coordinates only
+        derived, derivs = _complex_step_stack(spec, pts[keep], _eye(spec.dim)[spec.N :], ("metric",), _SKIPPABLE)
+        keep[keep] = derived
+        P = P.point(derived)
+    if keep.any():
         ok = _block_ranks(spec, pts[keep], P, skip=_SKIPPABLE)
         based, bases = _each_point(lambda Q: (np.asarray(basis_field(Q[0]), dtype=float)[None],), pts[keep][ok], _SKIPPABLE)
         ok[ok] = based
@@ -349,7 +360,8 @@ def sufficiency_check(
             B = bases[0]
             rep = B.swapaxes(-1, -2) @ P.Pstar_I[ok] @ np.linalg.inv(B).swapaxes(-1, -2)
             max_rep = float(np.abs(rep - rep[0]).max())
-            max_dg = float(np.abs(T.dginv[ok][:, spec.N :]).max(initial=0.0))
+            ginv = P.ginv[ok][:, None]
+            max_dg = float(np.abs(ginv @ derivs[0][ok] @ ginv).max(initial=0.0))
     evaluated = int(keep.sum())
     return SufficiencyReport(
         declared_flat=declared_flat,

@@ -435,26 +435,22 @@ def _ball_frame_field(params: RollingBallParams) -> Callable[[Array], Frame]:
         g = spec.metric(q)
         Om = spec.omega(q)
         x, y = q[3], q[4]
+        V = np.zeros((6, 6), dtype=g.dtype)
         # free block: rolling-compatible spin/translation combinations
-        W = np.zeros((6, 3), dtype=A.dtype)
-        W[:3, 0] = A[:, 0]
-        W[4, 0] = r / kappa
-        W[:3, 1] = A[:, 1]
-        W[3, 1] = -r / kappa
-        W[:3, 2] = A[:, 2]
+        V[:3, :3] = A
+        V[4, 0] = r / kappa
+        V[3, 1] = -r / kappa
         # reaction block: metric duals of the constraint forms
-        U = np.linalg.solve(g, Om.T)
+        V[:, 3:5] = np.linalg.solve(g, Om.T)
         # drive block: admissible turntable response, orthogonal to the free block
         a = -x * kappa * r / (kappa**2 + r**2)
         b = -y * kappa * r / (kappa**2 + r**2)
-        Z = np.zeros(6, dtype=A.dtype)
-        Z[:3] = a * A[:, 0] + b * A[:, 1]
-        Z[3] = b * kappa / r
-        Z[4] = -a * kappa / r
-        Z[5] = 1.0
-        V = np.column_stack([W, U, Z])
-        norms2 = np.einsum("ij,jk,ki->i", V.T, g, V)
-        Omega_frame = (g @ V).T / norms2[:, None]
+        V[:3, 5] = a * A[:, 0] + b * A[:, 1]
+        V[3, 5] = b * kappa / r
+        V[4, 5] = -a * kappa / r
+        V[5, 5] = 1.0
+        gV = g @ V
+        Omega_frame = gV.T / np.einsum("ij,ij->j", V, gV)[:, None]
         return Frame(V=V, Omega_frame=Omega_frame, block_ranges=((0, 3), (3, 5), (5, 6)))
 
     return frame

@@ -15,18 +15,25 @@ systems that can absorb instantaneous control jumps from those that cannot.
 
 The same dynamics can be propagated in frame coordinates: ``xi_m`` are the
 velocity components of the free motion along a smooth adapted frame, with
-``qdot = sum_m xi_m V_m + h @ udot``.
+``qdot = sum_m xi_m V_m + h @ udot``.  There d'Alembert's principle needs
+only the frame and the metric (Maggi's equations, :func:`frame_rhs`):
+``n_m xidot_m = <g qdot, dV_m> + 1/2 (d_{V_m} g)[qdot, qdot] - xi_m dn_m``
+with ``n_m = g[V_m, V_m]`` and ``dV`` the frame's transport.  So the frame
+form builds no coefficient tensors: it needs the metric and the lift at
+``q``, the frame, its transport, and the metric's derivatives along the
+free frame vectors and ``qdot``.
 
 Derivatives come in two kinds.  Those of the model callbacks ``metric`` and
 ``omega`` are complex-step derivatives: each callback is called once on the
-stack of all ``q + i H e_j`` (``H = COMPLEX_STEP``) and the derivative is
-read from the imaginary part, exact to rounding.  The derivatives of the splitting
-built from them — free coprojection, inverse metric and lift — follow from
-closed-form perturbation identities at a single splitting
-(:func:`coefficient_tensors`).  The frame form transports its frame by the
-same complex step.  Callbacks and frame fields therefore share one contract:
-they must be complex-safe, and one that is not raises
-:class:`~nonholo.errors.ModelError`.
+stack of all ``q + i H d`` for the directions ``d`` needed (``H =
+COMPLEX_STEP``; the coordinate axes for the tensors, the frame vectors and
+``qdot`` for the frame form) and the derivative is read from the imaginary
+part, exact to rounding.  The derivatives of the splitting built from them —
+free coprojection, inverse metric and lift — follow from closed-form
+perturbation identities at a single splitting (:func:`coefficient_tensors`).
+The frame form transports its frame by the same complex step.  Callbacks
+and frame fields therefore share one contract: they must be complex-safe,
+and one that is not raises :class:`~nonholo.errors.ModelError`.
 """
 
 from __future__ import annotations
@@ -47,7 +54,10 @@ from .core_geometry import (
     _callback,
     _check_symmetric,
     _eye,
+    _g_projector,
+    _particular_solutions,
     _projection_stack,
+    _splitting_front,
     _stacked_call,
     projection_set,
 )
@@ -198,34 +208,32 @@ def _complex_call(fn: Callable, label: str, *args: object) -> object:
             raise ModelError(msg) from None
 
 
-def _callback_derivative_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[Array], Optional[Array]]:
-    """Stacks ``dg[i, j]`` and ``dOm[i, j]`` of the callbacks' derivatives at every point ``Q[i]``.
+def _complex_step_stack(
+    spec: SystemSpec, Q: Array, D: Array, labels: tuple[str, ...] = ("metric", "omega"), skip: SkipTypes = ()
+) -> tuple[Array, tuple[Array, ...]]:
+    """Complex-step derivatives of the callbacks ``labels`` at every point ``Q[i]`` along directions ``D``.
 
-    Complex step: ``metric`` and ``omega`` are called once each on the stack
-    ``Z[i, j] = Q[i] + i H e_j``, and the derivative is the imaginary part
-    over ``H``.  A callback that is not complex-safe raises ``ModelError``
-    (see :func:`_complex_call`).  A point whose callbacks raise one of
-    ``skip`` leaves the stack.  Returns ``(keep, dg, dOm)``: the mask of the
-    points that stayed and the stacks over them (``None`` when no point
-    stayed).
+    ``D`` holds ``k`` directions, shape ``(k, N+M)`` shared by all points or
+    ``(S, k, N+M)`` per point.  Each callback is called once on the stack
+    ``Z[i, j] = Q[i] + i H D[..., j, :]`` and the derivative is the
+    imaginary part over ``H``; a metric derivative must be symmetric.  A
+    callback that is not complex-safe raises ``ModelError`` (see
+    :func:`_complex_call`).  A point whose callbacks raise one of ``skip``
+    leaves the stack.  Returns ``(keep, derivs)``: the mask of the points
+    that stayed and, per label, the stack of shape ``(S', k, ...)`` over them
+    (empty when no point stayed).
     """
 
-    def complex_step(Z: Array) -> tuple[Array, Array]:
-        return _callback(spec, "metric", Z, None).imag, _callback(spec, "omega", Z, None).imag
+    def complex_step(Z: Array) -> tuple[Array, ...]:
+        return tuple(_callback(spec, label, Z, None).imag for label in labels)
 
-    Z = Q[:, None, :] + (1j * COMPLEX_STEP) * _eye(spec.dim)
-    keep, parts = _complex_call(_stacked_call, "metric or omega", complex_step, Z, skip)
-    if not parts:
-        return keep, None, None
-    dg = parts[0] / COMPLEX_STEP
-    _check_symmetric(dg, "metric derivative")
-    return keep, dg, parts[1] / COMPLEX_STEP
-
-
-def _callback_derivatives(spec: SystemSpec, q: Array) -> tuple[Array, Array]:
-    """Stacks ``dg[j]`` and ``dOm[j]`` of the callbacks' coordinate derivatives at ``q``."""
-    _, dg, dOm = _callback_derivative_stack(spec, np.asarray(q, dtype=float)[None])
-    return dg[0], dOm[0]
+    Z = Q[:, None, :] + (1j * COMPLEX_STEP) * D
+    keep, parts = _complex_call(_stacked_call, " or ".join(labels), complex_step, Z, skip)
+    derivs = tuple(part / COMPLEX_STEP for part in parts)
+    for label, d in zip(labels, derivs):
+        if label == "metric":
+            _check_symmetric(d, "metric derivative")
+    return keep, derivs
 
 
 def _tensors_from(P: ProjectionSet, dg: Array, dOm: Array) -> CoefficientTensors:
@@ -272,13 +280,13 @@ def _tensor_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Arr
     keep, P = _projection_stack(spec, Q, skip)
     if P is None:
         return keep, None
-    derived, dg, dOm = _callback_derivative_stack(spec, Q[keep], skip)
+    derived, derivs = _complex_step_stack(spec, Q[keep], _eye(spec.dim), skip=skip)
     if not derived.all():
         keep[keep] = derived
         if not derived.any():
             return keep, None
         P = P.point(derived)
-    return keep, _tensors_from(P, dg, dOm)
+    return keep, _tensors_from(P, *derivs)
 
 
 def coefficient_tensors(spec: SystemSpec, q: Array, projections: Optional[ProjectionSet] = None) -> CoefficientTensors:
@@ -291,7 +299,8 @@ def coefficient_tensors(spec: SystemSpec, q: Array, projections: Optional[Projec
     """
     q = np.asarray(q, dtype=float)
     P = projections if projections is not None else projection_set(spec, q, check=False)
-    return _tensors_from(P, *_callback_derivatives(spec, q))
+    _, (dg, dOm) = _complex_step_stack(spec, q[None], _eye(spec.dim))
+    return _tensors_from(P, dg[0], dOm[0])
 
 
 def theta_I_apply(
@@ -430,6 +439,20 @@ def check_frame_continuity(prev: Frame, new: Frame) -> None:
         raise FrameNotSmooth(f"frame overlap diagonal dropped to {float(d.min()):.3f}")
 
 
+def _frame_lift(spec: SystemSpec, q: Array, V_I: Array) -> tuple[Array, Array]:
+    """Metric ``g`` and lift ``h`` at ``q``, block I removed along the frame's free block ``V_I``.
+
+    Runs only the validated front of the splitting (callbacks, metric test,
+    constraint SVD with its rank test) and the particular solutions ``x0`` of
+    the control rows; then ``h = x0 - Pi x0`` with ``Pi`` the
+    ``g``-orthogonal projector onto the span of ``V_I``, which is block I.
+    """
+    _, (G, Om, U, s, Vh) = _splitting_front(spec, q[None])
+    g = G[0]
+    x0 = _particular_solutions(spec, Om, U, s, Vh)[0, :, spec.nu :]
+    return g, x0 - _g_projector(V_I, g) @ x0
+
+
 def frame_rhs(
     spec: SystemSpec,
     q: Array,
@@ -437,56 +460,64 @@ def frame_rhs(
     t: float,
     control: ControlSignal,
     frame_field: Callable[[Array], Frame],
-    tensors: Optional[CoefficientTensors] = None,
+    projections: Optional[ProjectionSet] = None,
     frame: Optional[Frame] = None,
 ) -> tuple[Array, Array]:
-    """Right-hand side ``(qdot, xidot)`` in smooth-frame velocity coordinates.
+    """Right-hand side ``(qdot, xidot)`` in smooth-frame velocity coordinates (Maggi's equations).
 
     ``xi_m`` are the components of the free velocity along the frame's free
     block (assumed ``g``-orthogonal within the block, as all built-in frames
-    are), so ``qdot = sum_m xi_m V_m + h @ udot`` and
+    are), so ``qdot = sum_m xi_m V_m + h @ udot``.  The constraint reaction
+    ``d/dt(g qdot) - 1/2 d_q g[qdot, qdot]`` does no work on a free vector
+    ``V_m``, and ``<g qdot, V_m> = n_m xi_m`` with ``n_m = g[V_m, V_m]``
+    because ``h`` is ``g``-orthogonal to block I.  Together::
 
-        xidot_m = ( <pIdot, V_m> + <p_I, d V_m/dt> - xi_m d n_m/dt ) / n_m
+        n_m xidot_m = <g qdot, dV_m> + 1/2 (d_{V_m} g)[qdot, qdot] - xi_m dn_m
+        dn_m        = 2 g[V_m, dV_m] + (d_qdot g)[V_m, V_m]
 
-    with ``n_m = g[V_m, V_m]``.  The frame is transported by complex step:
-    ``dV = d V/dt`` is ``Im V(q + i H qdot) / H``, exact to rounding, and the
-    norms by ``d n_m/dt = 2 g[V_m, dV_m] + (sum_j qdot_j dg[j])[V_m, V_m]``.
-    The real part of the shifted frame must pass :func:`check_frame_continuity`
-    against the frame at ``q``.  A frame field that is not complex-safe
-    raises :class:`~nonholo.errors.ModelError`.  A caller that already holds
-    ``frame_field(q)`` passes it as ``frame``; like ``tensors``, it must
+    (Maggi's equations; Neimark & Fufaev, *Dynamics of Nonholonomic
+    Systems*, 1972), so the frame form needs only the frame, the metric and
+    the lift: no coefficient tensors and no derivative of the splitting.
+    The frame is transported by complex step: ``dV = d V/dt`` is
+    ``Im V(q + i H qdot) / H``, exact to rounding, and the real part of that
+    shifted frame must pass :func:`check_frame_continuity` against the frame
+    at ``q``.  The metric
+    derivatives along ``V_1 .. V_m`` and ``qdot`` come from one complex call
+    of ``metric`` at ``q + i H [V_1 .. V_m, qdot]``.  A frame field or
+    callback that is not complex-safe raises
+    :class:`~nonholo.errors.ModelError`.
+
+    ``g`` and ``h`` come from ``projections`` when given, else from the
+    validated front of the splitting at ``q``.  A caller that already holds
+    ``frame_field(q)`` passes it as ``frame``; like ``projections``, it must
     belong to ``q``.
     """
     q = np.asarray(q, dtype=float)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     _check_adapted(spec, q, t, control)
-    T = tensors if tensors is not None else coefficient_tensors(spec, q)
-    P = T.projections
     frame = frame if frame is not None else frame_field(q)
     i0, i1 = frame.block_ranges[0]
     V_I = frame.V[:, i0:i1]
     if xi.shape != (i1 - i0,):
         raise ValueError(f"xi has shape {xi.shape}, frame free block has {i1 - i0} columns")
-    g = P.g
-    norms = np.einsum("im,ij,jm->m", V_I, g, V_I)
+    g, h = (projections.g, projections.h) if projections is not None else _frame_lift(spec, q, V_I)
 
     udot = np.atleast_1d(np.asarray(control.rate(t), dtype=float))
-    free_vel = V_I @ xi
-    qdot = free_vel + P.h @ udot
-    p_I = g @ free_vel
-    p = p_I + P.k @ udot
-    pIdot = theta_I_apply(spec, q, p, p, tensors=T)
+    qdot = V_I @ xi + h @ udot
 
-    # transport the free block along qdot by complex step, its norms through
-    # the exact metric derivative
+    # transport the free block along qdot, and differentiate the metric along
+    # it and along each free vector, by complex step
     shifted = _complex_call(frame_field, "frame field", q + (1j * COMPLEX_STEP) * qdot)
     check_frame_continuity(frame, Frame(shifted.V.real, shifted.Omega_frame.real, shifted.block_ranges))
     dV = shifted.V[:, i0:i1].imag / COMPLEX_STEP
-    dg_flow = np.tensordot(qdot, T.dg, axes=1)
-    dnorm = 2.0 * np.einsum("im,ij,jm->m", V_I, g, dV) + np.einsum("im,ij,jm->m", V_I, dg_flow, V_I)
+    _, (dg,) = _complex_step_stack(spec, q[None], np.vstack([V_I.T, qdot]), ("metric",))
+    dg_V, dg_flow = dg[0, :-1], dg[0, -1]
 
-    xidot = (pIdot @ V_I + p_I @ dV - xi * dnorm) / norms
-    return qdot, xidot
+    gV = g @ V_I
+    norms = np.einsum("im,im->m", V_I, gV)
+    dnorm = 2.0 * np.einsum("im,im->m", gV, dV) + np.einsum("im,ij,jm->m", V_I, dg_flow, V_I)
+    work = (g @ qdot) @ dV + 0.5 * np.einsum("i,mij,j->m", qdot, dg_V, qdot)
+    return qdot, (work - xi * dnorm) / norms
 
 
 def frame_coefficients(
@@ -504,11 +535,12 @@ def frame_coefficients(
     * ``"xi_udot"``   -- shape ``(m, m, M)``, momentum/control-rate coupling;
     * ``"udot_udot"`` -- shape ``(m, M, M)``, pure control-rate pump.
 
-    The controlled coordinates of ``q`` serve as the control value.
+    The controlled coordinates of ``q`` serve as the control value.  One
+    splitting and one frame at ``q`` serve every polarization call.
     """
     q = np.asarray(q, dtype=float)
     u0 = q[spec.N :]
-    T = coefficient_tensors(spec, q)
+    P = projection_set(spec, q, check=False)
     frame = frame_field(q)
     i0, i1 = frame.block_ranges[0]
     m = i1 - i0
@@ -516,7 +548,7 @@ def frame_coefficients(
 
     def f(z: Array) -> Array:
         ctrl = ControlSignal.linear(u0, z[m:], t0=0.0)
-        return frame_rhs(spec, q, z[:m], 0.0, ctrl, frame_field, tensors=T, frame=frame)[1]
+        return frame_rhs(spec, q, z[:m], 0.0, ctrl, frame_field, projections=P, frame=frame)[1]
 
     diag = [f(e) for e in E]
     B = np.zeros((m, len(E), len(E)))

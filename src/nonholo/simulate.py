@@ -208,13 +208,12 @@ def integrate(
     out_cres = np.empty(nsteps + 1)
     out_dres = np.empty(nsteps + 1)
 
-    def stage(t: float, y: Array, tensors=None, frame=None) -> Array:
+    def stage(t: float, y: Array, projections=None, frame=None) -> Array:
         qq = assemble(t, y[:N])
-        TT = tensors if tensors is not None else coefficient_tensors(spec, qq)
         if use_frame:
-            qdot, mdot = frame_rhs(spec, qq, y[N:], t, control, frame_field, tensors=TT, frame=frame)
+            qdot, mdot = frame_rhs(spec, qq, y[N:], t, control, frame_field, projections=projections, frame=frame)
         else:
-            qdot, mdot = reduced_rhs(spec, qq, y[N:], t, control, tensors=TT)
+            qdot, mdot = reduced_rhs(spec, qq, y[N:], t, control, tensors=coefficient_tensors(spec, qq))
         return np.concatenate([qdot[:N], mdot])
 
     for step in range(nsteps + 1):
@@ -254,9 +253,9 @@ def integrate(
         if step == nsteps:
             break
 
-        # stage k1 reuses this sample's tensors and frame (frame form) or its
+        # stage k1 reuses this sample's splitting and frame (frame form) or its
         # right-hand side (ambient form)
-        k1 = stage(t, y, tensors=T, frame=frame) if use_frame else np.concatenate([rhs[0][:N], rhs[1]])
+        k1 = stage(t, y, projections=T.projections, frame=frame) if use_frame else np.concatenate([rhs[0][:N], rhs[1]])
         y = _rk4_step(stage, t, y, dt, k1)
 
     return Trajectory(

@@ -179,6 +179,39 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "control, key",
+        [
+            ("control.family = sinusoid\ncontrol.mean = 0\ncontrol.amp = 0.2\ncontrol.omega = -32\n", "control.omega"),
+            ("control.family = dither\ncontrol.center = 0\ncontrol.gain = 1\ncontrol.eps = 0.03\n", "control.eps"),
+            ("control.family = ramp\ncontrol.start = 0.0\ncontrol.end = 0.4\ncontrol.duration = 0.19\n", "control.duration"),
+        ],
+        ids=["sinusoid", "dither", "ramp"],
+    )
+    def test_under_resolved_control_is_config_error(self, tmp_path, capsys, control, key):
+        """A control timescale under 20 steps of dt (period 0.196, 0.188; duration 0.19 at dt 1e-2) is refused."""
+        cfg = write_cfg(tmp_path, "model.name = roller-racer\nintegrator.dt = 1e-2\nintegrator.t1 = 0.03\n" + control)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"key '{key}'" in err and "20 steps" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "control",
+        [
+            "control.family = sinusoid\ncontrol.mean = 0\ncontrol.amp = 0.02\ncontrol.omega = -31\n",
+            "control.family = dither\ncontrol.center = 0\ncontrol.gain = 1\ncontrol.eps = 0.032\n",
+            "control.family = ramp\ncontrol.start = 0.0\ncontrol.end = 0.4\ncontrol.duration = 0.2\n",
+            "control.family = sinusoid\ncontrol.mean = 0\ncontrol.amp = 0.2\ncontrol.omega = 0\n",
+        ],
+        ids=["sinusoid", "dither", "ramp", "sinusoid-still"],
+    )
+    def test_resolved_control_runs(self, tmp_path, control):
+        """Just at or above 20 steps of dt per timescale (period 0.203, 0.201; duration 0.2) the run goes ahead."""
+        cfg = write_cfg(tmp_path, "model.name = roller-racer\nintegrator.dt = 1e-2\nintegrator.t1 = 0.03\n" + control)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
         "key, text",

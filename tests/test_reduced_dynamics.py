@@ -557,14 +557,15 @@ class TestFrameRhs:
                 frame_rhs(racer.spec, q, np.array([0.5]), 0.0, ControlSignal.linear(0.2, 0.7), frame_field)
 
     def test_norm_transport_evaluates_no_metric(self, ball):
-        """The frame norms move with the tensors' exact ``dg``: no metric evaluation off ``q``."""
+        """Given the splitting, the only metric evaluation is one complex call along ``[V_1 .. V_m, qdot]``."""
         calls = Counter()
         spec = counting_spec(ball.spec, calls)
         q = sample_points(ball, 1, seed=55)[0]
-        T = coefficient_tensors(spec, q)
+        P = projection_set(spec, q, check=False)
         calls.clear()
-        frame_rhs(spec, q, np.array([0.3, -0.2, 0.5]), 0.0, ControlSignal.linear(q[5], 0.7), ball.frame_field, tensors=T)
+        frame_rhs(spec, q, np.array([0.3, -0.2, 0.5]), 0.0, ControlSignal.linear(q[5], 0.7), ball.frame_field, projections=P)
         assert ("metric", "real") not in {key[:2] for key in calls}
+        assert calls[("metric", "complex", (1, 4, 6))] == 1
 
     def test_zero_state_is_stationary(self, racer):
         q = np.array([0.1, 1.4, -0.2, 0.2])
@@ -606,6 +607,73 @@ class TestFrameRhs:
             check_frame_continuity(F, flipped)
 
 
+def tensor_frame_rhs(spec, q, xi, t, control, frame_field):
+    """Reference ``(qdot, xidot)`` of the frame form from the coefficient tensors.
+
+    The momentum equation projected onto the frame, as the frame form was
+    computed before Maggi's equations: with ``p_I = g V_I xi``,
+    ``p = p_I + k udot`` and ``pIdot = theta_I[p, p]``,
+    ``xidot_m = (<pIdot, V_m> + <p_I, dV_m> - xi_m dn_m) / n_m``, where
+    ``dn_m = 2 g[V_m, dV_m] + (sum_j qdot_j dg[j])[V_m, V_m]``.
+    """
+    T = coefficient_tensors(spec, q)
+    P = T.projections
+    frame = frame_field(q)
+    i0, i1 = frame.block_ranges[0]
+    V_I = frame.V[:, i0:i1]
+    g = P.g
+    udot = np.atleast_1d(control.rate(t))
+    free_vel = V_I @ xi
+    qdot = free_vel + P.h @ udot
+    p_I = g @ free_vel
+    p = p_I + P.k @ udot
+    pIdot = theta_I_apply(spec, q, p, p, tensors=T)
+    dV = frame_field(q + 1j * reduced_dynamics.COMPLEX_STEP * qdot).V[:, i0:i1].imag / reduced_dynamics.COMPLEX_STEP
+    dg_flow = np.tensordot(qdot, T.dg, axes=1)
+    norms = np.einsum("im,ij,jm->m", V_I, g, V_I)
+    dnorm = 2.0 * np.einsum("im,ij,jm->m", V_I, g, dV) + np.einsum("im,ij,jm->m", V_I, dg_flow, V_I)
+    return qdot, (pIdot @ V_I + p_I @ dV - xi * dnorm) / norms
+
+
+#: built-in models with frame fields, as shipped and with a configuration-dependent metric bump
+MAGGI_MODELS = [("roller-racer", 0.0), ("roller-racer", 0.05), ("rolling-ball", 0.0), ("rolling-ball", 0.05)]
+
+
+class TestMaggiForm:
+    @pytest.mark.parametrize("name, perturb", MAGGI_MODELS)
+    def test_matches_tensor_form(self, name, perturb):
+        """Maggi's equations give the tensor form's ``(qdot, xidot)`` to 1e-13 relative at 100 random states.
+
+        Both with the lift from the splitting's front at ``q`` and with a
+        given splitting and frame, as RK4 stage k1 passes them.
+        """
+        bundle = build_model(name, metric_perturb=perturb)
+        spec = bundle.spec
+        gen = np.random.default_rng(71)
+        for q in sample_points(bundle, 100, seed=73):
+            frame = bundle.frame_field(q)
+            i0, i1 = frame.block_ranges[0]
+            xi = gen.uniform(-1.0, 1.0, i1 - i0)
+            control = ControlSignal.linear(q[spec.N :], gen.uniform(-1.0, 1.0, spec.M))
+            ref_qdot, ref_xidot = tensor_frame_rhs(spec, q, xi, 0.0, control, bundle.frame_field)
+            P = projection_set(spec, q, check=False)
+            for kwargs in ({}, {"projections": P, "frame": frame}):
+                qdot, xidot = frame_rhs(spec, q, xi, 0.0, control, bundle.frame_field, **kwargs)
+                assert np.abs(qdot - ref_qdot).max() <= 1e-13 * (1.0 + np.abs(ref_qdot).max())
+                assert np.abs(xidot - ref_xidot).max() <= 1e-13 * (1.0 + np.abs(ref_xidot).max())
+
+    @pytest.mark.parametrize("name, perturb", MAGGI_MODELS)
+    def test_frame_coefficients_match_tensor_form(self, name, perturb):
+        """Every block of ``frame_coefficients`` matches the tensor form's polarization to 1e-13 relative."""
+        bundle = build_model(name, metric_perturb=perturb)
+        for q in sample_points(bundle, 10, seed=75):
+            got = frame_coefficients(bundle.spec, q, bundle.frame_field)
+            ref = block_loop_coefficients(bundle.spec, q, bundle.frame_field, rhs=tensor_frame_rhs)
+            scale = 1.0 + max(float(np.abs(block).max()) for block in ref.values())
+            for name_, block in ref.items():
+                assert np.abs(got[name_] - block).max() <= 1e-13 * scale, name_
+
+
 class TestFrameCoefficients:
     @pytest.mark.parametrize("u", [0.0, 0.35, -0.8])
     def test_racer_quadratic_structure(self, racer, u):
@@ -639,10 +707,14 @@ class TestFrameCoefficients:
                 assert np.array_equal(got[name], block), name
 
 
-def block_loop_coefficients(spec, q, frame_field):
-    """The three blocks of ``frame_coefficients``, each polarized by its own loop nest."""
+def block_loop_coefficients(spec, q, frame_field, rhs=None):
+    """The three blocks of ``frame_coefficients``, each polarized by its own loop nest.
+
+    ``rhs(spec, q, xi, t, control, frame_field)`` gives ``(qdot, xidot)``;
+    by default :func:`frame_rhs` with one splitting and frame at ``q``.
+    """
     u0 = q[spec.N :]
-    T = coefficient_tensors(spec, q)
+    P = projection_set(spec, q, check=False)
     frame = frame_field(q)
     i0, i1 = frame.block_ranges[0]
     m = i1 - i0
@@ -650,7 +722,9 @@ def block_loop_coefficients(spec, q, frame_field):
 
     def f(xi, udot):
         ctrl = ControlSignal.linear(u0, udot, t0=0.0)
-        return frame_rhs(spec, q, xi, 0.0, ctrl, frame_field, tensors=T, frame=frame)[1]
+        if rhs is not None:
+            return rhs(spec, q, xi, 0.0, ctrl, frame_field)[1]
+        return frame_rhs(spec, q, xi, 0.0, ctrl, frame_field, projections=P, frame=frame)[1]
 
     zero_xi, zero_u = np.zeros(m), np.zeros(M)
     base_xi = [f(np.eye(m)[r], zero_u) for r in range(m)]

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from nonholo import simulate
+from nonholo import reduced_dynamics, simulate
 from nonholo.errors import ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
 from nonholo.models import racer_frame_vectors, roller_racer_closed_rhs
 from nonholo.reduced_dynamics import ControlSignal
@@ -123,19 +123,30 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("representation", ["ambient", "frame"])
     def test_one_tensor_build_per_sample_and_later_stage(self, racer, representation, monkeypatch):
-        """Sample 0 reuses the initial point's tensors and frame: 4 n + 1 tensor builds for n steps."""
-        builds = {"tensors": 0, "frames": 0}
+        """Sample 0 reuses the initial point's tensors and frame: n + 1 tensor builds for n steps.
+
+        The ambient form adds one per later RK4 stage (4 n + 1 in all); the
+        frame form's stages build none.
+        """
+        builds = {"tensors": 0, "frames": 0, "assembled": 0}
         tensors = simulate.coefficient_tensors
+        assemble = reduced_dynamics._tensors_from
 
         def counted_tensors(*args, **kwargs):
             builds["tensors"] += 1
             return tensors(*args, **kwargs)
+
+        def counted_assembly(*args):
+            builds["assembled"] += 1
+            return assemble(*args)
 
         def counted_frame(q):
             builds["frames"] += 1
             return racer.frame_field(q)
 
         monkeypatch.setattr(simulate, "coefficient_tensors", counted_tensors)
+        # every CoefficientTensors is assembled here, so no build goes uncounted
+        monkeypatch.setattr(reduced_dynamics, "_tensors_from", counted_assembly)
         p0 = racer_momentum(racer, racer.default_q0, 0.1)
         integrate(
             racer.spec,
@@ -146,7 +157,7 @@ class TestIntegrate:
             IntegratorConfig(dt=1e-3, representation=representation),
             frame_field=counted_frame,
         )
-        assert builds["tensors"] == 4 * 10 + 1
+        assert builds["tensors"] == builds["assembled"] == (4 * 10 + 1 if representation == "ambient" else 10 + 1)
         if representation == "frame":
             # one per sample; stage k1 reuses it and builds only its complex
             # transport point, the other 30 stages the frame and that point
