@@ -182,9 +182,13 @@ class Frame:
     """A basis adapted to the three-way splitting at one configuration.
 
     ``V`` holds basis vectors as columns, ordered block I, block II, block
-    III; every column has unit ``g``-norm and the blocks are mutually
-    ``g``-orthogonal.  ``Omega_frame`` holds the dual rows
-    ``g(V_i) / g[V_i, V_i]``, so ``Omega_frame @ V`` is the identity.
+    III; the blocks are mutually ``g``-orthogonal.  Columns need not have
+    unit ``g``-norm, nor be ``g``-orthogonal to the others of their block:
+    the rolling ball's free vectors have ``g[V_i, V_i]`` = 3.5, 3.5 and 1,
+    and its two reaction vectors are not orthogonal.  ``Omega_frame`` holds
+    the rows ``g(V_i) / g[V_i, V_i]``, so ``Omega_frame @ V`` has a unit
+    diagonal and vanishes off the diagonal blocks; it is the identity only
+    for a frame whose columns are all mutually ``g``-orthogonal.
     ``block_ranges`` are the ``(start, stop)`` column ranges of the blocks.
     Models supply smooth frame fields ``q -> Frame`` for the frame form of
     the dynamics.  Like the metric and constraint callbacks of
@@ -365,12 +369,6 @@ def _particular_solutions(spec: SystemSpec, Om: Array, U: Array, s: Array, Vh: A
     return x0
 
 
-def _g_projector(B: Array, G: Array) -> Array:
-    """``B (B^T g B)^-1 B^T g``: the ``g``-orthogonal projectors onto the column spans of the stack ``B``."""
-    gB = G @ B
-    return B @ np.linalg.solve(B.swapaxes(-1, -2) @ gB, gB.swapaxes(-1, -2))
-
-
 def _projection_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[ProjectionSet]]:
     """The splitting at every point of ``Q`` (shape ``(S, N+M)``) at once.
 
@@ -386,7 +384,9 @@ def _projection_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple
         return keep, None
     G, Om, U, s, Vh = front
     B = _block_I_basis(spec, Vh)
-    P_I = _g_projector(B, G)
+    # the g-orthogonal projector onto block I: B (B^T g B)^-1 B^T g
+    gB = G @ B
+    P_I = B @ np.linalg.solve(B.transpose(0, 2, 1) @ gB, gB.transpose(0, 2, 1))
 
     # g-minimal right inverse [R_II, h] of the rows [Om; du]: the particular
     # solutions less their g-orthogonal block I components

@@ -17,11 +17,11 @@ The same dynamics can be propagated in frame coordinates: ``xi_m`` are the
 velocity components of the free motion along a smooth adapted frame, with
 ``qdot = sum_m xi_m V_m + h @ udot``.  There d'Alembert's principle needs
 only the frame and the metric (Maggi's equations, :func:`frame_rhs`):
-``n_m xidot_m = <g qdot, dV_m> + 1/2 (d_{V_m} g)[qdot, qdot] - xi_m dn_m``
-with ``n_m = g[V_m, V_m]`` and ``dV`` the frame's transport.  So the frame
-form builds no coefficient tensors: it needs the metric and the lift at
-``q``, the frame, its transport, and the metric's derivatives along the
-free frame vectors and ``qdot``.
+``(G xidot)_m = <g qdot, dV_m> + 1/2 (d_{V_m} g)[qdot, qdot] - (Gdot xi)_m``
+with ``G = V_I^T g V_I`` the Gram matrix of the free frame vectors and ``dV``
+the frame's transport.  So the frame form builds no coefficient tensors: it
+needs the metric and the lift at ``q``, the frame, its transport, and the
+metric's derivatives along the free frame vectors and ``qdot``.
 
 Derivatives come in two kinds.  Those of the model callbacks ``metric`` and
 ``omega`` are complex-step derivatives: each callback is called once on the
@@ -54,7 +54,6 @@ from .core_geometry import (
     _callback,
     _check_symmetric,
     _eye,
-    _g_projector,
     _particular_solutions,
     _projection_stack,
     _splitting_front,
@@ -439,20 +438,6 @@ def check_frame_continuity(prev: Frame, new: Frame) -> None:
         raise FrameNotSmooth(f"frame overlap diagonal dropped to {float(d.min()):.3f}")
 
 
-def _frame_lift(spec: SystemSpec, q: Array, V_I: Array) -> tuple[Array, Array]:
-    """Metric ``g`` and lift ``h`` at ``q``, block I removed along the frame's free block ``V_I``.
-
-    Runs only the validated front of the splitting (callbacks, metric test,
-    constraint SVD with its rank test) and the particular solutions ``x0`` of
-    the control rows; then ``h = x0 - Pi x0`` with ``Pi`` the
-    ``g``-orthogonal projector onto the span of ``V_I``, which is block I.
-    """
-    _, (G, Om, U, s, Vh) = _splitting_front(spec, q[None])
-    g = G[0]
-    x0 = _particular_solutions(spec, Om, U, s, Vh)[0, :, spec.nu :]
-    return g, x0 - _g_projector(V_I, g) @ x0
-
-
 def frame_rhs(
     spec: SystemSpec,
     q: Array,
@@ -465,30 +450,34 @@ def frame_rhs(
 ) -> tuple[Array, Array]:
     """Right-hand side ``(qdot, xidot)`` in smooth-frame velocity coordinates (Maggi's equations).
 
-    ``xi_m`` are the components of the free velocity along the frame's free
-    block (assumed ``g``-orthogonal within the block, as all built-in frames
-    are), so ``qdot = sum_m xi_m V_m + h @ udot``.  The constraint reaction
+    ``xi`` are the components of the free velocity along the frame's free
+    block ``V_I``, so ``qdot = V_I xi + h @ udot``.  The constraint reaction
     ``d/dt(g qdot) - 1/2 d_q g[qdot, qdot]`` does no work on a free vector
-    ``V_m``, and ``<g qdot, V_m> = n_m xi_m`` with ``n_m = g[V_m, V_m]``
-    because ``h`` is ``g``-orthogonal to block I.  Together::
+    ``V_m``, and ``V_I^T g qdot = G xi`` with the Gram matrix
+    ``G = V_I^T g V_I``, because ``h`` is ``g``-orthogonal to block I.
+    Together::
 
-        n_m xidot_m = <g qdot, dV_m> + 1/2 (d_{V_m} g)[qdot, qdot] - xi_m dn_m
-        dn_m        = 2 g[V_m, dV_m] + (d_qdot g)[V_m, V_m]
+        G xidot = work - Gdot xi
+        work_m  = <g qdot, dV_m> + 1/2 (d_{V_m} g)[qdot, qdot]
+        Gdot    = dV^T g V_I + V_I^T g dV + V_I^T (d_qdot g) V_I
 
     (Maggi's equations; Neimark & Fufaev, *Dynamics of Nonholonomic
     Systems*, 1972), so the frame form needs only the frame, the metric and
-    the lift: no coefficient tensors and no derivative of the splitting.
-    The frame is transported by complex step: ``dV = d V/dt`` is
-    ``Im V(q + i H qdot) / H``, exact to rounding, and the real part of that
-    shifted frame must pass :func:`check_frame_continuity` against the frame
-    at ``q``.  The metric
+    the lift: no coefficient tensors and no derivative of the splitting.  The
+    free vectors need not be ``g``-orthogonal to each other.  The frame is
+    transported by complex step: ``dV = d V/dt`` is ``Im V(q + i H qdot) /
+    H``, exact to rounding, and the real part of that shifted frame must pass
+    :func:`check_frame_continuity` against the frame at ``q``.  The metric
     derivatives along ``V_1 .. V_m`` and ``qdot`` come from one complex call
     of ``metric`` at ``q + i H [V_1 .. V_m, qdot]``.  A frame field or
     callback that is not complex-safe raises
     :class:`~nonholo.errors.ModelError`.
 
-    ``g`` and ``h`` come from ``projections`` when given, else from the
-    validated front of the splitting at ``q``.  A caller that already holds
+    ``g`` and ``h`` come from ``projections`` when given.  Otherwise ``g``
+    and the particular solutions ``x0`` of the control rows come from the
+    validated front of the splitting at ``q`` and
+    ``h = x0 - V_I G^-1 (g V_I)^T x0``, so one inverse of ``G`` serves both
+    the lift and the momentum equation.  A caller that already holds
     ``frame_field(q)`` passes it as ``frame``; like ``projections``, it must
     belong to ``q``.
     """
@@ -500,7 +489,17 @@ def frame_rhs(
     V_I = frame.V[:, i0:i1]
     if xi.shape != (i1 - i0,):
         raise ValueError(f"xi has shape {xi.shape}, frame free block has {i1 - i0} columns")
-    g, h = (projections.g, projections.h) if projections is not None else _frame_lift(spec, q, V_I)
+    if projections is not None:
+        g, h = projections.g, projections.h
+    else:
+        # the validated front of the splitting, and the particular solutions of the control rows
+        _, (G, Om, U, s, Vh) = _splitting_front(spec, q[None])
+        g, x0 = G[0], _particular_solutions(spec, Om, U, s, Vh)[0, :, spec.nu :]
+    gV = g @ V_I
+    Ginv = np.linalg.inv(V_I.T @ gV)
+    if projections is None:
+        # the lift: x0 less its g-orthogonal component in block I, the span of V_I
+        h = x0 - V_I @ (Ginv @ (gV.T @ x0))
 
     udot = np.atleast_1d(np.asarray(control.rate(t), dtype=float))
     qdot = V_I @ xi + h @ udot
@@ -513,11 +512,10 @@ def frame_rhs(
     _, (dg,) = _complex_step_stack(spec, q[None], np.vstack([V_I.T, qdot]), ("metric",))
     dg_V, dg_flow = dg[0, :-1], dg[0, -1]
 
-    gV = g @ V_I
-    norms = np.einsum("im,im->m", V_I, gV)
-    dnorm = 2.0 * np.einsum("im,im->m", gV, dV) + np.einsum("im,ij,jm->m", V_I, dg_flow, V_I)
+    X = dV.T @ gV
+    Gdot = X + X.T + V_I.T @ dg_flow @ V_I
     work = (g @ qdot) @ dV + 0.5 * np.einsum("i,mij,j->m", qdot, dg_V, qdot)
-    return qdot, (work - xi * dnorm) / norms
+    return qdot, Ginv @ (work - Gdot @ xi)
 
 
 def frame_coefficients(

@@ -192,8 +192,8 @@ def integrate(
     if use_frame:
         i0, i1 = frame.block_ranges[0]
         V_I = frame.V[:, i0:i1]
-        norms = np.einsum("im,ij,jm->m", V_I, T.projections.g, V_I)
-        y = np.concatenate([q[:N], (p_I @ V_I) / norms])
+        # p_I = g V_I xi, so V_I^T p_I = G xi with the free block's Gram matrix G
+        y = np.concatenate([q[:N], np.linalg.solve(V_I.T @ T.projections.g @ V_I, V_I.T @ p_I)])
     else:
         y = np.concatenate([q[:N], p_I])
 

@@ -611,10 +611,11 @@ def tensor_frame_rhs(spec, q, xi, t, control, frame_field):
     """Reference ``(qdot, xidot)`` of the frame form from the coefficient tensors.
 
     The momentum equation projected onto the frame, as the frame form was
-    computed before Maggi's equations: with ``p_I = g V_I xi``,
-    ``p = p_I + k udot`` and ``pIdot = theta_I[p, p]``,
-    ``xidot_m = (<pIdot, V_m> + <p_I, dV_m> - xi_m dn_m) / n_m``, where
-    ``dn_m = 2 g[V_m, dV_m] + (sum_j qdot_j dg[j])[V_m, V_m]``.
+    computed before Maggi's equations, for any free block: with
+    ``p_I = g V_I xi``, ``p = p_I + k udot`` and ``pIdot = theta_I[p, p]``,
+    ``V_I^T p_I = G xi`` with the Gram matrix ``G = V_I^T g V_I``, so
+    ``xidot = G^-1 (V_I^T pIdot + dV^T p_I - Gdot xi)``, where
+    ``Gdot = dV^T g V_I + V_I^T g dV + V_I^T (sum_j qdot_j dg[j]) V_I``.
     """
     T = coefficient_tensors(spec, q)
     P = T.projections
@@ -630,9 +631,9 @@ def tensor_frame_rhs(spec, q, xi, t, control, frame_field):
     pIdot = theta_I_apply(spec, q, p, p, tensors=T)
     dV = frame_field(q + 1j * reduced_dynamics.COMPLEX_STEP * qdot).V[:, i0:i1].imag / reduced_dynamics.COMPLEX_STEP
     dg_flow = np.tensordot(qdot, T.dg, axes=1)
-    norms = np.einsum("im,ij,jm->m", V_I, g, V_I)
-    dnorm = 2.0 * np.einsum("im,ij,jm->m", V_I, g, dV) + np.einsum("im,ij,jm->m", V_I, dg_flow, V_I)
-    return qdot, (pIdot @ V_I + p_I @ dV - xi * dnorm) / norms
+    G = V_I.T @ g @ V_I
+    Gdot = dV.T @ g @ V_I + V_I.T @ g @ dV + V_I.T @ dg_flow @ V_I
+    return qdot, np.linalg.solve(G, V_I.T @ pIdot + dV.T @ p_I - Gdot @ xi)
 
 
 #: built-in models with frame fields, as shipped and with a configuration-dependent metric bump

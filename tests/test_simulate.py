@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from nonholo import reduced_dynamics, simulate
+from nonholo.core_geometry import projection_set
 from nonholo.errors import ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
-from nonholo.models import racer_frame_vectors, roller_racer_closed_rhs
+from nonholo.models import build_model, racer_frame_vectors, roller_racer_closed_rhs
 from nonholo.reduced_dynamics import ControlSignal
 from nonholo.simulate import (
     IntegratorConfig,
@@ -120,6 +121,26 @@ class TestIntegrate:
         assert np.abs(frm.q[-1] - amb.q[-1]).max() < 1e-8
         xi_amb = racer.extract_closed(amb.q[-1], amb.p_I[-1])[3]
         assert abs(frm.xi[-1, 0] - xi_amb) < 1e-8
+
+    @pytest.mark.parametrize("perturb", [0.0, 0.05])
+    def test_ball_frame_representation_matches_ambient(self, perturb):
+        """Frame and ambient trajectories of the ball agree to 1e-12 relative, at every sample.
+
+        Under ``metric_perturb`` the free frame vectors are not
+        ``g``-orthogonal (Gram off-diagonals near 0.09 against diagonals of
+        1 to 3.6), which the frame form must take into account.
+        """
+        ball = build_model("rolling-ball", metric_perturb=perturb)
+        q0 = ball.default_q0
+        frame = ball.frame_field(q0)
+        p0 = projection_set(ball.spec, q0).g @ frame.V[:, :3] @ np.array([0.3, -0.2, 0.4])
+        control = ControlSignal.sinusoid(q0[5], 0.3, 5.0)
+        runs = [
+            integrate(ball.spec, q0, p0, control, (0.0, 0.5), IntegratorConfig(dt=2e-3, representation=rep), ball.frame_field)
+            for rep in ("ambient", "frame")
+        ]
+        amb, frm = (np.hstack([traj.q, traj.p_I]) for traj in runs)
+        assert np.abs(frm - amb).max() <= 1e-12 * (1.0 + np.abs(amb).max())
 
     @pytest.mark.parametrize("representation", ["ambient", "frame"])
     def test_one_tensor_build_per_sample_and_later_stage(self, racer, representation, monkeypatch):
