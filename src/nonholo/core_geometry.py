@@ -182,19 +182,16 @@ class Frame:
     """A basis adapted to the three-way splitting at one configuration.
 
     ``V`` holds basis vectors as columns, ordered block I, block II, block
-    III; the blocks are mutually ``g``-orthogonal.  Columns need not have
-    unit ``g``-norm, nor be ``g``-orthogonal to the others of their block:
-    the rolling ball's free vectors have ``g[V_i, V_i]`` = 3.5, 3.5 and 1,
-    and its two reaction vectors are not orthogonal.  ``Omega_frame`` holds
-    the rows ``g(V_i) / g[V_i, V_i]``, so ``Omega_frame @ V`` has a unit
-    diagonal and vanishes off the diagonal blocks; it is the identity only
-    for a frame whose columns are all mutually ``g``-orthogonal.
+    III; block II may be empty.  The drive block holds particular solutions
+    of the control rows, not necessarily ``g``-orthogonal to block I.
+    Columns need not have unit ``g``-norm, nor be ``g``-orthogonal to the
+    others of their block.  ``Omega_frame @ V`` has a unit diagonal: its
+    rows are ``g(V_i) / g[V_i, V_i]`` in the racer's published frame, and
+    coordinate rows, with ``Omega_frame @ V = I``, in the generic frame.
     ``block_ranges`` are the ``(start, stop)`` column ranges of the blocks.
-    Models supply smooth frame fields ``q -> Frame`` for the frame form of
-    the dynamics.  Like the metric and constraint callbacks of
-    :class:`SystemSpec`, a frame field must be complex-safe and analytic in
-    ``q``: :func:`~nonholo.reduced_dynamics.frame_rhs` transports the frame
-    by complex step.
+    A frame field ``q -> Frame`` must be complex-safe and analytic in ``q``,
+    like the callbacks of :class:`SystemSpec`:
+    :func:`~nonholo.reduced_dynamics.frame_rhs` transports it by complex step.
     """
 
     V: Array

@@ -2,8 +2,8 @@
 
 Each model is packaged as a :class:`ModelBundle`: the two
 :class:`~nonholo.core_geometry.SystemSpec` callbacks (metric and constraint
-forms; the inverse metric is computed from the metric), a smooth adapted
-frame field, sampling boxes that stay clear of chart singularities, and any
+forms; the inverse metric is computed from the metric), sampling boxes that
+stay clear of chart singularities, and any published adapted frame and
 closed-form reference dynamics the model admits.
 
 Roller Racer
@@ -78,13 +78,12 @@ class EuclideanToyParams:
 class ModelBundle:
     """Everything the rest of the package needs to know about one model.
 
-    ``frame_field`` returns a smooth splitting-adapted frame (blocks span the
-    free/reaction/drive subspaces); like the spec's callbacks it must accept
-    complex ``q`` and be analytic in it, since the frame form transports it by
-    complex step (see :class:`~nonholo.core_geometry.Frame`).  It is built
-    for the model's own metric: under ``metric_perturb`` only block I, which
-    the constraint forms alone fix, stays adapted, and that is the only
-    block the frame form reads.
+    ``frame_field`` is a published adapted frame field (see
+    :class:`~nonholo.core_geometry.Frame`): the racer's, in whose ``xi`` its
+    closed form is written.  Without one the frame form builds the generic
+    frame from the constraint forms.  The frame form needs only a free block
+    and particular solutions of the control rows, which the constraint forms
+    decide, so a frame also serves under ``metric_perturb``.
     ``constancy_basis`` is the basis in which the structural fitness test
     checks constancy of the free coprojection; ``declared_flat`` records the
     model-level flatness declaration that the structural test cannot decide
@@ -355,21 +354,13 @@ def _euler_rate_matrix(q: Array) -> Array:
     return E
 
 
-def _euler_rate_matrices(q: Array) -> tuple[Array, Array]:
-    """:func:`_euler_rate_matrix` and its inverse at one point, from one set of sines and cosines (complex-safe)."""
+def _euler_rate_matrix_inv(q: Array) -> Array:
+    """The inverse of :func:`_euler_rate_matrix` at one point."""
     sphi, cphi = np.sin(q[0]), np.cos(q[0])
     sth, cth = np.sin(q[1]), np.cos(q[1])
     if abs(sth) < 1e-8:
-        raise ChartDomain(f"Euler chart degenerate: sin(q2) = {sth.real:.1e}")
-    E = np.array([[0.0, cphi, sth * sphi], [0.0, sphi, -sth * cphi], [1.0, 0.0, cth]])
-    Einv = np.array(
-        [
-            [-sphi * cth / sth, cphi * cth / sth, 1.0],
-            [cphi, sphi, 0.0],
-            [sphi / sth, -cphi / sth, 0.0],
-        ]
-    )
-    return E, Einv
+        raise ChartDomain(f"Euler chart degenerate: sin(q2) = {sth:.1e}")
+    return np.array([[-sphi * cth / sth, cphi * cth / sth, 1.0], [cphi, sphi, 0.0], [sphi / sth, -cphi / sth, 0.0]])
 
 
 def rolling_ball_spec(params: Optional[RollingBallParams] = None) -> SystemSpec:
@@ -423,59 +414,11 @@ def ball_orthonormal_basis(params: RollingBallParams, q: Array) -> Array:
     constant matrix, which is what the structural fitness test checks.
     """
     kappa = math.sqrt(params.gyration2)
-    A = _euler_rate_matrices(q)[1] / kappa
+    A = _euler_rate_matrix_inv(q) / kappa
     V = np.zeros((6, 6))
     V[:3, :3] = A
     V[3, 3] = V[4, 4] = V[5, 5] = 1.0
     return V
-
-
-def _ball_frame_field(params: RollingBallParams) -> Callable[[Array], Frame]:
-    """The ball's adapted frame in closed form, for the unperturbed metric.
-
-    With ``A = E^-1 / kappa`` the angle block of the metric is
-    ``kappa^2 E^T E``, so ``g A = kappa E^T`` and ``g^-1 = A A^T`` there; the
-    metric is the identity on ``(x, y, u)``.  The reaction block
-    ``g^-1 Omega^T`` is then ``(r / kappa) [A e2, -A e1]`` on the angles and
-    ``(1, 0, y)``, ``(0, 1, -x)`` on ``(x, y, u)``, and ``g V`` follows
-    column by column, with no metric, constraint or linear-algebra call.
-    """
-    kappa = math.sqrt(params.gyration2)
-    r = params.radius
-    rk = r / kappa
-
-    def frame(q: Array) -> Frame:
-        E, Einv = _euler_rate_matrices(q)  # raises ChartDomain on the gimbal locus
-        A = Einv / kappa
-        x, y = q[3], q[4]
-        V = np.zeros((6, 6), dtype=A.dtype)
-        # free block: rolling-compatible spin/translation combinations
-        V[:3, :3] = A
-        V[4, 0] = rk
-        V[3, 1] = -rk
-        # reaction block: metric duals g^-1 Omega^T of the constraint forms
-        V[:3, 3] = rk * A[:, 1]
-        V[:3, 4] = -rk * A[:, 0]
-        V[3, 3] = V[4, 4] = 1.0
-        V[5, 3] = y
-        V[5, 4] = -x
-        # drive block: admissible turntable response, orthogonal to the free block
-        a = -x * kappa * r / (kappa**2 + r**2)
-        b = -y * kappa * r / (kappa**2 + r**2)
-        V[:3, 5] = a * A[:, 0] + b * A[:, 1]
-        V[3, 5] = b * kappa / r
-        V[4, 5] = -a * kappa / r
-        V[5, 5] = 1.0
-        # g V: kappa E^T times the columns' coefficients in A on the angles, V itself on (x, y, u)
-        gV = V.copy()
-        gV[:3, :3] = kappa * E.T
-        gV[:3, 3] = r * E[1]
-        gV[:3, 4] = -r * E[0]
-        gV[:3, 5] = kappa * (a * E[0] + b * E[1])
-        Omega_frame = gV.T / np.einsum("ij,ij->j", V, gV)[:, None]
-        return Frame(V=V, Omega_frame=Omega_frame, block_ranges=((0, 3), (3, 5), (5, 6)))
-
-    return frame
 
 
 def _build_rolling_ball(
@@ -503,7 +446,6 @@ def _build_rolling_ball(
         spec=spec,
         sample_box=box,
         default_q0=np.array([0.3, 1.1, -0.2, 0.1, -0.15, 0.0]),
-        frame_field=_ball_frame_field(params),
         constancy_basis=lambda q: ball_orthonormal_basis(params, q),
         declared_flat=True,
     )

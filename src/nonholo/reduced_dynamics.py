@@ -21,7 +21,8 @@ only the frame and the metric (Maggi's equations, :func:`frame_rhs`):
 with ``G = V_I^T g V_I`` the Gram matrix of the free frame vectors and ``dV``
 the frame's transport.  So the frame form builds no coefficient tensors: it
 needs the metric and the lift at ``q``, the frame, its transport, and the
-metric's derivatives along the free frame vectors and ``qdot``.
+metric's derivatives along the free frame vectors and ``qdot``.  A frame
+built from ``omega`` alone (``_VoronetsFrame``) serves every model.
 
 Derivatives come in two kinds.  Those of the model callbacks ``metric`` and
 ``omega`` are complex-step derivatives: each callback is called once on the
@@ -38,14 +39,18 @@ and one that is not raises :class:`~nonholo.errors.ModelError`.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core_geometry import (
+    RANK_RTOL,
     Array,
     Frame,
     ProjectionSet,
@@ -53,10 +58,10 @@ from .core_geometry import (
     SystemSpec,
     _callback,
     _check_symmetric,
+    _cholesky_spd,
     _eye,
-    _particular_solutions,
     _projection_stack,
-    _splitting_front,
+    _constraint_svd,
     _stacked_call,
     projection_set,
 )
@@ -438,14 +443,106 @@ def check_frame_continuity(prev: Frame, new: Frame) -> None:
         raise FrameNotSmooth(f"frame overlap diagonal dropped to {float(d.min()):.3f}")
 
 
+#: ``|A_d|_F |A_d^-1|_F`` past which ``simulate.integrate`` picks new pivots at a sample.
+PIVOT_COND = 1e2
+
+
+@dataclass(frozen=True)
+class _VoronetsFrame:
+    """The generic frame field of Voronets and Chaplygin, from the constraint forms alone.
+
+    With pivots ``d`` (the dependent velocities), ``A_d = Om[:, d]`` and the
+    other coordinates ``r``: ``V[r] = I``, ``V[d] = -A_d^-1 Om[:, r]``, that
+    is ``V_I`` and, in the last ``M`` columns, particular solutions ``x0`` of
+    the control rows.  Block II is empty; ``Omega_frame`` is the rows ``r``.
+    """
+
+    spec: SystemSpec
+    pivots: tuple[int, ...]
+
+    @staticmethod
+    def best(spec: SystemSpec, Om: Array) -> "_VoronetsFrame":
+        """The field whose pivot minor of the constraint forms ``Om`` is best conditioned."""
+        subsets = np.array(list(itertools.combinations(range(spec.N), spec.nu)), dtype=int)
+        cond = np.linalg.cond(Om[:, subsets].transpose(1, 0, 2), "fro") if spec.nu else np.zeros(1)
+        return _VoronetsFrame(spec, tuple(int(j) for j in subsets[np.argmin(cond)]))
+
+    @cached_property
+    def _layout(self) -> tuple[Array, Array, Array]:
+        r = np.array([j for j in range(self.spec.dim) if j not in self.pivots], dtype=int)
+        E = _eye(self.spec.dim)[:, r]
+        E.flags.writeable = False  # every frame's Omega_frame is E.T
+        return np.array(self.pivots, dtype=int), r, E
+
+    def of(self, Om: Array) -> tuple[Frame, Array]:
+        """The frame at the constraint forms ``Om``, and ``A_d^-1``."""
+        d, r, E = self._layout
+        Ainv = np.linalg.inv(Om[:, d])
+        V = E.astype(Om.dtype)
+        V[d] = -Ainv @ Om[:, r]
+        m = self.spec.N - self.spec.nu
+        return Frame(V, E.T, ((0, m), (m, m), (m, len(r)))), Ainv
+
+    def __call__(self, q: Array) -> Frame:
+        return self.of(_callback(self.spec, "omega", np.asarray(q), None))[0]
+
+
+def _maggi(
+    spec: SystemSpec, q: Array, xi: Array, t: float, control: ControlSignal, frame_field, frame=None, axes=False
+) -> SimpleNamespace:
+    """:func:`frame_rhs` at ``q``, with the intermediates that the sample diagnostics read.
+
+    With ``axes`` the complex ``metric`` call also runs along the coordinate
+    axes, for ``dg_axes``.
+    """
+    g, Om = _callback(spec, "metric", q[None]), _callback(spec, "omega", q[None])
+    _cholesky_spd(g)
+    g, Om = g[0], Om[0]
+    frame_field = frame_field if frame_field is not None else _VoronetsFrame.best(spec, Om)
+    generic = isinstance(frame_field, _VoronetsFrame)
+    frame, Ainv = frame_field.of(Om) if frame is None and generic else (frame, None)
+    # the splitting's rank test holds if s_min(A_d) >= 1/|A_d^-1|_F clears it, since s_nu(Om[:, :N]) >= s_min(A_d)
+    if Ainv is None or not RANK_RTOL * np.linalg.norm(Om[:, : spec.N]) * np.linalg.norm(Ainv) < 1.0:
+        _constraint_svd(spec, q[None], Om[None])
+    frame = frame if frame is not None else frame_field(q)
+    (i0, i1), _, (j0, j1) = frame.block_ranges
+    V_I, x0, m = frame.V[:, i0:i1], frame.V[:, j0:j1], i1 - i0
+    if xi.shape != (m,):
+        raise ValueError(f"xi has shape {xi.shape}, frame free block has {m} columns")
+    gV = g @ V_I
+    Ginv = np.linalg.inv(V_I.T @ gV)
+    # the lift: x0 less its g-orthogonal component in block I, the span of V_I
+    c = Ginv @ (gV.T @ x0)
+    h = x0 - V_I @ c
+    udot = np.atleast_1d(np.asarray(control.rate(t), dtype=float))
+    qdot = V_I @ xi + h @ udot
+
+    # transport the frame along qdot, and differentiate the metric along the
+    # free vectors, qdot (and the axes), by complex step
+    shifted = _complex_call(frame_field, "omega" if generic else "frame field", q + (1j * COMPLEX_STEP) * qdot)
+    if not generic:  # the generic frame's overlap is exactly I
+        check_frame_continuity(frame, Frame(shifted.V.real, shifted.Omega_frame.real, shifted.block_ranges))
+    dV, dx0 = shifted.V[:, i0:i1].imag / COMPLEX_STEP, shifted.V[:, j0:j1].imag / COMPLEX_STEP
+    D = np.vstack([V_I.T, qdot] + ([_eye(spec.dim)] if axes else []))
+    _, (dg,) = _complex_step_stack(spec, q[None], D, ("metric",))
+    dg_flow = dg[0, m]
+
+    X = dV.T @ gV
+    Gdot = X + X.T + V_I.T @ dg_flow @ V_I
+    work = (g @ qdot) @ dV + 0.5 * np.einsum("i,mij,j->m", qdot, dg[0, :m], qdot)
+    return SimpleNamespace(
+        g=g, Om=Om, Ainv=Ainv, V_I=V_I, x0=x0, gV=gV, Ginv=Ginv, c=c, h=h, udot=udot, qdot=qdot, dV=dV, dx0=dx0,
+        dg_flow=dg_flow, dg_axes=dg[0, m + 1 :], Gdot=Gdot, xidot=Ginv @ (work - Gdot @ xi),
+    )
+
+
 def frame_rhs(
     spec: SystemSpec,
     q: Array,
     xi: Array,
     t: float,
     control: ControlSignal,
-    frame_field: Callable[[Array], Frame],
-    projections: Optional[ProjectionSet] = None,
+    frame_field: Optional[Callable[[Array], Frame]] = None,
     frame: Optional[Frame] = None,
 ) -> tuple[Array, Array]:
     """Right-hand side ``(qdot, xidot)`` in smooth-frame velocity coordinates (Maggi's equations).
@@ -462,66 +559,30 @@ def frame_rhs(
         Gdot    = dV^T g V_I + V_I^T g dV + V_I^T (d_qdot g) V_I
 
     (Maggi's equations; Neimark & Fufaev, *Dynamics of Nonholonomic
-    Systems*, 1972), so the frame form needs only the frame, the metric and
-    the lift: no coefficient tensors and no derivative of the splitting.  The
-    free vectors need not be ``g``-orthogonal to each other.  The frame is
-    transported by complex step: ``dV = d V/dt`` is ``Im V(q + i H qdot) /
-    H``, exact to rounding, and the real part of that shifted frame must pass
-    :func:`check_frame_continuity` against the frame at ``q``.  The metric
-    derivatives along ``V_1 .. V_m`` and ``qdot`` come from one complex call
-    of ``metric`` at ``q + i H [V_1 .. V_m, qdot]``.  A frame field or
-    callback that is not complex-safe raises
-    :class:`~nonholo.errors.ModelError`.
-
-    ``g`` and ``h`` come from ``projections`` when given.  Otherwise ``g``
-    and the particular solutions ``x0`` of the control rows come from the
-    validated front of the splitting at ``q`` and
-    ``h = x0 - V_I G^-1 (g V_I)^T x0``, so one inverse of ``G`` serves both
-    the lift and the momentum equation.  A caller that already holds
-    ``frame_field(q)`` passes it as ``frame``; like ``projections``, it must
-    belong to ``q``.
+    Systems*, 1972): no coefficient tensors and no derivative of the
+    splitting.  The free vectors need not be ``g``-orthogonal.  ``g`` and
+    ``Om`` pass the tests of the splitting's front at ``q``, and
+    ``h = x0 - V_I G^-1 (g V_I)^T x0`` from the frame's drive block ``x0``.
+    ``dV = Im V(q + i H qdot) / H``, exact to rounding; a published frame's
+    real part there must pass :func:`check_frame_continuity`.  One complex
+    ``metric`` call gives its derivatives along ``V_1 .. V_m`` and ``qdot``.
+    A frame field or callback that is not complex-safe raises
+    :class:`~nonholo.errors.ModelError`.  ``frame_field=None`` takes the
+    generic frame of Voronets and Chaplygin, built from ``omega`` alone on
+    the best-conditioned ``nu x nu`` minor at ``q``.  A caller that holds
+    ``frame_field(q)`` passes it as ``frame``.
     """
     q = np.asarray(q, dtype=float)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     _check_adapted(spec, q, t, control)
-    frame = frame if frame is not None else frame_field(q)
-    i0, i1 = frame.block_ranges[0]
-    V_I = frame.V[:, i0:i1]
-    if xi.shape != (i1 - i0,):
-        raise ValueError(f"xi has shape {xi.shape}, frame free block has {i1 - i0} columns")
-    if projections is not None:
-        g, h = projections.g, projections.h
-    else:
-        # the validated front of the splitting, and the particular solutions of the control rows
-        _, (G, Om, U, s, Vh) = _splitting_front(spec, q[None])
-        g, x0 = G[0], _particular_solutions(spec, Om, U, s, Vh)[0, :, spec.nu :]
-    gV = g @ V_I
-    Ginv = np.linalg.inv(V_I.T @ gV)
-    if projections is None:
-        # the lift: x0 less its g-orthogonal component in block I, the span of V_I
-        h = x0 - V_I @ (Ginv @ (gV.T @ x0))
-
-    udot = np.atleast_1d(np.asarray(control.rate(t), dtype=float))
-    qdot = V_I @ xi + h @ udot
-
-    # transport the free block along qdot, and differentiate the metric along
-    # it and along each free vector, by complex step
-    shifted = _complex_call(frame_field, "frame field", q + (1j * COMPLEX_STEP) * qdot)
-    check_frame_continuity(frame, Frame(shifted.V.real, shifted.Omega_frame.real, shifted.block_ranges))
-    dV = shifted.V[:, i0:i1].imag / COMPLEX_STEP
-    _, (dg,) = _complex_step_stack(spec, q[None], np.vstack([V_I.T, qdot]), ("metric",))
-    dg_V, dg_flow = dg[0, :-1], dg[0, -1]
-
-    X = dV.T @ gV
-    Gdot = X + X.T + V_I.T @ dg_flow @ V_I
-    work = (g @ qdot) @ dV + 0.5 * np.einsum("i,mij,j->m", qdot, dg_V, qdot)
-    return qdot, Ginv @ (work - Gdot @ xi)
+    st = _maggi(spec, q, xi, t, control, frame_field, frame)
+    return st.qdot, st.xidot
 
 
 def frame_coefficients(
     spec: SystemSpec,
     q: Array,
-    frame_field: Callable[[Array], Frame],
+    frame_field: Optional[Callable[[Array], Frame]] = None,
 ) -> dict[str, Array]:
     """Quadratic structure of the frame momentum equation at ``q``.
 
@@ -534,19 +595,17 @@ def frame_coefficients(
     * ``"udot_udot"`` -- shape ``(m, M, M)``, pure control-rate pump.
 
     The controlled coordinates of ``q`` serve as the control value.  One
-    splitting and one frame at ``q`` serve every polarization call.
+    frame at ``q`` serves every polarization call (with ``None``, each builds the generic one).
     """
     q = np.asarray(q, dtype=float)
     u0 = q[spec.N :]
-    P = projection_set(spec, q, check=False)
-    frame = frame_field(q)
-    i0, i1 = frame.block_ranges[0]
-    m = i1 - i0
+    frame = frame_field(q) if frame_field is not None else None
+    m = spec.N - spec.nu
     E = np.eye(m + spec.M)
 
     def f(z: Array) -> Array:
         ctrl = ControlSignal.linear(u0, z[m:], t0=0.0)
-        return frame_rhs(spec, q, z[:m], 0.0, ctrl, frame_field, projections=P, frame=frame)[1]
+        return frame_rhs(spec, q, z[:m], 0.0, ctrl, frame_field, frame=frame)[1]
 
     diag = [f(e) for e in E]
     B = np.zeros((m, len(E), len(E)))

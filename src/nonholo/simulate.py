@@ -10,10 +10,11 @@ advances both representations of :func:`integrate` — the stacked state
 
 Every recorded sample carries the energy and two relative residuals — the
 constraint violation ``|Omega qdot| / |qdot|`` and the ideal-reaction defect
-``|Pstar_I R| / |R|``, both computed by ``_diagnostics`` — and a step whose
-residuals blow past a hard threshold raises
-:class:`~nonholo.errors.StepRejected` instead of producing quietly wrong
-output.
+``|Pstar_I R| / |R|`` — and a step whose residuals blow past a hard threshold
+raises :class:`~nonholo.errors.StepRejected` instead of producing quietly
+wrong output.  The ambient form reads them off the coefficient tensors
+(``_diagnostics``), the frame form off the acceleration its own stage k1
+implies (``_frame_diagnostics``), so they see errors in the frame stages.
 
 The module also hosts the vibrational-control experiments: sweeping the
 dither scale ``eps`` against a model's averaged dynamics, and an independent
@@ -24,17 +25,21 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core_geometry import Array, Frame, SystemSpec
+from .core_geometry import Array, Frame, SystemSpec, projection_set
 from .errors import ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
 from .models import ModelBundle
 from .reduced_dynamics import (
+    PIVOT_COND,
     CoefficientTensors,
     ControlSignal,
+    _maggi,
     _reaction_from_rhs,
+    _VoronetsFrame,
     check_frame_continuity,
     coefficient_tensors,
     frame_rhs,
@@ -51,7 +56,7 @@ class IntegratorConfig:
     coprojection image after every step when ``reproject`` is set);
     ``"frame"`` evolves frame velocity components ``xi`` along a smooth frame
     field.  ``hard_residual`` is the step-rejection threshold applied to both
-    relative residuals.
+    relative residuals.  Both must be positive and finite.
     """
 
     dt: float = 1e-3
@@ -60,8 +65,9 @@ class IntegratorConfig:
     hard_residual: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        for key in ("dt", "hard_residual"):
+            if not 0.0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)!r}")
         if self.representation not in ("ambient", "frame"):
             raise ValueError(f"representation must be 'ambient' or 'frame', got {self.representation!r}")
 
@@ -72,7 +78,7 @@ class Trajectory:
 
     Arrays are indexed by sample; ``xi`` is ``None`` unless the frame
     representation was active.  ``meta`` records run settings (never written
-    to CSV).
+    to CSV) and, on the generic frame, ``(t, pivots)`` at ``t0`` and at each switch.
     """
 
     t: Array
@@ -141,6 +147,27 @@ def _diagnostics(
     return H, cres, dres, rhs
 
 
+def _frame_diagnostics(st: SimpleNamespace, xi: Array, t: float, control: ControlSignal) -> tuple[float, float, float]:
+    """:func:`_diagnostics` from a frame-form sample's stage k1 ``st``.
+
+    ``R = g qddot + (d_qdot g) qdot - 1/2 grad_q g[qdot, qdot]``, with
+    ``qddot = dV xi + V_I xidot + dh udot + h uddot``, ``h = x0 - V_I c``,
+    ``c = G^-1 (g V_I)^T x0``; its free part is ``g V_I G^-1 V_I^T R``.
+    """
+    qdot, g, udot = st.qdot, st.g, st.udot
+    uddot = np.atleast_1d(np.asarray(control.accel(t), dtype=float))
+    p = g @ qdot
+    speed = float(np.linalg.norm(qdot))
+    cres = float(np.linalg.norm(st.Om @ qdot)) / speed if speed >= 1e-14 else 0.0
+    dc = st.Ginv @ (st.V_I.T @ (st.dg_flow @ st.x0) + st.dV.T @ (g @ st.x0) + st.gV.T @ st.dx0 - st.Gdot @ st.c)
+    dh = st.dx0 - st.dV @ st.c - st.V_I @ dc
+    qddot = st.dV @ xi + st.V_I @ st.xidot + dh @ udot + st.h @ uddot
+    R = g @ qddot + st.dg_flow @ qdot - 0.5 * np.einsum("i,jik,k->j", qdot, st.dg_axes, qdot)
+    floor = 1e-3 * (1.0 + float(np.linalg.norm(p)) + speed)
+    dres = float(np.linalg.norm(st.gV @ (st.Ginv @ (st.V_I.T @ R)))) / max(float(np.linalg.norm(R)), floor)
+    return 0.5 * float(qdot @ p), cres, dres
+
+
 def integrate(
     spec: SystemSpec,
     q0: Array,
@@ -155,8 +182,11 @@ def integrate(
     ``q0``'s controlled block must agree with ``control`` at the initial time
     (it is then snapped exactly); ``p0`` is coprojected onto the free block
     and must already be close to it; both must be finite.  In the frame
-    representation a ``frame_field`` is required and the initial ``xi`` is
-    read off ``p0``.
+    representation the initial ``xi`` is read off ``p0``.  Without a
+    ``frame_field`` the frame is the generic one (see ``frame_rhs``) on the
+    minor best conditioned at ``t0``; at a sample where its ``|A_d|_F
+    |A_d^-1|_F`` passes ``PIVOT_COND`` the pivots are chosen again and ``xi``
+    is read off ``p_I``.
     """
     cfg = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -167,9 +197,6 @@ def integrate(
     N, n, M = spec.N, spec.dim, spec.M
 
     use_frame = cfg.representation == "frame"
-    if use_frame and frame_field is None:
-        raise ModelError("frame representation requested but no frame_field supplied")
-
     u_init = np.atleast_1d(np.asarray(control.value(t0), dtype=float))
     q = np.array(q0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
@@ -182,18 +209,23 @@ def integrate(
         raise NonAdaptedState("q0 controlled block disagrees with control at t0")
     q[N:] = u_init
 
-    T = coefficient_tensors(spec, q)
-    p_I = T.projections.Pstar_I @ p0
+    T = None if use_frame else coefficient_tensors(spec, q)
+    P = T.projections if T is not None else projection_set(spec, q, check=False)
+    p_I = P.Pstar_I @ p0
     if float(np.abs(p_I - p0).max()) > 1e-6 * (1.0 + float(np.abs(p0).max())):
         raise NotInDeltaCapGamma("p0 is not a free-block momentum covector")
 
+    def read_xi(V_I: Array, g: Array, p_I: Array) -> Array:  # p_I = g V_I xi
+        return np.linalg.solve(V_I.T @ g @ V_I, V_I.T @ p_I)
+
     # the state is y = [q_free, p_I] (ambient) or [q_free, xi] (frame)
-    frame = frame_field(q) if use_frame else None
     if use_frame:
+        frame_field = frame_field if frame_field is not None else _VoronetsFrame.best(spec, P.Om)
+        generic = isinstance(frame_field, _VoronetsFrame)
+        pivots = [(t0, frame_field.pivots)] if generic else None
+        frame = frame_field(q)
         i0, i1 = frame.block_ranges[0]
-        V_I = frame.V[:, i0:i1]
-        # p_I = g V_I xi, so V_I^T p_I = G xi with the free block's Gram matrix G
-        y = np.concatenate([q[:N], np.linalg.solve(V_I.T @ T.projections.g @ V_I, V_I.T @ p_I)])
+        y = np.concatenate([q[:N], read_xi(frame.V[:, i0:i1], P.g, p_I)])
     else:
         y = np.concatenate([q[:N], p_I])
 
@@ -208,10 +240,10 @@ def integrate(
     out_cres = np.empty(nsteps + 1)
     out_dres = np.empty(nsteps + 1)
 
-    def stage(t: float, y: Array, projections=None, frame=None) -> Array:
+    def stage(t: float, y: Array) -> Array:
         qq = assemble(t, y[:N])
         if use_frame:
-            qdot, mdot = frame_rhs(spec, qq, y[N:], t, control, frame_field, projections=projections, frame=frame)
+            qdot, mdot = frame_rhs(spec, qq, y[N:], t, control, frame_field)
         else:
             qdot, mdot = reduced_rhs(spec, qq, y[N:], t, control, tensors=coefficient_tensors(spec, qq))
         return np.concatenate([qdot[:N], mdot])
@@ -219,22 +251,31 @@ def integrate(
     for step in range(nsteps + 1):
         t = t0 + step * dt
         q = assemble(t, y[:N])
-        # sample 0 sits at the initial point, whose tensors and frame are built
-        if step:
-            T = coefficient_tensors(spec, q)
-
         if use_frame:
-            if step:
+            if step and not generic:
                 new_frame = frame_field(q)
                 check_frame_continuity(frame, new_frame)
                 frame = new_frame
-            i0, i1 = frame.block_ranges[0]
-            p_I = T.projections.g @ (frame.V[:, i0:i1] @ y[N:])
+            # stage k1, whose quantities also give the sample's diagnostics
+            st = _maggi(spec, q, y[N:], t, control, frame_field, None if generic else frame, axes=True)
+            if generic and np.linalg.norm(st.Om[:, list(frame_field.pivots)]) * np.linalg.norm(st.Ainv) > PIVOT_COND:
+                best = _VoronetsFrame.best(spec, st.Om)
+                if best.pivots != frame_field.pivots:
+                    # p_I does not depend on the frame: read xi off it in the new one
+                    frame_field = best
+                    y[N:] = read_xi(best.of(st.Om)[0].V[:, : N - spec.nu], st.g, st.gV @ y[N:])
+                    pivots.append((t, best.pivots))
+                    st = _maggi(spec, q, y[N:], t, control, best, axes=True)
+            p_I = st.gV @ y[N:]
+            H, cres, dres = _frame_diagnostics(st, y[N:], t, control)
         else:
+            # sample 0 sits at the initial point, whose tensors are built
+            if step:
+                T = coefficient_tensors(spec, q)
             if cfg.reproject:
                 y[N:] = T.projections.Pstar_I @ y[N:]
             p_I = y[N:]
-        H, cres, dres, rhs = _diagnostics(spec, q, p_I, t, control, T)
+            H, cres, dres, rhs = _diagnostics(spec, q, p_I, t, control, T)
 
         out_t[step] = t
         out_q[step] = q
@@ -253,9 +294,8 @@ def integrate(
         if step == nsteps:
             break
 
-        # stage k1 reuses this sample's splitting and frame (frame form) or its
-        # right-hand side (ambient form)
-        k1 = stage(t, y, projections=T.projections, frame=frame) if use_frame else np.concatenate([rhs[0][:N], rhs[1]])
+        # stage k1 is the sample's own right-hand side
+        k1 = np.concatenate([st.qdot[:N], st.xidot] if use_frame else [rhs[0][:N], rhs[1]])
         y = _rk4_step(stage, t, y, dt, k1)
 
     return Trajectory(
@@ -267,7 +307,8 @@ def integrate(
         dalembert_residual=out_dres,
         u=out_q[:, N:].copy(),
         xi=out_xi,
-        meta={"dt": dt, "representation": cfg.representation, "t_span": (t0, t1)},
+        meta={"dt": dt, "representation": cfg.representation, "t_span": (t0, t1)}
+        | ({"pivots": pivots} if use_frame and generic else {}),
     )
 
 

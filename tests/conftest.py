@@ -1,13 +1,15 @@
 """Shared fixtures: model bundles, samplers, test systems and a relaxed hypothesis profile."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from nonholo.core_geometry import SystemSpec
-from nonholo.models import build_model
+from nonholo.models import ball_orthonormal_basis, build_model
+from nonholo.reduced_dynamics import _VoronetsFrame
 
 settings.register_profile(
     "fd_heavy",
@@ -66,6 +68,22 @@ def sample_points(bundle, n, seed=0):
     gen = np.random.default_rng(seed)
     box = bundle.sample_box
     return gen.uniform(box[:, 0], box[:, 1], size=(n, box.shape[0]))
+
+
+def frame_field_at(bundle, q):
+    """The model's published frame field, or else the generic frame field with the pivots best at ``q``."""
+    if bundle.frame_field is not None:
+        return bundle.frame_field
+    return _VoronetsFrame.best(bundle.spec, bundle.spec.omega(np.asarray(q, dtype=float)))
+
+
+def ball_free_block(ball, q):
+    """The rolling ball's free block as its hand-written frame had it: unit spins, two with the rolling translation."""
+    V = ball_orthonormal_basis(ball.params, q)[:, :3].copy()
+    rk = ball.params.radius / math.sqrt(ball.params.gyration2)
+    V[4, 0] = rk
+    V[3, 1] = -rk
+    return V
 
 
 def check_projection_algebra(spec, P, atol=1e-10):

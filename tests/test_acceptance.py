@@ -24,7 +24,7 @@ from nonholo.simulate import (
     two_timescale_coefficient,
 )
 
-from conftest import check_projection_algebra, sample_points
+from conftest import ball_free_block, check_projection_algebra, sample_points
 
 
 def _report(num: int, ok: bool, label: str, detail: str = "") -> None:
@@ -65,7 +65,7 @@ def dynamic_runs(racer, ball):
         IntegratorConfig(dt=1e-3),
     )
     g_b = ball.spec.metric(ball.default_q0)
-    z = free_block(ball.frame_field(ball.default_q0)) @ np.array([0.3, -0.2, 0.4])
+    z = ball_free_block(ball, ball.default_q0) @ np.array([0.3, -0.2, 0.4])
     runs["ball coasting"] = integrate(
         ball.spec,
         ball.default_q0,

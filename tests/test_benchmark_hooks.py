@@ -51,8 +51,14 @@ def test_wrapped_bundle_records_each_callback(spans, name):
     q = bundle.default_q0
     P = projection_set(traced.spec, q)
     assert np.array_equal(P.ginv, projection_set(bundle.spec, q).ginv)
-    traced.frame_field(q)
-    assert rec.counts() == {"models.metric": 1, "models.omega": 1, spans.FRAME_SPAN: 1}
+    expected = {"models.metric": 1, "models.omega": 1}
+    if bundle.frame_field is None:
+        # the ball has no published frame: the frame form builds the generic one
+        assert traced.frame_field is None
+    else:
+        traced.frame_field(q)
+        expected[spans.FRAME_SPAN] = 1
+    assert rec.counts() == expected
 
 
 def test_worker_count_is_one():

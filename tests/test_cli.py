@@ -130,8 +130,10 @@ class TestSimulateCommand:
             ("integrator.dt = nan\n", "integrator.dt"),
             ("integrator.dt = 1e-2\nintegrator.representation = quaternion\n", "integrator.representation"),
             ("integrator.dt = 1e-2\nintegrator.t0 = 0.03\n", "integrator.t1"),
+            ("integrator.dt = 1e-2\nintegrator.hard_residual = -1\n", "integrator.hard_residual"),
+            ("integrator.dt = 1e-2\nintegrator.hard_residual = 0\n", "integrator.hard_residual"),
         ],
-        ids=["dt-missing", "dt-zero", "dt-negative", "dt-nan", "representation", "empty-span"],
+        ids=["dt-missing", "dt-zero", "dt-negative", "dt-nan", "representation", "empty-span", "hard-residual-negative", "hard-residual-zero"],
     )
     def test_bad_integrator_value_is_config_error(self, tmp_path, capsys, extra, key):
         cfg = write_cfg(

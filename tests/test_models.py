@@ -8,7 +8,6 @@ and differentiates the resulting flow.  The closed-form right-hand side must
 reproduce those measurements.
 """
 
-import dataclasses
 import math
 import warnings
 
@@ -16,13 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nonholo import models
 from nonholo.core_geometry import projection_set
 from nonholo.errors import ModelError, SingularDenominator, SingularMetric
 from nonholo.models import (
     RollerRacerParams,
     _euler_rate_matrix,
-    _euler_rate_matrices,
+    _euler_rate_matrix_inv,
     build_model,
     model_names,
     racer_denominators,
@@ -31,7 +29,7 @@ from nonholo.models import (
     roller_racer_closed_rhs,
     roller_racer_spec,
 )
-from nonholo.reduced_dynamics import coefficient_tensors
+from nonholo.reduced_dynamics import _VoronetsFrame, coefficient_tensors
 
 from conftest import sample_points
 
@@ -301,17 +299,12 @@ class TestRollingBall:
 
     @pytest.mark.parametrize("options", [{}, {"radius": 0.7, "gyration2": 0.25}])
     def test_closed_form_metric_matches_rate_matrix(self, options):
-        """``metric`` and the splitting's inverse agree with ``kappa^2 E^T E`` and its inverse from ``E^-1``.
-
-        The one-point ``E`` of :func:`_euler_rate_matrices`, which the frame
-        uses, equals the stacked one of ``omega``.
-        """
+        """``metric`` and the splitting's inverse agree with ``kappa^2 E^T E`` and its inverse from ``E^-1``."""
         bundle = build_model("rolling-ball", **options)
         k2 = bundle.params.gyration2
         for q in sample_points(bundle, 200, seed=29):
             E = _euler_rate_matrix(q)
-            E_one, Einv = _euler_rate_matrices(q)
-            assert np.abs(E_one - E).max() == 0.0
+            Einv = _euler_rate_matrix_inv(q)
             g = np.eye(6)
             g[:3, :3] = k2 * E.T @ E
             ginv = np.eye(6)
@@ -373,131 +366,34 @@ class TestRollingBall:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["roller-racer", "rolling-ball"])
-def test_frame_field_is_complex_safe(name):
-    """At ``q + i H v`` the real part is the frame at ``q`` and ``Im / H`` its derivative along ``v``."""
+@pytest.mark.parametrize("name, generic", [("roller-racer", False), ("roller-racer", True), ("rolling-ball", True)])
+def test_frame_field_is_complex_safe(name, generic):
+    """At ``q + i H v`` the real part is the frame at ``q`` and ``Im / H`` its derivative along ``v``.
+
+    For the racer's published frame and for the generic frame (pivots best
+    at the model's ``default_q0``).
+    """
     bundle = build_model(name)
+    frame_field = _VoronetsFrame.best(bundle.spec, bundle.spec.omega(bundle.default_q0)) if generic else bundle.frame_field
     H = 1e-30
     gen = np.random.default_rng(37)
     for q in sample_points(bundle, 10, seed=39):
         v = gen.standard_normal(q.shape[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", np.exceptions.ComplexWarning)
-            F = bundle.frame_field(q + 1j * H * v)
-        real = bundle.frame_field(q)
+            F = frame_field(q + 1j * H * v)
+        real = frame_field(q)
         # central differences along v at steps h and h / 2, one Richardson extrapolation
         h = 1e-3 * max(1.0, float(np.abs(q).max())) / float(np.linalg.norm(v))
 
         def central(step, field):
-            return (getattr(bundle.frame_field(q + step * v), field) - getattr(bundle.frame_field(q - step * v), field)) / (2.0 * step)
+            return (getattr(frame_field(q + step * v), field) - getattr(frame_field(q - step * v), field)) / (2.0 * step)
 
         for field in ("V", "Omega_frame"):
             got, ref = getattr(F, field), getattr(real, field)
             assert np.abs(got.real - ref).max() <= 1e-15 * np.abs(ref).max(), field
             deriv = (4.0 * central(0.5 * h, field) - central(h, field)) / 3.0
             assert np.abs(got.imag / H - deriv).max() <= 1e-8 * (1.0 + np.abs(deriv).max()), field
-
-
-def reference_free_and_drive(params, q):
-    """The ball frame's free and drive columns as first written: ``E^-1 / kappa`` and its turntable response."""
-    kappa, r = math.sqrt(params.gyration2), params.radius
-    sphi, cphi = np.sin(q[0]), np.cos(q[0])
-    sth, cth = np.sin(q[1]), np.cos(q[1])
-    A = np.array([[-sphi * cth / sth, cphi * cth / sth, 1.0], [cphi, sphi, 0.0], [sphi / sth, -cphi / sth, 0.0]]) / kappa
-    x, y = q[3], q[4]
-    V = np.zeros((6, 4), dtype=A.dtype)
-    V[:3, :3] = A
-    V[4, 0] = r / kappa
-    V[3, 1] = -r / kappa
-    a = -x * kappa * r / (kappa**2 + r**2)
-    b = -y * kappa * r / (kappa**2 + r**2)
-    V[:3, 3] = a * A[:, 0] + b * A[:, 1]
-    V[3, 3] = b * kappa / r
-    V[4, 3] = -a * kappa / r
-    V[5, 3] = 1.0
-    return V
-
-
-class TestBallFrame:
-    """The rolling ball's closed-form frame against the metric, the constraint forms and the splitting."""
-
-    H = 1e-30
-
-    def points(self, bundle):
-        """100 sample points, each also shifted by ``i H v`` along a random ``v``."""
-        gen = np.random.default_rng(47)
-        for q in sample_points(bundle, 100, seed=49):
-            yield q
-            yield q + 1j * self.H * gen.standard_normal(6)
-
-    def small(self, X, scale):
-        """``X`` vanishes to rounding against ``scale``: its real part, and its imaginary part over ``H``."""
-        parts = (X.real, X.imag / self.H) if np.iscomplexobj(X) else (X,)
-        return all(np.abs(part).max() <= 1e-14 * (1.0 + scale) for part in parts)
-
-    @pytest.mark.parametrize("options", [{}, {"radius": 0.7, "gyration2": 0.25}])
-    def test_frame_is_adapted(self, options):
-        """Block I is free, ``g V_II = Omega^T``, the drive column is ``h`` and the blocks are ``g``-orthogonal."""
-        bundle = build_model("rolling-ball", **options)
-        spec = bundle.spec
-        for z in self.points(bundle):
-            F = bundle.frame_field(z)
-            V, g, Om = F.V, spec.metric(z), spec.omega(z)
-            scale = float(np.abs(V).max())
-            V_I, V_II, V_III = V[:, :3], V[:, 3:5], V[:, 5:]
-            # block I: kernel of the constraint and control rows
-            assert self.small(Om @ V_I, scale) and np.all(V_I[5] == 0.0)
-            assert self.small(g @ V_II - Om.T, scale)
-            # drive: admissible, unit control, g-orthogonal to block I
-            assert self.small(Om @ V_III, scale) and np.all(V_III[5] == 1.0)
-            gV = g @ V
-            gram = V.T @ gV
-            for (i0, i1), (j0, j1) in (((0, 3), (3, 5)), ((0, 3), (5, 6)), ((3, 5), (5, 6))):
-                assert self.small(gram[i0:i1, j0:j1], scale**2)
-            assert self.small(F.Omega_frame - gV.T / np.diag(gram)[:, None], scale)
-            if not np.iscomplexobj(z):
-                P = projection_set(spec, z)
-                assert self.small(P.P_I @ V_I - V_I, scale)
-                assert self.small(V_III - P.h, scale)
-
-    @pytest.mark.parametrize("options", [{}, {"radius": 0.7, "gyration2": 0.25}])
-    def test_free_and_drive_columns_are_unchanged(self, options):
-        """The free and drive columns equal the first formula bitwise, at real and complex points."""
-        bundle = build_model("rolling-ball", **options)
-        for z in self.points(bundle):
-            V = bundle.frame_field(z).V
-            assert V[:, [0, 1, 2, 5]].tobytes() == reference_free_and_drive(bundle.params, z).tobytes()
-
-    def test_frame_calls_no_callback_and_no_linear_algebra(self, monkeypatch):
-        """The frame evaluates no ``metric`` or ``omega`` and calls no ``np.linalg`` function."""
-        calls = []
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in np.linalg.__all__:
-            fn = getattr(np.linalg, name)
-            if callable(fn) and not isinstance(fn, type):
-                monkeypatch.setattr(np.linalg, name, counted(name, fn))
-        spec_of = models.rolling_ball_spec
-
-        def counted_spec(params=None):
-            spec = spec_of(params)
-            return dataclasses.replace(spec, metric=counted("metric", spec.metric), omega=counted("omega", spec.omega))
-
-        monkeypatch.setattr(models, "rolling_ball_spec", counted_spec)
-        bundle = build_model("rolling-ball")
-        bundle.spec.metric(bundle.default_q0)
-        np.linalg.inv(np.eye(2))
-        assert calls == ["metric", "inv"]  # the counters are live
-        calls.clear()
-        for z in self.points(bundle):
-            bundle.frame_field(z)
-        assert calls == []
 
 
 CALLBACK_MODELS = [

@@ -17,11 +17,20 @@ from hypothesis import given, strategies as st
 
 from nonholo import reduced_dynamics
 from nonholo.core_geometry import SystemSpec, projection_set
-from nonholo.errors import ChartDomain, FrameNotSmooth, ModelError, NonAdaptedState, NotInDeltaCapGamma, SingularMetric
+from nonholo.errors import (
+    ChartDomain,
+    FrameNotSmooth,
+    ModelError,
+    NonAdaptedState,
+    NotInDeltaCapGamma,
+    RankDeficiency,
+    SingularMetric,
+)
 from nonholo.jump_analysis import BoxSampler, psi_scan
 from nonholo.models import build_model, racer_denominators, racer_frame_vectors
 from nonholo.reduced_dynamics import (
     ControlSignal,
+    _VoronetsFrame,
     centrifugal_psi,
     check_frame_continuity,
     coefficient_tensors,
@@ -32,7 +41,7 @@ from nonholo.reduced_dynamics import (
     theta_I_apply,
 )
 
-from conftest import near_singular_system, random_system, sample_points, stacked
+from conftest import frame_field_at, near_singular_system, random_system, sample_points, stacked
 
 
 def racer_state(bundle, q, xi):
@@ -556,16 +565,24 @@ class TestFrameRhs:
             with pytest.raises(ModelError, match="complex-safe"):
                 frame_rhs(racer.spec, q, np.array([0.5]), 0.0, ControlSignal.linear(0.2, 0.7), frame_field)
 
-    def test_norm_transport_evaluates_no_metric(self, ball):
-        """Given the splitting, the only metric evaluation is one complex call along ``[V_1 .. V_m, qdot]``."""
+    def test_one_real_and_one_complex_call_of_each_callback(self, ball):
+        """With the generic frame, each callback runs once at ``q`` (the splitting's front) and once complex.
+
+        ``metric`` along ``[V_1 .. V_m, qdot]`` in one stacked call, ``omega``
+        at ``q + i H qdot`` for the frame's transport.
+        """
         calls = Counter()
         spec = counting_spec(ball.spec, calls)
         q = sample_points(ball, 1, seed=55)[0]
-        P = projection_set(spec, q, check=False)
-        calls.clear()
-        frame_rhs(spec, q, np.array([0.3, -0.2, 0.5]), 0.0, ControlSignal.linear(q[5], 0.7), ball.frame_field, projections=P)
-        assert ("metric", "real") not in {key[:2] for key in calls}
-        assert calls[("metric", "complex", (1, 4, 6))] == 1
+        frame_rhs(spec, q, np.array([0.3, -0.2, 0.5]), 0.0, ControlSignal.linear(q[5], 0.7))
+        assert calls == Counter(
+            {
+                ("metric", "real", (1, 6)): 1,
+                ("omega", "real", (1, 6)): 1,
+                ("metric", "complex", (1, 4, 6)): 1,
+                ("omega", "complex", (6,)): 1,
+            }
+        )
 
     def test_zero_state_is_stationary(self, racer):
         q = np.array([0.1, 1.4, -0.2, 0.2])
@@ -636,7 +653,7 @@ def tensor_frame_rhs(spec, q, xi, t, control, frame_field):
     return qdot, np.linalg.solve(G, V_I.T @ pIdot + dV.T @ p_I - Gdot @ xi)
 
 
-#: built-in models with frame fields, as shipped and with a configuration-dependent metric bump
+#: built-in models, as shipped and with a configuration-dependent metric bump (the ball runs the generic frame)
 MAGGI_MODELS = [("roller-racer", 0.0), ("roller-racer", 0.05), ("rolling-ball", 0.0), ("rolling-ball", 0.05)]
 
 
@@ -645,20 +662,21 @@ class TestMaggiForm:
     def test_matches_tensor_form(self, name, perturb):
         """Maggi's equations give the tensor form's ``(qdot, xidot)`` to 1e-13 relative at 100 random states.
 
-        Both with the lift from the splitting's front at ``q`` and with a
-        given splitting and frame, as RK4 stage k1 passes them.
+        Both with and without the frame at ``q`` given; the ball, which has
+        no published frame, runs the generic frame with the pivots best at
+        each ``q``.
         """
         bundle = build_model(name, metric_perturb=perturb)
         spec = bundle.spec
         gen = np.random.default_rng(71)
         for q in sample_points(bundle, 100, seed=73):
-            frame = bundle.frame_field(q)
+            frame_field = frame_field_at(bundle, q)
+            frame = frame_field(q)
             i0, i1 = frame.block_ranges[0]
             xi = gen.uniform(-1.0, 1.0, i1 - i0)
             control = ControlSignal.linear(q[spec.N :], gen.uniform(-1.0, 1.0, spec.M))
-            ref_qdot, ref_xidot = tensor_frame_rhs(spec, q, xi, 0.0, control, bundle.frame_field)
-            P = projection_set(spec, q, check=False)
-            for kwargs in ({}, {"projections": P, "frame": frame}):
+            ref_qdot, ref_xidot = tensor_frame_rhs(spec, q, xi, 0.0, control, frame_field)
+            for kwargs in ({}, {"frame": frame}):
                 qdot, xidot = frame_rhs(spec, q, xi, 0.0, control, bundle.frame_field, **kwargs)
                 assert np.abs(qdot - ref_qdot).max() <= 1e-13 * (1.0 + np.abs(ref_qdot).max())
                 assert np.abs(xidot - ref_xidot).max() <= 1e-13 * (1.0 + np.abs(ref_xidot).max())
@@ -669,10 +687,107 @@ class TestMaggiForm:
         bundle = build_model(name, metric_perturb=perturb)
         for q in sample_points(bundle, 10, seed=75):
             got = frame_coefficients(bundle.spec, q, bundle.frame_field)
-            ref = block_loop_coefficients(bundle.spec, q, bundle.frame_field, rhs=tensor_frame_rhs)
+            ref = block_loop_coefficients(bundle.spec, q, frame_field_at(bundle, q), rhs=tensor_frame_rhs)
             scale = 1.0 + max(float(np.abs(block).max()) for block in ref.values())
             for name_, block in ref.items():
                 assert np.abs(got[name_] - block).max() <= 1e-13 * scale, name_
+
+
+GENERIC_MODELS = [
+    ("roller-racer", {}),
+    ("rolling-ball", {}),
+    ("rolling-ball", {"metric_perturb": 0.05}),
+    ("euclidean-toy", {"constrained": True}),
+    ("euclidean-toy", {}),
+]
+
+
+def generic_cases():
+    """``(spec, points)`` for the built-in models and a random system with ``M = 2``, 50 points each."""
+    out = [(bundle.spec, sample_points(bundle, 50, seed=83)) for bundle in (build_model(n, **o) for n, o in GENERIC_MODELS)]
+    spec = random_system(1, M=2)
+    out.append((spec, np.random.default_rng(85).uniform(-1.0, 1.0, (50, spec.dim))))
+    return out
+
+
+class TestVoronetsFrame:
+    """The generic frame: built from ``omega`` alone, adapted to the constraints, exact dual rows."""
+
+    def test_frame_is_adapted_with_exact_dual_rows(self):
+        """``Om V = 0`` to rounding, unit controls on the drive block, none on the free block, ``Omega_frame @ V = I``."""
+        for spec, points in generic_cases():
+            m = spec.N - spec.nu
+            field = _VoronetsFrame.best(spec, spec.omega(points[0]))
+            for q in points:
+                F = field(q)
+                assert F.block_ranges == ((0, m), (m, m), (m, m + spec.M))
+                assert np.all(np.abs(spec.omega(q) @ F.V) <= 1e-14 * (1.0 + np.abs(F.V).max()))
+                assert np.all(F.V[spec.N :, :m] == 0.0) and np.all(F.V[spec.N :, m:] == np.eye(spec.M))
+                assert np.all(F.Omega_frame @ F.V == np.eye(m + spec.M))
+
+    def test_lift_from_a_drive_block_is_the_splittings(self, racer, ball):
+        """``h = x0 - V_I G^-1 (g V_I)^T x0`` from the racer's ``v4`` or a generic drive block is ``projection_set().h``.
+
+        ``v4`` solves the constraint rows to 1.1e-16, and both lifts agree
+        with the splitting's to 4 ulp of ``1 + |h|`` at 200 box points.
+        """
+        for bundle in (racer, ball):
+            for q in sample_points(bundle, 200, seed=81):
+                P = projection_set(bundle.spec, q)
+                frames = [_VoronetsFrame.best(bundle.spec, P.Om)(q)]
+                if bundle.frame_field is not None:
+                    frames.append(bundle.frame_field(q))
+                    assert np.abs(P.Om @ frames[-1].V[:, 3:]).max() <= 1.1e-16
+                for F in frames:
+                    (i0, i1), _, (j0, j1) = F.block_ranges
+                    V_I, x0 = F.V[:, i0:i1], F.V[:, j0:j1]
+                    gV = P.g @ V_I
+                    h = x0 - V_I @ np.linalg.solve(V_I.T @ gV, gV.T @ x0)
+                    assert np.abs(h - P.h).max() <= 4 * np.finfo(float).eps * (1.0 + np.abs(P.h).max())
+
+    @pytest.mark.parametrize("name, q, pivots", [
+        ("roller-racer", [0.0, np.pi / 2, 0.0, 0.0], (1, 2)),
+        ("roller-racer", [0.0, 1.0, 0.0, np.pi / 2], (0, 2)),
+        ("rolling-ball", [0.3, 1.1, -0.2, 0.1, -0.15, 0.0], (3, 4)),
+    ])
+    def test_best_pivots(self, name, q, pivots):
+        """The best-conditioned minor: ``(q2, q3)`` at the racer's start, ``(q1, q3)`` where ``cos u = 0``, ``(x, y)`` on the ball."""
+        spec = build_model(name).spec
+        assert _VoronetsFrame.best(spec, spec.omega(np.array(q))).pivots == pivots
+
+    @pytest.mark.parametrize("eps, svd_calls", [(1e-6, 0), (1e-12, 1)])
+    def test_stage_keeps_the_rank_test(self, eps, svd_calls, monkeypatch):
+        """A stage runs the constraint SVD only where ``1/|A_d^-1|_F > RANK_RTOL |Om[:, :N]|_F`` fails.
+
+        The bound implies the splitting's rank test, so a well-conditioned
+        minor skips the SVD; a constraint block with smallest singular value
+        1e-12 falls back to it and fails transversality.
+        """
+        spec, _, _ = near_singular_system(eps, 2)
+        calls = []
+        svd = reduced_dynamics._constraint_svd
+        monkeypatch.setattr(reduced_dynamics, "_constraint_svd", lambda *args: calls.append(1) or svd(*args))
+        q = np.zeros(5)
+        if svd_calls:
+            with pytest.raises(RankDeficiency):
+                frame_rhs(spec, q, np.zeros(2), 0.0, ControlSignal.linear(0.0, 0.7))
+        else:
+            frame_rhs(spec, q, np.zeros(2), 0.0, ControlSignal.linear(0.0, 0.7))
+        assert len(calls) == svd_calls
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_matches_tensor_form(self, case):
+        """Maggi's equations in the generic frame give the tensor form's ``(qdot, xidot)`` to 1e-13 relative."""
+        spec, points = generic_cases()[case]
+        gen = np.random.default_rng(87)
+        for q in points[:20]:
+            field = _VoronetsFrame.best(spec, spec.omega(q))
+            xi = gen.uniform(-1.0, 1.0, spec.N - spec.nu)
+            control = ControlSignal.linear(q[spec.N :], gen.uniform(-1.0, 1.0, spec.M))
+            ref_qdot, ref_xidot = tensor_frame_rhs(spec, q, xi, 0.0, control, field)
+            qdot, xidot = frame_rhs(spec, q, xi, 0.0, control)
+            assert np.abs(qdot - ref_qdot).max() <= 1e-13 * (1.0 + np.abs(ref_qdot).max())
+            assert np.abs(xidot - ref_xidot).max() <= 1e-13 * (1.0 + np.abs(ref_xidot).max())
 
 
 class TestFrameCoefficients:
@@ -712,20 +827,19 @@ def block_loop_coefficients(spec, q, frame_field, rhs=None):
     """The three blocks of ``frame_coefficients``, each polarized by its own loop nest.
 
     ``rhs(spec, q, xi, t, control, frame_field)`` gives ``(qdot, xidot)``;
-    by default :func:`frame_rhs` with one splitting and frame at ``q``.
+    by default :func:`frame_rhs` with one frame at ``q`` (the generic one
+    when ``frame_field`` is ``None``).
     """
     u0 = q[spec.N :]
-    P = projection_set(spec, q, check=False)
-    frame = frame_field(q)
-    i0, i1 = frame.block_ranges[0]
-    m = i1 - i0
+    frame = frame_field(q) if frame_field is not None else None
+    m = spec.N - spec.nu
     M = spec.M
 
     def f(xi, udot):
         ctrl = ControlSignal.linear(u0, udot, t0=0.0)
         if rhs is not None:
             return rhs(spec, q, xi, 0.0, ctrl, frame_field)[1]
-        return frame_rhs(spec, q, xi, 0.0, ctrl, frame_field, projections=P, frame=frame)[1]
+        return frame_rhs(spec, q, xi, 0.0, ctrl, frame_field, frame=frame)[1]
 
     zero_xi, zero_u = np.zeros(m), np.zeros(M)
     base_xi = [f(np.eye(m)[r], zero_u) for r in range(m)]

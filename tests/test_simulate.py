@@ -7,7 +7,7 @@ import pytest
 
 from nonholo import reduced_dynamics, simulate
 from nonholo.core_geometry import projection_set
-from nonholo.errors import ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
+from nonholo.errors import FrameNotSmooth, ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
 from nonholo.models import build_model, racer_frame_vectors, roller_racer_closed_rhs
 from nonholo.reduced_dynamics import ControlSignal
 from nonholo.simulate import (
@@ -19,6 +19,8 @@ from nonholo.simulate import (
     two_timescale_coefficient,
 )
 
+from conftest import ball_free_block, random_system
+
 
 def racer_momentum(bundle, q, xi):
     g = bundle.spec.metric(q)
@@ -29,6 +31,13 @@ class TestIntegratorConfig:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.0)
+
+    @pytest.mark.parametrize("key", ["dt", "hard_residual"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_values_that_are_not_positive_and_finite(self, key, value):
+        """A NaN ``hard_residual`` would turn off ``StepRejected``; an infinite ``dt`` would take one step."""
+        with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+            IntegratorConfig(**{key: value})
 
     def test_rejects_unknown_representation(self):
         with pytest.raises(ValueError):
@@ -126,14 +135,13 @@ class TestIntegrate:
     def test_ball_frame_representation_matches_ambient(self, perturb):
         """Frame and ambient trajectories of the ball agree to 1e-12 relative, at every sample.
 
-        Under ``metric_perturb`` the free frame vectors are not
-        ``g``-orthogonal (Gram off-diagonals near 0.09 against diagonals of
-        1 to 3.6), which the frame form must take into account.
+        The ball has no published frame, so the frame form runs the generic
+        one, whose free vectors are not ``g``-orthogonal, with or without
+        ``metric_perturb``; the frame form must take that into account.
         """
         ball = build_model("rolling-ball", metric_perturb=perturb)
         q0 = ball.default_q0
-        frame = ball.frame_field(q0)
-        p0 = projection_set(ball.spec, q0).g @ frame.V[:, :3] @ np.array([0.3, -0.2, 0.4])
+        p0 = projection_set(ball.spec, q0).g @ ball_free_block(ball, q0) @ np.array([0.3, -0.2, 0.4])
         control = ControlSignal.sinusoid(q0[5], 0.3, 5.0)
         runs = [
             integrate(ball.spec, q0, p0, control, (0.0, 0.5), IntegratorConfig(dt=2e-3, representation=rep), ball.frame_field)
@@ -144,10 +152,10 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("representation", ["ambient", "frame"])
     def test_one_tensor_build_per_sample_and_later_stage(self, racer, representation, monkeypatch):
-        """Sample 0 reuses the initial point's tensors and frame: n + 1 tensor builds for n steps.
+        """Ambient form: sample 0 reuses the initial point's tensors, so n + 1 builds for n steps plus one per later stage.
 
-        The ambient form adds one per later RK4 stage (4 n + 1 in all); the
-        frame form's stages build none.
+        That is 4 n + 1 in all.  The frame form builds none: its stages and
+        its sample diagnostics need only the frame and the metric.
         """
         builds = {"tensors": 0, "frames": 0, "assembled": 0}
         tensors = simulate.coefficient_tensors
@@ -178,11 +186,12 @@ class TestIntegrate:
             IntegratorConfig(dt=1e-3, representation=representation),
             frame_field=counted_frame,
         )
-        assert builds["tensors"] == builds["assembled"] == (4 * 10 + 1 if representation == "ambient" else 10 + 1)
+        assert builds["tensors"] == builds["assembled"] == (4 * 10 + 1 if representation == "ambient" else 0)
         if representation == "frame":
-            # one per sample; stage k1 reuses it and builds only its complex
+            # one at the start and one per later sample; stage k1, which every
+            # sample's diagnostics read, reuses it and builds only its complex
             # transport point, the other 30 stages the frame and that point
-            assert builds["frames"] == 11 + 10 + 2 * 30
+            assert builds["frames"] == 1 + 10 + 11 + 2 * 30
 
     def test_without_reprojection_short_runs_agree(self, racer):
         control = ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
@@ -227,16 +236,18 @@ class TestIntegrate:
         with pytest.raises(NotInDeltaCapGamma):
             integrate(racer.spec, q0, bad, ControlSignal.constant(0.0), (0.0, 1.0))
 
-    def test_rejects_frame_mode_without_frame_field(self, racer):
-        with pytest.raises(ModelError):
-            integrate(
-                racer.spec,
-                racer.default_q0,
-                np.zeros(4),
-                ControlSignal.constant(0.0),
-                (0.0, 1.0),
-                IntegratorConfig(representation="frame"),
-            )
+    def test_frame_mode_without_frame_field_runs_the_generic_frame(self, racer):
+        """With no frame field the frame form builds the generic frame on the minor best at ``t0``, here ``(q2, q3)``."""
+        control = ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
+        p0 = racer_momentum(racer, racer.default_q0, 0.1)
+        runs = [
+            integrate(racer.spec, racer.default_q0, p0, control, (0.0, 0.3), IntegratorConfig(dt=1e-3, representation=rep))
+            for rep in ("ambient", "frame")
+        ]
+        assert runs[1].meta["pivots"] == [(0.0, (1, 2))] and "pivots" not in runs[0].meta
+        assert runs[1].xi.shape == (301, 1)
+        amb, frm = (np.hstack([traj.q, traj.p_I]) for traj in runs)
+        assert np.abs(frm - amb).max() <= 1e-12 * (1.0 + np.abs(amb).max())
 
     def test_rejects_empty_span(self, racer):
         with pytest.raises(ValueError):
@@ -255,6 +266,89 @@ class TestIntegrate:
                 (0.0, 1.0),
                 IntegratorConfig(dt=1e-3, hard_residual=1e-16),
             )
+
+
+def frame_vs_ambient_gap(spec, q0, p0, control, t_span, dt, frame_field=None):
+    """Largest relative gap in ``(q, p_I)`` between the frame and ambient forms, ``reproject`` off; and the frame run."""
+    runs = [
+        integrate(spec, q0, p0, control, t_span, IntegratorConfig(dt=dt, representation=rep, reproject=False), frame_field)
+        for rep in ("ambient", "frame")
+    ]
+    amb, frm = (np.hstack([traj.q, traj.p_I]) for traj in runs)
+    return float(np.abs(frm - amb).max()) / (1.0 + float(np.abs(amb).max())), runs[1]
+
+
+def generic_frame_case(name):
+    """``(spec, q0, p0, control)`` of an agreement run with nonzero free momentum."""
+    if name == "racer":
+        racer = build_model("roller-racer")
+        q0, p0 = racer.embed_closed(np.array([0.1, 1.2, -0.3, 0.4]), 0.0)
+        return racer.spec, q0, p0, ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
+    if name.startswith("ball"):
+        ball = build_model("rolling-ball", metric_perturb=0.05 if name == "ball-perturbed" else 0.0)
+        q0 = ball.default_q0
+        p0 = projection_set(ball.spec, q0).Pstar_I @ np.array([0.3, -0.2, 0.4, 0.1, 0.2, 0.0])
+        return ball.spec, q0, p0, ControlSignal.sinusoid(q0[5], 0.3, 5.0)
+    if name == "toy":
+        toy = build_model("euclidean-toy", constrained=True)
+        q0 = np.array([0.1, 0.2, 0.3, 0.0])
+        return toy.spec, q0, projection_set(toy.spec, q0).Pstar_I @ np.array([0.3, 0.2, -0.1, 0.0]), ControlSignal.sinusoid(0.0, 0.3, 4.0)
+    seed = int(name[-1])
+    spec = random_system(seed, M=2)
+    gen = np.random.default_rng(seed)
+    q0 = gen.uniform(-1.0, 1.0, spec.dim)
+    p0 = projection_set(spec, q0).Pstar_I @ gen.standard_normal(spec.dim)
+    return spec, q0, p0, ControlSignal.sinusoid(q0[spec.N :], 0.5, 8.0)
+
+
+class TestGenericFrame:
+    """``integrate`` in frame form on the generic frame, against the ambient form."""
+
+    @pytest.mark.parametrize("name", ["racer", "ball", "ball-perturbed", "random-1", "random-2"])
+    def test_agreement_with_ambient_is_fourth_order(self, name):
+        """The gap to the ambient form over 0.5 s falls x16 (12 to 20) from ``dt`` = 4e-3 to 2e-3: discretization error only."""
+        case = generic_frame_case(name)
+        coarse, _ = frame_vs_ambient_gap(*case, (0.0, 0.5), 4e-3)
+        fine, _ = frame_vs_ambient_gap(*case, (0.0, 0.5), 2e-3)
+        assert fine > 1e-15 and 12.0 <= coarse / fine <= 20.0, (coarse, fine)
+
+    def test_agreement_on_the_constrained_toy_is_exact(self):
+        """Flat metric and a constant form: no discretization error to tell the forms apart."""
+        gap, traj = frame_vs_ambient_gap(*generic_frame_case("toy"), (0.0, 0.5), 4e-3)
+        assert gap <= 1e-15 and traj.meta["pivots"] == [(0.0, (0,))]
+
+    def test_pivot_switch_where_the_published_frame_fails(self, racer):
+        """Across ``sin q2 = 0`` the published frame flips and is refused; the generic frame switches pivots once.
+
+        The switch, logged in ``meta``, goes from ``(q2, q3)`` to ``(q1, q2)``
+        at t = 1.232; the gap to the ambient form over 1.5 s falls x16 per
+        halving of ``dt`` (3.2e-9 and 2.0e-10 at 2e-3 and 1e-3).
+        """
+        control = ControlSignal.sinusoid(0.3, 0.1, 3.0)
+        q0, p0 = racer.embed_closed(np.array([0.0, 2.3, 0.0, 1.0]), float(control.value(0.0)[0]))
+        with pytest.raises(FrameNotSmooth):
+            integrate(racer.spec, q0, p0, control, (0.0, 1.5), IntegratorConfig(dt=2e-3, representation="frame"), racer.frame_field)
+        gaps = []
+        for dt in (2e-3, 1e-3):
+            gap, traj = frame_vs_ambient_gap(racer.spec, q0, p0, control, (0.0, 1.5), dt)
+            assert traj.meta["pivots"] == [(0.0, (1, 2)), (pytest.approx(1.232), (0, 1))]
+            gaps.append(gap)
+        assert gaps[0] < 1e-8 and 12.0 <= gaps[0] / gaps[1] <= 20.0, gaps
+
+    def test_residual_sees_the_frame_stages(self, ball):
+        """A wrong ``xidot`` in stage k1 shows in the sample's d'Alembert residual.
+
+        The wrong one solves Maggi's equations with the Gram matrix replaced
+        by its diagonal, as if the free vectors were ``g``-orthogonal; the
+        generic frame's are not.
+        """
+        q = ball.default_q0
+        xi, control = np.array([0.3, -0.2, 0.4]), ControlSignal.polynomial([q[5], 0.7, -0.25])
+        st = reduced_dynamics._maggi(ball.spec, q, xi, 0.0, control, None, axes=True)
+        assert simulate._frame_diagnostics(st, xi, 0.0, control)[2] <= 1e-15
+        G = np.linalg.inv(st.Ginv)
+        st.xidot = (G @ st.xidot) / np.diag(G)
+        assert simulate._frame_diagnostics(st, xi, 0.0, control)[2] >= 1e-2
 
 
 class TestCsv:
