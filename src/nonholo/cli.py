@@ -72,17 +72,6 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"{self.path}: key '{key}' has non-integer value {raw!r}") from None
 
-    def get_bool(self, key: str, default: Optional[bool] = None, required: bool = False) -> Optional[bool]:
-        raw = self.get_str(key, required=required)
-        if raw is None:
-            return default
-        lowered = raw.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{self.path}: key '{key}' has non-boolean value {raw!r}")
-
     def get_floats(self, key: str, default: Optional[list] = None, required: bool = False) -> Optional[np.ndarray]:
         raw = self.get_str(key, required=required)
         if raw is None:
@@ -226,7 +215,6 @@ def integrator_from_config(cfg: RunConfig) -> tuple[IntegratorConfig, tuple[floa
         config = IntegratorConfig(
             dt=cfg.get_float("integrator.dt", required=True),
             representation=cfg.get_str("integrator.representation", "ambient"),
-            reproject=cfg.get_bool("integrator.reproject", True),
             hard_residual=cfg.get_float("integrator.hard_residual", 1e-3),
         )
     except ValueError as exc:

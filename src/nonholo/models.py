@@ -344,6 +344,14 @@ def _build_roller_racer(
 # ---------------------------------------------------------------------------
 
 
+#: ``|sin q2|`` under which the ball's Euler chart raises ``ChartDomain``.  The
+#: metric's Cholesky pivot ratio is ``sqrt(min(gyration2, 1)) |sin q2|``, so
+#: it crosses ``_cholesky_spd``'s 1e-6 floor at ``|sin q2|`` = 1.6e-6 for the
+#: default ``gyration2 = 0.4`` (measured); every point the guard admits
+#: passes that test for ``gyration2 >= 0.02``.
+_EULER_CHART_EDGE = 1e-5
+
+
 def _euler_rate_matrix(q: Array) -> Array:
     """Map Z-X-Z Euler-angle rates to the spatial angular velocity (complex-safe, stacked)."""
     s, c = np.sin(q[..., :2]), np.cos(q[..., :2])
@@ -358,7 +366,7 @@ def _euler_rate_matrix_inv(q: Array) -> Array:
     """The inverse of :func:`_euler_rate_matrix` at one point."""
     sphi, cphi = np.sin(q[0]), np.cos(q[0])
     sth, cth = np.sin(q[1]), np.cos(q[1])
-    if abs(sth) < 1e-8:
+    if abs(sth) < _EULER_CHART_EDGE:
         raise ChartDomain(f"Euler chart degenerate: sin(q2) = {sth:.1e}")
     return np.array([[-sphi * cth / sth, cphi * cth / sth, 1.0], [cphi, sphi, 0.0], [sphi / sth, -cphi / sth, 0.0]])
 
@@ -384,7 +392,7 @@ def rolling_ball_spec(params: Optional[RollingBallParams] = None) -> SystemSpec:
 
     def metric(q: Array) -> Array:
         sth = np.sin(q[..., 1])
-        edge = np.abs(sth) < 1e-8
+        edge = np.abs(sth) < _EULER_CHART_EDGE
         if edge.any():
             raise ChartDomain(f"Euler chart degenerate: sin(q2) = {np.extract(edge, sth)[0].real:.1e}")
         cth = np.cos(q[..., 1])

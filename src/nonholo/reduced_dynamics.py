@@ -22,7 +22,11 @@ with ``G = V_I^T g V_I`` the Gram matrix of the free frame vectors and ``dV``
 the frame's transport.  So the frame form builds no coefficient tensors: it
 needs the metric and the lift at ``q``, the frame, its transport, and the
 metric's derivatives along the free frame vectors and ``qdot``.  A frame
-built from ``omega`` alone (``_VoronetsFrame``) serves every model.
+built from ``omega`` alone (``_VoronetsFrame``) serves every model, and
+:func:`~nonholo.simulate.integrate` steps every run this way.  The
+coefficient tensors serve the fitness scans, and the ambient right-hand
+side built on them (:func:`reduced_rhs`, :func:`reaction_force`) is the
+independent reference the frame form is checked against.
 
 Derivatives come in two kinds.  Those of the model callbacks ``metric`` and
 ``omega`` are complex-step derivatives: each callback is called once on the
@@ -416,16 +420,11 @@ def reaction_force(
     """
     q = np.asarray(q, dtype=float)
     T = tensors if tensors is not None else coefficient_tensors(spec, q)
-    return _reaction_from_rhs(p_I, t, control, T, reduced_rhs(spec, q, p_I, t, control, tensors=T))
-
-
-def _reaction_from_rhs(p_I: Array, t: float, control: ControlSignal, T: CoefficientTensors, rhs: tuple[Array, Array]) -> Array:
-    """:func:`reaction_force` given ``rhs = reduced_rhs(spec, q, p_I, t, control, tensors=T)``."""
     P = T.projections
+    qdot, pIdot = reduced_rhs(spec, q, p_I, t, control, tensors=T)
     udot = np.atleast_1d(np.asarray(control.rate(t), dtype=float))
     uddot = np.atleast_1d(np.asarray(control.accel(t), dtype=float))
     p = np.asarray(p_I, dtype=float) + P.k @ udot
-    qdot, pIdot = rhs
     kdot = np.einsum("j,jia->ia", qdot, T.dk)
     pdot = pIdot + kdot @ udot + P.k @ uddot
     grad = 0.5 * np.einsum("i,jik,k->j", p, T.dginv, p)
@@ -436,9 +435,14 @@ def check_frame_continuity(prev: Frame, new: Frame) -> None:
     """Reject sign flips or jumps between frames at neighbouring points.
 
     The diagonal of ``prev.Omega_frame @ new.V`` is ~1 for a smoothly varying
-    frame; entries below one half signal a discontinuous supplier.
+    frame; entries below one half signal a discontinuous supplier.  Only the
+    columns that Maggi's equations read count, block I and the drive block:
+    block II may flip where they stay smooth (the racer's published reaction
+    vectors across ``sin q2 = 0``).
     """
-    d = np.diag(prev.Omega_frame @ new.V)
+    (i0, i1), _, (j0, j1) = new.block_ranges
+    cols = np.r_[i0:i1, j0:j1]
+    d = np.einsum("ij,ji->i", prev.Omega_frame[cols], new.V[:, cols])
     if d.size and float(d.min()) < 0.5:
         raise FrameNotSmooth(f"frame overlap diagonal dropped to {float(d.min()):.3f}")
 

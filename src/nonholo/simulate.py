@@ -5,16 +5,17 @@ assembled from the control signal at every Runge-Kutta stage, so the scheme is
 plain RK4 on the reduced nonautonomous ODE and keeps its classical fourth
 order.  (Integrating the controlled channels and overwriting them between
 stages would silently degrade the order to two.)  One stepper, ``_rk4_step``,
-advances both representations of :func:`integrate` — the stacked state
-``[q_free, p_I]`` or ``[q_free, xi]`` — and every :func:`rk4_path` run.
+advances every :func:`integrate` run — the stacked state ``[q_free, xi]``
+stepped by Maggi's equations (:func:`~nonholo.reduced_dynamics.frame_rhs`),
+whichever representation is recorded — and every :func:`rk4_path` run.
 
 Every recorded sample carries the energy and two relative residuals — the
 constraint violation ``|Omega qdot| / |qdot|`` and the ideal-reaction defect
 ``|Pstar_I R| / |R|`` — and a step whose residuals blow past a hard threshold
 raises :class:`~nonholo.errors.StepRejected` instead of producing quietly
-wrong output.  The ambient form reads them off the coefficient tensors
-(``_diagnostics``), the frame form off the acceleration its own stage k1
-implies (``_frame_diagnostics``), so they see errors in the frame stages.
+wrong output.  They are read off the acceleration the sample's own stage k1
+implies (``_frame_diagnostics``), so they see errors in the stages that
+moved the state.
 
 The module also hosts the vibrational-control experiments: sweeping the
 dither scale ``eps`` against a model's averaged dynamics, and an independent
@@ -33,35 +34,23 @@ import numpy as np
 from .core_geometry import Array, Frame, SystemSpec, projection_set
 from .errors import ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
 from .models import ModelBundle
-from .reduced_dynamics import (
-    PIVOT_COND,
-    CoefficientTensors,
-    ControlSignal,
-    _maggi,
-    _reaction_from_rhs,
-    _VoronetsFrame,
-    check_frame_continuity,
-    coefficient_tensors,
-    frame_rhs,
-    reduced_rhs,
-)
+from .reduced_dynamics import PIVOT_COND, ControlSignal, _maggi, _VoronetsFrame, check_frame_continuity, frame_rhs
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step RK4 settings.
 
-    ``representation`` selects the propagated momentum variables: ``"ambient"``
-    evolves the free momentum covector ``p_I`` (reprojected onto the free
-    coprojection image after every step when ``reproject`` is set);
-    ``"frame"`` evolves frame velocity components ``xi`` along a smooth frame
-    field.  ``hard_residual`` is the step-rejection threshold applied to both
-    relative residuals.  Both must be positive and finite.
+    ``representation`` selects what is recorded, not the dynamics: both
+    step the frame velocity components ``xi`` by Maggi's equations and
+    record the free momentum covector ``p_I = g V_I xi``; ``"frame"`` also
+    records ``xi``, along the caller's frame field when one is given.
+    ``hard_residual`` is the step-rejection threshold applied to both
+    relative residuals.  It and ``dt`` must be positive and finite.
     """
 
     dt: float = 1e-3
     representation: str = "ambient"
-    reproject: bool = True
     hard_residual: float = 1e-3
 
     def __post_init__(self) -> None:
@@ -78,7 +67,8 @@ class Trajectory:
 
     Arrays are indexed by sample; ``xi`` is ``None`` unless the frame
     representation was active.  ``meta`` records run settings (never written
-    to CSV) and, on the generic frame, ``(t, pivots)`` at ``t0`` and at each switch.
+    to CSV) and, on the generic frame (every ambient run, and frame runs
+    without a frame field), ``(t, pivots)`` at ``t0`` and at each switch.
     """
 
     t: Array
@@ -127,28 +117,8 @@ def _rk4_step(f: Callable[[float, Array], Array], t: float, y: Array, dt: float,
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _diagnostics(
-    spec: SystemSpec, q: Array, p_I: Array, t: float, control: ControlSignal, T: CoefficientTensors
-) -> tuple[float, float, float, tuple[Array, Array]]:
-    """Energy and the two relative residuals at one sample, plus its ``reduced_rhs``."""
-    P = T.projections
-    udot = np.atleast_1d(np.asarray(control.rate(t), dtype=float))
-    p_full = p_I + P.k @ udot
-    qdot_full = P.ginv @ p_full
-    H = 0.5 * float(p_full @ P.ginv @ p_full)
-    speed = float(np.linalg.norm(qdot_full))
-    cres = float(np.linalg.norm(P.Om @ qdot_full)) / speed if speed >= 1e-14 else 0.0
-    rhs = reduced_rhs(spec, q, p_I, t, control, tensors=T)
-    R = _reaction_from_rhs(p_I, t, control, T, rhs)
-    # at instants where no reaction is needed |R| ~ 0 and the plain ratio
-    # is noise over noise; the floor ties it to the dynamic scale instead
-    floor = 1e-3 * (1.0 + float(np.linalg.norm(p_full)) + speed)
-    dres = float(np.linalg.norm(P.Pstar_I @ R)) / max(float(np.linalg.norm(R)), floor)
-    return H, cres, dres, rhs
-
-
 def _frame_diagnostics(st: SimpleNamespace, xi: Array, t: float, control: ControlSignal) -> tuple[float, float, float]:
-    """:func:`_diagnostics` from a frame-form sample's stage k1 ``st``.
+    """Energy and the two relative residuals at one sample, from its stage k1 ``st``.
 
     ``R = g qddot + (d_qdot g) qdot - 1/2 grad_q g[qdot, qdot]``, with
     ``qddot = dV xi + V_I xidot + dh udot + h uddot``, ``h = x0 - V_I c``,
@@ -163,6 +133,8 @@ def _frame_diagnostics(st: SimpleNamespace, xi: Array, t: float, control: Contro
     dh = st.dx0 - st.dV @ st.c - st.V_I @ dc
     qddot = st.dV @ xi + st.V_I @ st.xidot + dh @ udot + st.h @ uddot
     R = g @ qddot + st.dg_flow @ qdot - 0.5 * np.einsum("i,jik,k->j", qdot, st.dg_axes, qdot)
+    # at instants where no reaction is needed |R| ~ 0 and the plain ratio
+    # is noise over noise; the floor ties it to the dynamic scale instead
     floor = 1e-3 * (1.0 + float(np.linalg.norm(p)) + speed)
     dres = float(np.linalg.norm(st.gV @ (st.Ginv @ (st.V_I.T @ R)))) / max(float(np.linalg.norm(R)), floor)
     return 0.5 * float(qdot @ p), cres, dres
@@ -181,12 +153,15 @@ def integrate(
 
     ``q0``'s controlled block must agree with ``control`` at the initial time
     (it is then snapped exactly); ``p0`` is coprojected onto the free block
-    and must already be close to it; both must be finite.  In the frame
-    representation the initial ``xi`` is read off ``p0``.  Without a
-    ``frame_field`` the frame is the generic one (see ``frame_rhs``) on the
-    minor best conditioned at ``t0``; at a sample where its ``|A_d|_F
-    |A_d^-1|_F`` passes ``PIVOT_COND`` the pivots are chosen again and ``xi``
-    is read off ``p_I``.
+    and must already be close to it; both must be finite.  The state
+    ``[q_free, xi]`` is stepped by Maggi's equations (:func:`frame_rhs`), with
+    the initial ``xi`` read off ``p0``, and every sample records ``p_I = g
+    V_I xi``.  The frame is ``frame_field`` in the frame representation when
+    one is given, else the generic one (see ``frame_rhs``) on the minor best
+    conditioned at ``t0``; at a sample where its ``|A_d|_F |A_d^-1|_F``
+    passes ``PIVOT_COND`` the pivots are chosen again and ``xi`` is read off
+    ``p_I``.  So with no ``frame_field`` both representations give the same
+    samples, and only the frame one adds ``xi``.
     """
     cfg = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -209,8 +184,7 @@ def integrate(
         raise NonAdaptedState("q0 controlled block disagrees with control at t0")
     q[N:] = u_init
 
-    T = None if use_frame else coefficient_tensors(spec, q)
-    P = T.projections if T is not None else projection_set(spec, q, check=False)
+    P = projection_set(spec, q, check=False)
     p_I = P.Pstar_I @ p0
     if float(np.abs(p_I - p0).max()) > 1e-6 * (1.0 + float(np.abs(p0).max())):
         raise NotInDeltaCapGamma("p0 is not a free-block momentum covector")
@@ -218,16 +192,14 @@ def integrate(
     def read_xi(V_I: Array, g: Array, p_I: Array) -> Array:  # p_I = g V_I xi
         return np.linalg.solve(V_I.T @ g @ V_I, V_I.T @ p_I)
 
-    # the state is y = [q_free, p_I] (ambient) or [q_free, xi] (frame)
-    if use_frame:
-        frame_field = frame_field if frame_field is not None else _VoronetsFrame.best(spec, P.Om)
-        generic = isinstance(frame_field, _VoronetsFrame)
-        pivots = [(t0, frame_field.pivots)] if generic else None
-        frame = frame_field(q)
-        i0, i1 = frame.block_ranges[0]
-        y = np.concatenate([q[:N], read_xi(frame.V[:, i0:i1], P.g, p_I)])
-    else:
-        y = np.concatenate([q[:N], p_I])
+    # the state is y = [q_free, xi]
+    if not use_frame or frame_field is None:
+        frame_field = _VoronetsFrame.best(spec, P.Om)
+    generic = isinstance(frame_field, _VoronetsFrame)
+    pivots = [(t0, frame_field.pivots)] if generic else None
+    frame = frame_field(q)
+    i0, i1 = frame.block_ranges[0]
+    y = np.concatenate([q[:N], read_xi(frame.V[:, i0:i1], P.g, p_I)])
 
     def assemble(t: float, q_free: Array) -> Array:
         return np.concatenate([q_free, np.atleast_1d(np.asarray(control.value(t), dtype=float))])
@@ -235,53 +207,38 @@ def integrate(
     out_t = np.empty(nsteps + 1)
     out_q = np.empty((nsteps + 1, n))
     out_p = np.empty((nsteps + 1, n))
-    out_xi = np.empty((nsteps + 1, y.shape[0] - N)) if use_frame else None
+    out_xi = np.empty((nsteps + 1, y.shape[0] - N))
     out_H = np.empty(nsteps + 1)
     out_cres = np.empty(nsteps + 1)
     out_dres = np.empty(nsteps + 1)
 
     def stage(t: float, y: Array) -> Array:
-        qq = assemble(t, y[:N])
-        if use_frame:
-            qdot, mdot = frame_rhs(spec, qq, y[N:], t, control, frame_field)
-        else:
-            qdot, mdot = reduced_rhs(spec, qq, y[N:], t, control, tensors=coefficient_tensors(spec, qq))
-        return np.concatenate([qdot[:N], mdot])
+        qdot, xidot = frame_rhs(spec, assemble(t, y[:N]), y[N:], t, control, frame_field)
+        return np.concatenate([qdot[:N], xidot])
 
     for step in range(nsteps + 1):
         t = t0 + step * dt
         q = assemble(t, y[:N])
-        if use_frame:
-            if step and not generic:
-                new_frame = frame_field(q)
-                check_frame_continuity(frame, new_frame)
-                frame = new_frame
-            # stage k1, whose quantities also give the sample's diagnostics
-            st = _maggi(spec, q, y[N:], t, control, frame_field, None if generic else frame, axes=True)
-            if generic and np.linalg.norm(st.Om[:, list(frame_field.pivots)]) * np.linalg.norm(st.Ainv) > PIVOT_COND:
-                best = _VoronetsFrame.best(spec, st.Om)
-                if best.pivots != frame_field.pivots:
-                    # p_I does not depend on the frame: read xi off it in the new one
-                    frame_field = best
-                    y[N:] = read_xi(best.of(st.Om)[0].V[:, : N - spec.nu], st.g, st.gV @ y[N:])
-                    pivots.append((t, best.pivots))
-                    st = _maggi(spec, q, y[N:], t, control, best, axes=True)
-            p_I = st.gV @ y[N:]
-            H, cres, dres = _frame_diagnostics(st, y[N:], t, control)
-        else:
-            # sample 0 sits at the initial point, whose tensors are built
-            if step:
-                T = coefficient_tensors(spec, q)
-            if cfg.reproject:
-                y[N:] = T.projections.Pstar_I @ y[N:]
-            p_I = y[N:]
-            H, cres, dres, rhs = _diagnostics(spec, q, p_I, t, control, T)
+        if step and not generic:
+            new_frame = frame_field(q)
+            check_frame_continuity(frame, new_frame)
+            frame = new_frame
+        # stage k1, whose quantities also give the sample's diagnostics
+        st = _maggi(spec, q, y[N:], t, control, frame_field, None if generic else frame, axes=True)
+        if generic and np.linalg.norm(st.Om[:, list(frame_field.pivots)]) * np.linalg.norm(st.Ainv) > PIVOT_COND:
+            best = _VoronetsFrame.best(spec, st.Om)
+            if best.pivots != frame_field.pivots:
+                # p_I does not depend on the frame: read xi off it in the new one
+                frame_field = best
+                y[N:] = read_xi(best.of(st.Om)[0].V[:, : N - spec.nu], st.g, st.gV @ y[N:])
+                pivots.append((t, best.pivots))
+                st = _maggi(spec, q, y[N:], t, control, best, axes=True)
+        H, cres, dres = _frame_diagnostics(st, y[N:], t, control)
 
         out_t[step] = t
         out_q[step] = q
-        out_p[step] = p_I
-        if use_frame:
-            out_xi[step] = y[N:]
+        out_p[step] = st.gV @ y[N:]
+        out_xi[step] = y[N:]
         out_H[step] = H
         out_cres[step] = cres
         out_dres[step] = dres
@@ -295,8 +252,7 @@ def integrate(
             break
 
         # stage k1 is the sample's own right-hand side
-        k1 = np.concatenate([st.qdot[:N], st.xidot] if use_frame else [rhs[0][:N], rhs[1]])
-        y = _rk4_step(stage, t, y, dt, k1)
+        y = _rk4_step(stage, t, y, dt, np.concatenate([st.qdot[:N], st.xidot]))
 
     return Trajectory(
         t=out_t,
@@ -306,9 +262,9 @@ def integrate(
         constraint_residual=out_cres,
         dalembert_residual=out_dres,
         u=out_q[:, N:].copy(),
-        xi=out_xi,
+        xi=out_xi if use_frame else None,
         meta={"dt": dt, "representation": cfg.representation, "t_span": (t0, t1)}
-        | ({"pivots": pivots} if use_frame and generic else {}),
+        | ({"pivots": pivots} if generic else {}),
     )
 
 

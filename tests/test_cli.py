@@ -57,13 +57,11 @@ class TestParseConfig:
         cfg = parse_config(
             write_cfg(
                 tmp_path,
-                "f = 2.5\ni = 7\nb1 = yes\nb0 = off\nlist = 1, 2.5, -3\ns = hello\n",
+                "f = 2.5\ni = 7\nlist = 1, 2.5, -3\ns = hello\n",
             )
         )
         assert cfg.get_float("f") == 2.5
         assert cfg.get_int("i") == 7
-        assert cfg.get_bool("b1") is True
-        assert cfg.get_bool("b0") is False
         assert np.array_equal(cfg.get_floats("list"), [1.0, 2.5, -3.0])
         assert cfg.get_str("s") == "hello"
         assert cfg.get_float("absent", 9.0) == 9.0
@@ -74,8 +72,6 @@ class TestParseConfig:
             cfg.get_float("f")
         with pytest.raises(ConfigError, match="missing required key 'g'"):
             cfg.get_float("g", required=True)
-        with pytest.raises(ConfigError, match="non-boolean"):
-            cfg.get_bool("f")
 
     def test_model_options_pass_through(self, tmp_path):
         cfg = parse_config(

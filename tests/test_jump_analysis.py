@@ -219,6 +219,16 @@ class TestScans:
         assert rep.failures == 10
 
     @pytest.mark.parametrize("scan", [psi_scan, theta_on_III_scan])
+    def test_ball_chart_edge_is_skipped(self, scan, ball):
+        """At ``q2`` in [1e-6, 2e-6] the ball's metric fails the Cholesky pivot test; the chart guard skips those points first."""
+        box = ball.sample_box.copy()
+        box[1] = [1e-6, 2e-6]
+        rep = scan(ball.spec, BoxSampler(box, seed=0), n_samples=20)
+        assert rep.verdict == "inconclusive"
+        assert rep.sample_count == 0
+        assert rep.failures == 20
+
+    @pytest.mark.parametrize("scan", [psi_scan, theta_on_III_scan])
     @pytest.mark.parametrize("model", ["racer", "ball"])
     def test_worst_direction_sign_is_canonical(self, scan, model, racer, ball, monkeypatch):
         """Negating every direction an evaluation returns leaves the report unchanged.

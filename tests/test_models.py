@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nonholo.core_geometry import projection_set
-from nonholo.errors import ModelError, SingularDenominator, SingularMetric
+from nonholo import models
+from nonholo.core_geometry import _cholesky_spd, projection_set
+from nonholo.errors import ChartDomain, ModelError, SingularDenominator, SingularMetric
 from nonholo.models import (
     RollerRacerParams,
     _euler_rate_matrix,
@@ -312,6 +313,20 @@ class TestRollingBall:
             assert np.abs(bundle.spec.metric(q) - g).max() <= 1e-15
             assert np.abs(projection_set(bundle.spec, q).ginv - ginv).max() <= 2e-15 * np.abs(ginv).max()
 
+    @pytest.mark.parametrize("gyration2", [0.02, 0.4, 1.0, 4.0])
+    def test_chart_guard_admits_only_cholesky_safe_points(self, gyration2):
+        """Just inside the Euler chart's edge the metric passes ``_cholesky_spd``; just outside it raises ``ChartDomain``."""
+        spec = build_model("rolling-ball", gyration2=gyration2).spec
+        q = np.array([0.3, 0.0, -0.2, 0.1, -0.15, 0.0])
+        for side in (1.0, -1.0):
+            q[1] = math.asin(side * models._EULER_CHART_EDGE * (1.0 + 1e-9))
+            _cholesky_spd(spec.metric(q[None]))
+            q[1] = math.asin(side * models._EULER_CHART_EDGE * (1.0 - 1e-9))
+            with pytest.raises(ChartDomain):
+                spec.metric(q)
+            with pytest.raises(ChartDomain):
+                _euler_rate_matrix_inv(q)
+
     def test_closed_form_metric_is_complex_safe(self, ball):
         """The metric follows a complex input, so its complex-step derivative, and the inverse's, are exact."""
         q = sample_points(ball, 1, seed=31)[0]
@@ -354,11 +369,15 @@ class TestRollingBall:
         assert np.abs(P.g @ P.ginv - np.eye(6)).max() <= 10.0 * np.abs(P.g @ closed - np.eye(6)).max()
 
     def test_splitting_refuses_the_metric_past_the_chart_edge(self, ball):
-        """At ``sin q2 = 1e-6`` the metric's pivot ratio fails, before any inverse is formed."""
+        """At ``sin q2 = 1e-6`` the metric's pivot ratio fails; the chart guard refuses the point first, before any inverse is formed."""
         q = ball.default_q0.copy()
         q[1] = math.asin(1e-6)
-        with pytest.raises(SingularMetric, match="pivot ratio"):
+        with pytest.raises(ChartDomain):
             projection_set(ball.spec, q, check=False)
+        g = np.eye(6)
+        g[:3, :3] = ball.params.gyration2 * np.array([[1.0, 0.0, math.cos(q[1])], [0.0, 1.0, 0.0], [math.cos(q[1]), 0.0, 1.0]])
+        with pytest.raises(SingularMetric, match="pivot ratio"):
+            _cholesky_spd(g[None])
 
 
 # ---------------------------------------------------------------------------

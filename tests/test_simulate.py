@@ -9,7 +9,7 @@ from nonholo import reduced_dynamics, simulate
 from nonholo.core_geometry import projection_set
 from nonholo.errors import FrameNotSmooth, ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
 from nonholo.models import build_model, racer_frame_vectors, roller_racer_closed_rhs
-from nonholo.reduced_dynamics import ControlSignal
+from nonholo.reduced_dynamics import ControlSignal, reduced_rhs
 from nonholo.simulate import (
     IntegratorConfig,
     Trajectory,
@@ -25,6 +25,44 @@ from conftest import ball_free_block, random_system
 def racer_momentum(bundle, q, xi):
     g = bundle.spec.metric(q)
     return xi * (g @ racer_frame_vectors(bundle.params, q)["w1"])
+
+
+def ambient_reference(spec, q0, p0, control, t_span, dt):
+    """``(q, p_I)`` samples of classical RK4 on ``[q_free, p_I]`` with ``f = reduced_rhs``, no reprojection.
+
+    An independent reference for ``integrate``, which steps Maggi's
+    equations in ``xi``: the same reduced dynamics in the ambient momentum,
+    on the time grid ``integrate`` uses.
+    """
+    N = spec.N
+    nsteps = max(1, round((t_span[1] - t_span[0]) / dt))
+    h = (t_span[1] - t_span[0]) / nsteps
+
+    def assemble(t, y):
+        return np.concatenate([y[:N], np.atleast_1d(control.value(t))])
+
+    def f(t, y):
+        qdot, pIdot = reduced_rhs(spec, assemble(t, y), y[N:], t, control)
+        return np.concatenate([qdot[:N], pIdot])
+
+    q = np.array(q0, dtype=float)
+    y = np.concatenate([q[:N], projection_set(spec, q).Pstar_I @ p0])
+    rows = []
+    for step in range(nsteps + 1):
+        t = t_span[0] + step * h
+        rows.append(np.concatenate([assemble(t, y), y[N:]]))
+        if step < nsteps:
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = f(t + h, y + h * k3)
+            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.array(rows)
+
+
+def reference_gap(traj, ref):
+    """Largest gap in ``(q, p_I)`` between a trajectory and :func:`ambient_reference`, relative to ``1 + max |ref|``."""
+    return float(np.abs(np.hstack([traj.q, traj.p_I]) - ref).max()) / (1.0 + float(np.abs(ref).max()))
 
 
 class TestIntegratorConfig:
@@ -114,9 +152,7 @@ class TestIntegrate:
         control = ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
         p0 = racer_momentum(racer, racer.default_q0, 0.1)
         span = (0.0, 0.3)
-        amb = integrate(
-            racer.spec, racer.default_q0, p0, control, span, IntegratorConfig(dt=1e-3)
-        )
+        ref = ambient_reference(racer.spec, racer.default_q0, p0, control, span, 1e-3)
         frm = integrate(
             racer.spec,
             racer.default_q0,
@@ -127,38 +163,48 @@ class TestIntegrate:
             frame_field=racer.frame_field,
         )
         assert frm.xi is not None and frm.xi.shape == (301, 1)
-        assert np.abs(frm.q[-1] - amb.q[-1]).max() < 1e-8
-        xi_amb = racer.extract_closed(amb.q[-1], amb.p_I[-1])[3]
-        assert abs(frm.xi[-1, 0] - xi_amb) < 1e-8
+        assert np.abs(frm.q[-1] - ref[-1, :4]).max() < 1e-8
+        xi_ref = racer.extract_closed(ref[-1, :4], ref[-1, 4:])[3]
+        assert abs(frm.xi[-1, 0] - xi_ref) < 1e-8
 
     @pytest.mark.parametrize("perturb", [0.0, 0.05])
     def test_ball_frame_representation_matches_ambient(self, perturb):
-        """Frame and ambient trajectories of the ball agree to 1e-12 relative, at every sample.
+        """The ball's trajectory agrees with the reference to 1e-12 relative, at every sample.
 
-        The ball has no published frame, so the frame form runs the generic
+        The ball has no published frame, so ``integrate`` runs the generic
         one, whose free vectors are not ``g``-orthogonal, with or without
-        ``metric_perturb``; the frame form must take that into account.
+        ``metric_perturb``; Maggi's equations must take that into account.
         """
         ball = build_model("rolling-ball", metric_perturb=perturb)
         q0 = ball.default_q0
         p0 = projection_set(ball.spec, q0).g @ ball_free_block(ball, q0) @ np.array([0.3, -0.2, 0.4])
         control = ControlSignal.sinusoid(q0[5], 0.3, 5.0)
-        runs = [
-            integrate(ball.spec, q0, p0, control, (0.0, 0.5), IntegratorConfig(dt=2e-3, representation=rep), ball.frame_field)
+        ref = ambient_reference(ball.spec, q0, p0, control, (0.0, 0.5), 2e-3)
+        traj = integrate(ball.spec, q0, p0, control, (0.0, 0.5), IntegratorConfig(dt=2e-3, representation="frame"))
+        assert reference_gap(traj, ref) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["roller-racer", "rolling-ball"])
+    def test_representation_selects_only_the_record(self, name):
+        """Without a frame field both representations step the same state on the same frame: bitwise-equal samples."""
+        bundle = build_model(name)
+        q0 = bundle.default_q0
+        p0 = projection_set(bundle.spec, q0).Pstar_I @ np.linspace(0.1, 0.4, bundle.spec.dim)
+        control = ControlSignal.sinusoid(q0[bundle.spec.N :], 0.2, 5.0)
+        amb, frm = (
+            integrate(bundle.spec, q0, p0, control, (0.0, 0.2), IntegratorConfig(dt=1e-2, representation=rep))
             for rep in ("ambient", "frame")
-        ]
-        amb, frm = (np.hstack([traj.q, traj.p_I]) for traj in runs)
-        assert np.abs(frm - amb).max() <= 1e-12 * (1.0 + np.abs(amb).max())
+        )
+        for key in ("t", "q", "p_I", "H", "constraint_residual", "dalembert_residual", "u"):
+            assert np.array_equal(getattr(amb, key), getattr(frm, key)), key
+        assert amb.xi is None and frm.xi.shape == (21, bundle.spec.N - bundle.spec.nu)
+        assert amb.meta["pivots"] == frm.meta["pivots"]
+        assert "xi_1" not in amb.column_names() and "xi_1" in frm.column_names()
 
     @pytest.mark.parametrize("representation", ["ambient", "frame"])
-    def test_one_tensor_build_per_sample_and_later_stage(self, racer, representation, monkeypatch):
-        """Ambient form: sample 0 reuses the initial point's tensors, so n + 1 builds for n steps plus one per later stage.
-
-        That is 4 n + 1 in all.  The frame form builds none: its stages and
-        its sample diagnostics need only the frame and the metric.
-        """
+    def test_no_tensor_build_in_either_representation(self, racer, representation, monkeypatch):
+        """Neither representation builds coefficient tensors: stages and sample diagnostics need only the frame and the metric."""
         builds = {"tensors": 0, "frames": 0, "assembled": 0}
-        tensors = simulate.coefficient_tensors
+        tensors = reduced_dynamics.coefficient_tensors
         assemble = reduced_dynamics._tensors_from
 
         def counted_tensors(*args, **kwargs):
@@ -173,7 +219,7 @@ class TestIntegrate:
             builds["frames"] += 1
             return racer.frame_field(q)
 
-        monkeypatch.setattr(simulate, "coefficient_tensors", counted_tensors)
+        monkeypatch.setattr(reduced_dynamics, "coefficient_tensors", counted_tensors)
         # every CoefficientTensors is assembled here, so no build goes uncounted
         monkeypatch.setattr(reduced_dynamics, "_tensors_from", counted_assembly)
         p0 = racer_momentum(racer, racer.default_q0, 0.1)
@@ -186,26 +232,12 @@ class TestIntegrate:
             IntegratorConfig(dt=1e-3, representation=representation),
             frame_field=counted_frame,
         )
-        assert builds["tensors"] == builds["assembled"] == (4 * 10 + 1 if representation == "ambient" else 0)
-        if representation == "frame":
-            # one at the start and one per later sample; stage k1, which every
-            # sample's diagnostics read, reuses it and builds only its complex
-            # transport point, the other 30 stages the frame and that point
-            assert builds["frames"] == 1 + 10 + 11 + 2 * 30
-
-    def test_without_reprojection_short_runs_agree(self, racer):
-        control = ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
-        p0 = racer_momentum(racer, racer.default_q0, 0.1)
-        kw = dict(control=control, t_span=(0.0, 0.1))
-        on = integrate(racer.spec, racer.default_q0, p0, config=IntegratorConfig(dt=1e-3), **kw)
-        off = integrate(
-            racer.spec,
-            racer.default_q0,
-            p0,
-            config=IntegratorConfig(dt=1e-3, reproject=False),
-            **kw,
-        )
-        assert np.abs(on.q[-1] - off.q[-1]).max() < 1e-6
+        assert builds["tensors"] == builds["assembled"] == 0
+        # the ambient representation runs the generic frame; the frame one
+        # builds the given frame once at the start and once per later sample;
+        # stage k1, which every sample's diagnostics read, reuses it and builds
+        # only its complex transport point, the other 30 stages the frame and that point
+        assert builds["frames"] == (0 if representation == "ambient" else 1 + 10 + 11 + 2 * 30)
 
     def test_rejects_wrong_q0_shape(self, racer):
         with pytest.raises(ValueError):
@@ -240,14 +272,11 @@ class TestIntegrate:
         """With no frame field the frame form builds the generic frame on the minor best at ``t0``, here ``(q2, q3)``."""
         control = ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
         p0 = racer_momentum(racer, racer.default_q0, 0.1)
-        runs = [
-            integrate(racer.spec, racer.default_q0, p0, control, (0.0, 0.3), IntegratorConfig(dt=1e-3, representation=rep))
-            for rep in ("ambient", "frame")
-        ]
-        assert runs[1].meta["pivots"] == [(0.0, (1, 2))] and "pivots" not in runs[0].meta
-        assert runs[1].xi.shape == (301, 1)
-        amb, frm = (np.hstack([traj.q, traj.p_I]) for traj in runs)
-        assert np.abs(frm - amb).max() <= 1e-12 * (1.0 + np.abs(amb).max())
+        ref = ambient_reference(racer.spec, racer.default_q0, p0, control, (0.0, 0.3), 1e-3)
+        traj = integrate(racer.spec, racer.default_q0, p0, control, (0.0, 0.3), IntegratorConfig(dt=1e-3, representation="frame"))
+        assert traj.meta["pivots"] == [(0.0, (1, 2))]
+        assert traj.xi.shape == (301, 1)
+        assert reference_gap(traj, ref) <= 1e-12
 
     def test_rejects_empty_span(self, racer):
         with pytest.raises(ValueError):
@@ -269,13 +298,9 @@ class TestIntegrate:
 
 
 def frame_vs_ambient_gap(spec, q0, p0, control, t_span, dt, frame_field=None):
-    """Largest relative gap in ``(q, p_I)`` between the frame and ambient forms, ``reproject`` off; and the frame run."""
-    runs = [
-        integrate(spec, q0, p0, control, t_span, IntegratorConfig(dt=dt, representation=rep, reproject=False), frame_field)
-        for rep in ("ambient", "frame")
-    ]
-    amb, frm = (np.hstack([traj.q, traj.p_I]) for traj in runs)
-    return float(np.abs(frm - amb).max()) / (1.0 + float(np.abs(amb).max())), runs[1]
+    """Largest relative gap in ``(q, p_I)`` between the frame form and :func:`ambient_reference`; and the frame run."""
+    traj = integrate(spec, q0, p0, control, t_span, IntegratorConfig(dt=dt, representation="frame"), frame_field)
+    return reference_gap(traj, ambient_reference(spec, q0, p0, control, t_span, dt)), traj
 
 
 def generic_frame_case(name):
@@ -302,11 +327,11 @@ def generic_frame_case(name):
 
 
 class TestGenericFrame:
-    """``integrate`` in frame form on the generic frame, against the ambient form."""
+    """``integrate`` on the generic frame, against :func:`ambient_reference`."""
 
     @pytest.mark.parametrize("name", ["racer", "ball", "ball-perturbed", "random-1", "random-2"])
     def test_agreement_with_ambient_is_fourth_order(self, name):
-        """The gap to the ambient form over 0.5 s falls x16 (12 to 20) from ``dt`` = 4e-3 to 2e-3: discretization error only."""
+        """The gap to the reference over 0.5 s falls x16 (12 to 20) from ``dt`` = 4e-3 to 2e-3: discretization error only."""
         case = generic_frame_case(name)
         coarse, _ = frame_vs_ambient_gap(*case, (0.0, 0.5), 4e-3)
         fine, _ = frame_vs_ambient_gap(*case, (0.0, 0.5), 2e-3)
@@ -318,16 +343,33 @@ class TestGenericFrame:
         assert gap <= 1e-15 and traj.meta["pivots"] == [(0.0, (0,))]
 
     def test_pivot_switch_where_the_published_frame_fails(self, racer):
-        """Across ``sin q2 = 0`` the published frame flips and is refused; the generic frame switches pivots once.
+        """Across ``sin q2 = 0`` the generic frame switches pivots once; the published frame runs through.
 
         The switch, logged in ``meta``, goes from ``(q2, q3)`` to ``(q1, q2)``
-        at t = 1.232; the gap to the ambient form over 1.5 s falls x16 per
-        halving of ``dt`` (3.2e-9 and 2.0e-10 at 2e-3 and 1e-3).
+        at t = 1.232; the gap to the reference over 1.5 s falls x16 per
+        halving of ``dt`` (3.2e-9 and 2.0e-10 at 2e-3 and 1e-3).  The
+        published frame's reaction vectors flip sign there, but Maggi's
+        equations read only ``w1`` and ``v4``, so the continuity check passes
+        it (gap 1.1e-13 at 2e-3); a sign flip of ``w1`` is still refused.
         """
         control = ControlSignal.sinusoid(0.3, 0.1, 3.0)
         q0, p0 = racer.embed_closed(np.array([0.0, 2.3, 0.0, 1.0]), float(control.value(0.0)[0]))
+        cfg = IntegratorConfig(dt=2e-3, representation="frame")
+        published = integrate(racer.spec, q0, p0, control, (0.0, 1.5), cfg, racer.frame_field)
+        assert np.sin(published.q[:, 1]).min() < 0.0 < np.sin(published.q[0, 1])
+        assert reference_gap(published, ambient_reference(racer.spec, q0, p0, control, (0.0, 1.5), 2e-3)) < 1e-8
+
+        def w1_flipped(q):
+            F = racer.frame_field(q)
+            if np.sin(q[1].real) >= 0.0:
+                return F
+            V, Omega_frame = F.V.copy(), F.Omega_frame.copy()
+            V[:, 0] *= -1.0
+            Omega_frame[0] *= -1.0
+            return type(F)(V, Omega_frame, F.block_ranges)
+
         with pytest.raises(FrameNotSmooth):
-            integrate(racer.spec, q0, p0, control, (0.0, 1.5), IntegratorConfig(dt=2e-3, representation="frame"), racer.frame_field)
+            integrate(racer.spec, q0, p0, control, (0.0, 1.5), cfg, w1_flipped)
         gaps = []
         for dt in (2e-3, 1e-3):
             gap, traj = frame_vs_ambient_gap(racer.spec, q0, p0, control, (0.0, 1.5), dt)
