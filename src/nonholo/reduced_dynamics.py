@@ -30,15 +30,15 @@ independent reference the frame form is checked against.
 
 Derivatives come in two kinds.  Those of the model callbacks ``metric`` and
 ``omega`` are complex-step derivatives: each callback is called once on the
-stack of all ``q + i H d`` for the directions ``d`` needed (``H =
-COMPLEX_STEP``; the coordinate axes for the tensors, the frame vectors and
-``qdot`` for the frame form) and the derivative is read from the imaginary
+stack of the points ``q + i H e_j`` (``H = COMPLEX_STEP``), with ``q`` itself
+first for the frame form, and the derivative is read from the imaginary
 part, exact to rounding.  The derivatives of the splitting built from them —
 free coprojection, inverse metric and lift — follow from closed-form
-perturbation identities at a single splitting (:func:`coefficient_tensors`).
-The frame form transports its frame by the same complex step.  Callbacks
-and frame fields therefore share one contract: they must be complex-safe,
-and one that is not raises :class:`~nonholo.errors.ModelError`.
+perturbation identities at a single splitting (:func:`coefficient_tensors`),
+and so does the generic frame's transport.  A published frame is transported
+by one complex evaluation.  Callbacks and frame fields therefore share one
+contract: they must be complex-safe, and one that is not raises
+:class:`~nonholo.errors.ModelError`.
 """
 
 from __future__ import annotations
@@ -492,19 +492,19 @@ class _VoronetsFrame:
 
 
 def _maggi(
-    spec: SystemSpec, q: Array, xi: Array, t: float, control: ControlSignal, frame_field, frame=None, axes=False
+    spec: SystemSpec, q: Array, xi: Array, t: float, control: ControlSignal, frame_field, frame=None
 ) -> SimpleNamespace:
-    """:func:`frame_rhs` at ``q``, with the intermediates that the sample diagnostics read.
-
-    With ``axes`` the complex ``metric`` call also runs along the coordinate
-    axes, for ``dg_axes``.
-    """
-    g, Om = _callback(spec, "metric", q[None]), _callback(spec, "omega", q[None])
-    _cholesky_spd(g)
-    g, Om = g[0], Om[0]
+    """:func:`frame_rhs` at ``q``, with the intermediates that the sample diagnostics read."""
+    n = spec.dim
+    Z = q + (1j * COMPLEX_STEP) * _eye(n + 1)[:, 1:]
+    gz, Omz = _complex_call(lambda: (_callback(spec, "metric", Z, None), _callback(spec, "omega", Z, None)), "metric or omega")
+    g, Om = gz[0].real.copy(), Omz[0].real.copy()  # contiguous, so products round as on the real call
+    _cholesky_spd(g[None])
+    dg_axes, dOm_axes = gz[1:].imag / COMPLEX_STEP, Omz[1:].imag / COMPLEX_STEP
+    _check_symmetric(dg_axes[None], "metric derivative")
     frame_field = frame_field if frame_field is not None else _VoronetsFrame.best(spec, Om)
     generic = isinstance(frame_field, _VoronetsFrame)
-    frame, Ainv = frame_field.of(Om) if frame is None and generic else (frame, None)
+    frame, Ainv = frame_field.of(Om) if generic else (frame, None)
     # the splitting's rank test holds if s_min(A_d) >= 1/|A_d^-1|_F clears it, since s_nu(Om[:, :N]) >= s_min(A_d)
     if Ainv is None or not RANK_RTOL * np.linalg.norm(Om[:, : spec.N]) * np.linalg.norm(Ainv) < 1.0:
         _constraint_svd(spec, q[None], Om[None])
@@ -521,22 +521,24 @@ def _maggi(
     udot = np.atleast_1d(np.asarray(control.rate(t), dtype=float))
     qdot = V_I @ xi + h @ udot
 
-    # transport the frame along qdot, and differentiate the metric along the
-    # free vectors, qdot (and the axes), by complex step
-    shifted = _complex_call(frame_field, "omega" if generic else "frame field", q + (1j * COMPLEX_STEP) * qdot)
-    if not generic:  # the generic frame's overlap is exactly I
+    # the frame's transport along qdot (the generic frame's overlap is exactly I)
+    if generic:
+        dW = np.zeros_like(frame.V)
+        dW[list(frame_field.pivots)] = -Ainv @ ((qdot @ dOm_axes.reshape(n, Om.size)).reshape(Om.shape) @ frame.V)
+    else:
+        shifted = _complex_call(frame_field, "frame field", q + (1j * COMPLEX_STEP) * qdot)
         check_frame_continuity(frame, Frame(shifted.V.real, shifted.Omega_frame.real, shifted.block_ranges))
-    dV, dx0 = shifted.V[:, i0:i1].imag / COMPLEX_STEP, shifted.V[:, j0:j1].imag / COMPLEX_STEP
-    D = np.vstack([V_I.T, qdot] + ([_eye(spec.dim)] if axes else []))
-    _, (dg,) = _complex_step_stack(spec, q[None], D, ("metric",))
-    dg_flow = dg[0, m]
+        dW = shifted.V.imag / COMPLEX_STEP
+    dV, dx0 = dW[:, i0:i1].copy(), dW[:, j0:j1].copy()  # contiguous too
+    dg_flow = (qdot @ dg_axes.reshape(n, n * n)).reshape(n, n)
+    grad = (dg_axes @ qdot) @ qdot  # grad_q g[qdot, qdot]
 
     X = dV.T @ gV
     Gdot = X + X.T + V_I.T @ dg_flow @ V_I
-    work = (g @ qdot) @ dV + 0.5 * np.einsum("i,mij,j->m", qdot, dg[0, :m], qdot)
+    work = (g @ qdot) @ dV + 0.5 * (grad @ V_I)
     return SimpleNamespace(
         g=g, Om=Om, Ainv=Ainv, V_I=V_I, x0=x0, gV=gV, Ginv=Ginv, c=c, h=h, udot=udot, qdot=qdot, dV=dV, dx0=dx0,
-        dg_flow=dg_flow, dg_axes=dg[0, m + 1 :], Gdot=Gdot, xidot=Ginv @ (work - Gdot @ xi),
+        dg_flow=dg_flow, grad=grad, Gdot=Gdot, xidot=Ginv @ (work - Gdot @ xi),
     )
 
 
@@ -567,14 +569,16 @@ def frame_rhs(
     splitting.  The free vectors need not be ``g``-orthogonal.  ``g`` and
     ``Om`` pass the tests of the splitting's front at ``q``, and
     ``h = x0 - V_I G^-1 (g V_I)^T x0`` from the frame's drive block ``x0``.
-    ``dV = Im V(q + i H qdot) / H``, exact to rounding; a published frame's
-    real part there must pass :func:`check_frame_continuity`.  One complex
-    ``metric`` call gives its derivatives along ``V_1 .. V_m`` and ``qdot``.
-    A frame field or callback that is not complex-safe raises
-    :class:`~nonholo.errors.ModelError`.  ``frame_field=None`` takes the
-    generic frame of Voronets and Chaplygin, built from ``omega`` alone on
-    the best-conditioned ``nu x nu`` minor at ``q``.  A caller that holds
-    ``frame_field(q)`` passes it as ``frame``.
+    ``metric`` and ``omega`` run once each on the stack ``q + i H [0; I_n]``:
+    row 0's real part is ``g`` and ``Om``, the other rows give the axis
+    derivatives that ``d_qdot g``, ``d_{V_m} g`` and ``d_qdot Om`` contract.
+    ``frame_field=None`` takes the generic frame of Voronets and Chaplygin,
+    built from ``Om`` on its best-conditioned ``nu x nu`` minor ``A_d``;
+    ``Om V = 0`` and ``V[r] = I`` give its transport ``A_d dV[d] = -(d_qdot
+    Om) V``, ``dV[r] = 0``.  A published frame's is ``Im V(q + i H qdot) /
+    H``, whose real part must pass :func:`check_frame_continuity`; a caller
+    that holds ``frame_field(q)`` passes it as ``frame``.  A frame field or
+    callback that is not complex-safe raises :class:`~nonholo.errors.ModelError`.
     """
     q = np.asarray(q, dtype=float)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))

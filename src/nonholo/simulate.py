@@ -132,7 +132,7 @@ def _frame_diagnostics(st: SimpleNamespace, xi: Array, t: float, control: Contro
     dc = st.Ginv @ (st.V_I.T @ (st.dg_flow @ st.x0) + st.dV.T @ (g @ st.x0) + st.gV.T @ st.dx0 - st.Gdot @ st.c)
     dh = st.dx0 - st.dV @ st.c - st.V_I @ dc
     qddot = st.dV @ xi + st.V_I @ st.xidot + dh @ udot + st.h @ uddot
-    R = g @ qddot + st.dg_flow @ qdot - 0.5 * np.einsum("i,jik,k->j", qdot, st.dg_axes, qdot)
+    R = g @ qddot + st.dg_flow @ qdot - 0.5 * st.grad
     # at instants where no reaction is needed |R| ~ 0 and the plain ratio
     # is noise over noise; the floor ties it to the dynamic scale instead
     floor = 1e-3 * (1.0 + float(np.linalg.norm(p)) + speed)
@@ -224,7 +224,7 @@ def integrate(
             check_frame_continuity(frame, new_frame)
             frame = new_frame
         # stage k1, whose quantities also give the sample's diagnostics
-        st = _maggi(spec, q, y[N:], t, control, frame_field, None if generic else frame, axes=True)
+        st = _maggi(spec, q, y[N:], t, control, frame_field, None if generic else frame)
         if generic and np.linalg.norm(st.Om[:, list(frame_field.pivots)]) * np.linalg.norm(st.Ainv) > PIVOT_COND:
             best = _VoronetsFrame.best(spec, st.Om)
             if best.pivots != frame_field.pivots:
@@ -232,7 +232,7 @@ def integrate(
                 frame_field = best
                 y[N:] = read_xi(best.of(st.Om)[0].V[:, : N - spec.nu], st.g, st.gV @ y[N:])
                 pivots.append((t, best.pivots))
-                st = _maggi(spec, q, y[N:], t, control, best, axes=True)
+                st = _maggi(spec, q, y[N:], t, control, best)
         H, cres, dres = _frame_diagnostics(st, y[N:], t, control)
 
         out_t[step] = t

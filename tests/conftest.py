@@ -1,5 +1,6 @@
 """Shared fixtures: model bundles, samplers, test systems and a relaxed hypothesis profile."""
 
+import dataclasses
 import functools
 import math
 
@@ -61,6 +62,19 @@ def stacked(fn):
         return out.reshape(q.shape[:-1] + out.shape[1:])
 
     return wrapper
+
+
+def counting_spec(spec, calls):
+    """``spec`` whose callbacks count calls in ``calls[(name, "real" | "complex", q.shape)]``."""
+
+    def wrap(name, fn):
+        def wrapper(q):
+            calls[name, "complex" if np.iscomplexobj(q) else "real", np.shape(q)] += 1
+            return fn(q)
+
+        return wrapper
+
+    return dataclasses.replace(spec, metric=wrap("metric", spec.metric), omega=wrap("omega", spec.omega))
 
 
 def sample_points(bundle, n, seed=0):

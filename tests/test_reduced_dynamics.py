@@ -41,7 +41,7 @@ from nonholo.reduced_dynamics import (
     theta_I_apply,
 )
 
-from conftest import frame_field_at, near_singular_system, random_system, sample_points, stacked
+from conftest import counting_spec, frame_field_at, near_singular_system, random_system, sample_points, stacked
 
 
 def racer_state(bundle, q, xi):
@@ -338,19 +338,6 @@ def counted(calls, name, fn):
     return wrapper
 
 
-def counting_spec(spec, calls):
-    """``spec`` whose callbacks count calls in ``calls[(name, "real" | "complex", q.shape)]``."""
-
-    def wrap(name, fn):
-        def wrapper(q):
-            calls[name, "complex" if np.iscomplexobj(q) else "real", np.shape(q)] += 1
-            return fn(q)
-
-        return wrapper
-
-    return dataclasses.replace(spec, metric=wrap("metric", spec.metric), omega=wrap("omega", spec.omega))
-
-
 def real_only(spec, name):
     """``spec`` whose callback ``name`` raises ``TypeError`` on complex input."""
     fn = getattr(spec, name)
@@ -365,6 +352,24 @@ def real_only(spec, name):
 
 class TestComplexStep:
     """Complex-step callback derivatives and the complex-safety contract."""
+
+    @pytest.mark.parametrize("case", ["roller-racer", "rolling-ball", "euclidean-toy", "constrained-toy", "random"])
+    def test_real_part_at_the_point_is_the_real_call(self, case):
+        """On the frame form's stack ``q + i H [0; I_n]``, row 0's real part equals the real call at ``q`` bitwise.
+
+        ``_maggi`` reads ``g`` and ``Om`` there instead of calling the
+        callbacks again on real input; 200 box points per model.
+        """
+        if case == "random":
+            spec = random_system(1, M=2)
+            points = np.random.default_rng(89).uniform(-1.0, 1.0, (200, spec.dim))
+        else:
+            bundle = build_model("euclidean-toy", constrained=True) if case == "constrained-toy" else build_model(case)
+            spec, points = bundle.spec, sample_points(bundle, 200, seed=89)
+        shift = (1j * reduced_dynamics.COMPLEX_STEP) * np.eye(spec.dim + 1)[:, 1:]
+        for q in points:
+            for fn in (spec.metric, spec.omega):
+                assert np.array_equal(np.asarray(fn(q + shift))[0].real, np.asarray(fn(q[None]))[0])
 
     @pytest.mark.parametrize("name", ["metric", "omega"])
     def test_real_only_callback_is_a_model_error(self, name):
@@ -565,24 +570,38 @@ class TestFrameRhs:
             with pytest.raises(ModelError, match="complex-safe"):
                 frame_rhs(racer.spec, q, np.array([0.5]), 0.0, ControlSignal.linear(0.2, 0.7), frame_field)
 
-    def test_one_real_and_one_complex_call_of_each_callback(self, ball):
-        """With the generic frame, each callback runs once at ``q`` (the splitting's front) and once complex.
+    @pytest.mark.parametrize("name", ["rolling-ball", "roller-racer"])
+    def test_one_complex_call_of_each_callback(self, name, monkeypatch):
+        """Each callback runs once, complex, on the stack ``q + i H [0; I_n]``, and never real.
 
-        ``metric`` along ``[V_1 .. V_m, qdot]`` in one stacked call, ``omega``
-        at ``q + i H qdot`` for the frame's transport.
+        Row 0's real part is the callback at ``q`` and rows ``1 .. n`` give the
+        axis derivatives.  The ball runs the generic frame, whose transport
+        needs no further call; the racer's published frame, given at ``q``,
+        adds one complex frame-field call at ``q + i H qdot``.  No matrix is
+        inverted in complex arithmetic.
         """
+        bundle = build_model(name)
         calls = Counter()
-        spec = counting_spec(ball.spec, calls)
-        q = sample_points(ball, 1, seed=55)[0]
-        frame_rhs(spec, q, np.array([0.3, -0.2, 0.5]), 0.0, ControlSignal.linear(q[5], 0.7))
-        assert calls == Counter(
-            {
-                ("metric", "real", (1, 6)): 1,
-                ("omega", "real", (1, 6)): 1,
-                ("metric", "complex", (1, 4, 6)): 1,
-                ("omega", "complex", (6,)): 1,
-            }
-        )
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda A: calls.update([("inv", A.dtype.kind)]) or inv(A))
+        spec = counting_spec(bundle.spec, calls)
+        q = sample_points(bundle, 1, seed=55)[0]
+        xi = np.linspace(0.3, -0.2, spec.N - spec.nu)
+        frame_field, frame = None, None
+        if bundle.frame_field is not None:
+            frame = bundle.frame_field(q)
+
+            def frame_field(qq):
+                calls["frame", "complex" if np.iscomplexobj(qq) else "real", np.shape(qq)] += 1
+                return bundle.frame_field(qq)
+
+        frame_rhs(spec, q, xi, 0.0, ControlSignal.linear(q[spec.N :], 0.7), frame_field, frame=frame)
+        n = spec.dim
+        # real inverses of A_d (generic frame only) and of the Gram matrix
+        expected = {("metric", "complex", (n + 1, n)): 1, ("omega", "complex", (n + 1, n)): 1, ("inv", "f"): 2}
+        if frame is not None:
+            expected["frame", "complex", (n,)], expected["inv", "f"] = 1, 1
+        assert calls == Counter(expected)
 
     def test_zero_state_is_stationary(self, racer):
         q = np.array([0.1, 1.4, -0.2, 0.2])

@@ -1,6 +1,7 @@
 """Integrator behaviour: order, diagnostics, CSV output, dither experiments."""
 
 import csv
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from nonholo.simulate import (
     two_timescale_coefficient,
 )
 
-from conftest import ball_free_block, random_system
+from conftest import ball_free_block, counting_spec, random_system
 
 
 def racer_momentum(bundle, q, xi):
@@ -239,6 +240,29 @@ class TestIntegrate:
         # only its complex transport point, the other 30 stages the frame and that point
         assert builds["frames"] == (0 if representation == "ambient" else 1 + 10 + 11 + 2 * 30)
 
+    def test_callback_calls_of_a_racer_run(self, racer):
+        """A 10-step racer run calls ``metric`` 42 and ``omega`` 43 times.
+
+        The splitting at ``t0`` calls each once and the initial generic
+        frame ``omega`` once more; then each of the 11 samples' stage k1 and
+        each of the 30 later stages makes one complex call of each, on the
+        stack ``q + i H [0; I_n]``.
+        """
+        calls = Counter()
+        integrate(
+            counting_spec(racer.spec, calls),
+            racer.default_q0,
+            racer_momentum(racer, racer.default_q0, 0.1),
+            ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi),
+            (0.0, 0.01),
+            IntegratorConfig(dt=1e-3),
+        )
+        totals = Counter()
+        for (name, _, _), count in calls.items():
+            totals[name] += count
+        assert totals == Counter({"metric": 42, "omega": 43})
+        assert calls["metric", "complex", (5, 4)] == calls["omega", "complex", (5, 4)] == 41
+
     def test_rejects_wrong_q0_shape(self, racer):
         with pytest.raises(ValueError):
             integrate(racer.spec, np.zeros(3), np.zeros(4), ControlSignal.constant(0.0), (0.0, 1.0))
@@ -386,7 +410,7 @@ class TestGenericFrame:
         """
         q = ball.default_q0
         xi, control = np.array([0.3, -0.2, 0.4]), ControlSignal.polynomial([q[5], 0.7, -0.25])
-        st = reduced_dynamics._maggi(ball.spec, q, xi, 0.0, control, None, axes=True)
+        st = reduced_dynamics._maggi(ball.spec, q, xi, 0.0, control, None)
         assert simulate._frame_diagnostics(st, xi, 0.0, control)[2] <= 1e-15
         G = np.linalg.inv(st.Ginv)
         st.xidot = (G @ st.xidot) / np.diag(G)
