@@ -11,7 +11,8 @@ Exit codes are a stable contract::
 
     0  success (check-fit: verdict "fit"; oracle-compare: deviation <= tol)
     1  configuration error (message names the file, line, or missing key)
-    2  step rejected by the integrator's residual guards
+    2  step rejected by the integrator's residual guards, or a
+       vibrate.steps_per_period under 20
     3  model, chart, or rank errors
     4  check-fit: verdict "not-fit" (witness printed);
        oracle-compare: deviation above tolerance

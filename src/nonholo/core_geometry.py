@@ -36,7 +36,9 @@ constraint block rather than its square.
 
 The splitting is computed by one kernel over a stack of points, the form the
 fitness scans use to batch their samples; :func:`projection_set` is its
-one-point case; it calls each model callback once per stack.
+one-point case.  It calls each model callback once per stack: on the real
+points, or, when derivatives along directions ``D`` are wanted too, on the
+complex stack ``q + i H [0; D]``, whose row 0 gives the callback's value.
 
 Conventions: configurations, vectors and covectors are 1-D ``numpy`` arrays of
 length ``N + M``; matrices act on the left.  Coprojections satisfy
@@ -50,13 +52,15 @@ nonzero singular values of a projection are at least one.
 
 from __future__ import annotations
 
+import threading
+import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import RankDeficiency, SingularMetric
+from .errors import ModelError, RankDeficiency, SingularMetric
 
 Array = np.ndarray
 MetricFn = Callable[[Array], Array]
@@ -65,6 +69,11 @@ SkipTypes = tuple[type[Exception], ...]
 
 #: Relative singular-value cutoff of the transversality test on the constraint block.
 RANK_RTOL = 1e-9
+#: Imaginary step ``H`` of the complex-step callback derivatives.  Far below
+#: the rounding of any real part, so ``Im f(q + iH e_j) / H`` is ``df/dq_j``
+#: with no truncation or cancellation error.
+COMPLEX_STEP = 1e-30
+_WARNINGS_LOCK = threading.RLock()
 
 
 @dataclass(frozen=True)
@@ -248,6 +257,27 @@ def _callback(spec: SystemSpec, label: str, Q: Array, dtype: object = float) -> 
     return A
 
 
+def _complex_call(fn: Callable, label: str, *args: object) -> object:
+    """``fn(*args)`` at complex arguments, raising ``ModelError`` unless ``fn`` is complex-safe.
+
+    ``fn`` is not complex-safe when it raises ``TypeError`` on complex input
+    or drops an imaginary part into a real array (``ComplexWarning``, made an
+    error here whatever the caller's filters): its derivatives would be
+    wrong, zero in the second case.  ``label`` names the callback in the
+    message.
+    """
+    # catch_warnings swaps process-wide state: the lock keeps threads of a
+    # concurrent caller from restoring each other's filters (reentrant: a frame
+    # field may take complex-step tensors inside the frame transport's call)
+    with _WARNINGS_LOCK, warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        try:
+            return fn(*args)
+        except (TypeError, np.exceptions.ComplexWarning) as exc:
+            msg = f"{label} is not complex-safe ({exc!r}): it must accept complex q and be analytic in it"
+            raise ModelError(msg) from None
+
+
 def _canonical_sign(cols: Array) -> Array:
     """Flip column signs so the largest-magnitude entry of each is positive (stack ``(S, n, k)``)."""
     S, _, k = cols.shape
@@ -319,27 +349,53 @@ def _block_I_basis(spec: SystemSpec, Vh: Array) -> Array:
     return _canonical_sign(B)
 
 
-def _splitting_front(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[tuple]]:
+def _splitting_front(
+    spec: SystemSpec, Q: Array, skip: SkipTypes = (), D: Optional[Array] = None
+) -> tuple[Array, Optional[tuple]]:
     """The validated front of the splitting at every point of ``Q``: callbacks, metric test, constraint SVD.
 
     Each callback runs once on the whole stack (``metric``, then ``omega``),
     then the symmetry, Cholesky and pivot tests of the metrics and the
-    transversality test of :func:`_constraint_svd`.  A point whose callbacks
-    raise one of ``skip`` (see :func:`_stacked_call`), or whose constraint
-    block fails the rank test while ``RankDeficiency`` is in ``skip``, leaves
-    the stack; any other error propagates.  Returns ``(keep, front)``: the
-    mask of the points of ``Q`` that stayed and the stacks ``(G, Om, U, s,
-    Vh)`` over them (``None`` when no point stayed).
+    transversality test of :func:`_constraint_svd`.  With derivative
+    directions ``D`` (shape ``(k, N+M)``) each runs instead on the complex
+    stack ``Q[i] + i H [0; D]`` (``H = COMPLEX_STEP``): row 0's real part is
+    the callback at ``Q[i]``, bit for bit the real call, and rows ``1 .. k``
+    give its derivatives along ``D`` as imaginary parts over ``H``; a
+    metric derivative must be symmetric, and a callback that is not
+    complex-safe raises ``ModelError`` (see :func:`_complex_call`).  A point
+    whose callbacks raise one of ``skip`` (see :func:`_stacked_call`), or
+    whose constraint block fails the rank test while ``RankDeficiency`` is in
+    ``skip``, leaves the stack; any other error propagates.  Returns
+    ``(keep, front)``: the mask of the points of ``Q`` that stayed and the
+    stacks ``(G, Om, U, s, Vh, derivs)`` over them, with ``derivs`` the
+    derivative stacks ``(dG, dOm)`` of shapes ``(S', k, ...)``, ``None``
+    without ``D`` (``front`` is ``None`` when no point stayed).
     """
+    if D is None:
 
-    def callbacks(Q: Array) -> tuple:
-        return _callback(spec, "metric", Q), _callback(spec, "omega", Q)
+        def callbacks(Q: Array) -> tuple:
+            return _callback(spec, "metric", Q), _callback(spec, "omega", Q)
 
-    keep, parts = _stacked_call(callbacks, Q, skip)
+        keep, parts = _stacked_call(callbacks, Q, skip)
+    else:
+        shift = (1j * COMPLEX_STEP) * np.concatenate([np.zeros((1, spec.dim)), D])
+
+        def callbacks(Q: Array) -> tuple:
+            Z = Q[:, None] + shift
+            return _callback(spec, "metric", Z, None), _callback(spec, "omega", Z, None)
+
+        keep, parts = _complex_call(_stacked_call, "metric or omega", callbacks, Q, skip)
     if not parts:
         return keep, None
     G, Om = parts
+    derivs = None
+    if D is not None:
+        derivs = (G[:, 1:].imag / COMPLEX_STEP, Om[:, 1:].imag / COMPLEX_STEP)
+        # contiguous, so products round as on the real call
+        G, Om = (np.ascontiguousarray(A[:, 0].real, dtype=float) for A in (G, Om))
     _cholesky_spd(G)
+    if derivs is not None:
+        _check_symmetric(derivs[0], "metric derivative")
 
     ranked, U, s, Vh = _constraint_svd(spec, Q[keep] if len(G) < len(Q) else Q, Om, skip)
     if not ranked.all():
@@ -347,7 +403,9 @@ def _splitting_front(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[
         if not ranked.any():
             return keep, None
         G, Om = G[ranked], Om[ranked]
-    return keep, (G, Om, U, s, Vh)
+        if derivs is not None:
+            derivs = tuple(d[ranked] for d in derivs)
+    return keep, (G, Om, U, s, Vh, derivs)
 
 
 def _particular_solutions(spec: SystemSpec, Om: Array, U: Array, s: Array, Vh: Array) -> Array:
@@ -366,20 +424,24 @@ def _particular_solutions(spec: SystemSpec, Om: Array, U: Array, s: Array, Vh: A
     return x0
 
 
-def _projection_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[ProjectionSet]]:
+def _projection_stack(
+    spec: SystemSpec, Q: Array, skip: SkipTypes = (), D: Optional[Array] = None
+) -> tuple[Array, Optional[ProjectionSet], Optional[tuple[Array, Array]]]:
     """The splitting at every point of ``Q`` (shape ``(S, N+M)``) at once.
 
-    Points leave the stack as in :func:`_splitting_front`; every step after it
-    runs once on the whole stack, and the inverse metrics come from
-    ``np.linalg.inv`` once the Cholesky test has passed.  Returns ``(keep,
-    P)``: the mask of the points of ``Q`` that stayed and a
-    :class:`ProjectionSet` whose fields carry one leading axis over them
-    (``None`` when no point stayed).
+    Points leave the stack as in :func:`_splitting_front`, which takes the
+    callbacks' derivatives along ``D`` from the same calls when ``D`` is
+    given; every step after it runs once on the whole stack, and the inverse
+    metrics come from ``np.linalg.inv`` once the Cholesky test has passed.
+    Returns ``(keep, P, derivs)``: the mask of the points of ``Q`` that
+    stayed, a :class:`ProjectionSet` whose fields carry one leading axis over
+    them (``None`` when no point stayed) and the derivative stacks ``(dG,
+    dOm)`` over them (``None`` without ``D``).
     """
-    keep, front = _splitting_front(spec, Q, skip)
+    keep, front = _splitting_front(spec, Q, skip, D)
     if front is None:
-        return keep, None
-    G, Om, U, s, Vh = front
+        return keep, None, None
+    G, Om, U, s, Vh, derivs = front
     B = _block_I_basis(spec, Vh)
     # the g-orthogonal projector onto block I: B (B^T g B)^-1 B^T g
     gB = G @ B
@@ -401,7 +463,7 @@ def _projection_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple
         ginv=np.linalg.inv(G),
         Om=Om,
     )
-    return keep, P
+    return keep, P, derivs
 
 
 def _block_ranks(spec: SystemSpec, Q: Array, P: ProjectionSet, skip: SkipTypes = ()) -> Array:
@@ -430,7 +492,7 @@ def projection_set(spec: SystemSpec, q: Array, check: bool = True) -> Projection
     still runs), which matters on the hot path of the dynamics.
     """
     q = np.asarray(q, dtype=float)
-    _, P = _projection_stack(spec, q[None])
+    _, P, _ = _projection_stack(spec, q[None])
     if check:
         _block_ranks(spec, q[None], P)
     return P.point(0)

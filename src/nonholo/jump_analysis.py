@@ -21,10 +21,11 @@ the coefficient tensors of :mod:`nonholo.reduced_dynamics`;
 :func:`sufficiency_check` needs only the splitting and the metric's
 complex-step derivatives along the controls.  None differences the
 splitting itself.  The scans and :func:`sufficiency_check` batch their
-sample points: the splitting (and, for the scans, the coefficient tensors)
-of every point is built by one stacked kernel, which calls each model
-callback once per stack, and every seed direction at every point is
-evaluated by one broadcast contraction.
+sample points through one stacked kernel, which calls each model callback
+once per stack, complex, at ``q + i H [0; D]``: row 0 gives the callback's
+value for the splitting, the other rows its derivatives along ``D`` (every
+axis for the scans, the controls for :func:`sufficiency_check`).  Every
+seed direction at every point is evaluated by one broadcast contraction.
 """
 
 from __future__ import annotations
@@ -34,21 +35,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_geometry import Array, SystemSpec, _block_ranks, _each_point, _eye, _projection_stack, projection_set
+from .core_geometry import Array, SystemSpec, _block_ranks, _each_point, _eye, _projection_stack
 from .errors import (
     ChartDomain,
     NotInDeltaCapGamma,
     RankDeficiency,
     SingularDenominator,
 )
-from .reduced_dynamics import (
-    CoefficientTensors,
-    _complex_step_stack,
-    _tensor_stack,
-    centrifugal_psi,
-    coefficient_tensors,
-    theta_I_apply,
-)
+from .reduced_dynamics import CoefficientTensors, _tensor_stack, centrifugal_psi, theta_I_apply
 
 # verdict thresholds: fit at <= tol, not-fit at > 10 tol, gray band between
 GRAY_FACTOR = 10.0
@@ -328,7 +322,8 @@ def sufficiency_check(
 
     Measured over sampled points, from one stacked splitting and the
     complex-step derivatives ``dg_u`` of the metric along the controlled
-    coordinates (one stacked ``metric`` call; no coefficient tensors):
+    coordinates, both from one complex call of each callback on the stack
+    ``q + i H [0; e_u]`` (no coefficient tensors):
 
     * control independence of the inverse metric — the max absolute entry
       of its derivatives ``dginv[u] = -ginv dg_u ginv`` along the
@@ -343,15 +338,11 @@ def sufficiency_check(
     splitting has the wrong rank or ``basis_field`` raises a skippable error.
     """
     pts = sampler.points(n_samples)
-    keep, P = _projection_stack(spec, pts, skip=_SKIPPABLE)
+    # the callbacks' derivatives along the controlled coordinates only
+    keep, P, derivs = _projection_stack(spec, pts, _SKIPPABLE, _eye(spec.dim)[spec.N :])
     max_dg = 0.0
     max_rep = 0.0
     if P is not None:
-        # the metric's derivatives along the controlled coordinates only
-        derived, derivs = _complex_step_stack(spec, pts[keep], _eye(spec.dim)[spec.N :], ("metric",), _SKIPPABLE)
-        keep[keep] = derived
-        P = P.point(derived)
-    if keep.any():
         ok = _block_ranks(spec, pts[keep], P, skip=_SKIPPABLE)
         based, bases = _each_point(lambda Q: (np.asarray(basis_field(Q[0]), dtype=float)[None],), pts[keep][ok], _SKIPPABLE)
         ok[ok] = based
@@ -400,14 +391,15 @@ def leaf_metric_derivative(
     q = np.asarray(q, dtype=float)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     w = np.asarray(w, dtype=float)
-    P = projection_set(spec, q)
+    _, T = _tensor_stack(spec, q[None])
+    _block_ranks(spec, q[None], T.projections)
+    P = T.projections.point(0)
     wnorm = float(np.abs(w).max())
     if wnorm == 0.0:
         return 0.0
     if float(np.abs(P.P_I @ w - w).max()) > tol * (1.0 + wnorm):
         raise NotInDeltaCapGamma("direction w is not a free-block tangent vector")
-    T = coefficient_tensors(spec, q, projections=P)
     z = P.h @ v
-    dk = np.tensordot(w, T.dk, axes=1)
-    dg = np.tensordot(w, T.dg, axes=1)
+    dk = np.tensordot(w, T.dk[0], axes=1)
+    dg = np.tensordot(w, T.dg[0], axes=1)
     return float(2.0 * z @ dk @ v - z @ dg @ z)

@@ -30,9 +30,10 @@ independent reference the frame form is checked against.
 
 Derivatives come in two kinds.  Those of the model callbacks ``metric`` and
 ``omega`` are complex-step derivatives: each callback is called once on the
-stack of the points ``q + i H e_j`` (``H = COMPLEX_STEP``), with ``q`` itself
-first for the frame form, and the derivative is read from the imaginary
-part, exact to rounding.  The derivatives of the splitting built from them —
+stack of the points ``q`` and ``q + i H e_j`` (``H = COMPLEX_STEP``); row 0's
+real part is the callback at ``q``, which the splitting or the frame form is
+built from, and the other rows' imaginary parts give the derivatives, exact
+to rounding.  The derivatives of the splitting built from them —
 free coprojection, inverse metric and lift — follow from closed-form
 perturbation identities at a single splitting (:func:`coefficient_tensors`),
 and so does the generic frame's transport.  A published frame is transported
@@ -44,8 +45,6 @@ contract: they must be complex-safe, and one that is not raises
 from __future__ import annotations
 
 import itertools
-import threading
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -54,6 +53,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core_geometry import (
+    COMPLEX_STEP,
     RANK_RTOL,
     Array,
     Frame,
@@ -63,21 +63,14 @@ from .core_geometry import (
     _callback,
     _check_symmetric,
     _cholesky_spd,
+    _complex_call,
+    _constraint_svd,
     _eye,
     _projection_stack,
-    _constraint_svd,
-    _stacked_call,
-    projection_set,
 )
-from .errors import FrameNotSmooth, ModelError, NonAdaptedState, NotInDeltaCapGamma
+from .errors import FrameNotSmooth, NonAdaptedState, NotInDeltaCapGamma
 
 TimeFn = Callable[[float], Array]
-
-#: Imaginary step ``H`` of the complex-step callback derivatives.  Far below
-#: the rounding of any real part, so ``Im f(q + iH e_j) / H`` is ``df/dq_j``
-#: with no truncation or cancellation error.
-COMPLEX_STEP = 1e-30
-_WARNINGS_LOCK = threading.RLock()
 
 
 @dataclass(frozen=True)
@@ -195,55 +188,6 @@ class CoefficientTensors:
     dg: Array
 
 
-def _complex_call(fn: Callable, label: str, *args: object) -> object:
-    """``fn(*args)`` at complex arguments, raising ``ModelError`` unless ``fn`` is complex-safe.
-
-    ``fn`` is not complex-safe when it raises ``TypeError`` on complex input
-    or drops an imaginary part into a real array (``ComplexWarning``, made an
-    error here whatever the caller's filters): its derivatives would be
-    wrong, zero in the second case.  ``label`` names the callback in the
-    message.
-    """
-    # catch_warnings swaps process-wide state: the lock keeps threads of a
-    # concurrent caller from restoring each other's filters (reentrant: a frame
-    # field may take complex-step tensors inside the frame transport's call)
-    with _WARNINGS_LOCK, warnings.catch_warnings():
-        warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        try:
-            return fn(*args)
-        except (TypeError, np.exceptions.ComplexWarning) as exc:
-            msg = f"{label} is not complex-safe ({exc!r}): it must accept complex q and be analytic in it"
-            raise ModelError(msg) from None
-
-
-def _complex_step_stack(
-    spec: SystemSpec, Q: Array, D: Array, labels: tuple[str, ...] = ("metric", "omega"), skip: SkipTypes = ()
-) -> tuple[Array, tuple[Array, ...]]:
-    """Complex-step derivatives of the callbacks ``labels`` at every point ``Q[i]`` along directions ``D``.
-
-    ``D`` holds ``k`` directions, shape ``(k, N+M)`` shared by all points or
-    ``(S, k, N+M)`` per point.  Each callback is called once on the stack
-    ``Z[i, j] = Q[i] + i H D[..., j, :]`` and the derivative is the
-    imaginary part over ``H``; a metric derivative must be symmetric.  A
-    callback that is not complex-safe raises ``ModelError`` (see
-    :func:`_complex_call`).  A point whose callbacks raise one of ``skip``
-    leaves the stack.  Returns ``(keep, derivs)``: the mask of the points
-    that stayed and, per label, the stack of shape ``(S', k, ...)`` over them
-    (empty when no point stayed).
-    """
-
-    def complex_step(Z: Array) -> tuple[Array, ...]:
-        return tuple(_callback(spec, label, Z, None).imag for label in labels)
-
-    Z = Q[:, None, :] + (1j * COMPLEX_STEP) * D
-    keep, parts = _complex_call(_stacked_call, " or ".join(labels), complex_step, Z, skip)
-    derivs = tuple(part / COMPLEX_STEP for part in parts)
-    for label, d in zip(labels, derivs):
-        if label == "metric":
-            _check_symmetric(d, "metric derivative")
-    return keep, derivs
-
-
 def _tensors_from(P: ProjectionSet, dg: Array, dOm: Array) -> CoefficientTensors:
     """:class:`CoefficientTensors` from a splitting and its callback derivatives.
 
@@ -278,37 +222,31 @@ def _tensors_from(P: ProjectionSet, dg: Array, dOm: Array) -> CoefficientTensors
 def _tensor_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[CoefficientTensors]]:
     """:func:`coefficient_tensors` at every point of ``Q`` (shape ``(S, N+M)``) at once.
 
-    Points leave the stack as in
-    :func:`~nonholo.core_geometry._projection_stack` (callback errors in
-    ``skip``, failed rank tests), before any callback derivative is taken at
-    them, or when a derivative callback raises one of ``skip``.  Returns
-    ``(keep, T)``: the mask of the points of ``Q`` that stayed and the
-    tensors with one leading axis over them (``None`` when none stayed).
+    The splitting and the callbacks' axis derivatives come from one complex
+    call of each callback on the stack (see
+    :func:`~nonholo.core_geometry._splitting_front`, here with ``D = I``), and
+    points leave it as there (callback errors in ``skip``, failed rank
+    tests).  Returns ``(keep, T)``: the mask of the points of ``Q`` that
+    stayed and the tensors with one leading axis over them (``None`` when
+    none stayed).
     """
-    keep, P = _projection_stack(spec, Q, skip)
-    if P is None:
-        return keep, None
-    derived, derivs = _complex_step_stack(spec, Q[keep], _eye(spec.dim), skip=skip)
-    if not derived.all():
-        keep[keep] = derived
-        if not derived.any():
-            return keep, None
-        P = P.point(derived)
-    return keep, _tensors_from(P, *derivs)
+    keep, P, derivs = _projection_stack(spec, Q, skip, _eye(spec.dim))
+    return keep, None if P is None else _tensors_from(P, *derivs)
 
 
-def coefficient_tensors(spec: SystemSpec, q: Array, projections: Optional[ProjectionSet] = None) -> CoefficientTensors:
+def coefficient_tensors(spec: SystemSpec, q: Array) -> CoefficientTensors:
     """Assemble :class:`CoefficientTensors` at ``q`` from one splitting.
 
     Only ``metric`` and ``omega`` are differentiated numerically, by complex
-    step at ``q + i H e_j`` (one stacked call of each); the splitting's
-    derivatives are closed-form (see :func:`_tensors_from`).  A callback that
-    is not complex-safe raises :class:`~nonholo.errors.ModelError`.
+    step: each runs once on the stack ``q + i H [0; I]``, whose row 0 gives
+    the splitting and whose other rows give the axis derivatives; the
+    splitting's derivatives are closed-form (see :func:`_tensors_from`).  A
+    callback that is not complex-safe raises
+    :class:`~nonholo.errors.ModelError`.
     """
     q = np.asarray(q, dtype=float)
-    P = projections if projections is not None else projection_set(spec, q, check=False)
-    _, (dg, dOm) = _complex_step_stack(spec, q[None], _eye(spec.dim))
-    return _tensors_from(P, dg[0], dOm[0])
+    _, P, (dg, dOm) = _projection_stack(spec, q[None], D=_eye(spec.dim))
+    return _tensors_from(P.point(0), dg[0], dOm[0])
 
 
 def theta_I_apply(
@@ -603,11 +541,14 @@ def frame_coefficients(
     * ``"udot_udot"`` -- shape ``(m, M, M)``, pure control-rate pump.
 
     The controlled coordinates of ``q`` serve as the control value.  One
-    frame at ``q`` serves every polarization call (with ``None``, each builds the generic one).
+    frame at ``q`` serves every polarization call; with ``None``, that of the
+    generic frame field whose pivots are best at ``q``, picked once.
     """
     q = np.asarray(q, dtype=float)
     u0 = q[spec.N :]
-    frame = frame_field(q) if frame_field is not None else None
+    if frame_field is None:
+        frame_field = _VoronetsFrame.best(spec, _callback(spec, "omega", q[None])[0])
+    frame = frame_field(q)
     m = spec.N - spec.nu
     E = np.eye(m + spec.M)
 

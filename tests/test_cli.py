@@ -1,11 +1,20 @@
 """End-to-end command-line behaviour: config parsing and the exit-code contract."""
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nonholo.cli import main, model_from_config, parse_config, run
+from nonholo.cli import (
+    _check_control_resolved,
+    control_from_config,
+    integrator_from_config,
+    main,
+    model_from_config,
+    parse_config,
+    run,
+)
 from nonholo.errors import ConfigError
 
 
@@ -439,6 +448,39 @@ class TestVibrateCommand:
     def test_model_without_closed_state_errors(self, tmp_path):
         cfg = write_cfg(tmp_path, "model.name = rolling-ball\n")
         assert main(["vibrate", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 3
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestShippedConfigs:
+    """The worked configurations in ``configs/`` run with the exit codes the README lists."""
+
+    @pytest.mark.parametrize(
+        "command, name, code",
+        [
+            ("simulate", "ball_sinusoid", 0),
+            ("check-fit", "ball_checkfit", 0),
+            ("check-fit", "racer_checkfit", 4),
+            ("oracle-compare", "racer_oracle", 0),
+            ("vibrate", "racer_vibrate", 0),
+        ],
+    )
+    def test_config_runs(self, tmp_path, command, name, code):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(CONFIGS / f"{name}.cfg"), "--out", str(out)]) == code
+        assert out.stat().st_size > 0
+
+    def test_long_simulation_config_is_valid(self):
+        """``racer_constant`` takes seconds to run, so it is only parsed and validated."""
+        cfg = parse_config(str(CONFIGS / "racer_constant.cfg"))
+        model = model_from_config(cfg)
+        control = control_from_config(cfg)
+        config, (t0, t1) = integrator_from_config(cfg)
+        _check_control_resolved(cfg, config.dt)
+        assert np.atleast_1d(control.value(t0)).shape == (model.spec.M,) and t1 > t0
+        for key in ("initial.q", "initial.p"):
+            assert cfg.get_floats(key).shape == (model.spec.dim,)
 
 
 class TestEntryPoint:

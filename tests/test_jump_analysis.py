@@ -1,6 +1,7 @@
 """Jump-fitness diagnostics: scans, structural sufficiency, leaf derivative."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from nonholo.jump_analysis import (
 from nonholo.models import build_model, racer_frame_vectors, roller_racer_spec
 from nonholo.reduced_dynamics import centrifugal_psi, coefficient_tensors, theta_I_apply
 
-from conftest import random_system, sample_points, stacked
+from conftest import counting_spec, random_system, sample_points, stacked
 
 
 def euclidean_racer_forms() -> SystemSpec:
@@ -439,6 +440,17 @@ class TestSufficiency:
         assert not rep.representation_constancy.passed
         assert rep.representation_constancy.observed > 0.1
         assert "FAILS" in rep.to_text()
+
+    @pytest.mark.parametrize("name", ["roller-racer", "rolling-ball"])
+    def test_one_complex_call_of_each_callback(self, name):
+        """The splitting and the control derivatives come from one complex call of each callback on ``q + i H [0; e_u]``."""
+        bundle = build_model(name)
+        calls = Counter()
+        spec = counting_spec(bundle.spec, calls)
+        S, M, n = 30, spec.M, spec.dim
+        rep = sufficiency_check(spec, bundle.constancy_basis, BoxSampler(bundle.sample_box, seed=4), n_samples=S)
+        assert rep.sample_count == S
+        assert dict(calls) == {("metric", "complex", (S, M + 1, n)): 1, ("omega", "complex", (S, M + 1, n)): 1}
 
     def test_toy_conditions_hold(self, toy_constrained):
         rep = sufficiency_check(

@@ -147,8 +147,8 @@ class TestQuadraticForm:
 
     def test_psi_is_diagonal_of_theta_on_drive_lift(self, racer):
         for q in sample_points(racer, 5, seed=33):
-            P = projection_set(racer.spec, q)
-            T = coefficient_tensors(racer.spec, q, projections=P)
+            T = coefficient_tensors(racer.spec, q)
+            P = T.projections
             udot = np.array([0.8])
             direct = centrifugal_psi(racer.spec, q, udot, tensors=T)
             via_theta = theta_I_apply(racer.spec, q, P.k @ udot, P.k @ udot, tensors=T)
@@ -271,26 +271,27 @@ class TestClosedFormDerivatives:
 
     @pytest.mark.parametrize("model", ["racer", "ball"])
     def test_one_splitting_per_tensor(self, model, racer, ball, monkeypatch):
-        """One splitting per tensor, and no real callback call beyond it."""
+        """One splitting per tensor, from one complex call of each callback and no real call."""
         bundle = {"racer": racer, "ball": ball}[model]
         calls = Counter()
         spec = counting_spec(bundle.spec, calls)
-        monkeypatch.setattr(reduced_dynamics, "projection_set", counted(calls, "projection_set", projection_set))
+        stack = reduced_dynamics._projection_stack
+        monkeypatch.setattr(reduced_dynamics, "_projection_stack", counted(calls, "splitting", stack))
         q = sample_points(bundle, 1, seed=71)[0]
         n = spec.dim
 
-        coefficient_tensors(spec, q)
-        assert calls["projection_set"] == 1
-
-        P = projection_set(spec, q, check=False)
-        calls.clear()
-        coefficient_tensors(spec, q, projections=P)
-        assert dict(calls) == {("metric", "complex", (1, n, n)): 1, ("omega", "complex", (1, n, n)): 1}
+        T = coefficient_tensors(spec, q)
+        complex_calls = {(name, "complex", (1, n + 1, n)): 1 for name in ("metric", "omega")}
+        assert dict(calls) == {"splitting": 1, **complex_calls}
+        # row 0 of the complex stack is the real splitting, bit for bit
+        P = projection_set(bundle.spec, q, check=False)
+        for name in ("P_I", "h", "k", "R_II", "I_basis", "g", "ginv", "Om"):
+            assert np.array_equal(getattr(T.projections, name), getattr(P, name)), name
 
     @pytest.mark.parametrize("S", [1, 25])
     @pytest.mark.parametrize("model", ["racer", "ball"])
     def test_one_stacked_call_per_callback(self, model, S, racer, ball):
-        """Per stack: one real call of each callback, one complex call of ``metric`` and of ``omega``."""
+        """Per stack: one complex call of ``metric`` and of ``omega`` on ``Q[i] + i H [0; I_n]``, and no real call."""
         bundle = {"racer": racer, "ball": ball}[model]
         calls = Counter()
         spec = counting_spec(bundle.spec, calls)
@@ -298,8 +299,7 @@ class TestClosedFormDerivatives:
         n = spec.dim
         keep, T = reduced_dynamics._tensor_stack(spec, Q)
         assert keep.all() and T.dg.shape == (S, n, n, n)
-        real = {(name, "real", (S, n)): 1 for name in ("metric", "omega")}
-        assert dict(calls) == {**real, ("metric", "complex", (S, n, n)): 1, ("omega", "complex", (S, n, n)): 1}
+        assert dict(calls) == {("metric", "complex", (S, n + 1, n)): 1, ("omega", "complex", (S, n + 1, n)): 1}
 
     def test_chart_edge_point_leaves_after_a_per_point_rerun(self, ball):
         """A stack with one point on the chart edge is rerun point by point; only that point leaves."""
@@ -309,19 +309,17 @@ class TestClosedFormDerivatives:
         n = spec.dim
         keep, T = reduced_dynamics._tensor_stack(spec, Q, skip=(ChartDomain,))
         # without an edge point the stack needs no rerun
-        assert keep.all() and sum(calls.values()) == 4
+        assert keep.all() and sum(calls.values()) == 2
         Q[7, 1] = 0.0  # sin(q2) = 0: the Euler chart's edge
         calls.clear()
         keep, T = reduced_dynamics._tensor_stack(spec, Q, skip=(ChartDomain,))
         assert np.flatnonzero(~keep).tolist() == [7]
         assert dict(calls) == {
             # the stacked metric call raises, then every point is rerun alone;
-            # the edge point raises in metric, before its other callbacks
-            ("metric", "real", (25, n)): 1,
-            ("metric", "real", (1, n)): 25,
-            ("omega", "real", (1, n)): 24,
-            ("metric", "complex", (24, n, n)): 1,
-            ("omega", "complex", (24, n, n)): 1,
+            # the edge point raises in metric, before its omega call
+            ("metric", "complex", (25, n + 1, n)): 1,
+            ("metric", "complex", (1, n + 1, n)): 25,
+            ("omega", "complex", (1, n + 1, n)): 24,
         }
         _, clean = reduced_dynamics._tensor_stack(ball.spec, Q[keep])
         for name in ("dPstar_I", "dginv", "dk", "dg"):
@@ -443,7 +441,7 @@ class TestComplexStep:
         def metric(q):
             return spec.metric(q) if not np.iscomplexobj(q) else spec.metric(q)[..., :3, :3]
 
-        with pytest.raises(ValueError, match=r"metric returned shape \(1, 4, 3, 3\), expected \(1, 4, 4, 4\)"):
+        with pytest.raises(ValueError, match=r"metric returned shape \(1, 5, 3, 3\), expected \(1, 5, 4, 4\)"):
             coefficient_tensors(dataclasses.replace(spec, metric=metric), racer.default_q0)
 
 
@@ -840,6 +838,21 @@ class TestFrameCoefficients:
             for name, block in ref.items():
                 assert got[name].shape == block.shape
                 assert np.array_equal(got[name], block), name
+
+    @pytest.mark.parametrize("model", ["racer", "ball"])
+    def test_generic_frame_pivots_are_picked_once(self, model, racer, ball, monkeypatch):
+        """With no frame field the pivots are picked once per call, and the blocks equal per-stage picking bitwise."""
+        bundle = {"racer": racer, "ball": ball}[model]
+        points = sample_points(bundle, 4, seed=59)
+        refs = [block_loop_coefficients(bundle.spec, q, None) for q in points]
+        calls = []
+        best = _VoronetsFrame.best
+        monkeypatch.setattr(_VoronetsFrame, "best", staticmethod(lambda *args: calls.append(1) or best(*args)))
+        for q, ref in zip(points, refs):
+            got = frame_coefficients(bundle.spec, q)
+            for name, block in ref.items():
+                assert np.array_equal(got[name], block), name
+        assert len(calls) == len(points)
 
 
 def block_loop_coefficients(spec, q, frame_field, rhs=None):
