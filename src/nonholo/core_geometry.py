@@ -52,6 +52,7 @@ nonzero singular values of a projection are at least one.
 
 from __future__ import annotations
 
+import math
 import threading
 import warnings
 from dataclasses import dataclass
@@ -216,7 +217,7 @@ def _check_symmetric(G: Array, label: str) -> None:
     its own largest entry, so no point passes on another's scale.
     """
     GT = G.swapaxes(-1, -2)
-    if (G == GT).all():
+    if G.tobytes() == GT.tobytes():  # bitwise symmetric: cheaper than comparing entries
         return
     asym = np.abs(G - GT).reshape(len(G), -1).max(axis=1)
     if (asym > 1e-9 * (1.0 + np.abs(G).reshape(len(G), -1).max(axis=1))).any():
@@ -231,6 +232,12 @@ def _eye(n: int) -> Array:
     return eye
 
 
+def _norm(x: Array) -> float:
+    """``np.linalg.norm(x)`` (2-norm, Frobenius on a matrix) bit for bit, without its dispatch cost."""
+    v = x.ravel(order="K")
+    return math.sqrt(v @ v)
+
+
 def _cholesky_spd(G: Array, label: str = "metric") -> Array:
     """Cholesky factors of the stack ``G``, raising ``SingularMetric`` unless each is SPD."""
     _check_symmetric(G, label)
@@ -238,13 +245,11 @@ def _cholesky_spd(G: Array, label: str = "metric") -> Array:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"{label} is not positive definite") from exc
-    d = L.diagonal(0, -2, -1)
-    if d.size:
-        # pivot ratio ~ sqrt(condition number); reject past ~1e12 conditioning
-        ratio = d.min(axis=-1) / d.max(axis=-1)
-        bad = ratio**2 < 1e-12
-        if bad.any():
-            raise SingularMetric(f"{label} is numerically singular (pivot ratio {ratio[bad][0]:.2e})")
+    # pivot ratio ~ sqrt(condition number); reject past ~1e12 conditioning (NaN passes, as under np.min)
+    for diag in L.diagonal(0, -2, -1).tolist() if L.size else ():
+        ratio = min(diag) / max(diag)
+        if ratio * ratio < 1e-12 and not any(map(math.isnan, diag)):
+            raise SingularMetric(f"{label} is numerically singular (pivot ratio {ratio:.2e})")
     return L
 
 

@@ -23,10 +23,12 @@ the frame's transport.  So the frame form builds no coefficient tensors: it
 needs the metric and the lift at ``q``, the frame, its transport, and the
 metric's derivatives along the free frame vectors and ``qdot``.  A frame
 built from ``omega`` alone (``_VoronetsFrame``) serves every model, and
-:func:`~nonholo.simulate.integrate` steps every run this way.  The
-coefficient tensors serve the fitness scans, and the ambient right-hand
-side built on them (:func:`reduced_rhs`, :func:`reaction_force`) is the
-independent reference the frame form is checked against.
+:func:`~nonholo.simulate.integrate` steps every run this way, each RK4
+stage running the kernel of ``frame_rhs`` directly (a stage's ``q`` is
+adapted by construction).  The coefficient tensors serve the fitness scans,
+and the ambient right-hand side built on them (:func:`reduced_rhs`,
+:func:`reaction_force`) is the independent reference the frame form is
+checked against.
 
 Derivatives come in two kinds.  Those of the model callbacks ``metric`` and
 ``omega`` are complex-step derivatives: each callback is called once on the
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -66,6 +68,7 @@ from .core_geometry import (
     _complex_call,
     _constraint_svd,
     _eye,
+    _norm,
     _projection_stack,
 )
 from .errors import FrameNotSmooth, NonAdaptedState, NotInDeltaCapGamma
@@ -379,7 +382,7 @@ def check_frame_continuity(prev: Frame, new: Frame) -> None:
     vectors across ``sin q2 = 0``).
     """
     (i0, i1), _, (j0, j1) = new.block_ranges
-    cols = np.r_[i0:i1, j0:j1]
+    cols = [*range(i0, i1), *range(j0, j1)]  # cheaper than np.r_ on every stage of a published frame
     d = np.einsum("ij,ji->i", prev.Omega_frame[cols], new.V[:, cols])
     if d.size and float(d.min()) < 0.5:
         raise FrameNotSmooth(f"frame overlap diagonal dropped to {float(d.min()):.3f}")
@@ -410,31 +413,41 @@ class _VoronetsFrame:
         return _VoronetsFrame(spec, tuple(int(j) for j in subsets[np.argmin(cond)]))
 
     @cached_property
-    def _layout(self) -> tuple[Array, Array, Array]:
+    def _layout(self) -> tuple[Array, Array, Array, tuple]:
+        """The pivot index array, the other coordinates ``r``, ``E = I[:, r]`` and the block ranges."""
         r = np.array([j for j in range(self.spec.dim) if j not in self.pivots], dtype=int)
         E = _eye(self.spec.dim)[:, r]
         E.flags.writeable = False  # every frame's Omega_frame is E.T
-        return np.array(self.pivots, dtype=int), r, E
-
-    def of(self, Om: Array) -> tuple[Frame, Array]:
-        """The frame at the constraint forms ``Om``, and ``A_d^-1``."""
-        d, r, E = self._layout
-        Ainv = np.linalg.inv(Om[:, d])
-        V = E.astype(Om.dtype)
-        V[d] = -Ainv @ Om[:, r]
         m = self.spec.N - self.spec.nu
-        return Frame(V, E.T, ((0, m), (m, m), (m, len(r)))), Ainv
+        return np.array(self.pivots, dtype=int), r, E, ((0, m), (m, m), (m, len(r)))
+
+    def of(self, Om: Array) -> tuple[Array, Array]:
+        """The frame vectors ``V`` at the constraint forms ``Om``, and ``A_d^-1``."""
+        d, r, E, _ = self._layout
+        Ainv = np.linalg.inv(Om[:, d])
+        V = E.astype(Om.dtype)  # in E's (F) order, by which matmuls with V round
+        V[d] = -Ainv @ Om[:, r]
+        return V, Ainv
 
     def __call__(self, q: Array) -> Frame:
-        return self.of(_callback(self.spec, "omega", np.asarray(q), None))[0]
+        return Frame(self.of(_callback(self.spec, "omega", np.asarray(q), None))[0], self._layout[2].T, self._layout[3])
+
+
+@lru_cache(maxsize=None)
+def _axis_shift(n: int) -> Array:
+    """Read-only ``i H [0; I_n]``: ``q + _axis_shift(n)`` stacks ``q`` and its complex steps along the axes."""
+    shift = (1j * COMPLEX_STEP) * _eye(n + 1)[:, 1:]
+    shift.flags.writeable = False
+    return shift
 
 
 def _maggi(
     spec: SystemSpec, q: Array, xi: Array, t: float, control: ControlSignal, frame_field, frame=None
 ) -> SimpleNamespace:
-    """:func:`frame_rhs` at ``q``, with the intermediates that the sample diagnostics read."""
+    """:func:`frame_rhs` at ``q``, less its conversions and adaptedness test, with the intermediates
+    that the sample diagnostics read (``ainv_norm = |A_d^-1|_F`` on the generic frame)."""
     n = spec.dim
-    Z = q + (1j * COMPLEX_STEP) * _eye(n + 1)[:, 1:]
+    Z = q + _axis_shift(n)
     gz, Omz = _complex_call(lambda: (_callback(spec, "metric", Z, None), _callback(spec, "omega", Z, None)), "metric or omega")
     g, Om = gz[0].real.copy(), Omz[0].real.copy()  # contiguous, so products round as on the real call
     _cholesky_spd(g[None])
@@ -442,13 +455,14 @@ def _maggi(
     _check_symmetric(dg_axes[None], "metric derivative")
     frame_field = frame_field if frame_field is not None else _VoronetsFrame.best(spec, Om)
     generic = isinstance(frame_field, _VoronetsFrame)
-    frame, Ainv = frame_field.of(Om) if generic else (frame, None)
+    V, Ainv = frame_field.of(Om) if generic else (None, None)
+    ainv_norm = _norm(Ainv) if generic else None
     # the splitting's rank test holds if s_min(A_d) >= 1/|A_d^-1|_F clears it, since s_nu(Om[:, :N]) >= s_min(A_d)
-    if Ainv is None or not RANK_RTOL * np.linalg.norm(Om[:, : spec.N]) * np.linalg.norm(Ainv) < 1.0:
+    if not generic or not RANK_RTOL * _norm(Om[:, : spec.N]) * ainv_norm < 1.0:
         _constraint_svd(spec, q[None], Om[None])
-    frame = frame if frame is not None else frame_field(q)
-    (i0, i1), _, (j0, j1) = frame.block_ranges
-    V_I, x0, m = frame.V[:, i0:i1], frame.V[:, j0:j1], i1 - i0
+    frame = frame if generic or frame is not None else frame_field(q)
+    V, ((i0, i1), _, (j0, j1)) = (V, frame_field._layout[3]) if generic else (frame.V, frame.block_ranges)
+    V_I, x0, m = V[:, i0:i1], V[:, j0:j1], i1 - i0
     if xi.shape != (m,):
         raise ValueError(f"xi has shape {xi.shape}, frame free block has {m} columns")
     gV = g @ V_I
@@ -461,8 +475,8 @@ def _maggi(
 
     # the frame's transport along qdot (the generic frame's overlap is exactly I)
     if generic:
-        dW = np.zeros_like(frame.V)
-        dW[list(frame_field.pivots)] = -Ainv @ ((qdot @ dOm_axes.reshape(n, Om.size)).reshape(Om.shape) @ frame.V)
+        dW = np.zeros_like(V)
+        dW[frame_field._layout[0]] = -Ainv @ ((qdot @ dOm_axes.reshape(n, Om.size)).reshape(Om.shape) @ V)
     else:
         shifted = _complex_call(frame_field, "frame field", q + (1j * COMPLEX_STEP) * qdot)
         check_frame_continuity(frame, Frame(shifted.V.real, shifted.Omega_frame.real, shifted.block_ranges))
@@ -475,8 +489,8 @@ def _maggi(
     Gdot = X + X.T + V_I.T @ dg_flow @ V_I
     work = (g @ qdot) @ dV + 0.5 * (grad @ V_I)
     return SimpleNamespace(
-        g=g, Om=Om, Ainv=Ainv, V_I=V_I, x0=x0, gV=gV, Ginv=Ginv, c=c, h=h, udot=udot, qdot=qdot, dV=dV, dx0=dx0,
-        dg_flow=dg_flow, grad=grad, Gdot=Gdot, xidot=Ginv @ (work - Gdot @ xi),
+        g=g, Om=Om, Ainv=Ainv, ainv_norm=ainv_norm, V_I=V_I, x0=x0, gV=gV, Ginv=Ginv, c=c, h=h, udot=udot, qdot=qdot,
+        dV=dV, dx0=dx0, dg_flow=dg_flow, grad=grad, Gdot=Gdot, xidot=Ginv @ (work - Gdot @ xi),
     )
 
 
@@ -517,6 +531,9 @@ def frame_rhs(
     H``, whose real part must pass :func:`check_frame_continuity`; a caller
     that holds ``frame_field(q)`` passes it as ``frame``.  A frame field or
     callback that is not complex-safe raises :class:`~nonholo.errors.ModelError`.
+    This pointwise entry also converts its inputs and checks that ``q`` is
+    adapted to ``control`` at ``t``; the stages of
+    :func:`~nonholo.simulate.integrate` run the same kernel without those.
     """
     q = np.asarray(q, dtype=float)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))

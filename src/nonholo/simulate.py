@@ -4,10 +4,12 @@ The integrator state never includes the controlled coordinates: they are
 assembled from the control signal at every Runge-Kutta stage, so the scheme is
 plain RK4 on the reduced nonautonomous ODE and keeps its classical fourth
 order.  (Integrating the controlled channels and overwriting them between
-stages would silently degrade the order to two.)  One stepper, ``_rk4_step``,
-advances every :func:`integrate` run — the stacked state ``[q_free, xi]``
-stepped by Maggi's equations (:func:`~nonholo.reduced_dynamics.frame_rhs`),
-whichever representation is recorded — and every :func:`rk4_path` run.
+stages would silently degrade the order to two.)  So every stage's ``q`` is
+adapted by construction: :func:`integrate` checks the control's shape and
+``q0`` once per run, and every stage runs Maggi's equations directly (the
+kernel of :func:`~nonholo.reduced_dynamics.frame_rhs`, with all of its
+checks but the adaptedness test).  One stepper, ``_rk4_step``, advances
+every :func:`integrate` run and every :func:`rk4_path` run.
 
 Every recorded sample carries the energy and two relative residuals — the
 constraint violation ``|Omega qdot| / |qdot|`` and the ideal-reaction defect
@@ -31,10 +33,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_geometry import Array, Frame, SystemSpec, projection_set
+from .core_geometry import Array, Frame, SystemSpec, _norm, projection_set
 from .errors import ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
 from .models import ModelBundle
-from .reduced_dynamics import PIVOT_COND, ControlSignal, _maggi, _VoronetsFrame, check_frame_continuity, frame_rhs
+from .reduced_dynamics import PIVOT_COND, ControlSignal, _check_adapted, _maggi, _VoronetsFrame, check_frame_continuity
 
 
 @dataclass(frozen=True)
@@ -127,16 +129,16 @@ def _frame_diagnostics(st: SimpleNamespace, xi: Array, t: float, control: Contro
     qdot, g, udot = st.qdot, st.g, st.udot
     uddot = np.atleast_1d(np.asarray(control.accel(t), dtype=float))
     p = g @ qdot
-    speed = float(np.linalg.norm(qdot))
-    cres = float(np.linalg.norm(st.Om @ qdot)) / speed if speed >= 1e-14 else 0.0
+    speed = _norm(qdot)
+    cres = _norm(st.Om @ qdot) / speed if speed >= 1e-14 else 0.0
     dc = st.Ginv @ (st.V_I.T @ (st.dg_flow @ st.x0) + st.dV.T @ (g @ st.x0) + st.gV.T @ st.dx0 - st.Gdot @ st.c)
     dh = st.dx0 - st.dV @ st.c - st.V_I @ dc
     qddot = st.dV @ xi + st.V_I @ st.xidot + dh @ udot + st.h @ uddot
     R = g @ qddot + st.dg_flow @ qdot - 0.5 * st.grad
     # at instants where no reaction is needed |R| ~ 0 and the plain ratio
     # is noise over noise; the floor ties it to the dynamic scale instead
-    floor = 1e-3 * (1.0 + float(np.linalg.norm(p)) + speed)
-    dres = float(np.linalg.norm(st.gV @ (st.Ginv @ (st.V_I.T @ R)))) / max(float(np.linalg.norm(R)), floor)
+    floor = 1e-3 * (1.0 + _norm(p) + speed)
+    dres = _norm(st.gV @ (st.Ginv @ (st.V_I.T @ R))) / max(_norm(R), floor)
     return 0.5 * float(qdot @ p), cres, dres
 
 
@@ -153,9 +155,9 @@ def integrate(
 
     ``q0``'s controlled block must agree with ``control`` at the initial time
     (it is then snapped exactly); ``p0`` is coprojected onto the free block
-    and must already be close to it; both must be finite.  The state
-    ``[q_free, xi]`` is stepped by Maggi's equations (:func:`frame_rhs`), with
-    the initial ``xi`` read off ``p0``, and every sample records ``p_I = g
+    and must already be close to it; both must be finite.  The state ``[q_free,
+    xi]`` is stepped by Maggi's equations (the kernel of ``frame_rhs``, at every
+    stage), the initial ``xi`` read off ``p0``, and every sample records ``p_I = g
     V_I xi``.  The frame is ``frame_field`` in the frame representation when
     one is given, else the generic one (see ``frame_rhs``) on the minor best
     conditioned at ``t0``; at a sample where its ``|A_d|_F |A_d^-1|_F``
@@ -169,20 +171,17 @@ def integrate(
         raise ValueError("empty integration span")
     nsteps = max(1, round((t1 - t0) / cfg.dt))
     dt = (t1 - t0) / nsteps
-    N, n, M = spec.N, spec.dim, spec.M
+    N, n = spec.N, spec.dim
 
     use_frame = cfg.representation == "frame"
-    u_init = np.atleast_1d(np.asarray(control.value(t0), dtype=float))
     q = np.array(q0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     if q.shape != (n,):
         raise ValueError(f"q0 has shape {q.shape}, expected {(n,)}")
     if not (np.isfinite(q).all() and np.isfinite(p0).all()):
         raise ValueError("q0 and p0 must be finite")
-    # written so that a NaN control value fails too
-    if M and not float(np.abs(q[N:] - u_init).max()) <= 1e-6 * (1.0 + float(np.abs(u_init).max())):
-        raise NonAdaptedState("q0 controlled block disagrees with control at t0")
-    q[N:] = u_init
+    # once per run: the control's shape, and q0's controlled block; later stages assemble theirs from it
+    q[N:] = _check_adapted(spec, q, t0, control)
 
     P = projection_set(spec, q, check=False)
     p_I = P.Pstar_I @ p0
@@ -202,19 +201,18 @@ def integrate(
     y = np.concatenate([q[:N], read_xi(frame.V[:, i0:i1], P.g, p_I)])
 
     def assemble(t: float, q_free: Array) -> Array:
-        return np.concatenate([q_free, np.atleast_1d(np.asarray(control.value(t), dtype=float))])
+        u = np.atleast_1d(np.asarray(control.value(t), dtype=float))
+        if not np.isfinite(u).all():
+            raise NonAdaptedState(f"control value is not finite at t = {t}")
+        return np.concatenate([q_free, u])
 
-    out_t = np.empty(nsteps + 1)
-    out_q = np.empty((nsteps + 1, n))
-    out_p = np.empty((nsteps + 1, n))
+    out_t, out_H, out_cres, out_dres = np.empty((4, nsteps + 1))
+    out_q, out_p = np.empty((2, nsteps + 1, n))
     out_xi = np.empty((nsteps + 1, y.shape[0] - N))
-    out_H = np.empty(nsteps + 1)
-    out_cres = np.empty(nsteps + 1)
-    out_dres = np.empty(nsteps + 1)
 
     def stage(t: float, y: Array) -> Array:
-        qdot, xidot = frame_rhs(spec, assemble(t, y[:N]), y[N:], t, control, frame_field)
-        return np.concatenate([qdot[:N], xidot])
+        st = _maggi(spec, assemble(t, y[:N]), y[N:], t, control, frame_field)
+        return np.concatenate([st.qdot[:N], st.xidot])
 
     for step in range(nsteps + 1):
         t = t0 + step * dt
@@ -225,23 +223,18 @@ def integrate(
             frame = new_frame
         # stage k1, whose quantities also give the sample's diagnostics
         st = _maggi(spec, q, y[N:], t, control, frame_field, None if generic else frame)
-        if generic and np.linalg.norm(st.Om[:, list(frame_field.pivots)]) * np.linalg.norm(st.Ainv) > PIVOT_COND:
+        if generic and _norm(st.Om[:, frame_field._layout[0]]) * st.ainv_norm > PIVOT_COND:
             best = _VoronetsFrame.best(spec, st.Om)
             if best.pivots != frame_field.pivots:
                 # p_I does not depend on the frame: read xi off it in the new one
                 frame_field = best
-                y[N:] = read_xi(best.of(st.Om)[0].V[:, : N - spec.nu], st.g, st.gV @ y[N:])
+                y[N:] = read_xi(best.of(st.Om)[0][:, : N - spec.nu], st.g, st.gV @ y[N:])
                 pivots.append((t, best.pivots))
                 st = _maggi(spec, q, y[N:], t, control, best)
         H, cres, dres = _frame_diagnostics(st, y[N:], t, control)
 
-        out_t[step] = t
-        out_q[step] = q
-        out_p[step] = st.gV @ y[N:]
-        out_xi[step] = y[N:]
-        out_H[step] = H
-        out_cres[step] = cres
-        out_dres[step] = dres
+        out_t[step], out_q[step], out_p[step], out_xi[step] = t, q, st.gV @ y[N:], y[N:]
+        out_H[step], out_cres[step], out_dres[step] = H, cres, dres
 
         if cres > cfg.hard_residual or dres > cfg.hard_residual:
             raise StepRejected(
@@ -254,17 +247,10 @@ def integrate(
         # stage k1 is the sample's own right-hand side
         y = _rk4_step(stage, t, y, dt, np.concatenate([st.qdot[:N], st.xidot]))
 
+    meta = {"dt": dt, "representation": cfg.representation, "t_span": (t0, t1)} | ({"pivots": pivots} if generic else {})
     return Trajectory(
-        t=out_t,
-        q=out_q,
-        p_I=out_p,
-        H=out_H,
-        constraint_residual=out_cres,
-        dalembert_residual=out_dres,
-        u=out_q[:, N:].copy(),
-        xi=out_xi if use_frame else None,
-        meta={"dt": dt, "representation": cfg.representation, "t_span": (t0, t1)}
-        | ({"pivots": pivots} if generic else {}),
+        t=out_t, q=out_q, p_I=out_p, H=out_H, constraint_residual=out_cres, dalembert_residual=out_dres,
+        u=out_q[:, N:].copy(), xi=out_xi if use_frame else None, meta=meta,
     )
 
 
@@ -274,7 +260,9 @@ def rk4_path(
     t_span: tuple[float, float],
     nsteps: int,
 ) -> Array:
-    """Plain fixed-step RK4 endpoint for a closed-form field ``f(t, y)``."""
+    """Plain fixed-step RK4 endpoint for a closed-form field ``f(t, y)``; ``nsteps`` must be at least 1."""
+    if nsteps < 1:
+        raise ValueError(f"nsteps must be at least 1, got {nsteps!r}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     dt = (t1 - t0) / nsteps
     y = np.array(y0, dtype=float)

@@ -2,13 +2,22 @@
 
 import csv
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from nonholo import reduced_dynamics, simulate
-from nonholo.core_geometry import projection_set
-from nonholo.errors import FrameNotSmooth, ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
+from nonholo.core_geometry import SystemSpec, projection_set
+from nonholo.errors import (
+    FrameNotSmooth,
+    ModelError,
+    NonAdaptedState,
+    NotInDeltaCapGamma,
+    RankDeficiency,
+    SingularMetric,
+    StepRejected,
+)
 from nonholo.models import build_model, racer_frame_vectors, roller_racer_closed_rhs
 from nonholo.reduced_dynamics import ControlSignal, reduced_rhs
 from nonholo.simulate import (
@@ -21,6 +30,35 @@ from nonholo.simulate import (
 )
 
 from conftest import ball_free_block, counting_spec, random_system
+
+
+def midstep_fault_spec(fault):
+    """``N = 3``, ``M = 1``, ``nu = 2`` toy whose callbacks fail a check of the Maggi stage only where ``|u| > 0.9``.
+
+    ``fault`` is ``"metric"`` (``g[0, 0]`` falls to 1e-20 at ``u = 1``: the
+    pivot ratio test), ``"rank"`` (the constraint rows become parallel to
+    within 1e-12 at ``u = 1``: the rank test) or ``"complex"`` (the metric
+    drops its imaginary part: complex safety).  Under ``u = sin(pi t / dt)``
+    the samples and stage k4 sit at ``u ~ 0`` and stages k2 and k3 at ``u = 1``.
+    """
+
+    def metric(q):
+        u = q[..., 3]
+        faulty = np.abs(np.real(u)).max() > 0.9
+        dtype = float if fault == "complex" and faulty else np.result_type(q, float)
+        g = np.zeros(q.shape[:-1] + (4, 4), dtype=dtype)
+        g[..., [1, 2, 3], [1, 2, 3]] = 1.0
+        g[..., 0, 0] = (1.0 - u * u) ** 2 + 1e-20 if fault == "metric" else 1.0 + u * u
+        return g
+
+    def omega(q):
+        u = q[..., 3]
+        Om = np.zeros(q.shape[:-1] + (2, 4), dtype=np.result_type(q, float))
+        Om[..., 0, 0] = Om[..., 1, 0] = 1.0
+        Om[..., 1, 1] = 1.0 - u * u + 1e-12 if fault == "rank" else 1.0 + 0.0 * u
+        return Om
+
+    return SystemSpec(N=3, M=1, nu=2, metric=metric, omega=omega)
 
 
 def racer_momentum(bundle, q, xi):
@@ -263,6 +301,83 @@ class TestIntegrate:
         assert totals == Counter({"metric": 42, "omega": 43})
         assert calls["metric", "complex", (5, 4)] == calls["omega", "complex", (5, 4)] == 41
 
+    def test_stage_call_pattern_of_a_racer_run(self, racer, monkeypatch):
+        """The 10-step run of ``test_callback_calls_of_a_racer_run``, stage by stage.
+
+        The adaptedness check runs once, at ``t0``; the generic frame's
+        layout is built once for its one pivot set; each of the 41 Maggi
+        stages (11 samples' k1, 30 later stages) makes two real ``inv``
+        calls, ``A_d^-1`` and ``G^-1``, and no SVD, as the rank bound holds.
+        """
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("inv", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(simulate, "_check_adapted", counting("adapted", simulate._check_adapted))
+        layout = reduced_dynamics._VoronetsFrame._layout
+        built = Counter()
+
+        def counting_layout(frame):
+            built[frame.pivots] += 1
+            return layout.func(frame)
+
+        prop = cached_property(counting_layout)
+        prop.__set_name__(reduced_dynamics._VoronetsFrame, "_layout")
+        monkeypatch.setattr(reduced_dynamics._VoronetsFrame, "_layout", prop)
+        stages = []
+        maggi = simulate._maggi
+
+        def per_stage(*args):
+            before = Counter(counts)
+            st = maggi(*args)
+            stages.append((counts["inv"] - before["inv"], counts["svd"] - before["svd"], st.Ginv.dtype, st.Ainv.dtype))
+            return st
+
+        monkeypatch.setattr(simulate, "_maggi", per_stage)
+        traj = integrate(
+            racer.spec,
+            racer.default_q0,
+            racer_momentum(racer, racer.default_q0, 0.1),
+            ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi),
+            (0.0, 0.01),
+            IntegratorConfig(dt=1e-3),
+        )
+        assert counts["adapted"] == 1
+        assert built == Counter({traj.meta["pivots"][0][1]: 1})
+        assert stages == [(2, 0, np.dtype(float), np.dtype(float))] * 41
+
+    @pytest.mark.parametrize(
+        "fault, error",
+        [("metric", SingularMetric), ("rank", RankDeficiency), ("complex", ModelError)],
+    )
+    def test_inner_stages_keep_the_front_checks(self, fault, error):
+        """A fault that shows only at stages k2 and k3 (``|u| > 0.9``, between samples) still raises."""
+        with pytest.raises(error):
+            integrate(
+                midstep_fault_spec(fault),
+                np.zeros(4),
+                np.zeros(4),
+                ControlSignal.sinusoid(0.0, 1.0, np.pi / 0.1),
+                (0.0, 0.2),
+                IntegratorConfig(dt=0.1),
+            )
+
+    def test_midstep_fault_spec_is_sound_at_the_samples(self):
+        """The toy of the previous test: at ``u = 0`` its callbacks are regular, so only the stages can fail."""
+        for fault in ("metric", "rank", "complex"):
+            spec = midstep_fault_spec(fault)
+            q = np.zeros(4)
+            assert np.linalg.cond(spec.metric(q)) < 10.0
+            assert np.linalg.matrix_rank(spec.omega(q)[:, :3]) == 2
+            assert np.iscomplexobj(spec.metric(q + 1j * np.array([0.0, 0.0, 0.0, 1e-30])))
+
     def test_rejects_wrong_q0_shape(self, racer):
         with pytest.raises(ValueError):
             integrate(racer.spec, np.zeros(3), np.zeros(4), ControlSignal.constant(0.0), (0.0, 1.0))
@@ -276,6 +391,13 @@ class TestIntegrate:
         q0 = np.array([0.0, 1.5, 0.0, 0.4])
         with pytest.raises(NonAdaptedState):
             integrate(racer.spec, q0, np.zeros(4), ControlSignal.constant(np.nan), (0.0, 1.0))
+
+    def test_rejects_a_control_that_turns_non_finite_after_t0(self, racer):
+        """Stages assemble ``q`` from the control; one that reads a NaN control value is refused."""
+        control = ControlSignal(lambda t: np.array([0.4 if t == 0.0 else np.nan]), lambda t: np.zeros(1), lambda t: np.zeros(1))
+        q0 = np.array([0.0, 1.5, 0.0, 0.4])
+        with pytest.raises(NonAdaptedState, match="not finite at t = 0.005"):
+            integrate(racer.spec, q0, np.zeros(4), control, (0.0, 0.01), IntegratorConfig(dt=1e-2))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("which", ["q0", "p0"])
@@ -533,6 +655,18 @@ class TestOneStepper:
         y = rk4_path(lambda t, y: -y, np.ones(2), (0.0, 1.0), 7)
         assert len(step_calls) == 7
         assert np.abs(y - np.exp(-1.0)).max() < 1e-4
+
+    @pytest.mark.parametrize("nsteps", [0, -3])
+    def test_rk4_path_rejects_fewer_than_one_step(self, step_calls, nsteps):
+        """``nsteps < 1`` raises ``ValueError`` once, before any step (it once returned ``y0`` or divided by zero)."""
+        calls = []
+        with pytest.raises(ValueError, match="nsteps must be at least 1"):
+            rk4_path(lambda t, y: calls.append(t) or -y, np.ones(2), (0.0, 1.0), nsteps)
+        assert calls == step_calls == []
+
+    def test_two_timescale_with_no_periods_is_a_value_error(self, racer):
+        with pytest.raises(ValueError, match="nsteps must be at least 1"):
+            two_timescale_coefficient(racer, np.array([0.0, 1.2, 0.0, 0.0]), u_bar=0.0, K=1.0, periods=0)
 
 
 class TestDitherExperiments:
