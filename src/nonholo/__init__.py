@@ -13,7 +13,6 @@ systems with closed-form oracles (:mod:`models`), and a CLI (:mod:`cli`).
 
 from .core_geometry import (
     Array,
-    Frame,
     ProjectionSet,
     SystemSpec,
     argmin_certificate,
@@ -22,7 +21,6 @@ from .core_geometry import (
 from .errors import (
     ChartDomain,
     ConfigError,
-    FrameNotSmooth,
     ModelError,
     NonAdaptedState,
     NonholoError,
@@ -88,8 +86,6 @@ __all__ = [
     "ControlSignal",
     "EuclideanToyParams",
     "FitnessReport",
-    "Frame",
-    "FrameNotSmooth",
     "IntegratorConfig",
     "ModelBundle",
     "ModelError",

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, NonholoError, StepRejected
 from .jump_analysis import BoxSampler, psi_scan, sufficiency_check, theta_on_III_scan
 from .models import ModelBundle, build_model
-from .reduced_dynamics import ControlSignal, frame_rhs
+from .reduced_dynamics import ControlSignal, _closed_rhs
 from .simulate import IntegratorConfig, integrate, oscillation_sweep
 
 
@@ -264,7 +264,7 @@ def cmd_simulate(cfg: RunConfig, out: str, seed: int) -> int:
     p0 = np.zeros(n) if p0 is None else p0
     if p0.shape != (n,):
         raise ConfigError(f"{cfg.path}: key 'initial.p' needs {n} entries, got {p0.shape[0]}")
-    traj = integrate(model.spec, q0, p0, control, t_span, config, frame_field=model.frame_field)
+    traj = integrate(model.spec, q0, p0, control, t_span, config)
     traj.to_csv(out)
     print(f"simulate: {len(traj)} samples over t = {t_span[0]}..{t_span[1]} -> {out}")
     return 0
@@ -304,7 +304,7 @@ def cmd_check_fit(cfg: RunConfig, out: str, seed: int, samples: Optional[int], t
 
 def cmd_oracle_compare(cfg: RunConfig, out: str, seed: int, samples: Optional[int], tol: Optional[float]) -> int:
     model = model_from_config(cfg)
-    if model.closed_field is None or model.frame_field is None or model.extract_closed is None:
+    if model.closed_field is None or model.extract_closed is None:
         raise NonholoError(f"model {model.name!r} has no closed-form oracle to compare against")
     n_samples = _sample_count(cfg, samples, "oracle.samples", 100)
     dev_tol = _tolerance(cfg, tol, "oracle.tol", 1e-5)
@@ -322,9 +322,9 @@ def cmd_oracle_compare(cfg: RunConfig, out: str, seed: int, samples: Optional[in
         udot = float(rng.uniform(-1.0, 1.0))
         control = ControlSignal.linear(q[spec.N :], np.full(spec.M, udot))
         try:
-            qdot, xidot = frame_rhs(spec, q, np.array([xi]), 0.0, control, model.frame_field)
-            y = np.append(q[: spec.N], xi)
-            ref = model.closed_field(control)(0.0, y)
+            # the generic pipeline, in the closed form's velocity coordinates
+            got = _closed_rhs(spec, model.extract_closed, q, xi, 0.0, control)
+            ref = model.closed_field(control)(0.0, np.append(q[: spec.N], xi))
         except NonholoError:
             # singular or off-chart draw: log and replace it
             resampled += 1
@@ -332,7 +332,6 @@ def cmd_oracle_compare(cfg: RunConfig, out: str, seed: int, samples: Optional[in
                 raise
             continue
         drawn += 1
-        got = np.append(qdot[: spec.N], xidot)
         dev = float(np.abs(got - ref).max()) / (1.0 + float(np.abs(ref).max()))
         if dev > max_dev or worst is None:
             max_dev, worst = dev, q

@@ -17,11 +17,10 @@ kinetic-energy metric ``g``, into three blocks:
 
 This module computes the splitting (projections on vectors, coprojections on
 covectors), the lift maps ``h``/``k`` taking a control velocity to its block
-III representative, and the validated evaluation of the model callbacks, and
-defines the type of the models' adapted frames.  The callbacks and the frame
-fields are all that the dynamics layer differentiates, by complex step, so
-all of them must be complex-safe: the derivatives of the splitting follow in
-closed form from those of ``metric`` and ``omega`` (see
+III representative, and the validated evaluation of the model callbacks.
+The callbacks are all that the dynamics layer differentiates, by complex
+step, so both must be complex-safe: the derivatives of the splitting follow
+in closed form from those of ``metric`` and ``omega`` (see
 :func:`nonholo.reduced_dynamics.coefficient_tensors`).
 
 One singular-value decomposition of the constraint block ``Omega[:, :N]``
@@ -187,28 +186,6 @@ class ProjectionSet:
         )
 
 
-@dataclass(frozen=True)
-class Frame:
-    """A basis adapted to the three-way splitting at one configuration.
-
-    ``V`` holds basis vectors as columns, ordered block I, block II, block
-    III; block II may be empty.  The drive block holds particular solutions
-    of the control rows, not necessarily ``g``-orthogonal to block I.
-    Columns need not have unit ``g``-norm, nor be ``g``-orthogonal to the
-    others of their block.  ``Omega_frame @ V`` has a unit diagonal: its
-    rows are ``g(V_i) / g[V_i, V_i]`` in the racer's published frame, and
-    coordinate rows, with ``Omega_frame @ V = I``, in the generic frame.
-    ``block_ranges`` are the ``(start, stop)`` column ranges of the blocks.
-    A frame field ``q -> Frame`` must be complex-safe and analytic in ``q``,
-    like the callbacks of :class:`SystemSpec`:
-    :func:`~nonholo.reduced_dynamics.frame_rhs` transports it by complex step.
-    """
-
-    V: Array
-    Omega_frame: Array
-    block_ranges: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-
-
 def _check_symmetric(G: Array, label: str) -> None:
     """Raise ``SingularMetric`` unless every entry of the stack ``G`` is symmetric.
 
@@ -272,8 +249,8 @@ def _complex_call(fn: Callable, label: str, *args: object) -> object:
     message.
     """
     # catch_warnings swaps process-wide state: the lock keeps threads of a
-    # concurrent caller from restoring each other's filters (reentrant: a frame
-    # field may take complex-step tensors inside the frame transport's call)
+    # concurrent caller from restoring each other's filters (reentrant, so a
+    # callback may itself call into the library)
     with _WARNINGS_LOCK, warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
         try:

@@ -32,10 +32,6 @@ class NonAdaptedState(NonholoError):
     """State fed to the reduced dynamics disagrees with the commanded controls."""
 
 
-class FrameNotSmooth(NonholoError):
-    """Adapted frame changed discontinuously between neighbouring points."""
-
-
 class StepRejected(NonholoError):
     """Integrator diagnostics exceeded hard tolerances; the run is unreliable."""
 

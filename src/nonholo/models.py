@@ -3,8 +3,8 @@
 Each model is packaged as a :class:`ModelBundle`: the two
 :class:`~nonholo.core_geometry.SystemSpec` callbacks (metric and constraint
 forms; the inverse metric is computed from the metric), sampling boxes that
-stay clear of chart singularities, and any published adapted frame and
-closed-form reference dynamics the model admits.
+stay clear of chart singularities, and any closed-form reference dynamics
+the model admits.
 
 Roller Racer
     A planar two-platform vehicle: a main body with a knife-edge axle and a
@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_geometry import Array, Frame, SystemSpec
+from .core_geometry import Array, SystemSpec
 from .errors import ChartDomain, ModelError, SingularDenominator
 
 
@@ -78,12 +78,6 @@ class EuclideanToyParams:
 class ModelBundle:
     """Everything the rest of the package needs to know about one model.
 
-    ``frame_field`` is a published adapted frame field (see
-    :class:`~nonholo.core_geometry.Frame`): the racer's, in whose ``xi`` its
-    closed form is written.  Without one the frame form builds the generic
-    frame from the constraint forms.  The frame form needs only a free block
-    and particular solutions of the control rows, which the constraint forms
-    decide, so a frame also serves under ``metric_perturb``.
     ``constancy_basis`` is the basis in which the structural fitness test
     checks constancy of the free coprojection; ``declared_flat`` records the
     model-level flatness declaration that the structural test cannot decide
@@ -91,7 +85,8 @@ class ModelBundle:
     of the model's closed-form and averaged reduced systems when it has them
     (state ``(q1, q2, q3, xi)`` for the Roller Racer).  ``embed_closed`` /
     ``extract_closed`` convert between that closed state and ambient
-    ``(q, p_I)`` pairs.
+    ``(q, p_I)`` pairs; ``extract_closed`` is linear in ``p_I`` and
+    complex-safe, which ``oracle-compare`` needs to differentiate it.
     """
 
     name: str
@@ -99,7 +94,7 @@ class ModelBundle:
     spec: SystemSpec
     sample_box: Array
     default_q0: Array
-    frame_field: Optional[Callable[[Array], Frame]] = None
+    frame_field: None = None  # inert: perfbench/spans.py passes it to dataclasses.replace (ROADMAP item 1)
     constancy_basis: Optional[Callable[[Array], Array]] = None
     declared_flat: bool = False
     closed_field: Optional[Callable[[object], Callable[[float, Array], Array]]] = None
@@ -194,17 +189,6 @@ def racer_frame_vectors(params: RollerRacerParams, q: Array) -> dict[str, Array]
         ]
     )
     return {"w1": w1, "v2": v2, "v3": v3, "v4": v4}
-
-
-def _racer_frame_field(params: RollerRacerParams, g: Array) -> Callable[[Array], Frame]:
-    def frame(q: Array) -> Frame:
-        vecs = racer_frame_vectors(params, q)
-        V = np.column_stack([vecs["w1"], vecs["v2"], vecs["v3"], vecs["v4"]])
-        norms2 = np.einsum("ij,jk,ki->i", V.T, g, V)
-        Omega_frame = (g @ V).T / norms2[:, None]
-        return Frame(V=V, Omega_frame=Omega_frame, block_ranges=((0, 1), (1, 3), (3, 4)))
-
-    return frame
 
 
 def racer_denominators(params: RollerRacerParams, u: float) -> tuple[float, float]:
@@ -304,8 +288,7 @@ def _racer_embed(params: RollerRacerParams, g: Array):
 def _racer_extract(params: RollerRacerParams, g: Array):
     def extract(q: Array, p_I: Array) -> Array:
         w1 = racer_frame_vectors(params, q)["w1"]
-        xi = float(p_I @ w1) / float(w1 @ g @ w1)
-        return np.array([q[0], q[1], q[2], xi])
+        return np.array([q[0], q[1], q[2], (p_I @ w1) / (w1 @ g @ w1)])
 
     return extract
 
@@ -328,7 +311,6 @@ def _build_roller_racer(
         spec=spec,
         sample_box=box,
         default_q0=np.array([0.0, math.pi / 2.0, 0.0, 0.0]),
-        frame_field=_racer_frame_field(params, g),
         constancy_basis=lambda q: np.eye(4),
         declared_flat=False,
         closed_field=_racer_closed_field(params),

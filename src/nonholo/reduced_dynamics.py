@@ -21,9 +21,9 @@ only the frame and the metric (Maggi's equations, :func:`frame_rhs`):
 with ``G = V_I^T g V_I`` the Gram matrix of the free frame vectors and ``dV``
 the frame's transport.  So the frame form builds no coefficient tensors: it
 needs the metric and the lift at ``q``, the frame, its transport, and the
-metric's derivatives along the free frame vectors and ``qdot``.  A frame
-built from ``omega`` alone (``_VoronetsFrame``) serves every model, and
-:func:`~nonholo.simulate.integrate` steps every run this way, each RK4
+metric's derivatives along the free frame vectors and ``qdot``.  The frame
+is built from ``omega`` alone (``_VoronetsFrame``), so every model has one,
+and :func:`~nonholo.simulate.integrate` steps every run this way, each RK4
 stage running the kernel of ``frame_rhs`` directly (a stage's ``q`` is
 adapted by construction).  The coefficient tensors serve the fitness scans,
 and the ambient right-hand side built on them (:func:`reduced_rhs`,
@@ -38,10 +38,8 @@ built from, and the other rows' imaginary parts give the derivatives, exact
 to rounding.  The derivatives of the splitting built from them —
 free coprojection, inverse metric and lift — follow from closed-form
 perturbation identities at a single splitting (:func:`coefficient_tensors`),
-and so does the generic frame's transport.  A published frame is transported
-by one complex evaluation.  Callbacks and frame fields therefore share one
-contract: they must be complex-safe, and one that is not raises
-:class:`~nonholo.errors.ModelError`.
+and so does the frame's transport.  The callbacks must therefore be
+complex-safe, and one that is not raises :class:`~nonholo.errors.ModelError`.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from .core_geometry import (
     COMPLEX_STEP,
     RANK_RTOL,
     Array,
-    Frame,
     ProjectionSet,
     SkipTypes,
     SystemSpec,
@@ -71,7 +68,7 @@ from .core_geometry import (
     _norm,
     _projection_stack,
 )
-from .errors import FrameNotSmooth, NonAdaptedState, NotInDeltaCapGamma
+from .errors import NonAdaptedState, NotInDeltaCapGamma
 
 TimeFn = Callable[[float], Array]
 
@@ -306,6 +303,7 @@ def _check_adapted(spec: SystemSpec, q: Array, t: float, control: ControlSignal)
     return u
 
 
+# no caller in src/: kept for perfbench/spans.py, which spans it by name, until ROADMAP item 1 drops that span
 def reduced_rhs(
     spec: SystemSpec,
     q: Array,
@@ -344,6 +342,7 @@ def reduced_rhs(
     return qdot, pIdot
 
 
+# no caller in src/: kept for perfbench/spans.py, which spans it by name, until ROADMAP item 1 drops that span
 def reaction_force(
     spec: SystemSpec,
     q: Array,
@@ -372,22 +371,6 @@ def reaction_force(
     return pdot + grad
 
 
-def check_frame_continuity(prev: Frame, new: Frame) -> None:
-    """Reject sign flips or jumps between frames at neighbouring points.
-
-    The diagonal of ``prev.Omega_frame @ new.V`` is ~1 for a smoothly varying
-    frame; entries below one half signal a discontinuous supplier.  Only the
-    columns that Maggi's equations read count, block I and the drive block:
-    block II may flip where they stay smooth (the racer's published reaction
-    vectors across ``sin q2 = 0``).
-    """
-    (i0, i1), _, (j0, j1) = new.block_ranges
-    cols = [*range(i0, i1), *range(j0, j1)]  # cheaper than np.r_ on every stage of a published frame
-    d = np.einsum("ij,ji->i", prev.Omega_frame[cols], new.V[:, cols])
-    if d.size and float(d.min()) < 0.5:
-        raise FrameNotSmooth(f"frame overlap diagonal dropped to {float(d.min()):.3f}")
-
-
 #: ``|A_d|_F |A_d^-1|_F`` past which ``simulate.integrate`` picks new pivots at a sample.
 PIVOT_COND = 1e2
 
@@ -398,8 +381,8 @@ class _VoronetsFrame:
 
     With pivots ``d`` (the dependent velocities), ``A_d = Om[:, d]`` and the
     other coordinates ``r``: ``V[r] = I``, ``V[d] = -A_d^-1 Om[:, r]``, that
-    is ``V_I`` and, in the last ``M`` columns, particular solutions ``x0`` of
-    the control rows.  Block II is empty; ``Omega_frame`` is the rows ``r``.
+    is the free block ``V_I`` in the first ``N - nu`` columns and, in the last
+    ``M``, particular solutions ``x0`` of the control rows.
     """
 
     spec: SystemSpec
@@ -413,24 +396,20 @@ class _VoronetsFrame:
         return _VoronetsFrame(spec, tuple(int(j) for j in subsets[np.argmin(cond)]))
 
     @cached_property
-    def _layout(self) -> tuple[Array, Array, Array, tuple]:
-        """The pivot index array, the other coordinates ``r``, ``E = I[:, r]`` and the block ranges."""
+    def _layout(self) -> tuple[Array, Array, Array]:
+        """The pivot index array, the other coordinates ``r`` and ``E = I[:, r]``."""
         r = np.array([j for j in range(self.spec.dim) if j not in self.pivots], dtype=int)
         E = _eye(self.spec.dim)[:, r]
-        E.flags.writeable = False  # every frame's Omega_frame is E.T
-        m = self.spec.N - self.spec.nu
-        return np.array(self.pivots, dtype=int), r, E, ((0, m), (m, m), (m, len(r)))
+        E.flags.writeable = False  # cached: every frame of the field starts from it
+        return np.array(self.pivots, dtype=int), r, E
 
     def of(self, Om: Array) -> tuple[Array, Array]:
-        """The frame vectors ``V`` at the constraint forms ``Om``, and ``A_d^-1``."""
-        d, r, E, _ = self._layout
+        """The frame vectors ``V`` at the constraint forms ``Om`` (real or complex), and ``A_d^-1``."""
+        d, r, E = self._layout
         Ainv = np.linalg.inv(Om[:, d])
         V = E.astype(Om.dtype)  # in E's (F) order, by which matmuls with V round
         V[d] = -Ainv @ Om[:, r]
         return V, Ainv
-
-    def __call__(self, q: Array) -> Frame:
-        return Frame(self.of(_callback(self.spec, "omega", np.asarray(q), None))[0], self._layout[2].T, self._layout[3])
 
 
 @lru_cache(maxsize=None)
@@ -442,27 +421,25 @@ def _axis_shift(n: int) -> Array:
 
 
 def _maggi(
-    spec: SystemSpec, q: Array, xi: Array, t: float, control: ControlSignal, frame_field, frame=None
+    spec: SystemSpec, q: Array, xi: Array, t: float, control: ControlSignal, frame: Optional[_VoronetsFrame] = None
 ) -> SimpleNamespace:
-    """:func:`frame_rhs` at ``q``, less its conversions and adaptedness test, with the intermediates
-    that the sample diagnostics read (``ainv_norm = |A_d^-1|_F`` on the generic frame)."""
-    n = spec.dim
+    """:func:`frame_rhs` at ``q`` on the generic frame ``frame`` (``None``: the one best at ``q``), less its
+    conversions and adaptedness test, with the intermediates that the sample diagnostics read
+    (``ainv_norm = |A_d^-1|_F``)."""
+    n, m = spec.dim, spec.N - spec.nu
     Z = q + _axis_shift(n)
     gz, Omz = _complex_call(lambda: (_callback(spec, "metric", Z, None), _callback(spec, "omega", Z, None)), "metric or omega")
     g, Om = gz[0].real.copy(), Omz[0].real.copy()  # contiguous, so products round as on the real call
     _cholesky_spd(g[None])
     dg_axes, dOm_axes = gz[1:].imag / COMPLEX_STEP, Omz[1:].imag / COMPLEX_STEP
     _check_symmetric(dg_axes[None], "metric derivative")
-    frame_field = frame_field if frame_field is not None else _VoronetsFrame.best(spec, Om)
-    generic = isinstance(frame_field, _VoronetsFrame)
-    V, Ainv = frame_field.of(Om) if generic else (None, None)
-    ainv_norm = _norm(Ainv) if generic else None
+    frame = frame if frame is not None else _VoronetsFrame.best(spec, Om)
+    V, Ainv = frame.of(Om)
+    ainv_norm = _norm(Ainv)
     # the splitting's rank test holds if s_min(A_d) >= 1/|A_d^-1|_F clears it, since s_nu(Om[:, :N]) >= s_min(A_d)
-    if not generic or not RANK_RTOL * _norm(Om[:, : spec.N]) * ainv_norm < 1.0:
+    if not RANK_RTOL * _norm(Om[:, : spec.N]) * ainv_norm < 1.0:
         _constraint_svd(spec, q[None], Om[None])
-    frame = frame if generic or frame is not None else frame_field(q)
-    V, ((i0, i1), _, (j0, j1)) = (V, frame_field._layout[3]) if generic else (frame.V, frame.block_ranges)
-    V_I, x0, m = V[:, i0:i1], V[:, j0:j1], i1 - i0
+    V_I, x0 = V[:, :m], V[:, m:]
     if xi.shape != (m,):
         raise ValueError(f"xi has shape {xi.shape}, frame free block has {m} columns")
     gV = g @ V_I
@@ -473,15 +450,10 @@ def _maggi(
     udot = np.atleast_1d(np.asarray(control.rate(t), dtype=float))
     qdot = V_I @ xi + h @ udot
 
-    # the frame's transport along qdot (the generic frame's overlap is exactly I)
-    if generic:
-        dW = np.zeros_like(V)
-        dW[frame_field._layout[0]] = -Ainv @ ((qdot @ dOm_axes.reshape(n, Om.size)).reshape(Om.shape) @ V)
-    else:
-        shifted = _complex_call(frame_field, "frame field", q + (1j * COMPLEX_STEP) * qdot)
-        check_frame_continuity(frame, Frame(shifted.V.real, shifted.Omega_frame.real, shifted.block_ranges))
-        dW = shifted.V.imag / COMPLEX_STEP
-    dV, dx0 = dW[:, i0:i1].copy(), dW[:, j0:j1].copy()  # contiguous too
+    # the frame's transport along qdot (the frame's rows r are exactly I)
+    dW = np.zeros_like(V)
+    dW[frame._layout[0]] = -Ainv @ ((qdot @ dOm_axes.reshape(n, Om.size)).reshape(Om.shape) @ V)
+    dV, dx0 = dW[:, :m].copy(), dW[:, m:].copy()  # contiguous too
     dg_flow = (qdot @ dg_axes.reshape(n, n * n)).reshape(n, n)
     grad = (dg_axes @ qdot) @ qdot  # grad_q g[qdot, qdot]
 
@@ -494,15 +466,7 @@ def _maggi(
     )
 
 
-def frame_rhs(
-    spec: SystemSpec,
-    q: Array,
-    xi: Array,
-    t: float,
-    control: ControlSignal,
-    frame_field: Optional[Callable[[Array], Frame]] = None,
-    frame: Optional[Frame] = None,
-) -> tuple[Array, Array]:
+def frame_rhs(spec: SystemSpec, q: Array, xi: Array, t: float, control: ControlSignal) -> tuple[Array, Array]:
     """Right-hand side ``(qdot, xidot)`` in smooth-frame velocity coordinates (Maggi's equations).
 
     ``xi`` are the components of the free velocity along the frame's free
@@ -524,29 +488,52 @@ def frame_rhs(
     ``metric`` and ``omega`` run once each on the stack ``q + i H [0; I_n]``:
     row 0's real part is ``g`` and ``Om``, the other rows give the axis
     derivatives that ``d_qdot g``, ``d_{V_m} g`` and ``d_qdot Om`` contract.
-    ``frame_field=None`` takes the generic frame of Voronets and Chaplygin,
-    built from ``Om`` on its best-conditioned ``nu x nu`` minor ``A_d``;
-    ``Om V = 0`` and ``V[r] = I`` give its transport ``A_d dV[d] = -(d_qdot
-    Om) V``, ``dV[r] = 0``.  A published frame's is ``Im V(q + i H qdot) /
-    H``, whose real part must pass :func:`check_frame_continuity`; a caller
-    that holds ``frame_field(q)`` passes it as ``frame``.  A frame field or
-    callback that is not complex-safe raises :class:`~nonholo.errors.ModelError`.
-    This pointwise entry also converts its inputs and checks that ``q`` is
-    adapted to ``control`` at ``t``; the stages of
-    :func:`~nonholo.simulate.integrate` run the same kernel without those.
+    The frame is the generic frame of Voronets and Chaplygin, built from
+    ``Om`` on its best-conditioned ``nu x nu`` minor ``A_d``; ``Om V = 0`` and
+    ``V[r] = I`` give its transport ``A_d dV[d] = -(d_qdot Om) V``,
+    ``dV[r] = 0``.  A callback that is not complex-safe raises
+    :class:`~nonholo.errors.ModelError`.  This pointwise entry also converts
+    its inputs and checks that ``q`` is adapted to ``control`` at ``t``; the
+    stages of :func:`~nonholo.simulate.integrate` run the same kernel without
+    those.
     """
     q = np.asarray(q, dtype=float)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     _check_adapted(spec, q, t, control)
-    st = _maggi(spec, q, xi, t, control, frame_field, frame)
+    st = _maggi(spec, q, xi, t, control)
     return st.qdot, st.xidot
 
 
-def frame_coefficients(
-    spec: SystemSpec,
-    q: Array,
-    frame_field: Optional[Callable[[Array], Frame]] = None,
-) -> dict[str, Array]:
+def _closed_rhs(
+    spec: SystemSpec, extract: Callable[[Array, Array], Array], q: Array, xi: Array, t: float, control: ControlSignal
+) -> Array:
+    """:func:`frame_rhs` as the rate of a closed-form state ``extract(q, p_I) = (q_free, xi)``.
+
+    ``extract`` (a model's ``extract_closed``) reads the model's own velocity
+    coordinates ``xi`` off a free momentum, linearly in it.  On the generic
+    frame ``p_I = g V_I xi_gen``, so ``xi = B xi_gen`` with ``B`` the ``xi``
+    part of ``extract(q, g V_I)``, column by column.  The rate of ``xi`` is
+    the complex step of ``extract`` along ``(qdot, pIdot)``, with ``pIdot =
+    d_qdot(g V_I) xi_gen + g V_I xidot_gen`` and ``d_qdot(g V_I)`` a complex
+    step of the callbacks; so ``extract`` must be complex-safe like them.
+    """
+    q = np.asarray(q, dtype=float)
+    N, m, H = spec.N, spec.N - spec.nu, COMPLEX_STEP
+    frame = _VoronetsFrame.best(spec, _callback(spec, "omega", q))
+
+    def momentum_basis(x: Array) -> Array:  # g V_I at x, real or complex
+        return _callback(spec, "metric", x, None) @ frame.of(_callback(spec, "omega", x, None))[0][:, :m]
+
+    gV = momentum_basis(q)
+    B = np.column_stack([extract(q, gV[:, k])[N:] for k in range(m)])
+    xi_gen = np.linalg.solve(B, np.atleast_1d(np.asarray(xi, dtype=float)))
+    qdot, xidot = frame_rhs(spec, q, xi_gen, t, control)
+    z = q + (1j * H) * qdot
+    pIdot = (momentum_basis(z).imag / H) @ xi_gen + gV @ xidot
+    return np.concatenate([qdot[:N], extract(z, gV @ xi_gen + (1j * H) * pIdot)[N:].imag / H])
+
+
+def frame_coefficients(spec: SystemSpec, q: Array) -> dict[str, Array]:
     """Quadratic structure of the frame momentum equation at ``q``.
 
     ``xidot`` is exactly quadratic in ``z = (xi, udot)``; one
@@ -557,21 +544,19 @@ def frame_coefficients(
     * ``"xi_udot"``   -- shape ``(m, m, M)``, momentum/control-rate coupling;
     * ``"udot_udot"`` -- shape ``(m, M, M)``, pure control-rate pump.
 
-    The controlled coordinates of ``q`` serve as the control value.  One
-    frame at ``q`` serves every polarization call; with ``None``, that of the
-    generic frame field whose pivots are best at ``q``, picked once.
+    The controlled coordinates of ``q`` serve as the control value.  Every
+    polarization call runs on the generic frame whose pivots are best at
+    ``q``, picked once.
     """
     q = np.asarray(q, dtype=float)
     u0 = q[spec.N :]
-    if frame_field is None:
-        frame_field = _VoronetsFrame.best(spec, _callback(spec, "omega", q[None])[0])
-    frame = frame_field(q)
+    _check_adapted(spec, q, 0.0, ControlSignal.constant(u0))
+    frame = _VoronetsFrame.best(spec, _callback(spec, "omega", q[None])[0])
     m = spec.N - spec.nu
     E = np.eye(m + spec.M)
 
     def f(z: Array) -> Array:
-        ctrl = ControlSignal.linear(u0, z[m:], t0=0.0)
-        return frame_rhs(spec, q, z[:m], 0.0, ctrl, frame_field, frame=frame)[1]
+        return _maggi(spec, q, z[:m], 0.0, ControlSignal.linear(u0, z[m:], t0=0.0), frame).xidot
 
     diag = [f(e) for e in E]
     B = np.zeros((m, len(E), len(E)))

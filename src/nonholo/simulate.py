@@ -33,10 +33,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_geometry import Array, Frame, SystemSpec, _norm, projection_set
+from .core_geometry import Array, SystemSpec, _norm, projection_set
 from .errors import ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
 from .models import ModelBundle
-from .reduced_dynamics import PIVOT_COND, ControlSignal, _check_adapted, _maggi, _VoronetsFrame, check_frame_continuity
+from .reduced_dynamics import PIVOT_COND, ControlSignal, _check_adapted, _maggi, _VoronetsFrame
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,9 @@ class IntegratorConfig:
     """Fixed-step RK4 settings.
 
     ``representation`` selects what is recorded, not the dynamics: both
-    step the frame velocity components ``xi`` by Maggi's equations and
-    record the free momentum covector ``p_I = g V_I xi``; ``"frame"`` also
-    records ``xi``, along the caller's frame field when one is given.
+    step the generic frame's velocity components ``xi`` by Maggi's equations
+    and record the free momentum covector ``p_I = g V_I xi``; ``"frame"``
+    also records ``xi``.
     ``hard_residual`` is the step-rejection threshold applied to both
     relative residuals.  It and ``dt`` must be positive and finite.
     """
@@ -69,8 +69,8 @@ class Trajectory:
 
     Arrays are indexed by sample; ``xi`` is ``None`` unless the frame
     representation was active.  ``meta`` records run settings (never written
-    to CSV) and, on the generic frame (every ambient run, and frame runs
-    without a frame field), ``(t, pivots)`` at ``t0`` and at each switch.
+    to CSV) and the generic frame's ``(t, pivots)`` at ``t0`` and at each
+    switch.
     """
 
     t: Array
@@ -130,7 +130,7 @@ def _frame_diagnostics(st: SimpleNamespace, xi: Array, t: float, control: Contro
     uddot = np.atleast_1d(np.asarray(control.accel(t), dtype=float))
     p = g @ qdot
     speed = _norm(qdot)
-    cres = _norm(st.Om @ qdot) / speed if speed >= 1e-14 else 0.0
+    cres = 0.0 if speed < 1e-14 else _norm(st.Om @ qdot) / speed  # a NaN speed gives a NaN residual
     dc = st.Ginv @ (st.V_I.T @ (st.dg_flow @ st.x0) + st.dV.T @ (g @ st.x0) + st.gV.T @ st.dx0 - st.Gdot @ st.c)
     dh = st.dx0 - st.dV @ st.c - st.V_I @ dc
     qddot = st.dV @ xi + st.V_I @ st.xidot + dh @ udot + st.h @ uddot
@@ -149,31 +149,33 @@ def integrate(
     control: ControlSignal,
     t_span: tuple[float, float],
     config: Optional[IntegratorConfig] = None,
-    frame_field: Optional[Callable[[Array], Frame]] = None,
+    frame_field: None = None,  # only None: perfbench/workloads.py still passes it (ROADMAP item 1)
 ) -> Trajectory:
     """Propagate the reduced system over ``t_span`` and record every step.
 
-    ``q0``'s controlled block must agree with ``control`` at the initial time
-    (it is then snapped exactly); ``p0`` is coprojected onto the free block
-    and must already be close to it; both must be finite.  The state ``[q_free,
-    xi]`` is stepped by Maggi's equations (the kernel of ``frame_rhs``, at every
-    stage), the initial ``xi`` read off ``p0``, and every sample records ``p_I = g
-    V_I xi``.  The frame is ``frame_field`` in the frame representation when
-    one is given, else the generic one (see ``frame_rhs``) on the minor best
-    conditioned at ``t0``; at a sample where its ``|A_d|_F |A_d^-1|_F``
-    passes ``PIVOT_COND`` the pivots are chosen again and ``xi`` is read off
-    ``p_I``.  So with no ``frame_field`` both representations give the same
-    samples, and only the frame one adds ``xi``.
+    ``t_span`` must be finite and nonempty.  ``q0``'s controlled block must
+    agree with ``control`` at the initial time (it is then snapped exactly);
+    ``p0`` is coprojected onto the free block and must already be close to
+    it; both must be finite.  The state ``[q_free, xi]`` is stepped by
+    Maggi's equations (the kernel of ``frame_rhs``, at every stage) on the
+    generic frame (see ``frame_rhs``) whose minor is best conditioned at
+    ``t0``, the initial ``xi`` read off ``p0``, and every sample records
+    ``p_I = g V_I xi``.  At a sample where the frame's ``|A_d|_F
+    |A_d^-1|_F`` passes ``PIVOT_COND`` the pivots are chosen again and
+    ``xi`` is read off ``p_I``.  So both representations give the same
+    samples, and only the frame one adds ``xi``.  A sample whose residual
+    is above ``hard_residual``, or NaN, raises ``StepRejected``.
     """
+    if frame_field is not None:
+        raise ValueError("integrate runs the generic frame only; frame_field must be None")
     cfg = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 <= t0:
-        raise ValueError("empty integration span")
+    if not -np.inf < t0 < t1 < np.inf:
+        raise ValueError(f"empty or non-finite integration span ({t0}, {t1})")
     nsteps = max(1, round((t1 - t0) / cfg.dt))
     dt = (t1 - t0) / nsteps
-    N, n = spec.N, spec.dim
+    N, n, m = spec.N, spec.dim, spec.N - spec.nu
 
-    use_frame = cfg.representation == "frame"
     q = np.array(q0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     if q.shape != (n,):
@@ -192,13 +194,9 @@ def integrate(
         return np.linalg.solve(V_I.T @ g @ V_I, V_I.T @ p_I)
 
     # the state is y = [q_free, xi]
-    if not use_frame or frame_field is None:
-        frame_field = _VoronetsFrame.best(spec, P.Om)
-    generic = isinstance(frame_field, _VoronetsFrame)
-    pivots = [(t0, frame_field.pivots)] if generic else None
-    frame = frame_field(q)
-    i0, i1 = frame.block_ranges[0]
-    y = np.concatenate([q[:N], read_xi(frame.V[:, i0:i1], P.g, p_I)])
+    frame = _VoronetsFrame.best(spec, P.Om)
+    pivots = [(t0, frame.pivots)]
+    y = np.concatenate([q[:N], read_xi(frame.of(P.Om)[0][:, :m], P.g, p_I)])
 
     def assemble(t: float, q_free: Array) -> Array:
         u = np.atleast_1d(np.asarray(control.value(t), dtype=float))
@@ -208,27 +206,23 @@ def integrate(
 
     out_t, out_H, out_cres, out_dres = np.empty((4, nsteps + 1))
     out_q, out_p = np.empty((2, nsteps + 1, n))
-    out_xi = np.empty((nsteps + 1, y.shape[0] - N))
+    out_xi = np.empty((nsteps + 1, m))
 
     def stage(t: float, y: Array) -> Array:
-        st = _maggi(spec, assemble(t, y[:N]), y[N:], t, control, frame_field)
+        st = _maggi(spec, assemble(t, y[:N]), y[N:], t, control, frame)
         return np.concatenate([st.qdot[:N], st.xidot])
 
     for step in range(nsteps + 1):
         t = t0 + step * dt
         q = assemble(t, y[:N])
-        if step and not generic:
-            new_frame = frame_field(q)
-            check_frame_continuity(frame, new_frame)
-            frame = new_frame
         # stage k1, whose quantities also give the sample's diagnostics
-        st = _maggi(spec, q, y[N:], t, control, frame_field, None if generic else frame)
-        if generic and _norm(st.Om[:, frame_field._layout[0]]) * st.ainv_norm > PIVOT_COND:
+        st = _maggi(spec, q, y[N:], t, control, frame)
+        if _norm(st.Om[:, frame._layout[0]]) * st.ainv_norm > PIVOT_COND:
             best = _VoronetsFrame.best(spec, st.Om)
-            if best.pivots != frame_field.pivots:
+            if best.pivots != frame.pivots:
                 # p_I does not depend on the frame: read xi off it in the new one
-                frame_field = best
-                y[N:] = read_xi(best.of(st.Om)[0][:, : N - spec.nu], st.g, st.gV @ y[N:])
+                frame = best
+                y[N:] = read_xi(best.of(st.Om)[0][:, :m], st.g, st.gV @ y[N:])
                 pivots.append((t, best.pivots))
                 st = _maggi(spec, q, y[N:], t, control, best)
         H, cres, dres = _frame_diagnostics(st, y[N:], t, control)
@@ -236,7 +230,7 @@ def integrate(
         out_t[step], out_q[step], out_p[step], out_xi[step] = t, q, st.gV @ y[N:], y[N:]
         out_H[step], out_cres[step], out_dres[step] = H, cres, dres
 
-        if cres > cfg.hard_residual or dres > cfg.hard_residual:
+        if not (cres <= cfg.hard_residual and dres <= cfg.hard_residual):  # NaN fails too
             raise StepRejected(
                 f"diagnostics exceeded {cfg.hard_residual:.1e} at t = {t:.6g} "
                 f"(constraint {cres:.2e}, reaction {dres:.2e})"
@@ -247,10 +241,10 @@ def integrate(
         # stage k1 is the sample's own right-hand side
         y = _rk4_step(stage, t, y, dt, np.concatenate([st.qdot[:N], st.xidot]))
 
-    meta = {"dt": dt, "representation": cfg.representation, "t_span": (t0, t1)} | ({"pivots": pivots} if generic else {})
+    meta = {"dt": dt, "representation": cfg.representation, "t_span": (t0, t1), "pivots": pivots}
     return Trajectory(
         t=out_t, q=out_q, p_I=out_p, H=out_H, constraint_residual=out_cres, dalembert_residual=out_dres,
-        u=out_q[:, N:].copy(), xi=out_xi if use_frame else None, meta=meta,
+        u=out_q[:, N:].copy(), xi=out_xi if cfg.representation == "frame" else None, meta=meta,
     )
 
 

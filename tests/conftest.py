@@ -84,11 +84,10 @@ def sample_points(bundle, n, seed=0):
     return gen.uniform(box[:, 0], box[:, 1], size=(n, box.shape[0]))
 
 
-def frame_field_at(bundle, q):
-    """The model's published frame field, or else the generic frame field with the pivots best at ``q``."""
-    if bundle.frame_field is not None:
-        return bundle.frame_field
-    return _VoronetsFrame.best(bundle.spec, bundle.spec.omega(np.asarray(q, dtype=float)))
+def generic_free_block(spec, q):
+    """``V_I``, the free block of the generic frame whose pivots are best at ``q``."""
+    Om = spec.omega(np.asarray(q, dtype=float))
+    return _VoronetsFrame.best(spec, Om).of(Om)[0][:, : spec.N - spec.nu]
 
 
 def ball_free_block(ball, q):

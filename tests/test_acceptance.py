@@ -14,8 +14,8 @@ import pytest
 from nonholo.core_geometry import argmin_certificate, projection_set
 from nonholo.errors import NonholoError
 from nonholo.jump_analysis import BoxSampler, psi_scan, theta_on_III_scan
-from nonholo.models import build_model, racer_denominators
-from nonholo.reduced_dynamics import ControlSignal, frame_coefficients, frame_rhs
+from nonholo.models import build_model, racer_denominators, racer_frame_vectors
+from nonholo.reduced_dynamics import ControlSignal, _closed_rhs, frame_coefficients
 from nonholo.simulate import (
     IntegratorConfig,
     integrate,
@@ -24,7 +24,7 @@ from nonholo.simulate import (
     two_timescale_coefficient,
 )
 
-from conftest import ball_free_block, check_projection_algebra, sample_points
+from conftest import ball_free_block, check_projection_algebra, generic_free_block, sample_points
 
 
 def _report(num: int, ok: bool, label: str, detail: str = "") -> None:
@@ -34,12 +34,6 @@ def _report(num: int, ok: bool, label: str, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def free_block(frame):
-    """Columns of ``frame.V`` spanning block I."""
-    start, stop = frame.block_ranges[0]
-    return frame.V[:, start:stop]
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +49,7 @@ def dynamic_runs(racer, ball):
     )
 
     g_r = racer.spec.metric(racer.default_q0)
-    w1 = free_block(racer.frame_field(racer.default_q0))[:, 0]
+    w1 = racer_frame_vectors(racer.params, racer.default_q0)["w1"]
     runs["racer coasting"] = integrate(
         racer.spec,
         racer.default_q0,
@@ -88,7 +82,7 @@ def dynamic_runs(racer, ball):
 
 
 def test_1_closed_form_equivalence(racer):
-    """Pipeline right-hand side vs the closed-form system, random parameters too."""
+    """Pipeline right-hand side, in the closed form's coordinates, vs the closed-form system, random parameters too."""
     t_start = time.perf_counter()
     param_gen = np.random.default_rng(2024)
     bundles = [racer]
@@ -114,14 +108,13 @@ def test_1_closed_form_equivalence(racer):
             udot = float(rng.uniform(-1.0, 1.0))
             control = ControlSignal.linear(q[spec.N :], np.full(spec.M, udot))
             try:
-                qdot, xidot = frame_rhs(spec, q, np.array([xi]), 0.0, control, bundle.frame_field)
+                got = _closed_rhs(spec, bundle.extract_closed, q, xi, 0.0, control)
                 ref = bundle.closed_field(control)(0.0, np.append(q[: spec.N], xi))
             except NonholoError:
                 guard += 1
                 assert guard < 5000, "too many singular draws"
                 continue
             drawn += 1
-            got = np.append(qdot[: spec.N], xidot)
             worst = max(worst, float(np.abs(got - ref).max()) / (1.0 + float(np.abs(ref).max())))
     elapsed = time.perf_counter() - t_start
     ok = worst <= 1e-5 and elapsed < 10.0
@@ -157,14 +150,16 @@ def test_3_jump_fitness_verdicts(racer, ball):
     racer_theta = theta_on_III_scan(racer.spec, BoxSampler(racer.sample_box, seed=3), n_samples=500)
 
     # quantify the witness against the closed-form pump coefficient, contracted
-    # along the free frame direction at the witnessing point
+    # along the free frame direction at the witnessing point: the generic
+    # frame's, scaled to w1's xi by extract_closed(q, g V_I)
     p = racer.params
     q_w = racer_psi.worst_point
-    C = frame_coefficients(racer.spec, q_w, racer.frame_field)
+    C = frame_coefficients(racer.spec, q_w)
+    scale = racer.extract_closed(q_w, racer.spec.metric(q_w) @ generic_free_block(racer.spec, q_w)[:, 0])[3]
     u_w = float(q_w[3])
     _, d1 = racer_denominators(p, u_w)
     predicted = 2.0 * p.tail_inertia * p.rho**2 * np.cos(u_w) / d1**2
-    witness_dev = abs(C["udot_udot"][0, 0, 0] - predicted) / abs(predicted)
+    witness_dev = abs(C["udot_udot"][0, 0, 0] * scale - predicted) / abs(predicted)
 
     ok = (
         ball_psi.verdict == "fit"

@@ -1,13 +1,16 @@
-"""The library names the benchmark's trace mode looks up (``perfbench/spans.py``) keep resolving.
+"""The benchmark (``perfbench/``) keeps running against the library.
 
 The benchmark wraps library functions and model callbacks from outside, by
-name, and checks ``worker_count()``; a rename or deletion in ``src/`` would
-only show when the traced benchmark runs.  These tests import ``spans.py``
-unchanged and exercise the same lookups.
+name, and checks ``worker_count()``; its workloads call the library with the
+keywords they were written for.  A rename or deletion in ``src/`` would only
+show when the benchmark runs.  These tests import ``spans.py`` and
+``workloads.py`` unchanged, exercise the same lookups, and run one operation
+of each workload.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,8 @@ from nonholo import jump_analysis
 from nonholo.core_geometry import projection_set
 from nonholo.models import build_model
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -51,15 +55,34 @@ def test_wrapped_bundle_records_each_callback(spans, name):
     q = bundle.default_q0
     P = projection_set(traced.spec, q)
     assert np.array_equal(P.ginv, projection_set(bundle.spec, q).ginv)
-    expected = {"models.metric": 1, "models.omega": 1}
-    if bundle.frame_field is None:
-        # the ball has no published frame: the frame form builds the generic one
-        assert traced.frame_field is None
-    else:
-        traced.frame_field(q)
-        expected[spans.FRAME_SPAN] = 1
-    assert rec.counts() == expected
+    # no model has a frame field: the frame form builds the generic frame
+    assert bundle.frame_field is traced.frame_field is None
+    assert rec.counts() == {"models.metric": 1, "models.omega": 1}
 
 
 def test_worker_count_is_one():
     assert jump_analysis.worker_count() == 1
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    module_spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(module_spec)
+    sys.modules[module_spec.name] = module  # its dataclasses look their module up there
+    try:
+        module_spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[module_spec.name]
+
+
+@pytest.mark.parametrize("name", ["racer-simulate", "ball-frame-simulate", "ball-checkfit", "racer-dither"])
+def test_workload_operation_passes_its_checks(workloads, name):
+    """Seed 0's first operation of each workload passes every guard, and a rerun gives the same primary bytes."""
+    wl = workloads.WORKLOADS[name]
+    mods = workloads.build_models()
+    inp = wl.make_input(mods, 0, 0)
+    result = wl.run(mods, inp)
+    margins = wl.check(mods, inp, result)["margins"]
+    assert margins and min(margins.values()) > 0.0, margins
+    assert wl.primary(wl.run(mods, inp)) == wl.primary(result)

@@ -1,8 +1,9 @@
 """Reduced equations of motion: control signals, quadratic forms, frame form.
 
-The load-bearing check here is the pointwise comparison of ``frame_rhs``
-against the Roller Racer's closed-form system, whose coefficients are in turn
-pinned to a direct multiplier-based integration in ``test_models.py``.
+The load-bearing check here is the pointwise comparison of ``frame_rhs``,
+read in the closed form's coordinates (``_closed_rhs``), against the Roller
+Racer's closed-form system, whose coefficients are in turn pinned to a direct
+multiplier-based integration in ``test_models.py``.
 """
 
 import dataclasses
@@ -19,7 +20,6 @@ from nonholo import reduced_dynamics
 from nonholo.core_geometry import SystemSpec, projection_set
 from nonholo.errors import (
     ChartDomain,
-    FrameNotSmooth,
     ModelError,
     NonAdaptedState,
     NotInDeltaCapGamma,
@@ -30,9 +30,9 @@ from nonholo.jump_analysis import BoxSampler, psi_scan
 from nonholo.models import build_model, racer_denominators, racer_frame_vectors
 from nonholo.reduced_dynamics import (
     ControlSignal,
+    _closed_rhs,
     _VoronetsFrame,
     centrifugal_psi,
-    check_frame_continuity,
     coefficient_tensors,
     frame_coefficients,
     frame_rhs,
@@ -41,7 +41,7 @@ from nonholo.reduced_dynamics import (
     theta_I_apply,
 )
 
-from conftest import counting_spec, frame_field_at, near_singular_system, random_system, sample_points, stacked
+from conftest import counting_spec, generic_free_block, near_singular_system, random_system, sample_points, stacked
 
 
 def racer_state(bundle, q, xi):
@@ -502,23 +502,16 @@ class TestReducedRhs:
 
 
 def worst_closed_form_deviation(racer):
-    """Largest relative gap of ``frame_rhs`` to the racer's closed system over 25 points."""
+    """Largest relative gap of ``frame_rhs``, in ``w1``'s ``xi``, to the racer's closed system over 25 points."""
     gen = np.random.default_rng(51)
     worst = 0.0
     for q in sample_points(racer, 25, seed=53):
         xi = gen.uniform(-1.0, 1.0)
         udot = gen.uniform(-1.0, 1.0)
         control = ControlSignal.linear(q[3], udot)
-        qdot, xidot = frame_rhs(
-            racer.spec, q, np.array([xi]), 0.0, control, racer.frame_field
-        )
-        y = np.array([q[0], q[1], q[2], xi])
-        ref = racer.closed_field(control)(0.0, y)
-        dev = max(
-            float(np.abs(qdot[:3] - ref[:3]).max()),
-            abs(float(xidot[0]) - ref[3]),
-        )
-        worst = max(worst, dev / (1.0 + float(np.abs(ref).max())))
+        got = _closed_rhs(racer.spec, racer.extract_closed, q, xi, 0.0, control)
+        ref = racer.closed_field(control)(0.0, np.array([q[0], q[1], q[2], xi]))
+        worst = max(worst, float(np.abs(got - ref).max()) / (1.0 + float(np.abs(ref).max())))
     return worst
 
 
@@ -528,55 +521,16 @@ class TestFrameRhs:
         assert worst_closed_form_deviation(racer) < 1e-8
 
     def test_matches_closed_form_to_rounding(self, racer):
-        """The complex-step frame transport leaves only rounding against the closed system."""
+        """The frame transport and the complex-step change of coordinates leave only rounding against the closed system."""
         assert worst_closed_form_deviation(racer) <= 1e-13
-
-    @pytest.mark.parametrize("given_frame, calls", [(True, 1), (False, 2)])
-    def test_one_frame_evaluation_for_the_transport(self, racer, given_frame, calls):
-        """The transport takes one complex evaluation of ``frame_field``; the frame at ``q`` is the other."""
-        q = np.array([0.1, 1.4, -0.2, 0.2])
-        points = []
-
-        def frame_field(qq):
-            points.append(qq)
-            return racer.frame_field(qq)
-
-        frame = racer.frame_field(q) if given_frame else None
-        frame_rhs(racer.spec, q, np.array([0.5]), 0.0, ControlSignal.linear(0.2, 0.7), frame_field, frame=frame)
-        assert len(points) == calls
-        assert np.iscomplexobj(points[-1]) and np.all(points[-1].real == q)
-
-    @pytest.mark.parametrize("flaw", ["float", "type-error", "real-buffer"])
-    def test_real_only_frame_field_is_a_model_error(self, racer, flaw):
-        """A frame field that is not complex-safe is refused, whatever the caller's warning filters."""
-        q = np.array([0.1, 1.4, -0.2, 0.2])
-
-        def frame_field(qq):
-            F = racer.frame_field(qq)
-            if flaw == "float":
-                float(qq[0])
-            elif flaw == "type-error" and np.iscomplexobj(qq):
-                raise TypeError("real input only")
-            elif flaw == "real-buffer":
-                V = np.zeros(F.V.shape)
-                V[:] = F.V
-                F = type(F)(V=V, Omega_frame=F.Omega_frame, block_ranges=F.block_ranges)
-            return F
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-            with pytest.raises(ModelError, match="complex-safe"):
-                frame_rhs(racer.spec, q, np.array([0.5]), 0.0, ControlSignal.linear(0.2, 0.7), frame_field)
 
     @pytest.mark.parametrize("name", ["rolling-ball", "roller-racer"])
     def test_one_complex_call_of_each_callback(self, name, monkeypatch):
         """Each callback runs once, complex, on the stack ``q + i H [0; I_n]``, and never real.
 
         Row 0's real part is the callback at ``q`` and rows ``1 .. n`` give the
-        axis derivatives.  The ball runs the generic frame, whose transport
-        needs no further call; the racer's published frame, given at ``q``,
-        adds one complex frame-field call at ``q + i H qdot``.  No matrix is
-        inverted in complex arithmetic.
+        axis derivatives.  The generic frame's transport needs no further
+        call.  No matrix is inverted in complex arithmetic.
         """
         bundle = build_model(name)
         calls = Counter()
@@ -585,67 +539,32 @@ class TestFrameRhs:
         spec = counting_spec(bundle.spec, calls)
         q = sample_points(bundle, 1, seed=55)[0]
         xi = np.linspace(0.3, -0.2, spec.N - spec.nu)
-        frame_field, frame = None, None
-        if bundle.frame_field is not None:
-            frame = bundle.frame_field(q)
-
-            def frame_field(qq):
-                calls["frame", "complex" if np.iscomplexobj(qq) else "real", np.shape(qq)] += 1
-                return bundle.frame_field(qq)
-
-        frame_rhs(spec, q, xi, 0.0, ControlSignal.linear(q[spec.N :], 0.7), frame_field, frame=frame)
+        frame_rhs(spec, q, xi, 0.0, ControlSignal.linear(q[spec.N :], 0.7))
         n = spec.dim
-        # real inverses of A_d (generic frame only) and of the Gram matrix
+        # real inverses of A_d and of the Gram matrix
         expected = {("metric", "complex", (n + 1, n)): 1, ("omega", "complex", (n + 1, n)): 1, ("inv", "f"): 2}
-        if frame is not None:
-            expected["frame", "complex", (n,)], expected["inv", "f"] = 1, 1
         assert calls == Counter(expected)
 
     def test_zero_state_is_stationary(self, racer):
         q = np.array([0.1, 1.4, -0.2, 0.2])
-        qdot, xidot = frame_rhs(
-            racer.spec, q, np.zeros(1), 0.0, ControlSignal.constant(0.2), racer.frame_field
-        )
+        qdot, xidot = frame_rhs(racer.spec, q, np.zeros(1), 0.0, ControlSignal.constant(0.2))
         assert np.all(qdot == 0.0)
         assert np.all(xidot == 0.0)
 
     def test_rejects_wrong_xi_shape(self, racer):
         q = np.array([0.1, 1.4, -0.2, 0.2])
         with pytest.raises(ValueError):
-            frame_rhs(
-                racer.spec, q, np.zeros(2), 0.0, ControlSignal.constant(0.2), racer.frame_field
-            )
-
-    def test_flags_discontinuous_frame_supplier(self, racer):
-        """A sign-flipping frame field trips the smoothness probe."""
-        q = np.array([0.1, 1.4, -0.2, 0.2])
-        flip_at = q[0]
-
-        def jumpy(qq):
-            F = racer.frame_field(qq)
-            if qq[0] > flip_at:
-                return type(F)(V=-F.V, Omega_frame=-F.Omega_frame, block_ranges=F.block_ranges)
-            return F
-
-        with pytest.raises(FrameNotSmooth):
-            frame_rhs(
-                racer.spec, q, np.array([0.5]), 0.0, ControlSignal.constant(0.2), jumpy
-            )
-
-    def test_check_frame_continuity_direct(self, racer):
-        q = np.array([0.1, 1.4, -0.2, 0.2])
-        F = racer.frame_field(q)
-        check_frame_continuity(F, F)  # identical frames pass
-        flipped = type(F)(V=-F.V, Omega_frame=F.Omega_frame, block_ranges=F.block_ranges)
-        with pytest.raises(FrameNotSmooth):
-            check_frame_continuity(F, flipped)
+            frame_rhs(racer.spec, q, np.zeros(2), 0.0, ControlSignal.constant(0.2))
 
 
-def tensor_frame_rhs(spec, q, xi, t, control, frame_field):
+def tensor_frame_rhs(spec, q, xi, t, control, field=None):
     """Reference ``(qdot, xidot)`` of the frame form from the coefficient tensors.
 
-    The momentum equation projected onto the frame, as the frame form was
-    computed before Maggi's equations, for any free block: with
+    On the generic frame ``field`` (``None``: the one whose pivots are best
+    at ``q``), transported by a complex step of its ``V`` rather than by
+    Maggi's closed form.  The momentum equation projected onto the frame, as
+    the frame form was computed before Maggi's equations, for any free
+    block: with
     ``p_I = g V_I xi``, ``p = p_I + k udot`` and ``pIdot = theta_I[p, p]``,
     ``V_I^T p_I = G xi`` with the Gram matrix ``G = V_I^T g V_I``, so
     ``xidot = G^-1 (V_I^T pIdot + dV^T p_I - Gdot xi)``, where
@@ -653,9 +572,9 @@ def tensor_frame_rhs(spec, q, xi, t, control, frame_field):
     """
     T = coefficient_tensors(spec, q)
     P = T.projections
-    frame = frame_field(q)
-    i0, i1 = frame.block_ranges[0]
-    V_I = frame.V[:, i0:i1]
+    field = field if field is not None else _VoronetsFrame.best(spec, spec.omega(q))
+    m, H = spec.N - spec.nu, reduced_dynamics.COMPLEX_STEP
+    V_I = field.of(spec.omega(q))[0][:, :m]
     g = P.g
     udot = np.atleast_1d(control.rate(t))
     free_vel = V_I @ xi
@@ -663,14 +582,14 @@ def tensor_frame_rhs(spec, q, xi, t, control, frame_field):
     p_I = g @ free_vel
     p = p_I + P.k @ udot
     pIdot = theta_I_apply(spec, q, p, p, tensors=T)
-    dV = frame_field(q + 1j * reduced_dynamics.COMPLEX_STEP * qdot).V[:, i0:i1].imag / reduced_dynamics.COMPLEX_STEP
+    dV = field.of(spec.omega(q + 1j * H * qdot))[0][:, :m].imag / H
     dg_flow = np.tensordot(qdot, T.dg, axes=1)
     G = V_I.T @ g @ V_I
     Gdot = dV.T @ g @ V_I + V_I.T @ g @ dV + V_I.T @ dg_flow @ V_I
     return qdot, np.linalg.solve(G, V_I.T @ pIdot + dV.T @ p_I - Gdot @ xi)
 
 
-#: built-in models, as shipped and with a configuration-dependent metric bump (the ball runs the generic frame)
+#: built-in models, as shipped and with a configuration-dependent metric bump
 MAGGI_MODELS = [("roller-racer", 0.0), ("roller-racer", 0.05), ("rolling-ball", 0.0), ("rolling-ball", 0.05)]
 
 
@@ -679,32 +598,26 @@ class TestMaggiForm:
     def test_matches_tensor_form(self, name, perturb):
         """Maggi's equations give the tensor form's ``(qdot, xidot)`` to 1e-13 relative at 100 random states.
 
-        Both with and without the frame at ``q`` given; the ball, which has
-        no published frame, runs the generic frame with the pivots best at
-        each ``q``.
+        Both run the generic frame with the pivots best at each ``q``.
         """
         bundle = build_model(name, metric_perturb=perturb)
         spec = bundle.spec
         gen = np.random.default_rng(71)
         for q in sample_points(bundle, 100, seed=73):
-            frame_field = frame_field_at(bundle, q)
-            frame = frame_field(q)
-            i0, i1 = frame.block_ranges[0]
-            xi = gen.uniform(-1.0, 1.0, i1 - i0)
+            xi = gen.uniform(-1.0, 1.0, spec.N - spec.nu)
             control = ControlSignal.linear(q[spec.N :], gen.uniform(-1.0, 1.0, spec.M))
-            ref_qdot, ref_xidot = tensor_frame_rhs(spec, q, xi, 0.0, control, frame_field)
-            for kwargs in ({}, {"frame": frame}):
-                qdot, xidot = frame_rhs(spec, q, xi, 0.0, control, bundle.frame_field, **kwargs)
-                assert np.abs(qdot - ref_qdot).max() <= 1e-13 * (1.0 + np.abs(ref_qdot).max())
-                assert np.abs(xidot - ref_xidot).max() <= 1e-13 * (1.0 + np.abs(ref_xidot).max())
+            ref_qdot, ref_xidot = tensor_frame_rhs(spec, q, xi, 0.0, control)
+            qdot, xidot = frame_rhs(spec, q, xi, 0.0, control)
+            assert np.abs(qdot - ref_qdot).max() <= 1e-13 * (1.0 + np.abs(ref_qdot).max())
+            assert np.abs(xidot - ref_xidot).max() <= 1e-13 * (1.0 + np.abs(ref_xidot).max())
 
     @pytest.mark.parametrize("name, perturb", MAGGI_MODELS)
     def test_frame_coefficients_match_tensor_form(self, name, perturb):
         """Every block of ``frame_coefficients`` matches the tensor form's polarization to 1e-13 relative."""
         bundle = build_model(name, metric_perturb=perturb)
         for q in sample_points(bundle, 10, seed=75):
-            got = frame_coefficients(bundle.spec, q, bundle.frame_field)
-            ref = block_loop_coefficients(bundle.spec, q, frame_field_at(bundle, q), rhs=tensor_frame_rhs)
+            got = frame_coefficients(bundle.spec, q)
+            ref = block_loop_coefficients(bundle.spec, q, rhs=tensor_frame_rhs)
             scale = 1.0 + max(float(np.abs(block).max()) for block in ref.values())
             for name_, block in ref.items():
                 assert np.abs(got[name_] - block).max() <= 1e-13 * scale, name_
@@ -731,16 +644,16 @@ class TestVoronetsFrame:
     """The generic frame: built from ``omega`` alone, adapted to the constraints, exact dual rows."""
 
     def test_frame_is_adapted_with_exact_dual_rows(self):
-        """``Om V = 0`` to rounding, unit controls on the drive block, none on the free block, ``Omega_frame @ V = I``."""
+        """``Om V = 0`` to rounding, unit controls on the drive block, none on the free block, the dual rows ``V[r] = I``."""
         for spec, points in generic_cases():
             m = spec.N - spec.nu
             field = _VoronetsFrame.best(spec, spec.omega(points[0]))
             for q in points:
-                F = field(q)
-                assert F.block_ranges == ((0, m), (m, m), (m, m + spec.M))
-                assert np.all(np.abs(spec.omega(q) @ F.V) <= 1e-14 * (1.0 + np.abs(F.V).max()))
-                assert np.all(F.V[spec.N :, :m] == 0.0) and np.all(F.V[spec.N :, m:] == np.eye(spec.M))
-                assert np.all(F.Omega_frame @ F.V == np.eye(m + spec.M))
+                V = field.of(spec.omega(q))[0]
+                assert V.shape == (spec.dim, m + spec.M)
+                assert np.all(np.abs(spec.omega(q) @ V) <= 1e-14 * (1.0 + np.abs(V).max()))
+                assert np.all(V[spec.N :, :m] == 0.0) and np.all(V[spec.N :, m:] == np.eye(spec.M))
+                assert np.all(V[field._layout[1]] == np.eye(m + spec.M))
 
     def test_lift_from_a_drive_block_is_the_splittings(self, racer, ball):
         """``h = x0 - V_I G^-1 (g V_I)^T x0`` from the racer's ``v4`` or a generic drive block is ``projection_set().h``.
@@ -749,15 +662,16 @@ class TestVoronetsFrame:
         with the splitting's to 4 ulp of ``1 + |h|`` at 200 box points.
         """
         for bundle in (racer, ball):
+            m = bundle.spec.N - bundle.spec.nu
             for q in sample_points(bundle, 200, seed=81):
                 P = projection_set(bundle.spec, q)
-                frames = [_VoronetsFrame.best(bundle.spec, P.Om)(q)]
-                if bundle.frame_field is not None:
-                    frames.append(bundle.frame_field(q))
-                    assert np.abs(P.Om @ frames[-1].V[:, 3:]).max() <= 1.1e-16
-                for F in frames:
-                    (i0, i1), _, (j0, j1) = F.block_ranges
-                    V_I, x0 = F.V[:, i0:i1], F.V[:, j0:j1]
+                V = _VoronetsFrame.best(bundle.spec, P.Om).of(P.Om)[0]
+                blocks = [(V[:, :m], V[:, m:])]
+                if bundle is racer:
+                    vecs = racer_frame_vectors(racer.params, q)
+                    blocks.append((vecs["w1"][:, None], vecs["v4"][:, None]))
+                    assert np.abs(P.Om @ vecs["v4"]).max() <= 1.1e-16
+                for V_I, x0 in blocks:
                     gV = P.g @ V_I
                     h = x0 - V_I @ np.linalg.solve(V_I.T @ gV, gV.T @ x0)
                     assert np.abs(h - P.h).max() <= 4 * np.finfo(float).eps * (1.0 + np.abs(P.h).max())
@@ -810,22 +724,33 @@ class TestVoronetsFrame:
 class TestFrameCoefficients:
     @pytest.mark.parametrize("u", [0.0, 0.35, -0.8])
     def test_racer_quadratic_structure(self, racer, u):
-        """Coupling and pump coefficients match the closed denominators."""
+        """In ``w1``'s ``xi`` the coupling and pump coefficients match the closed denominators.
+
+        ``frame_coefficients`` reads the generic frame's ``xi``; in the
+        closed form's the blocks come from polarizing ``_closed_rhs``, and
+        the pump block is the generic one times ``extract_closed(q, g V_I)``.
+        """
         p = racer.params
         rho, I, J = p.rho, p.inertia, p.tail_inertia
         q = np.array([0.3, 1.1, -0.5, u])
-        C = frame_coefficients(racer.spec, q, racer.frame_field)
+
+        def xidot(xi, udot):
+            return _closed_rhs(racer.spec, racer.extract_closed, q, xi, 0.0, ControlSignal.linear(u, udot))[3]
+
+        xi_xi, pump_w1 = xidot(1.0, 0.0), xidot(0.0, 1.0)
         d0, d1 = racer_denominators(p, u)
         coupling = -(I + J - rho**2) * np.sin(2.0 * u) / d1
         pump = 2.0 * J * rho**2 * np.cos(u) / d1**2
-        assert C["xi_udot"][0, 0, 0] == pytest.approx(coupling, abs=1e-8)
-        assert C["udot_udot"][0, 0, 0] == pytest.approx(pump, abs=1e-8)
-        assert np.abs(C["xi_xi"]).max() < 1e-8
+        assert xidot(1.0, 1.0) - xi_xi - pump_w1 == pytest.approx(coupling, abs=1e-8)
+        assert pump_w1 == pytest.approx(pump, abs=1e-8)
+        assert abs(xi_xi) < 1e-8
+        scale = racer.extract_closed(q, racer.spec.metric(q) @ generic_free_block(racer.spec, q)[:, 0])[3]
+        assert frame_coefficients(racer.spec, q)["udot_udot"][0, 0, 0] * scale == pytest.approx(pump, abs=1e-8)
 
     def test_ball_has_no_pump(self, ball):
         """Fit system: the pure control-rate block of xidot vanishes."""
         q = ball.default_q0
-        C = frame_coefficients(ball.spec, q, ball.frame_field)
+        C = frame_coefficients(ball.spec, q)
         assert np.abs(C["udot_udot"]).max() < 1e-7
 
     @pytest.mark.parametrize("model", ["racer", "ball"])
@@ -833,18 +758,18 @@ class TestFrameCoefficients:
         """The single symmetric polarization gives the blocks of separate per-block loops bitwise."""
         bundle = {"racer": racer, "ball": ball}[model]
         for q in sample_points(bundle, 6, seed=57):
-            got = frame_coefficients(bundle.spec, q, bundle.frame_field)
-            ref = block_loop_coefficients(bundle.spec, q, bundle.frame_field)
+            got = frame_coefficients(bundle.spec, q)
+            ref = block_loop_coefficients(bundle.spec, q)
             for name, block in ref.items():
                 assert got[name].shape == block.shape
                 assert np.array_equal(got[name], block), name
 
     @pytest.mark.parametrize("model", ["racer", "ball"])
     def test_generic_frame_pivots_are_picked_once(self, model, racer, ball, monkeypatch):
-        """With no frame field the pivots are picked once per call, and the blocks equal per-stage picking bitwise."""
+        """The pivots are picked once per call, and the blocks equal per-stage picking bitwise."""
         bundle = {"racer": racer, "ball": ball}[model]
         points = sample_points(bundle, 4, seed=59)
-        refs = [block_loop_coefficients(bundle.spec, q, None) for q in points]
+        refs = [block_loop_coefficients(bundle.spec, q) for q in points]
         calls = []
         best = _VoronetsFrame.best
         monkeypatch.setattr(_VoronetsFrame, "best", staticmethod(lambda *args: calls.append(1) or best(*args)))
@@ -855,23 +780,18 @@ class TestFrameCoefficients:
         assert len(calls) == len(points)
 
 
-def block_loop_coefficients(spec, q, frame_field, rhs=None):
+def block_loop_coefficients(spec, q, rhs=frame_rhs):
     """The three blocks of ``frame_coefficients``, each polarized by its own loop nest.
 
-    ``rhs(spec, q, xi, t, control, frame_field)`` gives ``(qdot, xidot)``;
-    by default :func:`frame_rhs` with one frame at ``q`` (the generic one
-    when ``frame_field`` is ``None``).
+    ``rhs(spec, q, xi, t, control)`` gives ``(qdot, xidot)``, by default
+    :func:`frame_rhs`, on the generic frame whose pivots are best at ``q``.
     """
     u0 = q[spec.N :]
-    frame = frame_field(q) if frame_field is not None else None
     m = spec.N - spec.nu
     M = spec.M
 
     def f(xi, udot):
-        ctrl = ControlSignal.linear(u0, udot, t0=0.0)
-        if rhs is not None:
-            return rhs(spec, q, xi, 0.0, ctrl, frame_field)[1]
-        return frame_rhs(spec, q, xi, 0.0, ctrl, frame_field, frame=frame)[1]
+        return rhs(spec, q, xi, 0.0, ControlSignal.linear(u0, udot, t0=0.0))[1]
 
     zero_xi, zero_u = np.zeros(m), np.zeros(M)
     base_xi = [f(np.eye(m)[r], zero_u) for r in range(m)]

@@ -10,7 +10,6 @@ import pytest
 from nonholo import reduced_dynamics, simulate
 from nonholo.core_geometry import SystemSpec, projection_set
 from nonholo.errors import (
-    FrameNotSmooth,
     ModelError,
     NonAdaptedState,
     NotInDeltaCapGamma,
@@ -187,32 +186,13 @@ class TestIntegrate:
         y_end = racer.extract_closed(traj.q[-1], traj.p_I[-1])
         assert abs(y_end[3]) > 1e-3
 
-    def test_frame_representation_matches_ambient(self, racer):
-        control = ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
-        p0 = racer_momentum(racer, racer.default_q0, 0.1)
-        span = (0.0, 0.3)
-        ref = ambient_reference(racer.spec, racer.default_q0, p0, control, span, 1e-3)
-        frm = integrate(
-            racer.spec,
-            racer.default_q0,
-            p0,
-            control,
-            span,
-            IntegratorConfig(dt=1e-3, representation="frame"),
-            frame_field=racer.frame_field,
-        )
-        assert frm.xi is not None and frm.xi.shape == (301, 1)
-        assert np.abs(frm.q[-1] - ref[-1, :4]).max() < 1e-8
-        xi_ref = racer.extract_closed(ref[-1, :4], ref[-1, 4:])[3]
-        assert abs(frm.xi[-1, 0] - xi_ref) < 1e-8
-
     @pytest.mark.parametrize("perturb", [0.0, 0.05])
     def test_ball_frame_representation_matches_ambient(self, perturb):
         """The ball's trajectory agrees with the reference to 1e-12 relative, at every sample.
 
-        The ball has no published frame, so ``integrate`` runs the generic
-        one, whose free vectors are not ``g``-orthogonal, with or without
-        ``metric_perturb``; Maggi's equations must take that into account.
+        ``integrate`` runs the generic frame, whose free vectors are not
+        ``g``-orthogonal, with or without ``metric_perturb``; Maggi's
+        equations must take that into account.
         """
         ball = build_model("rolling-ball", metric_perturb=perturb)
         q0 = ball.default_q0
@@ -224,7 +204,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("name", ["roller-racer", "rolling-ball"])
     def test_representation_selects_only_the_record(self, name):
-        """Without a frame field both representations step the same state on the same frame: bitwise-equal samples."""
+        """Both representations step the same state on the same frame: bitwise-equal samples."""
         bundle = build_model(name)
         q0 = bundle.default_q0
         p0 = projection_set(bundle.spec, q0).Pstar_I @ np.linspace(0.1, 0.4, bundle.spec.dim)
@@ -242,7 +222,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("representation", ["ambient", "frame"])
     def test_no_tensor_build_in_either_representation(self, racer, representation, monkeypatch):
         """Neither representation builds coefficient tensors: stages and sample diagnostics need only the frame and the metric."""
-        builds = {"tensors": 0, "frames": 0, "assembled": 0}
+        builds = {"tensors": 0, "assembled": 0}
         tensors = reduced_dynamics.coefficient_tensors
         assemble = reduced_dynamics._tensors_from
 
@@ -253,10 +233,6 @@ class TestIntegrate:
         def counted_assembly(*args):
             builds["assembled"] += 1
             return assemble(*args)
-
-        def counted_frame(q):
-            builds["frames"] += 1
-            return racer.frame_field(q)
 
         monkeypatch.setattr(reduced_dynamics, "coefficient_tensors", counted_tensors)
         # every CoefficientTensors is assembled here, so no build goes uncounted
@@ -269,22 +245,16 @@ class TestIntegrate:
             ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi),
             (0.0, 0.01),
             IntegratorConfig(dt=1e-3, representation=representation),
-            frame_field=counted_frame,
         )
         assert builds["tensors"] == builds["assembled"] == 0
-        # the ambient representation runs the generic frame; the frame one
-        # builds the given frame once at the start and once per later sample;
-        # stage k1, which every sample's diagnostics read, reuses it and builds
-        # only its complex transport point, the other 30 stages the frame and that point
-        assert builds["frames"] == (0 if representation == "ambient" else 1 + 10 + 11 + 2 * 30)
 
     def test_callback_calls_of_a_racer_run(self, racer):
-        """A 10-step racer run calls ``metric`` 42 and ``omega`` 43 times.
+        """A 10-step racer run calls ``metric`` and ``omega`` 42 times each.
 
-        The splitting at ``t0`` calls each once and the initial generic
-        frame ``omega`` once more; then each of the 11 samples' stage k1 and
-        each of the 30 later stages makes one complex call of each, on the
-        stack ``q + i H [0; I_n]``.
+        The splitting at ``t0`` calls each once, and the initial generic
+        frame is read off its ``Om``; then each of the 11 samples' stage k1
+        and each of the 30 later stages makes one complex call of each, on
+        the stack ``q + i H [0; I_n]``.
         """
         calls = Counter()
         integrate(
@@ -298,7 +268,7 @@ class TestIntegrate:
         totals = Counter()
         for (name, _, _), count in calls.items():
             totals[name] += count
-        assert totals == Counter({"metric": 42, "omega": 43})
+        assert totals == Counter({"metric": 42, "omega": 42})
         assert calls["metric", "complex", (5, 4)] == calls["omega", "complex", (5, 4)] == 41
 
     def test_stage_call_pattern_of_a_racer_run(self, racer, monkeypatch):
@@ -415,7 +385,7 @@ class TestIntegrate:
             integrate(racer.spec, q0, bad, ControlSignal.constant(0.0), (0.0, 1.0))
 
     def test_frame_mode_without_frame_field_runs_the_generic_frame(self, racer):
-        """With no frame field the frame form builds the generic frame on the minor best at ``t0``, here ``(q2, q3)``."""
+        """The frame representation runs the generic frame on the minor best at ``t0``, here ``(q2, q3)``."""
         control = ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
         p0 = racer_momentum(racer, racer.default_q0, 0.1)
         ref = ambient_reference(racer.spec, racer.default_q0, p0, control, (0.0, 0.3), 1e-3)
@@ -427,6 +397,50 @@ class TestIntegrate:
     def test_rejects_empty_span(self, racer):
         with pytest.raises(ValueError):
             integrate(racer.spec, racer.default_q0, np.zeros(4), ControlSignal.constant(0.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_rejects_a_non_finite_span(self, racer, end, value):
+        """A span end that is not finite is a ``ValueError`` (``inf`` was an ``OverflowError`` out of ``round``)."""
+        span = [0.0, 1.0]
+        span[end] = value
+        with pytest.raises(ValueError, match="integration span"):
+            integrate(racer.spec, racer.default_q0, np.zeros(4), ControlSignal.constant(0.0), tuple(span))
+
+    def test_rejects_a_frame_field(self, racer):
+        """Only the generic frame runs; the keyword stays for callers that pass ``None``."""
+        with pytest.raises(ValueError, match="frame_field must be None"):
+            integrate(
+                racer.spec, racer.default_q0, np.zeros(4), ControlSignal.constant(0.0), (0.0, 0.01),
+                frame_field=lambda q: None,
+            )
+
+    def test_nan_residuals_are_rejected(self):
+        """A metric that turns NaN mid-run raises ``StepRejected`` instead of writing NaN samples.
+
+        The toy (``N = 2``, ``M = 1``, ``nu = 1``: the form ``dq2 + du``, so
+        ``q1`` is free) has ``g[0, 0] = NaN`` once ``q1 > 0.05``; coasting at
+        unit speed crosses that at t = 0.05.  The NaN passes the metric tests,
+        so the sample at t = 0.06 has NaN residuals; both comparisons with
+        ``hard_residual`` are False for NaN, and the run used to return 21
+        samples, 15 of them NaN.
+        """
+
+        def metric(q):
+            g = np.zeros(q.shape[:-1] + (3, 3), dtype=np.result_type(q, float))
+            g[..., [0, 1, 2], [0, 1, 2]] = 1.0
+            g[..., 0, 0] = np.where(np.real(q[..., 0]) > 0.05, np.nan, 1.0)
+            return g
+
+        def omega(q):
+            Om = np.zeros(q.shape[:-1] + (1, 3), dtype=np.result_type(q, float))
+            Om[..., 0, 1:] = 1.0
+            return Om
+
+        spec = SystemSpec(N=2, M=1, nu=1, metric=metric, omega=omega)
+        p0, control = np.array([1.0, 0.0, 0.0]), ControlSignal.constant(0.0)
+        with pytest.raises(StepRejected, match="at t = 0.06 .constraint nan, reaction nan"):
+            integrate(spec, np.zeros(3), p0, control, (0.0, 0.2), IntegratorConfig(dt=0.01))
 
     def test_hard_residual_rejects_step(self, racer):
         """An unattainable residual bound aborts with the offending time."""
@@ -443,9 +457,9 @@ class TestIntegrate:
             )
 
 
-def frame_vs_ambient_gap(spec, q0, p0, control, t_span, dt, frame_field=None):
+def frame_vs_ambient_gap(spec, q0, p0, control, t_span, dt):
     """Largest relative gap in ``(q, p_I)`` between the frame form and :func:`ambient_reference`; and the frame run."""
-    traj = integrate(spec, q0, p0, control, t_span, IntegratorConfig(dt=dt, representation="frame"), frame_field)
+    traj = integrate(spec, q0, p0, control, t_span, IntegratorConfig(dt=dt, representation="frame"))
     return reference_gap(traj, ambient_reference(spec, q0, p0, control, t_span, dt)), traj
 
 
@@ -489,36 +503,18 @@ class TestGenericFrame:
         assert gap <= 1e-15 and traj.meta["pivots"] == [(0.0, (0,))]
 
     def test_pivot_switch_where_the_published_frame_fails(self, racer):
-        """Across ``sin q2 = 0`` the generic frame switches pivots once; the published frame runs through.
+        """Across ``sin q2 = 0``, where the racer's published frame has a chart edge, the generic frame switches pivots once.
 
         The switch, logged in ``meta``, goes from ``(q2, q3)`` to ``(q1, q2)``
         at t = 1.232; the gap to the reference over 1.5 s falls x16 per
-        halving of ``dt`` (3.2e-9 and 2.0e-10 at 2e-3 and 1e-3).  The
-        published frame's reaction vectors flip sign there, but Maggi's
-        equations read only ``w1`` and ``v4``, so the continuity check passes
-        it (gap 1.1e-13 at 2e-3); a sign flip of ``w1`` is still refused.
+        halving of ``dt`` (3.2e-9 and 2.0e-10 at 2e-3 and 1e-3).
         """
         control = ControlSignal.sinusoid(0.3, 0.1, 3.0)
         q0, p0 = racer.embed_closed(np.array([0.0, 2.3, 0.0, 1.0]), float(control.value(0.0)[0]))
-        cfg = IntegratorConfig(dt=2e-3, representation="frame")
-        published = integrate(racer.spec, q0, p0, control, (0.0, 1.5), cfg, racer.frame_field)
-        assert np.sin(published.q[:, 1]).min() < 0.0 < np.sin(published.q[0, 1])
-        assert reference_gap(published, ambient_reference(racer.spec, q0, p0, control, (0.0, 1.5), 2e-3)) < 1e-8
-
-        def w1_flipped(q):
-            F = racer.frame_field(q)
-            if np.sin(q[1].real) >= 0.0:
-                return F
-            V, Omega_frame = F.V.copy(), F.Omega_frame.copy()
-            V[:, 0] *= -1.0
-            Omega_frame[0] *= -1.0
-            return type(F)(V, Omega_frame, F.block_ranges)
-
-        with pytest.raises(FrameNotSmooth):
-            integrate(racer.spec, q0, p0, control, (0.0, 1.5), cfg, w1_flipped)
         gaps = []
         for dt in (2e-3, 1e-3):
             gap, traj = frame_vs_ambient_gap(racer.spec, q0, p0, control, (0.0, 1.5), dt)
+            assert np.sin(traj.q[:, 1]).min() < 0.0 < np.sin(traj.q[0, 1])
             assert traj.meta["pivots"] == [(0.0, (1, 2)), (pytest.approx(1.232), (0, 1))]
             gaps.append(gap)
         assert gaps[0] < 1e-8 and 12.0 <= gaps[0] / gaps[1] <= 20.0, gaps
@@ -578,7 +574,6 @@ class TestCsv:
             ControlSignal.constant(0.0),
             (0.0, 0.02),
             IntegratorConfig(dt=1e-2, representation="frame"),
-            frame_field=racer.frame_field,
         )
         assert "xi_1" in traj.column_names()
         path = tmp_path / "frame.csv"
@@ -617,7 +612,6 @@ class TestRk4Order:
                 control,
                 (0.0, 0.5),
                 IntegratorConfig(dt=dt, representation=representation),
-                frame_field=racer.frame_field,
             )
             return np.concatenate([traj.q[-1], traj.p_I[-1]])
 
@@ -647,7 +641,7 @@ class TestOneStepper:
         p0 = racer_momentum(racer, racer.default_q0, 0.1)
         cfg = IntegratorConfig(dt=0.01, representation=representation)
         control = ControlSignal.sinusoid(0.0, 0.2, 3.0)
-        traj = integrate(racer.spec, racer.default_q0, p0, control, (0.0, 0.05), cfg, racer.frame_field)
+        traj = integrate(racer.spec, racer.default_q0, p0, control, (0.0, 0.05), cfg)
         assert len(traj) == 6
         assert step_calls == list(traj.t[:-1])
 
