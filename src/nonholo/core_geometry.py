@@ -222,10 +222,12 @@ def _cholesky_spd(G: Array, label: str = "metric") -> Array:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"{label} is not positive definite") from exc
-    # pivot ratio ~ sqrt(condition number); reject past ~1e12 conditioning (NaN passes, as under np.min)
+    # reject NaN pivots (OpenBLAS factors a NaN metric), which min and max can hide; pivot ratio ~ sqrt(cond)
     for diag in L.diagonal(0, -2, -1).tolist() if L.size else ():
+        if not math.isfinite(sum(diag)):
+            raise SingularMetric(f"{label} is not finite")
         ratio = min(diag) / max(diag)
-        if ratio * ratio < 1e-12 and not any(map(math.isnan, diag)):
+        if ratio * ratio < 1e-12:
             raise SingularMetric(f"{label} is numerically singular (pivot ratio {ratio:.2e})")
     return L
 
@@ -306,12 +308,16 @@ def _constraint_svd(spec: SystemSpec, Q: Array, Om: Array, skip: SkipTypes = ())
     Returns ``(keep, U, s, Vh)``: the mask of points where ``nu`` singular
     values clear the relative cutoff ``RANK_RTOL`` and the factors at those
     points.  Elsewhere transversality fails: ``RankDeficiency`` is raised,
-    or, when it is in ``skip``, the point is dropped.
+    or, when it is in ``skip``, the point is dropped.  Non-finite forms raise
+    ``ModelError``.
     """
     S, N, nu = len(Om), spec.N, spec.nu
     if nu == 0:
         return np.ones(S, dtype=bool), np.zeros((S, 0, 0)), np.zeros((S, 0)), np.broadcast_to(np.eye(N), (S, N, N))
-    U, s, Vh = np.linalg.svd(Om[:, :, :N])
+    try:
+        U, s, Vh = np.linalg.svd(Om[:, :, :N])
+    except np.linalg.LinAlgError as exc:  # the SVD of a non-finite matrix does not converge
+        raise ModelError(f"omega is not finite ({exc})") from exc
     # singular values come sorted, so the rank is nu exactly when the last clears the cutoff
     keep = s[:, nu - 1] > RANK_RTOL * s[:, 0]
     if not keep.all():

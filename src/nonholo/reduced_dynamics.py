@@ -15,20 +15,19 @@ systems that can absorb instantaneous control jumps from those that cannot.
 
 The same dynamics can be propagated in frame coordinates: ``xi_m`` are the
 velocity components of the free motion along a smooth adapted frame, with
-``qdot = sum_m xi_m V_m + h @ udot``.  There d'Alembert's principle needs
-only the frame and the metric (Maggi's equations, :func:`frame_rhs`):
+``qdot = sum_m xi_m V_m + h @ udot``.  There d'Alembert's principle needs only
+the frame and the metric (Maggi's equations, :func:`frame_rhs`):
 ``(G xidot)_m = <g qdot, dV_m> + 1/2 (d_{V_m} g)[qdot, qdot] - (Gdot xi)_m``
 with ``G = V_I^T g V_I`` the Gram matrix of the free frame vectors and ``dV``
-the frame's transport.  So the frame form builds no coefficient tensors: it
-needs the metric and the lift at ``q``, the frame, its transport, and the
-metric's derivatives along the free frame vectors and ``qdot``.  The frame
-is built from ``omega`` alone (``_VoronetsFrame``), so every model has one,
-and :func:`~nonholo.simulate.integrate` steps every run this way, each RK4
-stage running the kernel of ``frame_rhs`` directly (a stage's ``q`` is
-adapted by construction).  The coefficient tensors serve the fitness scans,
-and the ambient right-hand side built on them (:func:`reduced_rhs`,
-:func:`reaction_force`) is the independent reference the frame form is
-checked against.
+the frame's transport: no coefficient tensors.  The frame is built from
+``omega`` alone (``_VoronetsFrame``), so every model has one, and
+:func:`~nonholo.simulate.integrate` steps every run this way, each RK4 stage
+running the kernel of ``frame_rhs`` directly.  The kernel's point half depends
+on ``q`` alone and its velocity half adds ``qdot`` and ``xidot``, so every
+pointwise entry evaluates each point once.  The coefficient tensors serve the
+fitness scans, and the ambient right-hand side built on them
+(:func:`reduced_rhs`, :func:`reaction_force`) is the independent reference the
+frame form is checked against.
 
 Derivatives come in two kinds.  Those of the model callbacks ``metric`` and
 ``omega`` are complex-step derivatives: each callback is called once on the
@@ -68,7 +67,7 @@ from .core_geometry import (
     _norm,
     _projection_stack,
 )
-from .errors import NonAdaptedState, NotInDeltaCapGamma
+from .errors import ChartDomain, NonAdaptedState, NotInDeltaCapGamma
 
 TimeFn = Callable[[float], Array]
 
@@ -298,7 +297,7 @@ def _check_adapted(spec: SystemSpec, q: Array, t: float, control: ControlSignal)
         raise NonAdaptedState(f"control has {u.shape[0]} channels, system has M = {spec.M}")
     gap = float(np.abs(q[spec.N :] - u).max()) if spec.M else 0.0
     scale = 1.0 + (float(np.abs(u).max()) if spec.M else 0.0)
-    if not gap <= 1e-6 * scale:  # a NaN gap fails too
+    if not gap <= 1e-6 * scale < np.inf:  # a NaN gap fails too, and so does an infinite command
         raise NonAdaptedState(f"controlled coordinates differ from command by {gap:.2e} at t = {t}")
     return u
 
@@ -420,49 +419,64 @@ def _axis_shift(n: int) -> Array:
     return shift
 
 
-def _maggi(
-    spec: SystemSpec, q: Array, xi: Array, t: float, control: ControlSignal, frame: Optional[_VoronetsFrame] = None
+def _maggi_point(
+    spec: SystemSpec, q: Array, frame: Optional[_VoronetsFrame] = None, pt: Optional[SimpleNamespace] = None
 ) -> SimpleNamespace:
-    """:func:`frame_rhs` at ``q`` on the generic frame ``frame`` (``None``: the one best at ``q``), less its
-    conversions and adaptedness test, with the intermediates that the sample diagnostics read
-    (``ainv_norm = |A_d^-1|_F``)."""
-    n, m = spec.dim, spec.N - spec.nu
-    Z = q + _axis_shift(n)
-    gz, Omz = _complex_call(lambda: (_callback(spec, "metric", Z, None), _callback(spec, "omega", Z, None)), "metric or omega")
-    g, Om = gz[0].real.copy(), Omz[0].real.copy()  # contiguous, so products round as on the real call
-    _cholesky_spd(g[None])
-    dg_axes, dOm_axes = gz[1:].imag / COMPLEX_STEP, Omz[1:].imag / COMPLEX_STEP
-    _check_symmetric(dg_axes[None], "metric derivative")
+    """The point half of :func:`frame_rhs` at ``q`` on the generic frame ``frame`` (``None``: the one best at ``q``).
+
+    One complex call of each callback gives ``g``, ``Om`` and their axis derivatives, which pass the front's
+    checks; then the frame's ``V``, ``A_d^-1`` (``ainv_norm``), ``V_I``, ``x0``, ``gV``, ``G^-1``, ``c`` and
+    ``h``.  Given the point data ``pt`` at ``q`` (at a pivot switch), only the frame's part is set anew, in it."""
+    if pt is None:
+        Z = q + _axis_shift(spec.dim)
+        gz, Omz = _complex_call(lambda: (_callback(spec, "metric", Z, None), _callback(spec, "omega", Z, None)), "metric or omega")
+        g, Om = gz[0].real.copy(), Omz[0].real.copy()  # contiguous, so products round as on the real call
+        _cholesky_spd(g[None])
+        dg_axes, dOm_axes = gz[1:].imag / COMPLEX_STEP, Omz[1:].imag / COMPLEX_STEP
+        _check_symmetric(dg_axes[None], "metric derivative")
+        pt = SimpleNamespace(g=g, Om=Om, dg_axes=dg_axes, dOm_axes=dOm_axes)
+    Om, m = pt.Om, spec.N - spec.nu
     frame = frame if frame is not None else _VoronetsFrame.best(spec, Om)
-    V, Ainv = frame.of(Om)
+    try:
+        V, Ainv = frame.of(Om)
+    except np.linalg.LinAlgError:  # a singular minor: the constraint block lost rank, or the frame's chart ends
+        _constraint_svd(spec, q[None], Om[None])
+        raise ChartDomain(f"pivot minor {frame.pivots} of the generic frame is singular at q={q}") from None
     ainv_norm = _norm(Ainv)
     # the splitting's rank test holds if s_min(A_d) >= 1/|A_d^-1|_F clears it, since s_nu(Om[:, :N]) >= s_min(A_d)
     if not RANK_RTOL * _norm(Om[:, : spec.N]) * ainv_norm < 1.0:
         _constraint_svd(spec, q[None], Om[None])
     V_I, x0 = V[:, :m], V[:, m:]
-    if xi.shape != (m,):
-        raise ValueError(f"xi has shape {xi.shape}, frame free block has {m} columns")
-    gV = g @ V_I
+    gV = pt.g @ V_I
     Ginv = np.linalg.inv(V_I.T @ gV)
     # the lift: x0 less its g-orthogonal component in block I, the span of V_I
     c = Ginv @ (gV.T @ x0)
-    h = x0 - V_I @ c
-    udot = np.atleast_1d(np.asarray(control.rate(t), dtype=float))
-    qdot = V_I @ xi + h @ udot
+    pt.frame, pt.V, pt.Ainv, pt.ainv_norm, pt.V_I, pt.x0, pt.gV, pt.Ginv, pt.c = frame, V, Ainv, ainv_norm, V_I, x0, gV, Ginv, c
+    pt.h = x0 - V_I @ c
+    return pt
+
+
+def _maggi_flow(pt: SimpleNamespace, xi: Array, udot: object) -> SimpleNamespace:
+    """The velocity half of :func:`frame_rhs` on the point data ``pt``: ``qdot``, ``xidot`` and the intermediates
+    that the sample diagnostics read (the transport ``dV``, ``dx0``, ``dg_flow = d_qdot g``, ``grad``, ``Gdot``)."""
+    udot = np.atleast_1d(np.asarray(udot, dtype=float))
+    V_I, n, m = pt.V_I, len(pt.g), pt.V_I.shape[1]
+    if xi.shape != (m,):
+        raise ValueError(f"xi has shape {xi.shape}, frame free block has {m} columns")
+    qdot = V_I @ xi + pt.h @ udot
 
     # the frame's transport along qdot (the frame's rows r are exactly I)
-    dW = np.zeros_like(V)
-    dW[frame._layout[0]] = -Ainv @ ((qdot @ dOm_axes.reshape(n, Om.size)).reshape(Om.shape) @ V)
+    dW = np.zeros_like(pt.V)
+    dW[pt.frame._layout[0]] = -pt.Ainv @ ((qdot @ pt.dOm_axes.reshape(n, pt.Om.size)).reshape(pt.Om.shape) @ pt.V)
     dV, dx0 = dW[:, :m].copy(), dW[:, m:].copy()  # contiguous too
-    dg_flow = (qdot @ dg_axes.reshape(n, n * n)).reshape(n, n)
-    grad = (dg_axes @ qdot) @ qdot  # grad_q g[qdot, qdot]
+    dg_flow = (qdot @ pt.dg_axes.reshape(n, n * n)).reshape(n, n)
+    grad = (pt.dg_axes @ qdot) @ qdot  # grad_q g[qdot, qdot]
 
-    X = dV.T @ gV
+    X = dV.T @ pt.gV
     Gdot = X + X.T + V_I.T @ dg_flow @ V_I
-    work = (g @ qdot) @ dV + 0.5 * (grad @ V_I)
+    work = (pt.g @ qdot) @ dV + 0.5 * (grad @ V_I)
     return SimpleNamespace(
-        g=g, Om=Om, Ainv=Ainv, ainv_norm=ainv_norm, V_I=V_I, x0=x0, gV=gV, Ginv=Ginv, c=c, h=h, udot=udot, qdot=qdot,
-        dV=dV, dx0=dx0, dg_flow=dg_flow, grad=grad, Gdot=Gdot, xidot=Ginv @ (work - Gdot @ xi),
+        udot=udot, qdot=qdot, dV=dV, dx0=dx0, dg_flow=dg_flow, grad=grad, Gdot=Gdot, xidot=pt.Ginv @ (work - Gdot @ xi)
     )
 
 
@@ -482,16 +496,15 @@ def frame_rhs(spec: SystemSpec, q: Array, xi: Array, t: float, control: ControlS
 
     (Maggi's equations; Neimark & Fufaev, *Dynamics of Nonholonomic
     Systems*, 1972): no coefficient tensors and no derivative of the
-    splitting.  The free vectors need not be ``g``-orthogonal.  ``g`` and
-    ``Om`` pass the tests of the splitting's front at ``q``, and
-    ``h = x0 - V_I G^-1 (g V_I)^T x0`` from the frame's drive block ``x0``.
-    ``metric`` and ``omega`` run once each on the stack ``q + i H [0; I_n]``:
-    row 0's real part is ``g`` and ``Om``, the other rows give the axis
-    derivatives that ``d_qdot g``, ``d_{V_m} g`` and ``d_qdot Om`` contract.
-    The frame is the generic frame of Voronets and Chaplygin, built from
-    ``Om`` on its best-conditioned ``nu x nu`` minor ``A_d``; ``Om V = 0`` and
-    ``V[r] = I`` give its transport ``A_d dV[d] = -(d_qdot Om) V``,
-    ``dV[r] = 0``.  A callback that is not complex-safe raises
+    splitting.  The free vectors need not be ``g``-orthogonal.  The point
+    half (:func:`_maggi_point`) runs ``metric`` and ``omega`` once each, on
+    ``q + i H [0; I_n]``, and gives ``h = x0 - V_I G^-1 (g V_I)^T x0`` from
+    the frame's drive block ``x0``; the velocity half (:func:`_maggi_flow`)
+    contracts the axis derivatives to ``d_qdot g``, ``d_{V_m} g`` and
+    ``d_qdot Om``.  The frame is the generic frame of Voronets and Chaplygin,
+    built from ``Om`` on its best-conditioned ``nu x nu`` minor ``A_d``;
+    ``Om V = 0`` and ``V[r] = I`` give its transport ``A_d dV[d] = -(d_qdot
+    Om) V``, ``dV[r] = 0``.  A callback that is not complex-safe raises
     :class:`~nonholo.errors.ModelError`.  This pointwise entry also converts
     its inputs and checks that ``q`` is adapted to ``control`` at ``t``; the
     stages of :func:`~nonholo.simulate.integrate` run the same kernel without
@@ -500,7 +513,7 @@ def frame_rhs(spec: SystemSpec, q: Array, xi: Array, t: float, control: ControlS
     q = np.asarray(q, dtype=float)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     _check_adapted(spec, q, t, control)
-    st = _maggi(spec, q, xi, t, control)
+    st = _maggi_flow(_maggi_point(spec, q), xi, control.rate(t))
     return st.qdot, st.xidot
 
 
@@ -514,23 +527,19 @@ def _closed_rhs(
     frame ``p_I = g V_I xi_gen``, so ``xi = B xi_gen`` with ``B`` the ``xi``
     part of ``extract(q, g V_I)``, column by column.  The rate of ``xi`` is
     the complex step of ``extract`` along ``(qdot, pIdot)``, with ``pIdot =
-    d_qdot(g V_I) xi_gen + g V_I xidot_gen`` and ``d_qdot(g V_I)`` a complex
-    step of the callbacks; so ``extract`` must be complex-safe like them.
+    ((d_qdot g) V_I + g dV) xi_gen + g V_I xidot_gen`` from the Maggi stage
+    at ``q``; so ``extract`` must be complex-safe like the callbacks.
     """
     q = np.asarray(q, dtype=float)
+    _check_adapted(spec, q, t, control)
     N, m, H = spec.N, spec.N - spec.nu, COMPLEX_STEP
-    frame = _VoronetsFrame.best(spec, _callback(spec, "omega", q))
-
-    def momentum_basis(x: Array) -> Array:  # g V_I at x, real or complex
-        return _callback(spec, "metric", x, None) @ frame.of(_callback(spec, "omega", x, None))[0][:, :m]
-
-    gV = momentum_basis(q)
-    B = np.column_stack([extract(q, gV[:, k])[N:] for k in range(m)])
+    pt = _maggi_point(spec, q)
+    B = np.column_stack([extract(q, pt.gV[:, k])[N:] for k in range(m)])
     xi_gen = np.linalg.solve(B, np.atleast_1d(np.asarray(xi, dtype=float)))
-    qdot, xidot = frame_rhs(spec, q, xi_gen, t, control)
-    z = q + (1j * H) * qdot
-    pIdot = (momentum_basis(z).imag / H) @ xi_gen + gV @ xidot
-    return np.concatenate([qdot[:N], extract(z, gV @ xi_gen + (1j * H) * pIdot)[N:].imag / H])
+    st = _maggi_flow(pt, xi_gen, control.rate(t))
+    pIdot = (st.dg_flow @ pt.V_I + pt.g @ st.dV) @ xi_gen + pt.gV @ st.xidot
+    z = q + (1j * H) * st.qdot
+    return np.concatenate([st.qdot[:N], extract(z, pt.gV @ xi_gen + (1j * H) * pIdot)[N:].imag / H])
 
 
 def frame_coefficients(spec: SystemSpec, q: Array) -> dict[str, Array]:
@@ -544,19 +553,18 @@ def frame_coefficients(spec: SystemSpec, q: Array) -> dict[str, Array]:
     * ``"xi_udot"``   -- shape ``(m, m, M)``, momentum/control-rate coupling;
     * ``"udot_udot"`` -- shape ``(m, M, M)``, pure control-rate pump.
 
-    The controlled coordinates of ``q`` serve as the control value.  Every
-    polarization call runs on the generic frame whose pivots are best at
-    ``q``, picked once.
+    The controlled coordinates of ``q`` serve as the control value.  Each
+    polarization runs the velocity half of Maggi's equations on one point
+    half (:func:`_maggi_point`, on the generic frame best at ``q``).
     """
     q = np.asarray(q, dtype=float)
-    u0 = q[spec.N :]
-    _check_adapted(spec, q, 0.0, ControlSignal.constant(u0))
-    frame = _VoronetsFrame.best(spec, _callback(spec, "omega", q[None])[0])
+    _check_adapted(spec, q, 0.0, ControlSignal.constant(q[spec.N :]))
+    pt = _maggi_point(spec, q)
     m = spec.N - spec.nu
     E = np.eye(m + spec.M)
 
     def f(z: Array) -> Array:
-        return _maggi(spec, q, z[:m], 0.0, ControlSignal.linear(u0, z[m:], t0=0.0), frame).xidot
+        return _maggi_flow(pt, z[:m], z[m:]).xidot
 
     diag = [f(e) for e in E]
     B = np.zeros((m, len(E), len(E)))

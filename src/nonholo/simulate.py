@@ -8,8 +8,9 @@ stages would silently degrade the order to two.)  So every stage's ``q`` is
 adapted by construction: :func:`integrate` checks the control's shape and
 ``q0`` once per run, and every stage runs Maggi's equations directly (the
 kernel of :func:`~nonholo.reduced_dynamics.frame_rhs`, with all of its
-checks but the adaptedness test).  One stepper, ``_rk4_step``, advances
-every :func:`integrate` run and every :func:`rk4_path` run.
+checks but the adaptedness test); its point half at ``t0`` also gives the
+initial ``xi``, so no splitting is built.  One stepper, ``_rk4_step``,
+advances every :func:`integrate` run and every :func:`rk4_path` run.
 
 Every recorded sample carries the energy and two relative residuals — the
 constraint violation ``|Omega qdot| / |qdot|`` and the ideal-reaction defect
@@ -33,10 +34,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_geometry import Array, SystemSpec, _norm, projection_set
+from .core_geometry import Array, SystemSpec, _norm
 from .errors import ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
 from .models import ModelBundle
-from .reduced_dynamics import PIVOT_COND, ControlSignal, _check_adapted, _maggi, _VoronetsFrame
+from .reduced_dynamics import PIVOT_COND, ControlSignal, _check_adapted, _maggi_flow, _maggi_point, _VoronetsFrame
 
 
 @dataclass(frozen=True)
@@ -119,26 +120,28 @@ def _rk4_step(f: Callable[[float, Array], Array], t: float, y: Array, dt: float,
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _frame_diagnostics(st: SimpleNamespace, xi: Array, t: float, control: ControlSignal) -> tuple[float, float, float]:
-    """Energy and the two relative residuals at one sample, from its stage k1 ``st``.
+def _frame_diagnostics(
+    pt: SimpleNamespace, st: SimpleNamespace, xi: Array, t: float, control: ControlSignal
+) -> tuple[float, float, float]:
+    """Energy and the two relative residuals at one sample, from its stage k1: point half ``pt``, velocity half ``st``.
 
     ``R = g qddot + (d_qdot g) qdot - 1/2 grad_q g[qdot, qdot]``, with
     ``qddot = dV xi + V_I xidot + dh udot + h uddot``, ``h = x0 - V_I c``,
     ``c = G^-1 (g V_I)^T x0``; its free part is ``g V_I G^-1 V_I^T R``.
     """
-    qdot, g, udot = st.qdot, st.g, st.udot
+    qdot, g, udot = st.qdot, pt.g, st.udot
     uddot = np.atleast_1d(np.asarray(control.accel(t), dtype=float))
     p = g @ qdot
     speed = _norm(qdot)
-    cres = 0.0 if speed < 1e-14 else _norm(st.Om @ qdot) / speed  # a NaN speed gives a NaN residual
-    dc = st.Ginv @ (st.V_I.T @ (st.dg_flow @ st.x0) + st.dV.T @ (g @ st.x0) + st.gV.T @ st.dx0 - st.Gdot @ st.c)
-    dh = st.dx0 - st.dV @ st.c - st.V_I @ dc
-    qddot = st.dV @ xi + st.V_I @ st.xidot + dh @ udot + st.h @ uddot
+    cres = 0.0 if speed < 1e-14 else _norm(pt.Om @ qdot) / speed  # a NaN speed gives a NaN residual
+    dc = pt.Ginv @ (pt.V_I.T @ (st.dg_flow @ pt.x0) + st.dV.T @ (g @ pt.x0) + pt.gV.T @ st.dx0 - st.Gdot @ pt.c)
+    dh = st.dx0 - st.dV @ pt.c - pt.V_I @ dc
+    qddot = st.dV @ xi + pt.V_I @ st.xidot + dh @ udot + pt.h @ uddot
     R = g @ qddot + st.dg_flow @ qdot - 0.5 * st.grad
     # at instants where no reaction is needed |R| ~ 0 and the plain ratio
     # is noise over noise; the floor ties it to the dynamic scale instead
     floor = 1e-3 * (1.0 + _norm(p) + speed)
-    dres = _norm(st.gV @ (st.Ginv @ (st.V_I.T @ R))) / max(_norm(R), floor)
+    dres = _norm(pt.gV @ (pt.Ginv @ (pt.V_I.T @ R))) / max(_norm(R), floor)
     return 0.5 * float(qdot @ p), cres, dres
 
 
@@ -159,12 +162,13 @@ def integrate(
     it; both must be finite.  The state ``[q_free, xi]`` is stepped by
     Maggi's equations (the kernel of ``frame_rhs``, at every stage) on the
     generic frame (see ``frame_rhs``) whose minor is best conditioned at
-    ``t0``, the initial ``xi`` read off ``p0``, and every sample records
-    ``p_I = g V_I xi``.  At a sample where the frame's ``|A_d|_F
-    |A_d^-1|_F`` passes ``PIVOT_COND`` the pivots are chosen again and
-    ``xi`` is read off ``p_I``.  So both representations give the same
-    samples, and only the frame one adds ``xi``.  A sample whose residual
-    is above ``hard_residual``, or NaN, raises ``StepRejected``.
+    ``t0``, the initial ``xi = G^-1 V_I^T p0`` (``g V_I xi`` is the
+    coprojected ``p0``), and every sample records ``p_I = g V_I xi``.  At a
+    sample where the frame's ``|A_d|_F |A_d^-1|_F`` passes ``PIVOT_COND``
+    the pivots are chosen again and ``xi`` is read off ``p_I``.  So both
+    representations give the same samples, and only the frame one adds
+    ``xi``.  A sample whose residual is above ``hard_residual``, or NaN,
+    raises ``StepRejected``.
     """
     if frame_field is not None:
         raise ValueError("integrate runs the generic frame only; frame_field must be None")
@@ -185,18 +189,12 @@ def integrate(
     # once per run: the control's shape, and q0's controlled block; later stages assemble theirs from it
     q[N:] = _check_adapted(spec, q, t0, control)
 
-    P = projection_set(spec, q, check=False)
-    p_I = P.Pstar_I @ p0
-    if float(np.abs(p_I - p0).max()) > 1e-6 * (1.0 + float(np.abs(p0).max())):
+    # the state is y = [q_free, xi]; the point data at t0 give xi (p0 = g V_I xi) and the first step's stage k1
+    pt = _maggi_point(spec, q)
+    y = np.concatenate([q[:N], pt.Ginv @ (pt.V_I.T @ p0)])
+    if float(np.abs(pt.gV @ y[N:] - p0).max()) > 1e-6 * (1.0 + float(np.abs(p0).max())):
         raise NotInDeltaCapGamma("p0 is not a free-block momentum covector")
-
-    def read_xi(V_I: Array, g: Array, p_I: Array) -> Array:  # p_I = g V_I xi
-        return np.linalg.solve(V_I.T @ g @ V_I, V_I.T @ p_I)
-
-    # the state is y = [q_free, xi]
-    frame = _VoronetsFrame.best(spec, P.Om)
-    pivots = [(t0, frame.pivots)]
-    y = np.concatenate([q[:N], read_xi(frame.of(P.Om)[0][:, :m], P.g, p_I)])
+    frame, pivots = pt.frame, [(t0, pt.frame.pivots)]
 
     def assemble(t: float, q_free: Array) -> Array:
         u = np.atleast_1d(np.asarray(control.value(t), dtype=float))
@@ -209,25 +207,27 @@ def integrate(
     out_xi = np.empty((nsteps + 1, m))
 
     def stage(t: float, y: Array) -> Array:
-        st = _maggi(spec, assemble(t, y[:N]), y[N:], t, control, frame)
+        st = _maggi_flow(_maggi_point(spec, assemble(t, y[:N]), frame), y[N:], control.rate(t))
         return np.concatenate([st.qdot[:N], st.xidot])
 
     for step in range(nsteps + 1):
         t = t0 + step * dt
-        q = assemble(t, y[:N])
-        # stage k1, whose quantities also give the sample's diagnostics
-        st = _maggi(spec, q, y[N:], t, control, frame)
-        if _norm(st.Om[:, frame._layout[0]]) * st.ainv_norm > PIVOT_COND:
-            best = _VoronetsFrame.best(spec, st.Om)
+        if step:
+            q = assemble(t, y[:N])
+            pt = _maggi_point(spec, q, frame)
+        if _norm(pt.Om[:, frame._layout[0]]) * pt.ainv_norm > PIVOT_COND:
+            best = _VoronetsFrame.best(spec, pt.Om)
             if best.pivots != frame.pivots:
                 # p_I does not depend on the frame: read xi off it in the new one
-                frame = best
-                y[N:] = read_xi(best.of(st.Om)[0][:, :m], st.g, st.gV @ y[N:])
+                frame, p_I = best, pt.gV @ y[N:]
+                _maggi_point(spec, q, best, pt)
+                y[N:] = pt.Ginv @ (pt.V_I.T @ p_I)
                 pivots.append((t, best.pivots))
-                st = _maggi(spec, q, y[N:], t, control, best)
-        H, cres, dres = _frame_diagnostics(st, y[N:], t, control)
+        # stage k1, whose quantities also give the sample's diagnostics
+        st = _maggi_flow(pt, y[N:], control.rate(t))
+        H, cres, dres = _frame_diagnostics(pt, st, y[N:], t, control)
 
-        out_t[step], out_q[step], out_p[step], out_xi[step] = t, q, st.gV @ y[N:], y[N:]
+        out_t[step], out_q[step], out_p[step], out_xi[step] = t, q, pt.gV @ y[N:], y[N:]
         out_H[step], out_cres[step], out_dres[step] = H, cres, dres
 
         if not (cres <= cfg.hard_residual and dres <= cfg.hard_residual):  # NaN fails too

@@ -1,12 +1,14 @@
 """End-to-end command-line behaviour: config parsing and the exit-code contract."""
 
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nonholo import cli
 from nonholo.cli import (
     _check_control_resolved,
     control_from_config,
@@ -17,6 +19,7 @@ from nonholo.cli import (
     run,
 )
 from nonholo.errors import ConfigError
+from nonholo.models import build_model
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -499,6 +502,24 @@ class TestShippedConfigs:
         assert np.atleast_1d(control.value(t0)).shape == (model.spec.M,) and t1 > t0
         for key in ("initial.q", "initial.p"):
             assert cfg.get_floats(key).shape == (model.spec.dim,)
+
+
+class TestNonFiniteCallbacks:
+    """A shipped model whose ``metric`` or ``omega`` returns NaN exits 3, as a model error, not with a traceback."""
+
+    @pytest.mark.parametrize("name", ["metric", "omega"])
+    @pytest.mark.parametrize("command, config", [("simulate", "ball_sinusoid"), ("check-fit", "ball_checkfit")])
+    def test_exit_3(self, tmp_path, monkeypatch, capsys, name, command, config):
+        def nan_model(*args, **kwargs):
+            bundle = build_model(*args, **kwargs)
+            fn = getattr(bundle.spec, name)
+            spec = dataclasses.replace(bundle.spec, **{name: lambda q: np.full_like(fn(q), np.nan)})
+            return dataclasses.replace(bundle, spec=spec)
+
+        monkeypatch.setattr(cli, "build_model", nan_model)
+        argv = [command, "--config", str(CONFIGS / f"{config}.cfg"), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--samples", "20"] if command == "check-fit" else [])) == 3
+        assert f"error: {name} is not finite" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -8,7 +8,7 @@ import pytest
 
 from nonholo import jump_analysis, reduced_dynamics
 from nonholo.core_geometry import SystemSpec, projection_set
-from nonholo.errors import ChartDomain, NotInDeltaCapGamma, RankDeficiency, SingularDenominator
+from nonholo.errors import ChartDomain, ModelError, NotInDeltaCapGamma, RankDeficiency, SingularDenominator, SingularMetric
 from nonholo.jump_analysis import (
     GRAY_FACTOR,
     BoxSampler,
@@ -262,6 +262,33 @@ class TestScans:
         assert "verdict: not-fit" in text
         assert "worst point:" in text
         assert "worst direction:" in text
+
+
+def nan_where_q1_positive(spec: SystemSpec, name: str) -> SystemSpec:
+    """``spec`` whose callback ``name`` returns NaN at the points of a stack where ``q1 > 0``."""
+    fn = getattr(spec, name)
+
+    def wrapper(q):
+        A = np.array(fn(q))
+        A[np.real(q[..., 0]) > 0.0] = np.nan
+        return A
+
+    return dataclasses.replace(spec, **{name: wrapper})
+
+
+class TestNonFiniteCallbacks:
+    """A callback that returns NaN on half of the box stops both scans with a typed error.
+
+    The scans used to report a NaN metric as ``inconclusive`` with
+    ``max_value = nan``, all 50 points evaluated and none skipped, and to
+    raise a bare ``LinAlgError`` ("SVD did not converge") on a NaN ``omega``.
+    """
+
+    @pytest.mark.parametrize("scan", [psi_scan, theta_on_III_scan])
+    @pytest.mark.parametrize("name, error", [("metric", SingularMetric), ("omega", ModelError)])
+    def test_scan_raises(self, racer, scan, name, error):
+        with pytest.raises(error, match=f"{name} is not finite"):
+            scan(nan_where_q1_positive(racer.spec, name), BoxSampler(racer.sample_box, seed=4), n_samples=50)
 
 
 def chart_limited_racer() -> SystemSpec:

@@ -28,6 +28,7 @@ from nonholo.errors import (
 )
 from nonholo.jump_analysis import BoxSampler, psi_scan
 from nonholo.models import build_model, racer_denominators, racer_frame_vectors
+from nonholo.simulate import integrate
 from nonholo.reduced_dynamics import (
     ControlSignal,
     _closed_rhs,
@@ -355,7 +356,7 @@ class TestComplexStep:
     def test_real_part_at_the_point_is_the_real_call(self, case):
         """On the frame form's stack ``q + i H [0; I_n]``, row 0's real part equals the real call at ``q`` bitwise.
 
-        ``_maggi`` reads ``g`` and ``Om`` there instead of calling the
+        ``_maggi_point`` reads ``g`` and ``Om`` there instead of calling the
         callbacks again on real input; 200 box points per model.
         """
         if case == "random":
@@ -544,6 +545,13 @@ class TestFrameRhs:
         # real inverses of A_d and of the Gram matrix
         expected = {("metric", "complex", (n + 1, n)): 1, ("omega", "complex", (n + 1, n)): 1, ("inv", "f"): 2}
         assert calls == Counter(expected)
+
+    def test_closed_rhs_makes_one_complex_call_of_each_callback(self, racer):
+        """``_closed_rhs`` reads ``d_qdot(g V_I)`` off the Maggi stage: one complex call of each callback, no real one."""
+        calls = Counter()
+        q = racer.default_q0
+        _closed_rhs(counting_spec(racer.spec, calls), racer.extract_closed, q, 0.4, 0.0, ControlSignal.linear(q[3], 0.7))
+        assert calls == Counter({("metric", "complex", (5, 4)): 1, ("omega", "complex", (5, 4)): 1})
 
     def test_zero_state_is_stationary(self, racer):
         q = np.array([0.1, 1.4, -0.2, 0.2])
@@ -778,6 +786,45 @@ class TestFrameCoefficients:
             for name, block in ref.items():
                 assert np.array_equal(got[name], block), name
         assert len(calls) == len(points)
+
+
+    def test_one_complex_call_of_each_callback(self, ball):
+        """The polarization runs the velocity half on one point half: one complex call of each callback, no real one."""
+        calls = Counter()
+        frame_coefficients(counting_spec(ball.spec, calls), ball.default_q0)
+        assert calls == Counter({("metric", "complex", (7, 6)): 1, ("omega", "complex", (7, 6)): 1})
+
+
+def rankless_spec(Om_row):
+    """``N = 2``, ``M = 1``, ``nu = 1`` toy with a unit metric and the constant constraint form ``Om_row``."""
+    Om = np.array([Om_row], dtype=float)
+    return SystemSpec(N=2, M=1, nu=1, metric=stacked(lambda q: np.eye(3)), omega=stacked(lambda q: Om.copy()))
+
+
+class TestRankLoss:
+    """A constraint block that loses rank so that every pivot minor is exactly singular is a ``RankDeficiency``."""
+
+    def test_every_pointwise_entry(self):
+        """The form ``du`` has a zero constraint block.
+
+        ``frame_rhs`` and ``frame_coefficients`` used to raise a bare
+        ``LinAlgError`` from inverting the minor; ``integrate`` starts on the
+        same point half.
+        """
+        spec = rankless_spec([0.0, 0.0, 1.0])
+        with pytest.raises(RankDeficiency, match="constraint block rank 0 != nu = 1"):
+            integrate(spec, np.zeros(3), np.zeros(3), ControlSignal.constant(0.0), (0.0, 0.1))
+        with pytest.raises(RankDeficiency, match="constraint block rank 0 != nu = 1"):
+            frame_rhs(spec, np.zeros(3), np.zeros(1), 0.0, ControlSignal.constant(0.0))
+        with pytest.raises(RankDeficiency, match="constraint block rank 0 != nu = 1"):
+            frame_coefficients(spec, np.zeros(3))
+
+    def test_singular_minor_of_a_full_rank_block(self):
+        """A frame held fixed whose minor is singular where the block keeps its rank leaves the frame's chart."""
+        spec = rankless_spec([1.0, 0.0, 1.0])
+        with pytest.raises(ChartDomain, match=r"pivot minor \(1,\) of the generic frame is singular"):
+            reduced_dynamics._maggi_point(spec, np.zeros(3), _VoronetsFrame(spec, (1,)))
+        assert reduced_dynamics._maggi_point(spec, np.zeros(3)).frame.pivots == (0,)
 
 
 def block_loop_coefficients(spec, q, rhs=frame_rhs):

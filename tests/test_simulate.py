@@ -249,12 +249,12 @@ class TestIntegrate:
         assert builds["tensors"] == builds["assembled"] == 0
 
     def test_callback_calls_of_a_racer_run(self, racer):
-        """A 10-step racer run calls ``metric`` and ``omega`` 42 times each.
+        """A 10-step racer run calls ``metric`` and ``omega`` 41 times each, all complex.
 
-        The splitting at ``t0`` calls each once, and the initial generic
-        frame is read off its ``Om``; then each of the 11 samples' stage k1
-        and each of the 30 later stages makes one complex call of each, on
-        the stack ``q + i H [0; I_n]``.
+        Each of the 11 samples' stage k1 and each of the 30 later stages makes
+        one complex call of each, on the stack ``q + i H [0; I_n]``; the
+        point data of the sample at ``t0`` also give the initial generic frame
+        and ``xi``, so no splitting is built there.
         """
         calls = Counter()
         integrate(
@@ -268,16 +268,17 @@ class TestIntegrate:
         totals = Counter()
         for (name, _, _), count in calls.items():
             totals[name] += count
-        assert totals == Counter({"metric": 42, "omega": 42})
+        assert totals == Counter({"metric": 41, "omega": 41})
         assert calls["metric", "complex", (5, 4)] == calls["omega", "complex", (5, 4)] == 41
 
     def test_stage_call_pattern_of_a_racer_run(self, racer, monkeypatch):
         """The 10-step run of ``test_callback_calls_of_a_racer_run``, stage by stage.
 
         The adaptedness check runs once, at ``t0``; the generic frame's
-        layout is built once for its one pivot set; each of the 41 Maggi
-        stages (11 samples' k1, 30 later stages) makes two real ``inv``
-        calls, ``A_d^-1`` and ``G^-1``, and no SVD, as the rank bound holds.
+        layout is built once for its one pivot set; the point half of each of
+        the 41 Maggi stages (11 samples' k1, 30 later stages) makes two real
+        ``inv`` calls, ``A_d^-1`` and ``G^-1``, and no SVD, as the rank bound
+        holds, and the run makes no other.
         """
         counts = Counter()
 
@@ -302,15 +303,15 @@ class TestIntegrate:
         prop.__set_name__(reduced_dynamics._VoronetsFrame, "_layout")
         monkeypatch.setattr(reduced_dynamics._VoronetsFrame, "_layout", prop)
         stages = []
-        maggi = simulate._maggi
+        maggi_point = simulate._maggi_point
 
         def per_stage(*args):
             before = Counter(counts)
-            st = maggi(*args)
-            stages.append((counts["inv"] - before["inv"], counts["svd"] - before["svd"], st.Ginv.dtype, st.Ainv.dtype))
-            return st
+            pt = maggi_point(*args)
+            stages.append((counts["inv"] - before["inv"], counts["svd"] - before["svd"], pt.Ginv.dtype, pt.Ainv.dtype))
+            return pt
 
-        monkeypatch.setattr(simulate, "_maggi", per_stage)
+        monkeypatch.setattr(simulate, "_maggi_point", per_stage)
         traj = integrate(
             racer.spec,
             racer.default_q0,
@@ -322,6 +323,7 @@ class TestIntegrate:
         assert counts["adapted"] == 1
         assert built == Counter({traj.meta["pivots"][0][1]: 1})
         assert stages == [(2, 0, np.dtype(float), np.dtype(float))] * 41
+        assert counts == Counter({"adapted": 1, "inv": 82})
 
     @pytest.mark.parametrize(
         "fault, error",
@@ -357,10 +359,12 @@ class TestIntegrate:
         with pytest.raises(NonAdaptedState):
             integrate(racer.spec, q0, np.zeros(4), ControlSignal.constant(0.0), (0.0, 1.0))
 
-    def test_rejects_nan_initial_control(self, racer):
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_initial_control(self, racer, value):
+        """An infinite command is not adapted either: its gap test used to read ``inf <= 1e-6 * inf``."""
         q0 = np.array([0.0, 1.5, 0.0, 0.4])
         with pytest.raises(NonAdaptedState):
-            integrate(racer.spec, q0, np.zeros(4), ControlSignal.constant(np.nan), (0.0, 1.0))
+            integrate(racer.spec, q0, np.zeros(4), ControlSignal.constant(value), (0.0, 1.0))
 
     def test_rejects_a_control_that_turns_non_finite_after_t0(self, racer):
         """Stages assemble ``q`` from the control; one that reads a NaN control value is refused."""
@@ -415,21 +419,15 @@ class TestIntegrate:
                 frame_field=lambda q: None,
             )
 
-    def test_nan_residuals_are_rejected(self):
-        """A metric that turns NaN mid-run raises ``StepRejected`` instead of writing NaN samples.
-
-        The toy (``N = 2``, ``M = 1``, ``nu = 1``: the form ``dq2 + du``, so
-        ``q1`` is free) has ``g[0, 0] = NaN`` once ``q1 > 0.05``; coasting at
-        unit speed crosses that at t = 0.05.  The NaN passes the metric tests,
-        so the sample at t = 0.06 has NaN residuals; both comparisons with
-        ``hard_residual`` are False for NaN, and the run used to return 21
-        samples, 15 of them NaN.
-        """
+    @staticmethod
+    def nan_toy(nan_entry):
+        """``N = 2``, ``M = 1``, ``nu = 1`` toy: the form ``dq2 + du``, so ``q1`` is free; ``g[i, i] = NaN`` once ``q1 > 0.05`` for ``i = nan_entry``."""
 
         def metric(q):
             g = np.zeros(q.shape[:-1] + (3, 3), dtype=np.result_type(q, float))
             g[..., [0, 1, 2], [0, 1, 2]] = 1.0
-            g[..., 0, 0] = np.where(np.real(q[..., 0]) > 0.05, np.nan, 1.0)
+            if nan_entry is not None:
+                g[..., nan_entry, nan_entry] = np.where(np.real(q[..., 0]) > 0.05, np.nan, 1.0)
             return g
 
         def omega(q):
@@ -437,10 +435,34 @@ class TestIntegrate:
             Om[..., 0, 1:] = 1.0
             return Om
 
-        spec = SystemSpec(N=2, M=1, nu=1, metric=metric, omega=omega)
-        p0, control = np.array([1.0, 0.0, 0.0]), ControlSignal.constant(0.0)
+        return SystemSpec(N=2, M=1, nu=1, metric=metric, omega=omega)
+
+    def test_nan_residuals_are_rejected(self):
+        """A control rate that turns NaN mid-run raises ``StepRejected`` instead of writing NaN samples.
+
+        On the toy with a finite metric, coasting at unit speed, the rate is
+        NaN after t = 0.05: stage k2 of the step from t = 0.05 reads it, so
+        the sample at t = 0.06 has NaN ``q`` and NaN residuals; both
+        comparisons with ``hard_residual`` are False for NaN, and a run
+        must not return them.
+        """
+        zero = np.zeros(1)
+        control = ControlSignal(lambda t: zero, lambda t: np.array([np.nan if t > 0.05 else 0.0]), lambda t: zero)
         with pytest.raises(StepRejected, match="at t = 0.06 .constraint nan, reaction nan"):
-            integrate(spec, np.zeros(3), p0, control, (0.0, 0.2), IntegratorConfig(dt=0.01))
+            integrate(self.nan_toy(None), np.zeros(3), np.array([1.0, 0.0, 0.0]), control, (0.0, 0.2), IntegratorConfig(dt=0.01))
+
+    @pytest.mark.parametrize("entry", [0, 1])
+    def test_nan_metric_is_a_singular_metric(self, entry):
+        """The toy's metric, NaN once ``q1 > 0.05``, is refused by the metric test of the stage that meets it.
+
+        The Cholesky factor of a NaN metric has NaN pivots, which used to pass
+        the pivot-ratio test; the run then ended in ``StepRejected`` at t = 0.06.
+        With ``g[1, 1] = NaN`` the pivots are ``[1, nan, nan]``, whose ``min``
+        and ``max`` are both 1.
+        """
+        p0, control = np.array([1.0, 0.0, 0.0]), ControlSignal.constant(0.0)
+        with pytest.raises(SingularMetric, match="metric is not finite"):
+            integrate(self.nan_toy(entry), np.zeros(3), p0, control, (0.0, 0.2), IntegratorConfig(dt=0.01))
 
     def test_hard_residual_rejects_step(self, racer):
         """An unattainable residual bound aborts with the offending time."""
@@ -528,11 +550,12 @@ class TestGenericFrame:
         """
         q = ball.default_q0
         xi, control = np.array([0.3, -0.2, 0.4]), ControlSignal.polynomial([q[5], 0.7, -0.25])
-        st = reduced_dynamics._maggi(ball.spec, q, xi, 0.0, control, None)
-        assert simulate._frame_diagnostics(st, xi, 0.0, control)[2] <= 1e-15
-        G = np.linalg.inv(st.Ginv)
+        pt = reduced_dynamics._maggi_point(ball.spec, q)
+        st = reduced_dynamics._maggi_flow(pt, xi, control.rate(0.0))
+        assert simulate._frame_diagnostics(pt, st, xi, 0.0, control)[2] <= 1e-15
+        G = np.linalg.inv(pt.Ginv)
         st.xidot = (G @ st.xidot) / np.diag(G)
-        assert simulate._frame_diagnostics(st, xi, 0.0, control)[2] >= 1e-2
+        assert simulate._frame_diagnostics(pt, st, xi, 0.0, control)[2] >= 1e-2
 
 
 class TestCsv:
