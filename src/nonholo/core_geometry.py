@@ -221,8 +221,8 @@ def _cholesky_spd(G: Array, label: str = "metric") -> Array:
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
-        raise SingularMetric(f"{label} is not positive definite") from exc
-    # reject NaN pivots (OpenBLAS factors a NaN metric), which min and max can hide; pivot ratio ~ sqrt(cond)
+        raise SingularMetric(f"{label} is {'not positive definite' if np.isfinite(G).all() else 'not finite'}") from exc
+    # reject NaN pivots (some LAPACKs factor a NaN metric), which min and max can hide; pivot ratio ~ sqrt(cond)
     for diag in L.diagonal(0, -2, -1).tolist() if L.size else ():
         if not math.isfinite(sum(diag)):
             raise SingularMetric(f"{label} is not finite")
@@ -314,10 +314,12 @@ def _constraint_svd(spec: SystemSpec, Q: Array, Om: Array, skip: SkipTypes = ())
     S, N, nu = len(Om), spec.N, spec.nu
     if nu == 0:
         return np.ones(S, dtype=bool), np.zeros((S, 0, 0)), np.zeros((S, 0)), np.broadcast_to(np.eye(N), (S, N, N))
+    if not np.isfinite(Om).all():
+        raise ModelError("omega is not finite")
     try:
         U, s, Vh = np.linalg.svd(Om[:, :, :N])
-    except np.linalg.LinAlgError as exc:  # the SVD of a non-finite matrix does not converge
-        raise ModelError(f"omega is not finite ({exc})") from exc
+    except np.linalg.LinAlgError as exc:
+        raise ModelError(f"constraint block SVD failed ({exc})") from exc
     # singular values come sorted, so the rank is nu exactly when the last clears the cutoff
     keep = s[:, nu - 1] > RANK_RTOL * s[:, 0]
     if not keep.all():

@@ -419,24 +419,18 @@ def _axis_shift(n: int) -> Array:
     return shift
 
 
-def _maggi_point(
-    spec: SystemSpec, q: Array, frame: Optional[_VoronetsFrame] = None, pt: Optional[SimpleNamespace] = None
-) -> SimpleNamespace:
+def _maggi_point(spec: SystemSpec, q: Array, frame: Optional[_VoronetsFrame] = None) -> SimpleNamespace:
     """The point half of :func:`frame_rhs` at ``q`` on the generic frame ``frame`` (``None``: the one best at ``q``).
 
     One complex call of each callback gives ``g``, ``Om`` and their axis derivatives, which pass the front's
-    checks; then the frame's ``V``, ``A_d^-1`` (``ainv_norm``), ``V_I``, ``x0``, ``gV``, ``G^-1``, ``c`` and
-    ``h``.  Given the point data ``pt`` at ``q`` (at a pivot switch), only the frame's part is set anew, in it."""
-    if pt is None:
-        Z = q + _axis_shift(spec.dim)
-        gz, Omz = _complex_call(lambda: (_callback(spec, "metric", Z, None), _callback(spec, "omega", Z, None)), "metric or omega")
-        g, Om = gz[0].real.copy(), Omz[0].real.copy()  # contiguous, so products round as on the real call
-        _cholesky_spd(g[None])
-        dg_axes, dOm_axes = gz[1:].imag / COMPLEX_STEP, Omz[1:].imag / COMPLEX_STEP
-        _check_symmetric(dg_axes[None], "metric derivative")
-        pt = SimpleNamespace(g=g, Om=Om, dg_axes=dg_axes, dOm_axes=dOm_axes)
-    Om, m = pt.Om, spec.N - spec.nu
-    frame = frame if frame is not None else _VoronetsFrame.best(spec, Om)
+    checks; then the frame's ``V``, ``A_d^-1`` (``ainv_norm``), ``V_I``, ``x0``, ``gV``, ``G^-1``, ``c`` and ``h``."""
+    Z = q + _axis_shift(spec.dim)
+    gz, Omz = _complex_call(lambda: (_callback(spec, "metric", Z, None), _callback(spec, "omega", Z, None)), "metric or omega")
+    g, Om = gz[0].real.copy(), Omz[0].real.copy()  # contiguous, so products round as on the real call
+    _cholesky_spd(g[None])
+    dg_axes, dOm_axes = gz[1:].imag / COMPLEX_STEP, Omz[1:].imag / COMPLEX_STEP
+    _check_symmetric(dg_axes[None], "metric derivative")
+    frame, m = frame if frame is not None else _VoronetsFrame.best(spec, Om), spec.N - spec.nu
     try:
         V, Ainv = frame.of(Om)
     except np.linalg.LinAlgError:  # a singular minor: the constraint block lost rank, or the frame's chart ends
@@ -447,13 +441,14 @@ def _maggi_point(
     if not RANK_RTOL * _norm(Om[:, : spec.N]) * ainv_norm < 1.0:
         _constraint_svd(spec, q[None], Om[None])
     V_I, x0 = V[:, :m], V[:, m:]
-    gV = pt.g @ V_I
+    gV = g @ V_I
     Ginv = np.linalg.inv(V_I.T @ gV)
     # the lift: x0 less its g-orthogonal component in block I, the span of V_I
     c = Ginv @ (gV.T @ x0)
-    pt.frame, pt.V, pt.Ainv, pt.ainv_norm, pt.V_I, pt.x0, pt.gV, pt.Ginv, pt.c = frame, V, Ainv, ainv_norm, V_I, x0, gV, Ginv, c
-    pt.h = x0 - V_I @ c
-    return pt
+    return SimpleNamespace(
+        g=g, Om=Om, dg_axes=dg_axes, dOm_axes=dOm_axes, frame=frame, V=V, Ainv=Ainv, ainv_norm=ainv_norm, V_I=V_I,
+        x0=x0, gV=gV, Ginv=Ginv, c=c, h=x0 - V_I @ c,
+    )
 
 
 def _maggi_flow(pt: SimpleNamespace, xi: Array, udot: object) -> SimpleNamespace:

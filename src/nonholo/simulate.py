@@ -120,10 +120,8 @@ def _rk4_step(f: Callable[[float, Array], Array], t: float, y: Array, dt: float,
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _frame_diagnostics(
-    pt: SimpleNamespace, st: SimpleNamespace, xi: Array, t: float, control: ControlSignal
-) -> tuple[float, float, float]:
-    """Energy and the two relative residuals at one sample, from its stage k1: point half ``pt``, velocity half ``st``.
+def _frame_diagnostics(pt: SimpleNamespace, st: SimpleNamespace, xi: Array, t: float, control: ControlSignal) -> tuple:
+    """Energy and the two relative residuals at one sample, from its stage k1 (point half ``pt``, velocity ``st``).
 
     ``R = g qddot + (d_qdot g) qdot - 1/2 grad_q g[qdot, qdot]``, with
     ``qddot = dV xi + V_I xidot + dh udot + h uddot``, ``h = x0 - V_I c``,
@@ -220,7 +218,7 @@ def integrate(
             if best.pivots != frame.pivots:
                 # p_I does not depend on the frame: read xi off it in the new one
                 frame, p_I = best, pt.gV @ y[N:]
-                _maggi_point(spec, q, best, pt)
+                pt = _maggi_point(spec, q, best)
                 y[N:] = pt.Ginv @ (pt.V_I.T @ p_I)
                 pivots.append((t, best.pivots))
         # stage k1, whose quantities also give the sample's diagnostics

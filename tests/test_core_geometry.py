@@ -13,7 +13,7 @@ from nonholo.core_geometry import (
     argmin_certificate,
     projection_set,
 )
-from nonholo.errors import ChartDomain, RankDeficiency, SingularMetric
+from nonholo.errors import ChartDomain, ModelError, RankDeficiency, SingularMetric
 
 from conftest import check_projection_algebra, near_singular_system, random_system, sample_points, stacked
 
@@ -213,6 +213,55 @@ class TestMetricValidation:
         spec = SystemSpec(N=1, M=1, nu=0, metric=metric, omega=omega)
         with pytest.raises(SingularMetric):
             projection_set(spec, np.zeros(2))
+
+    @pytest.mark.parametrize("lapack", ["factors NaN", "raises on NaN"])
+    def test_nan_metric_is_not_finite_on_either_lapack(self, lapack, monkeypatch):
+        """A NaN metric reads "not finite" whether the Cholesky factorization returns NaN pivots or raises."""
+        if lapack == "raises on NaN":
+            cholesky = np.linalg.cholesky
+
+            def strict(G):
+                if not np.isfinite(G).all():
+                    raise np.linalg.LinAlgError("Matrix is not positive definite")
+                return cholesky(G)
+
+            monkeypatch.setattr(np.linalg, "cholesky", strict)
+
+        @stacked
+        def metric(q):
+            return np.diag([1.0, np.nan])
+
+        @stacked
+        def omega(q):
+            return np.zeros((0, 2))
+
+        spec = SystemSpec(N=1, M=1, nu=0, metric=metric, omega=omega)
+        with pytest.raises(SingularMetric, match="metric is not finite"):
+            projection_set(spec, np.zeros(2))
+
+    @pytest.mark.parametrize("lapack", ["fails to converge", "returns NaN"])
+    def test_nan_omega_is_not_finite_on_either_lapack(self, lapack, monkeypatch):
+        """A NaN ``omega`` reads "not finite" before the SVD, whether that SVD would raise or return NaN."""
+
+        def svd(A):
+            if lapack == "fails to converge":
+                raise np.linalg.LinAlgError("SVD did not converge")
+            S, k, n = A.shape
+            return np.full((S, k, k), np.nan), np.full((S, k), np.nan), np.full((S, n, n), np.nan)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+
+        @stacked
+        def metric(q):
+            return np.eye(3)
+
+        @stacked
+        def omega(q):
+            return np.array([[1.0, np.nan, 0.0]])
+
+        spec = SystemSpec(N=2, M=1, nu=1, metric=metric, omega=omega)
+        with pytest.raises(ModelError, match="omega is not finite"):
+            projection_set(spec, np.zeros(3))
 
 
 class TestStackedCallbacks:
