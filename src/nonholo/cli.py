@@ -359,7 +359,7 @@ def cmd_vibrate(cfg: RunConfig, out: str, seed: int) -> int:
     u_bar = cfg.get_float("vibrate.u_bar", 0.0)
     K = cfg.get_float("vibrate.K", 1.0)
     eps_list = cfg.get_floats("vibrate.eps_list", default=[0.1, 0.05, 0.025])
-    if not np.all(eps_list > 0.0):
+    if not (eps_list.size and np.all(eps_list > 0.0)):
         raise ConfigError(f"{cfg.path}: key 'vibrate.eps_list' needs positive entries, got {eps_list.tolist()}")
     horizon = cfg.get_float("vibrate.horizon", float(np.pi))
     if not horizon > 0.0:

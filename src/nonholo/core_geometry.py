@@ -232,6 +232,16 @@ def _cholesky_spd(G: Array, label: str = "metric") -> Array:
     return L
 
 
+def _check_finite_derivatives(*stacks: Array) -> None:
+    """Raise ``ModelError`` unless every entry of the complex-step derivative ``stacks`` is finite.
+
+    Finite values with NaN imaginary parts pass every test on the values.
+    """
+    for A in stacks:
+        if np.count_nonzero(np.isfinite(A)) < A.size:  # half the cost of .all() on these small stacks
+            raise ModelError("metric or omega derivative is not finite")
+
+
 def _callback(spec: SystemSpec, label: str, Q: Array, dtype: object = float) -> Array:
     """Callback ``label`` of ``spec`` on the stack ``Q`` as a ``dtype`` array (``None``: as returned), shape-checked."""
     A = np.asarray(getattr(spec, label)(Q), dtype=dtype)
@@ -351,7 +361,8 @@ def _splitting_front(
     stack ``Q[i] + i H [0; D]`` (``H = COMPLEX_STEP``): row 0's real part is
     the callback at ``Q[i]``, bit for bit the real call, and rows ``1 .. k``
     give its derivatives along ``D`` as imaginary parts over ``H``; a
-    metric derivative must be symmetric, and a callback that is not
+    metric derivative must be symmetric, every derivative finite at the
+    points that stay (else ``ModelError``), and a callback that is not
     complex-safe raises ``ModelError`` (see :func:`_complex_call`).  A point
     whose callbacks raise one of ``skip`` (see :func:`_stacked_call`), or
     whose constraint block fails the rank test while ``RankDeficiency`` is in
@@ -395,6 +406,8 @@ def _splitting_front(
         G, Om = G[ranked], Om[ranked]
         if derivs is not None:
             derivs = tuple(d[ranked] for d in derivs)
+    if derivs is not None:
+        _check_finite_derivatives(*derivs)
     return keep, (G, Om, U, s, Vh, derivs)
 
 

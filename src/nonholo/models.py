@@ -16,7 +16,10 @@ Roller Racer
     the reduced dynamics collapse to a scalar momentum-like coordinate ``xi``
     with a closed-form right-hand side (transcribed below with coefficients
     cross-checked against a direct multiplier-based integration of the
-    constrained system).
+    constrained system).  The closed and averaged forms each compose a
+    control half (the factors in the steering alone) with a state half; the
+    dithered field reuses its control half while the RK4 stage time repeats,
+    and the averaged field computes its own once.
 
 Rolling ball
     A ball of radius ``r`` and gyration radius ``kappa`` rolling without
@@ -199,6 +202,38 @@ def racer_denominators(params: RollerRacerParams, u: float) -> tuple[float, floa
     return d0, d1
 
 
+def _racer_denominators_checked(params: RollerRacerParams, u: float) -> tuple[float, float]:
+    """:func:`racer_denominators`, raising ``SingularDenominator`` where ``|Delta_1| < 1e-12 (1 + I + J + rho^2)``."""
+    d0, d1 = racer_denominators(params, u)
+    if abs(d1) < 1e-12 * (1.0 + params.inertia + params.tail_inertia + params.rho**2):
+        raise SingularDenominator(f"Delta_1 = {d1:.3e} at u = {u}")
+    return d0, d1
+
+
+def _racer_closed_control(params: RollerRacerParams, u: float, udot: float) -> tuple:
+    """The control half of :func:`roller_racer_closed_rhs`: left prefixes and whole factors of its terms in ``u``, ``u'``."""
+    rho, I, J = params.rho, params.inertia, params.tail_inertia
+    d0, d1 = _racer_denominators_checked(params, u)
+    cu, su, s2u = math.cos(u), math.sin(u), math.sin(2.0 * u)
+    return (2.0 * rho * cu, J * rho, s2u, 2.0 * d0, udot, 2.0 * su, J * su**2 / d0 * udot,
+            -(I + J - rho**2) * s2u / d1, 2.0 * J * rho**2 * cu / d1**2 * udot**2)
+
+
+def _racer_closed_state(control: tuple, y: Array) -> Array:
+    """The state half of :func:`roller_racer_closed_rhs`: ``control`` at ``sin q2``, ``cos q2`` and ``xi``."""
+    a, j_rho, s2u, two_d0, udot, b, q2_drift, xi_gain, pump = control
+    q2, xi = float(y[1]), float(y[3])
+    s2, c2 = math.sin(q2), math.cos(q2)
+    return np.array(
+        [
+            a * s2 * xi - j_rho * s2 * s2u / two_d0 * udot,
+            b * xi - q2_drift,
+            a * c2 * xi - j_rho * c2 * s2u / two_d0 * udot,
+            xi_gain * xi * udot + pump,
+        ]
+    )
+
+
 def roller_racer_closed_rhs(params: RollerRacerParams, y: Array, u: float, udot: float) -> Array:
     """Closed-form reduced dynamics; state ``y = (q1, q2, q3, xi)``.
 
@@ -212,22 +247,26 @@ def roller_racer_closed_rhs(params: RollerRacerParams, y: Array, u: float, udot:
         q3' = 2 rho cos(u) cos(q2) xi - J rho cos(q2) sin(2u)/(2 Delta_0) u'
         xi' = -(I+J-rho^2) sin(2u)/Delta_1 * xi u'
               + 2 J rho^2 cos(u)/Delta_1^2 * u'^2
+
+    It composes a control half in ``(u, u')``, with the ``Delta_1`` test, and
+    a state half in ``(q2, xi)``; each term rounds as written above.
     """
-    rho, I, J = params.rho, params.inertia, params.tail_inertia
-    d0, d1 = racer_denominators(params, u)
-    if abs(d1) < 1e-12 * (1.0 + I + J + rho**2):
-        raise SingularDenominator(f"Delta_1 = {d1:.3e} at u = {u}")
+    return _racer_closed_state(_racer_closed_control(params, u, udot), y)
+
+
+def _racer_averaged_control(params: RollerRacerParams, u_bar: float, K: float) -> tuple:
+    """The control half of :func:`roller_racer_averaged_rhs`: left prefixes and whole terms in ``u_bar``, ``K``."""
+    rho, J = params.rho, params.tail_inertia
+    _, d1 = _racer_denominators_checked(params, u_bar)
+    cu, su = math.cos(u_bar), math.sin(u_bar)
+    return 2.0 * rho * cu, 2.0 * su, J * rho**2 * cu * K**2 / d1**2
+
+
+def _racer_averaged_state(control: tuple, y: Array) -> Array:
+    """The state half of :func:`roller_racer_averaged_rhs`: ``control`` at ``sin q2``, ``cos q2`` and ``xi``."""
+    a, b, pump = control
     q2, xi = float(y[1]), float(y[3])
-    cu, su = math.cos(u), math.sin(u)
-    s2u = math.sin(2.0 * u)
-    return np.array(
-        [
-            2.0 * rho * cu * math.sin(q2) * xi - J * rho * math.sin(q2) * s2u / (2.0 * d0) * udot,
-            2.0 * su * xi - J * su**2 / d0 * udot,
-            2.0 * rho * cu * math.cos(q2) * xi - J * rho * math.cos(q2) * s2u / (2.0 * d0) * udot,
-            -(I + J - rho**2) * s2u / d1 * xi * udot + 2.0 * J * rho**2 * cu / d1**2 * udot**2,
-        ]
-    )
+    return np.array([a * math.sin(q2) * xi, b * xi, a * math.cos(q2) * xi, pump])
 
 
 def roller_racer_averaged_rhs(params: RollerRacerParams, y: Array, u_bar: float, K: float) -> Array:
@@ -236,30 +275,26 @@ def roller_racer_averaged_rhs(params: RollerRacerParams, y: Array, u_bar: float,
     Averaging the closed-form system over the fast phase leaves the ``q`` lines
     evaluated at ``u_bar`` and gives ``xi`` the secular pump
     ``J rho^2 cos(u_bar) K^2 / Delta_1(u_bar)^2`` (the quadratic term's average
-    ``<u'^2> = K^2/2`` times its coefficient).
+    ``<u'^2> = K^2/2`` times its coefficient).  It composes a control half in
+    ``(u_bar, K)``, with the closed form's ``Delta_1`` test, and a state half.
     """
-    rho, J = params.rho, params.tail_inertia
-    _, d1 = racer_denominators(params, u_bar)
-    if abs(d1) < 1e-12:
-        raise SingularDenominator(f"Delta_1 = {d1:.3e} at u_bar = {u_bar}")
-    q2, xi = float(y[1]), float(y[3])
-    cu, su = math.cos(u_bar), math.sin(u_bar)
-    return np.array(
-        [
-            2.0 * rho * cu * math.sin(q2) * xi,
-            2.0 * su * xi,
-            2.0 * rho * cu * math.cos(q2) * xi,
-            J * rho**2 * cu * K**2 / d1**2,
-        ]
-    )
+    return _racer_averaged_state(_racer_averaged_control(params, u_bar, K), y)
 
 
 def _racer_closed_field(params: RollerRacerParams) -> Callable[[object], Callable[[float, Array], Array]]:
     def make(control: object) -> Callable[[float, Array], Array]:
+        # (t, control half at t): RK4's k2 and k3 share a time, and k4's is the next step's k1
+        last = (None, None)
+
         def f(t: float, y: Array) -> Array:
-            u = float(np.asarray(control.value(t)).reshape(-1)[0])
-            udot = float(np.asarray(control.rate(t)).reshape(-1)[0])
-            return roller_racer_closed_rhs(params, y, u, udot)
+            nonlocal last
+            t_last, half = last
+            if t_last != t:
+                u = float(np.asarray(control.value(t)).reshape(-1)[0])
+                udot = float(np.asarray(control.rate(t)).reshape(-1)[0])
+                half = _racer_closed_control(params, u, udot)
+                last = (t, half)
+            return _racer_closed_state(half, y)
 
         return f
 
@@ -268,8 +303,10 @@ def _racer_closed_field(params: RollerRacerParams) -> Callable[[object], Callabl
 
 def _racer_averaged_field(params: RollerRacerParams) -> Callable[[float, float], Callable[[float, Array], Array]]:
     def make(u_bar: float, K: float) -> Callable[[float, Array], Array]:
+        half = _racer_averaged_control(params, u_bar, K)
+
         def f(t: float, y: Array) -> Array:
-            return roller_racer_averaged_rhs(params, y, u_bar, K)
+            return _racer_averaged_state(half, y)
 
         return f
 

@@ -59,6 +59,7 @@ from .core_geometry import (
     SkipTypes,
     SystemSpec,
     _callback,
+    _check_finite_derivatives,
     _check_symmetric,
     _cholesky_spd,
     _complex_call,
@@ -423,7 +424,8 @@ def _maggi_point(spec: SystemSpec, q: Array, frame: Optional[_VoronetsFrame] = N
     """The point half of :func:`frame_rhs` at ``q`` on the generic frame ``frame`` (``None``: the one best at ``q``).
 
     One complex call of each callback gives ``g``, ``Om`` and their axis derivatives, which pass the front's
-    checks; then the frame's ``V``, ``A_d^-1`` (``ainv_norm``), ``V_I``, ``x0``, ``gV``, ``G^-1``, ``c`` and ``h``."""
+    checks and must be finite; then the frame's ``V``, ``A_d^-1`` (``ainv_norm``), ``V_I``, ``x0``, ``gV``, ``G^-1``,
+    ``c`` and ``h``."""
     Z = q + _axis_shift(spec.dim)
     gz, Omz = _complex_call(lambda: (_callback(spec, "metric", Z, None), _callback(spec, "omega", Z, None)), "metric or omega")
     g, Om = gz[0].real.copy(), Omz[0].real.copy()  # contiguous, so products round as on the real call
@@ -440,6 +442,7 @@ def _maggi_point(spec: SystemSpec, q: Array, frame: Optional[_VoronetsFrame] = N
     # the splitting's rank test holds if s_min(A_d) >= 1/|A_d^-1|_F clears it, since s_nu(Om[:, :N]) >= s_min(A_d)
     if not RANK_RTOL * _norm(Om[:, : spec.N]) * ainv_norm < 1.0:
         _constraint_svd(spec, q[None], Om[None])
+    _check_finite_derivatives(dg_axes, dOm_axes)
     V_I, x0 = V[:, :m], V[:, m:]
     gV = g @ V_I
     Ginv = np.linalg.inv(V_I.T @ gV)

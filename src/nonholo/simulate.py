@@ -265,6 +265,16 @@ def rk4_path(
     return y
 
 
+def _check_dither_inputs(u_bar: object, K: object, *positive: tuple[str, float]) -> None:
+    """``ValueError`` unless ``u_bar`` and ``K`` are finite and each ``(key, value)`` of ``positive`` is above 0 and finite."""
+    for key, value in (("u_bar", u_bar), ("K", K)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{key} must be finite, got {value!r}")
+    for key, value in positive:
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{key} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OscillationSweep:
     """Endpoint comparison of dithered runs against the averaged system."""
@@ -304,12 +314,18 @@ def oscillation_sweep(
     closed-form reduced field is integrated with ``steps_per_period`` RK4 steps
     per fast period.  The averaged field is integrated afresh at the same step
     size for each ``eps``, so for ``K = 0`` the two vector fields — and hence
-    the endpoints — coincide bitwise.
+    the endpoints — coincide bitwise.  An empty ``eps_list``, an ``eps``,
+    ``horizon`` or ``steps_per_period`` that is not positive and finite, or a
+    ``u_bar`` or ``K`` that is not finite, is a ``ValueError``.
     """
     if model.closed_field is None or model.averaged_field is None:
         raise ModelError(f"model {model.name!r} has no closed-form/averaged dynamics")
     y0 = np.asarray(y0, dtype=float)
     eps_arr = np.asarray(list(eps_list), dtype=float)
+    if not eps_arr.size:
+        raise ValueError("eps_list must have at least one entry")
+    eps_entries = (("eps_list entry", float(eps)) for eps in eps_arr)
+    _check_dither_inputs(u_bar, K, ("horizon", horizon), ("steps_per_period", steps_per_period), *eps_entries)
     errors = np.empty(eps_arr.shape[0])
     endpoints = np.empty((eps_arr.shape[0], y0.shape[0]))
     avg_endpoints = np.empty_like(endpoints)
@@ -359,10 +375,13 @@ def two_timescale_coefficient(
     Integrates the closed-form field under the dither over a whole number of
     fast periods and reads the mean drift rate of the final state component
     (the pumped momentum coordinate); compares with the averaged field's
-    prediction at the initial state.
+    prediction at the initial state.  An ``eps``, ``periods`` or
+    ``steps_per_period`` that is not positive and finite, or a ``u_bar`` or
+    ``K`` that is not finite, is a ``ValueError``.
     """
     if model.closed_field is None or model.averaged_field is None:
         raise ModelError(f"model {model.name!r} has no closed-form/averaged dynamics")
+    _check_dither_inputs(u_bar, K, ("eps", eps), ("periods", periods), ("steps_per_period", steps_per_period))
     y0 = np.asarray(y0, dtype=float)
     horizon = periods * 2.0 * np.pi * eps
     control = ControlSignal.dither(u_bar, K, eps)

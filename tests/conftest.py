@@ -77,6 +77,34 @@ def counting_spec(spec, calls):
     return dataclasses.replace(spec, metric=wrap("metric", spec.metric), omega=wrap("omega", spec.omega))
 
 
+def counting_control(control):
+    """``control`` whose ``value`` records each time it is called at, and that list."""
+    calls = []
+
+    def value(t):
+        calls.append(t)
+        return control.value(t)
+
+    return dataclasses.replace(control, value=value), calls
+
+
+def nan_derivative_spec(spec, name, q1_min=0.0):
+    """``spec`` whose callback ``name`` keeps its values but has NaN imaginary parts where ``q1 > q1_min``.
+
+    Only the complex-step rows of a stack (nonzero imaginary ``q``) change,
+    so every value, and every test on values, stays as it was.
+    """
+    fn = getattr(spec, name)
+
+    def wrapper(q):
+        A = np.array(fn(q))
+        if np.iscomplexobj(A):
+            A.imag[(np.real(q[..., 0]) > q1_min) & (np.imag(q) != 0.0).any(axis=-1)] = np.nan
+        return A
+
+    return dataclasses.replace(spec, **{name: wrapper})
+
+
 def sample_points(bundle, n, seed=0):
     """Uniform draws from the model's declared chart box."""
     gen = np.random.default_rng(seed)

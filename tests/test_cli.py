@@ -21,6 +21,8 @@ from nonholo.cli import (
 from nonholo.errors import ConfigError
 from nonholo.models import build_model
 
+from conftest import nan_derivative_spec
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -441,6 +443,12 @@ class TestVibrateCommand:
         assert main(["vibrate", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 1
         assert "vibrate.eps_list" in capsys.readouterr().err
 
+    def test_empty_eps_list_is_config_error(self, tmp_path, capsys):
+        """An ``eps_list`` with no entry is refused; it used to write a report with no sweep line."""
+        cfg = write_cfg(tmp_path, "model.name = roller-racer\nvibrate.eps_list = ,\n")
+        assert main(["vibrate", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 1
+        assert "vibrate.eps_list" in capsys.readouterr().err
+
     @pytest.mark.parametrize("horizon", ["-1", "0", "nan"])
     def test_nonpositive_horizon_is_config_error(self, tmp_path, capsys, horizon):
         cfg = write_cfg(tmp_path, f"model.name = roller-racer\nvibrate.horizon = {horizon}\n")
@@ -520,6 +528,20 @@ class TestNonFiniteCallbacks:
         argv = [command, "--config", str(CONFIGS / f"{config}.cfg"), "--out", str(tmp_path / "out")]
         assert main(argv + (["--samples", "20"] if command == "check-fit" else [])) == 3
         assert f"error: {name} is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["metric", "omega"])
+    @pytest.mark.parametrize("command, config", [("simulate", "ball_sinusoid"), ("check-fit", "ball_checkfit")])
+    def test_non_finite_derivatives_exit_3(self, tmp_path, monkeypatch, capsys, name, command, config):
+        """Finite values with NaN complex-step derivatives where ``q1 > 0`` exit 3 (``simulate`` exited 2, ``check-fit`` 5)."""
+
+        def nan_derivative_model(*args, **kwargs):
+            bundle = build_model(*args, **kwargs)
+            return dataclasses.replace(bundle, spec=nan_derivative_spec(bundle.spec, name))
+
+        monkeypatch.setattr(cli, "build_model", nan_derivative_model)
+        argv = [command, "--config", str(CONFIGS / f"{config}.cfg"), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--samples", "20"] if command == "check-fit" else [])) == 3
+        assert "error: metric or omega derivative is not finite" in capsys.readouterr().err
 
 
 class TestEntryPoint:

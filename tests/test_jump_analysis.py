@@ -23,7 +23,7 @@ from nonholo.jump_analysis import (
 from nonholo.models import build_model, racer_frame_vectors, roller_racer_spec
 from nonholo.reduced_dynamics import centrifugal_psi, coefficient_tensors, theta_I_apply
 
-from conftest import counting_spec, random_system, sample_points, stacked
+from conftest import counting_spec, nan_derivative_spec, random_system, sample_points, stacked
 
 
 def euclidean_racer_forms() -> SystemSpec:
@@ -289,6 +289,23 @@ class TestNonFiniteCallbacks:
     def test_scan_raises(self, racer, scan, name, error):
         with pytest.raises(error, match=f"{name} is not finite"):
             scan(nan_where_q1_positive(racer.spec, name), BoxSampler(racer.sample_box, seed=4), n_samples=50)
+
+    @pytest.mark.parametrize("scan", [psi_scan, theta_on_III_scan])
+    @pytest.mark.parametrize("name", ["metric", "omega"])
+    def test_scan_refuses_non_finite_derivatives(self, ball, scan, name):
+        """Finite values with NaN complex-step derivatives on half of the box are a ``ModelError``.
+
+        Every test on values passes there, and the scans used to report
+        ``inconclusive`` with ``max_value = nan`` and no point skipped.
+        """
+        with pytest.raises(ModelError, match="metric or omega derivative is not finite"):
+            scan(nan_derivative_spec(ball.spec, name), BoxSampler(ball.sample_box, seed=4), n_samples=20)
+
+    @pytest.mark.parametrize("name", ["metric", "omega"])
+    def test_sufficiency_check_refuses_non_finite_derivatives(self, ball, name):
+        spec = nan_derivative_spec(ball.spec, name)
+        with pytest.raises(ModelError, match="metric or omega derivative is not finite"):
+            sufficiency_check(spec, ball.constancy_basis, BoxSampler(ball.sample_box, seed=4), n_samples=20)
 
 
 def chart_limited_racer() -> SystemSpec:

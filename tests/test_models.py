@@ -30,9 +30,9 @@ from nonholo.models import (
     roller_racer_closed_rhs,
     roller_racer_spec,
 )
-from nonholo.reduced_dynamics import _VoronetsFrame, coefficient_tensors
+from nonholo.reduced_dynamics import ControlSignal, _VoronetsFrame, coefficient_tensors
 
-from conftest import sample_points
+from conftest import counting_control, sample_points
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +250,62 @@ class TestRollerRacer:
     def test_averaged_rhs_zero_gain(self):
         out = roller_racer_averaged_rhs(RollerRacerParams(), np.zeros(4), 0.3, 0.0)
         assert np.allclose(out, 0.0)
+
+    def test_both_forms_refuse_delta_1_at_one_threshold(self):
+        """With ``rho = 1e-6`` at ``u = 0``, ``Delta_1 = 2e-12`` is under ``1e-12 (1 + I + J + rho^2)``: both forms refuse it.
+
+        The averaged form tested an absolute 1e-12 and returned a pump of 2.5e11 there.
+        """
+        p = RollerRacerParams(rho=1e-6)
+        assert racer_denominators(p, 0.0)[1] == pytest.approx(2e-12)
+        for rhs in (roller_racer_closed_rhs, roller_racer_averaged_rhs):
+            with pytest.raises(SingularDenominator, match="Delta_1 = 2.000e-12 at u = 0.0"):
+                rhs(p, np.zeros(4), 0.0, 1.0)
+        with pytest.raises(SingularDenominator):
+            build_model("roller-racer", rho=1e-6).averaged_field(0.0, 1.0)
+
+
+class TestRacerFields:
+    """``closed_field`` reuses its control half while the stage time repeats, and ``averaged_field`` holds one.
+
+    Each must give the values of the pointwise functions bit for bit.
+    """
+
+    @staticmethod
+    def fresh(racer, control, t, y):
+        return roller_racer_closed_rhs(racer.params, y, float(control.value(t)[0]), float(control.rate(t)[0]))
+
+    def test_closed_field_is_not_stale(self, racer):
+        """Calls at ``t1``, ``t2`` and ``t1`` again, each at its own state, equal fresh evaluations bitwise."""
+        control = ControlSignal.sinusoid(0.1, 0.3, 3.0)
+        f = racer.closed_field(control)
+        rng = np.random.default_rng(3)
+        for t, y in [(0.2, rng.normal(size=4)), (0.7, rng.normal(size=4)), (0.2, rng.normal(size=4))]:
+            assert f(t, y).tobytes() == self.fresh(racer, control, t, y).tobytes()
+
+    def test_closed_field_reuses_the_control_at_a_repeated_time(self, racer):
+        control, calls = counting_control(ControlSignal.sinusoid(0.1, 0.3, 3.0))
+        f = racer.closed_field(control)
+        for t in (0.2, 0.2, 0.3, 0.3, 0.3, 0.2):
+            f(t, np.array([0.0, 1.2, 0.0, 0.4]))
+        assert calls == [0.2, 0.3, 0.2]
+
+    def test_closed_field_does_not_cache_an_error(self, racer):
+        """At a singular ``u`` a second call at the same time raises again."""
+        p = RollerRacerParams(rho=1.0, inertia=1e-13, tail_inertia=1e-13)
+        f = models._racer_closed_field(p)(ControlSignal.linear(np.pi / 2, 1.0))
+        for _ in range(2):
+            with pytest.raises(SingularDenominator):
+                f(0.0, np.zeros(4))
+
+    def test_averaged_field_equals_averaged_rhs(self, racer):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            u_bar, K = rng.uniform(-1.4, 1.4), rng.normal()
+            f = racer.averaged_field(u_bar, K)
+            for y in rng.normal(size=(3, 4)):
+                ref = roller_racer_averaged_rhs(racer.params, y, u_bar, K)
+                assert f(rng.normal(), y).tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Integrator behaviour: order, diagnostics, CSV output, dither experiments."""
 
 import csv
+import re
 from collections import Counter
 from functools import cached_property
 
@@ -28,7 +29,7 @@ from nonholo.simulate import (
     two_timescale_coefficient,
 )
 
-from conftest import ball_free_block, counting_spec, random_system
+from conftest import ball_free_block, counting_control, counting_spec, nan_derivative_spec, random_system
 
 
 def midstep_fault_spec(fault):
@@ -464,6 +465,21 @@ class TestIntegrate:
         with pytest.raises(SingularMetric, match="metric is not finite"):
             integrate(self.nan_toy(entry), np.zeros(3), p0, control, (0.0, 0.2), IntegratorConfig(dt=0.01))
 
+    @pytest.mark.parametrize("name", ["metric", "omega"])
+    @pytest.mark.parametrize("q1_min", [0.0, 0.302])
+    def test_non_finite_derivatives_are_a_model_error(self, ball, name, q1_min):
+        """Finite values with NaN complex-step derivatives once ``q1 > q1_min`` stop the run with a ``ModelError``.
+
+        The ball starts at ``q1 = 0.3`` and its ``q1`` grows past 0.302 by
+        ``t = 0.03``, so the second case meets them mid-run.  Every test on
+        values passes, and the run used to end in ``StepRejected``
+        ("reaction nan"), which blamed the step for the model's derivatives.
+        """
+        spec = nan_derivative_spec(ball.spec, name, q1_min)
+        control = ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
+        with pytest.raises(ModelError, match="metric or omega derivative is not finite"):
+            integrate(spec, ball.default_q0, np.zeros(6), control, (0.0, 0.1), IntegratorConfig(dt=0.01))
+
     def test_hard_residual_rejects_step(self, racer):
         """An unattainable residual bound aborts with the offending time."""
         control = ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
@@ -621,6 +637,25 @@ class TestRk4Order:
         e2 = np.linalg.norm(rk4_path(f, y0, (0.0, 1.0), 100) - ref)
         assert 12.0 < e1 / e2 < 20.0
 
+    @pytest.mark.parametrize("nsteps", [50, 100, 800])
+    def test_closed_field_path_is_bitwise_the_pointwise_path(self, racer, nsteps):
+        """``closed_field`` reuses the control half at repeated stage times and changes no bit of the path."""
+        control = ControlSignal.sinusoid(0.1, 0.3, 3.0)
+
+        def f(t, y):
+            return roller_racer_closed_rhs(racer.params, y, float(control.value(t)[0]), float(control.rate(t)[0]))
+
+        y0 = np.array([0.0, 1.2, 0.0, 0.4])
+        got = rk4_path(racer.closed_field(control), y0, (0.0, 1.0), nsteps)
+        assert got.tobytes() == rk4_path(f, y0, (0.0, 1.0), nsteps).tobytes()
+
+    @pytest.mark.parametrize("nsteps", [1, 100])
+    def test_closed_field_reads_the_control_once_per_stage_time(self, racer, nsteps):
+        """An ``n``-step path has ``2n + 1`` distinct stage times: k2 and k3 share one, and k4's is the next k1's."""
+        control, calls = counting_control(ControlSignal.sinusoid(0.1, 0.3, 3.0))
+        rk4_path(racer.closed_field(control), np.array([0.0, 1.2, 0.0, 0.4]), (0.0, 1.0), nsteps)
+        assert len(calls) == len(set(calls)) == 2 * nsteps + 1
+
     @pytest.mark.parametrize("representation", ["ambient", "frame"])
     def test_integrator_keeps_order_four_with_moving_controls(self, racer, representation):
         """Assembling controlled channels at every stage preserves RK4's order."""
@@ -682,7 +717,7 @@ class TestOneStepper:
         assert calls == step_calls == []
 
     def test_two_timescale_with_no_periods_is_a_value_error(self, racer):
-        with pytest.raises(ValueError, match="nsteps must be at least 1"):
+        with pytest.raises(ValueError, match="periods must be positive and finite, got 0"):
             two_timescale_coefficient(racer, np.array([0.0, 1.2, 0.0, 0.0]), u_bar=0.0, K=1.0, periods=0)
 
 
@@ -714,6 +749,51 @@ class TestDitherExperiments:
         )
         assert np.all(sweep.errors == 0.0)
         assert np.array_equal(sweep.endpoints, sweep.averaged_endpoints)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"eps_list": [0.0]}, "eps_list entry must be positive and finite, got 0.0"),
+            ({"eps_list": [0.1, np.nan]}, "eps_list entry must be positive and finite, got nan"),
+            ({"eps_list": [-0.1, -0.05]}, "eps_list entry must be positive and finite, got -0.1"),
+            ({"eps_list": []}, "eps_list must have at least one entry"),
+            ({"horizon": np.inf}, "horizon must be positive and finite, got inf"),
+            ({"horizon": -1.0}, "horizon must be positive and finite, got -1.0"),
+            ({"steps_per_period": 0}, "steps_per_period must be positive and finite, got 0"),
+            ({"u_bar": np.nan}, "u_bar must be finite"),
+            ({"K": np.inf}, "K must be finite"),
+        ],
+    )
+    def test_sweep_rejects_bad_input(self, racer, kwargs, message):
+        """Bad input is a ``ValueError`` before any step.
+
+        It used to raise a bare ``ZeroDivisionError`` (``eps = 0``) or
+        ``OverflowError`` (``horizon = inf``), or to return a number: errors
+        2.59 with ratio 1.0 for negative ``eps``, 0.092 for ``horizon = -1``.
+        """
+        args = {"u_bar": 0.0, "K": 1.0, "eps_list": [0.1, 0.05], "horizon": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oscillation_sweep(racer, np.array([0.0, 1.2, 0.0, 0.0]), **args)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"eps": 0.0}, "eps must be positive and finite, got 0.0"),
+            ({"eps": np.nan}, "eps must be positive and finite, got nan"),
+            ({"eps": -1e-3}, "eps must be positive and finite, got -0.001"),
+            ({"eps": np.inf}, "eps must be positive and finite, got inf"),
+            ({"periods": -2}, "periods must be positive and finite, got -2"),
+            ({"steps_per_period": 0}, "steps_per_period must be positive and finite, got 0"),
+            ({"u_bar": np.inf}, "u_bar must be finite"),
+            ({"K": np.nan}, "K must be finite"),
+        ],
+    )
+    def test_two_timescale_rejects_bad_input(self, racer, kwargs, message):
+        """Bad input is a ``ValueError`` before any step; ``eps = nan`` used to return ``rel_err = nan``, and
+        ``eps = -1e-3`` to integrate backwards and report a small ``rel_err``."""
+        args = {"u_bar": 0.0, "K": 1.0, "periods": 2, **kwargs}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            two_timescale_coefficient(racer, np.array([0.0, 1.2, 0.0, 0.0]), **args)
 
     def test_sweep_requires_closed_form(self, ball):
         with pytest.raises(ModelError):
