@@ -54,9 +54,10 @@ from __future__ import annotations
 import math
 import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -251,25 +252,31 @@ def _callback(spec: SystemSpec, label: str, Q: Array, dtype: object = float) -> 
     return A
 
 
-def _complex_call(fn: Callable, label: str, *args: object) -> object:
-    """``fn(*args)`` at complex arguments, raising ``ModelError`` unless ``fn`` is complex-safe.
+def _not_complex_safe(label: str, exc: Exception) -> ModelError:
+    """The ``ModelError`` for the callbacks ``label``, not complex-safe by the ``TypeError`` or ``ComplexWarning`` ``exc``."""
+    return ModelError(f"{label} is not complex-safe ({exc!r}): it must accept complex q and be analytic in it")
 
-    ``fn`` is not complex-safe when it raises ``TypeError`` on complex input
-    or drops an imaginary part into a real array (``ComplexWarning``, made an
-    error here whatever the caller's filters): its derivatives would be
-    wrong, zero in the second case.  ``label`` names the callback in the
-    message.
+
+@contextmanager
+def _complex_safe(label: str) -> Iterator[None]:
+    """Hold the complex-safety guard over the body: a ``ComplexWarning`` there is an error, whatever the caller's filters.
+
+    A callback is not complex-safe when it raises ``TypeError`` on complex
+    input or drops an imaginary part into a real array (``ComplexWarning``):
+    its derivatives would be wrong, zero in the second case.  Either one
+    leaving the body raises ``ModelError`` naming ``label`` instead.  The
+    guard swaps process-wide warning filters, so it holds a reentrant lock
+    for the whole body: threads of a concurrent caller wait for each other
+    rather than restore each other's filters, and a callback may itself call
+    into the library.  Enter it once per evaluation, not once per callback
+    call: ``integrate`` holds it for a whole run.
     """
-    # catch_warnings swaps process-wide state: the lock keeps threads of a
-    # concurrent caller from restoring each other's filters (reentrant, so a
-    # callback may itself call into the library)
     with _WARNINGS_LOCK, warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
         try:
-            return fn(*args)
+            yield
         except (TypeError, np.exceptions.ComplexWarning) as exc:
-            msg = f"{label} is not complex-safe ({exc!r}): it must accept complex q and be analytic in it"
-            raise ModelError(msg) from None
+            raise _not_complex_safe(label, exc) from None
 
 
 def _canonical_sign(cols: Array) -> Array:
@@ -363,7 +370,7 @@ def _splitting_front(
     give its derivatives along ``D`` as imaginary parts over ``H``; a
     metric derivative must be symmetric, every derivative finite at the
     points that stay (else ``ModelError``), and a callback that is not
-    complex-safe raises ``ModelError`` (see :func:`_complex_call`).  A point
+    complex-safe raises ``ModelError`` (see :func:`_complex_safe`).  A point
     whose callbacks raise one of ``skip`` (see :func:`_stacked_call`), or
     whose constraint block fails the rank test while ``RankDeficiency`` is in
     ``skip``, leaves the stack; any other error propagates.  Returns
@@ -385,7 +392,8 @@ def _splitting_front(
             Z = Q[:, None] + shift
             return _callback(spec, "metric", Z, None), _callback(spec, "omega", Z, None)
 
-        keep, parts = _complex_call(_stacked_call, "metric or omega", callbacks, Q, skip)
+        with _complex_safe("metric or omega"):
+            keep, parts = _stacked_call(callbacks, Q, skip)
     if not parts:
         return keep, None
     G, Om = parts

@@ -62,10 +62,11 @@ from .core_geometry import (
     _check_finite_derivatives,
     _check_symmetric,
     _cholesky_spd,
-    _complex_call,
+    _complex_safe,
     _constraint_svd,
     _eye,
     _norm,
+    _not_complex_safe,
     _projection_stack,
 )
 from .errors import ChartDomain, NonAdaptedState, NotInDeltaCapGamma
@@ -118,10 +119,12 @@ class ControlSignal:
         a = np.atleast_1d(np.asarray(amp, dtype=float))
         m, a = np.broadcast_arrays(m, a)
         m, a = m.copy(), a.copy()
+        # the rate's and accel's left factors, rounded as the products a * omega * cos(...) and -a * omega**2 * sin(...)
+        a_rate, a_accel = a * omega, -a * omega**2
         return ControlSignal(
             lambda t: m + a * np.sin(omega * t + phase),
-            lambda t: a * omega * np.cos(omega * t + phase),
-            lambda t: -a * omega**2 * np.sin(omega * t + phase),
+            lambda t: a_rate * np.cos(omega * t + phase),
+            lambda t: a_accel * np.sin(omega * t + phase),
         )
 
     @staticmethod
@@ -129,8 +132,11 @@ class ControlSignal:
         """Two-timescale dithering ``u = center + eps * gain * sin(t/eps)``.
 
         The rate ``gain * cos(t/eps)`` stays order one as ``eps`` shrinks,
-        which is the regime the averaged dynamics describe.
+        which is the regime the averaged dynamics describe.  ``eps`` must be
+        positive and finite.
         """
+        if not 0.0 < eps < np.inf:
+            raise ValueError(f"dither eps must be positive and finite, got {eps!r}")
         return ControlSignal.sinusoid(center, np.atleast_1d(np.asarray(gain, float)) * eps, 1.0 / eps)
 
     @staticmethod
@@ -139,13 +145,13 @@ class ControlSignal:
 
         Uses the quintic smoothstep ``6s^5 - 15s^4 + 10s^3`` so rate and
         acceleration vanish at both ends; before/after the window the value
-        holds at the endpoints.
+        holds at the endpoints.  ``duration`` must be positive and finite.
         """
         a = np.atleast_1d(np.asarray(u0, dtype=float))
         b = np.atleast_1d(np.asarray(u1, dtype=float))
         a, b = (x.copy() for x in np.broadcast_arrays(a, b))
-        if duration <= 0.0:
-            raise ValueError("ramp duration must be positive")
+        if not 0.0 < duration < np.inf:
+            raise ValueError(f"ramp duration must be positive and finite, got {duration!r}")
 
         def s(x: float) -> float:
             return ((6.0 * x - 15.0) * x + 10.0) * x**3
@@ -292,8 +298,19 @@ def centrifugal_psi(
     return theta_I_apply(spec, q, drive, drive, tensors=T)
 
 
+def _read_control(fn: TimeFn, t: float, what: str) -> Array:
+    """``fn(t)``, the control's ``what`` (``value``, ``rate`` or ``accel``) at ``t``, as a float array of one or more dimensions.
+
+    A complex one raises ``NonAdaptedState``: its imaginary part would be dropped.
+    """
+    u = np.asarray(fn(t))
+    if u.dtype.kind == "c":
+        raise NonAdaptedState(f"control {what} is complex at t = {t}")
+    return np.atleast_1d(np.asarray(u, dtype=float))
+
+
 def _check_adapted(spec: SystemSpec, q: Array, t: float, control: ControlSignal) -> Array:
-    u = np.atleast_1d(np.asarray(control.value(t), dtype=float))
+    u = _read_control(control.value, t, "value")
     if u.shape != (spec.M,):
         raise NonAdaptedState(f"control has {u.shape[0]} channels, system has M = {spec.M}")
     gap = float(np.abs(q[spec.N :] - u).max()) if spec.M else 0.0
@@ -328,7 +345,7 @@ def reduced_rhs(
     # mismatch that is gross against the momenta in play — including the
     # drive momentum, which dominates during violent control ramps — means
     # the caller handed over the wrong covector.
-    udot = np.atleast_1d(np.asarray(control.rate(t), dtype=float))
+    udot = _read_control(control.rate, t, "rate")
     drive = P.k @ udot
     projected = P.Pstar_I @ p_I
     resid = float(np.abs(projected - p_I).max())
@@ -362,8 +379,8 @@ def reaction_force(
     T = tensors if tensors is not None else coefficient_tensors(spec, q)
     P = T.projections
     qdot, pIdot = reduced_rhs(spec, q, p_I, t, control, tensors=T)
-    udot = np.atleast_1d(np.asarray(control.rate(t), dtype=float))
-    uddot = np.atleast_1d(np.asarray(control.accel(t), dtype=float))
+    udot = _read_control(control.rate, t, "rate")
+    uddot = _read_control(control.accel, t, "accel")
     p = np.asarray(p_I, dtype=float) + P.k @ udot
     kdot = np.einsum("j,jia->ia", qdot, T.dk)
     pdot = pIdot + kdot @ udot + P.k @ uddot
@@ -425,9 +442,13 @@ def _maggi_point(spec: SystemSpec, q: Array, frame: Optional[_VoronetsFrame] = N
 
     One complex call of each callback gives ``g``, ``Om`` and their axis derivatives, which pass the front's
     checks and must be finite; then the frame's ``V``, ``A_d^-1`` (``ainv_norm``), ``V_I``, ``x0``, ``gV``, ``G^-1``,
-    ``c`` and ``h``."""
+    ``c`` and ``h``.  The caller holds :func:`~nonholo.core_geometry._complex_safe`, so a callback that drops an
+    imaginary part raises; a ``TypeError`` or ``ComplexWarning`` from either call is a ``ModelError`` here."""
     Z = q + _axis_shift(spec.dim)
-    gz, Omz = _complex_call(lambda: (_callback(spec, "metric", Z, None), _callback(spec, "omega", Z, None)), "metric or omega")
+    try:
+        gz, Omz = _callback(spec, "metric", Z, None), _callback(spec, "omega", Z, None)
+    except (TypeError, np.exceptions.ComplexWarning) as exc:
+        raise _not_complex_safe("metric or omega", exc) from None
     g, Om = gz[0].real.copy(), Omz[0].real.copy()  # contiguous, so products round as on the real call
     _cholesky_spd(g[None])
     dg_axes, dOm_axes = gz[1:].imag / COMPLEX_STEP, Omz[1:].imag / COMPLEX_STEP
@@ -454,10 +475,10 @@ def _maggi_point(spec: SystemSpec, q: Array, frame: Optional[_VoronetsFrame] = N
     )
 
 
-def _maggi_flow(pt: SimpleNamespace, xi: Array, udot: object) -> SimpleNamespace:
-    """The velocity half of :func:`frame_rhs` on the point data ``pt``: ``qdot``, ``xidot`` and the intermediates
-    that the sample diagnostics read (the transport ``dV``, ``dx0``, ``dg_flow = d_qdot g``, ``grad``, ``Gdot``)."""
-    udot = np.atleast_1d(np.asarray(udot, dtype=float))
+def _maggi_flow(pt: SimpleNamespace, xi: Array, udot: Array) -> SimpleNamespace:
+    """The velocity half of :func:`frame_rhs` on the point data ``pt`` and the float arrays ``xi`` and ``udot``:
+    ``qdot``, ``xidot`` and the intermediates that the sample diagnostics read (``p = g qdot``, the transport ``dW``
+    of ``V`` and its free block ``dV``, ``dg_flow = d_qdot g``, ``grad``, ``Gdot``)."""
     V_I, n, m = pt.V_I, len(pt.g), pt.V_I.shape[1]
     if xi.shape != (m,):
         raise ValueError(f"xi has shape {xi.shape}, frame free block has {m} columns")
@@ -466,15 +487,16 @@ def _maggi_flow(pt: SimpleNamespace, xi: Array, udot: object) -> SimpleNamespace
     # the frame's transport along qdot (the frame's rows r are exactly I)
     dW = np.zeros_like(pt.V)
     dW[pt.frame._layout[0]] = -pt.Ainv @ ((qdot @ pt.dOm_axes.reshape(n, pt.Om.size)).reshape(pt.Om.shape) @ pt.V)
-    dV, dx0 = dW[:, :m].copy(), dW[:, m:].copy()  # contiguous too
+    dV = dW[:, :m].copy()  # contiguous too
     dg_flow = (qdot @ pt.dg_axes.reshape(n, n * n)).reshape(n, n)
     grad = (pt.dg_axes @ qdot) @ qdot  # grad_q g[qdot, qdot]
 
     X = dV.T @ pt.gV
     Gdot = X + X.T + V_I.T @ dg_flow @ V_I
-    work = (pt.g @ qdot) @ dV + 0.5 * (grad @ V_I)
+    p = pt.g @ qdot
+    work = p @ dV + 0.5 * (grad @ V_I)
     return SimpleNamespace(
-        udot=udot, qdot=qdot, dV=dV, dx0=dx0, dg_flow=dg_flow, grad=grad, Gdot=Gdot, xidot=pt.Ginv @ (work - Gdot @ xi)
+        udot=udot, qdot=qdot, p=p, dW=dW, dV=dV, dg_flow=dg_flow, grad=grad, Gdot=Gdot, xidot=pt.Ginv @ (work - Gdot @ xi)
     )
 
 
@@ -511,7 +533,10 @@ def frame_rhs(spec: SystemSpec, q: Array, xi: Array, t: float, control: ControlS
     q = np.asarray(q, dtype=float)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     _check_adapted(spec, q, t, control)
-    st = _maggi_flow(_maggi_point(spec, q), xi, control.rate(t))
+    udot = _read_control(control.rate, t, "rate")
+    with _complex_safe("metric or omega"):
+        pt = _maggi_point(spec, q)
+    st = _maggi_flow(pt, xi, udot)
     return st.qdot, st.xidot
 
 
@@ -530,14 +555,17 @@ def _closed_rhs(
     """
     q = np.asarray(q, dtype=float)
     _check_adapted(spec, q, t, control)
+    udot = _read_control(control.rate, t, "rate")
     N, m, H = spec.N, spec.N - spec.nu, COMPLEX_STEP
-    pt = _maggi_point(spec, q)
-    B = np.column_stack([extract(q, pt.gV[:, k])[N:] for k in range(m)])
-    xi_gen = np.linalg.solve(B, np.atleast_1d(np.asarray(xi, dtype=float)))
-    st = _maggi_flow(pt, xi_gen, control.rate(t))
-    pIdot = (st.dg_flow @ pt.V_I + pt.g @ st.dV) @ xi_gen + pt.gV @ st.xidot
-    z = q + (1j * H) * st.qdot
-    return np.concatenate([st.qdot[:N], extract(z, pt.gV @ xi_gen + (1j * H) * pIdot)[N:].imag / H])
+    # metric and omega name themselves (see _maggi_point), so the guard's label is left to extract
+    with _complex_safe("extract_closed"):
+        pt = _maggi_point(spec, q)
+        B = np.column_stack([extract(q, pt.gV[:, k])[N:] for k in range(m)])
+        xi_gen = np.linalg.solve(B, np.atleast_1d(np.asarray(xi, dtype=float)))
+        st = _maggi_flow(pt, xi_gen, udot)
+        pIdot = (st.dg_flow @ pt.V_I + pt.g @ st.dV) @ xi_gen + pt.gV @ st.xidot
+        z = q + (1j * H) * st.qdot
+        return np.concatenate([st.qdot[:N], extract(z, pt.gV @ xi_gen + (1j * H) * pIdot)[N:].imag / H])
 
 
 def frame_coefficients(spec: SystemSpec, q: Array) -> dict[str, Array]:
@@ -557,7 +585,8 @@ def frame_coefficients(spec: SystemSpec, q: Array) -> dict[str, Array]:
     """
     q = np.asarray(q, dtype=float)
     _check_adapted(spec, q, 0.0, ControlSignal.constant(q[spec.N :]))
-    pt = _maggi_point(spec, q)
+    with _complex_safe("metric or omega"):
+        pt = _maggi_point(spec, q)
     m = spec.N - spec.nu
     E = np.eye(m + spec.M)
 

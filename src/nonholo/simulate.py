@@ -9,8 +9,12 @@ adapted by construction: :func:`integrate` checks the control's shape and
 ``q0`` once per run, and every stage runs Maggi's equations directly (the
 kernel of :func:`~nonholo.reduced_dynamics.frame_rhs`, with all of its
 checks but the adaptedness test); its point half at ``t0`` also gives the
-initial ``xi``, so no splitting is built.  One stepper, ``_rk4_step``,
-advances every :func:`integrate` run and every :func:`rk4_path` run.
+initial ``xi``, so no splitting is built.  Stages k2 and k3 share a time
+and one read of the control there.  The complex-safety guard
+(``core_geometry._complex_safe``) is entered once per run, around the whole
+stepping loop, and covers every stage's callback calls.  One stepper,
+``_rk4_step``, advances every :func:`integrate` run and every
+:func:`rk4_path` run.
 
 Every recorded sample carries the energy and two relative residuals — the
 constraint violation ``|Omega qdot| / |qdot|`` and the ideal-reaction defect
@@ -34,10 +38,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_geometry import Array, SystemSpec, _norm
+from .core_geometry import Array, SystemSpec, _complex_safe, _norm
 from .errors import ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
 from .models import ModelBundle
-from .reduced_dynamics import PIVOT_COND, ControlSignal, _check_adapted, _maggi_flow, _maggi_point, _VoronetsFrame
+from .reduced_dynamics import (
+    PIVOT_COND,
+    ControlSignal,
+    _check_adapted,
+    _maggi_flow,
+    _maggi_point,
+    _read_control,
+    _VoronetsFrame,
+)
 
 
 @dataclass(frozen=True)
@@ -120,20 +132,20 @@ def _rk4_step(f: Callable[[float, Array], Array], t: float, y: Array, dt: float,
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _frame_diagnostics(pt: SimpleNamespace, st: SimpleNamespace, xi: Array, t: float, control: ControlSignal) -> tuple:
-    """Energy and the two relative residuals at one sample, from its stage k1 (point half ``pt``, velocity ``st``).
+def _frame_diagnostics(pt: SimpleNamespace, st: SimpleNamespace, xi: Array, uddot: Array) -> tuple:
+    """Energy and the two relative residuals at one sample, from its stage k1 (point half ``pt``, velocity ``st``)
+    and the control's acceleration ``uddot`` there.
 
     ``R = g qddot + (d_qdot g) qdot - 1/2 grad_q g[qdot, qdot]``, with
     ``qddot = dV xi + V_I xidot + dh udot + h uddot``, ``h = x0 - V_I c``,
     ``c = G^-1 (g V_I)^T x0``; its free part is ``g V_I G^-1 V_I^T R``.
     """
-    qdot, g, udot = st.qdot, pt.g, st.udot
-    uddot = np.atleast_1d(np.asarray(control.accel(t), dtype=float))
-    p = g @ qdot
+    qdot, g, udot, p = st.qdot, pt.g, st.udot, st.p
     speed = _norm(qdot)
     cres = 0.0 if speed < 1e-14 else _norm(pt.Om @ qdot) / speed  # a NaN speed gives a NaN residual
-    dc = pt.Ginv @ (pt.V_I.T @ (st.dg_flow @ pt.x0) + st.dV.T @ (g @ pt.x0) + pt.gV.T @ st.dx0 - st.Gdot @ pt.c)
-    dh = st.dx0 - st.dV @ pt.c - pt.V_I @ dc
+    dx0 = st.dW[:, pt.V_I.shape[1] :].copy()  # the transport of x0, contiguous as dV is
+    dc = pt.Ginv @ (pt.V_I.T @ (st.dg_flow @ pt.x0) + st.dV.T @ (g @ pt.x0) + pt.gV.T @ dx0 - st.Gdot @ pt.c)
+    dh = dx0 - st.dV @ pt.c - pt.V_I @ dc
     qddot = st.dV @ xi + pt.V_I @ st.xidot + dh @ udot + pt.h @ uddot
     R = g @ qddot + st.dg_flow @ qdot - 0.5 * st.grad
     # at instants where no reaction is needed |R| ~ 0 and the plain ratio
@@ -166,7 +178,14 @@ def integrate(
     the pivots are chosen again and ``xi`` is read off ``p_I``.  So both
     representations give the same samples, and only the frame one adds
     ``xi``.  A sample whose residual is above ``hard_residual``, or NaN,
-    raises ``StepRejected``.
+    raises ``StepRejected``, and a control value, rate or acceleration that
+    is complex, or a value that is not finite, raises ``NonAdaptedState``.
+
+    The run holds the complex-safety guard (``core_geometry._complex_safe``)
+    from its first callback call to its last, so every stage's callbacks
+    are checked for complex safety, whatever the caller's warning filters.
+    The guard's lock is held as long: runs in concurrent threads take turns,
+    one whole run at a time.
     """
     if frame_field is not None:
         raise ValueError("integrate runs the generic frame only; frame_field must be None")
@@ -186,58 +205,68 @@ def integrate(
         raise ValueError("q0 and p0 must be finite")
     # once per run: the control's shape, and q0's controlled block; later stages assemble theirs from it
     q[N:] = _check_adapted(spec, q, t0, control)
+    # read before the guard, which would report a broken control's own TypeError as the callbacks'
+    udot, uddot = _read_control(control.rate, t0, "rate"), _read_control(control.accel, t0, "accel")
 
-    # the state is y = [q_free, xi]; the point data at t0 give xi (p0 = g V_I xi) and the first step's stage k1
-    pt = _maggi_point(spec, q)
-    y = np.concatenate([q[:N], pt.Ginv @ (pt.V_I.T @ p0)])
-    if float(np.abs(pt.gV @ y[N:] - p0).max()) > 1e-6 * (1.0 + float(np.abs(p0).max())):
-        raise NotInDeltaCapGamma("p0 is not a free-block momentum covector")
-    frame, pivots = pt.frame, [(t0, pt.frame.pivots)]
-
-    def assemble(t: float, q_free: Array) -> Array:
-        u = np.atleast_1d(np.asarray(control.value(t), dtype=float))
+    def controls(t: float) -> tuple[Array, Array]:
+        u = _read_control(control.value, t, "value")
         if not np.isfinite(u).all():
             raise NonAdaptedState(f"control value is not finite at t = {t}")
-        return np.concatenate([q_free, u])
+        return u, _read_control(control.rate, t, "rate")
 
     out_t, out_H, out_cres, out_dres = np.empty((4, nsteps + 1))
     out_q, out_p = np.empty((2, nsteps + 1, n))
     out_xi = np.empty((nsteps + 1, m))
+    last = (None, None)  # (t, controls(t)) of the last stage: k2 and k3 share a time
 
     def stage(t: float, y: Array) -> Array:
-        st = _maggi_flow(_maggi_point(spec, assemble(t, y[:N]), frame), y[N:], control.rate(t))
+        nonlocal last
+        if last[0] != t:
+            last = (t, controls(t))
+        u, udot = last[1]
+        st = _maggi_flow(_maggi_point(spec, np.concatenate([y[:N], u]), frame), y[N:], udot)
         return np.concatenate([st.qdot[:N], st.xidot])
 
-    for step in range(nsteps + 1):
-        t = t0 + step * dt
-        if step:
-            q = assemble(t, y[:N])
-            pt = _maggi_point(spec, q, frame)
-        if _norm(pt.Om[:, frame._layout[0]]) * pt.ainv_norm > PIVOT_COND:
-            best = _VoronetsFrame.best(spec, pt.Om)
-            if best.pivots != frame.pivots:
-                # p_I does not depend on the frame: read xi off it in the new one
-                frame, p_I = best, pt.gV @ y[N:]
-                pt = _maggi_point(spec, q, best)
-                y[N:] = pt.Ginv @ (pt.V_I.T @ p_I)
-                pivots.append((t, best.pivots))
-        # stage k1, whose quantities also give the sample's diagnostics
-        st = _maggi_flow(pt, y[N:], control.rate(t))
-        H, cres, dres = _frame_diagnostics(pt, st, y[N:], t, control)
+    with _complex_safe("metric or omega"):
+        # the state is y = [q_free, xi]; the point data at t0 give xi (p0 = g V_I xi) and the first step's stage k1
+        pt = _maggi_point(spec, q)
+        y = np.concatenate([q[:N], pt.Ginv @ (pt.V_I.T @ p0)])
+        if float(np.abs(pt.gV @ y[N:] - p0).max()) > 1e-6 * (1.0 + float(np.abs(p0).max())):
+            raise NotInDeltaCapGamma("p0 is not a free-block momentum covector")
+        frame, pivots = pt.frame, [(t0, pt.frame.pivots)]
 
-        out_t[step], out_q[step], out_p[step], out_xi[step] = t, q, pt.gV @ y[N:], y[N:]
-        out_H[step], out_cres[step], out_dres[step] = H, cres, dres
+        for step in range(nsteps + 1):
+            t = t0 + step * dt
+            if step:
+                u, udot = controls(t)
+                uddot = _read_control(control.accel, t, "accel")
+                q = np.concatenate([y[:N], u])
+                pt = _maggi_point(spec, q, frame)
+            if _norm(pt.Om[:, frame._layout[0]]) * pt.ainv_norm > PIVOT_COND:
+                best = _VoronetsFrame.best(spec, pt.Om)
+                if best.pivots != frame.pivots:
+                    # p_I does not depend on the frame: read xi off it in the new one
+                    frame, p_I = best, pt.gV @ y[N:]
+                    pt = _maggi_point(spec, q, best)
+                    y[N:] = pt.Ginv @ (pt.V_I.T @ p_I)
+                    pivots.append((t, best.pivots))
+            # stage k1, whose quantities also give the sample's diagnostics
+            st = _maggi_flow(pt, y[N:], udot)
+            H, cres, dres = _frame_diagnostics(pt, st, y[N:], uddot)
 
-        if not (cres <= cfg.hard_residual and dres <= cfg.hard_residual):  # NaN fails too
-            raise StepRejected(
-                f"diagnostics exceeded {cfg.hard_residual:.1e} at t = {t:.6g} "
-                f"(constraint {cres:.2e}, reaction {dres:.2e})"
-            )
-        if step == nsteps:
-            break
+            out_t[step], out_q[step], out_p[step], out_xi[step] = t, q, pt.gV @ y[N:], y[N:]
+            out_H[step], out_cres[step], out_dres[step] = H, cres, dres
 
-        # stage k1 is the sample's own right-hand side
-        y = _rk4_step(stage, t, y, dt, np.concatenate([st.qdot[:N], st.xidot]))
+            if not (cres <= cfg.hard_residual and dres <= cfg.hard_residual):  # NaN fails too
+                raise StepRejected(
+                    f"diagnostics exceeded {cfg.hard_residual:.1e} at t = {t:.6g} "
+                    f"(constraint {cres:.2e}, reaction {dres:.2e})"
+                )
+            if step == nsteps:
+                break
+
+            # stage k1 is the sample's own right-hand side
+            y = _rk4_step(stage, t, y, dt, np.concatenate([st.qdot[:N], st.xidot]))
 
     meta = {"dt": dt, "representation": cfg.representation, "t_span": (t0, t1), "pivots": pivots}
     return Trajectory(

@@ -77,15 +77,16 @@ def counting_spec(spec, calls):
     return dataclasses.replace(spec, metric=wrap("metric", spec.metric), omega=wrap("omega", spec.omega))
 
 
-def counting_control(control):
-    """``control`` whose ``value`` records each time it is called at, and that list."""
+def counting_control(control, name="value"):
+    """``control`` whose ``name`` (``value``, ``rate`` or ``accel``) records each time it is called at, and that list."""
     calls = []
+    fn = getattr(control, name)
 
-    def value(t):
+    def counted(t):
         calls.append(t)
-        return control.value(t)
+        return fn(t)
 
-    return dataclasses.replace(control, value=value), calls
+    return dataclasses.replace(control, **{name: counted}), calls
 
 
 def nan_derivative_spec(spec, name, q1_min=0.0):

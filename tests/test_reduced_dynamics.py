@@ -28,7 +28,7 @@ from nonholo.errors import (
 )
 from nonholo.jump_analysis import BoxSampler, psi_scan
 from nonholo.models import build_model, racer_denominators, racer_frame_vectors
-from nonholo.simulate import integrate
+from nonholo.simulate import IntegratorConfig, integrate
 from nonholo.reduced_dynamics import (
     ControlSignal,
     _closed_rhs,
@@ -116,6 +116,26 @@ class TestControlSignal:
     def test_ramp_rejects_bad_duration(self):
         with pytest.raises(ValueError):
             ControlSignal.ramp(0.0, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("duration", [-1.0, np.nan, np.inf])
+    def test_ramp_rejects_a_negative_or_non_finite_duration(self, duration):
+        """A NaN or infinite duration gave a ramp that never left ``u0`` (``value(0.5)`` read ``[0.]``)."""
+        with pytest.raises(ValueError, match="ramp duration must be positive and finite"):
+            ControlSignal.ramp(0.0, 1.0, 0.0, duration)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf])
+    def test_dither_rejects_bad_eps(self, eps):
+        """``eps = 0`` was a bare ``ZeroDivisionError``, and a negative ``eps`` was accepted."""
+        with pytest.raises(ValueError, match="dither eps must be positive and finite"):
+            ControlSignal.dither(0.1, 2.0, eps)
+
+    def test_sinusoid_derivatives_round_as_the_plain_products(self):
+        """The precomputed factors of ``rate`` and ``accel`` keep ``a * omega * cos`` and ``-a * omega**2 * sin`` bitwise."""
+        a, omega, phase = np.array([0.4, -1.3, 7.1e-3]), 3.7, 0.2
+        sig = ControlSignal.sinusoid(0.2, a, omega, phase)
+        for t in np.linspace(-1.0, 2.0, 31):
+            assert sig.rate(t).tobytes() == (a * omega * np.cos(omega * t + phase)).tobytes()
+            assert sig.accel(t).tobytes() == (-a * omega**2 * np.sin(omega * t + phase)).tobytes()
 
     def test_polynomial_channel_shapes(self):
         sig = ControlSignal.polynomial([[1.0, 2.0], [0.0, -1.0], [3.0, 0.0]])
@@ -397,11 +417,16 @@ class TestComplexStep:
 
         spec = SystemSpec(N=3, M=1, nu=1, metric=metric, omega=stacked(lambda q: Om.copy()))
         q = np.array([0.4, -0.3, 0.8, 0.1])
-        # refused whatever the caller's warning filters are
+        control = ControlSignal.constant(q[3])
+        # refused whatever the caller's warning filters are, pointwise and by integrate
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
             with pytest.raises(ModelError, match="ComplexWarning"):
                 coefficient_tensors(spec, q)
+            with pytest.raises(ModelError, match="ComplexWarning"):
+                frame_rhs(spec, q, np.zeros(2), 0.0, control)
+            with pytest.raises(ModelError, match="ComplexWarning"):
+                integrate(spec, q, np.zeros(4), control, (0.0, 0.01), IntegratorConfig(dt=1e-2))
 
     def test_asymmetric_metric_derivative_is_rejected(self):
         """The symmetry check of the metric also covers its complex-step derivative."""
@@ -416,11 +441,14 @@ class TestComplexStep:
             coefficient_tensors(spec, np.zeros(2))
 
     def test_threads_leave_the_warning_filters_as_they_were(self, racer):
-        """Concurrent complex steps must not restore each other's warning filters."""
+        """Concurrent complex steps, pointwise and in whole runs, must not restore each other's warning filters."""
+        control = ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
 
         def work():
-            for _ in range(50):
+            for i in range(50):
                 coefficient_tensors(racer.spec, racer.default_q0)
+                if i % 10 == 0:
+                    integrate(racer.spec, racer.default_q0, np.zeros(4), control, (0.0, 0.01), IntegratorConfig(dt=1e-3))
 
         interval = sys.getswitchinterval()
         with warnings.catch_warnings():
@@ -553,6 +581,20 @@ class TestFrameRhs:
         _closed_rhs(counting_spec(racer.spec, calls), racer.extract_closed, q, 0.4, 0.0, ControlSignal.linear(q[3], 0.7))
         assert calls == Counter({("metric", "complex", (5, 4)): 1, ("omega", "complex", (5, 4)): 1})
 
+    def test_closed_rhs_refuses_an_extract_that_drops_imaginary_parts(self, racer):
+        """The rate of ``xi`` is a complex step of ``extract_closed``; one that writes into a real array gave a zero rate."""
+
+        def extract(q, p):
+            out = np.zeros(4)
+            out[:] = racer.extract_closed(q, p)
+            return out
+
+        q = racer.default_q0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            with pytest.raises(ModelError, match=r"^extract_closed is not complex-safe \(ComplexWarning\("):
+                _closed_rhs(racer.spec, extract, q, 0.4, 0.0, ControlSignal.linear(q[3], 0.7))
+
     def test_zero_state_is_stationary(self, racer):
         q = np.array([0.1, 1.4, -0.2, 0.2])
         qdot, xidot = frame_rhs(racer.spec, q, np.zeros(1), 0.0, ControlSignal.constant(0.2))
@@ -563,6 +605,21 @@ class TestFrameRhs:
         q = np.array([0.1, 1.4, -0.2, 0.2])
         with pytest.raises(ValueError):
             frame_rhs(racer.spec, q, np.zeros(2), 0.0, ControlSignal.constant(0.2))
+
+    @pytest.mark.parametrize("what", ["value", "rate", "accel"])
+    def test_pointwise_entries_refuse_a_complex_control(self, racer, what):
+        """``frame_rhs`` and ``reaction_force`` kept the real part of a complex control, as ``integrate`` did."""
+        q = np.array([0.1, 1.4, -0.2, 0.2])
+        base = ControlSignal.constant(0.2)
+        fn = getattr(base, what)
+        control = dataclasses.replace(base, **{what: lambda t: fn(t) + 0.1j})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            with pytest.raises(NonAdaptedState, match=f"^control {what} is complex at t = 0.0"):
+                reaction_force(racer.spec, q, racer_state(racer, q, 0.3), 0.0, control)
+            if what != "accel":  # frame_rhs reads no acceleration
+                with pytest.raises(NonAdaptedState, match=f"^control {what} is complex at t = 0.0"):
+                    frame_rhs(racer.spec, q, np.array([0.3]), 0.0, control)
 
 
 def tensor_frame_rhs(spec, q, xi, t, control, field=None):

@@ -1,8 +1,13 @@
 """Integrator behaviour: order, diagnostics, CSV output, dither experiments."""
 
 import csv
+import dataclasses
+import hashlib
 import re
+import sys
+import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 
 import numpy as np
@@ -495,6 +500,123 @@ class TestIntegrate:
             )
 
 
+def racer_run(racer, nsteps, dt=1e-3, control=None, **config):
+    """``integrate`` on the racer over ``nsteps`` steps of ``dt`` from ``xi = 0.1``, steered by ``0.2 sin(2 pi t)`` by default."""
+    control = control or ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
+    p0 = racer_momentum(racer, racer.default_q0, 0.1)
+    return integrate(racer.spec, racer.default_q0, p0, control, (0.0, nsteps * dt), IntegratorConfig(dt=dt, **config))
+
+
+def csv_bytes(traj, path):
+    traj.to_csv(str(path))
+    return path.read_bytes()
+
+
+class TestOneGuardPerRun:
+    """``integrate`` holds one complex-safety guard for the whole run, and reads the control once per stage time."""
+
+    def test_a_run_enters_the_guard_once(self, racer, monkeypatch):
+        """A 10-step run has 41 Maggi stages (11 samples' k1, 30 later stages); a guard per stage swapped the filters 41 times."""
+        entered = []
+
+        class CountingCatch(warnings.catch_warnings):
+            def __enter__(self):
+                entered.append(None)
+                return super().__enter__()
+
+        monkeypatch.setattr(warnings, "catch_warnings", CountingCatch)
+        racer_run(racer, 10)
+        assert len(entered) == 1
+
+    @pytest.mark.parametrize("outcome", ["return", "step-rejected", "complex-at-k2-k3"])
+    def test_warning_filters_are_restored(self, racer, outcome):
+        """The caller's filters come back however the run ends, and ignoring ``ComplexWarning`` there does not switch the check off.
+
+        The midstep fault drops the metric's imaginary part only at stages
+        k2 and k3, between samples, and keeps the message of a fault at a sample.
+        """
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            before = list(warnings.filters)
+            if outcome == "return":
+                racer_run(racer, 10)
+            elif outcome == "step-rejected":
+                with pytest.raises(StepRejected):
+                    racer_run(racer, 10, hard_residual=1e-300)
+            else:
+                with pytest.raises(ModelError, match=r"^metric or omega is not complex-safe \(ComplexWarning\("):
+                    integrate(
+                        midstep_fault_spec("complex"),
+                        np.zeros(4),
+                        np.zeros(4),
+                        ControlSignal.sinusoid(0.0, 1.0, np.pi / 0.1),
+                        (0.0, 0.2),
+                        IntegratorConfig(dt=0.1),
+                    )
+            assert warnings.filters == before
+
+    @pytest.mark.parametrize("what", ["value", "rate", "accel"])
+    @pytest.mark.parametrize("t_complex", [0.0, 0.005])
+    def test_a_complex_control_is_not_adapted(self, racer, what, t_complex):
+        """A complex ``value``, ``rate`` or ``accel``, from ``t0`` or from a stage time on, is refused by name.
+
+        Such a control lost its imaginary part with only a ``ComplexWarning``,
+        silenced here as a caller may: the run went on with the real part.
+        """
+        base = ControlSignal.constant(0.0)
+        fn = getattr(base, what)
+        control = dataclasses.replace(base, **{what: lambda t: fn(t) + (0.1j if t >= t_complex else 0.0)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            with pytest.raises(NonAdaptedState, match=f"^control {what} is complex at t = "):
+                integrate(racer.spec, racer.default_q0, np.zeros(4), control, (0.0, 0.01), IntegratorConfig(dt=1e-2))
+
+    @pytest.mark.parametrize("what", ["value", "rate", "accel"])
+    def test_a_control_type_error_is_not_a_callback_error(self, racer, what):
+        """The run reads the control at ``t0`` before it enters the guard, so a broken control is not reported as
+        ``metric or omega is not complex-safe``."""
+        control = dataclasses.replace(ControlSignal.constant(0.0), **{what: lambda: np.zeros(1)})
+        with pytest.raises(TypeError, match="positional argument"):
+            integrate(racer.spec, racer.default_q0, np.zeros(4), control, (0.0, 0.01), IntegratorConfig(dt=1e-2))
+
+    @pytest.mark.parametrize(
+        "nsteps, digest",
+        [
+            (1, "97c083a03bb3b4357584634fe2c64f80ac11e58c5dab2f962da5ff789a2dd081"),
+            (100, "bde1e13e1d94c79743f3b724c31491286560ca4f5902705ace071b392263adb1"),
+        ],
+    )
+    def test_control_reads_once_per_stage_time(self, racer, tmp_path, nsteps, digest):
+        """k2 and k3 share a time, so ``n`` steps read ``value`` and ``rate`` ``3n + 1`` times each (``4n + 1`` when
+        each stage read its own); the CSV keeps the digest of the run that read them at every stage."""
+        control, values = counting_control(ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi))
+        control, rates = counting_control(control, "rate")
+        traj = racer_run(racer, nsteps, 1e-2, control, representation="frame")
+        assert len(values) == len(rates) == 3 * nsteps + 1
+        assert hashlib.sha256(csv_bytes(traj, tmp_path / "run.csv")).hexdigest() == digest
+
+    def test_concurrent_runs_match_serial_runs(self, racer, tmp_path):
+        """A racer run and a ball run in two threads give the CSVs of the same runs one after the other.
+
+        The guard's lock is held for a whole run, so the two take turns.
+        """
+        spec, q0, p0, control = generic_frame_case("ball")
+        runs = {
+            "racer": lambda: racer_run(racer, 200, representation="frame"),
+            "ball": lambda: integrate(spec, q0, p0, control, (0.0, 0.05), IntegratorConfig(dt=1e-3, representation="frame")),
+        }
+        serial = {name: csv_bytes(run(), tmp_path / f"{name}-serial.csv") for name, run in runs.items()}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = {name: pool.submit(run) for name, run in runs.items()}
+                threaded = {name: csv_bytes(f.result(timeout=120), tmp_path / f"{name}.csv") for name, f in futures.items()}
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+
 def frame_vs_ambient_gap(spec, q0, p0, control, t_span, dt):
     """Largest relative gap in ``(q, p_I)`` between the frame form and :func:`ambient_reference`; and the frame run."""
     traj = integrate(spec, q0, p0, control, t_span, IntegratorConfig(dt=dt, representation="frame"))
@@ -568,10 +690,10 @@ class TestGenericFrame:
         xi, control = np.array([0.3, -0.2, 0.4]), ControlSignal.polynomial([q[5], 0.7, -0.25])
         pt = reduced_dynamics._maggi_point(ball.spec, q)
         st = reduced_dynamics._maggi_flow(pt, xi, control.rate(0.0))
-        assert simulate._frame_diagnostics(pt, st, xi, 0.0, control)[2] <= 1e-15
+        assert simulate._frame_diagnostics(pt, st, xi, control.accel(0.0))[2] <= 1e-15
         G = np.linalg.inv(pt.Ginv)
         st.xidot = (G @ st.xidot) / np.diag(G)
-        assert simulate._frame_diagnostics(pt, st, xi, 0.0, control)[2] >= 1e-2
+        assert simulate._frame_diagnostics(pt, st, xi, control.accel(0.0))[2] >= 1e-2
 
 
 class TestCsv:
