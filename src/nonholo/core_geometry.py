@@ -35,9 +35,10 @@ constraint block rather than its square.
 
 The splitting is computed by one kernel over a stack of points, the form the
 fitness scans use to batch their samples; :func:`projection_set` is its
-one-point case.  It calls each model callback once per stack: on the real
-points, or, when derivatives along directions ``D`` are wanted too, on the
-complex stack ``q + i H [0; D]``, whose row 0 gives the callback's value.
+one-point case.  It calls each model callback once per stack, always on the
+complex stack ``q + i H [0; D]`` of :func:`_complex_front`, whose row 0
+gives the callback's value and whose other rows, if any, its derivatives
+along the directions ``D``.
 
 Conventions: configurations, vectors and covectors are 1-D ``numpy`` arrays of
 length ``N + M``; matrices act on the left.  Coprojections satisfy
@@ -144,9 +145,9 @@ class ProjectionSet:
     metric and its inverse and ``Om`` the constraint forms at the evaluation
     point.
 
-    The fields are computed when the set is built: everything the reduced
-    dynamics reads.  ``P_II``, ``P_III``, ``Pstar_II`` and ``Pstar_III`` are
-    computed on first access and cached, so the dynamics never pays for them.
+    The fields are computed when the set is built.  ``P_II``, ``P_III``,
+    ``Pstar_II`` and ``Pstar_III`` are computed on first access and cached,
+    so the coefficient tensors and the scans never pay for them.
 
     A set built for many points at once (as the fitness scans do) carries one
     leading axis over the points on every field, lazy blocks included;
@@ -216,21 +217,20 @@ def _norm(x: Array) -> float:
     return math.sqrt(v @ v)
 
 
-def _cholesky_spd(G: Array, label: str = "metric") -> Array:
-    """Cholesky factors of the stack ``G``, raising ``SingularMetric`` unless each is SPD."""
-    _check_symmetric(G, label)
+def _cholesky_spd(G: Array) -> None:
+    """Raise ``SingularMetric`` unless each metric of the stack ``G`` is SPD: symmetric, with a Cholesky factor."""
+    _check_symmetric(G, "metric")
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
-        raise SingularMetric(f"{label} is {'not positive definite' if np.isfinite(G).all() else 'not finite'}") from exc
+        raise SingularMetric(f"metric is {'not positive definite' if np.isfinite(G).all() else 'not finite'}") from exc
     # reject NaN pivots (some LAPACKs factor a NaN metric), which min and max can hide; pivot ratio ~ sqrt(cond)
     for diag in L.diagonal(0, -2, -1).tolist() if L.size else ():
         if not math.isfinite(sum(diag)):
-            raise SingularMetric(f"{label} is not finite")
+            raise SingularMetric("metric is not finite")
         ratio = min(diag) / max(diag)
         if ratio * ratio < 1e-12:
-            raise SingularMetric(f"{label} is numerically singular (pivot ratio {ratio:.2e})")
-    return L
+            raise SingularMetric(f"metric is numerically singular (pivot ratio {ratio:.2e})")
 
 
 def _check_finite_derivatives(*stacks: Array) -> None:
@@ -243,9 +243,9 @@ def _check_finite_derivatives(*stacks: Array) -> None:
             raise ModelError("metric or omega derivative is not finite")
 
 
-def _callback(spec: SystemSpec, label: str, Q: Array, dtype: object = float) -> Array:
-    """Callback ``label`` of ``spec`` on the stack ``Q`` as a ``dtype`` array (``None``: as returned), shape-checked."""
-    A = np.asarray(getattr(spec, label)(Q), dtype=dtype)
+def _callback(spec: SystemSpec, label: str, Q: Array) -> Array:
+    """Callback ``label`` of ``spec`` on the stack ``Q``, as returned, shape-checked."""
+    A = np.asarray(getattr(spec, label)(Q))
     shape = Q.shape[:-1] + (spec.nu if label == "omega" else spec.dim, spec.dim)
     if A.shape != shape:
         raise ValueError(f"{label} returned shape {A.shape}, expected {shape}")
@@ -258,25 +258,44 @@ def _not_complex_safe(label: str, exc: Exception) -> ModelError:
 
 
 @contextmanager
-def _complex_safe(label: str) -> Iterator[None]:
-    """Hold the complex-safety guard over the body: a ``ComplexWarning`` there is an error, whatever the caller's filters.
+def _complex_safe() -> Iterator[None]:
+    """Hold the complex-safety guard over the body: a ``ComplexWarning`` there raises, whatever the caller's filters.
 
-    A callback is not complex-safe when it raises ``TypeError`` on complex
-    input or drops an imaginary part into a real array (``ComplexWarning``):
-    its derivatives would be wrong, zero in the second case.  Either one
-    leaving the body raises ``ModelError`` naming ``label`` instead.  The
-    guard swaps process-wide warning filters, so it holds a reentrant lock
-    for the whole body: threads of a concurrent caller wait for each other
-    rather than restore each other's filters, and a callback may itself call
-    into the library.  Enter it once per evaluation, not once per callback
-    call: ``integrate`` holds it for a whole run.
+    It converts nothing (:func:`_complex_front` does).  The filters are
+    process-wide, so while the guard is held a complex-to-real cast raises
+    anywhere, in other threads and in a control's own code too; and it holds
+    a reentrant lock, so concurrent callers take turns rather than restore
+    each other's filters.  ``integrate`` holds it for a whole run.
     """
     with _WARNINGS_LOCK, warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        try:
-            yield
-        except (TypeError, np.exceptions.ComplexWarning) as exc:
-            raise _not_complex_safe(label, exc) from None
+        yield
+
+
+def _complex_front(spec: SystemSpec, Z: Array) -> tuple[Array, Array, Array, Array]:
+    """``metric`` and ``omega``, called once each on the complex stack ``Z``, as checked values and derivatives.
+
+    ``Z = Q[i] + i H [0; D]`` (directions ``D`` of shape ``(k, N+M)``) is
+    ``(S, k + 1, N+M)`` for ``S`` points or ``(k + 1, N+M)`` for one.  Only
+    here does a callback's ``TypeError``, or under the caller's
+    :func:`_complex_safe` its ``ComplexWarning`` (a dropped imaginary part),
+    become ``ModelError``.  Returns ``(G, Om, dG, dOm)`` with one leading
+    axis over the points: row 0's real parts, bit for bit the real call, and
+    the other rows' imaginary parts over ``H``.  ``G`` passes
+    :func:`_cholesky_spd` and ``dG`` the symmetry test.
+    """
+    try:
+        Gz, Omz = _callback(spec, "metric", Z), _callback(spec, "omega", Z)
+    except (TypeError, np.exceptions.ComplexWarning) as exc:
+        raise _not_complex_safe("metric or omega", exc) from None
+    if Z.ndim == 2:
+        Gz, Omz = Gz[None], Omz[None]
+    # contiguous, so products round as on the real call
+    G, Om = Gz[:, 0].real.astype(float), Omz[:, 0].real.astype(float)
+    dG, dOm = Gz[:, 1:].imag / COMPLEX_STEP, Omz[:, 1:].imag / COMPLEX_STEP
+    _cholesky_spd(G)
+    _check_symmetric(dG, "metric derivative")
+    return G, Om, dG, dOm
 
 
 def _canonical_sign(cols: Array) -> Array:
@@ -290,9 +309,9 @@ def _canonical_sign(cols: Array) -> Array:
 def _each_point(fn: Callable[[Array], tuple], Q: Array, skip: SkipTypes) -> tuple[Array, tuple]:
     """``fn`` on the one-point stacks ``Q[i:i+1]``, in order; a point whose call raises one of ``skip`` leaves.
 
-    ``fn`` maps a stack to a tuple of stacks over its points (or ``None``
-    entries).  Returns ``(keep, parts)``: the mask of the points that stayed
-    and, per tuple entry, the results over them (empty when none stayed).
+    ``fn`` maps a stack to a tuple of stacks over its points.  Returns
+    ``(keep, parts)``: the mask of the points that stayed and, per tuple
+    entry, the results over them (empty when none stayed).
     """
     keep = np.ones(len(Q), dtype=bool)
     out = []
@@ -301,7 +320,7 @@ def _each_point(fn: Callable[[Array], tuple], Q: Array, skip: SkipTypes) -> tupl
             out.append(fn(Q[i : i + 1]))
         except skip:
             keep[i] = False
-    return keep, tuple(None if part[0] is None else np.concatenate(part) for part in zip(*out))
+    return keep, tuple(np.concatenate(part) for part in zip(*out))
 
 
 def _stacked_call(fn: Callable[[Array], tuple], Q: Array, skip: SkipTypes) -> tuple[Array, tuple]:
@@ -356,67 +375,35 @@ def _block_I_basis(spec: SystemSpec, Vh: Array) -> Array:
     return _canonical_sign(B)
 
 
-def _splitting_front(
-    spec: SystemSpec, Q: Array, skip: SkipTypes = (), D: Optional[Array] = None
-) -> tuple[Array, Optional[tuple]]:
+def _splitting_front(spec: SystemSpec, Q: Array, D: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[tuple]]:
     """The validated front of the splitting at every point of ``Q``: callbacks, metric test, constraint SVD.
 
-    Each callback runs once on the whole stack (``metric``, then ``omega``),
-    then the symmetry, Cholesky and pivot tests of the metrics and the
-    transversality test of :func:`_constraint_svd`.  With derivative
-    directions ``D`` (shape ``(k, N+M)``) each runs instead on the complex
-    stack ``Q[i] + i H [0; D]`` (``H = COMPLEX_STEP``): row 0's real part is
-    the callback at ``Q[i]``, bit for bit the real call, and rows ``1 .. k``
-    give its derivatives along ``D`` as imaginary parts over ``H``; a
-    metric derivative must be symmetric, every derivative finite at the
-    points that stay (else ``ModelError``), and a callback that is not
-    complex-safe raises ``ModelError`` (see :func:`_complex_safe`).  A point
-    whose callbacks raise one of ``skip`` (see :func:`_stacked_call`), or
-    whose constraint block fails the rank test while ``RankDeficiency`` is in
-    ``skip``, leaves the stack; any other error propagates.  Returns
-    ``(keep, front)``: the mask of the points of ``Q`` that stayed and the
-    stacks ``(G, Om, U, s, Vh, derivs)`` over them, with ``derivs`` the
-    derivative stacks ``(dG, dOm)`` of shapes ``(S', k, ...)``, ``None``
-    without ``D`` (``front`` is ``None`` when no point stayed).
+    :func:`_complex_front` runs each callback once on the complex stack
+    ``Q[i] + i H [0; D]`` (``D`` of shape ``(k, N+M)``, ``k = 0`` for the
+    values alone) under :func:`_complex_safe`, then the transversality test
+    of :func:`_constraint_svd` runs, and the derivatives must be finite at
+    the points that stay (else ``ModelError``).  A point whose front raises
+    one of ``skip`` (see :func:`_stacked_call`), or whose constraint block
+    fails the rank test while ``RankDeficiency`` is in ``skip``, leaves the
+    stack; any other error propagates.  Returns ``(keep, front)``: the mask
+    of the points of ``Q`` that stayed and the stacks ``(G, Om, U, s, Vh,
+    derivs)`` over them, with ``derivs`` the derivative stacks ``(dG, dOm)``
+    of shapes ``(S', k, ...)`` (``front`` is ``None`` when no point stayed).
     """
-    if D is None:
-
-        def callbacks(Q: Array) -> tuple:
-            return _callback(spec, "metric", Q), _callback(spec, "omega", Q)
-
-        keep, parts = _stacked_call(callbacks, Q, skip)
-    else:
-        shift = (1j * COMPLEX_STEP) * np.concatenate([np.zeros((1, spec.dim)), D])
-
-        def callbacks(Q: Array) -> tuple:
-            Z = Q[:, None] + shift
-            return _callback(spec, "metric", Z, None), _callback(spec, "omega", Z, None)
-
-        with _complex_safe("metric or omega"):
-            keep, parts = _stacked_call(callbacks, Q, skip)
+    shift = (1j * COMPLEX_STEP) * np.concatenate([np.zeros((1, spec.dim)), D])
+    with _complex_safe():
+        keep, parts = _stacked_call(lambda Q: _complex_front(spec, Q[:, None] + shift), Q, skip)
     if not parts:
         return keep, None
-    G, Om = parts
-    derivs = None
-    if D is not None:
-        derivs = (G[:, 1:].imag / COMPLEX_STEP, Om[:, 1:].imag / COMPLEX_STEP)
-        # contiguous, so products round as on the real call
-        G, Om = (np.ascontiguousarray(A[:, 0].real, dtype=float) for A in (G, Om))
-    _cholesky_spd(G)
-    if derivs is not None:
-        _check_symmetric(derivs[0], "metric derivative")
-
+    G, Om, dG, dOm = parts
     ranked, U, s, Vh = _constraint_svd(spec, Q[keep] if len(G) < len(Q) else Q, Om, skip)
     if not ranked.all():
         keep[keep] = ranked
         if not ranked.any():
             return keep, None
-        G, Om = G[ranked], Om[ranked]
-        if derivs is not None:
-            derivs = tuple(d[ranked] for d in derivs)
-    if derivs is not None:
-        _check_finite_derivatives(*derivs)
-    return keep, (G, Om, U, s, Vh, derivs)
+        G, Om, dG, dOm = G[ranked], Om[ranked], dG[ranked], dOm[ranked]
+    _check_finite_derivatives(dG, dOm)
+    return keep, (G, Om, U, s, Vh, (dG, dOm))
 
 
 def _particular_solutions(spec: SystemSpec, Om: Array, U: Array, s: Array, Vh: Array) -> Array:
@@ -436,20 +423,20 @@ def _particular_solutions(spec: SystemSpec, Om: Array, U: Array, s: Array, Vh: A
 
 
 def _projection_stack(
-    spec: SystemSpec, Q: Array, skip: SkipTypes = (), D: Optional[Array] = None
+    spec: SystemSpec, Q: Array, D: Array, skip: SkipTypes = ()
 ) -> tuple[Array, Optional[ProjectionSet], Optional[tuple[Array, Array]]]:
     """The splitting at every point of ``Q`` (shape ``(S, N+M)``) at once.
 
     Points leave the stack as in :func:`_splitting_front`, which takes the
-    callbacks' derivatives along ``D`` from the same calls when ``D`` is
-    given; every step after it runs once on the whole stack, and the inverse
+    callbacks' derivatives along the rows of ``D`` from the same calls;
+    every step after it runs once on the whole stack, and the inverse
     metrics come from ``np.linalg.inv`` once the Cholesky test has passed.
     Returns ``(keep, P, derivs)``: the mask of the points of ``Q`` that
     stayed, a :class:`ProjectionSet` whose fields carry one leading axis over
-    them (``None`` when no point stayed) and the derivative stacks ``(dG,
-    dOm)`` over them (``None`` without ``D``).
+    them and the derivative stacks ``(dG, dOm)`` over them (both ``None``
+    when no point stayed).
     """
-    keep, front = _splitting_front(spec, Q, skip, D)
+    keep, front = _splitting_front(spec, Q, D, skip)
     if front is None:
         return keep, None, None
     G, Om, U, s, Vh, derivs = front
@@ -494,18 +481,14 @@ def _block_ranks(spec: SystemSpec, Q: Array, P: ProjectionSet, skip: SkipTypes =
     return ok
 
 
-def projection_set(spec: SystemSpec, q: Array, check: bool = True) -> ProjectionSet:
-    """Projections, coprojections and lift maps of the splitting at ``q``.
+def projection_set(spec: SystemSpec, q: Array) -> ProjectionSet:
+    """Projections, coprojections and lift maps of the splitting at ``q``, block ranks verified against ``(N - nu, nu, M)``.
 
-    With ``check=True`` (the default) the block ranks are verified against
-    ``(N - nu, nu, M)``; passing ``check=False`` skips those singular-value
-    sweeps and the lazy blocks II and III they need (the transversality test
-    still runs), which matters on the hot path of the dynamics.
+    Each callback runs once, on the complex stack ``q + i H [0]``.
     """
     q = np.asarray(q, dtype=float)
-    _, P, _ = _projection_stack(spec, q[None])
-    if check:
-        _block_ranks(spec, q[None], P)
+    _, P, _ = _projection_stack(spec, q[None], _eye(spec.dim)[:0])
+    _block_ranks(spec, q[None], P)
     return P.point(0)
 
 
@@ -528,7 +511,7 @@ def argmin_certificate(
     rng = rng if rng is not None else np.random.default_rng(0)
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    P = projection_set(spec, q, check=False)
+    P = projection_set(spec, q)
     z0 = P.h @ v
     base = float(z0 @ P.g @ z0)
     B = P.I_basis

@@ -339,7 +339,7 @@ def sufficiency_check(
     """
     pts = sampler.points(n_samples)
     # the callbacks' derivatives along the controlled coordinates only
-    keep, P, derivs = _projection_stack(spec, pts, _SKIPPABLE, _eye(spec.dim)[spec.N :])
+    keep, P, derivs = _projection_stack(spec, pts, _eye(spec.dim)[spec.N :], _SKIPPABLE)
     max_dg = 0.0
     max_rep = 0.0
     if P is not None:

@@ -44,6 +44,7 @@ import numpy as np
 
 from .core_geometry import Array, SystemSpec
 from .errors import ChartDomain, ModelError, SingularDenominator
+from .reduced_dynamics import _read_control
 
 
 @dataclass(frozen=True)
@@ -290,8 +291,8 @@ def _racer_closed_field(params: RollerRacerParams) -> Callable[[object], Callabl
             nonlocal last
             t_last, half = last
             if t_last != t:
-                u = float(np.asarray(control.value(t)).reshape(-1)[0])
-                udot = float(np.asarray(control.rate(t)).reshape(-1)[0])
+                u = float(_read_control(control.value, t, "value")[0])
+                udot = float(_read_control(control.rate, t, "rate")[0])
                 half = _racer_closed_control(params, u, udot)
                 last = (t, half)
             return _racer_closed_state(half, y)

@@ -58,10 +58,8 @@ from .core_geometry import (
     ProjectionSet,
     SkipTypes,
     SystemSpec,
-    _callback,
     _check_finite_derivatives,
-    _check_symmetric,
-    _cholesky_spd,
+    _complex_front,
     _complex_safe,
     _constraint_svd,
     _eye,
@@ -72,6 +70,7 @@ from .core_geometry import (
 from .errors import ChartDomain, NonAdaptedState, NotInDeltaCapGamma
 
 TimeFn = Callable[[float], Array]
+_FLOAT = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,7 @@ def _tensor_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Arr
     stayed and the tensors with one leading axis over them (``None`` when
     none stayed).
     """
-    keep, P, derivs = _projection_stack(spec, Q, skip, _eye(spec.dim))
+    keep, P, derivs = _projection_stack(spec, Q, _eye(spec.dim), skip)
     return keep, None if P is None else _tensors_from(P, *derivs)
 
 
@@ -251,7 +250,7 @@ def coefficient_tensors(spec: SystemSpec, q: Array) -> CoefficientTensors:
     :class:`~nonholo.errors.ModelError`.
     """
     q = np.asarray(q, dtype=float)
-    _, P, (dg, dOm) = _projection_stack(spec, q[None], D=_eye(spec.dim))
+    _, P, (dg, dOm) = _projection_stack(spec, q[None], _eye(spec.dim))
     return _tensors_from(P.point(0), dg[0], dOm[0])
 
 
@@ -304,9 +303,11 @@ def _read_control(fn: TimeFn, t: float, what: str) -> Array:
     A complex one raises ``NonAdaptedState``: its imaginary part would be dropped.
     """
     u = np.asarray(fn(t))
-    if u.dtype.kind == "c":
-        raise NonAdaptedState(f"control {what} is complex at t = {t}")
-    return np.atleast_1d(np.asarray(u, dtype=float))
+    if u.dtype is not _FLOAT:  # a float64 control, the usual one, costs this one test
+        if u.dtype.kind == "c":
+            raise NonAdaptedState(f"control {what} is complex at t = {t}")
+        u = u.astype(float)
+    return u if u.ndim else u[None]
 
 
 def _check_adapted(spec: SystemSpec, q: Array, t: float, control: ControlSignal) -> Array:
@@ -440,19 +441,12 @@ def _axis_shift(n: int) -> Array:
 def _maggi_point(spec: SystemSpec, q: Array, frame: Optional[_VoronetsFrame] = None) -> SimpleNamespace:
     """The point half of :func:`frame_rhs` at ``q`` on the generic frame ``frame`` (``None``: the one best at ``q``).
 
-    One complex call of each callback gives ``g``, ``Om`` and their axis derivatives, which pass the front's
-    checks and must be finite; then the frame's ``V``, ``A_d^-1`` (``ainv_norm``), ``V_I``, ``x0``, ``gV``, ``G^-1``,
-    ``c`` and ``h``.  The caller holds :func:`~nonholo.core_geometry._complex_safe`, so a callback that drops an
-    imaginary part raises; a ``TypeError`` or ``ComplexWarning`` from either call is a ``ModelError`` here."""
-    Z = q + _axis_shift(spec.dim)
-    try:
-        gz, Omz = _callback(spec, "metric", Z, None), _callback(spec, "omega", Z, None)
-    except (TypeError, np.exceptions.ComplexWarning) as exc:
-        raise _not_complex_safe("metric or omega", exc) from None
-    g, Om = gz[0].real.copy(), Omz[0].real.copy()  # contiguous, so products round as on the real call
-    _cholesky_spd(g[None])
-    dg_axes, dOm_axes = gz[1:].imag / COMPLEX_STEP, Omz[1:].imag / COMPLEX_STEP
-    _check_symmetric(dg_axes[None], "metric derivative")
+    :func:`~nonholo.core_geometry._complex_front` on ``q + i H [0; I_n]`` (shape ``(n + 1, n)``) gives ``g``,
+    ``Om`` and their axis derivatives with the front's checks, which must pass the rank test and be finite; then the
+    frame's ``V``, ``A_d^-1`` (``ainv_norm``), ``V_I``, ``x0``, ``gV``, ``G^-1``, ``c`` and ``h``.  The caller holds
+    :func:`~nonholo.core_geometry._complex_safe`."""
+    G, Om, dG, dOm = _complex_front(spec, q + _axis_shift(spec.dim))
+    g, Om, dg_axes, dOm_axes = G[0], Om[0], dG[0], dOm[0]
     frame, m = frame if frame is not None else _VoronetsFrame.best(spec, Om), spec.N - spec.nu
     try:
         V, Ainv = frame.of(Om)
@@ -534,7 +528,7 @@ def frame_rhs(spec: SystemSpec, q: Array, xi: Array, t: float, control: ControlS
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     _check_adapted(spec, q, t, control)
     udot = _read_control(control.rate, t, "rate")
-    with _complex_safe("metric or omega"):
+    with _complex_safe():
         pt = _maggi_point(spec, q)
     st = _maggi_flow(pt, xi, udot)
     return st.qdot, st.xidot
@@ -551,21 +545,29 @@ def _closed_rhs(
     part of ``extract(q, g V_I)``, column by column.  The rate of ``xi`` is
     the complex step of ``extract`` along ``(qdot, pIdot)``, with ``pIdot =
     ((d_qdot g) V_I + g dV) xi_gen + g V_I xidot_gen`` from the Maggi stage
-    at ``q``; so ``extract`` must be complex-safe like the callbacks.
+    at ``q``; so ``extract`` must be complex-safe like the callbacks, and a
+    ``TypeError`` or ``ComplexWarning`` from it is a ``ModelError`` naming
+    ``extract_closed``.
     """
     q = np.asarray(q, dtype=float)
     _check_adapted(spec, q, t, control)
     udot = _read_control(control.rate, t, "rate")
     N, m, H = spec.N, spec.N - spec.nu, COMPLEX_STEP
-    # metric and omega name themselves (see _maggi_point), so the guard's label is left to extract
-    with _complex_safe("extract_closed"):
+
+    def extract_xi(z: Array, p_I: Array) -> Array:
+        try:
+            return extract(z, p_I)[N:]
+        except (TypeError, np.exceptions.ComplexWarning) as exc:
+            raise _not_complex_safe("extract_closed", exc) from None
+
+    with _complex_safe():
         pt = _maggi_point(spec, q)
-        B = np.column_stack([extract(q, pt.gV[:, k])[N:] for k in range(m)])
+        B = np.column_stack([extract_xi(q, pt.gV[:, k]) for k in range(m)])
         xi_gen = np.linalg.solve(B, np.atleast_1d(np.asarray(xi, dtype=float)))
         st = _maggi_flow(pt, xi_gen, udot)
         pIdot = (st.dg_flow @ pt.V_I + pt.g @ st.dV) @ xi_gen + pt.gV @ st.xidot
         z = q + (1j * H) * st.qdot
-        return np.concatenate([st.qdot[:N], extract(z, pt.gV @ xi_gen + (1j * H) * pIdot)[N:].imag / H])
+        return np.concatenate([st.qdot[:N], extract_xi(z, pt.gV @ xi_gen + (1j * H) * pIdot).imag / H])
 
 
 def frame_coefficients(spec: SystemSpec, q: Array) -> dict[str, Array]:
@@ -585,7 +587,7 @@ def frame_coefficients(spec: SystemSpec, q: Array) -> dict[str, Array]:
     """
     q = np.asarray(q, dtype=float)
     _check_adapted(spec, q, 0.0, ControlSignal.constant(q[spec.N :]))
-    with _complex_safe("metric or omega"):
+    with _complex_safe():
         pt = _maggi_point(spec, q)
     m = spec.N - spec.nu
     E = np.eye(m + spec.M)

@@ -12,7 +12,9 @@ checks but the adaptedness test); its point half at ``t0`` also gives the
 initial ``xi``, so no splitting is built.  Stages k2 and k3 share a time
 and one read of the control there.  The complex-safety guard
 (``core_geometry._complex_safe``) is entered once per run, around the whole
-stepping loop, and covers every stage's callback calls.  One stepper,
+stepping loop, so every stage's callback calls run under it, and each
+stage's ``core_geometry._complex_front`` turns a callback's ``TypeError`` or
+``ComplexWarning`` into ``ModelError``.  One stepper,
 ``_rk4_step``, advances every :func:`integrate` run and every
 :func:`rk4_path` run.
 
@@ -183,9 +185,13 @@ def integrate(
 
     The run holds the complex-safety guard (``core_geometry._complex_safe``)
     from its first callback call to its last, so every stage's callbacks
-    are checked for complex safety, whatever the caller's warning filters.
-    The guard's lock is held as long: runs in concurrent threads take turns,
-    one whole run at a time.
+    are checked for complex safety, whatever the caller's warning filters;
+    only the callbacks' ``TypeError`` or ``ComplexWarning`` becomes
+    ``ModelError`` (in ``core_geometry._complex_front``), and a control's own
+    error leaves as itself.  While the run lasts, a ``ComplexWarning``
+    anywhere in the process raises: in other threads, and in a control's own
+    code.  The guard's lock is held as long: runs in concurrent threads take
+    turns, one whole run at a time.
     """
     if frame_field is not None:
         raise ValueError("integrate runs the generic frame only; frame_field must be None")
@@ -205,7 +211,6 @@ def integrate(
         raise ValueError("q0 and p0 must be finite")
     # once per run: the control's shape, and q0's controlled block; later stages assemble theirs from it
     q[N:] = _check_adapted(spec, q, t0, control)
-    # read before the guard, which would report a broken control's own TypeError as the callbacks'
     udot, uddot = _read_control(control.rate, t0, "rate"), _read_control(control.accel, t0, "accel")
 
     def controls(t: float) -> tuple[Array, Array]:
@@ -227,7 +232,7 @@ def integrate(
         st = _maggi_flow(_maggi_point(spec, np.concatenate([y[:N], u]), frame), y[N:], udot)
         return np.concatenate([st.qdot[:N], st.xidot])
 
-    with _complex_safe("metric or omega"):
+    with _complex_safe():
         # the state is y = [q_free, xi]; the point data at t0 give xi (p0 = g V_I xi) and the first step's stage k1
         pt = _maggi_point(spec, q)
         y = np.concatenate([q[:N], pt.Ginv @ (pt.V_I.T @ p0)])

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,19 @@ def toy():
 @pytest.fixture(scope="session")
 def toy_constrained():
     return build_model("euclidean-toy", constrained=True)
+
+
+@pytest.fixture()
+def caller_ignores_complex_warning():
+    """Run the test under a caller's ``simplefilter("ignore", ComplexWarning)``, and yield that filter list.
+
+    pyproject's ``error::ComplexWarning`` filter would otherwise turn every
+    dropped imaginary part into an exception by itself, and hide a code path
+    that misses the library's own complex-safety guard.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        yield list(warnings.filters)
 
 
 @pytest.fixture()

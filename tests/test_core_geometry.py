@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,8 +15,16 @@ from nonholo.core_geometry import (
     projection_set,
 )
 from nonholo.errors import ChartDomain, ModelError, RankDeficiency, SingularMetric
+from nonholo.reduced_dynamics import coefficient_tensors
 
-from conftest import check_projection_algebra, near_singular_system, random_system, sample_points, stacked
+from conftest import (
+    check_projection_algebra,
+    counting_spec,
+    near_singular_system,
+    random_system,
+    sample_points,
+    stacked,
+)
 
 
 def reference_projection_set(spec, q):
@@ -117,9 +126,10 @@ class TestAgainstReferenceConstruction:
             assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max()), name
 
     def test_off_path_blocks_are_lazy(self, ball):
+        """The coefficient tensors' splitting builds blocks II and III only when they are read."""
         spec = ball.spec
         q = sample_points(ball, 1, seed=4)[0]
-        P = projection_set(spec, q, check=False)
+        P = coefficient_tensors(spec, q).projections
         assert "P_II" not in vars(P) and "P_III" not in vars(P)
         check_projection_algebra(spec, P)
         assert "P_II" in vars(P) and "P_III" in vars(P)
@@ -271,12 +281,22 @@ class TestStackedCallbacks:
         fn = getattr(racer.spec, label)
         spec = dataclasses.replace(racer.spec, **{label: lambda q: fn(np.reshape(q, (-1, 4))[0])})
         Q = sample_points(racer, 25, seed=9)
-        expected = re.escape(f"{label} returned shape {shape}, expected {(1,) + shape}")
+        # projection_set's stack has row 0 only; the tensors' stack adds a row per axis
+        expected = re.escape(f"{label} returned shape {shape}, expected {(1, 1) + shape}")
         with pytest.raises(ValueError, match=expected):
             projection_set(spec, Q[0])
-        expected = re.escape(f"{label} returned shape {shape}, expected {(25,) + shape}")
+        expected = re.escape(f"{label} returned shape {shape}, expected {(25, 5) + shape}")
         with pytest.raises(ValueError, match=expected):
-            _projection_stack(spec, Q)
+            _projection_stack(spec, Q, np.eye(4))
+
+    def test_projection_set_makes_one_complex_call_of_each_callback(self, racer, ball):
+        """The splitting alone runs the same complex front as the tensors, with no derivative rows: no real call."""
+        for bundle in (racer, ball):
+            calls = Counter()
+            P = projection_set(counting_spec(bundle.spec, calls), bundle.default_q0)
+            n = bundle.spec.dim
+            assert dict(calls) == {("metric", "complex", (1, 1, n)): 1, ("omega", "complex", (1, 1, n)): 1}
+            assert P.g.dtype == P.Om.dtype == np.dtype(float)
 
 
 class TestFrames:

@@ -121,7 +121,7 @@ def richardson_leaf_derivative(spec, q, v, w, step=1e-3):
     """
 
     def energy(point):
-        z = projection_set(spec, point, check=False).h @ v
+        z = projection_set(spec, point).h @ v
         return float(z @ spec.metric(point) @ z)
 
     def central(h):

@@ -8,6 +8,7 @@ and differentiates the resulting flow.  The closed-form right-hand side must
 reproduce those measurements.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -17,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from nonholo import models
 from nonholo.core_geometry import _cholesky_spd, projection_set
-from nonholo.errors import ChartDomain, ModelError, SingularDenominator, SingularMetric
+from nonholo.errors import ChartDomain, ModelError, NonAdaptedState, SingularDenominator, SingularMetric
 from nonholo.models import (
     RollerRacerParams,
     _euler_rate_matrix,
@@ -31,6 +32,7 @@ from nonholo.models import (
     roller_racer_spec,
 )
 from nonholo.reduced_dynamics import ControlSignal, _VoronetsFrame, coefficient_tensors
+from nonholo.simulate import rk4_path
 
 from conftest import counting_control, sample_points
 
@@ -298,6 +300,17 @@ class TestRacerFields:
             with pytest.raises(SingularDenominator):
                 f(0.0, np.zeros(4))
 
+    @pytest.mark.parametrize("what", ["value", "rate"])
+    @pytest.mark.parametrize("t_complex", [0.0, 0.05])
+    def test_closed_field_refuses_a_complex_control(self, racer, what, t_complex, caller_ignores_complex_warning):
+        """A complex ``value`` or ``rate``, from the first stage or a later one, is refused by name, as ``integrate``
+        refuses it; the field would otherwise go on with the real part."""
+        base = ControlSignal.sinusoid(0.1, 0.3, 3.0)
+        fn = getattr(base, what)
+        control = dataclasses.replace(base, **{what: lambda t: fn(t) + (0.5j if t >= t_complex else 0.0)})
+        with pytest.raises(NonAdaptedState, match=f"^control {what} is complex at t = "):
+            rk4_path(racer.closed_field(control), np.array([0.0, 1.2, 0.0, 0.4]), (0.0, 0.1), 10)
+
     def test_averaged_field_equals_averaged_rhs(self, racer):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -412,6 +425,8 @@ class TestRollingBall:
 
         The closed form is the Z-X-Z inverse ``1/(k2 s^2)`` on the two outer
         angles, ``-c/(k2 s^2)`` between them and ``1/k2`` on the middle one.
+        The splitting is the tensors' one, which skips the block-rank sweep
+        that ``projection_set`` fails from ``sin q2 = 1e-4`` on.
         """
         k2 = ball.params.gyration2
         q = ball.default_q0.copy()
@@ -421,7 +436,7 @@ class TestRollingBall:
         closed[0, 0] = closed[2, 2] = 1.0 / (k2 * s * s)
         closed[0, 2] = closed[2, 0] = -c / (k2 * s * s)
         closed[1, 1] = 1.0 / k2
-        P = projection_set(ball.spec, q, check=False)
+        P = coefficient_tensors(ball.spec, q).projections
         assert np.abs(P.g @ P.ginv - np.eye(6)).max() <= 10.0 * np.abs(P.g @ closed - np.eye(6)).max()
 
     def test_splitting_refuses_the_metric_past_the_chart_edge(self, ball):
@@ -429,7 +444,7 @@ class TestRollingBall:
         q = ball.default_q0.copy()
         q[1] = math.asin(1e-6)
         with pytest.raises(ChartDomain):
-            projection_set(ball.spec, q, check=False)
+            projection_set(ball.spec, q)
         g = np.eye(6)
         g[:3, :3] = ball.params.gyration2 * np.array([[1.0, 0.0, math.cos(q[1])], [0.0, 1.0, 0.0], [math.cos(q[1]), 0.0, 1.0]])
         with pytest.raises(SingularMetric, match="pivot ratio"):

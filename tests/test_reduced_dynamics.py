@@ -240,7 +240,7 @@ def richardson_stacks(spec, q, step=1e-3):
         qp, qm = q.copy(), q.copy()
         qp[j] += h
         qm[j] -= h
-        Pp, Pm = projection_set(spec, qp, check=False), projection_set(spec, qm, check=False)
+        Pp, Pm = projection_set(spec, qp), projection_set(spec, qm)
         return [(getattr(Pp, f) - getattr(Pm, f)) / (2.0 * h) for f in fields.values()]
 
     stacks = {name: [] for name in fields}
@@ -305,7 +305,7 @@ class TestClosedFormDerivatives:
         complex_calls = {(name, "complex", (1, n + 1, n)): 1 for name in ("metric", "omega")}
         assert dict(calls) == {"splitting": 1, **complex_calls}
         # row 0 of the complex stack is the real splitting, bit for bit
-        P = projection_set(bundle.spec, q, check=False)
+        P = projection_set(bundle.spec, q)
         for name in ("P_I", "h", "k", "R_II", "I_basis", "g", "ginv", "Om"):
             assert np.array_equal(getattr(T.projections, name), getattr(P, name)), name
 
@@ -391,17 +391,20 @@ class TestComplexStep:
                 assert np.array_equal(np.asarray(fn(q + shift))[0].real, np.asarray(fn(q[None]))[0])
 
     @pytest.mark.parametrize("name", ["metric", "omega"])
-    def test_real_only_callback_is_a_model_error(self, name):
-        """A callback that rejects complex input is refused by the tensors and by the scans."""
+    def test_real_only_callback_is_a_model_error(self, name, caller_ignores_complex_warning):
+        """A callback that rejects complex input is refused by the splitting, the tensors, the scans and ``integrate``."""
         spec = real_only(random_system(5, N=3, M=1, nu=2), name)
         q = np.random.default_rng(8).uniform(-1.0, 1.0, size=spec.dim)
-        projection_set(spec, q)  # real evaluations pass
+        with pytest.raises(ModelError, match="metric or omega is not complex-safe"):
+            projection_set(spec, q)
+        with pytest.raises(ModelError, match="metric or omega is not complex-safe"):
+            integrate(spec, q, np.zeros(spec.dim), ControlSignal.constant(q[3]), (0.0, 0.01), IntegratorConfig(dt=1e-2))
         with pytest.raises(ModelError, match="metric or omega is not complex-safe"):
             coefficient_tensors(spec, q)
         with pytest.raises(ModelError, match="metric or omega is not complex-safe"):
             psi_scan(spec, BoxSampler(np.tile([-1.0, 1.0], (spec.dim, 1)), seed=6), n_samples=12)
 
-    def test_complex_values_in_a_real_buffer_is_a_model_error(self):
+    def test_complex_values_in_a_real_buffer_is_a_model_error(self, caller_ignores_complex_warning):
         """Writing complex values into ``np.zeros((n, n))`` must not give zero derivatives."""
         gen = np.random.default_rng(11)
         A = gen.standard_normal((4, 4))
@@ -418,15 +421,15 @@ class TestComplexStep:
         spec = SystemSpec(N=3, M=1, nu=1, metric=metric, omega=stacked(lambda q: Om.copy()))
         q = np.array([0.4, -0.3, 0.8, 0.1])
         control = ControlSignal.constant(q[3])
-        # refused whatever the caller's warning filters are, pointwise and by integrate
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-            with pytest.raises(ModelError, match="ComplexWarning"):
-                coefficient_tensors(spec, q)
-            with pytest.raises(ModelError, match="ComplexWarning"):
-                frame_rhs(spec, q, np.zeros(2), 0.0, control)
-            with pytest.raises(ModelError, match="ComplexWarning"):
-                integrate(spec, q, np.zeros(4), control, (0.0, 0.01), IntegratorConfig(dt=1e-2))
+        # refused whatever the caller's warning filters are, by the splitting, pointwise and by integrate
+        with pytest.raises(ModelError, match="ComplexWarning"):
+            projection_set(spec, q)
+        with pytest.raises(ModelError, match="ComplexWarning"):
+            coefficient_tensors(spec, q)
+        with pytest.raises(ModelError, match="ComplexWarning"):
+            frame_rhs(spec, q, np.zeros(2), 0.0, control)
+        with pytest.raises(ModelError, match="ComplexWarning"):
+            integrate(spec, q, np.zeros(4), control, (0.0, 0.01), IntegratorConfig(dt=1e-2))
 
     def test_asymmetric_metric_derivative_is_rejected(self):
         """The symmetry check of the metric also covers its complex-step derivative."""
@@ -440,7 +443,7 @@ class TestComplexStep:
         with pytest.raises(SingularMetric, match="metric derivative is not symmetric"):
             coefficient_tensors(spec, np.zeros(2))
 
-    def test_threads_leave_the_warning_filters_as_they_were(self, racer):
+    def test_threads_leave_the_warning_filters_as_they_were(self, racer, caller_ignores_complex_warning):
         """Concurrent complex steps, pointwise and in whole runs, must not restore each other's warning filters."""
         control = ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
 
@@ -450,19 +453,16 @@ class TestComplexStep:
                 if i % 10 == 0:
                     integrate(racer.spec, racer.default_q0, np.zeros(4), control, (0.0, 0.01), IntegratorConfig(dt=1e-3))
 
+        # the caller's filter list is one that a leaked "error" entry would change
         interval = sys.getswitchinterval()
-        with warnings.catch_warnings():
-            # a filter list that a leaked "error" entry would change
-            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-            before = list(warnings.filters)
-            sys.setswitchinterval(1e-6)
-            try:
-                with ThreadPoolExecutor(max_workers=8) as pool:
-                    for future in [pool.submit(work) for _ in range(8)]:
-                        future.result(timeout=60)
-            finally:
-                sys.setswitchinterval(interval)
-            assert warnings.filters == before
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for future in [pool.submit(work) for _ in range(8)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert warnings.filters == caller_ignores_complex_warning
 
     def test_wrong_shape_from_complex_evaluation_is_rejected(self, racer):
         spec = racer.spec
@@ -581,7 +581,7 @@ class TestFrameRhs:
         _closed_rhs(counting_spec(racer.spec, calls), racer.extract_closed, q, 0.4, 0.0, ControlSignal.linear(q[3], 0.7))
         assert calls == Counter({("metric", "complex", (5, 4)): 1, ("omega", "complex", (5, 4)): 1})
 
-    def test_closed_rhs_refuses_an_extract_that_drops_imaginary_parts(self, racer):
+    def test_closed_rhs_refuses_an_extract_that_drops_imaginary_parts(self, racer, caller_ignores_complex_warning):
         """The rate of ``xi`` is a complex step of ``extract_closed``; one that writes into a real array gave a zero rate."""
 
         def extract(q, p):
@@ -590,10 +590,8 @@ class TestFrameRhs:
             return out
 
         q = racer.default_q0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-            with pytest.raises(ModelError, match=r"^extract_closed is not complex-safe \(ComplexWarning\("):
-                _closed_rhs(racer.spec, extract, q, 0.4, 0.0, ControlSignal.linear(q[3], 0.7))
+        with pytest.raises(ModelError, match=r"^extract_closed is not complex-safe \(ComplexWarning\("):
+            _closed_rhs(racer.spec, extract, q, 0.4, 0.0, ControlSignal.linear(q[3], 0.7))
 
     def test_zero_state_is_stationary(self, racer):
         q = np.array([0.1, 1.4, -0.2, 0.2])
@@ -607,19 +605,17 @@ class TestFrameRhs:
             frame_rhs(racer.spec, q, np.zeros(2), 0.0, ControlSignal.constant(0.2))
 
     @pytest.mark.parametrize("what", ["value", "rate", "accel"])
-    def test_pointwise_entries_refuse_a_complex_control(self, racer, what):
+    def test_pointwise_entries_refuse_a_complex_control(self, racer, what, caller_ignores_complex_warning):
         """``frame_rhs`` and ``reaction_force`` kept the real part of a complex control, as ``integrate`` did."""
         q = np.array([0.1, 1.4, -0.2, 0.2])
         base = ControlSignal.constant(0.2)
         fn = getattr(base, what)
         control = dataclasses.replace(base, **{what: lambda t: fn(t) + 0.1j})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        with pytest.raises(NonAdaptedState, match=f"^control {what} is complex at t = 0.0"):
+            reaction_force(racer.spec, q, racer_state(racer, q, 0.3), 0.0, control)
+        if what != "accel":  # frame_rhs reads no acceleration
             with pytest.raises(NonAdaptedState, match=f"^control {what} is complex at t = 0.0"):
-                reaction_force(racer.spec, q, racer_state(racer, q, 0.3), 0.0, control)
-            if what != "accel":  # frame_rhs reads no acceleration
-                with pytest.raises(NonAdaptedState, match=f"^control {what} is complex at t = 0.0"):
-                    frame_rhs(racer.spec, q, np.array([0.3]), 0.0, control)
+                frame_rhs(racer.spec, q, np.array([0.3]), 0.0, control)
 
 
 def tensor_frame_rhs(spec, q, xi, t, control, field=None):

@@ -335,8 +335,12 @@ class TestIntegrate:
         "fault, error",
         [("metric", SingularMetric), ("rank", RankDeficiency), ("complex", ModelError)],
     )
-    def test_inner_stages_keep_the_front_checks(self, fault, error):
-        """A fault that shows only at stages k2 and k3 (``|u| > 0.9``, between samples) still raises."""
+    def test_inner_stages_keep_the_front_checks(self, fault, error, caller_ignores_complex_warning):
+        """A fault that shows only at stages k2 and k3 (``|u| > 0.9``, between samples) still raises.
+
+        The caller ignores ``ComplexWarning``, so only the run's own guard
+        can catch the complex fault at those stages.
+        """
         with pytest.raises(error):
             integrate(
                 midstep_fault_spec(fault),
@@ -529,54 +533,63 @@ class TestOneGuardPerRun:
         assert len(entered) == 1
 
     @pytest.mark.parametrize("outcome", ["return", "step-rejected", "complex-at-k2-k3"])
-    def test_warning_filters_are_restored(self, racer, outcome):
+    def test_warning_filters_are_restored(self, racer, outcome, caller_ignores_complex_warning):
         """The caller's filters come back however the run ends, and ignoring ``ComplexWarning`` there does not switch the check off.
 
         The midstep fault drops the metric's imaginary part only at stages
         k2 and k3, between samples, and keeps the message of a fault at a sample.
         """
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-            before = list(warnings.filters)
-            if outcome == "return":
-                racer_run(racer, 10)
-            elif outcome == "step-rejected":
-                with pytest.raises(StepRejected):
-                    racer_run(racer, 10, hard_residual=1e-300)
-            else:
-                with pytest.raises(ModelError, match=r"^metric or omega is not complex-safe \(ComplexWarning\("):
-                    integrate(
-                        midstep_fault_spec("complex"),
-                        np.zeros(4),
-                        np.zeros(4),
-                        ControlSignal.sinusoid(0.0, 1.0, np.pi / 0.1),
-                        (0.0, 0.2),
-                        IntegratorConfig(dt=0.1),
-                    )
-            assert warnings.filters == before
+        if outcome == "return":
+            racer_run(racer, 10)
+        elif outcome == "step-rejected":
+            with pytest.raises(StepRejected):
+                racer_run(racer, 10, hard_residual=1e-300)
+        else:
+            with pytest.raises(ModelError, match=r"^metric or omega is not complex-safe \(ComplexWarning\("):
+                integrate(
+                    midstep_fault_spec("complex"),
+                    np.zeros(4),
+                    np.zeros(4),
+                    ControlSignal.sinusoid(0.0, 1.0, np.pi / 0.1),
+                    (0.0, 0.2),
+                    IntegratorConfig(dt=0.1),
+                )
+        assert warnings.filters == caller_ignores_complex_warning
 
     @pytest.mark.parametrize("what", ["value", "rate", "accel"])
     @pytest.mark.parametrize("t_complex", [0.0, 0.005])
-    def test_a_complex_control_is_not_adapted(self, racer, what, t_complex):
+    def test_a_complex_control_is_not_adapted(self, racer, what, t_complex, caller_ignores_complex_warning):
         """A complex ``value``, ``rate`` or ``accel``, from ``t0`` or from a stage time on, is refused by name.
 
-        Such a control lost its imaginary part with only a ``ComplexWarning``,
-        silenced here as a caller may: the run went on with the real part.
+        Such a control would lose its imaginary part with only a
+        ``ComplexWarning``, ignored here as a caller may.
         """
         base = ControlSignal.constant(0.0)
         fn = getattr(base, what)
         control = dataclasses.replace(base, **{what: lambda t: fn(t) + (0.1j if t >= t_complex else 0.0)})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-            with pytest.raises(NonAdaptedState, match=f"^control {what} is complex at t = "):
-                integrate(racer.spec, racer.default_q0, np.zeros(4), control, (0.0, 0.01), IntegratorConfig(dt=1e-2))
+        with pytest.raises(NonAdaptedState, match=f"^control {what} is complex at t = "):
+            integrate(racer.spec, racer.default_q0, np.zeros(4), control, (0.0, 0.01), IntegratorConfig(dt=1e-2))
 
     @pytest.mark.parametrize("what", ["value", "rate", "accel"])
     def test_a_control_type_error_is_not_a_callback_error(self, racer, what):
-        """The run reads the control at ``t0`` before it enters the guard, so a broken control is not reported as
-        ``metric or omega is not complex-safe``."""
+        """A broken control raises its own ``TypeError``, not ``metric or omega is not complex-safe``."""
         control = dataclasses.replace(ControlSignal.constant(0.0), **{what: lambda: np.zeros(1)})
         with pytest.raises(TypeError, match="positional argument"):
+            integrate(racer.spec, racer.default_q0, np.zeros(4), control, (0.0, 0.01), IntegratorConfig(dt=1e-2))
+
+    @pytest.mark.parametrize("what", ["value", "rate"])
+    def test_a_control_type_error_inside_the_run_is_its_own(self, racer, what):
+        """A control that raises ``TypeError`` only after ``t0``, where the run holds the guard, raises that error."""
+        base = ControlSignal.constant(0.0)
+        fn = getattr(base, what)
+
+        def broken(t):
+            if t > 0.0:
+                raise TypeError("control broke")
+            return fn(t)
+
+        control = dataclasses.replace(base, **{what: broken})
+        with pytest.raises(TypeError, match="^control broke$"):
             integrate(racer.spec, racer.default_q0, np.zeros(4), control, (0.0, 0.01), IntegratorConfig(dt=1e-2))
 
     @pytest.mark.parametrize(
