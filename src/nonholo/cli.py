@@ -5,7 +5,7 @@ Configuration is a flat ``key = value`` text file with dotted sections
 shipped with the package.  Every randomized command takes an explicit seed
 (default 0) and is bit-for-bit reproducible: rerunning with the same config
 and seed yields byte-identical output files.  Fitness scans batch their
-sample points through one stacked splitting-and-tensor kernel.
+sample points through one stacked kernel on the generic frame.
 
 Exit codes are a stable contract::
 

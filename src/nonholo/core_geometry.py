@@ -23,46 +23,46 @@ step, so both must be complex-safe: the derivatives of the splitting follow
 in closed form from those of ``metric`` and ``omega`` (see
 :func:`nonholo.reduced_dynamics.coefficient_tensors`).
 
-One singular-value decomposition of the constraint block ``Omega[:, :N]``
-per point carries the whole splitting: its singular values decide
-transversality, its right null space spans block I, and its pseudo-inverse
-gives particular solutions of the constraint and control rows, whose block I
-components are then removed.  With unit controls this leaves the lift; with
-unit constraint values it leaves ``R_II``, the right inverse of the
-constraint rows that the closed-form derivatives need.  Solving through the
-SVD keeps the error of both proportional to the condition number of the
-constraint block rather than its square.
+The splitting is read off the generic frame of Voronets and Chaplygin that
+the dynamics layer steps on: the best-conditioned ``nu x nu`` minor ``A_d``
+of the constraint forms gives ``V[d] = -A_d^-1 Om[:, r]``, ``V[r] = I``,
+whose free block ``V_I`` spans block I (``P_I = V_I G^-1 (g V_I)^T`` with
+``G = V_I^T g V_I``) and whose drive block, less its ``g``-orthogonal block
+I component, is the lift; ``A_d^-1`` gives ``R_II`` the same way.  The
+singular-value decomposition of the constraint block ``Omega[:, :N]`` is
+only the diagnostic behind a minor too weak to certify transversality.
 
-The splitting is computed by one kernel over a stack of points, the form the
-fitness scans use to batch their samples; :func:`projection_set` is its
+One kernel computes the splitting over a stack of points, the form the
+fitness scans batch their samples in; :func:`projection_set` is its
 one-point case.  It calls each model callback once per stack, always on the
 complex stack ``q + i H [0; D]`` of :func:`_complex_front`, whose row 0
-gives the callback's value and whose other rows, if any, its derivatives
-along the directions ``D``.
+gives the callback's value and whose other rows its derivatives along ``D``.
 
 Conventions: configurations, vectors and covectors are 1-D ``numpy`` arrays of
 length ``N + M``; matrices act on the left.  Coprojections satisfy
 ``Pstar = g @ P @ g^-1`` and, because the splitting is ``g``-orthogonal, equal
 the plain transposes of the projections; they are stored as those transposes.
 Transversality is decided by a relative singular-value cutoff of ``1e-9``
-(``RANK_RTOL``); the block-rank check of a built splitting counts singular
-values above the absolute cutoff ``1e-8``, which is scale-free because the
-nonzero singular values of a projection are at least one.
+(``RANK_RTOL``) on the constraint block, which a well-conditioned minor
+certifies without computing the singular values; the blocks then have
+ranks ``(N - nu, nu, M)`` by construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import ModelError, RankDeficiency, SingularMetric
+from .errors import ChartDomain, ModelError, RankDeficiency, SingularMetric
 
 Array = np.ndarray
 MetricFn = Callable[[Array], Array]
@@ -141,17 +141,18 @@ class ProjectionSet:
     equal ``v``; ``k = g @ h`` is its covector version.  ``R_II`` (shape
     ``(N+M, nu)``) is its counterpart for the constraint rows: the
     least-``g``-norm vectors with ``Om @ R_II = I`` and no controlled
-    components.  ``I_basis`` spans block I (columns), ``g``/``ginv`` are the
-    metric and its inverse and ``Om`` the constraint forms at the evaluation
-    point.
+    components.  ``I_basis`` spans block I (columns: the free block ``V_I`` of
+    the point's generic frame: not orthonormal, and it jumps where the best
+    pivots change), ``g``/``ginv`` are the metric and its inverse and ``Om``
+    the constraint forms at the evaluation point.
 
     The fields are computed when the set is built.  ``P_II``, ``P_III``,
     ``Pstar_II`` and ``Pstar_III`` are computed on first access and cached,
-    so the coefficient tensors and the scans never pay for them.
+    so the coefficient tensors never pay for them.
 
-    A set built for many points at once (as the fitness scans do) carries one
-    leading axis over the points on every field, lazy blocks included;
-    :meth:`point` extracts the set at one of them.
+    A set built for many points at once carries one leading axis over the
+    points on every field, lazy blocks included; :meth:`point` extracts the
+    set at one of them.
     """
 
     P_I: Array
@@ -298,14 +299,6 @@ def _complex_front(spec: SystemSpec, Z: Array) -> tuple[Array, Array, Array, Arr
     return G, Om, dG, dOm
 
 
-def _canonical_sign(cols: Array) -> Array:
-    """Flip column signs so the largest-magnitude entry of each is positive (stack ``(S, n, k)``)."""
-    S, _, k = cols.shape
-    lead = np.abs(cols).argmax(axis=1)
-    flip = cols[np.arange(S)[:, None], lead, np.arange(k)] < 0.0
-    return np.where(flip[:, None, :], -cols, cols)
-
-
 def _each_point(fn: Callable[[Array], tuple], Q: Array, skip: SkipTypes) -> tuple[Array, tuple]:
     """``fn`` on the one-point stacks ``Q[i:i+1]``, in order; a point whose call raises one of ``skip`` leaves.
 
@@ -338,57 +331,83 @@ def _stacked_call(fn: Callable[[Array], tuple], Q: Array, skip: SkipTypes) -> tu
     return _each_point(fn, Q, skip)
 
 
-def _constraint_svd(spec: SystemSpec, Q: Array, Om: Array, skip: SkipTypes = ()) -> tuple[Array, Array, Array, Array]:
-    """SVDs ``U @ diag(s) @ Vh`` of the constraint blocks ``Om[i, :, :N]``.
+def _constraint_svd(spec: SystemSpec, Q: Array, Om: Array, skip: SkipTypes = ()) -> Array:
+    """Mask of the points whose constraint block ``Om[i, :, :N]`` has ``nu`` singular values above ``RANK_RTOL`` times its largest.
 
-    Returns ``(keep, U, s, Vh)``: the mask of points where ``nu`` singular
-    values clear the relative cutoff ``RANK_RTOL`` and the factors at those
-    points.  Elsewhere transversality fails: ``RankDeficiency`` is raised,
-    or, when it is in ``skip``, the point is dropped.  Non-finite forms raise
-    ``ModelError``.
+    Elsewhere transversality fails: ``RankDeficiency`` is raised, or, when it is in ``skip``, the point's entry is
+    ``False``.  Non-finite forms raise ``ModelError``.
     """
-    S, N, nu = len(Om), spec.N, spec.nu
+    nu = spec.nu
     if nu == 0:
-        return np.ones(S, dtype=bool), np.zeros((S, 0, 0)), np.zeros((S, 0)), np.broadcast_to(np.eye(N), (S, N, N))
+        return np.ones(len(Om), dtype=bool)
     if not np.isfinite(Om).all():
         raise ModelError("omega is not finite")
     try:
-        U, s, Vh = np.linalg.svd(Om[:, :, :N])
+        s = np.linalg.svd(Om[:, :, : spec.N], compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ModelError(f"constraint block SVD failed ({exc})") from exc
     # singular values come sorted, so the rank is nu exactly when the last clears the cutoff
     keep = s[:, nu - 1] > RANK_RTOL * s[:, 0]
-    if not keep.all():
-        rank = (s > RANK_RTOL * s[:, :1]).sum(axis=1)
-        for i in np.flatnonzero(~keep):
-            exc = RankDeficiency(f"constraint block rank {rank[i]} != nu = {nu}: transversality fails at q={Q[i]}")
-            if not isinstance(exc, skip):
-                raise exc
-        U, s, Vh = U[keep], s[keep], Vh[keep]
-    return keep, U, s, Vh
+    for i in np.flatnonzero(~keep):
+        rank = int((s[i] > RANK_RTOL * s[i, 0]).sum())
+        exc = RankDeficiency(f"constraint block rank {rank} != nu = {nu}: transversality fails at q={Q[i]}")
+        if not isinstance(exc, skip):
+            raise exc
+    return keep
 
 
-def _block_I_basis(spec: SystemSpec, Vh: Array) -> Array:
-    """Right null spaces of the constraint blocks, padded with ``M`` zero rows."""
-    B = np.zeros((len(Vh), spec.dim, spec.N - spec.nu))
-    B[:, : spec.N, :] = Vh[:, spec.nu :].transpose(0, 2, 1)
-    return _canonical_sign(B)
+@lru_cache(maxsize=None)
+def _pivot_layouts(N: int, nu: int, n: int) -> tuple[Array, Array]:
+    """Read-only ``(subsets, others)``: the pivot choices ``d``, the ``nu``-subsets of the ``N`` passive coordinates in
+    lexicographic order, and for each the other coordinates ``r`` of the ``n``, in order."""
+    subsets = list(itertools.combinations(range(N), nu))
+    others = [[j for j in range(n) if j not in d] for d in subsets]
+    layouts = np.array(subsets, dtype=int).reshape(len(subsets), nu), np.array(others, dtype=int)
+    for A in layouts:
+        A.flags.writeable = False
+    return layouts
 
 
-def _splitting_front(spec: SystemSpec, Q: Array, D: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[tuple]]:
-    """The validated front of the splitting at every point of ``Q``: callbacks, metric test, constraint SVD.
+def _frobenius(X: Array) -> Array:
+    """Frobenius norms of the matrices along the last two axes of ``X``."""
+    return np.sqrt(np.einsum("...ij,...ij->...", X, X))
 
-    :func:`_complex_front` runs each callback once on the complex stack
-    ``Q[i] + i H [0; D]`` (``D`` of shape ``(k, N+M)``, ``k = 0`` for the
-    values alone) under :func:`_complex_safe`, then the transversality test
-    of :func:`_constraint_svd` runs, and the derivatives must be finite at
-    the points that stay (else ``ModelError``).  A point whose front raises
-    one of ``skip`` (see :func:`_stacked_call`), or whose constraint block
-    fails the rank test while ``RankDeficiency`` is in ``skip``, leaves the
-    stack; any other error propagates.  Returns ``(keep, front)``: the mask
-    of the points of ``Q`` that stayed and the stacks ``(G, Om, U, s, Vh,
-    derivs)`` over them, with ``derivs`` the derivative stacks ``(dG, dOm)``
-    of shapes ``(S', k, ...)`` (``front`` is ``None`` when no point stayed).
+
+def _best_pivots(spec: SystemSpec, Om: Array) -> tuple[Array, Array]:
+    """Per point of the constraint stack ``Om``, the index into ``_pivot_layouts`` of its pivots, and ``|A_d^-1|_F``.
+
+    Each point's own best minor ``A_d = Om[i][:, d]``: the least Frobenius condition number ``|A_d|_F |A_d^-1|_F``
+    (infinite for a singular minor).  It cannot see a minor's scale against the rest of the block (every ``1 x 1``
+    minor has condition 1), so among the minors tied with the best to rounding the least ``|A_d^-1|_F`` wins, then
+    the first in lexicographic order.
+    """
+    if not spec.nu:
+        return np.zeros(len(Om), dtype=int), np.zeros(len(Om))
+    minors = Om[:, :, _pivot_layouts(spec.N, spec.nu, spec.dim)[0]].transpose(0, 2, 1, 3)
+    norm = _frobenius(minors)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # singular minors: inf, or NaN if zero
+        if spec.nu == 2:  # |A^-1|_F = |A|_F / |det A|, at a fraction of the cost of np.linalg.cond
+            inv_norm = norm / np.abs(minors[..., 0, 0] * minors[..., 1, 1] - minors[..., 0, 1] * minors[..., 1, 0])
+        else:
+            inv_norm = np.linalg.cond(minors, "fro") / norm
+        cond = np.where(inv_norm < np.inf, norm * inv_norm, np.inf)
+    tied = cond <= cond.min(axis=1, keepdims=True) * (1.0 + 1e-12)
+    pivots = np.where(tied, inv_norm, np.inf).argmin(axis=1)
+    return pivots, inv_norm[np.arange(len(Om)), pivots]
+
+
+def _frame_stack(spec: SystemSpec, Q: Array, D: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[SimpleNamespace]]:
+    """The point half of Maggi's equations at every point of ``Q`` (shape ``(S, N+M)``), each on its own generic frame.
+
+    Each callback runs once, under :func:`_complex_safe`, on ``Q[i] + i H [0; D]`` (:func:`_complex_front`).  A
+    point's pivots ``d`` (:func:`_best_pivots`) give its frame ``V[r] = I``, ``V[d] = -A_d^-1 Om[:, r]``, whose first
+    ``N - nu`` columns ``V_I`` span block I and whose last ``M``, ``x0``, solve the constraint rows with unit controls.
+    As on a Maggi stage, ``RANK_RTOL |Om[:, :N]|_F |A_d^-1|_F < 1`` certifies transversality, else
+    :func:`_constraint_svd` decides, and a transversal block with a singular best minor is a ``ChartDomain``; ``Om``
+    and the derivatives must be finite (else ``ModelError``).  A point whose callbacks (see :func:`_stacked_call`) or
+    tests raise one of ``skip`` leaves.  Returns ``(keep, pt)``: the mask of the points that stayed and, stacked over
+    them, ``g``, ``Om``, their derivatives ``dg``, ``dOm`` along ``D``, ``d``, ``Ainv``, ``V_I``, ``gV = g V_I``,
+    ``Ginv = (V_I^T g V_I)^-1`` and the lift ``h = x0 - V_I Ginv gV^T x0`` (``pt`` is ``None`` when none stayed).
     """
     shift = (1j * COMPLEX_STEP) * np.concatenate([np.zeros((1, spec.dim)), D])
     with _complex_safe():
@@ -396,99 +415,71 @@ def _splitting_front(spec: SystemSpec, Q: Array, D: Array, skip: SkipTypes = ())
     if not parts:
         return keep, None
     G, Om, dG, dOm = parts
-    ranked, U, s, Vh = _constraint_svd(spec, Q[keep] if len(G) < len(Q) else Q, Om, skip)
-    if not ranked.all():
-        keep[keep] = ranked
-        if not ranked.any():
+    if not np.isfinite(Om).all():
+        raise ModelError("omega is not finite")
+    subsets, others = _pivot_layouts(spec.N, spec.nu, spec.dim)
+    pivots, ainv_norm = _best_pivots(spec, Om)
+    d, r = subsets[pivots], others[pivots]
+    with np.errstate(invalid="ignore"):  # 0 * inf: a zero block, whose minors are all singular
+        weak = ~(RANK_RTOL * _frobenius(Om[:, :, : spec.N]) * ainv_norm < 1.0)
+    if weak.any():
+        Qk, ok = Q[keep], ~weak
+        ok[weak] = _constraint_svd(spec, Qk[weak], Om[weak], skip)
+        for i in np.flatnonzero(ok & ~(ainv_norm < np.inf)):
+            exc = ChartDomain(f"pivot minor {tuple(d[i].tolist())} of the generic frame is singular at q={Qk[i]}")
+            if not isinstance(exc, skip):
+                raise exc
+            ok[i] = False
+        keep[keep] = ok
+        if not ok.any():
             return keep, None
-        G, Om, dG, dOm = G[ranked], Om[ranked], dG[ranked], dOm[ranked]
+        G, Om, dG, dOm, d, r = G[ok], Om[ok], dG[ok], dOm[ok], d[ok], r[ok]
     _check_finite_derivatives(dG, dOm)
-    return keep, (G, Om, U, s, Vh, (dG, dOm))
 
-
-def _particular_solutions(spec: SystemSpec, Om: Array, U: Array, s: Array, Vh: Array) -> Array:
-    """Pseudo-inverse particular solutions ``x0`` (shape ``(S, N+M, nu+M)``) of the rows ``[Om; du]``.
-
-    Column ``a < nu`` solves ``Om x = e_a`` with no controlled components;
-    column ``nu + b`` solves ``Om x = 0`` with unit control ``b``.  Removing
-    their block I components ``g``-orthogonally leaves ``[R_II, h]``.
-    """
-    N, nu, M = spec.N, spec.nu, spec.M
-    pinv = Vh[:, :nu].transpose(0, 2, 1) @ (U.transpose(0, 2, 1) / s[:, :, None])
-    x0 = np.zeros((len(Om), spec.dim, nu + M))
-    x0[:, :N, :nu] = pinv
-    x0[:, :N, nu:] = -pinv @ Om[:, :, N:]
-    x0[:, N:, nu:] = _eye(M)
-    return x0
+    n, m = spec.dim, spec.N - spec.nu
+    OmT, rows = Om.transpose(0, 2, 1), np.arange(len(G))[:, None]
+    Ainv = np.linalg.inv(OmT[rows, d].transpose(0, 2, 1))
+    V = np.zeros((len(G), n, n - spec.nu))
+    V[rows, r, np.arange(n - spec.nu)] = 1.0
+    V[rows, d] = -Ainv @ OmT[rows, r].transpose(0, 2, 1)
+    V_I, x0 = V[:, :, :m], V[:, :, m:]
+    gV = G @ V_I
+    Ginv = np.linalg.inv(V_I.transpose(0, 2, 1) @ gV)
+    # the lift: x0 less its g-orthogonal component in block I, the span of V_I
+    h = x0 - V_I @ (Ginv @ (gV.transpose(0, 2, 1) @ x0))
+    return keep, SimpleNamespace(g=G, Om=Om, dg=dG, dOm=dOm, d=d, Ainv=Ainv, V_I=V_I, gV=gV, Ginv=Ginv, h=h)
 
 
 def _projection_stack(
     spec: SystemSpec, Q: Array, D: Array, skip: SkipTypes = ()
 ) -> tuple[Array, Optional[ProjectionSet], Optional[tuple[Array, Array]]]:
-    """The splitting at every point of ``Q`` (shape ``(S, N+M)``) at once.
+    """The splitting at every point of ``Q`` (shape ``(S, N+M)``) at once, read off :func:`_frame_stack`.
 
-    Points leave the stack as in :func:`_splitting_front`, which takes the
-    callbacks' derivatives along the rows of ``D`` from the same calls;
-    every step after it runs once on the whole stack, and the inverse
-    metrics come from ``np.linalg.inv`` once the Cholesky test has passed.
-    Returns ``(keep, P, derivs)``: the mask of the points of ``Q`` that
-    stayed, a :class:`ProjectionSet` whose fields carry one leading axis over
-    them and the derivative stacks ``(dG, dOm)`` over them (both ``None``
-    when no point stayed).
+    ``P_I = V_I G^-1 (g V_I)^T``; ``R_II = y - P_I y`` with ``y[d] = A_d^-1`` (zero elsewhere), which solves
+    ``Om y = I`` with no controlled components; ``I_basis = V_I`` and ``k = g h``.  No rank test: ``V[r] = I``, the
+    control rows of ``h`` are ``I`` and ``G`` is SPD, so the blocks have ranks ``(N - nu, nu, M)``.  Returns ``(keep,
+    P, derivs)``: the points of ``Q`` that stayed (as in :func:`_frame_stack`), a :class:`ProjectionSet` with one
+    leading axis over them and the derivative stacks ``(dg, dOm)`` along ``D`` (both ``None`` when none stayed).
     """
-    keep, front = _splitting_front(spec, Q, D, skip)
-    if front is None:
+    keep, pt = _frame_stack(spec, Q, D, skip)
+    if pt is None:
         return keep, None, None
-    G, Om, U, s, Vh, derivs = front
-    B = _block_I_basis(spec, Vh)
-    # the g-orthogonal projector onto block I: B (B^T g B)^-1 B^T g
-    gB = G @ B
-    P_I = B @ np.linalg.solve(B.transpose(0, 2, 1) @ gB, gB.transpose(0, 2, 1))
-
-    # g-minimal right inverse [R_II, h] of the rows [Om; du]: the particular
-    # solutions less their g-orthogonal block I components
-    x0 = _particular_solutions(spec, Om, U, s, Vh)
-    right = x0 - P_I @ x0
-    h = right[:, :, spec.nu :]
-    P = ProjectionSet(
-        P_I=P_I,
-        Pstar_I=P_I.transpose(0, 2, 1),
-        h=h,
-        k=G @ h,
-        R_II=right[:, :, : spec.nu],
-        I_basis=B,
-        g=G,
-        ginv=np.linalg.inv(G),
-        Om=Om,
-    )
-    return keep, P, derivs
-
-
-def _block_ranks(spec: SystemSpec, Q: Array, P: ProjectionSet, skip: SkipTypes = ()) -> Array:
-    """Mask of the points ``Q`` of the stacked set ``P`` whose blocks have ranks ``(N - nu, nu, M)``.
-
-    Ranks count singular values above the absolute cutoff ``1e-8``.  Where a
-    rank is wrong ``RankDeficiency`` is raised, or, when it is in ``skip``,
-    the point's mask entry is ``False``.  Builds the lazy blocks II and III.
-    """
-    ranks = np.linalg.matrix_rank(np.stack([P.P_I, P.P_II, P.P_III], axis=1), tol=1e-8)
-    expected = (spec.N - spec.nu, spec.nu, spec.M)
-    ok = (ranks == expected).all(axis=1)
-    for i in np.flatnonzero(~ok):
-        exc = RankDeficiency(f"projection ranks {tuple(ranks[i].tolist())} != {expected} at q={Q[i]}")
-        if not isinstance(exc, skip):
-            raise exc
-    return ok
+    y = np.zeros((len(pt.g), spec.dim, spec.nu))
+    y[np.arange(len(y))[:, None], pt.d] = pt.Ainv
+    P_I = pt.V_I @ pt.Ginv @ pt.gV.transpose(0, 2, 1)
+    P = ProjectionSet(P_I=P_I, Pstar_I=P_I.transpose(0, 2, 1), h=pt.h, k=pt.g @ pt.h, R_II=y - P_I @ y,
+                      I_basis=pt.V_I, g=pt.g, ginv=np.linalg.inv(pt.g), Om=pt.Om)
+    return keep, P, (pt.dg, pt.dOm)
 
 
 def projection_set(spec: SystemSpec, q: Array) -> ProjectionSet:
-    """Projections, coprojections and lift maps of the splitting at ``q``, block ranks verified against ``(N - nu, nu, M)``.
+    """Projections, coprojections and lift maps of the splitting at ``q``, on the generic frame best there.
 
-    Each callback runs once, on the complex stack ``q + i H [0]``.
+    Each callback runs once, on the complex stack ``q + i H [0]``.  A
+    constraint block that fails transversality raises ``RankDeficiency``.
     """
     q = np.asarray(q, dtype=float)
     _, P, _ = _projection_stack(spec, q[None], _eye(spec.dim)[:0])
-    _block_ranks(spec, q[None], P)
     return P.point(0)
 
 
@@ -504,8 +495,8 @@ def argmin_certificate(
 
     Among admissible vectors whose controlled components equal ``v``, the lift
     ``h @ v`` should have the least ``g``-norm; every competitor differs from
-    it by a block I vector.  Draws ``trials`` random competitors at
-    ``g``-distance ``scale`` and returns ``(ok, margin)`` with ``margin`` the
+    it by a block I vector.  Draws ``trials`` random competitors
+    ``h @ v + w``, ``w = I_basis @ c`` rescaled to ``|w| = scale``, and returns ``(ok, margin)`` with ``margin`` the
     worst observed excess energy (nonnegative when the certificate holds).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -519,11 +510,11 @@ def argmin_certificate(
         return True, float("inf")
     margin = float("inf")
     for _ in range(trials):
-        c = rng.standard_normal(B.shape[1])
-        norm = np.linalg.norm(c)
+        w = B @ rng.standard_normal(B.shape[1])
+        norm = np.linalg.norm(w)
         if norm == 0.0:
             continue
-        w = B @ (scale * c / norm)
+        w *= scale / norm
         z = z0 + w
         margin = min(margin, float(z @ P.g @ z) - base)
     ok = margin >= -1e-10 * (1.0 + abs(base))

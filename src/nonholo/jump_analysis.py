@@ -8,41 +8,44 @@ and directions: verdict ``"fit"`` when the observed maximum stays below a
 tolerance, ``"not-fit"`` when a concrete witness exceeds ten times it, and
 ``"inconclusive"`` in the gray band between (or when every sample failed).
 
-Two independent scans must agree: :func:`psi_scan` probes ``Psi`` on unit
-control rates, :func:`theta_on_III_scan` probes the quadratic momentum form
-on the drive coprojection image — the same subspace reached through a
-different parametrization.  :func:`sufficiency_check` evaluates the cheaper
-structural conditions that imply fitness without scanning ``Psi`` itself,
-and :func:`leaf_metric_derivative` measures the equivalent leaf-distance
+The scans probe one form in two parametrizations: :func:`psi_scan` probes
+``Psi`` on unit control rates, :func:`theta_on_III_scan` the quadratic
+momentum form on unit covectors of the drive coprojection image, which is
+``Psi`` after a change of variables.  They draw their own samples, so a
+disagreement of their verdicts (CLI exit 5) flags only those different
+samples.  :func:`sufficiency_check` evaluates the cheaper structural
+conditions that imply fitness without scanning ``Psi`` itself, and
+:func:`leaf_metric_derivative` measures the equivalent leaf-distance
 signature one direction at a time.
 
-The scans and :func:`leaf_metric_derivative` read their derivatives from
-the coefficient tensors of :mod:`nonholo.reduced_dynamics`;
-:func:`sufficiency_check` needs only the splitting and the metric's
-complex-step derivatives along the controls.  None differences the
-splitting itself.  The scans and :func:`sufficiency_check` batch their
-sample points through one stacked kernel, which calls each model callback
-once per stack, complex, at ``q + i H [0; D]``: row 0 gives the callback's
-value for the splitting, the other rows its derivatives along ``D`` (every
-axis for the scans, the controls for :func:`sufficiency_check`).  Every
-seed direction at every point is evaluated by one broadcast contraction.
+The scans read ``Psi`` off the point half of Maggi's equations on the
+generic frame (Neimark & Fufaev, *Dynamics of Nonholonomic Systems*, 1972),
+:func:`sufficiency_check` the splitting off the same frame, and
+:func:`leaf_metric_derivative` the coefficient tensors; none differences the
+splitting.  The scans and :func:`sufficiency_check` batch their points
+through one stacked kernel, which calls each callback once per stack,
+complex, at ``q + i H [0; D]``: row 0 gives the value, the other rows the
+derivatives along ``D`` (every axis for the scans, the controls for
+:func:`sufficiency_check`).  One broadcast contraction evaluates every seed
+direction at every point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core_geometry import Array, SystemSpec, _block_ranks, _each_point, _eye, _projection_stack
+from .core_geometry import Array, SystemSpec, _each_point, _eye, _frame_stack, _projection_stack
 from .errors import (
     ChartDomain,
     NotInDeltaCapGamma,
     RankDeficiency,
     SingularDenominator,
 )
-from .reduced_dynamics import CoefficientTensors, _tensor_stack, centrifugal_psi, theta_I_apply
+from .reduced_dynamics import _psi_stack, coefficient_tensors
 
 # verdict thresholds: fit at <= tol, not-fit at > 10 tol, gray band between
 GRAY_FACTOR = 10.0
@@ -204,26 +207,24 @@ def _scan(
     n_samples: int,
     tol: float,
     quantity: str,
-    evaluate: Callable[[Array, CoefficientTensors, Array, Array], tuple[Array, Array]],
+    evaluate: Callable[[SimpleNamespace, Array, Array, Array], tuple[Array, Array]],
     seed_dim: int,
 ) -> FitnessReport:
     """Shared scan driver: sample points, try directions, aggregate the max.
 
-    The coefficient tensors of all points are built at once; a point whose
-    callbacks raise a skippable error or whose constraint block loses rank
-    is dropped and counted in ``failures``.  Each remaining point gets the
-    ``spec.M`` canonical control-rate seeds plus ``2 * spec.M`` random unit
-    draws of dimension ``seed_dim``.  ``evaluate(Q, T, canonical, random)``
-    takes the points, their stacked tensors and the two seed stacks (shapes
-    ``(M, S, M)`` and ``(2M, S, seed_dim)``) and returns the values and the
-    directions used, with shapes ``(3M, S)`` and ``(3M, S, d)``.  Per point
-    and then across points, the first seed and point reaching the maximum
-    win; the reported direction's largest-magnitude entry is made positive.
+    ``Psi[a, b]`` (:func:`~nonholo.reduced_dynamics._psi_stack`) is read off the point halves of all points at once
+    (:func:`~nonholo.core_geometry._frame_stack`, derivatives along every axis); a point whose callbacks raise a
+    skippable error or whose constraint block loses rank is dropped and counted in ``failures``.  Each remaining point
+    gets the ``spec.M`` canonical control-rate seeds plus ``2 * spec.M`` random unit draws of dimension ``seed_dim``.
+    ``evaluate(pt, Psi, canonical, random)`` takes the point halves, ``Psi`` and the two seed stacks (shapes ``(M, S,
+    M)`` and ``(2M, S, seed_dim)``) and returns the values and the directions used, with shapes ``(3M, S)`` and
+    ``(3M, S, d)``.  Per point and then across points, the first seed and point reaching the maximum win; the reported
+    direction's largest-magnitude entry is made positive.
     """
     M = spec.M
     pts = sampler.points(n_samples)
     rand_dirs = sampler.unit_directions(seed_dim, 2 * M * n_samples)
-    keep, T = _tensor_stack(spec, pts, skip=_SKIPPABLE)
+    keep, pt = _frame_stack(spec, pts, _eye(spec.dim), _SKIPPABLE)
     evaluated = int(keep.sum())
 
     max_value = 0.0
@@ -233,7 +234,7 @@ def _scan(
     if evaluated and M:
         canonical = np.broadcast_to(np.eye(M)[:, None, :], (M, evaluated, M))
         random = rand_dirs.reshape(n_samples, 2 * M, seed_dim)[keep].swapaxes(0, 1)
-        values, used = evaluate(pts[keep], T, canonical, random)
+        values, used = evaluate(pt, _psi_stack(pt), canonical, random)
         best = values.argmax(axis=0)
         point_max = values[best, np.arange(evaluated)]
         i = int(point_max.argmax())
@@ -267,11 +268,22 @@ def psi_scan(
     models.
     """
 
-    def evaluate(Q: Array, T: CoefficientTensors, canonical: Array, random: Array) -> tuple[Array, Array]:
+    def evaluate(pt: SimpleNamespace, Psi: Array, canonical: Array, random: Array) -> tuple[Array, Array]:
         e = np.concatenate([canonical, random])
-        return np.abs(centrifugal_psi(spec, Q, e, tensors=T)).max(axis=-1), e
+        return np.abs(np.einsum("ksa,ksb,sabn->ksn", e, e, Psi)).max(axis=-1), e
 
     return _scan(spec, sampler, n_samples, tol, "Psi", evaluate, spec.M)
+
+
+def _drive_rates(pt: SimpleNamespace, canonical: Array, random: Array) -> tuple[Array, Array]:
+    """The theta scan's seed stacks as control rates ``a`` ``(K, S, M)`` and drive covectors ``w = k a`` ``(K, S, N+M)``.
+
+    ``Pstar_III = k (h^T k)^-1 h^T``, so a control-rate seed ``e`` gives ``Pstar_III k e = k e`` (``a = e``) and a
+    covector seed ``r`` gives ``Pstar_III r = k a`` with ``a = (h^T k)^-1 h^T r``.
+    """
+    k, hT = pt.g @ pt.h, pt.h.transpose(0, 2, 1)
+    a = np.concatenate([canonical, (np.linalg.solve(hT @ k, hT) @ random[..., None])[..., 0]])
+    return a, (k @ a[..., None])[..., 0]
 
 
 def theta_on_III_scan(
@@ -283,28 +295,22 @@ def theta_on_III_scan(
     """Scan the quadratic momentum form on the drive coprojection image.
 
     Canonical control-rate seeds ``e`` enter as ``w = Pstar_III @ (k @ e)``;
-    random seeds are full ambient covectors squeezed through ``Pstar_III``.
-    Each ``w`` is normalized to unit length before evaluating
-    ``theta_I[w, w]``, so tolerances are comparable with :func:`psi_scan` —
-    the two predicates test the same subspace through different
-    parametrizations and their verdicts must agree on every model.  A ``w``
+    random seeds are full ambient covectors ``r`` squeezed through
+    ``Pstar_III``.  Either way ``w = k a`` for a control rate ``a``
+    (:func:`_drive_rates`).  Each ``w`` is normalized to unit length before
+    evaluating ``theta_I[w, w] = Psi[a, a] / |k a|^2``, so tolerances are
+    comparable with :func:`psi_scan`: this is ``Psi`` in a second
+    parametrization, sampled at other points and directions.  A ``w``
     shorter than ``1e-12`` scores 0 and is reported unnormalized.
     """
-    M = spec.M
 
-    def evaluate(Q: Array, T: CoefficientTensors, canonical: Array, random: Array) -> tuple[Array, Array]:
-        P = T.projections
-
-        def apply(A: Array, v: Array) -> Array:
-            return (A @ v[..., None])[..., 0]
-
-        w = np.concatenate([apply(P.k, e) if e.shape[-1] == M else e for e in (canonical, random)])
-        w = apply(P.Pstar_III, w)
+    def evaluate(pt: SimpleNamespace, Psi: Array, canonical: Array, random: Array) -> tuple[Array, Array]:
+        a, w = _drive_rates(pt, canonical, random)
         norm = np.linalg.norm(w, axis=-1)
         short = norm < 1e-12
-        w = w / np.where(short, 1.0, norm)[..., None]
-        values = np.abs(theta_I_apply(spec, Q, w, w, tensors=T)).max(axis=-1)
-        return np.where(short, 0.0, values), w
+        scale = np.where(short, 1.0, norm)
+        values = np.abs(np.einsum("ksa,ksb,sabn->ksn", a, a, Psi)).max(axis=-1) / scale**2
+        return np.where(short, 0.0, values), w / scale[..., None]
 
     return _scan(spec, sampler, n_samples, tol, "theta_on_III", evaluate, spec.dim)
 
@@ -334,8 +340,8 @@ def sufficiency_check(
 
     The flatness of the complement of the controlled directions is accepted
     as ``declared_flat`` — it is a model-level declaration, not computed.
-    Samples are skipped as in the scans, and also where a block of the
-    splitting has the wrong rank or ``basis_field`` raises a skippable error.
+    Samples are skipped as in the scans, and also where ``basis_field``
+    raises a skippable error.
     """
     pts = sampler.points(n_samples)
     # the callbacks' derivatives along the controlled coordinates only
@@ -343,16 +349,14 @@ def sufficiency_check(
     max_dg = 0.0
     max_rep = 0.0
     if P is not None:
-        ok = _block_ranks(spec, pts[keep], P, skip=_SKIPPABLE)
-        based, bases = _each_point(lambda Q: (np.asarray(basis_field(Q[0]), dtype=float)[None],), pts[keep][ok], _SKIPPABLE)
-        ok[ok] = based
-        keep[keep] = ok
+        based, bases = _each_point(lambda Q: (np.asarray(basis_field(Q[0]), dtype=float)[None],), pts[keep], _SKIPPABLE)
+        keep[keep] = based
         if bases:
             B = bases[0]
-            rep = B.swapaxes(-1, -2) @ P.Pstar_I[ok] @ np.linalg.inv(B).swapaxes(-1, -2)
+            rep = B.swapaxes(-1, -2) @ P.Pstar_I[based] @ np.linalg.inv(B).swapaxes(-1, -2)
             max_rep = float(np.abs(rep - rep[0]).max())
-            ginv = P.ginv[ok][:, None]
-            max_dg = float(np.abs(ginv @ derivs[0][ok] @ ginv).max(initial=0.0))
+            ginv = P.ginv[based][:, None]
+            max_dg = float(np.abs(ginv @ derivs[0][based] @ ginv).max(initial=0.0))
     evaluated = int(keep.sum())
     return SufficiencyReport(
         declared_flat=declared_flat,
@@ -391,15 +395,14 @@ def leaf_metric_derivative(
     q = np.asarray(q, dtype=float)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     w = np.asarray(w, dtype=float)
-    _, T = _tensor_stack(spec, q[None])
-    _block_ranks(spec, q[None], T.projections)
-    P = T.projections.point(0)
+    T = coefficient_tensors(spec, q)
+    P = T.projections
     wnorm = float(np.abs(w).max())
     if wnorm == 0.0:
         return 0.0
     if float(np.abs(P.P_I @ w - w).max()) > tol * (1.0 + wnorm):
         raise NotInDeltaCapGamma("direction w is not a free-block tangent vector")
     z = P.h @ v
-    dk = np.tensordot(w, T.dk[0], axes=1)
-    dg = np.tensordot(w, T.dg[0], axes=1)
+    dk = np.tensordot(w, T.dk, axes=1)
+    dg = np.tensordot(w, T.dg, axes=1)
     return float(2.0 * z @ dk @ v - z @ dg @ z)

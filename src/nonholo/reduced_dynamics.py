@@ -24,10 +24,10 @@ the frame's transport: no coefficient tensors.  The frame is built from
 :func:`~nonholo.simulate.integrate` steps every run this way, each RK4 stage
 running the kernel of ``frame_rhs`` directly.  The kernel's point half depends
 on ``q`` alone and its velocity half adds ``qdot`` and ``xidot``, so every
-pointwise entry evaluates each point once.  The coefficient tensors serve the
-fitness scans, and the ambient right-hand side built on them
-(:func:`reduced_rhs`, :func:`reaction_force`) is the independent reference the
-frame form is checked against.
+pointwise entry evaluates each point once; the fitness scans read ``Psi`` off
+it, stacked (:func:`_psi_stack`).  The coefficient tensors and the ambient
+forms built on them (:func:`reduced_rhs`, :func:`reaction_force`,
+:func:`centrifugal_psi`) are the reference the frame forms are checked against.
 
 Derivatives come in two kinds.  Those of the model callbacks ``metric`` and
 ``omega`` are complex-step derivatives: each callback is called once on the
@@ -43,7 +43,6 @@ complex-safe, and one that is not raises :class:`~nonholo.errors.ModelError`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import SimpleNamespace
@@ -56,8 +55,8 @@ from .core_geometry import (
     RANK_RTOL,
     Array,
     ProjectionSet,
-    SkipTypes,
     SystemSpec,
+    _best_pivots,
     _check_finite_derivatives,
     _complex_front,
     _complex_safe,
@@ -65,6 +64,7 @@ from .core_geometry import (
     _eye,
     _norm,
     _not_complex_safe,
+    _pivot_layouts,
     _projection_stack,
 )
 from .errors import ChartDomain, NonAdaptedState, NotInDeltaCapGamma
@@ -224,21 +224,6 @@ def _tensors_from(P: ProjectionSet, dg: Array, dOm: Array) -> CoefficientTensors
     )
 
 
-def _tensor_stack(spec: SystemSpec, Q: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[CoefficientTensors]]:
-    """:func:`coefficient_tensors` at every point of ``Q`` (shape ``(S, N+M)``) at once.
-
-    The splitting and the callbacks' axis derivatives come from one complex
-    call of each callback on the stack (see
-    :func:`~nonholo.core_geometry._splitting_front`, here with ``D = I``), and
-    points leave it as there (callback errors in ``skip``, failed rank
-    tests).  Returns ``(keep, T)``: the mask of the points of ``Q`` that
-    stayed and the tensors with one leading axis over them (``None`` when
-    none stayed).
-    """
-    keep, P, derivs = _projection_stack(spec, Q, _eye(spec.dim), skip)
-    return keep, None if P is None else _tensors_from(P, *derivs)
-
-
 def coefficient_tensors(spec: SystemSpec, q: Array) -> CoefficientTensors:
     """Assemble :class:`CoefficientTensors` at ``q`` from one splitting.
 
@@ -295,6 +280,28 @@ def centrifugal_psi(
     T = tensors if tensors is not None else coefficient_tensors(spec, q)
     drive = (T.projections.k @ np.atleast_1d(np.asarray(udot, dtype=float))[..., None])[..., 0]
     return theta_I_apply(spec, q, drive, drive, tensors=T)
+
+
+def _psi_stack(pt: SimpleNamespace) -> Array:
+    """``Psi[a, b] = theta_I[k e_a, k e_b]`` ``(S, M, M, N+M)`` on the point halves ``pt`` of ``_frame_stack`` with ``D = I``.
+
+    At ``xi = 0`` and ``qdot = h e``, Maggi's equations (:func:`frame_rhs`) give ``G xidot = work`` and the free
+    momentum's rate ``g V_I xidot``, which is ``Psi[e, e]``.  So ``Psi[a, b] = g V_I G^-1 work_ab`` with ``work_ab``
+    the polarization of ``work`` on the drive columns ``h_a``, ``h_b``: ``<g h_a, dV_b>`` symmetrized, plus
+    ``1/2 (d_{V_m} g)[h_a, h_b]``, with the frame's transport ``dV_b[d] = -A_d^-1 (d_{h_b} Om) V_I``, ``dV_b[r] = 0``.
+    """
+    (S, n, M), m, nu = pt.h.shape, pt.V_I.shape[2], pt.Ainv.shape[1]
+    hT = pt.h.transpose(0, 2, 1)
+    # the frame's transport along each h_b, on its pivot rows (its other rows are 0)
+    dOm_h = (hT @ pt.dOm.reshape(S, n, nu * n)).reshape(S, M, nu, n)
+    dV_d = -(pt.Ainv[:, None] @ (dOm_h @ pt.V_I[:, None]))
+    k_d = (pt.g @ pt.h)[np.arange(S)[:, None], pt.d]
+    X = k_d.transpose(0, 2, 1)[:, None] @ dV_d  # X[:, b, a, m] = <g h_a, dV_b[:, m]>
+    # (d_j g)[h_a, h_b] on every axis j, then along V_I
+    dg_hh = (hT[:, None] @ pt.dg @ pt.h[:, None]).reshape(S, n, M * M)
+    dg_V = (pt.V_I.transpose(0, 2, 1) @ dg_hh).reshape(S, m, M, M).transpose(0, 2, 3, 1)
+    work = 0.5 * (X + X.transpose(0, 2, 1, 3)) + 0.5 * dg_V
+    return work @ (pt.gV @ pt.Ginv).transpose(0, 2, 1)[:, None]
 
 
 def _read_control(fn: TimeFn, t: float, what: str) -> Array:
@@ -408,10 +415,9 @@ class _VoronetsFrame:
 
     @staticmethod
     def best(spec: SystemSpec, Om: Array) -> "_VoronetsFrame":
-        """The field whose pivot minor of the constraint forms ``Om`` is best conditioned."""
-        subsets = np.array(list(itertools.combinations(range(spec.N), spec.nu)), dtype=int)
-        cond = np.linalg.cond(Om[:, subsets].transpose(1, 0, 2), "fro") if spec.nu else np.zeros(1)
-        return _VoronetsFrame(spec, tuple(int(j) for j in subsets[np.argmin(cond)]))
+        """The field whose pivot minor of the constraint forms ``Om`` is best conditioned, by ``_best_pivots``' rule."""
+        subsets = _pivot_layouts(spec.N, spec.nu, spec.dim)[0]
+        return _VoronetsFrame(spec, tuple(subsets[_best_pivots(spec, Om[None])[0][0]].tolist()))
 
     @cached_property
     def _layout(self) -> tuple[Array, Array, Array]:

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from nonholo.core_geometry import SystemSpec
+from nonholo.core_geometry import SystemSpec, _projection_stack
 from nonholo.models import ball_orthonormal_basis, build_model
-from nonholo.reduced_dynamics import _VoronetsFrame
+from nonholo.reduced_dynamics import _tensors_from, _VoronetsFrame
 
 settings.register_profile(
     "fd_heavy",
@@ -125,6 +125,17 @@ def sample_points(bundle, n, seed=0):
     gen = np.random.default_rng(seed)
     box = bundle.sample_box
     return gen.uniform(box[:, 0], box[:, 1], size=(n, box.shape[0]))
+
+
+def tensor_stack(spec, Q, skip=()):
+    """The coefficient tensors at every point of ``Q`` at once, as ``(keep, T)`` (``T`` is ``None`` when no point stayed).
+
+    The stacked splitting with derivatives along every axis, and the
+    closed-form tensors on it: :func:`~nonholo.reduced_dynamics.coefficient_tensors`
+    over a stack.
+    """
+    keep, P, derivs = _projection_stack(spec, Q, np.eye(spec.dim), skip)
+    return keep, None if P is None else _tensors_from(P, *derivs)
 
 
 def generic_free_block(spec, q):

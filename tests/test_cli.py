@@ -482,6 +482,10 @@ class TestShippedConfigs:
         out = tmp_path / "out"
         assert main([command, "--config", str(CONFIGS / f"{name}.cfg"), "--out", str(out)]) == code
         assert out.stat().st_size > 0
+        if name == "ball_checkfit":
+            # both scans read the fit ball's Psi at rounding: 1.0e-15 (Psi) and 4.2e-16 (theta_on_III)
+            maxima = [float(line.rsplit(": ", 1)[1]) for line in out.read_text().splitlines() if line.startswith("max |")]
+            assert len(maxima) == 2 and max(maxima) <= 1e-14
 
     def test_racer_constant_runs_a_quarter_second(self, tmp_path):
         """``racer_constant`` cut to ``t1 = 0.25`` runs: 251 samples whose energy holds under the constant control.

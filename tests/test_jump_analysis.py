@@ -6,8 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nonholo import jump_analysis, reduced_dynamics
-from nonholo.core_geometry import SystemSpec, projection_set
+from nonholo import jump_analysis
+from nonholo.core_geometry import SystemSpec, _frame_stack, projection_set
 from nonholo.errors import ChartDomain, ModelError, NotInDeltaCapGamma, RankDeficiency, SingularDenominator, SingularMetric
 from nonholo.jump_analysis import (
     GRAY_FACTOR,
@@ -21,9 +21,9 @@ from nonholo.jump_analysis import (
     theta_on_III_scan,
 )
 from nonholo.models import build_model, racer_frame_vectors, roller_racer_spec
-from nonholo.reduced_dynamics import centrifugal_psi, coefficient_tensors, theta_I_apply
+from nonholo.reduced_dynamics import _psi_stack, centrifugal_psi, coefficient_tensors
 
-from conftest import counting_spec, nan_derivative_spec, random_system, sample_points, stacked
+from conftest import counting_spec, nan_derivative_spec, random_system, sample_points, stacked, tensor_stack
 
 
 def euclidean_racer_forms() -> SystemSpec:
@@ -335,13 +335,22 @@ def rank_losing_racer() -> SystemSpec:
     return dataclasses.replace(spec, omega=omega)
 
 
-def reference_scan(spec, box, seed, n_samples, quantity):
-    """A scan one point and one seed at a time, through the single-point API.
+def one_point_psi(spec, q):
+    """``Psi[a, b]`` at ``q`` alone: the scans' Maggi form on a one-point stack."""
+    _, pt = _frame_stack(spec, np.asarray(q, dtype=float)[None], np.eye(spec.dim))
+    return _psi_stack(pt)[0]
 
-    Reproduces the scans' draws and tie-break: the first point and seed that
-    reach the maximum win.  The winning direction is signed so that its
-    largest-magnitude entry is positive.  Returns ``(failures, max_value,
-    point, direction)``.
+
+def reference_scan(spec, box, seed, n_samples, quantity):
+    """A scan one point and one seed at a time.
+
+    ``Psi`` comes from the scans' form on one-point stacks
+    (:class:`TestPsiForm` pins that form to the tensor path); theta's
+    directions come from the splitting's ``Pstar_III``, with the seed's
+    control rate ``a`` solving ``k a = w``.  Reproduces the scans' draws and
+    tie-break: the first point and seed that reach the maximum win.  The
+    winning direction is signed so that its largest-magnitude entry is
+    positive.  Returns ``(failures, max_value, point, direction)``.
     """
     M = spec.M
     sampler = BoxSampler(box, seed=seed)
@@ -350,22 +359,19 @@ def reference_scan(spec, box, seed, n_samples, quantity):
     failures, best = 0, None
     for i, q in enumerate(pts):
         try:
-            T = coefficient_tensors(spec, q)
+            Psi = one_point_psi(spec, q)
         except (RankDeficiency, ChartDomain, SingularDenominator):
             failures += 1
             continue
+        P = projection_set(spec, q)
         for e in list(np.eye(M)) + list(rand[2 * M * i : 2 * M * (i + 1)]):
             if quantity == "Psi":
-                val, used = float(np.abs(centrifugal_psi(spec, q, e, tensors=T)).max()), e
+                a, used, norm = e, e, 1.0
             else:
-                P = T.projections
                 w = P.Pstar_III @ (P.k @ e if e.shape[0] == M else e)
-                norm = float(np.linalg.norm(w))
-                if norm < 1e-12:
-                    val, used = 0.0, w
-                else:
-                    w = w / norm
-                    val, used = float(np.abs(theta_I_apply(spec, q, w, w, tensors=T)).max()), w
+                a, norm = np.linalg.lstsq(P.k, w, rcond=None)[0], float(np.linalg.norm(w))
+                used = w if norm < 1e-12 else w / norm
+            val = 0.0 if norm < 1e-12 else float(np.abs(np.einsum("a,b,abn->n", a, a, Psi)).max()) / norm**2
             if best is None or val > best[0]:
                 best = (val, q, used)
     if best is None:
@@ -402,11 +408,13 @@ class TestBatchedScans:
     def test_stacked_kernel_matches_single_points(self, name, options):
         bundle = build_model(name, **options)
         Q = sample_points(bundle, 25, seed=81)
-        keep, stacked = reduced_dynamics._tensor_stack(bundle.spec, Q)
+        keep, stacked = tensor_stack(bundle.spec, Q)
         assert keep.all()
+        Psi = _psi_stack(_frame_stack(bundle.spec, Q, np.eye(bundle.spec.dim))[1])
         for i, q in enumerate(Q):
             single = coefficient_tensors(bundle.spec, q)
             pairs = [(getattr(stacked, f)[i], getattr(single, f)) for f in ("dPstar_I", "dginv", "dk", "dg")]
+            pairs.append((Psi[i], one_point_psi(bundle.spec, q)))
             pairs += [
                 (getattr(stacked.projections, f)[i], getattr(single.projections, f))
                 for f in ("P_I", "Pstar_I", "h", "k", "R_II", "I_basis", "g", "ginv", "Om", "P_II", "P_III")
@@ -449,13 +457,93 @@ class TestBatchedScans:
 
         spec = dataclasses.replace(base, omega=omega)
         Q = np.random.default_rng(5).uniform([-1.0, 0.3, -1.0, -1.2], [0.3, 2.8, 1.0, 1.2], size=(30, 4))
-        keep, T = reduced_dynamics._tensor_stack(spec, Q, skip=(ChartDomain,))
+        keep, T = tensor_stack(spec, Q, skip=(ChartDomain,))
         assert 0 < keep.sum() < 30
         assert np.array_equal(keep, Q[:, 0] >= -0.5)
         for i, j in enumerate(np.flatnonzero(keep)):
             single = coefficient_tensors(base, Q[j])
             assert np.abs(T.projections.P_I[i] - single.projections.P_I).max() <= 1e-14
             assert np.abs(T.dPstar_I[i] - single.dPstar_I).max() <= 1e-14
+
+
+def psi_form_cases():
+    """``(spec, points, pivot groups)``: every built-in model's box, both perturbed metrics and a two-control random system."""
+    cases = []
+    for name, options, groups in [
+        ("roller-racer", {}, 3),
+        ("rolling-ball", {}, 1),
+        ("roller-racer", {"metric_perturb": 0.05}, 3),
+        ("rolling-ball", {"metric_perturb": 0.05}, 1),
+        ("euclidean-toy", {"constrained": True}, 1),
+    ]:
+        bundle = build_model(name, **options)
+        cases.append((bundle.spec, sample_points(bundle, 40, seed=91), groups))
+    spec = random_system(8, N=3, M=2, nu=1)
+    cases.append((spec, np.random.default_rng(92).uniform(-1.0, 1.0, (40, spec.dim)), 2))
+    return cases
+
+
+class TestPsiForm:
+    """The scans' ``Psi``, read off the stacked Maggi point half, against the tensor path."""
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_matches_tensor_path(self, case):
+        """``Psi[e, e]`` equals ``centrifugal_psi(..., tensors=coefficient_tensors(...))`` to 1e-14 of ``1 + |Psi[e, e]|``.
+
+        Unit seeds: the canonical ones and random draws.  The stack crosses
+        the pivot groups of its box: three on the racer, two on the random
+        system.
+        """
+        spec, Q, groups = psi_form_cases()[case]
+        keep, pt = _frame_stack(spec, Q, np.eye(spec.dim))
+        assert keep.all()
+        assert len({tuple(d) for d in pt.d.tolist()}) == groups
+        Psi = _psi_stack(pt)
+        seeds = np.random.default_rng(93).standard_normal((4, spec.M))
+        seeds = np.concatenate([np.eye(spec.M), seeds / np.linalg.norm(seeds, axis=1, keepdims=True)])
+        for i, q in enumerate(Q):
+            T = coefficient_tensors(spec, q)
+            for e in seeds:
+                ref = centrifugal_psi(spec, q, e, tensors=T)
+                got = np.einsum("a,b,abn->n", e, e, Psi[i])
+                assert np.abs(got - ref).max() <= 1e-14 * (1.0 + np.abs(ref).max())
+
+
+class TestThetaReparametrization:
+    """theta's seeds are control rates in disguise: ``Pstar_III`` maps each onto ``k a``."""
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_canonical_seeds_are_the_lift(self, case):
+        """A canonical seed ``e`` gives ``a = e`` and ``w = k e``, which the scan reports as ``k e / |k e|``."""
+        spec, Q, _ = psi_form_cases()[case]
+        _, pt = _frame_stack(spec, Q, np.eye(spec.dim))
+        canonical = np.broadcast_to(np.eye(spec.M)[:, None, :], (spec.M, len(Q), spec.M))
+        a, w = jump_analysis._drive_rates(pt, canonical, np.zeros((0, len(Q), spec.dim)))
+        assert np.array_equal(a, canonical)
+        assert np.array_equal(w, (pt.g @ pt.h).transpose(2, 0, 1))
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_random_seeds_land_on_the_drive_coprojection(self, case):
+        """For a random covector ``r``, ``Pstar_III r`` from :class:`ProjectionSet` equals ``k a`` to 1e-14 of ``|r|``."""
+        spec, Q, _ = psi_form_cases()[case]
+        _, pt = _frame_stack(spec, Q, np.eye(spec.dim))
+        r = np.random.default_rng(94).standard_normal((3, len(Q), spec.dim))
+        _, w = jump_analysis._drive_rates(pt, np.zeros((0, len(Q), spec.M)), r)
+        for i, q in enumerate(Q):
+            P = projection_set(spec, q)
+            for j in range(len(r)):
+                assert np.abs(P.Pstar_III @ r[j, i] - w[j, i]).max() <= 1e-14 * np.abs(r[j, i]).max()
+
+    def test_scan_reports_the_normalized_lift(self, racer, monkeypatch):
+        """With the random seeds zeroed, the racer's theta witness is ``k e / |k e|`` at its point, scoring ``|Psi[e, e]| / |k e|^2``."""
+        drive_rates = jump_analysis._drive_rates
+        monkeypatch.setattr(jump_analysis, "_drive_rates", lambda pt, canonical, random: drive_rates(pt, canonical, 0.0 * random))
+        rep = theta_on_III_scan(racer.spec, BoxSampler(racer.sample_box, seed=5), n_samples=10)
+        k = projection_set(racer.spec, rep.worst_point).k[:, 0]
+        lift = k / np.linalg.norm(k)
+        assert np.abs(rep.worst_direction - lift * np.sign(lift[np.abs(lift).argmax()])).max() <= 1e-15
+        psi = float(np.abs(one_point_psi(racer.spec, rep.worst_point)[0, 0]).max())
+        assert rep.max_value == pytest.approx(psi / (k @ k), rel=1e-14)
 
 
 class TestSufficiency:

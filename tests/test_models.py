@@ -425,8 +425,7 @@ class TestRollingBall:
 
         The closed form is the Z-X-Z inverse ``1/(k2 s^2)`` on the two outer
         angles, ``-c/(k2 s^2)`` between them and ``1/k2`` on the middle one.
-        The splitting is the tensors' one, which skips the block-rank sweep
-        that ``projection_set`` fails from ``sin q2 = 1e-4`` on.
+        The splitting is the tensors' one.
         """
         k2 = ball.params.gyration2
         q = ball.default_q0.copy()

@@ -7,6 +7,7 @@ multiplier-based integration in ``test_models.py``.
 """
 
 import dataclasses
+import itertools
 import sys
 import warnings
 from collections import Counter
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nonholo import reduced_dynamics
-from nonholo.core_geometry import SystemSpec, projection_set
+from nonholo.core_geometry import SystemSpec, _best_pivots, _frame_stack, projection_set
 from nonholo.errors import (
     ChartDomain,
     ModelError,
@@ -318,8 +319,8 @@ class TestClosedFormDerivatives:
         spec = counting_spec(bundle.spec, calls)
         Q = sample_points(bundle, S, seed=72)
         n = spec.dim
-        keep, T = reduced_dynamics._tensor_stack(spec, Q)
-        assert keep.all() and T.dg.shape == (S, n, n, n)
+        keep, pt = _frame_stack(spec, Q, np.eye(n))
+        assert keep.all() and pt.dg.shape == (S, n, n, n)
         assert dict(calls) == {("metric", "complex", (S, n + 1, n)): 1, ("omega", "complex", (S, n + 1, n)): 1}
 
     def test_chart_edge_point_leaves_after_a_per_point_rerun(self, ball):
@@ -328,12 +329,12 @@ class TestClosedFormDerivatives:
         spec = counting_spec(ball.spec, calls)
         Q = sample_points(ball, 25, seed=73)
         n = spec.dim
-        keep, T = reduced_dynamics._tensor_stack(spec, Q, skip=(ChartDomain,))
+        keep, pt = _frame_stack(spec, Q, np.eye(n), skip=(ChartDomain,))
         # without an edge point the stack needs no rerun
         assert keep.all() and sum(calls.values()) == 2
         Q[7, 1] = 0.0  # sin(q2) = 0: the Euler chart's edge
         calls.clear()
-        keep, T = reduced_dynamics._tensor_stack(spec, Q, skip=(ChartDomain,))
+        keep, pt = _frame_stack(spec, Q, np.eye(n), skip=(ChartDomain,))
         assert np.flatnonzero(~keep).tolist() == [7]
         assert dict(calls) == {
             # the stacked metric call raises, then every point is rerun alone;
@@ -342,9 +343,9 @@ class TestClosedFormDerivatives:
             ("metric", "complex", (1, n + 1, n)): 25,
             ("omega", "complex", (1, n + 1, n)): 24,
         }
-        _, clean = reduced_dynamics._tensor_stack(ball.spec, Q[keep])
-        for name in ("dPstar_I", "dginv", "dk", "dg"):
-            assert np.array_equal(getattr(T, name), getattr(clean, name)), name
+        _, clean = _frame_stack(ball.spec, Q[keep], np.eye(n))
+        for name in ("g", "dg", "dOm", "d", "V_I", "Ginv", "h"):
+            assert np.array_equal(getattr(pt, name), getattr(clean, name)), name
 
 
 def counted(calls, name, fn):
@@ -746,6 +747,35 @@ class TestVoronetsFrame:
         """The best-conditioned minor: ``(q2, q3)`` at the racer's start, ``(q1, q3)`` where ``cos u = 0``, ``(x, y)`` on the ball."""
         spec = build_model(name).spec
         assert _VoronetsFrame.best(spec, spec.omega(np.array(q))).pivots == pivots
+
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, 5])  # case 4 has no constraints
+    def test_pivot_rule_matches_np_linalg_cond(self, case):
+        """The pick and ``|A_d^-1|_F`` match the rule computed with ``np.linalg.cond``, for every ``nu``.
+
+        So the ``nu = 2`` closed form ``|A|_F / |det A|`` agrees with the general path to 1e-14 relative.
+        """
+        spec, points = generic_cases()[case]
+        Om = spec.omega(points)
+        minors = Om[:, :, list(itertools.combinations(range(spec.N), spec.nu))].transpose(0, 2, 1, 3)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cond = np.nan_to_num(np.linalg.cond(minors, "fro"), nan=np.inf)
+            inv_norm = cond / np.sqrt((minors**2).sum(axis=(-2, -1)))
+        tied = cond <= cond.min(axis=1, keepdims=True) * (1.0 + 1e-12)
+        ref = np.where(tied, inv_norm, np.inf).argmin(axis=1)
+        pivots, ainv_norm = _best_pivots(spec, Om)
+        assert np.array_equal(pivots, ref)
+        expected = inv_norm[np.arange(len(ref)), ref]
+        assert np.all(np.abs(ainv_norm - expected) <= 1e-14 * expected)
+
+    @pytest.mark.parametrize("seed, N, M", [(0, 3, 2), (4, 3, 2), (8, 3, 2), (9, 4, 1)])
+    def test_one_constraint_run_pivots_on_its_largest_entry(self, seed, N, M):
+        """With ``nu = 1`` every minor has condition 1: ``integrate`` pivots on the largest ``|Om[0, j]|``, ``j < N``."""
+        spec = random_system(seed, N=N, M=M)
+        q0 = np.zeros(spec.dim)
+        q0[:N] = np.linspace(0.2, 0.9, N)
+        control = ControlSignal.linear(np.zeros(M), np.full(M, 0.5))
+        traj = integrate(spec, q0, np.zeros(spec.dim), control, (0.0, 0.2), IntegratorConfig(dt=1e-2))
+        assert traj.meta["pivots"] == [(0.0, (int(np.argmax(np.abs(spec.omega(q0)[0, :N]))),))]
 
     @pytest.mark.parametrize("eps, svd_calls", [(1e-6, 0), (1e-12, 1)])
     def test_stage_keeps_the_rank_test(self, eps, svd_calls, monkeypatch):
