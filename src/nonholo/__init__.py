@@ -9,10 +9,11 @@ the reduced momentum dynamics driven by the control rate
 diagnostics plus averaging experiments (:mod:`simulate`), sampled diagnostics
 for tolerance of control jumps (:mod:`jump_analysis`), two worked mechanical
 systems with closed-form oracles (:mod:`models`), and a CLI (:mod:`cli`).
+
+The public API is ``__all__``; other module attributes are internal.
 """
 
 from .core_geometry import (
-    Array,
     ProjectionSet,
     SystemSpec,
     argmin_certificate,
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .jump_analysis import (
     BoxSampler,
-    ConditionResult,
     FitnessReport,
     SufficiencyReport,
     leaf_metric_derivative,
@@ -41,27 +41,17 @@ from .jump_analysis import (
     theta_on_III_scan,
 )
 from .models import (
-    EuclideanToyParams,
     ModelBundle,
-    RollerRacerParams,
-    RollingBallParams,
     build_model,
     model_names,
     roller_racer_averaged_rhs,
     roller_racer_closed_rhs,
-    roller_racer_spec,
-    rolling_ball_spec,
 )
 from .reduced_dynamics import (
-    CoefficientTensors,
     ControlSignal,
     centrifugal_psi,
-    coefficient_tensors,
     frame_coefficients,
     frame_rhs,
-    reaction_force,
-    reduced_rhs,
-    theta_I_apply,
 )
 from .simulate import (
     IntegratorConfig,
@@ -77,14 +67,10 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Array",
     "BoxSampler",
     "ChartDomain",
-    "CoefficientTensors",
-    "ConditionResult",
     "ConfigError",
     "ControlSignal",
-    "EuclideanToyParams",
     "FitnessReport",
     "IntegratorConfig",
     "ModelBundle",
@@ -95,8 +81,6 @@ __all__ = [
     "OscillationSweep",
     "ProjectionSet",
     "RankDeficiency",
-    "RollerRacerParams",
-    "RollingBallParams",
     "SingularDenominator",
     "SingularMetric",
     "StepRejected",
@@ -107,7 +91,6 @@ __all__ = [
     "argmin_certificate",
     "build_model",
     "centrifugal_psi",
-    "coefficient_tensors",
     "frame_coefficients",
     "frame_rhs",
     "integrate",
@@ -116,15 +99,10 @@ __all__ = [
     "oscillation_sweep",
     "projection_set",
     "psi_scan",
-    "reaction_force",
-    "reduced_rhs",
     "rk4_path",
     "roller_racer_averaged_rhs",
     "roller_racer_closed_rhs",
-    "roller_racer_spec",
-    "rolling_ball_spec",
     "sufficiency_check",
-    "theta_I_apply",
     "theta_on_III_scan",
     "two_timescale_coefficient",
 ]

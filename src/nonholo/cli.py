@@ -156,10 +156,10 @@ def control_from_config(cfg: RunConfig) -> ControlSignal:
     if family == "constant":
         return ControlSignal.constant(cfg.get_floats("control.value", required=True))
     if family == "polynomial":
-        return ControlSignal.polynomial(
-            cfg.get_floats("control.coeffs", required=True),
-            t0=cfg.get_float("control.t0", 0.0),
-        )
+        coeffs = cfg.get_floats("control.coeffs", required=True)
+        if not coeffs.size:
+            raise ConfigError(f"{cfg.path}: key 'control.coeffs' has no entries")
+        return ControlSignal.polynomial(coeffs, t0=cfg.get_float("control.t0", 0.0))
     if family == "linear":
         return ControlSignal.linear(*_control_pair(cfg, family), t0=cfg.get_float("control.t0", 0.0))
     if family == "sinusoid":

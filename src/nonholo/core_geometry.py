@@ -75,6 +75,9 @@ RANK_RTOL = 1e-9
 #: the rounding of any real part, so ``Im f(q + iH e_j) / H`` is ``df/dq_j``
 #: with no truncation or cancellation error.
 COMPLEX_STEP = 1e-30
+#: Length to which :func:`argmin_certificate` rescales each competitor offset ``I_basis c``, so it is a distance
+#: whatever the scale of the non-orthonormal ``I_basis``.
+_COMPETITOR_LENGTH = 1.0
 _WARNINGS_LOCK = threading.RLock()
 
 
@@ -489,15 +492,14 @@ def argmin_certificate(
     v: Array,
     trials: int = 32,
     rng: Optional[np.random.Generator] = None,
-    scale: float = 1.0,
 ) -> tuple[bool, float]:
     """Spot-check that the lift of ``v`` minimizes kinetic energy.
 
     Among admissible vectors whose controlled components equal ``v``, the lift
     ``h @ v`` should have the least ``g``-norm; every competitor differs from
     it by a block I vector.  Draws ``trials`` random competitors
-    ``h @ v + w``, ``w = I_basis @ c`` rescaled to ``|w| = scale``, and returns ``(ok, margin)`` with ``margin`` the
-    worst observed excess energy (nonnegative when the certificate holds).
+    ``h @ v + w``, ``w = I_basis @ c`` rescaled to ``|w| = _COMPETITOR_LENGTH``, and returns ``(ok, margin)`` with
+    ``margin`` the worst observed excess energy (nonnegative when the certificate holds).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     q = np.asarray(q, dtype=float)
@@ -514,7 +516,7 @@ def argmin_certificate(
         norm = np.linalg.norm(w)
         if norm == 0.0:
             continue
-        w *= scale / norm
+        w *= _COMPETITOR_LENGTH / norm
         z = z0 + w
         margin = min(margin, float(z @ P.g @ z) - base)
     ok = margin >= -1e-10 * (1.0 + abs(base))

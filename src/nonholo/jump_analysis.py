@@ -49,6 +49,11 @@ from .reduced_dynamics import _psi_stack, coefficient_tensors
 
 # verdict thresholds: fit at <= tol, not-fit at > 10 tol, gray band between
 GRAY_FACTOR = 10.0
+#: :func:`sufficiency_check`'s bounds on the inverse metric's control derivatives and on the free coprojection's drift
+_METRIC_TOL = 1e-10
+_REPRESENTATION_TOL = 1e-9
+#: :func:`leaf_metric_derivative`'s bound on ``|P_I w - w|``, relative to ``1 + |w|``
+_FREE_BLOCK_TOL = 1e-6
 
 
 def worker_count() -> int:
@@ -321,8 +326,6 @@ def sufficiency_check(
     sampler: BoxSampler,
     n_samples: int = 100,
     declared_flat: bool = False,
-    metric_tol: float = 1e-10,
-    representation_tol: float = 1e-9,
 ) -> SufficiencyReport:
     """Evaluate the structural conditions that imply jump fitness.
 
@@ -338,6 +341,7 @@ def sufficiency_check(
       ``B(q)^T Pstar_I(q) B(q)^{-T}`` compared across samples (max deviation
       from the first sample; pairwise deviations are at most twice that).
 
+    They pass at the module bounds ``_METRIC_TOL`` and ``_REPRESENTATION_TOL``.
     The flatness of the complement of the controlled directions is accepted
     as ``declared_flat`` — it is a model-level declaration, not computed.
     Samples are skipped as in the scans, and also where ``basis_field``
@@ -362,15 +366,15 @@ def sufficiency_check(
         declared_flat=declared_flat,
         metric_control_dependence=ConditionResult(
             name="inverse metric independent of controls",
-            passed=evaluated > 0 and max_dg <= metric_tol,
+            passed=evaluated > 0 and max_dg <= _METRIC_TOL,
             observed=max_dg,
-            tol=metric_tol,
+            tol=_METRIC_TOL,
         ),
         representation_constancy=ConditionResult(
             name="free coprojection constant in model basis",
-            passed=evaluated > 0 and max_rep <= representation_tol,
+            passed=evaluated > 0 and max_rep <= _REPRESENTATION_TOL,
             observed=max_rep,
-            tol=representation_tol,
+            tol=_REPRESENTATION_TOL,
         ),
         sample_count=evaluated,
     )
@@ -381,7 +385,6 @@ def leaf_metric_derivative(
     q: Array,
     v: Array,
     w: Array,
-    tol: float = 1e-6,
 ) -> float:
     """Directional derivative along ``w`` of the lifted-velocity energy.
 
@@ -390,7 +393,8 @@ def leaf_metric_derivative(
     ``g dh = dk - dg h``, ``dE[w] = sum_j w_j (2 z^T dk[j] v - z^T dg[j] z)``.
     For Euclidean charts its vanishing for all ``(v, w)`` everywhere is the
     leaf-distance restatement of the Psi scan.  ``w`` must lie in the free
-    block (``P_I w = w``) or :class:`NotInDeltaCapGamma` is raised.
+    block, ``|P_I w - w| <= _FREE_BLOCK_TOL (1 + |w|)``, or
+    :class:`NotInDeltaCapGamma` is raised.
     """
     q = np.asarray(q, dtype=float)
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -400,7 +404,7 @@ def leaf_metric_derivative(
     wnorm = float(np.abs(w).max())
     if wnorm == 0.0:
         return 0.0
-    if float(np.abs(P.P_I @ w - w).max()) > tol * (1.0 + wnorm):
+    if float(np.abs(P.P_I @ w - w).max()) > _FREE_BLOCK_TOL * (1.0 + wnorm):
         raise NotInDeltaCapGamma("direction w is not a free-block tangent vector")
     z = P.h @ v
     dk = np.tensordot(w, T.dk, axes=1)

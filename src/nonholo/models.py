@@ -91,6 +91,9 @@ class ModelBundle:
     ``extract_closed`` convert between that closed state and ambient
     ``(q, p_I)`` pairs; ``extract_closed`` is linear in ``p_I`` and
     complex-safe, which ``oracle-compare`` needs to differentiate it.
+    ``closed_dim`` is derived from ``spec``, not set: the closed state is
+    ``(q_free, xi)``, ``N`` coordinates and ``N - nu`` velocities, as
+    :func:`~nonholo.reduced_dynamics._closed_rhs` assumes.
     """
 
     name: str
@@ -103,9 +106,13 @@ class ModelBundle:
     declared_flat: bool = False
     closed_field: Optional[Callable[[object], Callable[[float, Array], Array]]] = None
     averaged_field: Optional[Callable[[float, float], Callable[[float, Array], Array]]] = None
-    closed_dim: int = 0
     embed_closed: Optional[Callable[[Array, float], tuple[Array, Array]]] = None
     extract_closed: Optional[Callable[[Array, Array], Array]] = None
+
+    @property
+    def closed_dim(self) -> int:
+        """``2N - nu``, the size of the closed state ``(q_free, xi)``."""
+        return 2 * self.spec.N - self.spec.nu
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +338,8 @@ def _racer_extract(params: RollerRacerParams, g: Array):
     return extract
 
 
-def _build_roller_racer(
-    rho: float = 1.0,
-    inertia: float = 2.0,
-    tail_inertia: float = 1.0,
-    metric_perturb: float = 0.0,
-) -> ModelBundle:
-    params = RollerRacerParams(rho=rho, inertia=inertia, tail_inertia=tail_inertia)
+def _build_roller_racer(metric_perturb: float = 0.0, **options: float) -> ModelBundle:
+    params = RollerRacerParams(**options)
     spec = roller_racer_spec(params)
     if metric_perturb:
         spec = _perturbed(spec, metric_perturb)
@@ -353,7 +355,6 @@ def _build_roller_racer(
         declared_flat=False,
         closed_field=_racer_closed_field(params),
         averaged_field=_racer_averaged_field(params),
-        closed_dim=4,
         embed_closed=_racer_embed(params, g),
         extract_closed=_racer_extract(params, g),
     )
@@ -449,12 +450,8 @@ def ball_orthonormal_basis(params: RollingBallParams, q: Array) -> Array:
     return V
 
 
-def _build_rolling_ball(
-    radius: float = 1.0,
-    gyration2: float = 0.4,
-    metric_perturb: float = 0.0,
-) -> ModelBundle:
-    params = RollingBallParams(radius=radius, gyration2=gyration2)
+def _build_rolling_ball(metric_perturb: float = 0.0, **options: float) -> ModelBundle:
+    params = RollingBallParams(**options)
     spec = rolling_ball_spec(params)
     if metric_perturb:
         spec = _perturbed(spec, metric_perturb)
@@ -560,12 +557,15 @@ def model_names() -> tuple[str, ...]:
 
 
 def build_model(name: str, **options: float) -> ModelBundle:
-    """Instantiate a registered model by name with keyword parameter overrides."""
+    """Instantiate a registered model by name; ``options`` set ``metric_perturb`` or fields of its ``*Params`` class.
+
+    Options the model refuses (an unknown name, or values its ``SystemSpec`` rejects) raise ``ModelError``.
+    """
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise ModelError(f"unknown model {name!r}; available: {', '.join(model_names())}") from None
     try:
         return builder(**options)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ModelError(f"bad options for model {name!r}: {exc}") from None

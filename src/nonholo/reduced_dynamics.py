@@ -67,7 +67,7 @@ from .core_geometry import (
     _pivot_layouts,
     _projection_stack,
 )
-from .errors import ChartDomain, NonAdaptedState, NotInDeltaCapGamma
+from .errors import ChartDomain, ModelError, NonAdaptedState, NotInDeltaCapGamma
 
 TimeFn = Callable[[float], Array]
 _FLOAT = np.dtype(float)
@@ -453,6 +453,8 @@ def _maggi_point(spec: SystemSpec, q: Array, frame: Optional[_VoronetsFrame] = N
     :func:`~nonholo.core_geometry._complex_safe`."""
     G, Om, dG, dOm = _complex_front(spec, q + _axis_shift(spec.dim))
     g, Om, dg_axes, dOm_axes = G[0], Om[0], dG[0], dOm[0]
+    if np.count_nonzero(np.isfinite(Om)) < Om.size:  # the rank test sees the constraint block only
+        raise ModelError("omega is not finite")
     frame, m = frame if frame is not None else _VoronetsFrame.best(spec, Om), spec.N - spec.nu
     try:
         V, Ainv = frame.of(Om)

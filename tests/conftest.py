@@ -120,6 +120,21 @@ def nan_derivative_spec(spec, name, q1_min=0.0):
     return dataclasses.replace(spec, **{name: wrapper})
 
 
+def nan_control_column_spec(spec):
+    """``spec`` whose ``omega`` is NaN in the first control column, ``Om[..., N]``, and finite elsewhere.
+
+    The constraint block ``Om[..., :N]`` keeps its values, so its rank test passes.
+    """
+    fn = spec.omega
+
+    def omega(q):
+        Om = np.array(fn(q))
+        Om[..., spec.N] = np.nan
+        return Om
+
+    return dataclasses.replace(spec, omega=omega)
+
+
 def sample_points(bundle, n, seed=0):
     """Uniform draws from the model's declared chart box."""
     gen = np.random.default_rng(seed)

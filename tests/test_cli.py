@@ -21,7 +21,7 @@ from nonholo.cli import (
 from nonholo.errors import ConfigError
 from nonholo.models import build_model
 
-from conftest import nan_derivative_spec
+from conftest import nan_control_column_spec, nan_derivative_spec
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -175,6 +175,7 @@ class TestSimulateCommand:
                 "control.family = ramp\ncontrol.start = 0, 0\ncontrol.end = 1, 2, 3\ncontrol.duration = 1\n",
                 "'control.start' and 'control.end'",
             ),
+            ("control.family = polynomial\ncontrol.coeffs = ,\n", "key 'control.coeffs' has no entries"),
         ],
         ids=[
             "ramp-duration-zero",
@@ -185,6 +186,7 @@ class TestSimulateCommand:
             "sinusoid-pair-lengths",
             "dither-pair-lengths",
             "ramp-pair-lengths",
+            "polynomial-coeffs-empty",
         ],
     )
     def test_bad_control_value_is_config_error(self, tmp_path, capsys, control, key):
@@ -252,6 +254,13 @@ class TestSimulateCommand:
         )
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
         assert "unicycle" in capsys.readouterr().err
+
+    def test_options_that_break_the_spec_are_a_model_error(self, tmp_path, capsys):
+        """A builder's ``ValueError`` (here from ``SystemSpec``) exits 3 with the options named, as its ``TypeError`` does."""
+        cfg = write_cfg(tmp_path, "model.name = euclidean-toy\nmodel.n_passive = 0\nmodel.constrained = true\n")
+        assert main(["check-fit", "--config", cfg, "--out", str(tmp_path / "x.txt"), "--samples", "5"]) == 3
+        err = capsys.readouterr().err
+        assert "bad options for model 'euclidean-toy'" in err and "transversality needs nu <= N" in err
 
     def test_unknown_control_family(self, tmp_path):
         cfg = write_cfg(
@@ -546,6 +555,19 @@ class TestNonFiniteCallbacks:
         argv = [command, "--config", str(CONFIGS / f"{config}.cfg"), "--out", str(tmp_path / "out")]
         assert main(argv + (["--samples", "20"] if command == "check-fit" else [])) == 3
         assert "error: metric or omega derivative is not finite" in capsys.readouterr().err
+
+    def test_nan_omega_control_column_exits_3(self, tmp_path, monkeypatch, capsys):
+        """The racer's ``omega`` with a NaN control column (rank test passes) exits 3, not 2 from ``StepRejected``."""
+
+        def nan_model(*args, **kwargs):
+            bundle = build_model(*args, **kwargs)
+            return dataclasses.replace(bundle, spec=nan_control_column_spec(bundle.spec))
+
+        monkeypatch.setattr(cli, "build_model", nan_model)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(CONFIGS / "racer_constant.cfg"), "--out", str(out)]) == 3
+        assert "error: omega is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEntryPoint:

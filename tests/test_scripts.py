@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["run_fitness_scan.py", "run_ball_jump.py", "run_racer_vibration.py"])
+@pytest.mark.parametrize("script", ["run_ball_jump.py", "run_racer_vibration.py"])
 def test_script_runs_with_defaults(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

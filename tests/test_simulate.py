@@ -34,7 +34,7 @@ from nonholo.simulate import (
     two_timescale_coefficient,
 )
 
-from conftest import ball_free_block, counting_control, counting_spec, nan_derivative_spec, random_system
+from conftest import ball_free_block, counting_control, counting_spec, nan_control_column_spec, nan_derivative_spec, random_system
 
 
 def midstep_fault_spec(fault):
@@ -488,6 +488,20 @@ class TestIntegrate:
         control = ControlSignal.sinusoid(0.0, 0.2, 2.0 * np.pi)
         with pytest.raises(ModelError, match="metric or omega derivative is not finite"):
             integrate(spec, ball.default_q0, np.zeros(6), control, (0.0, 0.1), IntegratorConfig(dt=0.01))
+
+    def test_nan_omega_control_column_is_a_model_error(self, racer):
+        """A NaN in ``omega``'s control column is refused by the Maggi stage as ``projection_set`` refuses it.
+
+        The constraint block stays finite, so the rank test passes; ``frame_rhs``
+        returned all-NaN rates and ``integrate`` ended in ``StepRejected``.
+        """
+        spec, q0, control = nan_control_column_spec(racer.spec), racer.default_q0, ControlSignal.constant(0.0)
+        with pytest.raises(ModelError, match="omega is not finite"):
+            projection_set(spec, q0)
+        with pytest.raises(ModelError, match="omega is not finite"):
+            reduced_dynamics.frame_rhs(spec, q0, np.zeros(1), 0.0, control)
+        with pytest.raises(ModelError, match="omega is not finite"):
+            integrate(spec, q0, np.zeros(4), control, (0.0, 0.02), IntegratorConfig(dt=0.01))
 
     def test_hard_residual_rejects_step(self, racer):
         """An unattainable residual bound aborts with the offending time."""
