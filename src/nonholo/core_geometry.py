@@ -19,9 +19,8 @@ This module computes the splitting (projections on vectors, coprojections on
 covectors), the lift maps ``h``/``k`` taking a control velocity to its block
 III representative, and the validated evaluation of the model callbacks.
 The callbacks are all that the dynamics layer differentiates, by complex
-step, so both must be complex-safe: the derivatives of the splitting follow
-in closed form from those of ``metric`` and ``omega`` (see
-:func:`nonholo.reduced_dynamics.coefficient_tensors`).
+step, so both must be complex-safe: Maggi's equations on the frame below
+need only their derivatives (see :func:`nonholo.reduced_dynamics.frame_rhs`).
 
 The splitting is read off the generic frame of Voronets and Chaplygin that
 the dynamics layer steps on: the best-conditioned ``nu x nu`` minor ``A_d``

@@ -20,14 +20,13 @@ signature one direction at a time.
 
 The scans read ``Psi`` off the point half of Maggi's equations on the
 generic frame (Neimark & Fufaev, *Dynamics of Nonholonomic Systems*, 1972),
-:func:`sufficiency_check` the splitting off the same frame, and
-:func:`leaf_metric_derivative` the coefficient tensors; none differences the
-splitting.  The scans and :func:`sufficiency_check` batch their points
-through one stacked kernel, which calls each callback once per stack,
-complex, at ``q + i H [0; D]``: row 0 gives the value, the other rows the
-derivatives along ``D`` (every axis for the scans, the controls for
-:func:`sufficiency_check`).  One broadcast contraction evaluates every seed
-direction at every point.
+:func:`sufficiency_check` the splitting and :func:`leaf_metric_derivative`
+the lift's derivative off the same frame.  All of them go through
+one stacked kernel, which calls each callback once per stack, complex, at
+``q + i H [0; D]``: row 0 gives the value, the other rows the derivatives
+along ``D`` (every axis for the scans, the controls for
+:func:`sufficiency_check`, ``w`` for :func:`leaf_metric_derivative`).  One
+broadcast contraction evaluates every seed direction at every point.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .errors import (
     RankDeficiency,
     SingularDenominator,
 )
-from .reduced_dynamics import _psi_stack, coefficient_tensors
+from .reduced_dynamics import _psi_stack
 
 # verdict thresholds: fit at <= tol, not-fit at > 10 tol, gray band between
 GRAY_FACTOR = 10.0
@@ -380,17 +379,13 @@ def sufficiency_check(
     )
 
 
-def leaf_metric_derivative(
-    spec: SystemSpec,
-    q: Array,
-    v: Array,
-    w: Array,
-) -> float:
+def leaf_metric_derivative(spec: SystemSpec, q: Array, v: Array, w: Array) -> float:
     """Directional derivative along ``w`` of the lifted-velocity energy.
 
     Differentiates ``E(q) = g_q[h_q v, h_q v]`` along the free-block vector
-    ``w`` in closed form from the coefficient tensors: with ``z = h v`` and
-    ``g dh = dk - dg h``, ``dE[w] = sum_j w_j (2 z^T dk[j] v - z^T dg[j] z)``.
+    ``w`` in closed form, off the frame's point half with derivatives along
+    ``w`` alone: ``z = h v`` is ``g``-orthogonal to block I, so
+    ``dE[w] = z^T (d_w g) z - 2 (g z)[d] . A_d^-1 (d_w Om) z``.
     For Euclidean charts its vanishing for all ``(v, w)`` everywhere is the
     leaf-distance restatement of the Psi scan.  ``w`` must lie in the free
     block, ``|P_I w - w| <= _FREE_BLOCK_TOL (1 + |w|)``, or
@@ -399,14 +394,13 @@ def leaf_metric_derivative(
     q = np.asarray(q, dtype=float)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     w = np.asarray(w, dtype=float)
-    T = coefficient_tensors(spec, q)
-    P = T.projections
+    _, pt = _frame_stack(spec, q[None], w[None])
     wnorm = float(np.abs(w).max())
     if wnorm == 0.0:
         return 0.0
-    if float(np.abs(P.P_I @ w - w).max()) > _FREE_BLOCK_TOL * (1.0 + wnorm):
+    P_I = pt.V_I[0] @ pt.Ginv[0] @ pt.gV[0].T
+    if float(np.abs(P_I @ w - w).max()) > _FREE_BLOCK_TOL * (1.0 + wnorm):
         raise NotInDeltaCapGamma("direction w is not a free-block tangent vector")
-    z = P.h @ v
-    dk = np.tensordot(w, T.dk, axes=1)
-    dg = np.tensordot(w, T.dg, axes=1)
-    return float(2.0 * z @ dk @ v - z @ dg @ z)
+    z = pt.h[0] @ v
+    gz_d = (pt.g[0] @ z)[pt.d[0]]
+    return float(z @ pt.dg[0, 0] @ z - 2.0 * gz_d @ (pt.Ainv[0] @ (pt.dOm[0, 0] @ z)))

@@ -36,6 +36,7 @@ Euclidean toy
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -171,6 +172,12 @@ def roller_racer_spec(params: Optional[RollerRacerParams] = None) -> SystemSpec:
     return SystemSpec(N=3, M=1, nu=2, metric=metric, omega=omega)
 
 
+def _racer_w1(params: RollerRacerParams, q: Array) -> Array:
+    """``w1`` of :func:`racer_frame_vectors`, defined everywhere: ``|w1|^2 = 4 rho^2 cos^2 u + 4 sin^2 u``."""
+    a = 2.0 * params.rho * np.cos(q[3])
+    return np.array([a * np.sin(q[1]), 2.0 * np.sin(q[3]), a * np.cos(q[1]), 0.0])
+
+
 def racer_frame_vectors(params: RollerRacerParams, q: Array) -> dict[str, Array]:
     """The published adapted basis ``{w1, v2, v3, v4}`` at ``q``.
 
@@ -188,7 +195,6 @@ def racer_frame_vectors(params: RollerRacerParams, q: Array) -> dict[str, Array]
         raise ChartDomain(f"published Roller Racer frame undefined at sin(q2)={s2.real:.1e}, cos(u)={cu.real:.1e}")
     d0 = rho**2 * cu**2 + (I + J) * su**2
     s2u = np.sin(2.0 * u)
-    w1 = np.array([2.0 * rho * cu * s2, 2.0 * su, 2.0 * rho * cu * c2, 0.0])
     v2 = np.array([I / (rho * s2) * np.tan(u), -1.0, 0.0, 1.0])
     v3 = np.array([-c2 / s2, 0.0, 1.0, 0.0])
     v4 = np.array(
@@ -199,7 +205,7 @@ def racer_frame_vectors(params: RollerRacerParams, q: Array) -> dict[str, Array]
             1.0,
         ]
     )
-    return {"w1": w1, "v2": v2, "v3": v3, "v4": v4}
+    return {"w1": _racer_w1(params, q), "v2": v2, "v3": v3, "v4": v4}
 
 
 def racer_denominators(params: RollerRacerParams, u: float) -> tuple[float, float]:
@@ -324,15 +330,14 @@ def _racer_averaged_field(params: RollerRacerParams) -> Callable[[float, float],
 def _racer_embed(params: RollerRacerParams, g: Array):
     def embed(y: Array, u: float) -> tuple[Array, Array]:
         q = np.array([y[0], y[1], y[2], u])
-        w1 = racer_frame_vectors(params, q)["w1"]
-        return q, float(y[3]) * (g @ w1)
+        return q, float(y[3]) * (g @ _racer_w1(params, q))
 
     return embed
 
 
 def _racer_extract(params: RollerRacerParams, g: Array):
     def extract(q: Array, p_I: Array) -> Array:
-        w1 = racer_frame_vectors(params, q)["w1"]
+        w1 = _racer_w1(params, q)
         return np.array([q[0], q[1], q[2], (p_I @ w1) / (w1 @ g @ w1)])
 
     return extract
@@ -559,12 +564,17 @@ def model_names() -> tuple[str, ...]:
 def build_model(name: str, **options: float) -> ModelBundle:
     """Instantiate a registered model by name; ``options`` set ``metric_perturb`` or fields of its ``*Params`` class.
 
-    Options the model refuses (an unknown name, or values its ``SystemSpec`` rejects) raise ``ModelError``.
+    Options the model refuses (an unknown name, a string, a boolean for an option whose default is not one, or
+    values its ``SystemSpec`` rejects) raise ``ModelError``.
     """
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise ModelError(f"unknown model {name!r}; available: {', '.join(model_names())}") from None
+    flags = {key for key, p in inspect.signature(builder).parameters.items() if isinstance(p.default, bool)}
+    for key, value in options.items():
+        if isinstance(value, str) or (isinstance(value, bool) and key not in flags):
+            raise ModelError(f"bad options for model {name!r}: {key} must be a {'boolean' if key in flags else 'number'}")
     try:
         return builder(**options)
     except (TypeError, ValueError) as exc:

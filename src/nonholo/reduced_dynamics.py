@@ -24,10 +24,11 @@ the frame's transport: no coefficient tensors.  The frame is built from
 :func:`~nonholo.simulate.integrate` steps every run this way, each RK4 stage
 running the kernel of ``frame_rhs`` directly.  The kernel's point half depends
 on ``q`` alone and its velocity half adds ``qdot`` and ``xidot``, so every
-pointwise entry evaluates each point once; the fitness scans read ``Psi`` off
-it, stacked (:func:`_psi_stack`).  The coefficient tensors and the ambient
-forms built on them (:func:`reduced_rhs`, :func:`reaction_force`,
-:func:`centrifugal_psi`) are the reference the frame forms are checked against.
+pointwise entry evaluates each point once.  One closed form on stacked point
+halves gives their quadratic form in the velocity (:func:`_maggi_form`), which
+:func:`frame_coefficients`, :func:`centrifugal_psi` and the scans read.  The
+coefficient tensors and the forms built on them (:func:`theta_I_apply`,
+:func:`reduced_rhs`, :func:`reaction_force`) are only the reference.
 
 Derivatives come in two kinds.  Those of the model callbacks ``metric`` and
 ``omega`` are complex-step derivatives: each callback is called once on the
@@ -62,6 +63,7 @@ from .core_geometry import (
     _complex_safe,
     _constraint_svd,
     _eye,
+    _frame_stack,
     _norm,
     _not_complex_safe,
     _pivot_layouts,
@@ -173,17 +175,13 @@ class ControlSignal:
 
 @dataclass(frozen=True)
 class CoefficientTensors:
-    """Point data for the quadratic momentum equation at one configuration.
+    """Point data for the quadratic momentum equation at one configuration: the reference the frame forms are checked against.
 
     ``dPstar_I[j]``, ``dginv[j]`` and ``dg[j]`` are the coordinate-``j``
     derivatives of the free coprojection, the inverse metric and the metric;
-    ``dk[j]`` that of the covector lift.  They are exact functions of the
-    splitting at the point and of the callbacks' complex-step derivatives,
-    so exact to rounding (see :class:`~nonholo.core_geometry.SystemSpec`).
-    Build once per evaluation point and share across the several
-    quadratic-form contractions needed there.  Tensors built for many points
-    at once carry one leading axis over the points on every field, like
-    their ``projections``.
+    ``dk[j]`` that of the covector lift, exact to rounding (see
+    :class:`~nonholo.core_geometry.SystemSpec`).  Tensors built for many
+    points at once carry one leading axis over the points on every field.
     """
 
     projections: ProjectionSet
@@ -264,44 +262,48 @@ def theta_I_apply(
     return out - 0.5 * (P.Pstar_I @ grad[..., None])[..., 0]
 
 
-def centrifugal_psi(
-    spec: SystemSpec,
-    q: Array,
-    udot: Array,
-    tensors: Optional[CoefficientTensors] = None,
-) -> Array:
-    """Pure control-rate momentum source ``theta_I[k udot, k udot]``.
+def centrifugal_psi(spec: SystemSpec, q: Array, udot: Array) -> Array:
+    """Pure control-rate momentum source ``theta_I[k udot, k udot]``, read off Maggi's form (:func:`_psi_stack`).
 
     This covector vanishing identically (for all ``q`` and ``udot``) is the
-    computable signature of a system that tolerates control jumps.  Like
-    :func:`theta_I_apply` it broadcasts over leading axes of ``udot`` and of
-    stacked ``tensors``.
+    computable signature of a system that tolerates control jumps.  It
+    broadcasts over leading axes of ``udot``.
     """
-    T = tensors if tensors is not None else coefficient_tensors(spec, q)
-    drive = (T.projections.k @ np.atleast_1d(np.asarray(udot, dtype=float))[..., None])[..., 0]
-    return theta_I_apply(spec, q, drive, drive, tensors=T)
+    _, pt = _frame_stack(spec, np.asarray(q, dtype=float)[None], _eye(spec.dim))
+    udot = np.atleast_1d(np.asarray(udot, dtype=float))
+    return np.einsum("...a,...b,abn->...n", udot, udot, _psi_stack(pt)[0])
+
+
+def _maggi_form(pt: SimpleNamespace, free: bool = False) -> Array:
+    """Maggi's quadratic form ``work[a, b]`` ``(S, K, K, m)`` (:func:`frame_coefficients`) on the point halves ``pt`` of
+    ``_frame_stack`` with ``D = I``, on ``qdot = F z``: ``F = h`` (``K = M``), or with ``free`` ``F = [V_I | h]``."""
+    F = np.concatenate([pt.V_I, pt.h], axis=2) if free else pt.h
+    (S, n, K), m, nu = F.shape, pt.V_I.shape[2], pt.Ainv.shape[1]
+    FT = F.transpose(0, 2, 1)
+    # the frame's transport along each F_b, on its pivot rows (its other rows are 0)
+    dOm_F = (FT @ pt.dOm.reshape(S, n, nu * n)).reshape(S, K, nu, n)
+    dV_d = -(pt.Ainv[:, None] @ (dOm_F @ pt.V_I[:, None]))
+    gF_d = (pt.g @ F)[np.arange(S)[:, None], pt.d]
+    X = gF_d.transpose(0, 2, 1)[:, None] @ dV_d  # X[:, b, a, m] = <g F_a, dV_b[:, m]>
+    # (d_j g)[F_a, F_b] on every axis j, then along V_I
+    dg_FF = (FT[:, None] @ pt.dg @ F[:, None]).reshape(S, n, K * K)
+    dg_V = (pt.V_I.transpose(0, 2, 1) @ dg_FF).reshape(S, m, K, K).transpose(0, 2, 3, 1)
+    work = 0.5 * (X + X.transpose(0, 2, 1, 3)) + 0.5 * dg_V
+    if free:
+        # Gdot[:, b] = Gdot_b, symmetric; its V_I^T g dV_b is X[:, b, :m] (F's first m columns are V_I)
+        Gdot = X[:, :, :m] + X[:, :, :m].transpose(0, 1, 3, 2) + (FT @ dg_FF).reshape(S, K, K, K)[:, :, :m, :m]
+        work[:, :m] -= 0.5 * Gdot.transpose(0, 2, 1, 3)
+        work[:, :, :m] -= 0.5 * Gdot
+    return work
 
 
 def _psi_stack(pt: SimpleNamespace) -> Array:
     """``Psi[a, b] = theta_I[k e_a, k e_b]`` ``(S, M, M, N+M)`` on the point halves ``pt`` of ``_frame_stack`` with ``D = I``.
 
-    At ``xi = 0`` and ``qdot = h e``, Maggi's equations (:func:`frame_rhs`) give ``G xidot = work`` and the free
-    momentum's rate ``g V_I xidot``, which is ``Psi[e, e]``.  So ``Psi[a, b] = g V_I G^-1 work_ab`` with ``work_ab``
-    the polarization of ``work`` on the drive columns ``h_a``, ``h_b``: ``<g h_a, dV_b>`` symmetrized, plus
-    ``1/2 (d_{V_m} g)[h_a, h_b]``, with the frame's transport ``dV_b[d] = -A_d^-1 (d_{h_b} Om) V_I``, ``dV_b[r] = 0``.
+    At ``xi = 0`` and ``qdot = h e`` Maggi's equations give ``G xidot = work[e, e]`` (:func:`_maggi_form` on ``F =
+    h``) and the free momentum's rate ``g V_I xidot``, which is ``Psi[e, e]``: so ``Psi[a, b] = g V_I G^-1 work_ab``.
     """
-    (S, n, M), m, nu = pt.h.shape, pt.V_I.shape[2], pt.Ainv.shape[1]
-    hT = pt.h.transpose(0, 2, 1)
-    # the frame's transport along each h_b, on its pivot rows (its other rows are 0)
-    dOm_h = (hT @ pt.dOm.reshape(S, n, nu * n)).reshape(S, M, nu, n)
-    dV_d = -(pt.Ainv[:, None] @ (dOm_h @ pt.V_I[:, None]))
-    k_d = (pt.g @ pt.h)[np.arange(S)[:, None], pt.d]
-    X = k_d.transpose(0, 2, 1)[:, None] @ dV_d  # X[:, b, a, m] = <g h_a, dV_b[:, m]>
-    # (d_j g)[h_a, h_b] on every axis j, then along V_I
-    dg_hh = (hT[:, None] @ pt.dg @ pt.h[:, None]).reshape(S, n, M * M)
-    dg_V = (pt.V_I.transpose(0, 2, 1) @ dg_hh).reshape(S, m, M, M).transpose(0, 2, 3, 1)
-    work = 0.5 * (X + X.transpose(0, 2, 1, 3)) + 0.5 * dg_V
-    return work @ (pt.gV @ pt.Ginv).transpose(0, 2, 1)[:, None]
+    return _maggi_form(pt) @ (pt.gV @ pt.Ginv).transpose(0, 2, 1)[:, None]
 
 
 def _read_control(fn: TimeFn, t: float, what: str) -> Array:
@@ -581,32 +583,20 @@ def _closed_rhs(
 def frame_coefficients(spec: SystemSpec, q: Array) -> dict[str, Array]:
     """Quadratic structure of the frame momentum equation at ``q``.
 
-    ``xidot`` is exactly quadratic in ``z = (xi, udot)``; one
-    polarization of :func:`frame_rhs` over the unit vectors of ``z`` gives its
-    symmetric form ``B``, whose blocks are:
+    ``xidot`` is exactly quadratic in ``z = (xi, udot)``.  On the generic frame best at ``q`` and ``qdot = F z``, ``F =
+    [V_I | h]``, Maggi's equations (:func:`frame_rhs`) give ``G xidot = sum_ab z_a z_b work_ab`` in closed form::
 
-    * ``"xi_xi"``     -- shape ``(m, m, m)``, pure free-velocity terms;
-    * ``"xi_udot"``   -- shape ``(m, m, M)``, momentum/control-rate coupling;
-    * ``"udot_udot"`` -- shape ``(m, M, M)``, pure control-rate pump.
+        work_ab = 1/2 (<g F_a, dV_b> + <g F_b, dV_a>) + 1/2 (d_{V_m} g)[F_a, F_b] - 1/2 (Gdot_b e_a + Gdot_a e_b)
+        Gdot_b  = dV_b^T g V_I + V_I^T g dV_b + V_I^T (d_{F_b} g) V_I,     dV_b[d] = -A_d^-1 (d_{F_b} Om) V_I
 
-    The controlled coordinates of ``q`` serve as the control value.  Each
-    polarization runs the velocity half of Maggi's equations on one point
-    half (:func:`_maggi_point`, on the generic frame best at ``q``).
+    (``e_a = 0`` past the free columns, ``dV_b[r] = 0``).  The symmetric form ``B = G^-1 work`` has the blocks
+    ``"xi_xi"`` ``(m, m, m)``, pure free-velocity terms; ``"xi_udot"`` ``(m, m, M)``, the momentum/control-rate
+    coupling ``2 B[xi, udot]``; and ``"udot_udot"`` ``(m, M, M)``, the pure control-rate pump.  The controlled
+    coordinates of ``q`` serve as the control value.  Each callback runs once, on ``q + i H [0; I_n]``.
     """
     q = np.asarray(q, dtype=float)
     _check_adapted(spec, q, 0.0, ControlSignal.constant(q[spec.N :]))
-    with _complex_safe():
-        pt = _maggi_point(spec, q)
+    _, pt = _frame_stack(spec, q[None], _eye(spec.dim))
+    B = np.moveaxis((_maggi_form(pt, free=True) @ pt.Ginv.transpose(0, 2, 1)[:, None])[0], -1, 0)
     m = spec.N - spec.nu
-    E = np.eye(m + spec.M)
-
-    def f(z: Array) -> Array:
-        return _maggi_flow(pt, z[:m], z[m:]).xidot
-
-    diag = [f(e) for e in E]
-    B = np.zeros((m, len(E), len(E)))
-    for r in range(len(E)):
-        B[:, r, r] = diag[r]
-        for c in range(r + 1, len(E)):
-            B[:, r, c] = B[:, c, r] = 0.5 * (f(E[r] + E[c]) - diag[r] - diag[c])
     return {"xi_xi": B[:, :m, :m], "xi_udot": 2.0 * B[:, :m, m:], "udot_udot": B[:, m:, m:]}

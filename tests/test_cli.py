@@ -262,6 +262,29 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "bad options for model 'euclidean-toy'" in err and "transversality needs nu <= N" in err
 
+    @pytest.mark.parametrize("model, option, value", [
+        ("roller-racer", "rho", "abc"),
+        ("rolling-ball", "radius", "true"),
+        ("euclidean-toy", "constrained", "yes"),
+    ])
+    def test_mistyped_option_is_a_model_error_naming_it(self, tmp_path, capsys, model, option, value):
+        """A string option, or a boolean for a numeric one, exits 3 naming the option.
+
+        ``rho = abc`` used to reach the callbacks and be blamed on them (not
+        complex-safe); ``radius = true`` ran as radius 1.0.
+        """
+        cfg = write_cfg(tmp_path, f"model.name = {model}\nmodel.{option} = {value}\n")
+        assert main(["check-fit", "--config", cfg, "--out", str(tmp_path / "x.txt"), "--samples", "5"]) == 3
+        err = capsys.readouterr().err
+        assert f"bad options for model '{model}'" in err and f"{option} must be" in err
+
+    def test_well_typed_options_still_build(self, tmp_path):
+        """An integer for a float option and a boolean flag are accepted."""
+        cfg = parse_config(write_cfg(tmp_path, "model.name = roller-racer\nmodel.inertia = 2\n"))
+        assert model_from_config(cfg).params.inertia == 2
+        cfg = parse_config(write_cfg(tmp_path, "model.name = euclidean-toy\nmodel.constrained = true\n", "toy.cfg"))
+        assert model_from_config(cfg).spec.nu == 1
+
     def test_unknown_control_family(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -429,10 +452,12 @@ class TestOracleCompareCommand:
 
 
 class TestVibrateCommand:
-    def test_sweep_runs_and_reports_ratios(self, tmp_path):
+    @pytest.mark.parametrize("u_bar", ["0.0", "1.5707963267948966"])
+    def test_sweep_runs_and_reports_ratios(self, tmp_path, u_bar):
+        """Also at ``u_bar = pi/2``, where the published frame's ``v2``, ``v3`` are undefined but ``w1`` is not (it exited 3)."""
         cfg = write_cfg(
             tmp_path,
-            "model.name = roller-racer\nvibrate.u_bar = 0.0\nvibrate.K = 1.0\n"
+            f"model.name = roller-racer\nvibrate.u_bar = {u_bar}\nvibrate.K = 1.0\n"
             "vibrate.eps_list = 0.1, 0.05\nvibrate.horizon = 1.0\n",
         )
         out = tmp_path / "sweep.txt"

@@ -21,7 +21,7 @@ from nonholo.jump_analysis import (
     theta_on_III_scan,
 )
 from nonholo.models import build_model, racer_frame_vectors, roller_racer_spec
-from nonholo.reduced_dynamics import _psi_stack, centrifugal_psi, coefficient_tensors
+from nonholo.reduced_dynamics import _psi_stack, centrifugal_psi, coefficient_tensors, theta_I_apply
 
 from conftest import counting_spec, nan_derivative_spec, random_system, sample_points, stacked, tensor_stack
 
@@ -488,7 +488,7 @@ class TestPsiForm:
 
     @pytest.mark.parametrize("case", range(6))
     def test_matches_tensor_path(self, case):
-        """``Psi[e, e]`` equals ``centrifugal_psi(..., tensors=coefficient_tensors(...))`` to 1e-14 of ``1 + |Psi[e, e]|``.
+        """``Psi[e, e]`` equals the tensor path's ``theta_I[k e, k e]`` to 1e-14 of ``1 + |Psi[e, e]|``.
 
         Unit seeds: the canonical ones and random draws.  The stack crosses
         the pivot groups of its box: three on the racer, two on the random
@@ -504,7 +504,7 @@ class TestPsiForm:
         for i, q in enumerate(Q):
             T = coefficient_tensors(spec, q)
             for e in seeds:
-                ref = centrifugal_psi(spec, q, e, tensors=T)
+                ref = theta_I_apply(spec, q, T.projections.k @ e, T.projections.k @ e, tensors=T)
                 got = np.einsum("a,b,abn->n", e, e, Psi[i])
                 assert np.abs(got - ref).max() <= 1e-14 * (1.0 + np.abs(ref).max())
 
@@ -663,6 +663,18 @@ class TestSufficiency:
                 assert scan.verdict == "fit"
 
 
+def leaf_cases():
+    """``(spec, points)``: both shipped models with and without a metric bump and two random systems, 10 points each."""
+    out = []
+    for name in ("roller-racer", "rolling-ball"):
+        for perturb in (0.0, 0.05):
+            bundle = build_model(name, metric_perturb=perturb)
+            out.append((bundle.spec, sample_points(bundle, 10, seed=79)))
+    for spec in (random_system(8, M=2), random_system(3, N=4, M=1, nu=2)):
+        out.append((spec, np.random.default_rng(80).uniform(-1.0, 1.0, (10, spec.dim))))
+    return out
+
+
 class TestLeafMetricDerivative:
     def test_zero_inputs_give_zero(self, racer):
         q = np.array([0.0, 1.2, 0.0, 0.3])
@@ -675,6 +687,19 @@ class TestLeafMetricDerivative:
         v2 = racer_frame_vectors(racer.params, q)["v2"]
         with pytest.raises(NotInDeltaCapGamma):
             leaf_metric_derivative(racer.spec, q, np.ones(1), v2)
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_matches_tensor_formula(self, case):
+        """The frame formula matches the tensor one, ``sum_j w_j (2 z^T dk[j] v - z^T dg[j] z)``, to 1e-13 of ``1 + |ref|``."""
+        spec, points = leaf_cases()[case]
+        gen = np.random.default_rng(21)
+        for q in points:
+            T = coefficient_tensors(spec, q)
+            v = gen.uniform(-1.0, 1.0, size=spec.M)
+            w = T.projections.I_basis @ gen.uniform(-1.0, 1.0, size=spec.N - spec.nu)
+            z = T.projections.h @ v
+            ref = float(2.0 * z @ np.tensordot(w, T.dk, axes=1) @ v - z @ np.tensordot(w, T.dg, axes=1) @ z)
+            assert abs(leaf_metric_derivative(spec, q, v, w) - ref) <= 1e-13 * (1.0 + abs(ref))
 
     @pytest.mark.parametrize("name", ["roller-racer", "rolling-ball"])
     @pytest.mark.parametrize("perturb", [0.0, 0.05])

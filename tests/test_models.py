@@ -266,6 +266,21 @@ class TestRollerRacer:
         with pytest.raises(SingularDenominator):
             build_model("roller-racer", rho=1e-6).averaged_field(0.0, 1.0)
 
+    @pytest.mark.parametrize("q", [[0.2, 0.0, -0.1, 0.4], [0.2, 1.1, -0.1, np.pi / 2]])
+    def test_closed_state_is_defined_off_the_published_frames_chart(self, racer, q):
+        """``extract_closed`` and ``embed_closed`` need ``w1`` alone, so they work where ``v2``/``v3`` blow up.
+
+        At ``sin q2 = 0`` or ``cos u = 0`` the published frame raises
+        ``ChartDomain``; the closed state is read there and round-trips.
+        """
+        q = np.array(q)
+        with pytest.raises(ChartDomain):
+            racer_frame_vectors(racer.params, q)
+        q_back, p_I = racer.embed_closed(np.array([*q[:3], 0.7]), q[3])
+        assert np.array_equal(q_back, q)
+        y = racer.extract_closed(q, p_I)
+        assert np.array_equal(y[:3], q[:3]) and y[3] == pytest.approx(0.7, rel=1e-15)
+
 
 class TestRacerFields:
     """``closed_field`` reuses its control half while the stage time repeats, and ``averaged_field`` holds one.
