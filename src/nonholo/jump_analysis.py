@@ -20,8 +20,8 @@ signature one direction at a time.
 
 The scans read ``Psi`` off the point half of Maggi's equations on the
 generic frame (Neimark & Fufaev, *Dynamics of Nonholonomic Systems*, 1972),
-:func:`sufficiency_check` the splitting and :func:`leaf_metric_derivative`
-the lift's derivative off the same frame.  All of them go through
+:func:`sufficiency_check` the free coprojection and the inverse metric, and
+:func:`leaf_metric_derivative` the lift's derivative, off the same frame.  All of them go through
 one stacked kernel, which calls each callback once per stack, complex, at
 ``q + i H [0; D]``: row 0 gives the value, the other rows the derivatives
 along ``D`` (every axis for the scans, the controls for
@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_geometry import Array, SystemSpec, _each_point, _eye, _frame_stack, _projection_stack
+from .core_geometry import Array, SystemSpec, _each_point, _eye, _frame_stack
 from .errors import (
     ChartDomain,
     NotInDeltaCapGamma,
@@ -242,7 +242,8 @@ def _scan(
         best = values.argmax(axis=0)
         point_max = values[best, np.arange(evaluated)]
         i = int(point_max.argmax())
-        max_value, worst_point, worst_dir = float(point_max[i]), pts[keep][i], used[best[i], i]
+        # copies: views would pin the whole point and seed stacks to the report
+        max_value, worst_point, worst_dir = float(point_max[i]), pts[keep][i].copy(), used[best[i], i].copy()
         # a direction and its negative give the same quadratic value: report the
         # one whose largest-magnitude entry (the first, on a tie) is positive
         if worst_dir[np.abs(worst_dir).argmax()] < 0.0:
@@ -328,10 +329,11 @@ def sufficiency_check(
 ) -> SufficiencyReport:
     """Evaluate the structural conditions that imply jump fitness.
 
-    Measured over sampled points, from one stacked splitting and the
+    Measured over sampled points, from the stacked point half of Maggi's
+    equations (``Pstar_I = (V_I G^-1 (g V_I)^T)^T`` and ``g^-1``) and the
     complex-step derivatives ``dg_u`` of the metric along the controlled
     coordinates, both from one complex call of each callback on the stack
-    ``q + i H [0; e_u]`` (no coefficient tensors):
+    ``q + i H [0; e_u]`` (no splitting, no coefficient tensors):
 
     * control independence of the inverse metric — the max absolute entry
       of its derivatives ``dginv[u] = -ginv dg_u ginv`` along the
@@ -348,18 +350,19 @@ def sufficiency_check(
     """
     pts = sampler.points(n_samples)
     # the callbacks' derivatives along the controlled coordinates only
-    keep, P, derivs = _projection_stack(spec, pts, _eye(spec.dim)[spec.N :], _SKIPPABLE)
+    keep, pt = _frame_stack(spec, pts, _eye(spec.dim)[spec.N :], _SKIPPABLE)
     max_dg = 0.0
     max_rep = 0.0
-    if P is not None:
+    if pt is not None:
         based, bases = _each_point(lambda Q: (np.asarray(basis_field(Q[0]), dtype=float)[None],), pts[keep], _SKIPPABLE)
         keep[keep] = based
         if bases:
             B = bases[0]
-            rep = B.swapaxes(-1, -2) @ P.Pstar_I[based] @ np.linalg.inv(B).swapaxes(-1, -2)
+            Pstar_I = (pt.V_I @ pt.Ginv @ pt.gV.transpose(0, 2, 1)).transpose(0, 2, 1)  # P_I^T, P_I = V_I G^-1 (g V_I)^T
+            rep = B.swapaxes(-1, -2) @ Pstar_I[based] @ np.linalg.inv(B).swapaxes(-1, -2)
             max_rep = float(np.abs(rep - rep[0]).max())
-            ginv = P.ginv[based][:, None]
-            max_dg = float(np.abs(ginv @ derivs[0][based] @ ginv).max(initial=0.0))
+            ginv = np.linalg.inv(pt.g)[based][:, None]
+            max_dg = float(np.abs(ginv @ pt.dg[based] @ ginv).max(initial=0.0))
     evaluated = int(keep.sum())
     return SufficiencyReport(
         declared_flat=declared_flat,

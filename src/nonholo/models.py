@@ -18,8 +18,9 @@ Roller Racer
     cross-checked against a direct multiplier-based integration of the
     constrained system).  The closed and averaged forms each compose a
     control half (the factors in the steering alone) with a state half; the
-    dithered field reuses its control half while the RK4 stage time repeats,
-    and the averaged field computes its own once.
+    dithered field builds the control halves of a whole block of RK4 stage
+    times at once and looks each stage's up, and the averaged field computes
+    its own once.
 
 Rolling ball
     A ball of radius ``r`` and gyration radius ``kappa`` rolling without
@@ -39,13 +40,14 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core_geometry import Array, SystemSpec
 from .errors import ChartDomain, ModelError, SingularDenominator
-from .reduced_dynamics import _read_control
+from .reduced_dynamics import _read_control, _read_controls
 
 
 @dataclass(frozen=True)
@@ -208,32 +210,60 @@ def racer_frame_vectors(params: RollerRacerParams, q: Array) -> dict[str, Array]
     return {"w1": _racer_w1(params, q), "v2": v2, "v3": v3, "v4": v4}
 
 
+def _squares(x: Array) -> Array:
+    """``x ** 2`` at every entry of ``x``, rounded as Python's float power (C ``pow``).
+
+    NumPy's square is the correctly rounded ``x * x``, which differs from C ``pow`` in about one entry in a thousand.
+    """
+    return np.fromiter(map(math.pow, x.tolist(), repeat(2.0)), float, len(x))
+
+
+def _racer_denominators(params: RollerRacerParams, u: Array) -> tuple[Array, Array, Array, Array]:
+    """``Delta_0``, ``Delta_1`` and ``sin(u)^2`` at every entry of ``u``, and the mask where
+    ``|Delta_1| < 1e-12 (1 + I + J + rho^2)``."""
+    rho, I, J = params.rho, params.inertia, params.tail_inertia
+    su2 = _squares(np.sin(u))
+    d0 = rho**2 * _squares(np.cos(u)) + (I + J) * su2
+    d1 = I + J + rho**2 - (I + J - rho**2) * np.cos(2.0 * u)
+    return d0, d1, su2, np.abs(d1) < 1e-12 * (1.0 + I + J + rho**2)
+
+
 def racer_denominators(params: RollerRacerParams, u: float) -> tuple[float, float]:
     """``(Delta_0, Delta_1)`` with ``Delta_1 = 2 Delta_0`` (an exact identity)."""
-    rho, I, J = params.rho, params.inertia, params.tail_inertia
-    d0 = rho**2 * math.cos(u) ** 2 + (I + J) * math.sin(u) ** 2
-    d1 = I + J + rho**2 - (I + J - rho**2) * math.cos(2.0 * u)
-    return d0, d1
+    d0, d1, _, _ = _racer_denominators(params, np.array([u], dtype=float))
+    return float(d0[0]), float(d1[0])
 
 
 def _racer_denominators_checked(params: RollerRacerParams, u: float) -> tuple[float, float]:
     """:func:`racer_denominators`, raising ``SingularDenominator`` where ``|Delta_1| < 1e-12 (1 + I + J + rho^2)``."""
-    d0, d1 = racer_denominators(params, u)
-    if abs(d1) < 1e-12 * (1.0 + params.inertia + params.tail_inertia + params.rho**2):
-        raise SingularDenominator(f"Delta_1 = {d1:.3e} at u = {u}")
-    return d0, d1
+    d0, d1, _, singular = _racer_denominators(params, np.array([u], dtype=float))
+    if singular[0]:
+        raise SingularDenominator(f"Delta_1 = {d1[0]:.3e} at u = {u}")
+    return float(d0[0]), float(d1[0])
 
 
-def _racer_closed_control(params: RollerRacerParams, u: float, udot: float) -> tuple:
-    """The control half of :func:`roller_racer_closed_rhs`: left prefixes and whole factors of its terms in ``u``, ``u'``."""
+def _racer_closed_controls(params: RollerRacerParams, u: Array, udot: Array) -> list[list[float]]:
+    """The control halves of :func:`roller_racer_closed_rhs` at the entries of ``(u, u')`` before the first singular
+    ``Delta_1`` (at all of them when none is): per entry, the left prefixes and whole factors of its terms.
+    """
     rho, I, J = params.rho, params.inertia, params.tail_inertia
-    d0, d1 = _racer_denominators_checked(params, u)
-    cu, su, s2u = math.cos(u), math.sin(u), math.sin(2.0 * u)
-    return (2.0 * rho * cu, J * rho, s2u, 2.0 * d0, udot, 2.0 * su, J * su**2 / d0 * udot,
-            -(I + J - rho**2) * s2u / d1, 2.0 * J * rho**2 * cu / d1**2 * udot**2)
+    d0, d1, su2, singular = _racer_denominators(params, u)
+    cu, su, s2u = np.cos(u), np.sin(u), np.sin(2.0 * u)
+    columns = np.array((2.0 * rho * cu, np.full(len(u), J * rho), s2u, 2.0 * d0, udot, 2.0 * su, J * su2 / d0 * udot,
+                        -(I + J - rho**2) * s2u / d1, 2.0 * J * rho**2 * cu / _squares(d1) * _squares(udot)))
+    n = int(singular.argmax()) if singular.any() else len(u)
+    return columns[:, :n].T.tolist()
 
 
-def _racer_closed_state(control: tuple, y: Array) -> Array:
+def _racer_closed_control(params: RollerRacerParams, u: float, udot: float) -> list[float]:
+    """The control half of :func:`roller_racer_closed_rhs` at one ``(u, u')``: :func:`_racer_closed_controls`'s."""
+    halves = _racer_closed_controls(params, np.array([u], dtype=float), np.array([udot], dtype=float))
+    if not halves:
+        _racer_denominators_checked(params, u)  # raises SingularDenominator, naming Delta_1 and u
+    return halves[0]
+
+
+def _racer_closed_state(control: list[float], y: Array) -> Array:
     """The state half of :func:`roller_racer_closed_rhs`: ``control`` at ``sin q2``, ``cos q2`` and ``xi``."""
     a, j_rho, s2u, two_d0, udot, b, q2_drift, xi_gain, pump = control
     q2, xi = float(y[1]), float(y[3])
@@ -296,20 +326,41 @@ def roller_racer_averaged_rhs(params: RollerRacerParams, y: Array, u_bar: float,
 
 
 def _racer_closed_field(params: RollerRacerParams) -> Callable[[object], Callable[[float, Array], Array]]:
+    """The racer's closed form under a control, as a field ``f(t, y)`` that looks its control half up by stage time.
+
+    :func:`~nonholo.simulate.rk4_path` hands each block of its stage times to ``f.stage_times``, which reads the
+    control on the whole block and builds their halves at once; ``f.halves`` holds that block alone.  A time it does
+    not hold (a direct call, or the stages from the first refused one on) is read and built alone, and its half
+    replaces the held ones, so repeated calls at one time read the control once.  Either way the half is
+    :func:`_racer_closed_controls`'s, so a stage's value is the pointwise :func:`roller_racer_closed_rhs` bit for bit.
+    """
+
     def make(control: object) -> Callable[[float, Array], Array]:
-        # (t, control half at t): RK4's k2 and k3 share a time, and k4's is the next step's k1
-        last = (None, None)
+        halves: dict = {}  # stage time -> control half
+
+        def stage_times(ts: Array) -> None:
+            """Hold the halves at ``ts`` up to the first refused time: there a complex control, read again alone,
+            raises ``NonAdaptedState``, and a singular ``Delta_1`` raises ``SingularDenominator``."""
+            first = halves.get(float(ts[0]))  # the last block's last time: its half is built already
+            halves.clear()
+            if first is not None:
+                halves[float(ts[0])], ts = first, ts[1:]
+            u = _read_controls(control.value, ts, "value")
+            udot = None if u is None else _read_controls(control.rate, ts, "rate")
+            if udot is not None:
+                halves.update(zip(ts.tolist(), _racer_closed_controls(params, u[:, 0], udot[:, 0])))
 
         def f(t: float, y: Array) -> Array:
-            nonlocal last
-            t_last, half = last
-            if t_last != t:
+            half = halves.get(t)
+            if half is None:
                 u = float(_read_control(control.value, t, "value")[0])
                 udot = float(_read_control(control.rate, t, "rate")[0])
                 half = _racer_closed_control(params, u, udot)
-                last = (t, half)
+                halves.clear()
+                halves[t] = half
             return _racer_closed_state(half, y)
 
+        f.stage_times, f.halves = stage_times, halves
         return f
 
     return make

@@ -79,8 +79,12 @@ _FLOAT = np.dtype(float)
 class ControlSignal:
     """Prescribed control trajectory with two derivatives.
 
-    ``value``, ``rate`` and ``accel`` map a time to arrays of shape ``(M,)``.
-    Use the constructors below rather than building the callables by hand.
+    ``value``, ``rate`` and ``accel`` map a time to arrays of shape ``(M,)``,
+    and a column of ``K`` times (shape ``(K, 1)``) to arrays of shape
+    ``(K, M)`` whose rows are the calls at each time, bit for bit.  A closed
+    form's field reads a whole block of stage times in one such call (see
+    :func:`~nonholo.simulate.rk4_path`).  Use the constructors below rather
+    than building the callables by hand.
     """
 
     value: TimeFn
@@ -91,7 +95,11 @@ class ControlSignal:
     def constant(u: object) -> "ControlSignal":
         u0 = np.atleast_1d(np.asarray(u, dtype=float))
         zero = np.zeros_like(u0)
-        return ControlSignal(lambda t: u0.copy(), lambda t: zero.copy(), lambda t: zero.copy())
+
+        def held(v: Array) -> TimeFn:
+            return lambda t: v.copy() if type(t) is float or not np.ndim(t) else np.tile(v, (len(t), 1))
+
+        return ControlSignal(held(u0), held(zero), held(zero))
 
     @staticmethod
     def polynomial(coeffs: object, t0: float = 0.0) -> "ControlSignal":
@@ -102,7 +110,12 @@ class ControlSignal:
         d2 = [p.deriv(2) for p in polys]
 
         def ev(ps):
-            return lambda t: np.array([p(t - t0) for p in ps])
+            def fn(t):
+                if type(t) is float or not np.ndim(t):
+                    return np.array([p(t - t0) for p in ps])
+                return np.concatenate([p(t - t0) for p in ps], axis=1)  # a column of times: a column per channel
+
+            return fn
 
         return ControlSignal(ev(polys), ev(d1), ev(d2))
 
@@ -166,11 +179,17 @@ class ControlSignal:
         def clamp(t: float) -> float:
             return min(1.0, max(0.0, (t - t0) / duration))
 
+        # a column of times is read time by time: the powers in s, ds and dds round as Python's, unlike NumPy's
         return ControlSignal(
-            lambda t: a + (b - a) * s(clamp(t)),
-            lambda t: (b - a) * (ds(clamp(t)) / duration if 0.0 < clamp(t) < 1.0 else 0.0),
-            lambda t: (b - a) * (dds(clamp(t)) / duration**2 if 0.0 < clamp(t) < 1.0 else 0.0),
+            _time_by_time(lambda t: a + (b - a) * s(clamp(t))),
+            _time_by_time(lambda t: (b - a) * (ds(clamp(t)) / duration if 0.0 < clamp(t) < 1.0 else 0.0)),
+            _time_by_time(lambda t: (b - a) * (dds(clamp(t)) / duration**2 if 0.0 < clamp(t) < 1.0 else 0.0)),
         )
+
+
+def _time_by_time(fn: TimeFn) -> TimeFn:
+    """``fn`` at one time, and on a column of times its calls at each, stacked as rows."""
+    return lambda t: fn(t) if type(t) is float or not np.ndim(t) else np.array([fn(x) for x in t[:, 0].tolist()])
 
 
 @dataclass(frozen=True)
@@ -317,6 +336,19 @@ def _read_control(fn: TimeFn, t: float, what: str) -> Array:
             raise NonAdaptedState(f"control {what} is complex at t = {t}")
         u = u.astype(float)
     return u if u.ndim else u[None]
+
+
+def _read_controls(fn: TimeFn, ts: Array, what: str) -> Optional[Array]:
+    """``fn`` on the column of times ``ts[:, None]``, the control's ``what`` there as a float ``(K, M)`` array.
+
+    ``None`` if it is complex: :func:`_read_control`, time by time, then refuses it at the first time it is.
+    """
+    u = np.asarray(fn(ts[:, None]))
+    if u.dtype.kind == "c":
+        return None
+    if u.ndim != 2 or len(u) != len(ts):
+        raise ValueError(f"control {what} maps a column of {len(ts)} times to shape {u.shape}, not ({len(ts)}, M)")
+    return u.astype(float, copy=False)
 
 
 def _check_adapted(spec: SystemSpec, q: Array, t: float, control: ControlSignal) -> Array:

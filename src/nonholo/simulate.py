@@ -28,12 +28,18 @@ moved the state.
 
 The module also hosts the vibrational-control experiments: sweeping the
 dither scale ``eps`` against a model's averaged dynamics, and an independent
-two-timescale measurement of the averaged momentum pump.
+two-timescale measurement of the averaged momentum pump.  They step a
+model's closed forms with :func:`rk4_path`, which runs its steps in blocks of
+``_STAGE_BLOCK``.  A field with a ``stage_times`` hook is handed each block's
+distinct stage times before the block is stepped, so it can read the control
+on the whole block at once (a :class:`~nonholo.reduced_dynamics.ControlSignal`
+takes a column of times) and look each stage's control half up.
 """
 
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -280,22 +286,47 @@ def integrate(
     )
 
 
+#: RK4 steps whose stage times :func:`rk4_path` announces to a field's ``stage_times`` hook at once
+_STAGE_BLOCK = 128
+
+
+def _check_step_count(key: str, value: object) -> None:
+    """``ValueError`` unless ``value`` is an integer: a float, even a whole one, or a bool is not a step count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def rk4_path(
     f: Callable[[float, Array], Array],
     y0: Array,
     t_span: tuple[float, float],
     nsteps: int,
 ) -> Array:
-    """Plain fixed-step RK4 endpoint for a closed-form field ``f(t, y)``; ``nsteps`` must be at least 1."""
+    """Plain fixed-step RK4 endpoint for a closed-form field ``f(t, y)``; ``nsteps`` must be an integer, at least 1.
+
+    The steps run in blocks of ``_STAGE_BLOCK``.  The step times accumulate as ``t += dt`` from ``t0``, and a
+    step's stages run at ``t``, ``t + 0.5 * dt`` (k2 and k3) and ``t + dt`` (k4, the next step's ``t``).  If ``f``
+    has a ``stage_times`` hook, it is handed each block's distinct stage times in order, the ``2B + 1`` floats
+    ``t_0, t_0 + 0.5 dt, t_1, ..., t_B`` of its ``B`` steps, before the block is stepped.
+    """
+    _check_step_count("nsteps", nsteps)
     if nsteps < 1:
         raise ValueError(f"nsteps must be at least 1, got {nsteps!r}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     dt = (t1 - t0) / nsteps
     y = np.array(y0, dtype=float)
+    hook = getattr(f, "stage_times", None)
     t = t0
-    for _ in range(nsteps):
-        y = _rk4_step(f, t, y, dt, f(t, y))
-        t += dt
+    for start in range(0, nsteps, _STAGE_BLOCK):
+        # the block's step times, t and then t += dt at each step (accumulate adds in order)
+        times = np.add.accumulate(np.r_[t, np.full(min(_STAGE_BLOCK, nsteps - start), dt)])
+        if hook is not None:
+            stages = np.empty(2 * len(times) - 1)
+            stages[0::2], stages[1::2] = times, times[:-1] + 0.5 * dt
+            hook(stages)
+        for t in times[:-1].tolist():
+            y = _rk4_step(f, t, y, dt, f(t, y))
+        t = float(times[-1])
     return y
 
 
@@ -410,12 +441,15 @@ def two_timescale_coefficient(
     fast periods and reads the mean drift rate of the final state component
     (the pumped momentum coordinate); compares with the averaged field's
     prediction at the initial state.  An ``eps``, ``periods`` or
-    ``steps_per_period`` that is not positive and finite, or a ``u_bar`` or
-    ``K`` that is not finite, is a ``ValueError``.
+    ``steps_per_period`` that is not positive and finite, a ``periods`` or
+    ``steps_per_period`` that is not an integer, or a ``u_bar`` or ``K``
+    that is not finite, is a ``ValueError``.
     """
     if model.closed_field is None or model.averaged_field is None:
         raise ModelError(f"model {model.name!r} has no closed-form/averaged dynamics")
     _check_dither_inputs(u_bar, K, ("eps", eps), ("periods", periods), ("steps_per_period", steps_per_period))
+    _check_step_count("periods", periods)
+    _check_step_count("steps_per_period", steps_per_period)
     y0 = np.asarray(y0, dtype=float)
     horizon = periods * 2.0 * np.pi * eps
     control = ControlSignal.dither(u_bar, K, eps)

@@ -92,12 +92,15 @@ def counting_spec(spec, calls):
 
 
 def counting_control(control, name="value"):
-    """``control`` whose ``name`` (``value``, ``rate`` or ``accel``) records each time it is called at, and that list."""
+    """``control`` whose ``name`` (``value``, ``rate`` or ``accel``) records each time it is called at, and that list.
+
+    A call on a column of times records each of its times.
+    """
     calls = []
     fn = getattr(control, name)
 
     def counted(t):
-        calls.append(t)
+        calls.extend(np.ravel(t).tolist())
         return fn(t)
 
     return dataclasses.replace(control, **{name: counted}), calls

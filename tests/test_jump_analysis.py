@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nonholo import jump_analysis
-from nonholo.core_geometry import SystemSpec, _frame_stack, projection_set
+from nonholo.core_geometry import SystemSpec, _eye, _frame_stack, _projection_stack, projection_set
 from nonholo.errors import ChartDomain, ModelError, NotInDeltaCapGamma, RankDeficiency, SingularDenominator, SingularMetric
 from nonholo.jump_analysis import (
     GRAY_FACTOR,
@@ -192,6 +192,13 @@ class TestScans:
         assert rep.max_value == 0.0
         assert rep.sample_count == 5
         assert rep.worst_point is None
+
+    @pytest.mark.parametrize("scan", [psi_scan, theta_on_III_scan])
+    def test_witness_arrays_own_their_data(self, racer, scan):
+        """The worst point and direction are copies: views pinned the whole point and seed stacks to the report."""
+        rep = scan(racer.spec, BoxSampler(racer.sample_box, seed=0), n_samples=40)
+        for witness in (rep.worst_point, rep.worst_direction):
+            assert witness.base is None and witness.flags.owndata
 
     def test_gray_band_is_inconclusive(self, racer):
         """A tolerance placed just under the witness maximum refuses a verdict."""
@@ -583,6 +590,21 @@ class TestSufficiency:
         rep = sufficiency_check(spec, bundle.constancy_basis, BoxSampler(bundle.sample_box, seed=4), n_samples=S)
         assert rep.sample_count == S
         assert dict(calls) == {("metric", "complex", (S, M + 1, n)): 1, ("omega", "complex", (S, M + 1, n)): 1}
+
+    @pytest.mark.parametrize("name", ["roller-racer", "rolling-ball"])
+    def test_reads_off_the_point_half_what_the_splitting_gives(self, name):
+        """Off ``_frame_stack`` alone, the observed values are bitwise those of the full stacked splitting."""
+        bundle = build_model(name)
+        spec, S = bundle.spec, 30
+        rep = sufficiency_check(spec, bundle.constancy_basis, BoxSampler(bundle.sample_box, seed=4), n_samples=S)
+        pts = BoxSampler(bundle.sample_box, seed=4).points(S)
+        keep, P, (dg, _) = _projection_stack(spec, pts, _eye(spec.dim)[spec.N :])
+        B = np.array([bundle.constancy_basis(q) for q in pts[keep]])
+        ref = B.swapaxes(-1, -2) @ P.Pstar_I @ np.linalg.inv(B).swapaxes(-1, -2)
+        ginv = P.ginv[:, None]
+        assert rep.sample_count == S == int(keep.sum())
+        assert rep.representation_constancy.observed == float(np.abs(ref - ref[0]).max())
+        assert rep.metric_control_dependence.observed == float(np.abs(ginv @ dg @ ginv).max())
 
     def test_toy_conditions_hold(self, toy_constrained):
         rep = sufficiency_check(

@@ -283,7 +283,7 @@ class TestRollerRacer:
 
 
 class TestRacerFields:
-    """``closed_field`` reuses its control half while the stage time repeats, and ``averaged_field`` holds one.
+    """``closed_field`` looks its control half up by stage time, and ``averaged_field`` holds one.
 
     Each must give the values of the pointwise functions bit for bit.
     """
@@ -319,12 +319,41 @@ class TestRacerFields:
     @pytest.mark.parametrize("t_complex", [0.0, 0.05])
     def test_closed_field_refuses_a_complex_control(self, racer, what, t_complex, caller_ignores_complex_warning):
         """A complex ``value`` or ``rate``, from the first stage or a later one, is refused by name, as ``integrate``
-        refuses it; the field would otherwise go on with the real part."""
+        refuses it; the field would otherwise go on with the real part.
+
+        The control is complex from ``t_complex`` on, on a single time or on any column of times that reaches it.
+        """
         base = ControlSignal.sinusoid(0.1, 0.3, 3.0)
         fn = getattr(base, what)
-        control = dataclasses.replace(base, **{what: lambda t: fn(t) + (0.5j if t >= t_complex else 0.0)})
+        control = dataclasses.replace(base, **{what: lambda t: fn(t) + (0.5j if np.any(t >= t_complex) else 0.0)})
         with pytest.raises(NonAdaptedState, match=f"^control {what} is complex at t = "):
             rk4_path(racer.closed_field(control), np.array([0.0, 1.2, 0.0, 0.4]), (0.0, 0.1), 10)
+
+    def test_closed_halves_round_as_the_scalar_formula(self):
+        """On 5000 random ``(u, u')`` the vectorized halves are the scalar formula's bit for bit, squares included.
+
+        The reference is the formula as written term by term in Python floats, its squares by Python's float power,
+        its sines and cosines NumPy's.  NumPy's ``x * x`` square differs from that power in about one entry in a
+        thousand, so a vectorized square would show here.
+        """
+        p = RollerRacerParams(rho=0.8, inertia=1.7, tail_inertia=0.6)
+        rho, I, J = p.rho, p.inertia, p.tail_inertia
+        rng = np.random.default_rng(11)
+        u, udot = rng.uniform(-1.5, 1.5, 5000), rng.normal(size=5000)
+        ref = []
+        for x, xdot in zip(u.tolist(), udot.tolist()):
+            cu, su, s2u, c2u = (float(np.cos(x)), float(np.sin(x)), float(np.sin(2.0 * x)), float(np.cos(2.0 * x)))
+            d0 = rho**2 * cu**2 + (I + J) * su**2
+            d1 = I + J + rho**2 - (I + J - rho**2) * c2u
+            ref.append([2.0 * rho * cu, J * rho, s2u, 2.0 * d0, xdot, 2.0 * su, J * su**2 / d0 * xdot,
+                        -(I + J - rho**2) * s2u / d1, 2.0 * J * rho**2 * cu / d1**2 * xdot**2])
+        assert models._racer_closed_controls(p, u, udot) == ref
+
+    def test_closed_field_refuses_a_control_that_ignores_a_column_of_times(self, racer):
+        """A hand-built control that answers a column of times with one ``(M,)`` row is refused by its shape."""
+        control = ControlSignal(lambda t: np.array([0.3]), lambda t: np.zeros(1), lambda t: np.zeros(1))
+        with pytest.raises(ValueError, match=r"^control value maps a column of 3 times to shape \(1,\), not \(3, M\)$"):
+            rk4_path(racer.closed_field(control), np.array([0.0, 1.2, 0.0, 0.4]), (0.0, 0.1), 1)
 
     def test_averaged_field_equals_averaged_rhs(self, racer):
         rng = np.random.default_rng(5)

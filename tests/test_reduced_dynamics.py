@@ -143,6 +143,35 @@ class TestControlSignal:
         assert sig.value(0.5).shape == (3,)
         assert sig.value(0.5) == pytest.approx([2.0, -0.5, 3.0])
 
+    @staticmethod
+    def signals_with(M):
+        """One signal of each constructor with ``M`` channels; the ramp's window is ``[0.2, 1.2]``."""
+        rng = np.random.default_rng(M)
+        a, b = rng.uniform(-1.0, 1.0, (2, M))
+        return {
+            "constant": ControlSignal.constant(a),
+            "polynomial": ControlSignal.polynomial(rng.uniform(-1.0, 1.0, (M, 4)), t0=0.2),
+            "linear": ControlSignal.linear(a, b, t0=-0.3),
+            "sinusoid": ControlSignal.sinusoid(a, b, 3.7, phase=0.2),
+            "dither": ControlSignal.dither(a, b, 0.05),
+            "ramp": ControlSignal.ramp(a, b, 0.2, 1.0),
+        }
+
+    @pytest.mark.parametrize("M", [1, 2])
+    @pytest.mark.parametrize("name", sorted(SIGNALS))
+    def test_a_column_of_times_gives_the_scalar_calls_bitwise(self, M, name):
+        """A ``(K, 1)`` column of times gives ``(K, M)``, row ``k`` bitwise the call at time ``k``.
+
+        The times put the ramp before, at the start of, inside, at the end of and after its window.
+        """
+        sig = self.signals_with(M)[name]
+        ts = np.array([-0.7, 0.0, 0.2, 0.2 + 1e-9, 0.45, 0.7, 1.1, 1.2, 1.5, 3.0])
+        for what in ("value", "rate", "accel"):
+            fn = getattr(sig, what)
+            column = fn(ts[:, None])
+            assert column.shape == (len(ts), M)
+            assert column.tobytes() == np.array([fn(t) for t in ts.tolist()]).tobytes()
+
 
 # ---------------------------------------------------------------------------
 # quadratic momentum form

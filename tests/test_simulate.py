@@ -20,10 +20,11 @@ from nonholo.errors import (
     NonAdaptedState,
     NotInDeltaCapGamma,
     RankDeficiency,
+    SingularDenominator,
     SingularMetric,
     StepRejected,
 )
-from nonholo.models import build_model, racer_frame_vectors, roller_racer_closed_rhs
+from nonholo.models import RollerRacerParams, build_model, racer_frame_vectors, roller_racer_closed_rhs
 from nonholo.reduced_dynamics import ControlSignal, reduced_rhs
 from nonholo.simulate import (
     IntegratorConfig,
@@ -35,6 +36,8 @@ from nonholo.simulate import (
 )
 
 from conftest import ball_free_block, counting_control, counting_spec, nan_control_column_spec, nan_derivative_spec, random_system
+
+B = simulate._STAGE_BLOCK  # rk4_path's steps per block of stage times
 
 
 def midstep_fault_spec(fault):
@@ -786,21 +789,26 @@ class TestRk4Order:
         e2 = np.linalg.norm(rk4_path(f, y0, (0.0, 1.0), 100) - ref)
         assert 12.0 < e1 / e2 < 20.0
 
-    @pytest.mark.parametrize("nsteps", [50, 100, 800])
-    def test_closed_field_path_is_bitwise_the_pointwise_path(self, racer, nsteps):
-        """``closed_field`` reuses the control half at repeated stage times and changes no bit of the path."""
+    @pytest.mark.parametrize("nsteps", [1, 50, 100, B - 1, B, B + 1, 2 * B + 3, 800])
+    @pytest.mark.parametrize("t_span", [(0.0, 1.0), (0.3, 1.7)])
+    def test_closed_field_path_is_bitwise_the_pointwise_path(self, racer, nsteps, t_span):
+        """``closed_field``'s blocks of control halves change no bit of the path, at every block edge and from a
+        ``t0`` other than 0."""
         control = ControlSignal.sinusoid(0.1, 0.3, 3.0)
 
         def f(t, y):
             return roller_racer_closed_rhs(racer.params, y, float(control.value(t)[0]), float(control.rate(t)[0]))
 
         y0 = np.array([0.0, 1.2, 0.0, 0.4])
-        got = rk4_path(racer.closed_field(control), y0, (0.0, 1.0), nsteps)
-        assert got.tobytes() == rk4_path(f, y0, (0.0, 1.0), nsteps).tobytes()
+        got = rk4_path(racer.closed_field(control), y0, t_span, nsteps)
+        assert got.tobytes() == rk4_path(f, y0, t_span, nsteps).tobytes()
 
-    @pytest.mark.parametrize("nsteps", [1, 100])
+    @pytest.mark.parametrize("nsteps", [1, 100, 2 * B + 3])
     def test_closed_field_reads_the_control_once_per_stage_time(self, racer, nsteps):
-        """An ``n``-step path has ``2n + 1`` distinct stage times: k2 and k3 share one, and k4's is the next k1's."""
+        """An ``n``-step path has ``2n + 1`` distinct stage times: k2 and k3 share one, and k4's is the next k1's.
+
+        Every time of a column read counts, and a block's last time is not read again as the next block's first.
+        """
         control, calls = counting_control(ControlSignal.sinusoid(0.1, 0.3, 3.0))
         rk4_path(racer.closed_field(control), np.array([0.0, 1.2, 0.0, 0.4]), (0.0, 1.0), nsteps)
         assert len(calls) == len(set(calls)) == 2 * nsteps + 1
@@ -826,6 +834,114 @@ class TestRk4Order:
         e1 = np.linalg.norm(endpoint(1e-2) - ref)
         e2 = np.linalg.norm(endpoint(5e-3) - ref)
         assert 10.0 < e1 / e2 < 22.0
+
+
+def step_time(t0, dt, step):
+    """The time of step ``step`` of a path from ``t0``: ``t += dt`` ``step`` times."""
+    t = t0
+    for _ in range(step):
+        t += dt
+    return t
+
+
+class StageSpy:
+    """``f`` that records the time of every stage call and passes its ``stage_times`` on."""
+
+    def __init__(self, f):
+        self.f, self.times = f, []
+
+    def stage_times(self, ts):
+        self.f.stage_times(ts)
+
+    def __call__(self, t, y):
+        self.times.append(t)
+        return self.f(t, y)
+
+
+class TestStageBlocks:
+    """``rk4_path`` announces each block's stage times to a field's ``stage_times`` hook, and the racer's closed field
+    builds the block's control halves at once: the path keeps the pointwise path's bits and its refusals."""
+
+    Y0 = np.array([0.1, 1.2, -0.3, 0.4])
+
+    @pytest.mark.parametrize("nsteps", [1, B, 2 * B + 3])
+    def test_the_hook_gets_every_stage_time_block_by_block(self, nsteps):
+        """Each block's ``2 B' + 1`` times, in order, are its stages' own, and its last is the next block's first."""
+        blocks, stages = [], []
+
+        class Field:
+            def stage_times(self, ts):
+                blocks.append(ts.tolist())
+
+            def __call__(self, t, y):
+                stages.append((len(blocks), t))
+                return -y
+
+        rk4_path(Field(), np.ones(2), (0.3, 1.7), nsteps)
+        sizes = [min(B, nsteps - start) for start in range(0, nsteps, B)]
+        assert [len(ts) for ts in blocks] == [2 * size + 1 for size in sizes]
+        assert all(ts == sorted(ts) and ts[-1] == nxt[0] for ts, nxt in zip(blocks, blocks[1:]))
+        for i, ts in enumerate(blocks, start=1):
+            assert sorted(set(t for block, t in stages if block == i)) == ts
+        assert blocks[-1][-1] == step_time(0.3, (1.7 - 0.3) / nsteps, nsteps)
+
+    def test_the_field_holds_at_most_one_block(self, racer):
+        f = racer.closed_field(ControlSignal.dither(0.2, 1.1, 0.01))
+        held, hook = [], f.stage_times
+
+        def recording(ts):
+            hook(ts)
+            held.append(len(f.halves))
+
+        f.stage_times = recording
+        rk4_path(f, self.Y0, (0.0, 1.0), 3 * B + 5)
+        assert held == [2 * B + 1] * 3 + [11]
+        assert len(f.halves) == 11
+
+    @pytest.mark.parametrize("what", ["value", "rate"])
+    @pytest.mark.parametrize("step", [3, B + 7])
+    def test_a_complex_control_is_refused_at_its_first_stage_time(self, racer, what, step, caller_ignores_complex_warning):
+        """From the mid-stage of ``step`` on, in the first block or a later one, the control is complex: the error
+        names that time, the steps before it are taken, and the field refuses it again afterwards."""
+        nsteps = 2 * B + 3
+        dt = (1.7 - 0.3) / nsteps
+        t_bad = step_time(0.3, dt, step) + 0.5 * dt
+        base = ControlSignal.sinusoid(0.1, 0.3, 3.0)
+        fn = getattr(base, what)
+        control = dataclasses.replace(base, **{what: lambda t: fn(t) + (0.5j if np.any(t >= t_bad) else 0.0)})
+        f = StageSpy(racer.closed_field(control))
+        message = f"^control {what} is complex at t = {re.escape(repr(t_bad))}$"
+        with pytest.raises(NonAdaptedState, match=message):
+            rk4_path(f, self.Y0, (0.3, 1.7), nsteps)
+        assert f.times[-1] == t_bad and len(f.times) == 4 * step + 2 and max(f.times[:-1]) < t_bad
+        with pytest.raises(NonAdaptedState, match=message):
+            f(t_bad, self.Y0)
+
+    @pytest.mark.parametrize("step", [3, B + 7])
+    def test_a_singular_delta_1_is_refused_at_its_first_stage_time(self, step):
+        """From the mid-stage of ``step`` on the steering sits within 1e-9 of ``pi/2``, where ``Delta_1 ~ 4e-13`` with
+        ``I = J = 1e-13``: the error names the steering there, exactly ``pi/2``, as the pointwise path's does, and is
+        raised again afterwards."""
+        p = RollerRacerParams(rho=1.0, inertia=1e-13, tail_inertia=1e-13)
+        nsteps = 2 * B + 3
+        dt = (1.7 - 0.3) / nsteps
+        t_bad = step_time(0.3, dt, step) + 0.5 * dt
+        control = dataclasses.replace(
+            ControlSignal.constant(0.1), value=lambda t: np.where(t >= t_bad, np.pi / 2 + (t - t_bad) * 1e-9, 0.1) * np.ones(1)
+        )
+        f = StageSpy(build_model("roller-racer", rho=1.0, inertia=1e-13, tail_inertia=1e-13).closed_field(control))
+        message = f"at u = {re.escape(repr(np.pi / 2))}$"
+        with pytest.raises(SingularDenominator, match=message):
+            rk4_path(f, self.Y0, (0.3, 1.7), nsteps)
+        assert f.times[-1] == t_bad and len(f.times) == 4 * step + 2 and max(f.times[:-1]) < t_bad
+        with pytest.raises(SingularDenominator, match=message):
+            f(t_bad, self.Y0)
+
+        def pointwise(t, y):
+            return roller_racer_closed_rhs(p, y, float(control.value(t)[0]), float(control.rate(t)[0]))
+
+        with pytest.raises(SingularDenominator, match=message):
+            rk4_path(pointwise, self.Y0, (0.3, 1.7), nsteps)
 
 
 class TestOneStepper:
@@ -864,6 +980,13 @@ class TestOneStepper:
         with pytest.raises(ValueError, match="nsteps must be at least 1"):
             rk4_path(lambda t, y: calls.append(t) or -y, np.ones(2), (0.0, 1.0), nsteps)
         assert calls == step_calls == []
+
+    @pytest.mark.parametrize("nsteps", [3.0, 2.5, True])
+    def test_rk4_path_rejects_a_step_count_that_is_not_an_integer(self, step_calls, nsteps):
+        """It used to die in ``range`` with a bare ``TypeError`` (or, for ``True``, run one step)."""
+        with pytest.raises(ValueError, match=re.escape(f"nsteps must be an integer, got {nsteps!r}")):
+            rk4_path(lambda t, y: -y, np.ones(2), (0.0, 1.0), nsteps)
+        assert step_calls == []
 
     def test_two_timescale_with_no_periods_is_a_value_error(self, racer):
         with pytest.raises(ValueError, match="periods must be positive and finite, got 0"):
@@ -933,6 +1056,9 @@ class TestDitherExperiments:
             ({"eps": np.inf}, "eps must be positive and finite, got inf"),
             ({"periods": -2}, "periods must be positive and finite, got -2"),
             ({"steps_per_period": 0}, "steps_per_period must be positive and finite, got 0"),
+            ({"periods": 2.0}, "periods must be an integer, got 2.0"),
+            ({"periods": 2.5}, "periods must be an integer, got 2.5"),
+            ({"steps_per_period": 60.0}, "steps_per_period must be an integer, got 60.0"),
             ({"u_bar": np.inf}, "u_bar must be finite"),
             ({"K": np.nan}, "K must be finite"),
         ],
