@@ -41,13 +41,17 @@ import inspect
 import math
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core_geometry import Array, SystemSpec
 from .errors import ChartDomain, ModelError, SingularDenominator
 from .reduced_dynamics import _read_control, _read_controls
+
+#: a right-hand side ``f(t, y)`` for :func:`~nonholo.simulate.rk4_path`: ``y`` is a list of floats, and ``f``
+#: returns ``len(y)`` floats
+Field = Callable[[float, list[float]], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,8 @@ class ModelBundle:
     model-level flatness declaration that the structural test cannot decide
     numerically.  ``closed_field`` / ``averaged_field`` build right-hand sides
     of the model's closed-form and averaged reduced systems when it has them
-    (state ``(q1, q2, q3, xi)`` for the Roller Racer).  ``embed_closed`` /
+    (state ``(q1, q2, q3, xi)`` for the Roller Racer), as fields for
+    :func:`~nonholo.simulate.rk4_path`: a list of floats in, a list out.  ``embed_closed`` /
     ``extract_closed`` convert between that closed state and ambient
     ``(q, p_I)`` pairs; ``extract_closed`` is linear in ``p_I`` and
     complex-safe, which ``oracle-compare`` needs to differentiate it.
@@ -107,8 +112,8 @@ class ModelBundle:
     frame_field: None = None  # inert: perfbench/spans.py passes it to dataclasses.replace (ROADMAP item 1)
     constancy_basis: Optional[Callable[[Array], Array]] = None
     declared_flat: bool = False
-    closed_field: Optional[Callable[[object], Callable[[float, Array], Array]]] = None
-    averaged_field: Optional[Callable[[float, float], Callable[[float, Array], Array]]] = None
+    closed_field: Optional[Callable[[object], Field]] = None
+    averaged_field: Optional[Callable[[float, float], Field]] = None
     embed_closed: Optional[Callable[[Array, float], tuple[Array, Array]]] = None
     extract_closed: Optional[Callable[[Array, Array], Array]] = None
 
@@ -263,19 +268,17 @@ def _racer_closed_control(params: RollerRacerParams, u: float, udot: float) -> l
     return halves[0]
 
 
-def _racer_closed_state(control: list[float], y: Array) -> Array:
+def _racer_closed_state(control: list[float], y: Sequence[float]) -> list[float]:
     """The state half of :func:`roller_racer_closed_rhs`: ``control`` at ``sin q2``, ``cos q2`` and ``xi``."""
     a, j_rho, s2u, two_d0, udot, b, q2_drift, xi_gain, pump = control
     q2, xi = float(y[1]), float(y[3])
     s2, c2 = math.sin(q2), math.cos(q2)
-    return np.array(
-        [
-            a * s2 * xi - j_rho * s2 * s2u / two_d0 * udot,
-            b * xi - q2_drift,
-            a * c2 * xi - j_rho * c2 * s2u / two_d0 * udot,
-            xi_gain * xi * udot + pump,
-        ]
-    )
+    return [
+        a * s2 * xi - j_rho * s2 * s2u / two_d0 * udot,
+        b * xi - q2_drift,
+        a * c2 * xi - j_rho * c2 * s2u / two_d0 * udot,
+        xi_gain * xi * udot + pump,
+    ]
 
 
 def roller_racer_closed_rhs(params: RollerRacerParams, y: Array, u: float, udot: float) -> Array:
@@ -295,7 +298,7 @@ def roller_racer_closed_rhs(params: RollerRacerParams, y: Array, u: float, udot:
     It composes a control half in ``(u, u')``, with the ``Delta_1`` test, and
     a state half in ``(q2, xi)``; each term rounds as written above.
     """
-    return _racer_closed_state(_racer_closed_control(params, u, udot), y)
+    return np.array(_racer_closed_state(_racer_closed_control(params, u, udot), y))
 
 
 def _racer_averaged_control(params: RollerRacerParams, u_bar: float, K: float) -> tuple:
@@ -306,11 +309,11 @@ def _racer_averaged_control(params: RollerRacerParams, u_bar: float, K: float) -
     return 2.0 * rho * cu, 2.0 * su, J * rho**2 * cu * K**2 / d1**2
 
 
-def _racer_averaged_state(control: tuple, y: Array) -> Array:
+def _racer_averaged_state(control: tuple, y: Sequence[float]) -> list[float]:
     """The state half of :func:`roller_racer_averaged_rhs`: ``control`` at ``sin q2``, ``cos q2`` and ``xi``."""
     a, b, pump = control
     q2, xi = float(y[1]), float(y[3])
-    return np.array([a * math.sin(q2) * xi, b * xi, a * math.cos(q2) * xi, pump])
+    return [a * math.sin(q2) * xi, b * xi, a * math.cos(q2) * xi, pump]
 
 
 def roller_racer_averaged_rhs(params: RollerRacerParams, y: Array, u_bar: float, K: float) -> Array:
@@ -322,12 +325,14 @@ def roller_racer_averaged_rhs(params: RollerRacerParams, y: Array, u_bar: float,
     ``<u'^2> = K^2/2`` times its coefficient).  It composes a control half in
     ``(u_bar, K)``, with the closed form's ``Delta_1`` test, and a state half.
     """
-    return _racer_averaged_state(_racer_averaged_control(params, u_bar, K), y)
+    return np.array(_racer_averaged_state(_racer_averaged_control(params, u_bar, K), y))
 
 
-def _racer_closed_field(params: RollerRacerParams) -> Callable[[object], Callable[[float, Array], Array]]:
+def _racer_closed_field(params: RollerRacerParams) -> Callable[[object], Field]:
     """The racer's closed form under a control, as a field ``f(t, y)`` that looks its control half up by stage time.
 
+    ``f`` follows :func:`~nonholo.simulate.rk4_path`'s field contract: it takes ``y = (q1, q2, q3, xi)`` as a list of
+    floats (any sequence works) and returns the four rates as a list of floats, never an ndarray.
     :func:`~nonholo.simulate.rk4_path` hands each block of its stage times to ``f.stage_times``, which reads the
     control on the whole block and builds their halves at once; ``f.halves`` holds that block alone.  A time it does
     not hold (a direct call, or the stages from the first refused one on) is read and built alone, and its half
@@ -335,7 +340,7 @@ def _racer_closed_field(params: RollerRacerParams) -> Callable[[object], Callabl
     :func:`_racer_closed_controls`'s, so a stage's value is the pointwise :func:`roller_racer_closed_rhs` bit for bit.
     """
 
-    def make(control: object) -> Callable[[float, Array], Array]:
+    def make(control: object) -> Field:
         halves: dict = {}  # stage time -> control half
 
         def stage_times(ts: Array) -> None:
@@ -350,7 +355,7 @@ def _racer_closed_field(params: RollerRacerParams) -> Callable[[object], Callabl
             if udot is not None:
                 halves.update(zip(ts.tolist(), _racer_closed_controls(params, u[:, 0], udot[:, 0])))
 
-        def f(t: float, y: Array) -> Array:
+        def f(t: float, y: Sequence[float]) -> list[float]:
             half = halves.get(t)
             if half is None:
                 u = float(_read_control(control.value, t, "value")[0])
@@ -366,11 +371,11 @@ def _racer_closed_field(params: RollerRacerParams) -> Callable[[object], Callabl
     return make
 
 
-def _racer_averaged_field(params: RollerRacerParams) -> Callable[[float, float], Callable[[float, Array], Array]]:
-    def make(u_bar: float, K: float) -> Callable[[float, Array], Array]:
+def _racer_averaged_field(params: RollerRacerParams) -> Callable[[float, float], Field]:
+    def make(u_bar: float, K: float) -> Field:
         half = _racer_averaged_control(params, u_bar, K)
 
-        def f(t: float, y: Array) -> Array:
+        def f(t: float, y: Sequence[float]) -> list[float]:
             return _racer_averaged_state(half, y)
 
         return f

@@ -34,6 +34,15 @@ model's closed forms with :func:`rk4_path`, which runs its steps in blocks of
 distinct stage times before the block is stepped, so it can read the control
 on the whole block at once (a :class:`~nonholo.reduced_dynamics.ControlSignal`
 takes a column of times) and look each stage's control half up.
+
+The stepper works on Python lists of floats, not arrays: on a 4-entry state,
+NumPy's per-operation dispatch costs more than the arithmetic.  So a field
+``f(t, y)`` gets ``y`` as a list of floats and returns ``len(y)`` floats; a
+return of another length raises ``ValueError``.  Each entry rounds as the
+array expression of classical RK4 does, so the list stepper gives the array
+stepper's bits.  :func:`rk4_path` takes an array ``y0`` (1-D) and a finite
+``t_span`` and returns an array; :func:`integrate`'s stage converts at its
+boundary.
 """
 
 from __future__ import annotations
@@ -42,13 +51,13 @@ import csv
 import numbers
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core_geometry import Array, SystemSpec, _complex_safe, _norm
 from .errors import ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
-from .models import ModelBundle
+from .models import Field, ModelBundle
 from .reduced_dynamics import (
     PIVOT_COND,
     ControlSignal,
@@ -132,12 +141,21 @@ class Trajectory:
                 writer.writerow([repr(float(x)) for x in row])
 
 
-def _rk4_step(f: Callable[[float, Array], Array], t: float, y: Array, dt: float, k1: Array) -> Array:
-    """One classical RK4 step of ``y' = f(t, y)``; the caller supplies ``k1 = f(t, y)``."""
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(f: Field, t: float, y: list[float], dt: float, k1: Sequence[float]) -> list[float]:
+    """One classical RK4 step of ``y' = f(t, y)`` on a list of floats; the caller supplies ``k1 = f(t, y)``.
+
+    Each entry rounds as the array expression ``y + 0.5 * dt * k1``, ..., ``y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3
+    + k4)`` does.  A stage of another length than ``y`` raises ``ValueError``, naming both lengths.
+    """
+    h = 0.5 * dt
+    k2 = f(t + h, [a + h * b for a, b in zip(y, k1)])
+    k3 = f(t + h, [a + h * b for a, b in zip(y, k2)])
+    k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3)])
+    if not len(y) == len(k1) == len(k2) == len(k3) == len(k4):
+        bad = next(len(k) for k in (k1, k2, k3, k4) if len(k) != len(y))
+        raise ValueError(f"the field returned {bad} entries for a state of {len(y)}")
+    w = dt / 6.0
+    return [a + w * (((b + 2.0 * c) + 2.0 * d) + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
 
 
 def _frame_diagnostics(pt: SimpleNamespace, st: SimpleNamespace, xi: Array, uddot: Array) -> tuple:
@@ -230,13 +248,14 @@ def integrate(
     out_xi = np.empty((nsteps + 1, m))
     last = (None, None)  # (t, controls(t)) of the last stage: k2 and k3 share a time
 
-    def stage(t: float, y: Array) -> Array:
+    def stage(t: float, y: list[float]) -> list[float]:
         nonlocal last
         if last[0] != t:
             last = (t, controls(t))
         u, udot = last[1]
+        y = np.array(y)
         st = _maggi_flow(_maggi_point(spec, np.concatenate([y[:N], u]), frame), y[N:], udot)
-        return np.concatenate([st.qdot[:N], st.xidot])
+        return np.concatenate([st.qdot[:N], st.xidot]).tolist()
 
     with _complex_safe():
         # the state is y = [q_free, xi]; the point data at t0 give xi (p0 = g V_I xi) and the first step's stage k1
@@ -277,7 +296,7 @@ def integrate(
                 break
 
             # stage k1 is the sample's own right-hand side
-            y = _rk4_step(stage, t, y, dt, np.concatenate([st.qdot[:N], st.xidot]))
+            y = np.array(_rk4_step(stage, t, y.tolist(), dt, np.concatenate([st.qdot[:N], st.xidot]).tolist()))
 
     meta = {"dt": dt, "representation": cfg.representation, "t_span": (t0, t1), "pivots": pivots}
     return Trajectory(
@@ -296,13 +315,13 @@ def _check_step_count(key: str, value: object) -> None:
         raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
-def rk4_path(
-    f: Callable[[float, Array], Array],
-    y0: Array,
-    t_span: tuple[float, float],
-    nsteps: int,
-) -> Array:
+def rk4_path(f: Field, y0: Array, t_span: tuple[float, float], nsteps: int) -> Array:
     """Plain fixed-step RK4 endpoint for a closed-form field ``f(t, y)``; ``nsteps`` must be an integer, at least 1.
+
+    ``f`` gets ``y`` as a list of floats and returns ``len(y)`` floats (a list, or any sequence of that length); a
+    return of another length raises ``ValueError`` naming both lengths.  ``y0`` must be 1-D and ``t_span`` finite,
+    else ``ValueError``; the endpoint is an ndarray.  Each step rounds as the array expression of classical RK4 does
+    (see ``_rk4_step``).
 
     The steps run in blocks of ``_STAGE_BLOCK``.  The step times accumulate as ``t += dt`` from ``t0``, and a
     step's stages run at ``t``, ``t + 0.5 * dt`` (k2 and k3) and ``t + dt`` (k4, the next step's ``t``).  If ``f``
@@ -313,8 +332,13 @@ def rk4_path(
     if nsteps < 1:
         raise ValueError(f"nsteps must be at least 1, got {nsteps!r}")
     t0, t1 = float(t_span[0]), float(t_span[1])
-    dt = (t1 - t0) / nsteps
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValueError(f"non-finite integration span ({t0}, {t1})")
     y = np.array(y0, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"y0 must be 1-D, got shape {y.shape}")
+    y = y.tolist()
+    dt = (t1 - t0) / nsteps
     hook = getattr(f, "stage_times", None)
     t = t0
     for start in range(0, nsteps, _STAGE_BLOCK):
@@ -327,7 +351,7 @@ def rk4_path(
         for t in times[:-1].tolist():
             y = _rk4_step(f, t, y, dt, f(t, y))
         t = float(times[-1])
-    return y
+    return np.array(y)
 
 
 def _check_dither_inputs(u_bar: object, K: object, *positive: tuple[str, float]) -> None:

@@ -298,7 +298,7 @@ class TestRacerFields:
         f = racer.closed_field(control)
         rng = np.random.default_rng(3)
         for t, y in [(0.2, rng.normal(size=4)), (0.7, rng.normal(size=4)), (0.2, rng.normal(size=4))]:
-            assert f(t, y).tobytes() == self.fresh(racer, control, t, y).tobytes()
+            assert np.array(f(t, y)).tobytes() == self.fresh(racer, control, t, y).tobytes()
 
     def test_closed_field_reuses_the_control_at_a_repeated_time(self, racer):
         control, calls = counting_control(ControlSignal.sinusoid(0.1, 0.3, 3.0))
@@ -362,7 +362,7 @@ class TestRacerFields:
             f = racer.averaged_field(u_bar, K)
             for y in rng.normal(size=(3, 4)):
                 ref = roller_racer_averaged_rhs(racer.params, y, u_bar, K)
-                assert f(rng.normal(), y).tobytes() == ref.tobytes()
+                assert np.array(f(rng.normal(), y)).tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -875,7 +875,7 @@ class TestStageBlocks:
 
             def __call__(self, t, y):
                 stages.append((len(blocks), t))
-                return -y
+                return [-v for v in y]
 
         rk4_path(Field(), np.ones(2), (0.3, 1.7), nsteps)
         sizes = [min(B, nsteps - start) for start in range(0, nsteps, B)]
@@ -944,6 +944,50 @@ class TestStageBlocks:
             rk4_path(pointwise, self.Y0, (0.3, 1.7), nsteps)
 
 
+def array_rk4_step(f, t, y, dt, k1):
+    """Classical RK4 on ndarrays, in the association of the one stepper's former array expression."""
+    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestListStepper:
+    """``_rk4_step`` steps lists of floats, and each entry rounds as the array expression does: every path keeps its
+    bits."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_step_is_the_array_step_bit_for_bit(self, seed):
+        """200 random steps of a nonlinear field, states of 1 to 8 entries spread over six decades."""
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+
+            def field(t, y):
+                return np.cos(t * y) @ A + y * y
+
+            t, dt = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-4.0, 0.0)
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+            got = simulate._rk4_step(lambda t, y: field(t, np.array(y)).tolist(), t, y.tolist(), dt, field(t, y).tolist())
+            assert np.array(got).tobytes() == array_rk4_step(field, t, y, dt, field(t, y)).tobytes()
+
+    def test_a_dithered_racer_path_is_the_array_path_bit_for_bit(self, racer):
+        """``3 B + 5`` steps of ``closed_field`` under a dither against the pointwise form stepped on ndarrays."""
+        control = ControlSignal.dither(0.2, 1.1, 0.01)
+        y0, nsteps = np.array([0.1, 1.2, -0.3, 0.4]), 3 * B + 5
+        dt = (1.7 - 0.3) / nsteps
+
+        def pointwise(t, y):
+            return roller_racer_closed_rhs(racer.params, y, float(control.value(t)[0]), float(control.rate(t)[0]))
+
+        ref, t = y0, 0.3
+        for _ in range(nsteps):
+            ref = array_rk4_step(pointwise, t, ref, dt, pointwise(t, ref))
+            t += dt
+        assert rk4_path(racer.closed_field(control), y0, (0.3, 1.7), nsteps).tobytes() == ref.tobytes()
+
+
 class TestOneStepper:
     """Every integrator path advances through the single ``_rk4_step``."""
 
@@ -969,7 +1013,7 @@ class TestOneStepper:
         assert step_calls == list(traj.t[:-1])
 
     def test_rk4_path_calls_it_once_per_step(self, step_calls):
-        y = rk4_path(lambda t, y: -y, np.ones(2), (0.0, 1.0), 7)
+        y = rk4_path(lambda t, y: [-v for v in y], np.ones(2), (0.0, 1.0), 7)
         assert len(step_calls) == 7
         assert np.abs(y - np.exp(-1.0)).max() < 1e-4
 
@@ -986,6 +1030,33 @@ class TestOneStepper:
         """It used to die in ``range`` with a bare ``TypeError`` (or, for ``True``, run one step)."""
         with pytest.raises(ValueError, match=re.escape(f"nsteps must be an integer, got {nsteps!r}")):
             rk4_path(lambda t, y: -y, np.ones(2), (0.0, 1.0), nsteps)
+        assert step_calls == []
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_a_stage_of_another_length_is_refused(self, step_calls, size):
+        """A field with other than ``len(y)`` entries raises, naming both lengths, at the first step; it used to
+        broadcast silently (a 1-entry field on a 3-entry state gave ``[2, 2, 2]``)."""
+        with pytest.raises(ValueError, match=rf"^the field returned {size} entries for a state of 3$"):
+            rk4_path(lambda t, y: np.ones(size), np.ones(3), (0.0, 1.0), 3)
+        assert step_calls == [0.0]
+
+    def test_a_stage_that_changes_length_mid_step_is_refused(self):
+        """Only stage k4 is short: the step is refused, not truncated to the short stage."""
+        with pytest.raises(ValueError, match=r"^the field returned 1 entries for a state of 2$"):
+            rk4_path(lambda t, y: [1.0] if t == 1.0 else [1.0, 1.0], np.ones(2), (0.0, 1.0), 1)
+
+    @pytest.mark.parametrize("y0", [np.ones((2, 2)), np.float64(1.0), [[1.0], [2.0]]])
+    def test_rk4_path_refuses_a_y0_that_is_not_1d(self, step_calls, y0):
+        with pytest.raises(ValueError, match=r"^y0 must be 1-D, got shape \("):
+            rk4_path(lambda t, y: y, y0, (0.0, 1.0), 3)
+        assert step_calls == []
+
+    @pytest.mark.parametrize("t_span", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 0.0)])
+    def test_rk4_path_refuses_a_non_finite_span(self, racer, step_calls, t_span):
+        """As ``integrate`` does; ``(0, nan)`` used to return an all-NaN endpoint and ``(0, inf)`` to die in the field
+        with "math domain error"."""
+        with pytest.raises(ValueError, match=r"^non-finite integration span \("):
+            rk4_path(racer.averaged_field(0.1, 1.0), np.array([0.0, 1.2, 0.0, 0.4]), t_span, 3)
         assert step_calls == []
 
     def test_two_timescale_with_no_periods_is_a_value_error(self, racer):
