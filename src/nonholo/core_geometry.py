@@ -285,7 +285,8 @@ def _complex_front(spec: SystemSpec, Z: Array) -> tuple[Array, Array, Array, Arr
     become ``ModelError``.  Returns ``(G, Om, dG, dOm)`` with one leading
     axis over the points: row 0's real parts, bit for bit the real call, and
     the other rows' imaginary parts over ``H``.  ``G`` passes
-    :func:`_cholesky_spd` and ``dG`` the symmetry test.
+    :func:`_cholesky_spd`, ``dG`` the symmetry test, and ``Om`` must be
+    finite (else ``ModelError``).
     """
     try:
         Gz, Omz = _callback(spec, "metric", Z), _callback(spec, "omega", Z)
@@ -298,6 +299,8 @@ def _complex_front(spec: SystemSpec, Z: Array) -> tuple[Array, Array, Array, Arr
     dG, dOm = Gz[:, 1:].imag / COMPLEX_STEP, Omz[:, 1:].imag / COMPLEX_STEP
     _cholesky_spd(G)
     _check_symmetric(dG, "metric derivative")
+    if np.count_nonzero(np.isfinite(Om)) < Om.size:  # the rank tests see the constraint block only
+        raise ModelError("omega is not finite")
     return G, Om, dG, dOm
 
 
@@ -337,13 +340,11 @@ def _constraint_svd(spec: SystemSpec, Q: Array, Om: Array, skip: SkipTypes = ())
     """Mask of the points whose constraint block ``Om[i, :, :N]`` has ``nu`` singular values above ``RANK_RTOL`` times its largest.
 
     Elsewhere transversality fails: ``RankDeficiency`` is raised, or, when it is in ``skip``, the point's entry is
-    ``False``.  Non-finite forms raise ``ModelError``.
+    ``False``.
     """
     nu = spec.nu
     if nu == 0:
         return np.ones(len(Om), dtype=bool)
-    if not np.isfinite(Om).all():
-        raise ModelError("omega is not finite")
     try:
         s = np.linalg.svd(Om[:, :, : spec.N], compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -359,15 +360,17 @@ def _constraint_svd(spec: SystemSpec, Q: Array, Om: Array, skip: SkipTypes = ())
 
 
 @lru_cache(maxsize=None)
-def _pivot_layouts(N: int, nu: int, n: int) -> tuple[Array, Array]:
-    """Read-only ``(subsets, others)``: the pivot choices ``d``, the ``nu``-subsets of the ``N`` passive coordinates in
-    lexicographic order, and for each the other coordinates ``r`` of the ``n``, in order."""
+def _pivot_layouts(N: int, nu: int, n: int) -> tuple[Array, Array, tuple[Array, ...]]:
+    """Read-only ``(subsets, others, bases)``: the pivot choices ``d``, the ``nu``-subsets of the ``N`` passive
+    coordinates in lexicographic order, for each the other coordinates ``r`` of the ``n``, in order, and the base ``E =
+    I[:, r]`` of its frame's ``V[r] = I``, in the F order fancy indexing leaves, by which matmuls with ``V`` round."""
     subsets = list(itertools.combinations(range(N), nu))
     others = [[j for j in range(n) if j not in d] for d in subsets]
     layouts = np.array(subsets, dtype=int).reshape(len(subsets), nu), np.array(others, dtype=int)
-    for A in layouts:
+    bases = tuple(_eye(n)[:, r] for r in layouts[1])
+    for A in (*layouts, *bases):
         A.flags.writeable = False
-    return layouts
+    return (*layouts, bases)
 
 
 def _frobenius(X: Array) -> Array:
@@ -405,8 +408,8 @@ def _frame_stack(spec: SystemSpec, Q: Array, D: Array, skip: SkipTypes = ()) -> 
     point's pivots ``d`` (:func:`_best_pivots`) give its frame ``V[r] = I``, ``V[d] = -A_d^-1 Om[:, r]``, whose first
     ``N - nu`` columns ``V_I`` span block I and whose last ``M``, ``x0``, solve the constraint rows with unit controls.
     As on a Maggi stage, ``RANK_RTOL |Om[:, :N]|_F |A_d^-1|_F < 1`` certifies transversality, else
-    :func:`_constraint_svd` decides, and a transversal block with a singular best minor is a ``ChartDomain``; ``Om``
-    and the derivatives must be finite (else ``ModelError``).  A point whose callbacks (see :func:`_stacked_call`) or
+    :func:`_constraint_svd` decides, and a transversal block with a singular best minor is a ``ChartDomain``; the
+    derivatives must be finite (else ``ModelError``).  A point whose callbacks (see :func:`_stacked_call`) or
     tests raise one of ``skip`` leaves.  Returns ``(keep, pt)``: the mask of the points that stayed and, stacked over
     them, ``g``, ``Om``, their derivatives ``dg``, ``dOm`` along ``D``, ``d``, ``Ainv``, ``V_I``, ``gV = g V_I``,
     ``Ginv = (V_I^T g V_I)^-1`` and the lift ``h = x0 - V_I Ginv gV^T x0`` (``pt`` is ``None`` when none stayed).
@@ -417,9 +420,7 @@ def _frame_stack(spec: SystemSpec, Q: Array, D: Array, skip: SkipTypes = ()) -> 
     if not parts:
         return keep, None
     G, Om, dG, dOm = parts
-    if not np.isfinite(Om).all():
-        raise ModelError("omega is not finite")
-    subsets, others = _pivot_layouts(spec.N, spec.nu, spec.dim)
+    subsets, others, _ = _pivot_layouts(spec.N, spec.nu, spec.dim)
     pivots, ainv_norm = _best_pivots(spec, Om)
     d, r = subsets[pivots], others[pivots]
     with np.errstate(invalid="ignore"):  # 0 * inf: a zero block, whose minors are all singular

@@ -20,8 +20,8 @@ the frame and the metric (Maggi's equations, :func:`frame_rhs`):
 ``(G xidot)_m = <g qdot, dV_m> + 1/2 (d_{V_m} g)[qdot, qdot] - (Gdot xi)_m``
 with ``G = V_I^T g V_I`` the Gram matrix of the free frame vectors and ``dV``
 the frame's transport: no coefficient tensors.  The frame is built from
-``omega`` alone (``_VoronetsFrame``), so every model has one, and
-:func:`~nonholo.simulate.integrate` steps every run this way, each RK4 stage
+``omega`` alone, on a pivot layout (:func:`_maggi_point`), so every model has
+one, and :func:`~nonholo.simulate.integrate` steps every run this way, each RK4 stage
 running the kernel of ``frame_rhs`` directly.  The kernel's point half depends
 on ``q`` alone and its velocity half adds ``qdot`` and ``xidot``, so every
 pointwise entry evaluates each point once.  One closed form on stacked point
@@ -45,7 +45,7 @@ complex-safe, and one that is not raises :class:`~nonholo.errors.ModelError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -69,7 +69,7 @@ from .core_geometry import (
     _pivot_layouts,
     _projection_stack,
 )
-from .errors import ChartDomain, ModelError, NonAdaptedState, NotInDeltaCapGamma
+from .errors import ChartDomain, NonAdaptedState, NotInDeltaCapGamma
 
 TimeFn = Callable[[float], Array]
 _FLOAT = np.dtype(float)
@@ -430,44 +430,9 @@ def reaction_force(
     return pdot + grad
 
 
-#: ``|A_d|_F |A_d^-1|_F`` past which ``simulate.integrate`` picks new pivots at a sample.
+#: The frame's conditioning ``|Om[:, :N]|_F |A_d^-1|_F`` past which ``simulate.integrate`` picks new pivots at a
+#: sample.  Scale-aware, unlike ``|A_d|_F |A_d^-1|_F``, which is 1 for every nonzero ``1 x 1`` minor.
 PIVOT_COND = 1e2
-
-
-@dataclass(frozen=True)
-class _VoronetsFrame:
-    """The generic frame field of Voronets and Chaplygin, from the constraint forms alone.
-
-    With pivots ``d`` (the dependent velocities), ``A_d = Om[:, d]`` and the
-    other coordinates ``r``: ``V[r] = I``, ``V[d] = -A_d^-1 Om[:, r]``, that
-    is the free block ``V_I`` in the first ``N - nu`` columns and, in the last
-    ``M``, particular solutions ``x0`` of the control rows.
-    """
-
-    spec: SystemSpec
-    pivots: tuple[int, ...]
-
-    @staticmethod
-    def best(spec: SystemSpec, Om: Array) -> "_VoronetsFrame":
-        """The field whose pivot minor of the constraint forms ``Om`` is best conditioned, by ``_best_pivots``' rule."""
-        subsets = _pivot_layouts(spec.N, spec.nu, spec.dim)[0]
-        return _VoronetsFrame(spec, tuple(subsets[_best_pivots(spec, Om[None])[0][0]].tolist()))
-
-    @cached_property
-    def _layout(self) -> tuple[Array, Array, Array]:
-        """The pivot index array, the other coordinates ``r`` and ``E = I[:, r]``."""
-        r = np.array([j for j in range(self.spec.dim) if j not in self.pivots], dtype=int)
-        E = _eye(self.spec.dim)[:, r]
-        E.flags.writeable = False  # cached: every frame of the field starts from it
-        return np.array(self.pivots, dtype=int), r, E
-
-    def of(self, Om: Array) -> tuple[Array, Array]:
-        """The frame vectors ``V`` at the constraint forms ``Om`` (real or complex), and ``A_d^-1``."""
-        d, r, E = self._layout
-        Ainv = np.linalg.inv(Om[:, d])
-        V = E.astype(Om.dtype)  # in E's (F) order, by which matmuls with V round
-        V[d] = -Ainv @ Om[:, r]
-        return V, Ainv
 
 
 @lru_cache(maxsize=None)
@@ -478,36 +443,42 @@ def _axis_shift(n: int) -> Array:
     return shift
 
 
-def _maggi_point(spec: SystemSpec, q: Array, frame: Optional[_VoronetsFrame] = None) -> SimpleNamespace:
-    """The point half of :func:`frame_rhs` at ``q`` on the generic frame ``frame`` (``None``: the one best at ``q``).
+def _maggi_point(spec: SystemSpec, q: Array, pivot: Optional[int] = None) -> SimpleNamespace:
+    """The point half of :func:`frame_rhs` at ``q`` on the generic frame of Voronets and Chaplygin with the pivots
+    ``d`` of layout ``pivot``, an index into ``core_geometry._pivot_layouts`` (``None``: the one best at ``q``).
 
     :func:`~nonholo.core_geometry._complex_front` on ``q + i H [0; I_n]`` (shape ``(n + 1, n)``) gives ``g``,
-    ``Om`` and their axis derivatives with the front's checks, which must pass the rank test and be finite; then the
-    frame's ``V``, ``A_d^-1`` (``ainv_norm``), ``V_I``, ``x0``, ``gV``, ``G^-1``, ``c`` and ``h``.  The caller holds
-    :func:`~nonholo.core_geometry._complex_safe`."""
+    ``Om`` and their axis derivatives ``dg``, ``dOm`` with the front's checks, which must pass the rank test and be
+    finite; then ``pivot``, ``d``, the frame ``V[r] = I``, ``V[d] = -A_d^-1 Om[:, r]`` (free block ``V_I``, then
+    particular solutions ``x0`` of the control rows), ``A_d^-1``, ``cond = |Om[:, :N]|_F |A_d^-1|_F``, ``gV``,
+    ``G^-1``, ``c`` and ``h``.  The caller holds :func:`~nonholo.core_geometry._complex_safe`."""
     G, Om, dG, dOm = _complex_front(spec, q + _axis_shift(spec.dim))
-    g, Om, dg_axes, dOm_axes = G[0], Om[0], dG[0], dOm[0]
-    if np.count_nonzero(np.isfinite(Om)) < Om.size:  # the rank test sees the constraint block only
-        raise ModelError("omega is not finite")
-    frame, m = frame if frame is not None else _VoronetsFrame.best(spec, Om), spec.N - spec.nu
+    g, Om, dg, dOm = G[0], Om[0], dG[0], dOm[0]
+    if pivot is None:
+        pivot = int(_best_pivots(spec, Om[None])[0][0])
+    subsets, others, bases = _pivot_layouts(spec.N, spec.nu, spec.dim)
+    d, r = subsets[pivot], others[pivot]
     try:
-        V, Ainv = frame.of(Om)
+        Ainv = np.linalg.inv(Om[:, d])
     except np.linalg.LinAlgError:  # a singular minor: the constraint block lost rank, or the frame's chart ends
         _constraint_svd(spec, q[None], Om[None])
-        raise ChartDomain(f"pivot minor {frame.pivots} of the generic frame is singular at q={q}") from None
-    ainv_norm = _norm(Ainv)
+        raise ChartDomain(f"pivot minor {tuple(d.tolist())} of the generic frame is singular at q={q}") from None
+    cond = _norm(Om[:, : spec.N]) * _norm(Ainv)
     # the splitting's rank test holds if s_min(A_d) >= 1/|A_d^-1|_F clears it, since s_nu(Om[:, :N]) >= s_min(A_d)
-    if not RANK_RTOL * _norm(Om[:, : spec.N]) * ainv_norm < 1.0:
+    if not RANK_RTOL * cond < 1.0:
         _constraint_svd(spec, q[None], Om[None])
-    _check_finite_derivatives(dg_axes, dOm_axes)
+    _check_finite_derivatives(dg, dOm)
+    V = bases[pivot].copy(order="F")
+    V[d] = -Ainv @ Om[:, r]
+    m = spec.N - spec.nu
     V_I, x0 = V[:, :m], V[:, m:]
     gV = g @ V_I
     Ginv = np.linalg.inv(V_I.T @ gV)
     # the lift: x0 less its g-orthogonal component in block I, the span of V_I
     c = Ginv @ (gV.T @ x0)
     return SimpleNamespace(
-        g=g, Om=Om, dg_axes=dg_axes, dOm_axes=dOm_axes, frame=frame, V=V, Ainv=Ainv, ainv_norm=ainv_norm, V_I=V_I,
-        x0=x0, gV=gV, Ginv=Ginv, c=c, h=x0 - V_I @ c,
+        g=g, Om=Om, dg=dg, dOm=dOm, pivot=pivot, d=d, V=V, Ainv=Ainv, cond=cond, V_I=V_I, x0=x0, gV=gV, Ginv=Ginv,
+        c=c, h=x0 - V_I @ c,
     )
 
 
@@ -522,10 +493,10 @@ def _maggi_flow(pt: SimpleNamespace, xi: Array, udot: Array) -> SimpleNamespace:
 
     # the frame's transport along qdot (the frame's rows r are exactly I)
     dW = np.zeros_like(pt.V)
-    dW[pt.frame._layout[0]] = -pt.Ainv @ ((qdot @ pt.dOm_axes.reshape(n, pt.Om.size)).reshape(pt.Om.shape) @ pt.V)
+    dW[pt.d] = -pt.Ainv @ ((qdot @ pt.dOm.reshape(n, pt.Om.size)).reshape(pt.Om.shape) @ pt.V)
     dV = dW[:, :m].copy()  # contiguous too
-    dg_flow = (qdot @ pt.dg_axes.reshape(n, n * n)).reshape(n, n)
-    grad = (pt.dg_axes @ qdot) @ qdot  # grad_q g[qdot, qdot]
+    dg_flow = (qdot @ pt.dg.reshape(n, n * n)).reshape(n, n)
+    grad = (pt.dg @ qdot) @ qdot  # grad_q g[qdot, qdot]
 
     X = dV.T @ pt.gV
     Gdot = X + X.T + V_I.T @ dg_flow @ V_I
@@ -623,11 +594,12 @@ def frame_coefficients(spec: SystemSpec, q: Array) -> dict[str, Array]:
 
     (``e_a = 0`` past the free columns, ``dV_b[r] = 0``).  The symmetric form ``B = G^-1 work`` has the blocks
     ``"xi_xi"`` ``(m, m, m)``, pure free-velocity terms; ``"xi_udot"`` ``(m, m, M)``, the momentum/control-rate
-    coupling ``2 B[xi, udot]``; and ``"udot_udot"`` ``(m, M, M)``, the pure control-rate pump.  The controlled
-    coordinates of ``q`` serve as the control value.  Each callback runs once, on ``q + i H [0; I_n]``.
+    coupling ``2 B[xi, udot]``; and ``"udot_udot"`` ``(m, M, M)``, the pure control-rate pump.  A ``q`` that is not
+    finite or not of shape ``(N+M,)`` raises ``ValueError``.  Each callback runs once, on ``q + i H [0; I_n]``.
     """
     q = np.asarray(q, dtype=float)
-    _check_adapted(spec, q, 0.0, ControlSignal.constant(q[spec.N :]))
+    if q.shape != (spec.dim,) or not np.isfinite(q).all():
+        raise ValueError(f"q must be finite and of shape {(spec.dim,)}, got {q!r}")
     _, pt = _frame_stack(spec, q[None], _eye(spec.dim))
     B = np.moveaxis((_maggi_form(pt, free=True) @ pt.Ginv.transpose(0, 2, 1)[:, None])[0], -1, 0)
     m = spec.N - spec.nu

@@ -55,7 +55,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core_geometry import Array, SystemSpec, _complex_safe, _norm
+from .core_geometry import Array, SystemSpec, _best_pivots, _complex_safe, _norm
 from .errors import ModelError, NonAdaptedState, NotInDeltaCapGamma, StepRejected
 from .models import Field, ModelBundle
 from .reduced_dynamics import (
@@ -65,7 +65,6 @@ from .reduced_dynamics import (
     _maggi_flow,
     _maggi_point,
     _read_control,
-    _VoronetsFrame,
 )
 
 
@@ -200,7 +199,7 @@ def integrate(
     generic frame (see ``frame_rhs``) whose minor is best conditioned at
     ``t0``, the initial ``xi = G^-1 V_I^T p0`` (``g V_I xi`` is the
     coprojected ``p0``), and every sample records ``p_I = g V_I xi``.  At a
-    sample where the frame's ``|A_d|_F |A_d^-1|_F`` passes ``PIVOT_COND``
+    sample where the frame's ``|Om[:, :N]|_F |A_d^-1|_F`` passes ``PIVOT_COND``
     the pivots are chosen again and ``xi`` is read off ``p_I``.  So both
     representations give the same samples, and only the frame one adds
     ``xi``.  A sample whose residual is above ``hard_residual``, or NaN,
@@ -254,7 +253,7 @@ def integrate(
             last = (t, controls(t))
         u, udot = last[1]
         y = np.array(y)
-        st = _maggi_flow(_maggi_point(spec, np.concatenate([y[:N], u]), frame), y[N:], udot)
+        st = _maggi_flow(_maggi_point(spec, np.concatenate([y[:N], u]), pivot), y[N:], udot)
         return np.concatenate([st.qdot[:N], st.xidot]).tolist()
 
     with _complex_safe():
@@ -263,7 +262,7 @@ def integrate(
         y = np.concatenate([q[:N], pt.Ginv @ (pt.V_I.T @ p0)])
         if float(np.abs(pt.gV @ y[N:] - p0).max()) > 1e-6 * (1.0 + float(np.abs(p0).max())):
             raise NotInDeltaCapGamma("p0 is not a free-block momentum covector")
-        frame, pivots = pt.frame, [(t0, pt.frame.pivots)]
+        pivot, pivots = pt.pivot, [(t0, tuple(pt.d.tolist()))]
 
         for step in range(nsteps + 1):
             t = t0 + step * dt
@@ -271,15 +270,15 @@ def integrate(
                 u, udot = controls(t)
                 uddot = _read_control(control.accel, t, "accel")
                 q = np.concatenate([y[:N], u])
-                pt = _maggi_point(spec, q, frame)
-            if _norm(pt.Om[:, frame._layout[0]]) * pt.ainv_norm > PIVOT_COND:
-                best = _VoronetsFrame.best(spec, pt.Om)
-                if best.pivots != frame.pivots:
+                pt = _maggi_point(spec, q, pivot)
+            if pt.cond > PIVOT_COND:
+                best = int(_best_pivots(spec, pt.Om[None])[0][0])
+                if best != pivot:
                     # p_I does not depend on the frame: read xi off it in the new one
-                    frame, p_I = best, pt.gV @ y[N:]
-                    pt = _maggi_point(spec, q, best)
+                    pivot, p_I = best, pt.gV @ y[N:]
+                    pt = _maggi_point(spec, q, pivot)
                     y[N:] = pt.Ginv @ (pt.V_I.T @ p_I)
-                    pivots.append((t, best.pivots))
+                    pivots.append((t, tuple(pt.d.tolist())))
             # stage k1, whose quantities also give the sample's diagnostics
             st = _maggi_flow(pt, y[N:], udot)
             H, cres, dres = _frame_diagnostics(pt, st, y[N:], uddot)

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from nonholo.core_geometry import SystemSpec, _projection_stack
+from nonholo.core_geometry import SystemSpec, _best_pivots, _pivot_layouts, _projection_stack
 from nonholo.models import ball_orthonormal_basis, build_model
-from nonholo.reduced_dynamics import _tensors_from, _VoronetsFrame
+from nonholo.reduced_dynamics import _tensors_from
 
 settings.register_profile(
     "fd_heavy",
@@ -156,10 +156,28 @@ def tensor_stack(spec, Q, skip=()):
     return keep, None if P is None else _tensors_from(P, *derivs)
 
 
+def best_pivot(spec, Om):
+    """The index into ``core_geometry._pivot_layouts`` of the pivots best at the constraint forms ``Om``."""
+    return int(_best_pivots(spec, Om[None])[0][0])
+
+
+def frame_vectors(spec, Om, pivot):
+    """The generic frame ``V[r] = I``, ``V[d] = -A_d^-1 Om[:, r]`` of pivot layout ``pivot`` at ``Om``, real or complex.
+
+    Built as the Maggi point half builds it, but also on complex forms, whose
+    complex step is then the frame's derivative.
+    """
+    subsets, others, bases = _pivot_layouts(spec.N, spec.nu, spec.dim)
+    d, r = subsets[pivot], others[pivot]
+    V = bases[pivot].astype(Om.dtype)
+    V[d] = -np.linalg.inv(Om[:, d]) @ Om[:, r]
+    return V
+
+
 def generic_free_block(spec, q):
     """``V_I``, the free block of the generic frame whose pivots are best at ``q``."""
     Om = spec.omega(np.asarray(q, dtype=float))
-    return _VoronetsFrame.best(spec, Om).of(Om)[0][:, : spec.N - spec.nu]
+    return frame_vectors(spec, Om, best_pivot(spec, Om))[:, : spec.N - spec.nu]
 
 
 def ball_free_block(ball, q):

@@ -31,10 +31,10 @@ from nonholo.models import (
     roller_racer_closed_rhs,
     roller_racer_spec,
 )
-from nonholo.reduced_dynamics import ControlSignal, _VoronetsFrame, coefficient_tensors
+from nonholo.reduced_dynamics import ControlSignal, coefficient_tensors
 from nonholo.simulate import rk4_path
 
-from conftest import counting_control, sample_points
+from conftest import best_pivot, counting_control, frame_vectors, sample_points
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +506,10 @@ def test_frame_field_is_complex_safe(name):
     The frame's pivots are the ones best at the model's ``default_q0``.
     """
     bundle = build_model(name)
-    field = _VoronetsFrame.best(bundle.spec, bundle.spec.omega(bundle.default_q0))
+    pivot = best_pivot(bundle.spec, bundle.spec.omega(bundle.default_q0))
 
     def frame(x):
-        return field.of(bundle.spec.omega(x))[0]
+        return frame_vectors(bundle.spec, bundle.spec.omega(x), pivot)
 
     H = 1e-30
     gen = np.random.default_rng(37)

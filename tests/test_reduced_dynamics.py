@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nonholo import reduced_dynamics
-from nonholo.core_geometry import SystemSpec, _best_pivots, _frame_stack, projection_set
+from nonholo.core_geometry import SystemSpec, _best_pivots, _frame_stack, _pivot_layouts, projection_set
 from nonholo.errors import (
     ChartDomain,
     ModelError,
@@ -33,7 +33,6 @@ from nonholo.simulate import IntegratorConfig, integrate
 from nonholo.reduced_dynamics import (
     ControlSignal,
     _closed_rhs,
-    _VoronetsFrame,
     centrifugal_psi,
     coefficient_tensors,
     frame_coefficients,
@@ -43,7 +42,16 @@ from nonholo.reduced_dynamics import (
     theta_I_apply,
 )
 
-from conftest import counting_spec, generic_free_block, near_singular_system, random_system, sample_points, stacked
+from conftest import (
+    best_pivot,
+    counting_spec,
+    frame_vectors,
+    generic_free_block,
+    near_singular_system,
+    random_system,
+    sample_points,
+    stacked,
+)
 
 
 def racer_state(bundle, q, xi):
@@ -647,10 +655,10 @@ class TestFrameRhs:
                 frame_rhs(racer.spec, q, np.array([0.3]), 0.0, control)
 
 
-def tensor_frame_rhs(spec, q, xi, t, control, field=None):
+def tensor_frame_rhs(spec, q, xi, t, control, pivot=None):
     """Reference ``(qdot, xidot)`` of the frame form from the coefficient tensors.
 
-    On the generic frame ``field`` (``None``: the one whose pivots are best
+    On the generic frame of pivot layout ``pivot`` (``None``: the one whose pivots are best
     at ``q``), transported by a complex step of its ``V`` rather than by
     Maggi's closed form.  The momentum equation projected onto the frame, as
     the frame form was computed before Maggi's equations, for any free
@@ -662,9 +670,9 @@ def tensor_frame_rhs(spec, q, xi, t, control, field=None):
     """
     T = coefficient_tensors(spec, q)
     P = T.projections
-    field = field if field is not None else _VoronetsFrame.best(spec, spec.omega(q))
+    pivot = pivot if pivot is not None else best_pivot(spec, spec.omega(q))
     m, H = spec.N - spec.nu, reduced_dynamics.COMPLEX_STEP
-    V_I = field.of(spec.omega(q))[0][:, :m]
+    V_I = frame_vectors(spec, spec.omega(q), pivot)[:, :m]
     g = P.g
     udot = np.atleast_1d(control.rate(t))
     free_vel = V_I @ xi
@@ -672,7 +680,7 @@ def tensor_frame_rhs(spec, q, xi, t, control, field=None):
     p_I = g @ free_vel
     p = p_I + P.k @ udot
     pIdot = theta_I_apply(spec, q, p, p, tensors=T)
-    dV = field.of(spec.omega(q + 1j * H * qdot))[0][:, :m].imag / H
+    dV = frame_vectors(spec, spec.omega(q + 1j * H * qdot), pivot)[:, :m].imag / H
     dg_flow = np.tensordot(qdot, T.dg, axes=1)
     G = V_I.T @ g @ V_I
     Gdot = dV.T @ g @ V_I + V_I.T @ g @ dV + V_I.T @ dg_flow @ V_I
@@ -737,13 +745,14 @@ class TestVoronetsFrame:
         """``Om V = 0`` to rounding, unit controls on the drive block, none on the free block, the dual rows ``V[r] = I``."""
         for spec, points in generic_cases():
             m = spec.N - spec.nu
-            field = _VoronetsFrame.best(spec, spec.omega(points[0]))
+            pivot = best_pivot(spec, spec.omega(points[0]))
+            r = _pivot_layouts(spec.N, spec.nu, spec.dim)[1][pivot]
             for q in points:
-                V = field.of(spec.omega(q))[0]
+                V = reduced_dynamics._maggi_point(spec, q, pivot).V
                 assert V.shape == (spec.dim, m + spec.M)
                 assert np.all(np.abs(spec.omega(q) @ V) <= 1e-14 * (1.0 + np.abs(V).max()))
                 assert np.all(V[spec.N :, :m] == 0.0) and np.all(V[spec.N :, m:] == np.eye(spec.M))
-                assert np.all(V[field._layout[1]] == np.eye(m + spec.M))
+                assert np.all(V[r] == np.eye(m + spec.M))
 
     def test_lift_from_a_drive_block_is_the_splittings(self, racer, ball):
         """``h = x0 - V_I G^-1 (g V_I)^T x0`` from the racer's ``v4`` or a generic drive block is ``projection_set().h``.
@@ -755,7 +764,7 @@ class TestVoronetsFrame:
             m = bundle.spec.N - bundle.spec.nu
             for q in sample_points(bundle, 200, seed=81):
                 P = projection_set(bundle.spec, q)
-                V = _VoronetsFrame.best(bundle.spec, P.Om).of(P.Om)[0]
+                V = reduced_dynamics._maggi_point(bundle.spec, q).V
                 blocks = [(V[:, :m], V[:, m:])]
                 if bundle is racer:
                     vecs = racer_frame_vectors(racer.params, q)
@@ -774,7 +783,7 @@ class TestVoronetsFrame:
     def test_best_pivots(self, name, q, pivots):
         """The best-conditioned minor: ``(q2, q3)`` at the racer's start, ``(q1, q3)`` where ``cos u = 0``, ``(x, y)`` on the ball."""
         spec = build_model(name).spec
-        assert _VoronetsFrame.best(spec, spec.omega(np.array(q))).pivots == pivots
+        assert tuple(reduced_dynamics._maggi_point(spec, np.array(q)).d.tolist()) == pivots
 
     @pytest.mark.parametrize("case", [0, 1, 2, 3, 5])  # case 4 has no constraints
     def test_pivot_rule_matches_np_linalg_cond(self, case):
@@ -831,10 +840,9 @@ class TestVoronetsFrame:
         spec, points = generic_cases()[case]
         gen = np.random.default_rng(87)
         for q in points[:20]:
-            field = _VoronetsFrame.best(spec, spec.omega(q))
             xi = gen.uniform(-1.0, 1.0, spec.N - spec.nu)
             control = ControlSignal.linear(q[spec.N :], gen.uniform(-1.0, 1.0, spec.M))
-            ref_qdot, ref_xidot = tensor_frame_rhs(spec, q, xi, 0.0, control, field)
+            ref_qdot, ref_xidot = tensor_frame_rhs(spec, q, xi, 0.0, control, best_pivot(spec, spec.omega(q)))
             qdot, xidot = frame_rhs(spec, q, xi, 0.0, control)
             assert np.abs(qdot - ref_qdot).max() <= 1e-13 * (1.0 + np.abs(ref_qdot).max())
             assert np.abs(xidot - ref_xidot).max() <= 1e-13 * (1.0 + np.abs(ref_xidot).max())
@@ -907,6 +915,14 @@ class TestFrameCoefficients:
         frame_coefficients(counting_spec(ball.spec, calls), ball.default_q0)
         assert calls == Counter({("metric", "complex", (1, 7, 6)): 1, ("omega", "complex", (1, 7, 6)): 1})
 
+    @pytest.mark.parametrize("q", [[0.3, 1.1, np.nan, 0.2], [0.3, 1.1, -0.5, np.inf], [0.3, 1.1, -0.5], [0.3, 1.1, -0.5, 0.2, 0.0]])
+    def test_refuses_a_bad_point(self, racer, q):
+        """A non-finite ``q``, in its free or controlled block, or one of the wrong length is a ``ValueError``, before any callback call."""
+        calls = Counter()
+        with pytest.raises(ValueError, match=r"q must be finite and of shape \(4,\)"):
+            frame_coefficients(counting_spec(racer.spec, calls), np.array(q))
+        assert not calls
+
 
 def rankless_spec(Om_row):
     """``N = 2``, ``M = 1``, ``nu = 1`` toy with a unit metric and the constant constraint form ``Om_row``."""
@@ -935,9 +951,10 @@ class TestRankLoss:
     def test_singular_minor_of_a_full_rank_block(self):
         """A frame held fixed whose minor is singular where the block keeps its rank leaves the frame's chart."""
         spec = rankless_spec([1.0, 0.0, 1.0])
+        assert _pivot_layouts(2, 1, 3)[0].tolist() == [[0], [1]]
         with pytest.raises(ChartDomain, match=r"pivot minor \(1,\) of the generic frame is singular"):
-            reduced_dynamics._maggi_point(spec, np.zeros(3), _VoronetsFrame(spec, (1,)))
-        assert reduced_dynamics._maggi_point(spec, np.zeros(3)).frame.pivots == (0,)
+            reduced_dynamics._maggi_point(spec, np.zeros(3), 1)
+        assert reduced_dynamics._maggi_point(spec, np.zeros(3)).pivot == 0
 
 
 def block_loop_coefficients(spec, q, rhs=frame_rhs):
