@@ -2,10 +2,11 @@
 
 Configuration is a flat ``key = value`` text file with dotted sections
 (``model.*``, ``control.*``, ``integrator.*``, ...); see the example configs
-shipped with the package.  Every randomized command takes an explicit seed
-(default 0) and is bit-for-bit reproducible: rerunning with the same config
-and seed yields byte-identical output files.  Fitness scans batch their
-sample points through one stacked kernel on the generic frame.
+shipped with the package.  The control families, their keys and their own
+timescales are one table, ``_FAMILIES``.  Every randomized command takes an
+explicit seed (default 0) and is bit-for-bit reproducible: rerunning with the
+same config and seed yields byte-identical output files.  Fitness scans batch
+their sample points through one stacked kernel on the generic frame.
 
 Exit codes are a stable contract::
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -132,81 +134,59 @@ def model_from_config(cfg: RunConfig) -> ModelBundle:
     return build_model(name, **options)
 
 
-#: per control family, the ``control.*`` keys whose entries give the channel count;
-#: a paired family's two keys are split at ``/``
-_CHANNEL_KEYS = {
-    "constant": "value", "polynomial": "coeffs", "linear": "value/rate",
-    "sinusoid": "mean/amp", "dither": "center/gain", "ramp": "start/end",
+#: per control family: ``build``, its ``ControlSignal`` constructor, called with the ``control.*`` values of its
+#: per-channel keys ``channels`` (a pair's lengths must match, or one be 1), then of its ``scalars`` keys by name
+#: (default ``None``: required); and ``timescale``, the key that sets its own timescale with the timescale from that
+#: key's value (``None``: it has none).  Every reader of the ``control.*`` section reads this table.
+_Family = namedtuple("_Family", "build channels scalars timescale", defaults=(None,))
+_FAMILIES = {
+    "constant": _Family(ControlSignal.constant, ("value",), {}),
+    "polynomial": _Family(ControlSignal.polynomial, ("coeffs",), {"t0": 0.0}),
+    "linear": _Family(ControlSignal.linear, ("value", "rate"), {"t0": 0.0}),
+    "sinusoid": _Family(ControlSignal.sinusoid, ("mean", "amp"), {"omega": None, "phase": 0.0},
+                        ("omega", lambda omega: 2.0 * np.pi / abs(omega) if omega else np.inf)),
+    "dither": _Family(ControlSignal.dither, ("center", "gain"), {"eps": None}, ("eps", lambda eps: 2.0 * np.pi * eps)),
+    "ramp": _Family(ControlSignal.ramp, ("start", "end"), {"t0": 0.0, "duration": None}, ("duration", lambda d: d)),
 }
 
 
-def _control_pair(cfg: RunConfig, family: str) -> tuple[np.ndarray, np.ndarray]:
-    """The two per-channel arrays of a paired control family; their lengths must match, or one be 1."""
-    keys = ["control." + name for name in _CHANNEL_KEYS[family].split("/")]
-    a, b = (cfg.get_floats(key, required=True) for key in keys)
-    if len(a) != len(b) and 1 not in (len(a), len(b)):
-        msg = f"keys '{keys[0]}' and '{keys[1]}' have {len(a)} and {len(b)} entries; they must match, or one have one"
-        raise ConfigError(f"{cfg.path}: {msg}")
-    return a, b
-
-
 def control_from_config(cfg: RunConfig) -> ControlSignal:
-    """Build the control trajectory from the ``control.*`` section."""
-    family = cfg.get_str("control.family", required=True)
-    if family == "constant":
-        return ControlSignal.constant(cfg.get_floats("control.value", required=True))
-    if family == "polynomial":
-        coeffs = cfg.get_floats("control.coeffs", required=True)
-        if not coeffs.size:
-            raise ConfigError(f"{cfg.path}: key 'control.coeffs' has no entries")
-        return ControlSignal.polynomial(coeffs, t0=cfg.get_float("control.t0", 0.0))
-    if family == "linear":
-        return ControlSignal.linear(*_control_pair(cfg, family), t0=cfg.get_float("control.t0", 0.0))
-    if family == "sinusoid":
-        return ControlSignal.sinusoid(
-            *_control_pair(cfg, family),
-            omega=cfg.get_float("control.omega", required=True),
-            phase=cfg.get_float("control.phase", 0.0),
-        )
-    if family == "dither":
-        center, gain = _control_pair(cfg, family)
-        eps = cfg.get_float("control.eps", required=True)
-        if not eps > 0.0:
-            raise ConfigError(f"{cfg.path}: key 'control.eps' must be positive, got {eps!r}")
-        return ControlSignal.dither(center, gain, eps=eps)
-    if family == "ramp":
-        duration = cfg.get_float("control.duration", required=True)
-        if not duration > 0.0:
-            raise ConfigError(f"{cfg.path}: key 'control.duration' must be positive, got {duration!r}")
-        return ControlSignal.ramp(*_control_pair(cfg, family), t0=cfg.get_float("control.t0", 0.0), duration=duration)
-    raise ConfigError(
-        f"{cfg.path}: key 'control.family' has unknown value {family!r} "
-        "(expected constant|polynomial|linear|sinusoid|dither|ramp)"
-    )
+    """Build the control trajectory from the ``control.*`` section, as its family's ``_FAMILIES`` entry reads it."""
+    name = cfg.get_str("control.family", required=True)
+    if name not in _FAMILIES:
+        expected = "|".join(_FAMILIES)
+        raise ConfigError(f"{cfg.path}: key 'control.family' has unknown value {name!r} (expected {expected})")
+    family = _FAMILIES[name]
+    keys = ["control." + key for key in family.channels]
+    arrays = [cfg.get_floats(key, required=True) for key in keys]
+    if len({len(a) for a in arrays} - {1}) > 1:
+        msg = f"have {len(arrays[0])} and {len(arrays[1])} entries; they must match, or one have one"
+        raise ConfigError(f"{cfg.path}: keys '{keys[0]}' and '{keys[1]}' {msg}")
+    if keys == ["control.coeffs"] and not arrays[0].size:
+        raise ConfigError(f"{cfg.path}: key 'control.coeffs' has no entries")
+    scalars = {key: cfg.get_float("control." + key, v, required=v is None) for key, v in family.scalars.items()}
+    try:
+        return family.build(*arrays, **scalars)
+    except ValueError as exc:
+        # past the checks above only dither's eps and ramp's duration raise, and each is its family's timescale key
+        raise ConfigError(f"{cfg.path}: key 'control.{family.timescale[0]}': {exc}") from None
 
 
 #: fewest integrator steps over a control's own timescale (``simulate``) or a fast period (``vibrate``)
 MIN_STEPS_PER_PERIOD = 20
 
-#: per control family with a timescale of its own, the key that sets it and the timescale from its value
-_TIMESCALES = {
-    "sinusoid": ("omega", lambda omega: 2.0 * np.pi / abs(omega) if omega else np.inf),
-    "dither": ("eps", lambda eps: 2.0 * np.pi * eps),
-    "ramp": ("duration", lambda duration: duration),
-}
-
 
 def _check_control_resolved(cfg: RunConfig, dt: float) -> None:
-    """Reject a control whose period (sinusoid, dither) or duration (ramp) spans fewer than 20 steps of ``dt``."""
-    family = cfg.get_str("control.family")
-    if family not in _TIMESCALES:
+    """Reject a control whose own timescale (``_FAMILIES``) spans fewer than 20 steps of ``dt``."""
+    timescale = _FAMILIES[cfg.get_str("control.family")].timescale
+    if timescale is None:
         return
-    name, timescale = _TIMESCALES[family]
+    name, of = timescale
     key = "control." + name
     value = cfg.get_float(key, required=True)
-    if timescale(value) < MIN_STEPS_PER_PERIOD * dt:
+    if of(value) < MIN_STEPS_PER_PERIOD * dt:
         raise ConfigError(
-            f"{cfg.path}: key '{key}' = {value!r} gives a control timescale of {timescale(value):.3g}, "
+            f"{cfg.path}: key '{key}' = {value!r} gives a control timescale of {of(value):.3g}, "
             f"under {MIN_STEPS_PER_PERIOD} steps of integrator.dt = {dt!r}"
         )
 
@@ -252,7 +232,7 @@ def cmd_simulate(cfg: RunConfig, out: str, seed: int) -> int:
     config, t_span = integrator_from_config(cfg)
     channels = np.atleast_1d(control.value(t_span[0])).shape[0]
     if channels != model.spec.M:
-        key = "control." + _CHANNEL_KEYS[cfg.get_str("control.family")]
+        key = "control." + "/".join(_FAMILIES[cfg.get_str("control.family")].channels)
         raise ConfigError(f"{cfg.path}: key '{key}' gives {channels} control channels, model has M = {model.spec.M}")
     _check_control_resolved(cfg, config.dt)
     n = model.spec.dim

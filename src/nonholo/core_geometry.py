@@ -220,6 +220,15 @@ def _norm(x: Array) -> float:
     return math.sqrt(v @ v)
 
 
+def _finite_point(spec: SystemSpec, q: object) -> Array:
+    """``q`` as a float array, which must be finite and of shape ``(N+M,)``, else ``ValueError``: the pointwise
+    entries' check, so a coordinate the callbacks ignore cannot be NaN and a short ``q`` cannot broadcast."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (spec.dim,) or not np.isfinite(q).all():
+        raise ValueError(f"q must be finite and of shape {(spec.dim,)}, got {q!r}")
+    return q
+
+
 def _cholesky_spd(G: Array) -> None:
     """Raise ``SingularMetric`` unless each metric of the stack ``G`` is SPD: symmetric, with a Cholesky factor."""
     _check_symmetric(G, "metric")
@@ -479,9 +488,10 @@ def projection_set(spec: SystemSpec, q: Array) -> ProjectionSet:
     """Projections, coprojections and lift maps of the splitting at ``q``, on the generic frame best there.
 
     Each callback runs once, on the complex stack ``q + i H [0]``.  A
-    constraint block that fails transversality raises ``RankDeficiency``.
+    constraint block that fails transversality raises ``RankDeficiency``,
+    and a ``q`` that is not finite or not of shape ``(N+M,)`` ``ValueError``.
     """
-    q = np.asarray(q, dtype=float)
+    q = _finite_point(spec, q)
     _, P, _ = _projection_stack(spec, q[None], _eye(spec.dim)[:0])
     return P.point(0)
 
@@ -502,7 +512,6 @@ def argmin_certificate(
     ``margin`` the worst observed excess energy (nonnegative when the certificate holds).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     P = projection_set(spec, q)
     z0 = P.h @ v

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_geometry import Array, SystemSpec, _each_point, _eye, _frame_stack
+from .core_geometry import Array, SystemSpec, _each_point, _eye, _finite_point, _frame_stack
 from .errors import (
     ChartDomain,
     NotInDeltaCapGamma,
@@ -394,10 +394,9 @@ def leaf_metric_derivative(spec: SystemSpec, q: Array, v: Array, w: Array) -> fl
     block, ``|P_I w - w| <= _FREE_BLOCK_TOL (1 + |w|)``, or
     :class:`NotInDeltaCapGamma` is raised.
     """
-    q = np.asarray(q, dtype=float)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     w = np.asarray(w, dtype=float)
-    _, pt = _frame_stack(spec, q[None], w[None])
+    _, pt = _frame_stack(spec, _finite_point(spec, q)[None], w[None])
     wnorm = float(np.abs(w).max())
     if wnorm == 0.0:
         return 0.0

@@ -63,6 +63,7 @@ from .core_geometry import (
     _complex_safe,
     _constraint_svd,
     _eye,
+    _finite_point,
     _frame_stack,
     _norm,
     _not_complex_safe,
@@ -97,7 +98,7 @@ class ControlSignal:
         zero = np.zeros_like(u0)
 
         def held(v: Array) -> TimeFn:
-            return lambda t: v.copy() if type(t) is float or not np.ndim(t) else np.tile(v, (len(t), 1))
+            return _time_by_time(lambda t: v.copy())
 
         return ControlSignal(held(u0), held(zero), held(zero))
 
@@ -110,12 +111,7 @@ class ControlSignal:
         d2 = [p.deriv(2) for p in polys]
 
         def ev(ps):
-            def fn(t):
-                if type(t) is float or not np.ndim(t):
-                    return np.array([p(t - t0) for p in ps])
-                return np.concatenate([p(t - t0) for p in ps], axis=1)  # a column of times: a column per channel
-
-            return fn
+            return _time_by_time(lambda t: np.array([p(t - t0) for p in ps]))
 
         return ControlSignal(ev(polys), ev(d1), ev(d2))
 
@@ -188,7 +184,8 @@ class ControlSignal:
 
 
 def _time_by_time(fn: TimeFn) -> TimeFn:
-    """``fn`` at one time, and on a column of times its calls at each, stacked as rows."""
+    """``fn`` at one time, and on a column of times its calls at each, stacked as rows: how every constructor but
+    ``sinusoid`` (and ``dither``, built on it), whose formulas broadcast, reads a column of times."""
     return lambda t: fn(t) if type(t) is float or not np.ndim(t) else np.array([fn(x) for x in t[:, 0].tolist()])
 
 
@@ -286,9 +283,10 @@ def centrifugal_psi(spec: SystemSpec, q: Array, udot: Array) -> Array:
 
     This covector vanishing identically (for all ``q`` and ``udot``) is the
     computable signature of a system that tolerates control jumps.  It
-    broadcasts over leading axes of ``udot``.
+    broadcasts over leading axes of ``udot``; ``q`` must be finite and of
+    shape ``(N+M,)``, else ``ValueError``.
     """
-    _, pt = _frame_stack(spec, np.asarray(q, dtype=float)[None], _eye(spec.dim))
+    _, pt = _frame_stack(spec, _finite_point(spec, q)[None], _eye(spec.dim))
     udot = np.atleast_1d(np.asarray(udot, dtype=float))
     return np.einsum("...a,...b,abn->...n", udot, udot, _psi_stack(pt)[0])
 
@@ -533,11 +531,11 @@ def frame_rhs(spec: SystemSpec, q: Array, xi: Array, t: float, control: ControlS
     ``Om V = 0`` and ``V[r] = I`` give its transport ``A_d dV[d] = -(d_qdot
     Om) V``, ``dV[r] = 0``.  A callback that is not complex-safe raises
     :class:`~nonholo.errors.ModelError`.  This pointwise entry also converts
-    its inputs and checks that ``q`` is adapted to ``control`` at ``t``; the
-    stages of :func:`~nonholo.simulate.integrate` run the same kernel without
-    those.
+    its inputs and checks that ``q`` is finite, of shape ``(N+M,)`` and
+    adapted to ``control`` at ``t``; the stages of
+    :func:`~nonholo.simulate.integrate` run the same kernel without those.
     """
-    q = np.asarray(q, dtype=float)
+    q = _finite_point(spec, q)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     _check_adapted(spec, q, t, control)
     udot = _read_control(control.rate, t, "rate")
@@ -562,7 +560,7 @@ def _closed_rhs(
     ``TypeError`` or ``ComplexWarning`` from it is a ``ModelError`` naming
     ``extract_closed``.
     """
-    q = np.asarray(q, dtype=float)
+    q = _finite_point(spec, q)
     _check_adapted(spec, q, t, control)
     udot = _read_control(control.rate, t, "rate")
     N, m, H = spec.N, spec.N - spec.nu, COMPLEX_STEP
@@ -597,10 +595,7 @@ def frame_coefficients(spec: SystemSpec, q: Array) -> dict[str, Array]:
     coupling ``2 B[xi, udot]``; and ``"udot_udot"`` ``(m, M, M)``, the pure control-rate pump.  A ``q`` that is not
     finite or not of shape ``(N+M,)`` raises ``ValueError``.  Each callback runs once, on ``q + i H [0; I_n]``.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (spec.dim,) or not np.isfinite(q).all():
-        raise ValueError(f"q must be finite and of shape {(spec.dim,)}, got {q!r}")
-    _, pt = _frame_stack(spec, q[None], _eye(spec.dim))
+    _, pt = _frame_stack(spec, _finite_point(spec, q)[None], _eye(spec.dim))
     B = np.moveaxis((_maggi_form(pt, free=True) @ pt.Ginv.transpose(0, 2, 1)[:, None])[0], -1, 0)
     m = spec.N - spec.nu
     return {"xi_xi": B[:, :m, :m], "xi_udot": 2.0 * B[:, :m, m:], "udot_udot": B[:, m:, m:]}

@@ -20,6 +20,7 @@ from nonholo.cli import (
 )
 from nonholo.errors import ConfigError
 from nonholo.models import build_model
+from nonholo.reduced_dynamics import ControlSignal
 
 from conftest import nan_control_column_spec, nan_derivative_spec
 
@@ -304,6 +305,51 @@ class TestSimulateCommand:
             + "integrator.hard_residual = 1e-17\ninitial.p = 0.19106729782512122, 0.17731212399680374, 0.0, 0.05910404133226791\n",
         )
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+
+
+#: per control family, a minimal ``control.*`` section and the direct constructor call it stands for
+MINIMAL_CONTROLS = {
+    "constant": ("control.value = 0.3, -0.2\n", lambda: ControlSignal.constant([0.3, -0.2])),
+    "polynomial": ("control.coeffs = 0.3, -0.7, 0.2\n", lambda: ControlSignal.polynomial([0.3, -0.7, 0.2])),
+    "linear": ("control.value = 0.3\ncontrol.rate = -0.7, 0.2\n", lambda: ControlSignal.linear([0.3], [-0.7, 0.2])),
+    "sinusoid": (
+        "control.mean = 0.3\ncontrol.amp = 0.4, 0.1\ncontrol.omega = 2.5\n",
+        lambda: ControlSignal.sinusoid([0.3], [0.4, 0.1], omega=2.5),
+    ),
+    "dither": (
+        "control.center = 0.3\ncontrol.gain = 1.5\ncontrol.eps = 0.1\n",
+        lambda: ControlSignal.dither([0.3], [1.5], eps=0.1),
+    ),
+    "ramp": (
+        "control.start = 0.3, 0.0\ncontrol.end = -0.4\ncontrol.duration = 0.8\n",
+        lambda: ControlSignal.ramp([0.3, 0.0], [-0.4], t0=0.0, duration=0.8),
+    ),
+}
+
+
+class TestControlFamilies:
+    """Every family of ``cli._FAMILIES`` builds its constructor's control from its keys."""
+
+    def test_every_family_has_a_minimal_control(self):
+        assert list(MINIMAL_CONTROLS) == list(cli._FAMILIES)
+
+    @pytest.mark.parametrize("family", list(cli._FAMILIES))
+    def test_config_gives_the_constructor_bitwise(self, tmp_path, family):
+        """``value``, ``rate`` and ``accel`` at ``t = 0``, ``0.37`` and on a column of five times (before, inside and
+        after the ramp's window) are bitwise those of the direct constructor call."""
+        text, direct = MINIMAL_CONTROLS[family]
+        got = control_from_config(parse_config(write_cfg(tmp_path, f"control.family = {family}\n" + text)))
+        ref = direct()
+        for what in ("value", "rate", "accel"):
+            for t in (0.0, 0.37, np.array([[-0.2], [0.0], [0.37], [0.8], [1.3]])):
+                a, b = getattr(got, what)(t), getattr(ref, what)(t)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (what, t)
+
+    def test_unknown_family_error_names_every_family(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, RACER_SIM.replace("control.family = constant", "control.family = bangbang"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "key 'control.family'" in err and all(name in err for name in cli._FAMILIES)
 
 
 CHECKFIT = "model.name = {name}\n"

@@ -16,7 +16,15 @@ from nonholo.core_geometry import (
     projection_set,
 )
 from nonholo.errors import ChartDomain, ModelError, RankDeficiency, SingularMetric
-from nonholo.reduced_dynamics import coefficient_tensors
+from nonholo.jump_analysis import leaf_metric_derivative
+from nonholo.reduced_dynamics import (
+    ControlSignal,
+    _closed_rhs,
+    centrifugal_psi,
+    coefficient_tensors,
+    frame_coefficients,
+    frame_rhs,
+)
 
 from conftest import (
     check_projection_algebra,
@@ -383,3 +391,39 @@ class TestArgminCertificate:
         ok, margin = argmin_certificate(spec, q, np.array([1.0]), trials=8, rng=gen)
         assert ok and margin >= -1e-12
 
+
+
+#: every pointwise entry on the racer at ``q``, with a control held at 0.2 where it takes one
+POINTWISE_ENTRIES = {
+    "projection_set": lambda racer, q: projection_set(racer.spec, q),
+    "argmin_certificate": lambda racer, q: argmin_certificate(racer.spec, q, np.array([1.0])),
+    "centrifugal_psi": lambda racer, q: centrifugal_psi(racer.spec, q, np.array([1.0])),
+    "frame_coefficients": lambda racer, q: frame_coefficients(racer.spec, q),
+    "frame_rhs": lambda racer, q: frame_rhs(racer.spec, q, np.array([0.1]), 0.0, ControlSignal.constant(0.2)),
+    "leaf_metric_derivative": lambda racer, q: leaf_metric_derivative(racer.spec, q, np.array([1.0]), np.zeros(4)),
+    "_closed_rhs": lambda racer, q: _closed_rhs(
+        racer.spec, racer.extract_closed, q, np.array([0.1]), 0.0, ControlSignal.constant(0.2)
+    ),
+}
+
+
+class TestPointwiseEntries:
+    @pytest.mark.parametrize(
+        "q",
+        [[np.nan, 1.1, -0.5, 0.2], [0.0, 1.1, -0.5, np.inf], [0.0, 1.1, -0.5], [0.0, 1.1, -0.5, 0.2, 0.0]],
+        ids=["nan-free-coordinate", "inf-control", "too-short", "too-long"],
+    )
+    @pytest.mark.parametrize("entry", sorted(POINTWISE_ENTRIES))
+    def test_refuses_a_bad_point(self, racer, entry, q):
+        """A non-finite or wrong-length ``q`` is a ``ValueError`` before any callback call, where ``[0, 1.1, -0.5, 0.2]`` runs.
+
+        On the racer, whose callbacks ignore ``q1``, NaN there gave finite results, and ``projection_set`` on a
+        three-entry ``q`` raised NumPy's broadcast error.
+        """
+        call = POINTWISE_ENTRIES[entry]
+        call(racer, np.array([0.0, 1.1, -0.5, 0.2]))
+        calls = Counter()
+        spied = dataclasses.replace(racer, spec=counting_spec(racer.spec, calls))
+        with pytest.raises(ValueError, match=r"q must be finite and of shape \(4,\)"):
+            call(spied, np.array(q))
+        assert not calls
