@@ -1,4 +1,4 @@
-"""Command-line surface: simulations, fitness scans, oracle comparisons, sweeps.
+"""Command-line surface: simulations, fitness scans, oracle comparisons, dither sweeps with the measured pump.
 
 Configuration is a flat ``key = value`` text file with dotted sections
 (``model.*``, ``control.*``, ``integrator.*``, ...); see the example configs
@@ -6,12 +6,16 @@ shipped with the package.  The control families, their keys and their own
 timescales are one table, ``_FAMILIES``.  Every randomized command takes an
 explicit seed (default 0) and is bit-for-bit reproducible: rerunning with the
 same config and seed yields byte-identical output files.  Fitness scans batch
-their sample points through one stacked kernel on the generic frame.
+their sample points through one stacked kernel on the generic frame.  The
+text reports (``check-fit``, ``oracle-compare``, ``vibrate``) go to ``--out``
+and to stdout; ``vibrate``'s ends with the momentum pump measured by
+``two_timescale_coefficient`` against the averaged prediction.
 
 Exit codes are a stable contract::
 
     0  success (check-fit: verdict "fit"; oracle-compare: deviation <= tol)
-    1  configuration error (message names the file, line, or missing key)
+    1  configuration error (message names the file, line, or missing key),
+       or a usage error (missing or unknown option; argparse's usage message)
     2  step rejected by the integrator's residual guards, or a
        vibrate.steps_per_period under 20
     3  model, chart, or rank errors
@@ -35,7 +39,7 @@ from .errors import ConfigError, NonholoError, StepRejected
 from .jump_analysis import BoxSampler, psi_scan, sufficiency_check, theta_on_III_scan
 from .models import ModelBundle, build_model
 from .reduced_dynamics import ControlSignal, _closed_rhs
-from .simulate import IntegratorConfig, integrate, oscillation_sweep
+from .simulate import IntegratorConfig, integrate, oscillation_sweep, two_timescale_coefficient
 
 
 @dataclass(frozen=True)
@@ -226,6 +230,13 @@ def _tolerance(cfg: RunConfig, override: Optional[float], key: str, default: flo
     return tol
 
 
+def _report(text: str, out: str) -> None:
+    """Write the text report ``text`` to ``out`` and echo it to stdout."""
+    with open(out, "w") as fh:
+        fh.write(text)
+    print(text, end="")
+
+
 def cmd_simulate(cfg: RunConfig, out: str, seed: int) -> int:
     model = model_from_config(cfg)
     control = control_from_config(cfg)
@@ -270,9 +281,7 @@ def cmd_check_fit(cfg: RunConfig, out: str, seed: int, samples: Optional[int], t
     agree = psi.verdict == theta.verdict
     if not agree:
         text += "WARNING: scan verdicts disagree; treating as inconclusive\n"
-    with open(out, "w") as fh:
-        fh.write(text)
-    print(text, end="")
+    _report(text, out)
     if not agree:
         return 5
     if psi.verdict == "fit":
@@ -325,10 +334,7 @@ def cmd_oracle_compare(cfg: RunConfig, out: str, seed: int, samples: Optional[in
         lines.append("worst point: [" + ", ".join(repr(float(x)) for x in worst) + "]")
     ok = drawn == 0 or max_dev <= dev_tol
     lines.append(f"tolerance: {dev_tol!r} -> {'PASS' if ok else 'FAIL'}")
-    text = "\n".join(lines) + "\n"
-    with open(out, "w") as fh:
-        fh.write(text)
-    print(text, end="")
+    _report("\n".join(lines) + "\n", out)
     return 0 if ok else 4
 
 
@@ -357,15 +363,22 @@ def cmd_vibrate(cfg: RunConfig, out: str, seed: int) -> int:
     if y0.shape != (model.closed_dim,):
         raise ConfigError(f"{cfg.path}: key 'initial.y' needs {model.closed_dim} entries, got {y0.shape[0]}")
     sweep = oscillation_sweep(model, y0, u_bar, K, eps_list, horizon, steps_per_period=steps)
-    text = sweep.to_text()
-    with open(out, "w") as fh:
-        fh.write(text)
-    print(text, end="")
+    pump = two_timescale_coefficient(model, y0, u_bar, K)
+    pump_line = f"two-timescale pump: measured {pump.measured!r}, predicted {pump.predicted!r}"
+    _report(f"{sweep.to_text()}{pump_line}, rel err {pump.rel_err:.3e}\n", out)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """``argparse``'s parser, with a usage error on exit code 1 (a configuration error) rather than its own 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nonholo",
         description="Reduced dynamics of non-holonomic systems with actively controlled coordinates.",
     )

@@ -220,13 +220,14 @@ def _norm(x: Array) -> float:
     return math.sqrt(v @ v)
 
 
-def _finite_point(spec: SystemSpec, q: object) -> Array:
-    """``q`` as a float array, which must be finite and of shape ``(N+M,)``, else ``ValueError``: the pointwise
-    entries' check, so a coordinate the callbacks ignore cannot be NaN and a short ``q`` cannot broadcast."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (spec.dim,) or not np.isfinite(q).all():
-        raise ValueError(f"q must be finite and of shape {(spec.dim,)}, got {q!r}")
-    return q
+def _finite_vector(x: object, name: str, k: int, batched: bool = False) -> Array:
+    """``x`` as a float array, which must be finite and of shape ``(k,)`` (with ``batched``, its last axis of length
+    ``k``), else ``ValueError`` naming it ``name``: the pointwise entries' check of their vector arguments, made before
+    any callback call, so a coordinate the callbacks ignore cannot be NaN and a wrong length cannot broadcast."""
+    x = np.asarray(x, dtype=float)
+    if (x.shape[-1:] if batched else x.shape) != (k,) or not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite and of shape {(k,)}, got {x!r}")
+    return x
 
 
 def _cholesky_spd(G: Array) -> None:
@@ -491,7 +492,7 @@ def projection_set(spec: SystemSpec, q: Array) -> ProjectionSet:
     constraint block that fails transversality raises ``RankDeficiency``,
     and a ``q`` that is not finite or not of shape ``(N+M,)`` ``ValueError``.
     """
-    q = _finite_point(spec, q)
+    q = _finite_vector(q, "q", spec.dim)
     _, P, _ = _projection_stack(spec, q[None], _eye(spec.dim)[:0])
     return P.point(0)
 
@@ -509,10 +510,11 @@ def argmin_certificate(
     ``h @ v`` should have the least ``g``-norm; every competitor differs from
     it by a block I vector.  Draws ``trials`` random competitors
     ``h @ v + w``, ``w = I_basis @ c`` rescaled to ``|w| = _COMPETITOR_LENGTH``, and returns ``(ok, margin)`` with
-    ``margin`` the worst observed excess energy (nonnegative when the certificate holds).
+    ``margin`` the worst observed excess energy (nonnegative when the certificate holds).  A ``q`` or ``v`` that is
+    not finite or not of shape ``(N+M,)`` or ``(M,)`` raises ``ValueError``.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    v = np.asarray(v, dtype=float)
+    v = _finite_vector(v, "v", spec.M)
     P = projection_set(spec, q)
     z0 = P.h @ v
     base = float(z0 @ P.g @ z0)

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_geometry import Array, SystemSpec, _each_point, _eye, _finite_point, _frame_stack
+from .core_geometry import Array, SystemSpec, _each_point, _eye, _finite_vector, _frame_stack
 from .errors import (
     ChartDomain,
     NotInDeltaCapGamma,
@@ -392,11 +392,13 @@ def leaf_metric_derivative(spec: SystemSpec, q: Array, v: Array, w: Array) -> fl
     For Euclidean charts its vanishing for all ``(v, w)`` everywhere is the
     leaf-distance restatement of the Psi scan.  ``w`` must lie in the free
     block, ``|P_I w - w| <= _FREE_BLOCK_TOL (1 + |w|)``, or
-    :class:`NotInDeltaCapGamma` is raised.
+    :class:`NotInDeltaCapGamma` is raised; a ``q``, ``v`` or ``w`` that is
+    not finite or not of shape ``(N+M,)``, ``(M,)`` or ``(N+M,)`` raises
+    ``ValueError``.
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    w = np.asarray(w, dtype=float)
-    _, pt = _frame_stack(spec, _finite_point(spec, q)[None], w[None])
+    v = _finite_vector(np.atleast_1d(v), "v", spec.M)
+    w = _finite_vector(w, "w", spec.dim)
+    _, pt = _frame_stack(spec, _finite_vector(q, "q", spec.dim)[None], w[None])
     wnorm = float(np.abs(w).max())
     if wnorm == 0.0:
         return 0.0

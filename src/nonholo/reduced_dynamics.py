@@ -63,7 +63,7 @@ from .core_geometry import (
     _complex_safe,
     _constraint_svd,
     _eye,
-    _finite_point,
+    _finite_vector,
     _frame_stack,
     _norm,
     _not_complex_safe,
@@ -98,7 +98,7 @@ class ControlSignal:
         zero = np.zeros_like(u0)
 
         def held(v: Array) -> TimeFn:
-            return _time_by_time(lambda t: v.copy())
+            return _time_by_time(lambda t: v.copy(), u0.size)
 
         return ControlSignal(held(u0), held(zero), held(zero))
 
@@ -111,7 +111,7 @@ class ControlSignal:
         d2 = [p.deriv(2) for p in polys]
 
         def ev(ps):
-            return _time_by_time(lambda t: np.array([p(t - t0) for p in ps]))
+            return _time_by_time(lambda t: np.array([p(t - t0) for p in ps]), len(ps))
 
         return ControlSignal(ev(polys), ev(d1), ev(d2))
 
@@ -175,18 +175,23 @@ class ControlSignal:
         def clamp(t: float) -> float:
             return min(1.0, max(0.0, (t - t0) / duration))
 
+        def inside(d: Callable[[float], float], scale: float) -> TimeFn:
+            """``(b - a) d / scale`` inside the open window, 0 outside it."""
+            return _time_by_time(lambda t: (b - a) * (d(clamp(t)) / scale if 0.0 < clamp(t) < 1.0 else 0.0), a.size)
+
         # a column of times is read time by time: the powers in s, ds and dds round as Python's, unlike NumPy's
         return ControlSignal(
-            _time_by_time(lambda t: a + (b - a) * s(clamp(t))),
-            _time_by_time(lambda t: (b - a) * (ds(clamp(t)) / duration if 0.0 < clamp(t) < 1.0 else 0.0)),
-            _time_by_time(lambda t: (b - a) * (dds(clamp(t)) / duration**2 if 0.0 < clamp(t) < 1.0 else 0.0)),
+            _time_by_time(lambda t: a + (b - a) * s(clamp(t)), a.size), inside(ds, duration), inside(dds, duration**2)
         )
 
 
-def _time_by_time(fn: TimeFn) -> TimeFn:
-    """``fn`` at one time, and on a column of times its calls at each, stacked as rows: how every constructor but
-    ``sinusoid`` (and ``dither``, built on it), whose formulas broadcast, reads a column of times."""
-    return lambda t: fn(t) if type(t) is float or not np.ndim(t) else np.array([fn(x) for x in t[:, 0].tolist()])
+def _time_by_time(fn: TimeFn, M: int) -> TimeFn:
+    """``fn`` at one time, and on a column of times its ``M``-channel calls at each, stacked as rows (shape ``(K, M)``,
+    also for ``K = 0``): how every constructor but ``sinusoid`` (and ``dither``, built on it), whose formulas
+    broadcast, reads a column of times."""
+    return lambda t: (
+        fn(t) if type(t) is float or not np.ndim(t) else np.array([fn(x) for x in t[:, 0].tolist()]).reshape(-1, M)
+    )
 
 
 @dataclass(frozen=True)
@@ -284,10 +289,11 @@ def centrifugal_psi(spec: SystemSpec, q: Array, udot: Array) -> Array:
     This covector vanishing identically (for all ``q`` and ``udot``) is the
     computable signature of a system that tolerates control jumps.  It
     broadcasts over leading axes of ``udot``; ``q`` must be finite and of
-    shape ``(N+M,)``, else ``ValueError``.
+    shape ``(N+M,)``, and ``udot`` finite with a last axis of length ``M``,
+    else ``ValueError``.
     """
-    _, pt = _frame_stack(spec, _finite_point(spec, q)[None], _eye(spec.dim))
-    udot = np.atleast_1d(np.asarray(udot, dtype=float))
+    udot = _finite_vector(np.atleast_1d(udot), "udot", spec.M, batched=True)
+    _, pt = _frame_stack(spec, _finite_vector(q, "q", spec.dim)[None], _eye(spec.dim))
     return np.einsum("...a,...b,abn->...n", udot, udot, _psi_stack(pt)[0])
 
 
@@ -535,7 +541,7 @@ def frame_rhs(spec: SystemSpec, q: Array, xi: Array, t: float, control: ControlS
     adapted to ``control`` at ``t``; the stages of
     :func:`~nonholo.simulate.integrate` run the same kernel without those.
     """
-    q = _finite_point(spec, q)
+    q = _finite_vector(q, "q", spec.dim)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     _check_adapted(spec, q, t, control)
     udot = _read_control(control.rate, t, "rate")
@@ -560,7 +566,7 @@ def _closed_rhs(
     ``TypeError`` or ``ComplexWarning`` from it is a ``ModelError`` naming
     ``extract_closed``.
     """
-    q = _finite_point(spec, q)
+    q = _finite_vector(q, "q", spec.dim)
     _check_adapted(spec, q, t, control)
     udot = _read_control(control.rate, t, "rate")
     N, m, H = spec.N, spec.N - spec.nu, COMPLEX_STEP
@@ -595,7 +601,7 @@ def frame_coefficients(spec: SystemSpec, q: Array) -> dict[str, Array]:
     coupling ``2 B[xi, udot]``; and ``"udot_udot"`` ``(m, M, M)``, the pure control-rate pump.  A ``q`` that is not
     finite or not of shape ``(N+M,)`` raises ``ValueError``.  Each callback runs once, on ``q + i H [0; I_n]``.
     """
-    _, pt = _frame_stack(spec, _finite_point(spec, q)[None], _eye(spec.dim))
+    _, pt = _frame_stack(spec, _finite_vector(q, "q", spec.dim)[None], _eye(spec.dim))
     B = np.moveaxis((_maggi_form(pt, free=True) @ pt.Ginv.transpose(0, 2, 1)[:, None])[0], -1, 0)
     m = spec.N - spec.nu
     return {"xi_xi": B[:, :m, :m], "xi_udot": 2.0 * B[:, :m, m:], "udot_udot": B[:, m:, m:]}

@@ -21,8 +21,12 @@ from nonholo.cli import (
 from nonholo.errors import ConfigError
 from nonholo.models import build_model
 from nonholo.reduced_dynamics import ControlSignal
+from nonholo.simulate import oscillation_sweep, two_timescale_coefficient
 
 from conftest import nan_control_column_spec, nan_derivative_spec
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -510,6 +514,36 @@ class TestVibrateCommand:
         assert main(["vibrate", "--config", cfg, "--out", str(out)]) == 0
         assert "ratio_to_previous" in out.read_text()
 
+    @pytest.mark.parametrize(
+        "text, y0, u_bar, K, eps_list, horizon",
+        [
+            (
+                (CONFIGS / "racer_vibrate.cfg").read_text(),
+                [0.0, np.pi / 2.0, 0.0, 0.0], 0.0, 1.0, [0.1, 0.05, 0.025], np.pi,
+            ),
+            (
+                "model.name = roller-racer\nvibrate.u_bar = 0.3\nvibrate.K = 0.8\nvibrate.eps_list = 0.1, 0.05\n"
+                "vibrate.horizon = 1.0\ninitial.y = 0.1, 1.2, 0.3, 0.5\n",
+                [0.1, 1.2, 0.3, 0.5], 0.3, 0.8, [0.1, 0.05], 1.0,
+            ),
+        ],
+        ids=["racer_vibrate", "u_bar-and-initial-y"],
+    )
+    def test_report_is_the_sweep_then_the_pump(self, tmp_path, capsys, text, y0, u_bar, K, eps_list, horizon):
+        """The report is ``oscillation_sweep``'s text and one line from ``two_timescale_coefficient`` at its defaults,
+        on the sweep's ``y0``, bit for bit, in the file and on stdout."""
+        out = tmp_path / "sweep.txt"
+        assert main(["vibrate", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        racer = build_model("roller-racer")
+        sweep = oscillation_sweep(racer, np.array(y0), u_bar, K, eps_list, horizon)
+        pump = two_timescale_coefficient(racer, np.array(y0), u_bar, K)
+        expected = sweep.to_text() + (
+            f"two-timescale pump: measured {pump.measured!r}, predicted {pump.predicted!r}, "
+            f"rel err {pump.rel_err:.3e}\n"
+        )
+        assert out.read_text() == expected
+        assert capsys.readouterr().out == expected
+
     def test_coarse_phase_resolution_is_rejected(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -540,9 +574,6 @@ class TestVibrateCommand:
     def test_model_without_closed_state_errors(self, tmp_path):
         cfg = write_cfg(tmp_path, "model.name = rolling-ball\n")
         assert main(["vibrate", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 3
-
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestShippedConfigs:
@@ -639,6 +670,32 @@ class TestNonFiniteCallbacks:
         assert main(["simulate", "--config", str(CONFIGS / "racer_constant.cfg"), "--out", str(out)]) == 3
         assert "error: omega is not finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestUsageErrors:
+    """A usage error exits 1, as a configuration error, not argparse's 2, which the contract keeps for a rejected step."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--out", "x.csv"],
+            ["vibrate", "--config", "run.cfg", "--out", "x.txt", "--bogus"],
+            ["check-fit", "--config", "run.cfg", "--out", "x.txt", "--samples", "abc"],
+        ],
+        ids=["missing-config", "unknown-option", "non-integer-samples"],
+    )
+    def test_exit_1_with_the_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: nonholo")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["vibrate", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: nonholo")
 
 
 class TestEntryPoint:

@@ -406,6 +406,16 @@ POINTWISE_ENTRIES = {
     ),
 }
 
+#: the pointwise entries with a vector argument besides ``q``, on the racer at a good ``q``, each such argument a
+#: keyword whose default runs
+VECTOR_ENTRIES = {
+    "centrifugal_psi": lambda racer, udot=(1.0,): centrifugal_psi(racer.spec, [0.0, 1.1, -0.5, 0.2], udot),
+    "leaf_metric_derivative": lambda racer, v=(1.0,), w=(0.0,) * 4: leaf_metric_derivative(
+        racer.spec, [0.0, 1.1, -0.5, 0.2], v, w
+    ),
+    "argmin_certificate": lambda racer, v=(1.0,): argmin_certificate(racer.spec, [0.0, 1.1, -0.5, 0.2], v),
+}
+
 
 class TestPointwiseEntries:
     @pytest.mark.parametrize(
@@ -426,4 +436,39 @@ class TestPointwiseEntries:
         spied = dataclasses.replace(racer, spec=counting_spec(racer.spec, calls))
         with pytest.raises(ValueError, match=r"q must be finite and of shape \(4,\)"):
             call(spied, np.array(q))
+        assert not calls
+
+    @pytest.mark.parametrize(
+        "entry, name, bad",
+        [
+            ("centrifugal_psi", "udot", [1.0, 2.0]),
+            ("centrifugal_psi", "udot", [np.nan]),
+            ("centrifugal_psi", "udot", [[1.0, 2.0], [0.5, 0.0]]),
+            ("centrifugal_psi", "udot", [[1.0], [np.inf]]),
+            ("leaf_metric_derivative", "v", [1.0, 2.0]),
+            ("leaf_metric_derivative", "v", [np.nan]),
+            ("leaf_metric_derivative", "w", [0.0, 0.0, 0.0]),
+            ("leaf_metric_derivative", "w", [np.nan, 0.0, 0.0, 0.0]),
+            ("argmin_certificate", "v", [1.0, 2.0]),
+            ("argmin_certificate", "v", [np.nan]),
+        ],
+        ids=[
+            "psi-udot-too-long", "psi-udot-nan", "psi-udot-rows-too-long", "psi-udot-rows-inf", "leaf-v-too-long",
+            "leaf-v-nan", "leaf-w-too-short", "leaf-w-nan", "argmin-v-too-long", "argmin-v-nan",
+        ],
+    )
+    def test_refuses_a_bad_vector_argument(self, racer, entry, name, bad):
+        """A non-finite or wrong-length vector argument is a ``ValueError`` naming it, before any callback call.
+
+        ``centrifugal_psi`` checks only the last axis of ``udot`` and broadcasts over the others.  On the racer,
+        ``udot = [1, 2]`` gave nine times the ``udot = [1]`` value, a NaN ``w`` gave ``0.0`` and a NaN ``v`` NaN or
+        ``(False, inf)``, and the wrong lengths raised NumPy's concatenate and ``matmul`` errors.
+        """
+        call = VECTOR_ENTRIES[entry]
+        call(racer)
+        calls = Counter()
+        spied = dataclasses.replace(racer, spec=counting_spec(racer.spec, calls))
+        k = racer.spec.dim if name == "w" else racer.spec.M
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and of shape \({k},\)"):
+            call(spied, **{name: np.array(bad)})
         assert not calls

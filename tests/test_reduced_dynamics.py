@@ -180,6 +180,14 @@ class TestControlSignal:
             assert column.shape == (len(ts), M)
             assert column.tobytes() == np.array([fn(t) for t in ts.tolist()]).tobytes()
 
+    @pytest.mark.parametrize("M", [1, 2])
+    @pytest.mark.parametrize("name", sorted(SIGNALS))
+    def test_an_empty_column_of_times_gives_no_rows(self, M, name):
+        """A ``(0, 1)`` column of times gives ``(0, M)``; ``constant``, ``polynomial``, ``linear`` and ``ramp`` gave ``(0,)``."""
+        sig = self.signals_with(M)[name]
+        for what in ("value", "rate", "accel"):
+            assert getattr(sig, what)(np.zeros((0, 1))).shape == (0, M)
+
 
 # ---------------------------------------------------------------------------
 # quadratic momentum form
@@ -212,6 +220,14 @@ class TestQuadraticForm:
             direct = centrifugal_psi(racer.spec, q, udot)
             via_theta = theta_I_apply(racer.spec, q, P.k @ udot, P.k @ udot, tensors=T)
             assert np.abs(direct - via_theta).max() < 1e-14
+
+    def test_psi_broadcasts_over_leading_axes_of_udot(self, racer):
+        q = np.array([0.0, 1.1, -0.5, 0.2])
+        udot = np.array([[[0.8], [-0.3]], [[1.2], [0.0]]])
+        psi = centrifugal_psi(racer.spec, q, udot)
+        assert psi.shape == (2, 2, 4)
+        for idx in np.ndindex(2, 2):
+            np.testing.assert_allclose(psi[idx], centrifugal_psi(racer.spec, q, udot[idx]), rtol=1e-15, atol=0.0)
 
     def test_psi_vanishes_on_ball(self, ball):
         worst = 0.0
