@@ -369,6 +369,17 @@ def cmd_vibrate(cfg: RunConfig, out: str, seed: int) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """``--seed``'s type: a nonnegative integer, as ``np.random.default_rng`` needs; else a usage error."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     """``argparse``'s parser, with a usage error on exit code 1 (a configuration error) rather than its own 2."""
 
@@ -387,7 +398,7 @@ def main(argv: Optional[list] = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="flat key = value config file")
         p.add_argument("--out", required=True, help="output CSV/report path")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized draws (default 0)")
+        p.add_argument("--seed", type=_seed, default=0, help="nonnegative seed for randomized draws (default 0)")
         if name in ("check-fit", "oracle-compare"):
             p.add_argument("--samples", type=int, default=None, help="sample count override")
             p.add_argument("--tol", type=float, default=None, help="tolerance override")

@@ -214,6 +214,20 @@ def _eye(n: int) -> Array:
     return eye
 
 
+def _complex_shift(D: Array) -> Array:
+    """``i H [0; D]``: ``q + _complex_shift(D)`` stacks ``q`` and its complex steps along the rows of ``D``."""
+    return (1j * COMPLEX_STEP) * np.concatenate([np.zeros((1, D.shape[-1])), D])
+
+
+@lru_cache(maxsize=None)
+def _axis_shift(n: int, start: int = 0) -> Array:
+    """Read-only ``_complex_shift(I_n[start:])``, the steps along the axes from ``start`` on (none for ``start = n``),
+    built once per ``(n, start)``: a table bounded by the models' dimensions, never keyed on a point or direction."""
+    shift = _complex_shift(_eye(n)[start:])
+    shift.flags.writeable = False
+    return shift
+
+
 def _norm(x: Array) -> float:
     """``np.linalg.norm(x)`` (2-norm, Frobenius on a matrix) bit for bit, without its dispatch cost."""
     v = x.ravel(order="K")
@@ -411,10 +425,13 @@ def _best_pivots(spec: SystemSpec, Om: Array) -> tuple[Array, Array]:
     return pivots, inv_norm[np.arange(len(Om)), pivots]
 
 
-def _frame_stack(spec: SystemSpec, Q: Array, D: Array, skip: SkipTypes = ()) -> tuple[Array, Optional[SimpleNamespace]]:
+def _frame_stack(
+    spec: SystemSpec, Q: Array, shift: Array, skip: SkipTypes = ()
+) -> tuple[Array, Optional[SimpleNamespace]]:
     """The point half of Maggi's equations at every point of ``Q`` (shape ``(S, N+M)``), each on its own generic frame.
 
-    Each callback runs once, under :func:`_complex_safe`, on ``Q[i] + i H [0; D]`` (:func:`_complex_front`).  A
+    Each callback runs once, under :func:`_complex_safe`, on ``Q[i] + shift`` (:func:`_complex_front`), where ``shift
+    = i H [0; D]`` steps along the directions ``D``: :func:`_axis_shift` for axes, else :func:`_complex_shift`.  A
     point's pivots ``d`` (:func:`_best_pivots`) give its frame ``V[r] = I``, ``V[d] = -A_d^-1 Om[:, r]``, whose first
     ``N - nu`` columns ``V_I`` span block I and whose last ``M``, ``x0``, solve the constraint rows with unit controls.
     As on a Maggi stage, ``RANK_RTOL |Om[:, :N]|_F |A_d^-1|_F < 1`` certifies transversality, else
@@ -424,7 +441,6 @@ def _frame_stack(spec: SystemSpec, Q: Array, D: Array, skip: SkipTypes = ()) -> 
     them, ``g``, ``Om``, their derivatives ``dg``, ``dOm`` along ``D``, ``d``, ``Ainv``, ``V_I``, ``gV = g V_I``,
     ``Ginv = (V_I^T g V_I)^-1`` and the lift ``h = x0 - V_I Ginv gV^T x0`` (``pt`` is ``None`` when none stayed).
     """
-    shift = (1j * COMPLEX_STEP) * np.concatenate([np.zeros((1, spec.dim)), D])
     with _complex_safe():
         keep, parts = _stacked_call(lambda Q: _complex_front(spec, Q[:, None] + shift), Q, skip)
     if not parts:
@@ -434,9 +450,9 @@ def _frame_stack(spec: SystemSpec, Q: Array, D: Array, skip: SkipTypes = ()) -> 
     pivots, ainv_norm = _best_pivots(spec, Om)
     d, r = subsets[pivots], others[pivots]
     with np.errstate(invalid="ignore"):  # 0 * inf: a zero block, whose minors are all singular
-        weak = ~(RANK_RTOL * _frobenius(Om[:, :, : spec.N]) * ainv_norm < 1.0)
-    if weak.any():
-        Qk, ok = Q[keep], ~weak
+        certified = RANK_RTOL * _frobenius(Om[:, :, : spec.N]) * ainv_norm < 1.0
+    if not certified.all():
+        Qk, ok, weak = Q[keep], certified, ~certified
         ok[weak] = _constraint_svd(spec, Qk[weak], Om[weak], skip)
         for i in np.flatnonzero(ok & ~(ainv_norm < np.inf)):
             exc = ChartDomain(f"pivot minor {tuple(d[i].tolist())} of the generic frame is singular at q={Qk[i]}")
@@ -464,7 +480,7 @@ def _frame_stack(spec: SystemSpec, Q: Array, D: Array, skip: SkipTypes = ()) -> 
 
 
 def _projection_stack(
-    spec: SystemSpec, Q: Array, D: Array, skip: SkipTypes = ()
+    spec: SystemSpec, Q: Array, shift: Array, skip: SkipTypes = ()
 ) -> tuple[Array, Optional[ProjectionSet], Optional[tuple[Array, Array]]]:
     """The splitting at every point of ``Q`` (shape ``(S, N+M)``) at once, read off :func:`_frame_stack`.
 
@@ -472,9 +488,10 @@ def _projection_stack(
     ``Om y = I`` with no controlled components; ``I_basis = V_I`` and ``k = g h``.  No rank test: ``V[r] = I``, the
     control rows of ``h`` are ``I`` and ``G`` is SPD, so the blocks have ranks ``(N - nu, nu, M)``.  Returns ``(keep,
     P, derivs)``: the points of ``Q`` that stayed (as in :func:`_frame_stack`), a :class:`ProjectionSet` with one
-    leading axis over them and the derivative stacks ``(dg, dOm)`` along ``D`` (both ``None`` when none stayed).
+    leading axis over them and the derivative stacks ``(dg, dOm)`` along the shift's ``D`` (both ``None`` when none
+    stayed).
     """
-    keep, pt = _frame_stack(spec, Q, D, skip)
+    keep, pt = _frame_stack(spec, Q, shift, skip)
     if pt is None:
         return keep, None, None
     y = np.zeros((len(pt.g), spec.dim, spec.nu))
@@ -493,7 +510,7 @@ def projection_set(spec: SystemSpec, q: Array) -> ProjectionSet:
     and a ``q`` that is not finite or not of shape ``(N+M,)`` ``ValueError``.
     """
     q = _finite_vector(q, "q", spec.dim)
-    _, P, _ = _projection_stack(spec, q[None], _eye(spec.dim)[:0])
+    _, P, _ = _projection_stack(spec, q[None], _axis_shift(spec.dim, spec.dim))
     return P.point(0)
 
 

@@ -25,19 +25,28 @@ generic frame (Neimark & Fufaev, *Dynamics of Nonholonomic Systems*, 1972),
 one stacked kernel, which calls each callback once per stack, complex, at
 ``q + i H [0; D]``: row 0 gives the value, the other rows the derivatives
 along ``D`` (every axis for the scans, the controls for
-:func:`sufficiency_check`, ``w`` for :func:`leaf_metric_derivative`).  One
-broadcast contraction evaluates every seed direction at every point.
+:func:`sufficiency_check`, ``w`` for :func:`leaf_metric_derivative`).  The
+axis shifts are built once per model dimension; only ``w`` builds its own.
+One broadcast contraction evaluates every seed direction at every point.
+
+At a few samples a scan's cost is fixed dispatch, not per-point work, so the
+fixed steps are kept lean without changing one floating-point operation:
+:class:`BoxSampler` checks its box once (finite bounds and widths, else
+``ValueError``) and draws ``low + width * U[0, 1)``, ``Generator.uniform``'s
+own arithmetic, and the seed stacks are indexed only when a sample was
+skipped.  A scan's ``tol`` must be positive and finite, else ``ValueError``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core_geometry import Array, SystemSpec, _each_point, _eye, _finite_vector, _frame_stack
+from .core_geometry import Array, SystemSpec, _axis_shift, _complex_shift, _each_point, _eye, _finite_vector, _frame_stack
 from .errors import (
     ChartDomain,
     NotInDeltaCapGamma,
@@ -65,8 +74,10 @@ class BoxSampler:
     """Uniform configuration samples from an axis-aligned chart box.
 
     ``box`` has one ``(low, high)`` row per coordinate (all ``N + M`` of
-    them, so the scan also varies the control value).  The generator state
-    is owned by the sampler: reseeding reproduces the exact draw sequence.
+    them, so the scan also varies the control value); its bounds and widths
+    must be finite, with ``high >= low``, else ``ValueError``.  It is checked
+    once, at construction.  The generator state is owned by the sampler:
+    reseeding reproduces the exact draw sequence.
     """
 
     box: Array
@@ -77,23 +88,36 @@ class BoxSampler:
         self.box = np.asarray(self.box, dtype=float)
         if self.box.ndim != 2 or self.box.shape[1] != 2:
             raise ValueError(f"box must have shape (dim, 2), got {self.box.shape}")
-        if np.any(self.box[:, 1] < self.box[:, 0]):
+        rows = self.box.tolist()
+        # Python floats subtract as NumPy does, without its overflow warning; a NaN or infinite bound gives such a width
+        widths = [high - low for low, high in rows]
+        if not all(map(math.isfinite, widths)):
+            raise ValueError(f"box bounds and widths must be finite, got {rows}")
+        if min(widths, default=0.0) < 0.0:
             raise ValueError("box upper bounds must dominate lower bounds")
+        self._low, self._width = self.box[:, 0].copy(), np.array(widths)
         self.rng = np.random.default_rng(self.seed)
 
     def points(self, n: int) -> Array:
-        return self.rng.uniform(self.box[:, 0], self.box[:, 1], size=(n, self.box.shape[0]))
+        """``n`` points, ``(n, dim)``: ``low + width * U[0, 1)``, bit for bit ``rng.uniform(low, high, (n, dim))``."""
+        return self._low + self._width * self.rng.random((n, len(self._low)))
 
     def unit_directions(self, dim: int, count: int) -> Array:
         """``count`` independent uniform directions on the unit sphere."""
         vecs = self.rng.standard_normal((count, dim))
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+        norms = _row_norms(vecs)
         # resample the (measure-zero) degenerate rows rather than dividing by ~0
-        while np.any(norms < 1e-12):
+        while (norms < 1e-12).any():
             bad = norms[:, 0] < 1e-12
             vecs[bad] = self.rng.standard_normal((int(bad.sum()), dim))
-            norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+            norms = _row_norms(vecs)
         return vecs / norms
+
+
+def _row_norms(v: Array) -> Array:
+    """Euclidean norms along the last axis, kept as a length-1 axis: ``np.linalg.norm(v, axis=-1, keepdims=True)``
+    bit for bit (the sum of squares it reduces for real input), without its dispatch cost."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -225,10 +249,12 @@ def _scan(
     ``(3M, S, d)``.  Per point and then across points, the first seed and point reaching the maximum win; the reported
     direction's largest-magnitude entry is made positive.
     """
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     M = spec.M
     pts = sampler.points(n_samples)
     rand_dirs = sampler.unit_directions(seed_dim, 2 * M * n_samples)
-    keep, pt = _frame_stack(spec, pts, _eye(spec.dim), _SKIPPABLE)
+    keep, pt = _frame_stack(spec, pts, _axis_shift(spec.dim), _SKIPPABLE)
     evaluated = int(keep.sum())
 
     max_value = 0.0
@@ -236,14 +262,17 @@ def _scan(
     worst_dir = None
     # without controls (M = 0) there are no seeds: nothing can be nonzero
     if evaluated and M:
-        canonical = np.broadcast_to(np.eye(M)[:, None, :], (M, evaluated, M))
-        random = rand_dirs.reshape(n_samples, 2 * M, seed_dim)[keep].swapaxes(0, 1)
+        skipped = evaluated < n_samples  # a boolean index copies: take it only when some point left
+        canonical = np.repeat(_eye(M)[:, None, :], evaluated, axis=1)
+        random = rand_dirs.reshape(n_samples, 2 * M, seed_dim)
+        random = (random[keep] if skipped else random).swapaxes(0, 1)
         values, used = evaluate(pt, _psi_stack(pt), canonical, random)
         best = values.argmax(axis=0)
         point_max = values[best, np.arange(evaluated)]
         i = int(point_max.argmax())
         # copies: views would pin the whole point and seed stacks to the report
-        max_value, worst_point, worst_dir = float(point_max[i]), pts[keep][i].copy(), used[best[i], i].copy()
+        max_value, worst_dir = float(point_max[i]), used[best[i], i].copy()
+        worst_point = (pts[keep] if skipped else pts)[i].copy()
         # a direction and its negative give the same quadratic value: report the
         # one whose largest-magnitude entry (the first, on a tie) is positive
         if worst_dir[np.abs(worst_dir).argmax()] < 0.0:
@@ -270,7 +299,7 @@ def psi_scan(
 
     The reported value is the sup-norm of the momentum covector per unit
     Euclidean control rate, so the tolerance has a fixed meaning across
-    models.
+    models.  ``tol`` must be positive and finite, else ``ValueError``.
     """
 
     def evaluate(pt: SimpleNamespace, Psi: Array, canonical: Array, random: Array) -> tuple[Array, Array]:
@@ -306,12 +335,13 @@ def theta_on_III_scan(
     evaluating ``theta_I[w, w] = Psi[a, a] / |k a|^2``, so tolerances are
     comparable with :func:`psi_scan`: this is ``Psi`` in a second
     parametrization, sampled at other points and directions.  A ``w``
-    shorter than ``1e-12`` scores 0 and is reported unnormalized.
+    shorter than ``1e-12`` scores 0 and is reported unnormalized.  ``tol``
+    must be positive and finite, else ``ValueError``.
     """
 
     def evaluate(pt: SimpleNamespace, Psi: Array, canonical: Array, random: Array) -> tuple[Array, Array]:
         a, w = _drive_rates(pt, canonical, random)
-        norm = np.linalg.norm(w, axis=-1)
+        norm = _row_norms(w)[..., 0]
         short = norm < 1e-12
         scale = np.where(short, 1.0, norm)
         values = np.abs(np.einsum("ksa,ksb,sabn->ksn", a, a, Psi)).max(axis=-1) / scale**2
@@ -350,7 +380,7 @@ def sufficiency_check(
     """
     pts = sampler.points(n_samples)
     # the callbacks' derivatives along the controlled coordinates only
-    keep, pt = _frame_stack(spec, pts, _eye(spec.dim)[spec.N :], _SKIPPABLE)
+    keep, pt = _frame_stack(spec, pts, _axis_shift(spec.dim, spec.N), _SKIPPABLE)
     max_dg = 0.0
     max_rep = 0.0
     if pt is not None:
@@ -398,7 +428,7 @@ def leaf_metric_derivative(spec: SystemSpec, q: Array, v: Array, w: Array) -> fl
     """
     v = _finite_vector(np.atleast_1d(v), "v", spec.M)
     w = _finite_vector(w, "w", spec.dim)
-    _, pt = _frame_stack(spec, _finite_vector(q, "q", spec.dim)[None], w[None])
+    _, pt = _frame_stack(spec, _finite_vector(q, "q", spec.dim)[None], _complex_shift(w[None]))
     wnorm = float(np.abs(w).max())
     if wnorm == 0.0:
         return 0.0

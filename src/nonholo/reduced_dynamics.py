@@ -45,7 +45,6 @@ complex-safe, and one that is not raises :class:`~nonholo.errors.ModelError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -57,12 +56,12 @@ from .core_geometry import (
     Array,
     ProjectionSet,
     SystemSpec,
+    _axis_shift,
     _best_pivots,
     _check_finite_derivatives,
     _complex_front,
     _complex_safe,
     _constraint_svd,
-    _eye,
     _finite_vector,
     _frame_stack,
     _norm,
@@ -254,7 +253,7 @@ def coefficient_tensors(spec: SystemSpec, q: Array) -> CoefficientTensors:
     :class:`~nonholo.errors.ModelError`.
     """
     q = np.asarray(q, dtype=float)
-    _, P, (dg, dOm) = _projection_stack(spec, q[None], _eye(spec.dim))
+    _, P, (dg, dOm) = _projection_stack(spec, q[None], _axis_shift(spec.dim))
     return _tensors_from(P.point(0), dg[0], dOm[0])
 
 
@@ -293,7 +292,7 @@ def centrifugal_psi(spec: SystemSpec, q: Array, udot: Array) -> Array:
     else ``ValueError``.
     """
     udot = _finite_vector(np.atleast_1d(udot), "udot", spec.M, batched=True)
-    _, pt = _frame_stack(spec, _finite_vector(q, "q", spec.dim)[None], _eye(spec.dim))
+    _, pt = _frame_stack(spec, _finite_vector(q, "q", spec.dim)[None], _axis_shift(spec.dim))
     return np.einsum("...a,...b,abn->...n", udot, udot, _psi_stack(pt)[0])
 
 
@@ -439,14 +438,6 @@ def reaction_force(
 PIVOT_COND = 1e2
 
 
-@lru_cache(maxsize=None)
-def _axis_shift(n: int) -> Array:
-    """Read-only ``i H [0; I_n]``: ``q + _axis_shift(n)`` stacks ``q`` and its complex steps along the axes."""
-    shift = (1j * COMPLEX_STEP) * _eye(n + 1)[:, 1:]
-    shift.flags.writeable = False
-    return shift
-
-
 def _maggi_point(spec: SystemSpec, q: Array, pivot: Optional[int] = None) -> SimpleNamespace:
     """The point half of :func:`frame_rhs` at ``q`` on the generic frame of Voronets and Chaplygin with the pivots
     ``d`` of layout ``pivot``, an index into ``core_geometry._pivot_layouts`` (``None``: the one best at ``q``).
@@ -538,11 +529,12 @@ def frame_rhs(spec: SystemSpec, q: Array, xi: Array, t: float, control: ControlS
     Om) V``, ``dV[r] = 0``.  A callback that is not complex-safe raises
     :class:`~nonholo.errors.ModelError`.  This pointwise entry also converts
     its inputs and checks that ``q`` is finite, of shape ``(N+M,)`` and
-    adapted to ``control`` at ``t``; the stages of
-    :func:`~nonholo.simulate.integrate` run the same kernel without those.
+    adapted to ``control`` at ``t``, and ``xi`` finite and of shape
+    ``(N - nu,)`` (else ``ValueError``, before any callback call); the stages
+    of :func:`~nonholo.simulate.integrate` run the same kernel without those.
     """
     q = _finite_vector(q, "q", spec.dim)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    xi = _finite_vector(np.atleast_1d(xi), "xi", spec.N - spec.nu)
     _check_adapted(spec, q, t, control)
     udot = _read_control(control.rate, t, "rate")
     with _complex_safe():
@@ -564,9 +556,10 @@ def _closed_rhs(
     ((d_qdot g) V_I + g dV) xi_gen + g V_I xidot_gen`` from the Maggi stage
     at ``q``; so ``extract`` must be complex-safe like the callbacks, and a
     ``TypeError`` or ``ComplexWarning`` from it is a ``ModelError`` naming
-    ``extract_closed``.
+    ``extract_closed``.  ``q`` and ``xi`` are checked as in :func:`frame_rhs`.
     """
     q = _finite_vector(q, "q", spec.dim)
+    xi = _finite_vector(np.atleast_1d(xi), "xi", spec.N - spec.nu)
     _check_adapted(spec, q, t, control)
     udot = _read_control(control.rate, t, "rate")
     N, m, H = spec.N, spec.N - spec.nu, COMPLEX_STEP
@@ -580,7 +573,7 @@ def _closed_rhs(
     with _complex_safe():
         pt = _maggi_point(spec, q)
         B = np.column_stack([extract_xi(q, pt.gV[:, k]) for k in range(m)])
-        xi_gen = np.linalg.solve(B, np.atleast_1d(np.asarray(xi, dtype=float)))
+        xi_gen = np.linalg.solve(B, xi)
         st = _maggi_flow(pt, xi_gen, udot)
         pIdot = (st.dg_flow @ pt.V_I + pt.g @ st.dV) @ xi_gen + pt.gV @ st.xidot
         z = q + (1j * H) * st.qdot
@@ -601,7 +594,7 @@ def frame_coefficients(spec: SystemSpec, q: Array) -> dict[str, Array]:
     coupling ``2 B[xi, udot]``; and ``"udot_udot"`` ``(m, M, M)``, the pure control-rate pump.  A ``q`` that is not
     finite or not of shape ``(N+M,)`` raises ``ValueError``.  Each callback runs once, on ``q + i H [0; I_n]``.
     """
-    _, pt = _frame_stack(spec, _finite_vector(q, "q", spec.dim)[None], _eye(spec.dim))
+    _, pt = _frame_stack(spec, _finite_vector(q, "q", spec.dim)[None], _axis_shift(spec.dim))
     B = np.moveaxis((_maggi_form(pt, free=True) @ pt.Ginv.transpose(0, 2, 1)[:, None])[0], -1, 0)
     m = spec.N - spec.nu
     return {"xi_xi": B[:, :m, :m], "xi_udot": 2.0 * B[:, :m, m:], "udot_udot": B[:, m:, m:]}

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from nonholo.core_geometry import SystemSpec, _best_pivots, _pivot_layouts, _projection_stack
+from nonholo.core_geometry import SystemSpec, _axis_shift, _best_pivots, _pivot_layouts, _projection_stack
 from nonholo.models import ball_orthonormal_basis, build_model
 from nonholo.reduced_dynamics import _tensors_from
 
@@ -152,7 +152,7 @@ def tensor_stack(spec, Q, skip=()):
     closed-form tensors on it: :func:`~nonholo.reduced_dynamics.coefficient_tensors`
     over a stack.
     """
-    keep, P, derivs = _projection_stack(spec, Q, np.eye(spec.dim), skip)
+    keep, P, derivs = _projection_stack(spec, Q, _axis_shift(spec.dim), skip)
     return keep, None if P is None else _tensors_from(P, *derivs)
 
 

@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,7 +28,8 @@ from nonholo.simulate import oscillation_sweep, two_timescale_coefficient
 from conftest import nan_control_column_spec, nan_derivative_spec
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -689,6 +692,31 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 1
         assert capsys.readouterr().err.startswith("usage: nonholo")
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("simulate", "ball_sinusoid"),
+            ("check-fit", "ball_checkfit"),
+            ("oracle-compare", "racer_oracle"),
+            ("vibrate", "racer_vibrate"),
+        ],
+    )
+    def test_negative_seed_is_a_usage_error(self, tmp_path, command, name):
+        """Run as a process, so stderr is what a user sees.  Before, ``check-fit`` and ``oracle-compare`` died with
+        ``np.random.default_rng``'s traceback (exit 1 from Python itself), and ``simulate`` and ``vibrate`` ran."""
+        out = tmp_path / "out"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        argv = [command, "--config", str(CONFIGS / f"{name}.cfg"), "--out", str(out), "--seed", "-1"]
+        done = subprocess.run(
+            [sys.executable, "-m", "nonholo.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"usage: nonholo {command}")
+        assert "argument --seed: must be a nonnegative integer, got '-1'" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["vibrate", "--help"]])
     def test_help_exits_0(self, capsys, argv):

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from nonholo.core_geometry import (
     SystemSpec,
+    _axis_shift,
     _projection_stack,
     argmin_certificate,
     projection_set,
@@ -327,7 +328,7 @@ class TestStackedCallbacks:
             projection_set(spec, Q[0])
         expected = re.escape(f"{label} returned shape {shape}, expected {(25, 5) + shape}")
         with pytest.raises(ValueError, match=expected):
-            _projection_stack(spec, Q, np.eye(4))
+            _projection_stack(spec, Q, _axis_shift(4))
 
     def test_projection_set_makes_one_complex_call_of_each_callback(self, racer, ball):
         """The splitting alone runs the same complex front as the tensors, with no derivative rows: no real call."""
@@ -414,6 +415,10 @@ VECTOR_ENTRIES = {
         racer.spec, [0.0, 1.1, -0.5, 0.2], v, w
     ),
     "argmin_certificate": lambda racer, v=(1.0,): argmin_certificate(racer.spec, [0.0, 1.1, -0.5, 0.2], v),
+    "frame_rhs": lambda racer, xi=(0.1,): frame_rhs(racer.spec, [0.0, 1.1, -0.5, 0.2], xi, 0.0, ControlSignal.constant(0.2)),
+    "_closed_rhs": lambda racer, xi=(0.1,): _closed_rhs(
+        racer.spec, racer.extract_closed, [0.0, 1.1, -0.5, 0.2], xi, 0.0, ControlSignal.constant(0.2)
+    ),
 }
 
 
@@ -451,24 +456,30 @@ class TestPointwiseEntries:
             ("leaf_metric_derivative", "w", [np.nan, 0.0, 0.0, 0.0]),
             ("argmin_certificate", "v", [1.0, 2.0]),
             ("argmin_certificate", "v", [np.nan]),
+            ("frame_rhs", "xi", [np.nan]),
+            ("frame_rhs", "xi", [0.1, 0.2]),
+            ("_closed_rhs", "xi", [np.nan]),
+            ("_closed_rhs", "xi", [-np.inf]),
         ],
         ids=[
             "psi-udot-too-long", "psi-udot-nan", "psi-udot-rows-too-long", "psi-udot-rows-inf", "leaf-v-too-long",
-            "leaf-v-nan", "leaf-w-too-short", "leaf-w-nan", "argmin-v-too-long", "argmin-v-nan",
+            "leaf-v-nan", "leaf-w-too-short", "leaf-w-nan", "argmin-v-too-long", "argmin-v-nan", "frame-xi-nan",
+            "frame-xi-too-long", "closed-xi-nan", "closed-xi-inf",
         ],
     )
     def test_refuses_a_bad_vector_argument(self, racer, entry, name, bad):
         """A non-finite or wrong-length vector argument is a ``ValueError`` naming it, before any callback call.
 
         ``centrifugal_psi`` checks only the last axis of ``udot`` and broadcasts over the others.  On the racer,
-        ``udot = [1, 2]`` gave nine times the ``udot = [1]`` value, a NaN ``w`` gave ``0.0`` and a NaN ``v`` NaN or
-        ``(False, inf)``, and the wrong lengths raised NumPy's concatenate and ``matmul`` errors.
+        ``udot = [1, 2]`` gave nine times the ``udot = [1]`` value, a NaN ``w`` gave ``0.0``, a NaN ``v`` NaN or
+        ``(False, inf)`` and a NaN ``xi`` all-NaN rates (with a ``RuntimeWarning`` from ``extract_closed`` in
+        ``_closed_rhs``), and the wrong lengths raised NumPy's concatenate and ``matmul`` errors.
         """
         call = VECTOR_ENTRIES[entry]
         call(racer)
         calls = Counter()
         spied = dataclasses.replace(racer, spec=counting_spec(racer.spec, calls))
-        k = racer.spec.dim if name == "w" else racer.spec.M
+        k = {"w": racer.spec.dim, "xi": racer.spec.N - racer.spec.nu}.get(name, racer.spec.M)
         with pytest.raises(ValueError, match=rf"^{name} must be finite and of shape \({k},\)"):
             call(spied, **{name: np.array(bad)})
         assert not calls

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nonholo import jump_analysis
-from nonholo.core_geometry import SystemSpec, _eye, _frame_stack, _projection_stack, projection_set
+from nonholo.core_geometry import SystemSpec, _axis_shift, _frame_stack, _projection_stack, projection_set
 from nonholo.errors import ChartDomain, ModelError, NotInDeltaCapGamma, RankDeficiency, SingularDenominator, SingularMetric
 from nonholo.jump_analysis import (
     GRAY_FACTOR,
@@ -156,6 +156,38 @@ class TestBoxSampler:
         with pytest.raises(ValueError):
             BoxSampler(np.array([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "row",
+        [[0.0, np.inf], [-np.inf, 0.0], [np.inf, np.inf], [np.nan, 1.0], [0.0, np.nan], [-1e308, 1e308]],
+        ids=["inf-high", "inf-low", "inf-both", "nan-low", "nan-high", "width-overflows"],
+    )
+    def test_rejects_a_non_finite_bound_or_width_at_construction(self, row):
+        """Before, such a box built, and ``Generator.uniform`` raised ``OverflowError`` at the first draw."""
+        with pytest.raises(ValueError, match="box bounds and widths must be finite"):
+            BoxSampler(np.array([[0.0, 1.0], row]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_points_are_generator_uniform_bitwise(self, seed):
+        """``low + width * random()`` is ``Generator.uniform``'s own arithmetic: the same doubles, draw by draw, also
+        on a zero-width interval, for no points, and after directions have been drawn from the same stream."""
+        box = np.array([[-1.0, 1.0], [0.25, 0.25], [3.0, 3.5], [-1e3, 2e-3], [0.0, np.pi]])
+        sampler, ref = BoxSampler(box, seed=seed), np.random.default_rng(seed)
+        for n in (5, 0, 1, 13):
+            got = sampler.points(n)
+            want = ref.uniform(box[:, 0], box[:, 1], size=(n, len(box)))
+            assert got.shape == (n, len(box)) and got.tobytes() == want.tobytes()
+            # directions draw standard normals from the same stream
+            sampler.unit_directions(3, 4)
+            ref.standard_normal((4, 3))
+        assert (got[:, 1] == 0.25).all()
+
+    @pytest.mark.parametrize("seed", [0, 5, 99])
+    @pytest.mark.parametrize("dim, count", [(1, 10), (3, 7), (6, 50), (4, 0)])
+    def test_unit_directions_are_the_linalg_norm_form_bitwise(self, seed, dim, count):
+        got = BoxSampler(np.array([[0.0, 1.0]]), seed=seed).unit_directions(dim, count)
+        vecs = np.random.default_rng(seed).standard_normal((count, dim))
+        assert got.tobytes() == (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).tobytes()
+
 
 class TestScans:
     def test_ball_is_fit_under_both_scans(self, ball):
@@ -199,6 +231,14 @@ class TestScans:
         rep = scan(racer.spec, BoxSampler(racer.sample_box, seed=0), n_samples=40)
         for witness in (rep.worst_point, rep.worst_direction):
             assert witness.base is None and witness.flags.owndata
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf], ids=["negative", "zero", "nan", "inf"])
+    @pytest.mark.parametrize("scan", [psi_scan, theta_on_III_scan])
+    def test_refuses_a_tolerance_that_is_not_positive_and_finite(self, ball, scan, tol):
+        """Before, on the fit ball with 3 samples, ``tol = -1`` gave ``not-fit`` with a zero-valued witness and ``tol =
+        nan`` gave ``inconclusive``."""
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            scan(ball.spec, BoxSampler(ball.sample_box, seed=0), n_samples=3, tol=tol)
 
     def test_gray_band_is_inconclusive(self, racer):
         """A tolerance placed just under the witness maximum refuses a verdict."""
@@ -344,7 +384,7 @@ def rank_losing_racer() -> SystemSpec:
 
 def one_point_psi(spec, q):
     """``Psi[a, b]`` at ``q`` alone: the scans' Maggi form on a one-point stack."""
-    _, pt = _frame_stack(spec, np.asarray(q, dtype=float)[None], np.eye(spec.dim))
+    _, pt = _frame_stack(spec, np.asarray(q, dtype=float)[None], _axis_shift(spec.dim))
     return _psi_stack(pt)[0]
 
 
@@ -417,7 +457,7 @@ class TestBatchedScans:
         Q = sample_points(bundle, 25, seed=81)
         keep, stacked = tensor_stack(bundle.spec, Q)
         assert keep.all()
-        Psi = _psi_stack(_frame_stack(bundle.spec, Q, np.eye(bundle.spec.dim))[1])
+        Psi = _psi_stack(_frame_stack(bundle.spec, Q, _axis_shift(bundle.spec.dim))[1])
         for i, q in enumerate(Q):
             single = coefficient_tensors(bundle.spec, q)
             pairs = [(getattr(stacked, f)[i], getattr(single, f)) for f in ("dPstar_I", "dginv", "dk", "dg")]
@@ -502,7 +542,7 @@ class TestPsiForm:
         system.
         """
         spec, Q, groups = psi_form_cases()[case]
-        keep, pt = _frame_stack(spec, Q, np.eye(spec.dim))
+        keep, pt = _frame_stack(spec, Q, _axis_shift(spec.dim))
         assert keep.all()
         assert len({tuple(d) for d in pt.d.tolist()}) == groups
         Psi = _psi_stack(pt)
@@ -523,7 +563,7 @@ class TestThetaReparametrization:
     def test_canonical_seeds_are_the_lift(self, case):
         """A canonical seed ``e`` gives ``a = e`` and ``w = k e``, which the scan reports as ``k e / |k e|``."""
         spec, Q, _ = psi_form_cases()[case]
-        _, pt = _frame_stack(spec, Q, np.eye(spec.dim))
+        _, pt = _frame_stack(spec, Q, _axis_shift(spec.dim))
         canonical = np.broadcast_to(np.eye(spec.M)[:, None, :], (spec.M, len(Q), spec.M))
         a, w = jump_analysis._drive_rates(pt, canonical, np.zeros((0, len(Q), spec.dim)))
         assert np.array_equal(a, canonical)
@@ -533,7 +573,7 @@ class TestThetaReparametrization:
     def test_random_seeds_land_on_the_drive_coprojection(self, case):
         """For a random covector ``r``, ``Pstar_III r`` from :class:`ProjectionSet` equals ``k a`` to 1e-14 of ``|r|``."""
         spec, Q, _ = psi_form_cases()[case]
-        _, pt = _frame_stack(spec, Q, np.eye(spec.dim))
+        _, pt = _frame_stack(spec, Q, _axis_shift(spec.dim))
         r = np.random.default_rng(94).standard_normal((3, len(Q), spec.dim))
         _, w = jump_analysis._drive_rates(pt, np.zeros((0, len(Q), spec.M)), r)
         for i, q in enumerate(Q):
@@ -598,7 +638,7 @@ class TestSufficiency:
         spec, S = bundle.spec, 30
         rep = sufficiency_check(spec, bundle.constancy_basis, BoxSampler(bundle.sample_box, seed=4), n_samples=S)
         pts = BoxSampler(bundle.sample_box, seed=4).points(S)
-        keep, P, (dg, _) = _projection_stack(spec, pts, _eye(spec.dim)[spec.N :])
+        keep, P, (dg, _) = _projection_stack(spec, pts, _axis_shift(spec.dim, spec.N))
         B = np.array([bundle.constancy_basis(q) for q in pts[keep]])
         ref = B.swapaxes(-1, -2) @ P.Pstar_I @ np.linalg.inv(B).swapaxes(-1, -2)
         ginv = P.ginv[:, None]
@@ -703,6 +743,16 @@ class TestLeafMetricDerivative:
         w1 = racer_frame_vectors(racer.params, q)["w1"]
         assert leaf_metric_derivative(racer.spec, q, np.zeros(1), w1) == 0.0
         assert leaf_metric_derivative(racer.spec, q, np.ones(1), np.zeros(4)) == 0.0
+
+    def test_shift_table_does_not_grow_with_w(self, racer):
+        """Only the axis shifts are tabled, one per model dimension: a call's own ``w`` builds its shift and leaves."""
+        q = np.array([0.0, 1.2, 0.0, 0.3])
+        w1 = racer_frame_vectors(racer.params, q)["w1"]
+        leaf_metric_derivative(racer.spec, q, np.ones(1), w1)
+        size = _axis_shift.cache_info().currsize
+        for k in range(100):
+            leaf_metric_derivative(racer.spec, q, np.ones(1), (1.0 + k / 7.0) * w1)
+        assert _axis_shift.cache_info().currsize == size
 
     def test_rejects_non_free_direction(self, racer):
         q = np.array([0.0, 1.2, 0.0, 0.3])

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nonholo import reduced_dynamics
-from nonholo.core_geometry import SystemSpec, _best_pivots, _frame_stack, _pivot_layouts, projection_set
+from nonholo.core_geometry import SystemSpec, _axis_shift, _best_pivots, _frame_stack, _pivot_layouts, projection_set
 from nonholo.errors import (
     ChartDomain,
     ModelError,
@@ -371,7 +371,7 @@ class TestClosedFormDerivatives:
         spec = counting_spec(bundle.spec, calls)
         Q = sample_points(bundle, S, seed=72)
         n = spec.dim
-        keep, pt = _frame_stack(spec, Q, np.eye(n))
+        keep, pt = _frame_stack(spec, Q, _axis_shift(n))
         assert keep.all() and pt.dg.shape == (S, n, n, n)
         assert dict(calls) == {("metric", "complex", (S, n + 1, n)): 1, ("omega", "complex", (S, n + 1, n)): 1}
 
@@ -381,12 +381,12 @@ class TestClosedFormDerivatives:
         spec = counting_spec(ball.spec, calls)
         Q = sample_points(ball, 25, seed=73)
         n = spec.dim
-        keep, pt = _frame_stack(spec, Q, np.eye(n), skip=(ChartDomain,))
+        keep, pt = _frame_stack(spec, Q, _axis_shift(n), skip=(ChartDomain,))
         # without an edge point the stack needs no rerun
         assert keep.all() and sum(calls.values()) == 2
         Q[7, 1] = 0.0  # sin(q2) = 0: the Euler chart's edge
         calls.clear()
-        keep, pt = _frame_stack(spec, Q, np.eye(n), skip=(ChartDomain,))
+        keep, pt = _frame_stack(spec, Q, _axis_shift(n), skip=(ChartDomain,))
         assert np.flatnonzero(~keep).tolist() == [7]
         assert dict(calls) == {
             # the stacked metric call raises, then every point is rerun alone;
@@ -395,7 +395,7 @@ class TestClosedFormDerivatives:
             ("metric", "complex", (1, n + 1, n)): 25,
             ("omega", "complex", (1, n + 1, n)): 24,
         }
-        _, clean = _frame_stack(ball.spec, Q[keep], np.eye(n))
+        _, clean = _frame_stack(ball.spec, Q[keep], _axis_shift(n))
         for name in ("g", "dg", "dOm", "d", "V_I", "Ginv", "h"):
             assert np.array_equal(getattr(pt, name), getattr(clean, name)), name
 
