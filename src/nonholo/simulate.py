@@ -38,11 +38,14 @@ takes a column of times) and look each stage's control half up.
 The stepper works on Python lists of floats, not arrays: on a 4-entry state,
 NumPy's per-operation dispatch costs more than the arithmetic.  So a field
 ``f(t, y)`` gets ``y`` as a list of floats and returns ``len(y)`` floats; a
-return of another length raises ``ValueError``.  Each entry rounds as the
-array expression of classical RK4 does, so the list stepper gives the array
-stepper's bits.  :func:`rk4_path` takes an array ``y0`` (1-D) and a finite
-``t_span`` and returns an array; :func:`integrate`'s stage converts at its
-boundary.
+return of another length raises ``ValueError`` at that stage, before the
+next stage is called.  The step itself is straight-line code, generated once
+per state length (``_rk4_kernel``): each stage's argument and the final
+combination are written out entry by entry, so a step builds no iterators.
+Each entry rounds as the array expression of classical RK4 does, so the list
+stepper gives the array stepper's bits.  :func:`rk4_path` takes an array
+``y0`` (1-D) and a finite ``t_span`` and returns an array;
+:func:`integrate`'s stage converts at its boundary.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from __future__ import annotations
 import csv
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
@@ -140,21 +144,65 @@ class Trajectory:
                 writer.writerow([repr(float(x)) for x in row])
 
 
+_RK4_TEMPLATE = """\
+def step(f, t, y, dt, k):
+    [{y}] = y
+    {check}
+    [{a}] = k
+    h = 0.5 * dt
+    k = f(t + h, [{arg_b}])
+    {check}
+    [{b}] = k
+    k = f(t + h, [{arg_c}])
+    {check}
+    [{c}] = k
+    k = f(t + dt, [{arg_d}])
+    {check}
+    [{d}] = k
+    w = dt / 6.0
+    return [{out}]
+"""
+
+
+@lru_cache(maxsize=None)
+def _rk4_kernel(n: int) -> Callable:
+    """The straight-line RK4 step for states of ``n`` entries, built from ``_RK4_TEMPLATE`` once per ``n``: a table
+    bounded by the state lengths stepped, never keyed on a state.  See ``_rk4_step``."""
+
+    def row(expr: str) -> str:  # ``expr`` for entries 0, ..., n - 1, with ``#`` standing for the entry's index
+        return ", ".join(expr.replace("#", str(i)) for i in range(n))
+
+    source = _RK4_TEMPLATE.format(
+        y=row("y#"), a=row("a#"), b=row("b#"), c=row("c#"), d=row("d#"),
+        arg_b=row("y# + h * a#"), arg_c=row("y# + h * b#"), arg_d=row("y# + dt * c#"),
+        out=row("y# + w * (((a# + 2.0 * b#) + 2.0 * c#) + d#)"),
+        check=f'if len(k) != {n}: raise ValueError(f"the field returned {{len(k)}} entries for a state of {n}")',
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<RK4 step for {n} entries>", "exec"), namespace)
+    return namespace["step"]
+
+
 def _rk4_step(f: Field, t: float, y: list[float], dt: float, k1: Sequence[float]) -> list[float]:
     """One classical RK4 step of ``y' = f(t, y)`` on a list of floats; the caller supplies ``k1 = f(t, y)``.
 
-    Each entry rounds as the array expression ``y + 0.5 * dt * k1``, ..., ``y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3
-    + k4)`` does.  A stage of another length than ``y`` raises ``ValueError``, naming both lengths.
+    It runs ``_rk4_kernel(len(y))``, the step written out entry by entry; for ``n = 2`` it reads::
+
+        def step(f, t, y, dt, k):
+            [y0, y1] = y
+            if len(k) != 2: raise ValueError(f"the field returned {len(k)} entries for a state of 2")
+            [a0, a1] = k
+            h = 0.5 * dt
+            k = f(t + h, [y0 + h * a0, y1 + h * a1])
+            ...  # the same check, then [b0, b1] = k; k3 from b, then k4 = f(t + dt, [y0 + dt * c0, y1 + dt * c1])
+            w = dt / 6.0
+            return [y0 + w * (((a0 + 2.0 * b0) + 2.0 * c0) + d0), y1 + w * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)]
+
+    So each entry rounds as the array expression ``y + 0.5 * dt * k1``, ..., ``y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 *
+    k3 + k4)`` does.  A stage of another length than ``y`` raises ``ValueError``, naming both lengths, before the
+    next stage is called.
     """
-    h = 0.5 * dt
-    k2 = f(t + h, [a + h * b for a, b in zip(y, k1)])
-    k3 = f(t + h, [a + h * b for a, b in zip(y, k2)])
-    k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3)])
-    if not len(y) == len(k1) == len(k2) == len(k3) == len(k4):
-        bad = next(len(k) for k in (k1, k2, k3, k4) if len(k) != len(y))
-        raise ValueError(f"the field returned {bad} entries for a state of {len(y)}")
-    w = dt / 6.0
-    return [a + w * (((b + 2.0 * c) + 2.0 * d) + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+    return _rk4_kernel(len(y))(f, t, y, dt, k1)
 
 
 def _frame_diagnostics(pt: SimpleNamespace, st: SimpleNamespace, xi: Array, uddot: Array) -> tuple:
@@ -403,8 +451,9 @@ def oscillation_sweep(
     per fast period.  The averaged field is integrated afresh at the same step
     size for each ``eps``, so for ``K = 0`` the two vector fields — and hence
     the endpoints — coincide bitwise.  An empty ``eps_list``, an ``eps``,
-    ``horizon`` or ``steps_per_period`` that is not positive and finite, or a
-    ``u_bar`` or ``K`` that is not finite, is a ``ValueError``.
+    ``horizon`` or ``steps_per_period`` that is not positive and finite, a
+    ``steps_per_period`` that is not an integer, or a ``u_bar`` or ``K`` that
+    is not finite, is a ``ValueError``.
     """
     if model.closed_field is None or model.averaged_field is None:
         raise ModelError(f"model {model.name!r} has no closed-form/averaged dynamics")
@@ -414,6 +463,7 @@ def oscillation_sweep(
         raise ValueError("eps_list must have at least one entry")
     eps_entries = (("eps_list entry", float(eps)) for eps in eps_arr)
     _check_dither_inputs(u_bar, K, ("horizon", horizon), ("steps_per_period", steps_per_period), *eps_entries)
+    _check_step_count("steps_per_period", steps_per_period)
     errors = np.empty(eps_arr.shape[0])
     endpoints = np.empty((eps_arr.shape[0], y0.shape[0]))
     avg_endpoints = np.empty_like(endpoints)
@@ -463,10 +513,14 @@ def two_timescale_coefficient(
     Integrates the closed-form field under the dither over a whole number of
     fast periods and reads the mean drift rate of the final state component
     (the pumped momentum coordinate); compares with the averaged field's
-    prediction at the initial state.  An ``eps``, ``periods`` or
-    ``steps_per_period`` that is not positive and finite, a ``periods`` or
-    ``steps_per_period`` that is not an integer, or a ``u_bar`` or ``K``
-    that is not finite, is a ``ValueError``.
+    prediction at the initial state.  ``rel_err`` is ``|measured - predicted|
+    / max(|predicted|, floor)``, where ``floor = eps_mach (1 + max|y0|) /
+    horizon`` (``eps_mach`` the float64 machine epsilon) is the rounding scale
+    of the measured rate: where the pump vanishes, as on the racer at ``u_bar
+    = pi/2``, both rates are rounding and their plain ratio means nothing.
+    An ``eps``, ``periods`` or ``steps_per_period`` that is not positive and
+    finite, a ``periods`` or ``steps_per_period`` that is not an integer, or
+    a ``u_bar`` or ``K`` that is not finite, is a ``ValueError``.
     """
     if model.closed_field is None or model.averaged_field is None:
         raise ModelError(f"model {model.name!r} has no closed-form/averaged dynamics")
@@ -479,5 +533,6 @@ def two_timescale_coefficient(
     yT = rk4_path(model.closed_field(control), y0, (0.0, horizon), periods * steps_per_period)
     measured = float((yT[-1] - y0[-1]) / horizon)
     predicted = float(model.averaged_field(u_bar, K)(0.0, y0)[-1])
-    rel = abs(measured - predicted) / max(abs(predicted), 1e-300)
+    floor = float(np.finfo(float).eps) * (1.0 + float(np.abs(y0).max())) / horizon
+    rel = abs(measured - predicted) / max(abs(predicted), floor)
     return TwoTimescale(measured=measured, predicted=predicted, rel_err=rel)

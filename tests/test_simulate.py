@@ -980,10 +980,10 @@ class TestListStepper:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_a_step_is_the_array_step_bit_for_bit(self, seed):
-        """200 random steps of a nonlinear field, states of 1 to 8 entries spread over six decades."""
+        """200 random steps of a nonlinear field, states of 0 to 8 entries spread over six decades."""
         rng = np.random.default_rng(seed)
         for _ in range(200):
-            n = int(rng.integers(1, 9))
+            n = int(rng.integers(0, 9))
             A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
 
             def field(t, y):
@@ -1008,6 +1008,21 @@ class TestListStepper:
             ref = array_rk4_step(pointwise, t, ref, dt, pointwise(t, ref))
             t += dt
         assert rk4_path(racer.closed_field(control), y0, (0.3, 1.7), nsteps).tobytes() == ref.tobytes()
+
+    def test_one_kernel_per_state_length(self, racer, ball):
+        """The straight-line steps are built once per state length: ``rk4_path`` on 2 and 4 entries, ``integrate``
+        on the racer (4) and the ball (8) leave three kernels, and repeats reuse them."""
+        simulate._rk4_kernel.cache_clear()
+        for _ in range(2):
+            for n in (2, 4):
+                rk4_path(lambda t, y: [-v for v in y], np.ones(n), (0.0, 1.0), 3)
+            integrate(racer.spec, racer.default_q0, racer_momentum(racer, racer.default_q0, 0.1),
+                      ControlSignal.sinusoid(0.0, 0.2, 3.0), (0.0, 0.03), IntegratorConfig(dt=0.01))
+            integrate(ball.spec, ball.default_q0, np.zeros(6), ControlSignal.sinusoid(0.0, 0.2, 2.0),
+                      (0.0, 0.03), IntegratorConfig(dt=0.01))
+            info = simulate._rk4_kernel.cache_info()
+            assert (info.currsize, info.misses) == (3, 3)
+        assert simulate._rk4_kernel(8) is simulate._rk4_kernel(8)
 
 
 class TestOneStepper:
@@ -1067,6 +1082,20 @@ class TestOneStepper:
         with pytest.raises(ValueError, match=r"^the field returned 1 entries for a state of 2$"):
             rk4_path(lambda t, y: [1.0] if t == 1.0 else [1.0, 1.0], np.ones(2), (0.0, 1.0), 1)
 
+    @pytest.mark.parametrize("bad", [1, 2, 3])
+    def test_a_short_stage_stops_the_step(self, bad):
+        """The stage that returns the wrong length is refused before the next stage is called (every stage used
+        to run first, the later ones on states cut to the short stage's length)."""
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            return [1.0] if len(calls) == bad else [1.0, 1.0]
+
+        with pytest.raises(ValueError, match=r"^the field returned 1 entries for a state of 2$"):
+            rk4_path(field, np.ones(2), (0.0, 1.0), 1)
+        assert len(calls) == bad
+
     @pytest.mark.parametrize("y0", [np.ones((2, 2)), np.float64(1.0), [[1.0], [2.0]]])
     def test_rk4_path_refuses_a_y0_that_is_not_1d(self, step_calls, y0):
         with pytest.raises(ValueError, match=r"^y0 must be 1-D, got shape \("):
@@ -1125,6 +1154,9 @@ class TestDitherExperiments:
             ({"horizon": np.inf}, "horizon must be positive and finite, got inf"),
             ({"horizon": -1.0}, "horizon must be positive and finite, got -1.0"),
             ({"steps_per_period": 0}, "steps_per_period must be positive and finite, got 0"),
+            ({"steps_per_period": True}, "steps_per_period must be an integer, got True"),
+            ({"steps_per_period": 50.5}, "steps_per_period must be an integer, got 50.5"),
+            ({"steps_per_period": 2.0}, "steps_per_period must be an integer, got 2.0"),
             ({"u_bar": np.nan}, "u_bar must be finite"),
             ({"K": np.inf}, "K must be finite"),
         ],
@@ -1134,7 +1166,9 @@ class TestDitherExperiments:
 
         It used to raise a bare ``ZeroDivisionError`` (``eps = 0``) or
         ``OverflowError`` (``horizon = inf``), or to return a number: errors
-        2.59 with ratio 1.0 for negative ``eps``, 0.092 for ``horizon = -1``.
+        2.59 with ratio 1.0 for negative ``eps``, 0.092 for ``horizon = -1``,
+        2.589 for ``steps_per_period = True`` (one step per period); ``50.5``
+        and ``2.0`` ran.
         """
         args = {"u_bar": 0.0, "K": 1.0, "eps_list": [0.1, 0.05], "horizon": 1.0, **kwargs}
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -1173,3 +1207,19 @@ class TestDitherExperiments:
         )
         assert out.predicted > 0.0
         assert out.rel_err < 2e-2
+
+    def test_two_timescale_rel_err_is_floored_where_the_pump_vanishes(self, racer):
+        """At ``u_bar = pi/2`` both rates are rounding (1.69e-18 against 1.70e-18): the error is taken against the
+        measured rate's rounding scale, 1.8e-15 here, not against the pump (it read 3.658e-03)."""
+        y0 = np.array([0.0, np.pi / 2.0, 0.0, 0.0])
+        out = two_timescale_coefficient(racer, y0, u_bar=np.pi / 2.0, K=1.0)
+        assert abs(out.predicted) < 1e-17 and abs(out.measured) < 1e-17
+        assert out.rel_err < 1e-4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_timescale_rel_err_is_the_plain_ratio_on_a_live_pump(self, racer, seed):
+        """On the benchmark's pump inputs the pump is far above the floor, so ``rel_err`` keeps its bits."""
+        rng = np.random.default_rng(seed)
+        y0 = np.array([0.0, rng.uniform(0.9, 2.2), 0.0, rng.uniform(-0.2, 0.2)])
+        out = two_timescale_coefficient(racer, y0, float(rng.uniform(-0.4, 0.4)), float(rng.uniform(0.7, 1.3)))
+        assert out.rel_err == abs(out.measured - out.predicted) / abs(out.predicted)
